@@ -110,7 +110,6 @@ fn chaos_config() -> RuntimeConfig {
     RuntimeConfig {
         slots_per_executor: 2,
         event_timeout_ms: 10_000,
-        snapshot_every: 2,
         max_task_attempts: MAX_TASK_ATTEMPTS,
         executor_fault_threshold: 2,
         speculation_floor_ms: 50,
@@ -342,11 +341,9 @@ fn violations(result: &JobResult, faults: &FaultPlan) -> Vec<String> {
         }
     }
 
-    // Any master restart — legacy snapshot or WAL crash recovery —
-    // restores `first_attempted` from an older durable state, so
-    // relaunches can be re-counted as originals and the ledger slips.
-    if faults.master_failure_after.is_none()
-        && faults.crashes.is_none()
+    // The crash family batches syncs and corrupts the log, so a restart
+    // can lose `TaskLaunched` frames and re-count relaunches as originals.
+    if faults.crashes.is_none()
         && result.metrics.tasks_launched
             != result.metrics.original_tasks
                 + result.metrics.relaunched_tasks

@@ -345,17 +345,21 @@ impl ThreadedBackend {
     /// starve.
     const FRAME_BATCH: usize = 32;
 
+    /// Capacity of the bounded pool job queue. The master submits eager
+    /// routing work with a non-blocking try-send against this bound;
+    /// executor task bodies queue behind it.
+    const CHANNEL_CAPACITY: usize = 256;
+
     /// Builds the backend from the validated threaded knobs in `config`
-    /// (`threaded_workers`, `threaded_channel_capacity`,
-    /// `threaded_wallclock_timeout_ms`, plus the watchdog and
-    /// cancellation knobs). The worker pool spins up immediately and is
-    /// shared by every executor of the job.
+    /// (`threaded_workers`, `threaded_wallclock_timeout_ms`, plus the
+    /// watchdog and cancellation knobs). The worker pool spins up
+    /// immediately and is shared by every executor of the job.
     pub fn from_config(config: &RuntimeConfig) -> Self {
         let cancel_grace = Duration::from_millis(config.cancel_grace_ms.max(1));
         ThreadedBackend {
             pool: Arc::new(WorkerPool::with_grace(
                 config.threaded_workers.max(1),
-                config.threaded_channel_capacity.max(1),
+                Self::CHANNEL_CAPACITY,
                 cancel_grace,
             )),
             probe: Arc::new(StallProbe::default()),

@@ -22,9 +22,6 @@ pub struct RuntimeConfig {
     /// Milliseconds the master waits for any event before declaring the
     /// job wedged (defensive; never reached in healthy runs).
     pub event_timeout_ms: u64,
-    /// Take a progress-metadata snapshot every this many task completions
-    /// (master fault tolerance, §3.2.6).
-    pub snapshot_every: usize,
     /// Retry budget per task: total attempts (first launch included) a
     /// task may consume through user-code failures before the job fails
     /// terminally with [`crate::RuntimeError::TaskFailed`]. Eviction- and
@@ -77,10 +74,10 @@ pub struct RuntimeConfig {
     /// still-incomplete transient stage to the reserved pool. `0` (the
     /// default) disables the hook.
     pub reconfig_storm_threshold: usize,
-    /// Path of the master's durable write-ahead log. `None` (the
-    /// default) disables the WAL: master restarts fall back to the
-    /// in-memory progress snapshot and crash-injection chaos is
-    /// rejected at validation.
+    /// Path of the master's durable write-ahead log (master fault
+    /// tolerance, §3.2.6). `None` (the default) writes no log, unless the
+    /// fault plan restarts the master: then the master logs to a temp
+    /// file it removes when the run ends.
     pub wal_path: Option<String>,
     /// Sync (make durable) the WAL after this many appends. `1` syncs
     /// every frame — the strongest guarantee and the default; larger
@@ -94,10 +91,6 @@ pub struct RuntimeConfig {
     /// the sim backend, which gives each executor dedicated slot
     /// threads).
     pub threaded_workers: usize,
-    /// Capacity of the threaded backend's bounded pool job queue. The
-    /// master submits eager routing work with a non-blocking try-send
-    /// against this bound; executor task bodies queue behind it.
-    pub threaded_channel_capacity: usize,
     /// Wall-clock milliseconds the threaded backend waits for the master
     /// thread before aborting the job (the backstop against a deadlock
     /// in the parallel plumbing). Must exceed `event_timeout_ms` so the
@@ -134,7 +127,6 @@ impl Default for RuntimeConfig {
             executor_memory_bytes: usize::MAX,
             partial_aggregation: true,
             event_timeout_ms: 30_000,
-            snapshot_every: 16,
             max_task_attempts: 4,
             executor_fault_threshold: 3,
             speculation: true,
@@ -154,7 +146,6 @@ impl Default for RuntimeConfig {
             wal_sync_every: 1,
             wal_snapshot_every: 64,
             threaded_workers: 4,
-            threaded_channel_capacity: 256,
             threaded_wallclock_timeout_ms: 60_000,
             stall_watchdog: false,
             stall_sample_interval_ms: 500,
@@ -286,9 +277,6 @@ impl RuntimeConfig {
         }
         if self.threaded_workers == 0 {
             return Err("threaded_workers must be at least 1".into());
-        }
-        if self.threaded_channel_capacity == 0 {
-            return Err("threaded_channel_capacity must be at least 1".into());
         }
         if self.threaded_wallclock_timeout_ms <= self.event_timeout_ms {
             return Err(format!(
@@ -559,18 +547,6 @@ mod tests {
             ..RuntimeConfig::default()
         };
         assert!(c.validate().unwrap_err().contains("threaded_workers"));
-    }
-
-    #[test]
-    fn validate_rejects_zero_threaded_channel_capacity() {
-        let c = RuntimeConfig {
-            threaded_channel_capacity: 0,
-            ..RuntimeConfig::default()
-        };
-        assert!(c
-            .validate()
-            .unwrap_err()
-            .contains("threaded_channel_capacity"));
     }
 
     #[test]

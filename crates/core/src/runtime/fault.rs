@@ -1,5 +1,7 @@
 //! The seed-keyed fault injector: every probabilistic fault decision in
-//! the runtime routed through one type.
+//! the runtime routed through one type — and the fault *plans*
+//! ([`FaultPlan`], [`ChaosPlan`], [`CrashPlan`]) a caller hands the
+//! master to say which faults a run gets.
 //!
 //! Before this module existed, each fault family rolled its own draw
 //! inline: the task chaos plan hashed in `master.rs`, the network policy
@@ -29,6 +31,12 @@
 //! racing executor emissions, so the crash *boundary* floats across
 //! backends — documented as intentional in DESIGN.md §14); its coin,
 //! like everything else, draws through this module.
+
+use crate::compiler::FopId;
+use crate::runtime::reconfig::ScheduledReconfig;
+use crate::runtime::store::SpillFaultPlan;
+use crate::runtime::transport::NetworkFault;
+use crate::runtime::wal::WalCorruption;
 
 /// splitmix64 finalizer: one independent uniform draw per input. The
 /// primary hashing primitive — task chaos, wire faults, spill faults,
@@ -66,9 +74,8 @@ const SALT_WAL_FLIP: u64 = 0xb17f;
 
 /// Which side of the control wire a transmission decision is for.
 ///
-/// Mirrors [`Direction`](crate::runtime::Direction) without depending on
-/// the transport module (transport depends on this module, not the
-/// reverse).
+/// Mirrors [`Direction`](crate::runtime::Direction) so the injector's
+/// draw methods take no transport type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireSide {
     /// Master → executor deliveries.
@@ -226,6 +233,110 @@ impl FaultInjector {
             hash: fmix64(self.seed ^ SALT_WAL_FLIP ^ (offset << 16)),
         }
     }
+}
+
+/// Probabilistic user-code fault injection, decided deterministically per
+/// `(seed, task, launch ordinal)` so every chaos run is exactly
+/// reproducible from its seed.
+///
+/// Faults count against the per-task cap `max_faults_per_task`; keeping
+/// the cap below the runtime's `max_task_attempts` guarantees a chaos run
+/// can always complete. Delays are not faults and are never capped.
+#[derive(Debug, Clone, Default)]
+pub struct ChaosPlan {
+    /// Seed for the injection decisions.
+    pub seed: u64,
+    /// Probability a launch fails with a user-function error.
+    pub error_prob: f64,
+    /// Probability a launch fails with a user-function panic.
+    pub panic_prob: f64,
+    /// Probability a launch stalls before computing (straggler).
+    pub delay_prob: f64,
+    /// Maximum injected stall in milliseconds (actual stall is uniform in
+    /// `1..=delay_ms`).
+    pub delay_ms: u64,
+    /// Probability a launch fails with a mid-task allocation failure
+    /// (the executor-store budget exhausted at the worst moment). Counts
+    /// against `max_faults_per_task` like errors and panics.
+    pub oom_prob: f64,
+    /// Injected error/panic/OOM budget per task across all its launches.
+    pub max_faults_per_task: usize,
+}
+
+/// The master-crash chaos family: kills the master at handler
+/// boundaries and recovers it from the write-ahead log.
+///
+/// A crash is evaluated after every handled frame (the only points an
+/// in-process master can die without leaving a handler half-applied; a
+/// real process crash mid-handler loses the same unsynced WAL suffix).
+/// Any satisfied trigger fires, up to `max_crashes` total. All decisions
+/// are deterministic in `(seed, handled-frame ordinal)`, except the
+/// append-count trigger, whose clock advances with concurrent executor
+/// emissions — recovery must be correct at *any* boundary, so the
+/// trigger's exact landing spot is allowed to float.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CrashPlan {
+    /// Seed for the probabilistic handler-boundary trigger.
+    pub seed: u64,
+    /// Crash once every `n` handled frames (exhaustive boundary sweeps
+    /// set this to each boundary in turn with `max_crashes = 1`).
+    pub after_handled_frames: Option<u64>,
+    /// Crash when the WAL has absorbed another `k` appends.
+    pub every_kth_append: Option<u64>,
+    /// Probability of crashing at each handled-frame boundary.
+    pub handler_prob: f64,
+    /// Total crash budget for the run (0 disables the family).
+    pub max_crashes: usize,
+    /// Seeded corruption applied to the WAL image at each crash, before
+    /// recovery scans it (bit flips and torn-tail truncation).
+    pub corruption: Option<WalCorruption>,
+}
+
+/// Scheduled faults injected deterministically while a job runs.
+///
+/// Thresholds count *processed task completions*: `(n, k)` fires when the
+/// master has handled `n` valid task completions, targeting the `k`-th
+/// alive executor of the relevant kind (in id order).
+#[derive(Debug, Clone, Default)]
+pub struct FaultPlan {
+    /// Transient container evictions.
+    pub evictions: Vec<(usize, usize)>,
+    /// Reserved executor machine failures.
+    pub reserved_failures: Vec<(usize, usize)>,
+    /// Crash the master once after this many completions and recover it
+    /// from the write-ahead log.
+    pub master_failure_after: Option<usize>,
+    /// Probabilistic user-code fault injection (chaos testing).
+    pub chaos: Option<ChaosPlan>,
+    /// Stall the *first* attempt of task `(fop, index)` by the given
+    /// milliseconds — a targeted straggler, used to exercise speculative
+    /// execution deterministically.
+    pub first_attempt_delays: Vec<(FopId, usize, u64)>,
+    /// Stall the *first* attempt of task `(fop, index)` by the given
+    /// milliseconds *after* it computes, before its `TaskDone` is sent —
+    /// deterministically exercising the computed-but-unreported window.
+    pub first_attempt_done_delays: Vec<(FopId, usize, u64)>,
+    /// Seeded network faults on the master↔executor control plane
+    /// (`None` = perfectly reliable transport).
+    pub network: Option<NetworkFault>,
+    /// Scheduled executor-store budget shrinks `(n, k, bytes)`: after `n`
+    /// processed completions, shrink the `k`-th alive *reserved*
+    /// executor's store budget to `bytes` (memory-pressure chaos). The
+    /// applied budget clamps up to pinned occupancy, so a shrink can
+    /// squeeze but never strand a running attempt.
+    pub budget_shrinks: Vec<(usize, usize, usize)>,
+    /// Reconfiguration transactions scheduled against the same
+    /// completion clock as the other fault families (the chaos family's
+    /// random mid-job reconfigs, and the explicit API's deterministic
+    /// ones, both ride here).
+    pub reconfigs: Vec<ScheduledReconfig>,
+    /// Seeded spill-I/O fault injection on every executor store
+    /// (`None` = the disk tier never fails).
+    pub spill_faults: Option<SpillFaultPlan>,
+    /// Master crashes recovered from the write-ahead log. When
+    /// `RuntimeConfig::wal_path` is unset the master logs to a temp file
+    /// for the length of the run.
+    pub crashes: Option<CrashPlan>,
 }
 
 #[cfg(test)]

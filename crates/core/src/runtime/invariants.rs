@@ -39,9 +39,11 @@
 //!     master recovery is fenced — the recovered master must never accept
 //!     a terminal report for it (each task still commits exactly once
 //!     across the crash, which laws 1 and the terminal-once rule then
-//!     enforce on the continuation); and every `WalRecovered` pairs with
-//!     a preceding `MasterRecovered`, so the journal of a recovered run
-//!     is a consistent continuation of the pre-crash prefix.
+//!     enforce on the continuation); every `WalRecovered` pairs with a
+//!     preceding `MasterRecovered`; and on a successful run the two
+//!     counts are equal — the WAL is the only way a master recovers — so
+//!     the journal of a recovered run is a consistent continuation of
+//!     the pre-crash prefix.
 //! 11. **Aborts fail well**: an aborted or stalled run (`RunAborted` /
 //!     `RunStalled`) still quiesces its worker pool — a `PoolQuiesced`
 //!     event must follow the abort marker, and it must report zero jobs
@@ -831,6 +833,15 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 ),
             });
         }
+        if master_recoveries != wal_recoveries {
+            violations.push(Violation {
+                position: usize::MAX,
+                message: format!(
+                    "{master_recoveries} master recoveries but {wal_recoveries} WAL \
+                     recoveries: every restart must recover from the log"
+                ),
+            });
+        }
         let mut unresolved: Vec<(u64, bool)> = open_reconfigs.into_iter().collect();
         unresolved.sort_unstable();
         for (id, prepared) in unresolved {
@@ -1016,6 +1027,23 @@ mod tests {
         assert!(
             v.iter().any(|v| v.message.contains("WAL recovery")),
             "missing pairing violation: {v:?}"
+        );
+    }
+
+    #[test]
+    fn law10_bare_master_recovery_in_a_complete_journal_is_detected() {
+        let j = journal(vec![
+            JobEvent::MasterRecovered,
+            launch(0, 0, 1, 0),
+            commit(0, 0, 1, 0),
+            launch(1, 0, 2, 1),
+            commit(1, 0, 2, 1),
+            JobEvent::StageCompleted(0),
+        ]);
+        let v = check(&j, true);
+        assert!(
+            v.iter().any(|v| v.message.contains("WAL recoveries")),
+            "missing count violation: {v:?}"
         );
     }
 

@@ -151,7 +151,7 @@ pub enum JobEvent {
         stage: usize,
         /// `true` when a container loss destroyed the stage's preserved
         /// outputs (the §3.2.6 recomputation path); `false` when a master
-        /// restart merely rolled the stage back to an older snapshot.
+        /// restart merely rolled the stage back to what the WAL held.
         recompute: bool,
     },
     /// A transient container was evicted.
@@ -177,7 +177,8 @@ pub enum JobEvent {
         /// The link-level sequence number being retried.
         seq: u64,
     },
-    /// The master restarted from its replicated progress snapshot.
+    /// The master restarted; a `WalRecovered` with the replay statistics
+    /// follows.
     MasterRecovered,
     /// A block was admitted into an executor's byte-accounted store.
     BlockAdmitted {

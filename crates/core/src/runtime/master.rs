@@ -19,7 +19,7 @@
 //! outputs were lost.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,7 +35,7 @@ use crate::runtime::backend::{CancelToken, ExecBackend, SimBackend, StallProbe, 
 use crate::runtime::cache::CacheKey;
 use crate::runtime::clock::Clock;
 use crate::runtime::executor::{combine_consumer, ExecutorHandle, JobContext};
-use crate::runtime::fault::FaultInjector;
+use crate::runtime::fault::{FaultInjector, FaultPlan};
 use crate::runtime::journal::{
     EventJournal, Journal, JournalMeta, MAX_RETRANSMISSIONS_PER_MESSAGE,
 };
@@ -44,119 +44,13 @@ use crate::runtime::message::{
 };
 use crate::runtime::metrics::JobMetrics;
 use crate::runtime::policy::{Candidate, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
-use crate::runtime::reconfig::{ReconfigChange, ReconfigPlan, ReconfigTrigger, ScheduledReconfig};
-use crate::runtime::store::{
-    block_bytes, BlockRef, ExecutorStore, SpillFaultPlan, StoreError, StoreHandle,
-};
+use crate::runtime::reconfig::{ReconfigChange, ReconfigPlan, ReconfigTrigger};
+use crate::runtime::store::{block_bytes, BlockRef, ExecutorStore, StoreError, StoreHandle};
 use crate::runtime::transport::{
-    mix64, DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, NetworkFault, ReliableSender,
+    mix64, DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, ReliableSender,
     TransportCounters, Wire,
 };
-use crate::runtime::wal::{RecoveredState, WalCorruption, WalRecord, WalSnapshot, WalWriter};
-
-/// Probabilistic user-code fault injection, decided deterministically per
-/// `(seed, task, launch ordinal)` so every chaos run is exactly
-/// reproducible from its seed.
-///
-/// Faults count against the per-task cap `max_faults_per_task`; keeping
-/// the cap below the runtime's `max_task_attempts` guarantees a chaos run
-/// can always complete. Delays are not faults and are never capped.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosPlan {
-    /// Seed for the injection decisions.
-    pub seed: u64,
-    /// Probability a launch fails with a user-function error.
-    pub error_prob: f64,
-    /// Probability a launch fails with a user-function panic.
-    pub panic_prob: f64,
-    /// Probability a launch stalls before computing (straggler).
-    pub delay_prob: f64,
-    /// Maximum injected stall in milliseconds (actual stall is uniform in
-    /// `1..=delay_ms`).
-    pub delay_ms: u64,
-    /// Probability a launch fails with a mid-task allocation failure
-    /// (the executor-store budget exhausted at the worst moment). Counts
-    /// against `max_faults_per_task` like errors and panics.
-    pub oom_prob: f64,
-    /// Injected error/panic/OOM budget per task across all its launches.
-    pub max_faults_per_task: usize,
-}
-
-/// The master-crash chaos family: kills the master at handler
-/// boundaries and recovers it from the write-ahead log.
-///
-/// A crash is evaluated after every handled frame (the only points an
-/// in-process master can die without leaving a handler half-applied; a
-/// real process crash mid-handler loses the same unsynced WAL suffix).
-/// Any satisfied trigger fires, up to `max_crashes` total. All decisions
-/// are deterministic in `(seed, handled-frame ordinal)`, except the
-/// append-count trigger, whose clock advances with concurrent executor
-/// emissions — recovery must be correct at *any* boundary, so the
-/// trigger's exact landing spot is allowed to float.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CrashPlan {
-    /// Seed for the probabilistic handler-boundary trigger.
-    pub seed: u64,
-    /// Crash once every `n` handled frames (exhaustive boundary sweeps
-    /// set this to each boundary in turn with `max_crashes = 1`).
-    pub after_handled_frames: Option<u64>,
-    /// Crash when the WAL has absorbed another `k` appends.
-    pub every_kth_append: Option<u64>,
-    /// Probability of crashing at each handled-frame boundary.
-    pub handler_prob: f64,
-    /// Total crash budget for the run (0 disables the family).
-    pub max_crashes: usize,
-    /// Seeded corruption applied to the WAL image at each crash, before
-    /// recovery scans it (bit flips and torn-tail truncation).
-    pub corruption: Option<WalCorruption>,
-}
-
-/// Scheduled faults injected deterministically while a job runs.
-///
-/// Thresholds count *processed task completions*: `(n, k)` fires when the
-/// master has handled `n` valid task completions, targeting the `k`-th
-/// alive executor of the relevant kind (in id order).
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    /// Transient container evictions.
-    pub evictions: Vec<(usize, usize)>,
-    /// Reserved executor machine failures.
-    pub reserved_failures: Vec<(usize, usize)>,
-    /// Simulate a master crash/restart after this many completions,
-    /// resuming from the last progress snapshot.
-    pub master_failure_after: Option<usize>,
-    /// Probabilistic user-code fault injection (chaos testing).
-    pub chaos: Option<ChaosPlan>,
-    /// Stall the *first* attempt of task `(fop, index)` by the given
-    /// milliseconds — a targeted straggler, used to exercise speculative
-    /// execution deterministically.
-    pub first_attempt_delays: Vec<(FopId, usize, u64)>,
-    /// Stall the *first* attempt of task `(fop, index)` by the given
-    /// milliseconds *after* it computes, before its `TaskDone` is sent —
-    /// deterministically exercising the computed-but-unreported window.
-    pub first_attempt_done_delays: Vec<(FopId, usize, u64)>,
-    /// Seeded network faults on the master↔executor control plane
-    /// (`None` = perfectly reliable transport).
-    pub network: Option<NetworkFault>,
-    /// Scheduled executor-store budget shrinks `(n, k, bytes)`: after `n`
-    /// processed completions, shrink the `k`-th alive *reserved*
-    /// executor's store budget to `bytes` (memory-pressure chaos). The
-    /// applied budget clamps up to pinned occupancy, so a shrink can
-    /// squeeze but never strand a running attempt.
-    pub budget_shrinks: Vec<(usize, usize, usize)>,
-    /// Reconfiguration transactions scheduled against the same
-    /// completion clock as the other fault families (the chaos family's
-    /// random mid-job reconfigs, and the explicit API's deterministic
-    /// ones, both ride here).
-    pub reconfigs: Vec<ScheduledReconfig>,
-    /// Seeded spill-I/O fault injection on every executor store
-    /// (`None` = the disk tier never fails).
-    pub spill_faults: Option<SpillFaultPlan>,
-    /// Master crashes recovered from the write-ahead log (requires
-    /// `RuntimeConfig::wal_path`; the harness rejects the combination
-    /// of crashes without a WAL before the job starts).
-    pub crashes: Option<CrashPlan>,
-}
+use crate::runtime::wal::{temp_wal_path, WalCorruption, WalRecord, WalSnapshot, WalWriter};
 
 // The event schema lives with the journal; re-exported here because the
 // events were born in this module and callers still import them from it.
@@ -273,24 +167,6 @@ struct ActiveReconfig {
     deadline: Instant,
 }
 
-/// Progress metadata replicated for master fault tolerance (§3.2.6): the
-/// record of finished tasks and where their outputs live. Intermediate
-/// records themselves live on executors; the in-process stand-in keeps
-/// them alongside as shared [`Block`]s, so cloning this snapshot — and
-/// restoring from it after a master restart — costs O(references), never
-/// O(records).
-#[derive(Debug, Clone)]
-struct ProgressSnapshot {
-    tasks: Vec<Vec<TaskState>>,
-    outputs: HashMap<(FopId, usize), Block>,
-    result_parts: BTreeMap<(FopId, usize), Block>,
-    first_attempted: Vec<Vec<bool>>,
-    next_attempt: AttemptId,
-    /// The reconfiguration epoch is part of the replicated progress
-    /// record: a restarted master must keep fencing pre-restart frames.
-    epoch: u64,
-}
-
 /// Eager routing results keyed like [`Master::routed`]: `(fop, index,
 /// dst_par)` → the source block the buckets were computed from plus the
 /// buckets themselves.
@@ -341,15 +217,16 @@ pub struct Master {
     faults: FaultPlan,
     fault_cursor_evict: usize,
     fault_cursor_fail: usize,
-    master_failed: bool,
-    snapshot: Option<ProgressSnapshot>,
 
     // --- Durability domain ---
-    /// The write-ahead log, when `RuntimeConfig::wal_path` armed one.
-    /// Shared with the journal (whose emissions it makes durable); the
-    /// master additionally appends location-table deltas and compacting
-    /// snapshots through it.
+    /// The write-ahead log: armed at `RuntimeConfig::wal_path`, or at a
+    /// temp path when the fault plan restarts the master and no path is
+    /// set. Shared with the journal (whose emissions it makes durable);
+    /// the master additionally appends location-table deltas and
+    /// compacting snapshots through it.
     wal: Option<Arc<Mutex<WalWriter>>>,
+    /// The temp file a self-armed WAL lives in, removed on drop.
+    temp_wal: Option<PathBuf>,
     /// Crashes the crash chaos family has injected so far.
     crashes_injected: usize,
     /// Handled (progress-bearing) frames — the crash family's
@@ -382,8 +259,7 @@ pub struct Master {
     /// replay that slips past them (window overflow, reordering across a
     /// restart) hits this set and becomes a complete no-op — no double
     /// commit, no double slot-free, no double retry charge. Part of the
-    /// replicated completion log: it survives a simulated master restart,
-    /// exactly as the progress snapshot does.
+    /// replicated completion log: WAL recovery restores it.
     completed_attempts: HashSet<AttemptId>,
 
     // --- Memory-pressure domain ---
@@ -451,13 +327,21 @@ pub struct Master {
     probe: Option<Arc<StallProbe>>,
 }
 
+impl Drop for Master {
+    fn drop(&mut self) {
+        if let Some(path) = &self.temp_wal {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 impl Master {
     /// Creates a master and spawns the initial containers.
     ///
     /// # Errors
     ///
-    /// Fails when `RuntimeConfig::wal_path` is set but the write-ahead
-    /// log cannot be created or its genesis snapshot cannot be written.
+    /// Fails when the write-ahead log is armed but cannot be created, or
+    /// its genesis snapshot cannot be written.
     pub fn new(
         job: Arc<JobContext>,
         n_transient: usize,
@@ -528,10 +412,15 @@ impl Master {
         // executors: every clone copies the sink, and a late arm would
         // leave executor emissions volatile.
         let mut journal = Journal::new();
-        let wal = match &job.config.wal_path {
+        // A restart recovers from the log, so a fault plan that asks for
+        // one arms a log of its own when the config names no path.
+        let restarts = faults.master_failure_after.is_some() || faults.crashes.is_some();
+        let temp_wal = (job.config.wal_path.is_none() && restarts).then(|| temp_wal_path("auto"));
+        let wal_path = job.config.wal_path.as_deref().map(Path::new);
+        let wal = match wal_path.or(temp_wal.as_deref()) {
             Some(path) => {
                 let writer = WalWriter::create(
-                    Path::new(path),
+                    path,
                     Arc::clone(&epoch),
                     job.config.wal_sync_every,
                     job.config.wal_snapshot_every,
@@ -567,9 +456,8 @@ impl Master {
             faults,
             fault_cursor_evict: 0,
             fault_cursor_fail: 0,
-            master_failed: false,
-            snapshot: None,
             wal,
+            temp_wal,
             crashes_injected: 0,
             handled_frames: 0,
             blacklisted: HashSet::new(),
@@ -1654,13 +1542,6 @@ impl Master {
         self.append_wal_locations(fop, index)?;
 
         self.done_events += 1;
-        if self.job.config.snapshot_every > 0
-            && self
-                .done_events
-                .is_multiple_of(self.job.config.snapshot_every)
-        {
-            self.take_snapshot();
-        }
         self.fire_due_faults()?;
         Ok(())
     }
@@ -1957,15 +1838,9 @@ impl Master {
             self.request_reconfig(scheduled.plan, scheduled.trigger);
         }
         if let Some(n) = self.faults.master_failure_after {
-            if !self.master_failed && self.done_events >= n {
-                self.master_failed = true;
-                if self.wal.is_some() {
-                    // With a WAL armed the legacy knob exercises true
-                    // log recovery instead of the volatile snapshot.
-                    self.crash_and_recover(None)?;
-                } else {
-                    self.simulate_master_failure();
-                }
+            if self.done_events >= n {
+                self.faults.master_failure_after = None;
+                self.crash_and_recover(None)?;
             }
         }
         Ok(())
@@ -2110,131 +1985,6 @@ impl Master {
             .emit(None, JobEvent::ContainerAdded(replacement));
     }
 
-    /// Simulates a master crash: all in-memory progress is lost and the
-    /// replacement master resumes from the replicated snapshot.
-    ///
-    /// Attempt accounting (retry budgets, executor fault counts) is
-    /// in-memory master state, so it resets with the crash; only progress
-    /// metadata survives. `completed_attempts` survives too — it is the
-    /// replicated completion log the idempotent handlers key on, and a
-    /// restarted master must still reject replays of pre-crash reports.
-    /// Chaos-injection bookkeeping deliberately survives — it models the
-    /// *test harness's* fault schedule, not master state, keeping
-    /// injected faults bounded per task across the restart. Transport
-    /// sessions (sequence numbers, dedup windows) also continue: the
-    /// in-process model restarts master *state*, not its sockets.
-    fn simulate_master_failure(&mut self) {
-        // The journal survives: it is part of the replicated progress
-        // record (and why journal-derived metrics never roll back).
-        self.journal.emit(None, JobEvent::MasterRecovered);
-        // An in-flight transaction is master in-memory state: the
-        // restarted master has never heard of it, so it resolves as an
-        // abort (nothing was applied; the restored placement is the old
-        // one and stays runnable).
-        self.abort_reconfig("master restarted mid-transaction".into());
-        let done_before: Vec<Vec<bool>> = self
-            .tasks
-            .iter()
-            .map(|ts| {
-                ts.iter()
-                    .map(|t| matches!(t, TaskState::Done { .. }))
-                    .collect()
-            })
-            .collect();
-        let snap = self.snapshot.clone().unwrap_or_else(|| ProgressSnapshot {
-            tasks: self
-                .tasks
-                .iter()
-                .map(|ts| vec![TaskState::Pending; ts.len()])
-                .collect(),
-            outputs: HashMap::new(),
-            result_parts: BTreeMap::new(),
-            first_attempted: self
-                .first_attempted
-                .iter()
-                .map(|ts| vec![false; ts.len()])
-                .collect(),
-            next_attempt: self.next_attempt,
-            epoch: 0,
-        });
-        // Pins belong to attempts of the failed master; every one of them
-        // is fenced below, so their holds on executor memory lift now
-        // (the executors outlive the master restart, their stores with
-        // them). Deferred pushes die with the failed master's in-memory
-        // queue too: the producer-local location still serves the data.
-        let pins: Vec<(AttemptId, (ExecId, Vec<BlockRef>))> = self.attempt_pins.drain().collect();
-        for (_, (exec, refs)) in pins {
-            if let Some(info) = self.executors.get(&exec) {
-                let mut s = info.store.lock();
-                for r in refs {
-                    s.unpin(r);
-                }
-            }
-        }
-        self.deferred_pushes.clear();
-        self.tasks = snap.tasks;
-        self.outputs = snap.outputs;
-        self.result_parts = snap.result_parts;
-        // Routing memos derive from the failed master's in-memory outputs;
-        // the replacement rebuilds them on demand.
-        self.routed.clear();
-        self.side_cache.clear();
-        self.first_attempted = snap.first_attempted;
-        // The epoch is replicated progress: the live cell is already at
-        // or above the snapshot (epochs only grow), but a real restart
-        // would begin from the snapshot value — restore monotonically.
-        self.epoch.fetch_max(snap.epoch, Ordering::Relaxed);
-        self.attempt_epochs.clear();
-        // Fence all attempts issued by the failed master.
-        self.next_attempt = snap.next_attempt.max(self.next_attempt) + 1_000_000;
-        self.attempt_of.clear();
-        self.assigned.clear();
-        self.launch_times.clear();
-        self.speculative.clear();
-        self.task_failure_counts.clear();
-        self.exec_failures.clear();
-        for info in self.executors.values_mut() {
-            if info.alive {
-                info.busy = 0;
-            }
-        }
-        // Reconcile the restored metadata with the resource manager's view
-        // of which containers are still alive: data on since-evicted
-        // containers is gone.
-        let alive: HashSet<ExecId> = self
-            .executors
-            .iter()
-            .filter(|(_, e)| e.alive)
-            .map(|(&id, _)| id)
-            .collect();
-        for f in 0..self.tasks.len() {
-            for i in 0..self.tasks[f].len() {
-                let lost = if let TaskState::Done { locations } = &mut self.tasks[f][i] {
-                    locations.retain(|l| alive.contains(l));
-                    locations.is_empty() && !self.result_parts.contains_key(&(f, i))
-                } else {
-                    false
-                };
-                if lost {
-                    self.outputs.remove(&(f, i));
-                    self.tasks[f][i] = TaskState::Pending;
-                }
-            }
-        }
-        // Log every commit the restart rolled back (snapshot lag or data
-        // on since-lost containers); their recomputation follows.
-        for (f, was) in done_before.iter().enumerate() {
-            for (i, &was_done) in was.iter().enumerate() {
-                if was_done && !matches!(self.tasks[f][i], TaskState::Done { .. }) {
-                    self.journal.emit(
-                        Some(self.meta.stage_of[f]),
-                        JobEvent::TaskReverted { fop: f, index: i },
-                    );
-                }
-            }
-        }
-    }
-
     /// The master's durable progress record, built from live state. The
     /// completed-attempt set is sorted so the frame bytes are a pure
     /// function of the state, never of hash-map iteration order.
@@ -2258,10 +2008,6 @@ impl Master {
             first_attempted: self.first_attempted.clone(),
             parallelism: self.parallelism.clone(),
             placement: self.placement.clone(),
-            // Store residency reseeds from the Block* events that follow
-            // the snapshot; recovery never consumes it, so the snapshot
-            // does not chase executor store locks to record it.
-            resident: Vec::new(),
         }
     }
 
@@ -2315,7 +2061,7 @@ impl Master {
         let Some(plan) = self.faults.crashes else {
             return Ok(());
         };
-        if self.crashes_injected >= plan.max_crashes || self.wal.is_none() {
+        if self.crashes_injected >= plan.max_crashes {
             return Ok(());
         }
         let round = self.crashes_injected as u64 + 1;
@@ -2344,26 +2090,24 @@ impl Master {
     /// unsynced WAL suffix is lost (the simulated page cache), optional
     /// seeded corruption mangles the surviving image, and the recovery
     /// scan replays the longest valid prefix.
+    ///
+    /// The replay carries the completion log, the block location table
+    /// (refetched from surviving executor stores), the reconfiguration
+    /// epoch, and the shape overlays. Everything else is in-memory state
+    /// of the dead master and resets, retry budgets and executor fault
+    /// counts included. Chaos-injection bookkeeping survives: it is the
+    /// *test harness's* fault schedule, and keeps injected faults bounded
+    /// per task across the restart. Transport sessions (sequence numbers,
+    /// dedup windows) survive too: the in-process model restarts master
+    /// *state*, not its sockets.
     fn crash_and_recover(
         &mut self,
         corruption: Option<&WalCorruption>,
     ) -> Result<(), RuntimeError> {
-        let Some(wal) = self.wal.as_ref().map(Arc::clone) else {
-            // No WAL armed: the legacy replicated-snapshot restart is
-            // the only recovery model available.
-            self.simulate_master_failure();
-            return Ok(());
-        };
+        let wal = self.wal.clone().ok_or_else(|| {
+            RuntimeError::Invariant("master restart requested with no WAL armed".into())
+        })?;
         let rec = wal.lock().crash_and_recover(corruption)?;
-        self.recover_from_wal(rec)
-    }
-
-    /// Rebuilds every piece of master state the WAL replay carries:
-    /// the completion log, the block location table (refetched from
-    /// surviving executor stores), the reconfiguration epoch, and the
-    /// shape overlays. Everything else is in-memory state of the dead
-    /// master and resets, exactly as in [`Self::simulate_master_failure`].
-    fn recover_from_wal(&mut self, rec: RecoveredState) -> Result<(), RuntimeError> {
         // The in-memory journal survives (replicated progress record);
         // the recovery markers are the first thing the new master logs,
         // and law 10 fences every in-flight pre-crash attempt at the
@@ -2421,7 +2165,7 @@ impl Master {
         // fold by itself (they need the plan's stage table).
         // `Repartition` replays inside the WAL fold; a committed
         // `DrainTransient`'s drained set deliberately persists as
-        // harness state, like the legacy restart (DESIGN.md §14).
+        // harness state (DESIGN.md §14).
         for change in &rec.reconfig_changes {
             if let ReconfigChange::MigrateStage { stage, to } = change {
                 for f in 0..self.placement.len() {
@@ -2553,33 +2297,6 @@ impl Master {
         // A fresh snapshot compacts the replay for the next crash and
         // resets the writer's snapshot clock.
         self.append_wal_snapshot()
-    }
-
-    fn take_snapshot(&mut self) {
-        // Running attempts are not part of progress metadata: a restarted
-        // master re-launches them.
-        let tasks = self
-            .tasks
-            .iter()
-            .map(|ts| {
-                ts.iter()
-                    .map(|t| match t {
-                        TaskState::Done { locations } => TaskState::Done {
-                            locations: locations.clone(),
-                        },
-                        _ => TaskState::Pending,
-                    })
-                    .collect()
-            })
-            .collect();
-        self.snapshot = Some(ProgressSnapshot {
-            tasks,
-            outputs: self.outputs.clone(),
-            result_parts: self.result_parts.clone(),
-            first_attempted: self.first_attempted.clone(),
-            next_attempt: self.next_attempt,
-            epoch: self.epoch.load(Ordering::Relaxed),
-        });
     }
 
     /// One scheduling pass: over every runnable stage, assign reserved

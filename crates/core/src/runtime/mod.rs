@@ -27,11 +27,11 @@ pub use cache::{CacheKey, LruCache};
 pub use clock::Clock;
 pub use config::RuntimeConfig;
 pub use executor::{ExecutorHandle, JobContext};
-pub use fault::{FaultDraw, FaultInjector, WireSide};
+pub use fault::{ChaosPlan, CrashPlan, FaultDraw, FaultInjector, FaultPlan, WireSide};
 pub use invariants::{assert_clean, check, Violation};
 pub use journal::{EventJournal, JobEvent, Journal, JournalMeta, JournalRecord};
 pub use local::LocalCluster;
-pub use master::{ChaosPlan, CrashPlan, FaultPlan, Injector, JobResult, Master};
+pub use master::{Injector, JobResult, Master};
 pub use message::{AttemptId, ExecId, InjectedFault, MasterMsg};
 pub use metrics::JobMetrics;
 pub use policy::{Candidate, LeastLoaded, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};

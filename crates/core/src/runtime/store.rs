@@ -65,7 +65,7 @@ use crate::runtime::message::ExecId;
 /// identically from its seed. Probabilities are in `[0, 1]`; the
 /// default injects nothing.
 ///
-/// [`FaultPlan::spill_faults`]: crate::runtime::master::FaultPlan
+/// [`FaultPlan::spill_faults`]: crate::runtime::FaultPlan
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SpillFaultPlan {
     /// Seed for the per-operation fault draws.

@@ -816,9 +816,6 @@ pub struct WalSnapshot {
     pub parallelism: Vec<usize>,
     /// Live per-fop placement overlay (migrations applied).
     pub placement: Vec<Placement>,
-    /// Per-executor store occupancy in bytes (informational; the
-    /// executors re-report authoritative numbers after recovery).
-    pub resident: Vec<(ExecId, u64)>,
 }
 
 fn enc_snapshot(e: &mut Enc, s: &WalSnapshot) {
@@ -851,11 +848,6 @@ fn enc_snapshot(e: &mut Enc, s: &WalSnapshot) {
     e.usize(s.placement.len());
     for &p in &s.placement {
         enc_placement(e, p);
-    }
-    e.usize(s.resident.len());
-    for (x, b) in &s.resident {
-        e.usize(*x);
-        e.u64(*b);
     }
 }
 
@@ -909,11 +901,6 @@ fn dec_snapshot(d: &mut Dec<'_>) -> DecodeResult<WalSnapshot> {
     for _ in 0..n {
         placement.push(dec_placement(d)?);
     }
-    let n = checked_len(d.usize()?)?;
-    let mut resident = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        resident.push((d.usize()?, d.u64()?));
-    }
     Ok(WalSnapshot {
         epoch,
         next_attempt,
@@ -922,7 +909,6 @@ fn dec_snapshot(d: &mut Dec<'_>) -> DecodeResult<WalSnapshot> {
         first_attempted,
         parallelism,
         placement,
-        resident,
     })
 }
 
@@ -1178,8 +1164,6 @@ pub struct RecoveredState {
     /// Committed placement migrations after the last snapshot, for the
     /// master to re-apply (they need `stage_of`, which only it knows).
     pub reconfig_changes: Vec<ReconfigChange>,
-    /// Last self-reported store occupancy per executor (informational).
-    pub resident: HashMap<ExecId, u64>,
     /// Frames folded into this state.
     pub frames_replayed: usize,
     /// Frames the scan discarded.
@@ -1201,7 +1185,6 @@ impl RecoveredState {
         self.first_attempted = s.first_attempted.clone();
         self.parallelism = s.parallelism.clone();
         self.placement = s.placement.clone();
-        self.resident = s.resident.iter().copied().collect();
         self.reconfig_changes.clear();
     }
 
@@ -1210,7 +1193,6 @@ impl RecoveredState {
             locs.retain(|&l| l != exec);
         }
         self.committed.retain(|_, locs| !locs.is_empty());
-        self.resident.remove(&exec);
     }
 
     fn apply_event(&mut self, event: &JobEvent) {
@@ -1262,12 +1244,6 @@ impl RecoveredState {
                         self.reconfig_changes.push(*change);
                     }
                 }
-            }
-            JobEvent::BlockAdmitted { exec, resident, .. }
-            | JobEvent::BlockSpilled { exec, resident, .. }
-            | JobEvent::BlockLoaded { exec, resident, .. }
-            | JobEvent::BlockReleased { exec, resident, .. } => {
-                self.resident.insert(*exec, *resident as u64);
             }
             _ => {}
         }
@@ -1590,7 +1566,6 @@ mod tests {
             first_attempted: vec![vec![true, false], vec![true]],
             parallelism: vec![2, 1],
             placement: vec![Placement::Transient, Placement::Reserved],
-            resident: vec![(0, 128), (1, 64)],
         })
     }
 

@@ -71,9 +71,8 @@ fn heterogeneous_shuffle_falls_back_to_one_clone_per_record() {
 }
 
 /// End-to-end: broadcasting N records to P consumer tasks — through the
-/// master's location table, side-input packaging, executor cache, and
-/// per-completion progress snapshots — must cost far fewer than N record
-/// clones in total. The pre-refactor plane deep-cloned the broadcast per
+/// master's location table, side-input packaging, and executor cache —
+/// must cost far fewer than N record clones in total. The pre-refactor plane deep-cloned the broadcast per
 /// consumer task (≥ N×P clones).
 #[test]
 fn broadcast_job_clones_far_fewer_records_than_the_dataset() {
@@ -112,7 +111,6 @@ fn broadcast_job_clones_far_fewer_records_than_the_dataset() {
 
     let config = RuntimeConfig {
         slots_per_executor: 2,
-        snapshot_every: 1, // Snapshot after every completion: must be O(refs).
         ..Default::default()
     };
     let before = clone_count();

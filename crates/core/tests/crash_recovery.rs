@@ -7,8 +7,8 @@
 //! - outputs byte-identical to the crash-free run (codec-encoded),
 //! - the journal replays cleanly through every invariant law, including
 //!   law 10 (a recovered run is a consistent continuation: fenced
-//!   pre-crash attempts never report terminally, and every
-//!   `WalRecovered` pairs with a `MasterRecovered`),
+//!   pre-crash attempts never report terminally, and `WalRecovered`
+//!   and `MasterRecovered` events pair one to one),
 //! - no double-commits across the crash (a second `TaskCommitted`
 //!   needs an intervening `TaskReverted`),
 //! - the reported metrics equal what the journal derives, so the
@@ -25,7 +25,7 @@ use pado_core::runtime::{
 };
 use pado_core::RuntimeError;
 use pado_dag::codec::encode_batch;
-use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
+use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, UdfError, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -92,7 +92,6 @@ fn crash_config(
     RuntimeConfig {
         slots_per_executor: 2,
         event_timeout_ms: 10_000,
-        snapshot_every: 2,
         max_task_attempts: 3,
         executor_fault_threshold: 2,
         speculation_floor_ms: 50,
@@ -179,16 +178,8 @@ fn check_crash_invariants(seed: u64, result: &JobResult, plan: &CrashPlan) {
         }
     }
 
-    // Every WAL recovery pairs with a master recovery, and the injector
-    // never exceeds its crash budget.
-    let master_recoveries = events
-        .iter()
-        .filter(|e| matches!(e, JobEvent::MasterRecovered))
-        .count();
-    assert_eq!(
-        result.metrics.wal_recoveries, master_recoveries,
-        "seed {seed}: a WAL-armed master must recover through the WAL every time"
-    );
+    // The injector never exceeds its crash budget (law 10 above already
+    // pairs every master recovery with a WAL recovery).
     assert!(
         result.metrics.wal_recoveries <= plan.max_crashes,
         "seed {seed}: {} recoveries exceed the crash budget {}",
@@ -315,62 +306,78 @@ fn every_handler_boundary_recovers() {
     );
 }
 
-/// Crash injection without a WAL is a configuration error, not a silent
-/// fallback to the weaker snapshot path.
-#[test]
-fn crashes_without_wal_are_rejected() {
-    let dag = wordcount_dag();
-    let faults = FaultPlan {
-        crashes: Some(CrashPlan {
-            after_handled_frames: Some(3),
-            max_crashes: 1,
-            ..Default::default()
-        }),
-        ..Default::default()
-    };
-    match LocalCluster::new(2, 2)
-        .with_config(crash_config(None, 1, 64))
-        .run_with_faults(&dag, faults)
-    {
-        Err(RuntimeError::Config(msg)) => {
-            assert!(msg.contains("wal_path"), "unexpected message: {msg}");
-        }
-        other => panic!("expected Config error, got {other:?}"),
-    }
+/// This process's self-armed WAL files still in the temp dir.
+fn leftover_temp_wals() -> Vec<String> {
+    let prefix = format!("pado-wal-{}-auto-", std::process::id());
+    fs::read_dir(std::env::temp_dir())
+        .expect("temp dir is readable")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(&prefix))
+        .collect()
 }
 
-/// The legacy `master_failure_after` fault routes through WAL recovery
-/// when a WAL is armed: the run reports a `WalRecovered` event, not the
-/// old snapshot-only restart.
+/// A fault plan that restarts the master needs no `wal_path`: the master
+/// logs to a temp file, recovers from it, and removes it — whichever
+/// family asked for the restart, and also when the job fails. (No other
+/// test in this binary leaves `wal_path` unset under a restart plan, so
+/// the temp-dir check cannot race one.)
 #[test]
-fn legacy_master_failure_uses_wal_when_armed() {
+fn restarts_without_a_wal_path_recover_from_a_temp_log_and_remove_it() {
     let dag = wordcount_dag();
-    let wal = temp_wal_path("crash-legacy-route");
-    let result = LocalCluster::new(2, 2)
-        .with_config(crash_config(
-            Some(wal.to_string_lossy().into_owned()),
-            1,
-            16,
-        ))
+    let baseline = LocalCluster::new(2, 2)
+        .with_config(crash_config(None, 1, 64))
+        .run(&dag)
+        .expect("crash-free baseline");
+    let plans = [
+        FaultPlan {
+            master_failure_after: Some(3),
+            ..Default::default()
+        },
+        FaultPlan {
+            crashes: Some(CrashPlan {
+                after_handled_frames: Some(3),
+                max_crashes: 1,
+                ..Default::default()
+            }),
+            ..Default::default()
+        },
+    ];
+    for faults in plans {
+        let result = LocalCluster::new(2, 2)
+            .with_config(crash_config(None, 1, 64))
+            .run_with_faults(&dag, faults.clone())
+            .expect("job completes");
+        assert_eq!(
+            encode_outputs(&result),
+            encode_outputs(&baseline),
+            "outputs diverged under {faults:?}"
+        );
+        assert_eq!(
+            result.metrics.wal_recoveries, 1,
+            "the restart must replay the log: {faults:?}"
+        );
+        pado_core::runtime::assert_clean(&result.journal, true);
+        assert_eq!(leftover_temp_wals(), Vec::<String>::new());
+    }
+
+    let p = Pipeline::new();
+    p.read("Read", 2, SourceFn::from_vec(ints(4)))
+        .par_do(
+            "Boom",
+            ParDoFn::try_per_element(|_, _| Err(UdfError::new("boom"))),
+        )
+        .sink("Out");
+    let failing = p.build().unwrap();
+    let err = LocalCluster::new(2, 2)
+        .with_config(crash_config(None, 1, 64))
         .run_with_faults(
-            &dag,
+            &failing,
             FaultPlan {
-                master_failure_after: Some(3),
+                master_failure_after: Some(1),
                 ..Default::default()
             },
         )
-        .expect("job completes");
-    fs::remove_file(&wal).ok();
-    let master_recoveries = result
-        .journal
-        .to_events()
-        .iter()
-        .filter(|e| matches!(e, JobEvent::MasterRecovered))
-        .count();
-    assert_eq!(master_recoveries, 1);
-    assert_eq!(
-        result.metrics.wal_recoveries, 1,
-        "a WAL-armed master must recover by replaying the log"
-    );
-    pado_core::runtime::assert_clean(&result.journal, true);
+        .unwrap_err();
+    assert!(matches!(err, RuntimeError::TaskFailed { .. }), "{err:?}");
+    assert_eq!(leftover_temp_wals(), Vec::<String>::new());
 }

@@ -89,7 +89,6 @@ fn reconfig_config(storm_threshold: usize) -> RuntimeConfig {
     RuntimeConfig {
         slots_per_executor: 2,
         event_timeout_ms: 10_000,
-        snapshot_every: 2,
         max_task_attempts: MAX_TASK_ATTEMPTS,
         executor_fault_threshold: 2,
         speculation_floor_ms: 50,

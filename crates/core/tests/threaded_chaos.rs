@@ -71,7 +71,6 @@ fn config() -> RuntimeConfig {
     RuntimeConfig {
         slots_per_executor: 2,
         event_timeout_ms: 10_000,
-        snapshot_every: 2,
         max_task_attempts: MAX_TASK_ATTEMPTS,
         executor_fault_threshold: 2,
         speculation_floor_ms: 50,

@@ -182,7 +182,6 @@ fn snapshot_strategy() -> impl Strategy<Value = WalSnapshot> {
         (
             proptest::collection::vec(1..9usize, 0..4),
             proptest::collection::vec(placement_strategy(), 0..4),
-            proptest::collection::vec((0..9usize, 0..100_000u64), 0..4),
         ),
     )
         .prop_map(
@@ -191,7 +190,7 @@ fn snapshot_strategy() -> impl Strategy<Value = WalSnapshot> {
                 completed_attempts,
                 committed,
                 first_attempted,
-                (parallelism, placement, resident),
+                (parallelism, placement),
             )| WalSnapshot {
                 epoch,
                 next_attempt,
@@ -200,7 +199,6 @@ fn snapshot_strategy() -> impl Strategy<Value = WalSnapshot> {
                 first_attempted,
                 parallelism,
                 placement,
-                resident,
             },
         )
 }
