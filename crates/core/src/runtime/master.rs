@@ -3075,26 +3075,20 @@ impl Master {
     }
 }
 
-/// Which producer task indices a consumer task needs along an edge.
+/// Which producer task indices a consumer task needs along an edge, in
+/// ascending order.
 pub fn required_src_indices(
     edge: &PlanEdge,
     dst_index: usize,
     src_par: usize,
     dst_par: usize,
-) -> Vec<usize> {
-    match edge.dep {
-        DepType::OneToOne => {
-            if dst_index < src_par {
-                vec![dst_index]
-            } else {
-                Vec::new()
-            }
-        }
-        DepType::OneToMany | DepType::ManyToMany => (0..src_par).collect(),
-        DepType::ManyToOne => (0..src_par)
-            .filter(|si| si % dst_par.max(1) == dst_index)
-            .collect(),
-    }
+) -> impl Iterator<Item = usize> {
+    let (range, step) = match edge.dep {
+        DepType::OneToOne => (dst_index..src_par.min(dst_index + 1), 1),
+        DepType::OneToMany | DepType::ManyToMany => (0..src_par, 1),
+        DepType::ManyToOne => (dst_index..src_par, dst_par.max(1)),
+    };
+    range.step_by(step)
 }
 
 #[cfg(test)]
@@ -3114,37 +3108,26 @@ mod tests {
         }
     }
 
+    fn required(dep: DepType, dst_index: usize, src_par: usize, dst_par: usize) -> Vec<usize> {
+        required_src_indices(&edge(dep), dst_index, src_par, dst_par).collect()
+    }
+
     #[test]
     fn required_indices_one_to_one() {
-        assert_eq!(
-            required_src_indices(&edge(DepType::OneToOne), 2, 4, 4),
-            vec![2]
-        );
-        assert!(required_src_indices(&edge(DepType::OneToOne), 5, 4, 8).is_empty());
+        assert_eq!(required(DepType::OneToOne, 2, 4, 4), vec![2]);
+        assert!(required(DepType::OneToOne, 5, 4, 8).is_empty());
     }
 
     #[test]
     fn required_indices_wide_edges_need_all() {
-        assert_eq!(
-            required_src_indices(&edge(DepType::ManyToMany), 0, 3, 2),
-            vec![0, 1, 2]
-        );
-        assert_eq!(
-            required_src_indices(&edge(DepType::OneToMany), 1, 2, 5),
-            vec![0, 1]
-        );
+        assert_eq!(required(DepType::ManyToMany, 0, 3, 2), vec![0, 1, 2]);
+        assert_eq!(required(DepType::OneToMany, 1, 2, 5), vec![0, 1]);
     }
 
     #[test]
     fn required_indices_many_to_one_partitions_by_modulo() {
-        assert_eq!(
-            required_src_indices(&edge(DepType::ManyToOne), 0, 5, 2),
-            vec![0, 2, 4]
-        );
-        assert_eq!(
-            required_src_indices(&edge(DepType::ManyToOne), 1, 5, 2),
-            vec![1, 3]
-        );
+        assert_eq!(required(DepType::ManyToOne, 0, 5, 2), vec![0, 2, 4]);
+        assert_eq!(required(DepType::ManyToOne, 1, 5, 2), vec![1, 3]);
     }
 
     // --- Evict/commit race regression tests ---

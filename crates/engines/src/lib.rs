@@ -27,6 +27,9 @@
 //! assert_eq!(m.relaunched_tasks, 0); // No evictions configured.
 //! ```
 #![warn(missing_docs)]
+// Simulated decisions must be a function of the seed alone: nothing may
+// follow a hash table's iteration order.
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod common;
 pub mod engine;

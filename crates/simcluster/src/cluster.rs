@@ -4,12 +4,22 @@
 //! Engines drive a [`Cluster`] by scheduling timer events (task
 //! completions) and transfers (data movement), and react to the events the
 //! cluster delivers — including evictions sampled from a lifetime
-//! distribution. Whenever a transient container is evicted the resource
-//! manager immediately provides a replacement with a fresh lifetime,
-//! matching the paper's experimental setup.
+//! distribution. Whenever a transient container is evicted
+//! [`Cluster::evict_now`] immediately provides a replacement with a fresh
+//! lifetime, matching the paper's experimental setup.
+//!
+//! The event queue has two parts ordered by one `(time, sequence number)`
+//! key. Timers, evictions, transfer failures and container arrivals sit in
+//! a heap and are never superseded. A transfer's completion time moves
+//! every time the network re-rates it, so each active transfer has exactly
+//! one live completion entry, overwritten (with a fresh sequence number) on
+//! every re-rate; [`Cluster::next_event`] delivers whichever of the heap's
+//! head and the earliest live entry comes first. Nothing stale is ever
+//! queued, so every entry taken is an event (or an eviction of a container
+//! that already died).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,7 +124,6 @@ pub enum Event<E> {
 #[derive(Debug)]
 enum Item<E> {
     Timer(E),
-    TransferDue(Due),
     Eviction(ContainerId),
     TransferFailed { id: TransferId, tag: E },
     ContainerAdded(ContainerId),
@@ -143,6 +152,15 @@ impl<E> Ord for QEntry<E> {
     }
 }
 
+/// The one live completion entry of an active transfer.
+struct Completion<E> {
+    at: SimTime,
+    seq: u64,
+    gen: u64,
+    /// The engine's tag, handed back on completion or failure.
+    tag: E,
+}
+
 /// The simulated cluster.
 pub struct Cluster<E> {
     now: SimTime,
@@ -150,7 +168,8 @@ pub struct Cluster<E> {
     queue: BinaryHeap<Reverse<QEntry<E>>>,
     network: Network,
     containers: Vec<Container>,
-    transfer_tags: HashMap<TransferId, E>,
+    /// Active transfers' completion entries, by transfer id.
+    completions: BTreeMap<TransferId, Completion<E>>,
     /// Transient pools: (node spec, lifetime distribution) per lifetime
     /// class. Pool 0 is the default; extra pools model resources with
     /// longer or shorter predicted lifetimes (§6 of the paper).
@@ -158,6 +177,9 @@ pub struct Cluster<E> {
     rng: StdRng,
     /// Count of evictions that occurred.
     pub evictions: usize,
+    /// Count of queue entries [`Cluster::next_event`] has taken. It exceeds
+    /// the events delivered only by evictions of already-dead containers.
+    pub popped: u64,
 }
 
 impl<E> Cluster<E> {
@@ -178,10 +200,11 @@ impl<E> Cluster<E> {
             queue: BinaryHeap::new(),
             network: Network::new(),
             containers: Vec::new(),
-            transfer_tags: HashMap::new(),
+            completions: BTreeMap::new(),
             pools: vec![(transient, lifetimes)],
             rng: StdRng::seed_from_u64(seed),
             evictions: 0,
+            popped: 0,
         };
         cluster.add_container(Kind::Store, store, 0);
         cluster.add_container(Kind::Master, reserved, 0);
@@ -298,11 +321,32 @@ impl<E> Cluster<E> {
     /// Starts a transfer; `tag` is handed back on completion or failure.
     pub fn start_transfer(&mut self, src: NodeId, dst: NodeId, bytes: f64, tag: E) -> TransferId {
         let (id, dues) = self.network.start(self.now, src, dst, bytes);
-        self.transfer_tags.insert(id, tag);
-        for due in dues {
-            self.push(due.at, Item::TransferDue(due));
-        }
+        // A placeholder until `reschedule` files the new transfer's own
+        // `Due`, which `Network::start` always returns.
+        self.completions.insert(
+            id,
+            Completion {
+                at: SimTime::MAX,
+                seq: 0,
+                gen: 0,
+                tag,
+            },
+        );
+        self.reschedule(dues);
         id
+    }
+
+    /// Overwrites the live completion entries of re-rated transfers, each
+    /// with the next sequence number, in the order given.
+    fn reschedule(&mut self, dues: Vec<Due>) {
+        for due in dues {
+            self.seq += 1;
+            let entry = self
+                .completions
+                .get_mut(&due.id)
+                .expect("a re-rated transfer is active");
+            (entry.at, entry.seq, entry.gen) = (due.at, self.seq, due.gen);
+        }
     }
 
     /// Total bytes moved to completion so far.
@@ -310,36 +354,41 @@ impl<E> Cluster<E> {
         self.network.bytes_completed
     }
 
-    /// Pops and processes the next event, if any.
+    /// Takes and processes the next queue entry, if any.
     ///
-    /// Internal events (stale transfer re-rates) are absorbed; the method
+    /// Evictions of already-dead containers are absorbed; the method
     /// returns the next *engine-visible* event or `None` when the
     /// simulation has drained.
     pub fn next_event(&mut self) -> Option<Event<E>> {
-        while let Some(Reverse(entry)) = self.queue.pop() {
-            debug_assert!(entry.at >= self.now, "time went backwards");
-            self.now = self.now.max(entry.at);
+        loop {
+            let timer = self.queue.peek().map(|Reverse(e)| (e.at, e.seq));
+            let completion = self
+                .completions
+                .iter()
+                .map(|(&id, c)| (c.at, c.seq, id))
+                .min();
+            let completion_first = match (completion, timer) {
+                (Some((at, seq, _)), Some(timer)) => (at, seq) < timer,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => return None,
+            };
+            self.popped += 1;
+            if let (true, Some((at, _, id))) = (completion_first, completion) {
+                self.advance_to(at);
+                let done = self.completions.remove(&id).expect("entry was just seen");
+                let dues = self
+                    .network
+                    .complete(self.now, id, done.gen)
+                    .expect("a live completion entry carries its transfer's generation");
+                self.reschedule(dues);
+                return Some(Event::TransferDone { id, tag: done.tag });
+            }
+            let Reverse(entry) = self.queue.pop().expect("entry was just peeked");
+            self.advance_to(entry.at);
             match entry.item {
                 Item::Timer(ev) => return Some(Event::Timer(ev)),
-                Item::TransferDue(due) => {
-                    match self.network.complete(self.now, due.id, due.gen) {
-                        Ok(dues) => {
-                            for d in dues {
-                                self.push(d.at, Item::TransferDue(d));
-                            }
-                            let tag = self
-                                .transfer_tags
-                                .remove(&due.id)
-                                .expect("completed transfer has a tag");
-                            return Some(Event::TransferDone { id: due.id, tag });
-                        }
-                        Err(()) => continue, // Stale generation.
-                    }
-                }
                 Item::Eviction(id) => {
-                    if !self.containers[id].alive {
-                        continue;
-                    }
                     if let Some(ev) = self.evict_now(id) {
                         return Some(ev);
                     }
@@ -350,7 +399,11 @@ impl<E> Cluster<E> {
                 Item::ContainerAdded(id) => return Some(Event::ContainerAdded(id)),
             }
         }
-        None
+    }
+
+    fn advance_to(&mut self, at: SimTime) {
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = self.now.max(at);
     }
 
     /// Evicts a container immediately (also used by the scheduled
@@ -366,12 +419,10 @@ impl<E> Cluster<E> {
         self.containers[id].alive = false;
         self.evictions += 1;
         let (victims, dues) = self.network.cancel_node(self.now, id);
-        for d in dues {
-            self.push(d.at, Item::TransferDue(d));
-        }
+        self.reschedule(dues);
         // Deliver transfer failures right after the eviction event.
         for v in victims {
-            if let Some(tag) = self.transfer_tags.remove(&v) {
+            if let Some(Completion { tag, .. }) = self.completions.remove(&v) {
                 self.push(self.now, Item::TransferFailed { id: v, tag });
             }
         }
@@ -441,6 +492,27 @@ mod tests {
             }
             other => panic!("unexpected event: {other:?}"),
         }
+    }
+
+    #[test]
+    fn re_rated_transfers_keep_one_queue_entry_each() {
+        let mut c = small_cluster(LifetimeDist::None);
+        // Four equal transfers over one link: every start re-rates the
+        // ones before it, and the last leaves all four due together.
+        let ids: Vec<_> = (0..4)
+            .map(|tag| c.start_transfer(3, 2, 125_000.0, tag))
+            .collect();
+        let mut done = Vec::new();
+        while let Some(ev) = c.next_event() {
+            match ev {
+                Event::TransferDone { id, tag } => done.push((id, tag)),
+                other => panic!("unexpected event: {other:?}"),
+            }
+        }
+        // Ties are delivered in transfer-id order, and nothing but the
+        // four completions was ever taken from the queue.
+        assert_eq!(done, ids.iter().copied().zip(0..4).collect::<Vec<_>>());
+        assert_eq!(c.popped, 4);
     }
 
     #[test]

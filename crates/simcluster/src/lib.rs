@@ -7,6 +7,9 @@
 //! the Spark baselines in `pado-engines`) schedule timers and transfers
 //! against a [`Cluster`] and react to evictions it delivers.
 #![warn(missing_docs)]
+// Simulated decisions must be a function of the seed alone: nothing may
+// follow a hash table's iteration order.
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod cluster;
 pub mod dist;

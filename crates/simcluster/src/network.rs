@@ -8,8 +8,14 @@
 //! captures the bottleneck the paper's evaluation hinges on: a handful of
 //! reserved nodes serving (or absorbing) traffic for dozens of transient
 //! nodes.
+//!
+//! Each node lists the ids of its active transfers, so a start, a
+//! completion or a cancellation visits the endpoints' transfers only, and
+//! always in ascending id order: the order of the returned [`Due`]s — and
+//! with it every event tie-break downstream — is a function of the calls
+//! made, never of a hash seed.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Node identifier within a simulation.
 pub type NodeId = usize;
@@ -32,7 +38,9 @@ struct Tr {
 pub struct Network {
     /// (uplink, downlink) capacity per node, bytes per microsecond.
     caps: Vec<(f64, f64)>,
-    transfers: HashMap<TransferId, Tr>,
+    transfers: BTreeMap<TransferId, Tr>,
+    /// Ids of the active transfers touching each node, ascending.
+    by_node: Vec<Vec<TransferId>>,
     up_count: Vec<usize>,
     down_count: Vec<usize>,
     next_id: TransferId,
@@ -47,7 +55,7 @@ pub struct Due {
     pub id: TransferId,
     /// Absolute completion time, microseconds.
     pub at: u64,
-    /// Generation guard: stale events must be ignored.
+    /// Generation guard: a transfer's earlier `Due`s are superseded.
     pub gen: u64,
 }
 
@@ -66,6 +74,7 @@ impl Network {
     pub fn add_node(&mut self, up: f64, down: f64) -> NodeId {
         assert!(up > 0.0 && down > 0.0, "link capacities must be positive");
         self.caps.push((up, down));
+        self.by_node.push(Vec::new());
         self.up_count.push(0);
         self.down_count.push(0);
         self.caps.len() - 1
@@ -89,7 +98,7 @@ impl Network {
     /// Starts a transfer of `bytes` from `src` to `dst` at time `now`.
     /// Returns the new transfer id and every completion event to
     /// (re)schedule — the new transfer's and those of transfers whose
-    /// rate changed.
+    /// rate changed — in ascending id order.
     pub fn start(
         &mut self,
         now: u64,
@@ -99,7 +108,8 @@ impl Network {
     ) -> (TransferId, Vec<Due>) {
         let id = self.next_id;
         self.next_id += 1;
-        self.advance_touching(now, &[src, dst]);
+        let mut ids = self.touching(&[src, dst]);
+        self.advance(now, &ids);
         self.up_count[src] += 1;
         self.down_count[dst] += 1;
         self.transfers.insert(
@@ -113,57 +123,59 @@ impl Network {
                 gen: 0,
             },
         );
-        let dues = self.rerate_touching(&[src, dst]);
-        (id, dues)
+        // Ids only grow, so pushing keeps every list ascending.
+        self.by_node[src].push(id);
+        if dst != src {
+            self.by_node[dst].push(id);
+        }
+        ids.push(id);
+        (id, self.rerate(&ids))
     }
 
     /// Attempts to complete a transfer at `now` for the event generation
-    /// `gen`. Returns `Ok(reschedules)` with follow-up events when the
-    /// transfer genuinely finished, or `Err(())` when the event was stale
-    /// (rate changed since it was scheduled) or the transfer is gone.
+    /// `gen`. Returns `Ok(reschedules)` with follow-up events (ascending
+    /// id order) when the transfer genuinely finished, or `Err(())` when
+    /// the event was stale (rate changed since it was scheduled) or the
+    /// transfer is gone.
     #[allow(clippy::result_unit_err)]
     pub fn complete(&mut self, now: u64, id: TransferId, gen: u64) -> Result<Vec<Due>, ()> {
         let (src, dst) = match self.transfers.get(&id) {
             Some(tr) if tr.gen == gen => (tr.src, tr.dst),
             _ => return Err(()),
         };
-        self.advance_touching(now, &[src, dst]);
-        let tr = &self.transfers[&id];
-        if tr.remaining > 1e-6 {
+        let mut ids = self.touching(&[src, dst]);
+        self.advance(now, &ids);
+        if self.transfers[&id].remaining > 1e-6 {
             // The event fired early relative to the re-rated schedule;
             // stale by construction (gen should have caught it), be safe.
             return Err(());
         }
         // Progress (and byte accounting) was brought to `now` above.
-        self.transfers.remove(&id).expect("transfer exists");
-        self.up_count[src] -= 1;
-        self.down_count[dst] -= 1;
-        Ok(self.rerate_touching(&[src, dst]))
+        self.remove(id);
+        ids.retain(|&t| t != id);
+        Ok(self.rerate(&ids))
     }
 
     /// Cancels every transfer touching `node` (its container was evicted).
-    /// Returns the cancelled ids plus reschedules for affected survivors.
+    /// Returns the cancelled ids plus reschedules for affected survivors,
+    /// both in ascending id order.
     pub fn cancel_node(&mut self, now: u64, node: NodeId) -> (Vec<TransferId>, Vec<Due>) {
-        let victims: Vec<TransferId> = self
-            .transfers
-            .iter()
-            .filter(|(_, tr)| tr.src == node || tr.dst == node)
-            .map(|(&id, _)| id)
-            .collect();
+        let victims = self.by_node[node].clone();
         let mut touched = vec![node];
         for id in &victims {
             let tr = &self.transfers[id];
             touched.push(tr.src);
             touched.push(tr.dst);
         }
-        self.advance_touching(now, &touched);
-        for id in &victims {
-            let tr = self.transfers.remove(id).expect("victim exists");
-            self.up_count[tr.src] -= 1;
-            self.down_count[tr.dst] -= 1;
+        touched.sort_unstable();
+        touched.dedup();
+        let mut ids = self.touching(&touched);
+        self.advance(now, &ids);
+        for &id in &victims {
+            self.remove(id);
         }
-        let dues = self.rerate_touching(&touched);
-        (victims, dues)
+        ids.retain(|id| victims.binary_search(id).is_err());
+        (victims, self.rerate(&ids))
     }
 
     /// The generation of a transfer, if active.
@@ -171,32 +183,51 @@ impl Network {
         self.transfers.get(&id).map(|t| t.gen)
     }
 
-    /// Advances the progress of transfers touching any of `nodes` to `now`.
-    fn advance_touching(&mut self, now: u64, nodes: &[NodeId]) {
-        for tr in self.transfers.values_mut() {
-            if nodes.contains(&tr.src) || nodes.contains(&tr.dst) {
-                let dt = now.saturating_sub(tr.last) as f64;
-                let moved = (tr.rate * dt).min(tr.remaining);
-                tr.remaining -= moved;
-                self.bytes_completed += moved;
-                tr.last = now;
+    /// Ids of the active transfers touching any of `nodes`, ascending.
+    fn touching(&self, nodes: &[NodeId]) -> Vec<TransferId> {
+        let mut ids = Vec::new();
+        for &n in nodes {
+            ids.extend_from_slice(&self.by_node[n]);
+        }
+        // The per-node lists are ascending runs: the stable sort merges
+        // them in linear time.
+        ids.sort();
+        ids.dedup();
+        ids
+    }
+
+    /// Forgets an active transfer and gives back its link shares.
+    fn remove(&mut self, id: TransferId) {
+        let tr = self.transfers.remove(&id).expect("transfer is active");
+        self.up_count[tr.src] -= 1;
+        self.down_count[tr.dst] -= 1;
+        for n in [tr.src, tr.dst] {
+            if let Ok(at) = self.by_node[n].binary_search(&id) {
+                self.by_node[n].remove(at);
             }
         }
     }
 
-    /// Recomputes rates of transfers touching any of `nodes`; returns new
-    /// completion events for those whose rate changed.
-    fn rerate_touching(&mut self, nodes: &[NodeId]) -> Vec<Due> {
+    /// Advances the progress of the transfers `ids` to `now`.
+    fn advance(&mut self, now: u64, ids: &[TransferId]) {
+        for id in ids {
+            let tr = self.transfers.get_mut(id).expect("listed transfer");
+            let dt = now.saturating_sub(tr.last) as f64;
+            let moved = (tr.rate * dt).min(tr.remaining);
+            tr.remaining -= moved;
+            self.bytes_completed += moved;
+            tr.last = now;
+        }
+    }
+
+    /// Recomputes the rates of the transfers `ids`; returns new completion
+    /// events for those whose rate changed.
+    fn rerate(&mut self, ids: &[TransferId]) -> Vec<Due> {
         let mut dues = Vec::new();
-        let caps = &self.caps;
-        let up_count = &self.up_count;
-        let down_count = &self.down_count;
-        for (&id, tr) in self.transfers.iter_mut() {
-            if !(nodes.contains(&tr.src) || nodes.contains(&tr.dst)) {
-                continue;
-            }
-            let up_share = caps[tr.src].0 / up_count[tr.src].max(1) as f64;
-            let down_share = caps[tr.dst].1 / down_count[tr.dst].max(1) as f64;
+        for &id in ids {
+            let tr = self.transfers.get_mut(&id).expect("listed transfer");
+            let up_share = self.caps[tr.src].0 / self.up_count[tr.src].max(1) as f64;
+            let down_share = self.caps[tr.dst].1 / self.down_count[tr.dst].max(1) as f64;
             let rate = up_share.min(down_share);
             if (rate - tr.rate).abs() > 1e-12 || tr.rate == 0.0 {
                 tr.rate = rate;
@@ -280,6 +311,30 @@ mod tests {
         // The survivor t2 regains a's full uplink.
         assert_eq!(dues.len(), 1);
         assert_eq!(dues[0].id, t2);
+    }
+
+    #[test]
+    fn dues_and_victims_come_back_in_ascending_id_order() {
+        let mut n = Network::new();
+        let hub = n.add_node(10.0, 10.0);
+        let spokes: Vec<_> = (0..6).map(|_| n.add_node(10.0, 10.0)).collect();
+        let mut ids = Vec::new();
+        for (i, &spoke) in spokes.iter().enumerate() {
+            // Alternate directions so both per-node lists are in play.
+            let (src, dst) = if i % 2 == 0 {
+                (hub, spoke)
+            } else {
+                (spoke, hub)
+            };
+            let (id, dues) = n.start(0, src, dst, 1000.0);
+            ids.push(id);
+            assert!(dues.windows(2).all(|w| w[0].id < w[1].id), "{dues:?}");
+            assert_eq!(dues.last().map(|d| d.id), Some(id));
+        }
+        let (victims, dues) = n.cancel_node(10, hub);
+        assert_eq!(victims, ids);
+        assert!(dues.is_empty());
+        assert_eq!(n.active(), 0);
     }
 
     #[test]

@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test (every suite and 110-seed matrix in the workspace)"
 cargo test --workspace -q
 
+echo "==> benchmark crate (its own workspace: builds against engines/simcluster/core, smoke-runs all four workloads)"
+cargo test --offline --manifest-path perf/Cargo.toml -q
+
 echo "==> data-plane small-budget smoke (spill-to-disk, byte-identical)"
 cargo run -p pado-bench --release --bin dataplane -- --smoke --mem-budget auto >/dev/null
 
