@@ -40,7 +40,10 @@ fn bench_partial_aggregation(c: &mut Criterion) {
         .collect();
     let f = CombineFn::sum_i64();
     c.bench_function("preaggregate_10k_records_200_keys", |b| {
-        b.iter(|| pado_core::runtime::executor::preaggregate(black_box(records.clone()), &f, true))
+        b.iter(|| {
+            let block = block_from_vec(black_box(records.clone()));
+            pado_core::runtime::executor::preaggregate(block, &f, true)
+        })
     });
 }
 

@@ -44,7 +44,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use pado_core::exec::{apply_op, route, route_hash};
+use pado_core::exec::{apply_op_block, route, route_hash};
 use pado_core::runtime::{BackendKind, LocalCluster, RuntimeConfig};
 use pado_dag::codec::encode_batch;
 use pado_dag::value::clone_count;
@@ -178,8 +178,10 @@ fn keyed_rows(n: usize) -> Vec<Value> {
 /// Grouping kernel: the vectorized keyed combine over columnar blocks
 /// against the pre-refactor row oracle — clone every record, group
 /// through a `BTreeMap<Value, _>`, fold with the combiner — on a
-/// shuffle-heavy input. Returns (kernel secs, oracle secs, records).
-fn combine_kernel(n: usize, parts: usize) -> (f64, f64, u64) {
+/// shuffle-heavy input. The kernel side is `apply_op_block`, the
+/// block-returning path the engine's chains run. Returns (kernel secs,
+/// oracle secs, records, the kernel output's layout).
+fn combine_kernel(n: usize, parts: usize) -> (f64, f64, u64, &'static str) {
     let p = Pipeline::new();
     let src = p.read("Src", 1, SourceFn::from_vec(Vec::new()));
     src.combine_per_key("Count", CombineFn::sum_i64())
@@ -202,8 +204,12 @@ fn combine_kernel(n: usize, parts: usize) -> (f64, f64, u64) {
     let mains = [MainSlot::from_blocks(blocks)];
 
     let t0 = Instant::now();
-    let fast = apply_op(&dag, op, TaskInput::new(&mains, None)).expect("vectorized combine");
+    let fast = apply_op_block(&dag, op, TaskInput::new(&mains, None)).expect("vectorized combine");
     let kernel_secs = t0.elapsed().as_secs_f64();
+    let layout = match fast.columns() {
+        Some(_) => "columns",
+        None => "rows",
+    };
 
     // Verbatim pre-refactor inner loop: clone the record, remove the
     // accumulator, merge, insert it back.
@@ -220,11 +226,11 @@ fn combine_kernel(n: usize, parts: usize) -> (f64, f64, u64) {
     let oracle_secs = t0.elapsed().as_secs_f64();
 
     assert_eq!(
-        encode_batch(&fast).expect("encodes"),
+        encode_batch(fast.rows()).expect("encodes"),
         encode_batch(&slow).expect("encodes"),
         "vectorized combine diverged from the row oracle"
     );
-    (kernel_secs, oracle_secs, n as u64)
+    (kernel_secs, oracle_secs, n as u64, layout)
 }
 
 /// End-to-end cluster run under a per-executor store budget
@@ -404,10 +410,10 @@ fn main() {
     );
 
     println!("\n== grouping kernels: vectorized combine vs row oracle, {n_kernel} records ==");
-    let (k, c, n_rec) = combine_kernel(n_kernel, 4);
+    let (k, c, n_rec, layout) = combine_kernel(n_kernel, 4);
     let speedup = c / k;
     println!(
-        "combine    kernel {}   oracle  {}   speedup {speedup:>6.1}x",
+        "combine    kernel {}   oracle  {}   speedup {speedup:>6.1}x   output layout: {layout}",
         fmt_rate(n_rec, k),
         fmt_rate(n_rec, c),
     );

@@ -11,8 +11,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use pado_dag::{
-    block_from_vec, empty_block, Block, DepType, LogicalDag, MainSlot, OperatorKind, TaskInput,
-    UdfError, Value,
+    block_from_vec, block_into_rows, empty_block, Block, DepType, LogicalDag, MainSlot,
+    OperatorKind, TaskInput, UdfError, Value,
 };
 
 use crate::compiler::Fop;
@@ -24,12 +24,8 @@ fn non_pair_error(op_name: &str, what: &str, rec: &Value) -> UdfError {
     ))
 }
 
-/// Applies one logical operator to a task input, producing output records.
-///
-/// Grouping, combining, and shuffling dispatch to the vectorized kernels
-/// in [`crate::kernels`] whenever every input block is columnar; the row
-/// implementation ([`apply_op_rows`]) is the fallback for heterogeneous
-/// data and the equivalence oracle the kernels are tested against.
+/// Applies one logical operator to a task input, materializing the
+/// output block of [`apply_op_block`] as owned rows.
 ///
 /// # Errors
 ///
@@ -41,10 +37,32 @@ pub fn apply_op(
     op: pado_dag::OpId,
     input: TaskInput<'_>,
 ) -> Result<Vec<Value>, UdfError> {
+    apply_op_block(dag, op, input).map(block_into_rows)
+}
+
+/// Applies one logical operator to a task input, producing its output
+/// block — what [`apply_chain`] passes from member to member.
+///
+/// Grouping and combining dispatch to the vectorized kernels in
+/// [`crate::kernels`] whenever every input block is columnar, and a
+/// keyed combine's block is born columnar. A `Sink` over a single input
+/// block returns *that block*: no record is copied and its memoized
+/// size is shared. Everything else seals the rows of the row
+/// implementation ([`apply_op_rows`]), which is also the fallback for
+/// heterogeneous data and the oracle the kernels are tested against.
+///
+/// # Errors
+///
+/// Same contract as [`apply_op`].
+pub fn apply_op_block(
+    dag: &LogicalDag,
+    op: pado_dag::OpId,
+    input: TaskInput<'_>,
+) -> Result<Block, UdfError> {
     match &dag.op(op).kind {
         OperatorKind::GroupByKey => {
             if let Some((keys, vals)) = kernels::gather_pairs(input.mains) {
-                return Ok(kernels::group_by_key(&keys, &vals));
+                return Ok(block_from_vec(kernels::group_by_key(&keys, &vals)));
             }
         }
         OperatorKind::Combine { f, keyed: true } => {
@@ -54,17 +72,25 @@ pub fn apply_op(
         }
         OperatorKind::Combine { f, keyed: false } => {
             if let Some(parts) = kernels::gather_columns(input.mains) {
-                return Ok(vec![kernels::combine_global(&parts, f)]);
+                return Ok(block_from_vec(vec![kernels::combine_global(&parts, f)]));
+            }
+        }
+        OperatorKind::Sink => {
+            if let [slot] = input.mains {
+                if let [part] = slot.parts() {
+                    return Ok(Arc::clone(part));
+                }
             }
         }
         _ => {}
     }
-    apply_op_rows(dag, op, input)
+    apply_op_rows(dag, op, input).map(block_from_vec)
 }
 
 /// The row-at-a-time implementation of [`apply_op`]: per-record `Value`
 /// dispatch over the materialized rows. Kept public as the equivalence
-/// oracle for the vectorized kernels.
+/// oracle for the vectorized kernels; its record-cloning `Sink` arm runs
+/// only for a sink gathering several blocks.
 ///
 /// # Errors
 ///
@@ -159,13 +185,16 @@ pub fn source_partition(
     }
 }
 
-/// Executes a fused operator chain for one task.
+/// Executes a fused operator chain for one task, returning its output
+/// block.
 ///
-/// `mains` holds the external main inputs of the chain head (one vector
-/// per main slot); `sides` maps a chain-member index to that member's
+/// `mains` holds the external main inputs of the chain head (one slot
+/// per main edge); `sides` maps a chain-member index to that member's
 /// broadcast side input (see [`crate::compiler::PlanEdge::member`]).
-/// Interior chain members read the previous member's output as their main
-/// input.
+/// Interior chain members read the previous member's output block as
+/// their main input. Rows exist only where a user function or
+/// `GroupByKey` produces them: the source partition and a ParDo's
+/// emitted records are each sealed into a block once.
 ///
 /// # Errors
 ///
@@ -176,20 +205,18 @@ pub fn apply_chain(
     index: usize,
     mains: &[MainSlot],
     sides: &BTreeMap<usize, Block>,
-) -> Result<Vec<Value>, UdfError> {
+) -> Result<Block, UdfError> {
     let head = fop.head();
     let side0 = sides.get(&0).map(|b| b.rows());
     let mut data = if dag.op(head).kind.is_source() {
-        source_partition(dag, head, index, fop.parallelism)
+        block_from_vec(source_partition(dag, head, index, fop.parallelism))
     } else {
-        apply_op(dag, head, TaskInput::new(mains, side0))?
+        apply_op_block(dag, head, TaskInput::new(mains, side0))?
     };
     for (pos, &op) in fop.chain.iter().enumerate().skip(1) {
         let side = sides.get(&pos).map(|b| b.rows());
-        // Hand the previous member's output over as one shared block; the
-        // records are moved, not cloned.
-        let link = [MainSlot::from_vec(data)];
-        data = apply_op(dag, op, TaskInput::new(&link, side))?;
+        let link = [MainSlot::from_block(data)];
+        data = apply_op_block(dag, op, TaskInput::new(&link, side))?;
     }
     Ok(data)
 }
@@ -321,7 +348,7 @@ mod tests {
         let fop = &plan.fops[0];
         assert_eq!(fop.chain.len(), 2);
         let out = apply_chain(&dag, fop, 1, &[], &BTreeMap::new()).unwrap();
-        assert_eq!(out, vec![Value::from(2i64), Value::from(22i64)]);
+        assert_eq!(out.rows(), &[Value::from(2i64), Value::from(22i64)]);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
 
+use pado_dag::column::analyze;
 use pado_dag::{
-    block_from_columns, empty_block, Block, Columns, CombineFn, MainSlot, ScalarCol, Value,
+    block_from_columns, block_from_vec, empty_block, Block, Columns, CombineFn, MainSlot,
+    ScalarCol, Value,
 };
 
 /// Gathers every part of every main slot into one concatenated pair of
@@ -90,17 +92,43 @@ pub fn group_by_key(keys: &ScalarCol, vals: &ScalarCol) -> Vec<Value> {
 
 /// Vectorized keyed `Combine`: folds each key's values in input order,
 /// starting from the combiner's identity — the exact merge sequence of
-/// the row path.
-pub fn combine_keyed(keys: &ScalarCol, vals: &ScalarCol, f: &CombineFn) -> Vec<Value> {
-    let mut out = Vec::new();
+/// the row path — and emits the `(key, accumulator)` records as a block.
+///
+/// The block is columnar (keys copied column to column) when the
+/// accumulators analyze to one scalar column, and a row block of the
+/// same records when they do not (`sum_vector`, mixed kinds). That is
+/// the layout analysis of the records would find, so either way the
+/// block encodes to the bytes of `block_from_vec` over them.
+pub fn combine_keyed(keys: &ScalarCol, vals: &ScalarCol, f: &CombineFn) -> Block {
+    let mut firsts: Vec<u32> = Vec::new();
+    let mut accs: Vec<Value> = Vec::new();
     for_each_group(keys, |first, run| {
         let mut acc = f.identity();
         for &i in run {
             acc = f.merge(acc, vals.value_at(i as usize));
         }
-        out.push(Value::pair(keys.value_at(first as usize), acc));
+        firsts.push(first);
+        accs.push(acc);
     });
-    out
+    match analyze(&accs) {
+        Some(Columns::Scalar(vals)) => {
+            let mut out_keys = keys.empty_like();
+            for &first in &firsts {
+                out_keys.push_from(keys, first as usize);
+            }
+            block_from_columns(Columns::Pair {
+                keys: out_keys,
+                vals,
+            })
+        }
+        _ => block_from_vec(
+            firsts
+                .iter()
+                .zip(accs)
+                .map(|(&first, acc)| Value::pair(keys.value_at(first as usize), acc))
+                .collect(),
+        ),
+    }
 }
 
 /// Vectorized global `Combine`: folds every record of every part in
@@ -164,7 +192,6 @@ pub fn route_columnar(block: &Block, p: usize) -> Option<Vec<Block>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pado_dag::block_from_vec;
 
     fn pair_rows(n: i64, k: i64) -> Vec<Value> {
         (0..n)
@@ -227,10 +254,38 @@ mod tests {
         let (keys, vals) = gather_pairs(&[MainSlot::from_vec(rows)]).unwrap();
         let out = combine_keyed(&keys, &vals, &CombineFn::sum_i64());
         assert_eq!(
-            out,
-            vec![
-                Value::pair(Value::from(0i64), Value::from(2 + 4 + 6 + 8i64)),
-                Value::pair(Value::from(1i64), Value::from(1 + 3 + 5 + 7 + 9i64)),
+            out.columns(),
+            Some(&Columns::Pair {
+                keys: ScalarCol::I64(vec![0, 1]),
+                vals: ScalarCol::I64(vec![2 + 4 + 6 + 8, 1 + 3 + 5 + 7 + 9]),
+            })
+        );
+    }
+
+    #[test]
+    fn combine_keyed_emits_rows_when_the_accumulators_are_not_one_column() {
+        let rows = pair_rows(10, 3);
+        let (keys, vals) = gather_pairs(&[MainSlot::from_vec(rows)]).unwrap();
+        // Key 0 folds to an i64, key 1 to a float, key 2 to an i64 again.
+        let mixed = CombineFn::new(
+            || Value::I64(0),
+            |a, b| match b.as_i64() {
+                Some(x) if x % 3 == 1 => Value::F64(a.as_f64().unwrap() + x as f64),
+                Some(x) => Value::I64(a.as_i64().unwrap() + x),
+                None => a,
+            },
+        );
+        let out = combine_keyed(&keys, &vals, &mixed);
+        assert!(
+            out.columns().is_none(),
+            "mixed accumulators are a row block"
+        );
+        assert_eq!(
+            out.rows(),
+            &[
+                Value::pair(Value::from(0i64), Value::from(3 + 6 + 9i64)),
+                Value::pair(Value::from(1i64), Value::from((1 + 4 + 7) as f64)),
+                Value::pair(Value::from(2i64), Value::from(2 + 5 + 8i64)),
             ]
         );
     }
@@ -239,10 +294,10 @@ mod tests {
     fn route_columnar_clones_nothing() {
         let block = block_from_vec(pair_rows(500, 17));
         block.columns().expect("columnar");
-        let before = pado_dag::value::clone_count();
+        let before = pado_dag::value::thread_clone_count();
         let buckets = route_columnar(&block, 8).expect("columnar route");
         assert_eq!(
-            pado_dag::value::clone_count(),
+            pado_dag::value::thread_clone_count(),
             before,
             "routing must not clone"
         );

@@ -23,7 +23,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use pado_dag::{block_from_vec, Block, LogicalDag, OperatorKind, UdfError, Value};
+use pado_dag::{
+    block_from_vec, block_into_rows, Block, Columns, LogicalDag, OperatorKind, UdfError, Value,
+};
 use parking_lot::Mutex;
 
 use crate::compiler::{PhysicalPlan, Placement};
@@ -257,12 +259,6 @@ impl TaskSink {
                 // pool workers never wait on this control thread.
                 pool.submit(Box::new(move || {
                     let done = run_task(exec, &job, &store, &journal, spec);
-                    if let MasterMsg::TaskDone { output, .. } = &done {
-                        // Warm the block's memoized encoded size on the
-                        // pool instead of letting the master's store
-                        // accounting pay for the first encode serially.
-                        let _ = output.encoded_len();
-                    }
                     let _ = ctrl.send(ExecIn::Out(done));
                 }));
             }
@@ -408,7 +404,7 @@ struct TaskOutput {
 }
 
 /// Executes one task: resolve side inputs through the cache, apply the
-/// fused chain, optionally pre-aggregate the output.
+/// fused chain, optionally pre-aggregate the output, and size it.
 ///
 /// The *entire* task body — side-input resolution, plan lookup, chain
 /// application, pre-aggregation — runs inside `catch_unwind`, so any
@@ -522,10 +518,11 @@ impl Drop for CachePinGuard<'_> {
 /// The fault-isolated body of one task attempt.
 ///
 /// Side inputs resolve to shared blocks (a cache hit or the master's copy;
-/// never a record clone), the fused chain computes the output records, and
-/// the result is sealed into a [`Block`] exactly once. Cache entries a
-/// task reads stay pinned until it finishes, so concurrent slots cannot
-/// shed an input mid-use.
+/// never a record clone) and the fused chain computes the output block.
+/// The block is sized here, on the thread that built it, so the master's
+/// store accounting reads a memoized length instead of encoding. Cache
+/// entries a task reads stay pinned until it finishes, so concurrent
+/// slots cannot shed an input mid-use.
 fn task_body(
     job: &JobContext,
     store: &Mutex<ExecutorStore>,
@@ -579,11 +576,12 @@ fn task_body(
             preaggregated = before.saturating_sub(output.len());
         }
     }
+    let _ = output.encoded_len();
 
     drop(pins);
     let cached_keys = store.lock().cache_keys();
     Ok(TaskOutput {
-        output: block_from_vec(output),
+        output,
         preaggregated,
         cache_hit,
         cached_keys,
@@ -630,8 +628,9 @@ pub fn combine_consumer(
 
 /// Merges records within one partition ahead of the consumer combine:
 /// per key for keyed combiners, into a single accumulator for global
-/// ones. Homogeneous pair partitions take the vectorized kernel; the
-/// row fallback consumes the records without cloning.
+/// ones. Homogeneous pair partitions take the vectorized kernel over the
+/// block's columns; the row fallback consumes the records without
+/// cloning when it holds the only reference.
 ///
 /// # Errors
 ///
@@ -639,52 +638,55 @@ pub fn combine_consumer(
 /// fails the attempt (the consumer combine would reject it anyway; it
 /// used to be dropped silently here).
 pub fn preaggregate(
-    records: Vec<Value>,
+    records: Block,
     f: &pado_dag::CombineFn,
     keyed: bool,
-) -> Result<Vec<Value>, UdfError> {
-    if keyed {
-        match pado_dag::column::analyze(&records) {
-            Some(pado_dag::Columns::Pair { keys, vals }) => {
-                return Ok(crate::kernels::combine_keyed(&keys, &vals, f));
-            }
-            Some(_) => {
-                // Homogeneous but not pair-shaped: every record is a
-                // non-pair, so the first one names the failure.
-                return Err(UdfError::new(format!(
-                    "preaggregate: keyed combine requires key-value Pair records, got {}",
-                    records[0]
-                )));
-            }
-            // Heterogeneous (or empty): row path below, which may still
-            // be all pairs of mixed scalar kinds.
-            None => {}
-        }
-        let mut accs: BTreeMap<Value, Value> = BTreeMap::new();
-        for rec in records {
-            let Some((k, v)) = rec.into_pair() else {
-                return Err(UdfError::new(
-                    "preaggregate: keyed combine requires key-value Pair records".to_string(),
-                ));
-            };
-            let acc = accs.remove(&k).unwrap_or_else(|| f.identity());
-            accs.insert(k, f.merge(acc, v));
-        }
-        Ok(accs.into_iter().map(|(k, v)| Value::pair(k, v)).collect())
-    } else if records.is_empty() {
-        // An empty partition contributes nothing. Emitting the combiner's
-        // identity here — as the keyed branch never does — would add one
-        // spurious record per empty partition to the shuffled stream.
-        Ok(Vec::new())
-    } else {
-        Ok(vec![f.merge_all(records)])
+) -> Result<Block, UdfError> {
+    if records.is_empty() {
+        // An empty partition contributes nothing. Emitting the global
+        // combiner's identity here — as the keyed branch never does —
+        // would add one spurious record per empty partition to the
+        // shuffled stream.
+        return Ok(records);
     }
+    if !keyed {
+        return Ok(block_from_vec(vec![f.merge_all(block_into_rows(records))]));
+    }
+    match records.columns() {
+        Some(Columns::Pair { keys, vals }) => {
+            return Ok(crate::kernels::combine_keyed(keys, vals, f));
+        }
+        Some(cols) => {
+            // Homogeneous but not pair-shaped: every record is a
+            // non-pair, so the first one names the failure.
+            return Err(UdfError::new(format!(
+                "preaggregate: keyed combine requires key-value Pair records, got {}",
+                cols.value_at(0)
+            )));
+        }
+        // Heterogeneous: row path below, which may still be all pairs
+        // of mixed scalar kinds.
+        None => {}
+    }
+    let mut accs: BTreeMap<Value, Value> = BTreeMap::new();
+    for rec in block_into_rows(records) {
+        let Some((k, v)) = rec.into_pair() else {
+            return Err(UdfError::new(
+                "preaggregate: keyed combine requires key-value Pair records".to_string(),
+            ));
+        };
+        let acc = accs.remove(&k).unwrap_or_else(|| f.identity());
+        accs.insert(k, f.merge(acc, v));
+    }
+    Ok(block_from_vec(
+        accs.into_iter().map(|(k, v)| Value::pair(k, v)).collect(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pado_dag::CombineFn;
+    use pado_dag::{empty_block, CombineFn};
 
     #[test]
     fn preaggregate_keyed_merges_per_key() {
@@ -693,10 +695,11 @@ mod tests {
             Value::pair(Value::from("a"), Value::from(2i64)),
             Value::pair(Value::from("b"), Value::from(4i64)),
         ];
-        let out = preaggregate(recs, &CombineFn::sum_i64(), true).unwrap();
+        let out = preaggregate(block_from_vec(recs), &CombineFn::sum_i64(), true).unwrap();
+        assert!(out.columns().is_some(), "the kernel's block is columnar");
         assert_eq!(
-            out,
-            vec![
+            out.rows(),
+            &[
                 Value::pair(Value::from("a"), Value::from(3i64)),
                 Value::pair(Value::from("b"), Value::from(4i64)),
             ]
@@ -706,13 +709,13 @@ mod tests {
     #[test]
     fn preaggregate_global_collapses_to_one() {
         let recs: Vec<Value> = (1..=4).map(Value::from).collect();
-        let out = preaggregate(recs, &CombineFn::sum_i64(), false).unwrap();
-        assert_eq!(out, vec![Value::from(10i64)]);
+        let out = preaggregate(block_from_vec(recs), &CombineFn::sum_i64(), false).unwrap();
+        assert_eq!(out.rows(), &[Value::from(10i64)]);
     }
 
     #[test]
     fn preaggregate_empty_keyed_is_empty() {
-        let out = preaggregate(Vec::new(), &CombineFn::sum_i64(), true).unwrap();
+        let out = preaggregate(empty_block(), &CombineFn::sum_i64(), true).unwrap();
         assert!(out.is_empty());
     }
 
@@ -720,8 +723,55 @@ mod tests {
     fn preaggregate_empty_global_is_empty() {
         // An empty partition must contribute zero records, exactly like
         // the keyed path — not one identity record.
-        let out = preaggregate(Vec::new(), &CombineFn::sum_i64(), false).unwrap();
+        let out = preaggregate(empty_block(), &CombineFn::sum_i64(), false).unwrap();
         assert!(out.is_empty());
+    }
+
+    /// A worker reports an output it has already sized — on either
+    /// backend, since both run this `run_task` — so the master's store
+    /// accounting never pays for the first encode.
+    #[test]
+    fn run_task_reports_an_output_it_already_sized() {
+        use crate::compiler::compile;
+        use pado_dag::{ParDoFn, Pipeline, SourceFn};
+
+        let p = Pipeline::new();
+        p.read(
+            "R",
+            1,
+            SourceFn::from_vec((0..50).map(Value::from).collect()),
+        )
+        .par_do(
+            "Key",
+            ParDoFn::per_element(|v, emit| emit(Value::pair(v.clone(), Value::from(1i64)))),
+        )
+        .combine_per_key("C", CombineFn::sum_i64());
+        let dag = p.build().unwrap();
+        let plan = compile(&dag).unwrap();
+        let job = JobContext {
+            dag,
+            plan,
+            config: RuntimeConfig::default(),
+        };
+        let store = ExecutorStore::handle(3, usize::MAX, 1024, Journal::new());
+        for preaggregate in [false, true] {
+            let spec = TaskSpec {
+                attempt: 1,
+                fop: 0,
+                index: 0,
+                mains: Vec::new(),
+                sides: BTreeMap::new(),
+                preaggregate,
+                inject: None,
+            };
+            match run_task(3, &job, &store, &Journal::new(), spec) {
+                MasterMsg::TaskDone { output, .. } => {
+                    assert_eq!(output.len(), 50);
+                    assert!(output.is_sized(), "preaggregate={preaggregate}");
+                }
+                other => panic!("expected TaskDone, got {other:?}"),
+            }
+        }
     }
 
     /// A runtime bug inside the task body — here an out-of-range fop id

@@ -2950,6 +2950,12 @@ impl Master {
             let map = Arc::clone(&self.eager_routed);
             pool.try_submit(Box::new(move || {
                 let buckets = route(&records, DepType::ManyToMany, index, dst_par);
+                // Sized by the thread that built them: admission
+                // (`pin_inputs`) then charges memoized lengths instead
+                // of encoding on the master.
+                for b in &buckets {
+                    let _ = b.encoded_len();
+                }
                 map.lock().insert((fop, index, dst_par), (records, buckets));
             }));
         }
@@ -3025,10 +3031,7 @@ impl Master {
                 .op(self.job.plan.fops[*fop].tail())
                 .name
                 .clone();
-            outputs
-                .entry(name)
-                .or_default()
-                .extend(records.iter().cloned());
+            outputs.entry(name).or_default().extend(records.to_rows());
         }
         let journal = self.frozen_journal();
         let metrics = self.snapshot_metrics(&journal);
@@ -3244,6 +3247,70 @@ mod tests {
         assert!(!events(&m)
             .iter()
             .any(|e| matches!(e, JobEvent::TaskReverted { .. })));
+        m.shutdown();
+    }
+
+    /// The threaded backend routes a committed shuffle output on the
+    /// pool. The closure sizes the buckets it builds, and admission
+    /// serves those very blocks, so `pin_inputs` (which charges
+    /// `block_bytes`) encodes nothing on the master.
+    #[test]
+    fn eager_route_sizes_its_buckets_before_admission_sees_them() {
+        use crate::runtime::backend::ThreadedBackend;
+        use pado_dag::{CombineFn, ParDoFn, Pipeline, SourceFn};
+
+        let p = Pipeline::new();
+        p.read("R", 2, SourceFn::from_vec(Vec::new()))
+            .par_do("M", ParDoFn::per_element(|v, emit| emit(v.clone())))
+            .combine_per_key("C", CombineFn::sum_i64())
+            .with_parallelism(3)
+            .sink("S");
+        let dag = p.build().unwrap();
+        let plan = crate::compiler::compile(&dag).unwrap();
+        let config = crate::runtime::RuntimeConfig::default();
+        let backend = ThreadedBackend::from_config(&config);
+        let job = Arc::new(JobContext { dag, plan, config });
+        let mut m = Master::with_backend(job, 1, 1, FaultPlan::default(), &backend).unwrap();
+        let map = (0..m.job.plan.fops.len())
+            .find(|&f| {
+                m.job
+                    .plan
+                    .out_edges(f)
+                    .iter()
+                    .any(|e| e.dep == DepType::ManyToMany)
+            })
+            .expect("the map fop feeds a shuffle");
+
+        let exec: ExecId = 1;
+        m.tasks[map][0] = TaskState::Running {
+            attempts: vec![(7, exec)],
+        };
+        m.attempt_of.insert(7, (map, 0));
+        m.executors.get_mut(&exec).unwrap().busy = 1;
+        let output = block_from_vec(
+            (0..60)
+                .map(|i| Value::pair(Value::from(i % 13), Value::from(i)))
+                .collect(),
+        );
+        m.handle(MasterMsg::TaskDone {
+            exec,
+            attempt: 7,
+            output,
+            preaggregated: 0,
+            cache_hit: false,
+            cached_keys: Vec::new(),
+        })
+        .unwrap();
+
+        let pool = m.pool.clone().expect("threaded master has a pool");
+        assert!(pool.wait_quiesce(Duration::from_secs(10)));
+        let buckets = m.eager_routed.lock()[&(map, 0, 3)].1.clone();
+        assert_eq!(buckets.iter().map(|b| b.len()).sum::<usize>(), 60);
+        assert!(buckets.iter().all(|b| b.is_sized()), "sized on the pool");
+        for (dst, bucket) in buckets.iter().enumerate() {
+            let served = m.routed_bucket(map, 0, 3, dst).expect("routed");
+            assert!(Arc::ptr_eq(&served, bucket), "admission pins this block");
+        }
         m.shutdown();
     }
 

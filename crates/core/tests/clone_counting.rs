@@ -2,8 +2,9 @@
 //! clone counter: routing and pushing N records costs zero record clones
 //! on one-to-one, gather, and broadcast edges, zero on a hash shuffle of
 //! a columnar block (the vectorized kernel copies primitives), exactly N
-//! on a hash shuffle of a heterogeneous row block, and an end-to-end
-//! broadcast job stays O(records) instead of O(records × consumers).
+//! on a hash shuffle of a heterogeneous row block, an end-to-end
+//! broadcast job stays O(records) instead of O(records × consumers), and
+//! a whole map-reduce job clones no record at all past its source read.
 //!
 //! The counter is process-global and the test harness runs tests on
 //! threads, so every counting test serializes on one mutex and measures
@@ -14,7 +15,7 @@ use std::sync::Mutex;
 use pado_core::exec::route;
 use pado_core::runtime::{LocalCluster, RuntimeConfig};
 use pado_dag::value::clone_count;
-use pado_dag::{block_from_vec, DepType, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
+use pado_dag::{block_from_vec, CombineFn, DepType, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
 
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
@@ -128,4 +129,54 @@ fn broadcast_job_clones_far_fewer_records_than_the_dataset() {
          (the cloning plane needed at least {})",
         n as u64 * consumers as u64
     );
+}
+
+/// End-to-end: a map-reduce job — map, transient-side pre-aggregation,
+/// hash shuffle, keyed combine, sink, result collection — on both
+/// backends. Records are decomposed into columns from the map output to
+/// the sink, the sink shares the reduce block, and the result rows are
+/// built fresh from its columns, so the only `Value` clones a job may
+/// make are its source's: this source generates its records, and the
+/// whole job clones none.
+#[test]
+fn map_reduce_job_clones_no_record_past_the_source_read() {
+    use pado_core::runtime::BackendKind;
+
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let p = Pipeline::new();
+    p.read(
+        "Read",
+        8,
+        SourceFn::new(|part, _| {
+            (0..500)
+                .map(|i| Value::from(format!("page-{} {}", (part * 500 + i) % 700, i % 9)))
+                .collect()
+        }),
+    )
+    .par_do(
+        "Map",
+        ParDoFn::per_element(|line, emit| {
+            let mut it = line.as_str().unwrap().split(' ');
+            let (page, n) = (it.next().unwrap(), it.next().unwrap());
+            emit(Value::pair(
+                Value::from(page),
+                Value::from(n.parse::<i64>().unwrap()),
+            ));
+        }),
+    )
+    .combine_per_key("Reduce", CombineFn::sum_i64())
+    .with_parallelism(4)
+    .sink("Out");
+    let dag = p.build().unwrap();
+
+    for backend in [BackendKind::Sim, BackendKind::Threaded] {
+        let before = clone_count();
+        let result = LocalCluster::new(2, 2)
+            .with_backend(backend)
+            .run(&dag)
+            .expect("map-reduce job");
+        let delta = clone_count() - before;
+        assert_eq!(result.outputs["Out"].len(), 700);
+        assert_eq!(delta, 0, "{backend:?}: the job cloned {delta} values");
+    }
 }

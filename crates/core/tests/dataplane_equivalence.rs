@@ -14,8 +14,8 @@ use pado_core::runtime::master::required_src_indices;
 use pado_core::runtime::{ChaosPlan, FaultPlan, LocalCluster, RuntimeConfig};
 use pado_dag::codec::encode_batch;
 use pado_dag::{
-    block_from_vec, Block, CombineFn, DepType, LogicalDag, MainSlot, ParDoFn, Pipeline, SourceFn,
-    TaskInput, Value,
+    block_from_vec, block_into_rows, Block, CombineFn, DepType, LogicalDag, MainSlot, ParDoFn,
+    Pipeline, SourceFn, TaskInput, Value,
 };
 
 /// The pre-refactor routing semantics: clone every record into its
@@ -94,6 +94,7 @@ fn run_reference(dag: &LogicalDag, plan: &PhysicalPlan) -> BTreeMap<String, Vec<
                         }
                     }
                     apply_chain(dag, fop, index, &mains, &sides)
+                        .map(block_into_rows)
                         .unwrap_or_else(|e| panic!("reference task {f}.{index} failed: {e}"))
                 })
                 .collect();
@@ -325,6 +326,112 @@ fn vectorized_kernels_match_row_oracle() {
             );
         }
     }
+}
+
+/// A keyed combine's block is born columnar: for every key kind and
+/// combiner it must still be, byte for byte and size for size, the block
+/// `block_from_vec` seals over the row oracle's records — including
+/// `sum_vector`, whose accumulators are not scalars and fall back to rows.
+#[test]
+fn keyed_combine_block_encodes_like_the_sealed_row_oracle() {
+    use pado_core::exec::{apply_op_block, apply_op_rows};
+    use pado_dag::colcodec::encode_block;
+
+    let combiners = [
+        ("sum_i64", CombineFn::sum_i64(), true),
+        ("sum_f64", CombineFn::sum_f64(), true),
+        ("count", CombineFn::count(), true),
+        ("max_i64", CombineFn::max_i64(), true),
+        ("sum_vector", CombineFn::sum_vector(), false),
+    ];
+    let p = Pipeline::new();
+    let src = p.read("Src", 1, SourceFn::from_vec(Vec::new()));
+    let ops: Vec<_> = combiners
+        .iter()
+        .map(|(name, f, _)| src.combine_per_key(*name, f.clone()).op_id())
+        .collect();
+    let dag = p.build().unwrap();
+
+    type Gen = (&'static str, fn(i64) -> Value);
+    let keys: [Gen; 4] = [
+        ("i64", |i| Value::from(i % 17 - 8)),
+        ("f64", |i| {
+            Value::from(match i % 5 {
+                0 => f64::NAN,
+                1 => 0.0,
+                2 => -0.0,
+                _ => (i % 13) as f64 * 0.5,
+            })
+        }),
+        ("str", |i| Value::from(format!("k{}", i % 11))),
+        ("bytes", |i| {
+            Value::Bytes(std::sync::Arc::from(
+                &[(i % 7) as u8; 3][..(i % 4) as usize],
+            ))
+        }),
+    ];
+    let vals: [Gen; 2] = [
+        ("i64", |i| Value::from(i * 31 % 100 - 50)),
+        ("f64", |i| Value::from(i as f64 / 3.0)),
+    ];
+    for (key_kind, key) in keys {
+        for (val_kind, val) in vals {
+            let rows: Vec<Value> = (0..300).map(|i| Value::pair(key(i), val(i))).collect();
+            let mains = [MainSlot::from_blocks(vec![
+                block_from_vec(rows[..120].to_vec()),
+                block_from_vec(rows[120..].to_vec()),
+            ])];
+            for (&op, (name, _, columnar)) in ops.iter().zip(&combiners) {
+                let what = format!("{name} over {key_kind} keys, {val_kind} values");
+                let input = TaskInput::new(&mains, None);
+                let kernel = apply_op_block(&dag, op, input).unwrap();
+                let oracle = block_from_vec(apply_op_rows(&dag, op, input).unwrap());
+                assert_eq!(kernel.columns().is_some(), *columnar, "{what}: layout");
+                assert_eq!(
+                    encode_block(&kernel).unwrap(),
+                    encode_block(&oracle).unwrap(),
+                    "{what}: bytes"
+                );
+                assert_eq!(kernel.raw_len(), oracle.raw_len(), "{what}: raw_len");
+                assert_eq!(
+                    kernel.encoded_len(),
+                    oracle.encoded_len(),
+                    "{what}: encoded_len"
+                );
+            }
+        }
+    }
+}
+
+/// A sink over one input block hands that very block on (no record is
+/// copied, the memoized size is shared); a sink gathering several blocks
+/// still equals the record-cloning row oracle.
+#[test]
+fn sink_shares_a_single_input_block_and_gathers_several_like_the_oracle() {
+    use pado_core::exec::{apply_op_block, apply_op_rows};
+
+    let p = Pipeline::new();
+    let sink = p
+        .read("Src", 1, SourceFn::from_vec(Vec::new()))
+        .sink("Out")
+        .op_id();
+    let dag = p.build().unwrap();
+
+    let block = block_from_vec(ints(50));
+    let size = block.encoded_len();
+    let one = [MainSlot::from_block(std::sync::Arc::clone(&block))];
+    let out = apply_op_block(&dag, sink, TaskInput::new(&one, None)).unwrap();
+    assert!(std::sync::Arc::ptr_eq(&out, &block), "the sink's block");
+    assert!(out.is_sized() && out.encoded_len() == size);
+
+    let several = [MainSlot::from_blocks(vec![
+        block_from_vec(ints(5)),
+        block_from_vec(ints(7)),
+    ])];
+    let input = TaskInput::new(&several, None);
+    let out = apply_op_block(&dag, sink, input).unwrap();
+    assert_eq!(out.rows(), &apply_op_rows(&dag, sink, input).unwrap()[..]);
+    assert_eq!(out.len(), 12);
 }
 
 /// Mistyped records through grouping operators fail with a readable

@@ -79,6 +79,16 @@ impl BlockInner {
         })
     }
 
+    /// The records as owned rows, built once: fresh from the columns when
+    /// the block holds a column layout (no clone, and no row copy left
+    /// cached in the block), cloned only for a row block.
+    pub fn to_rows(&self) -> Vec<Value> {
+        match self.cols.get() {
+            Some(Some(c)) => c.rows(),
+            _ => self.rows().to_vec(),
+        }
+    }
+
     /// The column layout, analyzing the rows on first use; `None` means
     /// the records are heterogeneous and only the row path applies.
     pub fn columns(&self) -> Option<&Columns> {
@@ -98,6 +108,13 @@ impl BlockInner {
     /// journal is `encoded_len` against this baseline.
     pub fn raw_len(&self) -> usize {
         self.sizes().raw
+    }
+
+    /// Whether [`BlockInner::encoded_len`] is already memoized. Blocks
+    /// are sized by the worker that builds them; tests use this to show
+    /// the master's store accounting triggers no encode.
+    pub fn is_sized(&self) -> bool {
+        self.sizes.get().is_some()
     }
 
     fn sizes(&self) -> BlockSizes {
@@ -179,6 +196,16 @@ pub fn block_from_columns(cols: Columns) -> Block {
         sizes: OnceLock::new(),
     };
     Arc::new(inner)
+}
+
+/// The records of `block` as owned rows: moved out when this is the only
+/// reference to a block seeded with rows, otherwise
+/// [`BlockInner::to_rows`].
+pub fn block_into_rows(block: Block) -> Vec<Value> {
+    match Arc::try_unwrap(block) {
+        Ok(mut inner) => inner.rows.take().unwrap_or_else(|| inner.to_rows()),
+        Err(shared) => shared.to_rows(),
+    }
 }
 
 /// The shared empty block (one static allocation, cloned by reference).
@@ -339,10 +366,32 @@ mod tests {
         // single Value clone.
         let by_cols = block_from_columns(cols);
         assert_eq!(by_cols.len(), 20);
-        let before = crate::value::clone_count();
+        let before = crate::value::thread_clone_count();
         assert_eq!(by_cols.rows(), &records[..]);
-        assert_eq!(crate::value::clone_count(), before);
+        assert_eq!(crate::value::thread_clone_count(), before);
         assert_eq!(by_rows, by_cols);
+    }
+
+    #[test]
+    fn owned_rows_move_out_of_a_sole_row_block_and_build_fresh_from_columns() {
+        let records: Vec<Value> = (0..10)
+            .map(|i| Value::pair(Value::from(format!("k{i}")), Value::from(i)))
+            .collect();
+        let before = crate::value::thread_clone_count();
+        // Sole reference, row-seeded: the rows move out.
+        assert_eq!(block_into_rows(block_from_vec(ints(3))), ints(3));
+        // Columnar, shared or not: fresh values, no row copy cached.
+        let by_cols = block_from_columns(analyze(&records).expect("columnar"));
+        assert_eq!(by_cols.to_rows(), records);
+        assert!(by_cols.rows.get().is_none());
+        assert_eq!(block_into_rows(by_cols), records);
+        assert_eq!(crate::value::thread_clone_count(), before);
+        // A shared row block is the one case that clones.
+        let shared = block_from_vec(ints(3));
+        let keep = Arc::clone(&shared);
+        assert_eq!(block_into_rows(shared), ints(3));
+        assert_eq!(crate::value::thread_clone_count(), before + 3);
+        assert_eq!(keep.len(), 3);
     }
 
     #[test]

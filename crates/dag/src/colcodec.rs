@@ -29,8 +29,6 @@
 //! block reproduces the same bytes, and `block_bytes` accounting is
 //! stable across spill/reload cycles.
 
-use std::collections::BTreeMap;
-
 use crate::block::{block_from_columns, block_from_vec, Block, BlockInner};
 use crate::codec::{decode_batch, encode_batch, Reader};
 use crate::column::{Columns, Packed, ScalarCol};
@@ -84,99 +82,88 @@ fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
-/// Delta-zigzag varint body for an i64 column (previous value starts
-/// at 0; deltas wrap).
-fn enc_i64_delta(vals: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 2);
-    let mut prev = 0i64;
-    for &x in vals {
-        push_varint(zigzag(x.wrapping_sub(prev)), &mut out);
-        prev = x;
-    }
-    out
+/// Encoded length of `v` as a varint.
+fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
 }
 
-/// Dictionary body for an i64 column, or `None` when there are more
-/// than [`DICT_MAX`] distinct values.
-fn enc_i64_dict(vals: &[i64]) -> Option<Vec<u8>> {
-    let mut dict: BTreeMap<i64, u8> = BTreeMap::new();
-    for &x in vals {
-        if !dict.contains_key(&x) {
-            if dict.len() == DICT_MAX {
+/// The zigzagged deltas of an i64 column (previous value starts at 0;
+/// deltas wrap).
+fn i64_deltas(vals: &[i64]) -> impl Iterator<Item = u64> + '_ {
+    let mut prev = 0i64;
+    vals.iter().map(move |&x| {
+        let d = zigzag(x.wrapping_sub(prev));
+        prev = x;
+        d
+    })
+}
+
+/// The distinct items in ascending order, or `None` when there are more
+/// than [`DICT_MAX`] of them. A dictionary index is an item's position
+/// here.
+fn dict_entries<T: Ord>(items: impl Iterator<Item = T>) -> Option<Vec<T>> {
+    let mut entries: Vec<T> = Vec::new();
+    for x in items {
+        if let Err(at) = entries.binary_search(&x) {
+            if entries.len() == DICT_MAX {
                 return None;
             }
-            dict.insert(x, 0);
+            entries.insert(at, x);
         }
     }
-    for (i, idx) in dict.values_mut().enumerate() {
-        *idx = i as u8;
-    }
-    let mut out = Vec::with_capacity(2 + dict.len() * 8 + vals.len());
-    out.extend_from_slice(&(dict.len() as u16).to_le_bytes());
-    for &entry in dict.keys() {
+    Some(entries)
+}
+
+fn dict_index<T: Ord>(entries: &[T], x: &T) -> u8 {
+    entries
+        .binary_search(x)
+        .expect("every item was collected into the dictionary") as u8
+}
+
+/// Appends the dictionary body of an i64 column over `entries`.
+fn enc_i64_dict(vals: &[i64], entries: &[i64], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
+    for entry in entries {
         out.extend_from_slice(&entry.to_le_bytes());
     }
-    for &x in vals {
-        out.push(dict[&x]);
-    }
-    Some(out)
+    out.extend(vals.iter().map(|x| dict_index(entries, x)));
 }
 
-/// Packed body for a str/bytes column: varint item lengths, then the
-/// concatenated blob.
-fn enc_packed_direct(p: &Packed) -> Vec<u8> {
-    let mut out = Vec::with_capacity(p.buffer().len() + p.len() * 2);
-    for i in 0..p.len() {
-        push_varint(p.get(i).len() as u64, &mut out);
-    }
-    out.extend_from_slice(p.buffer());
-    out
+fn packed_items(p: &Packed) -> impl Iterator<Item = &[u8]> {
+    (0..p.len()).map(|i| p.get(i))
 }
 
-/// Dictionary body for a str/bytes column, or `None` past [`DICT_MAX`]
-/// distinct items.
-fn enc_packed_dict(p: &Packed) -> Option<Vec<u8>> {
-    let mut dict: BTreeMap<&[u8], u8> = BTreeMap::new();
-    for i in 0..p.len() {
-        let item = p.get(i);
-        if !dict.contains_key(item) {
-            if dict.len() == DICT_MAX {
-                return None;
-            }
-            dict.insert(item, 0);
-        }
-    }
-    for (i, idx) in dict.values_mut().enumerate() {
-        *idx = i as u8;
-    }
-    let mut out = Vec::new();
-    out.extend_from_slice(&(dict.len() as u16).to_le_bytes());
-    for &entry in dict.keys() {
-        push_varint(entry.len() as u64, &mut out);
+/// Appends the dictionary body of a str/bytes column over `entries`.
+fn enc_packed_dict(p: &Packed, entries: &[&[u8]], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
+    for entry in entries {
+        push_varint(entry.len() as u64, out);
         out.extend_from_slice(entry);
     }
-    for i in 0..p.len() {
-        out.push(dict[p.get(i)]);
-    }
-    Some(out)
+    out.extend(packed_items(p).map(|item| dict_index(entries, &item)));
 }
 
-/// Appends one column (kind, count, codec choice, body) to `out`.
+/// Appends one column (kind, count, codec choice, body) to `out`. The
+/// two candidate bodies are compared by their computed lengths and only
+/// the winner is written.
 fn enc_col(col: &ScalarCol, out: &mut Vec<u8>) -> Result<()> {
     let n = u32::try_from(col.len()).map_err(|_| DagError::Codec("column exceeds u32::MAX"))?;
     match col {
         ScalarCol::I64(vals) => {
             out.push(KIND_I64);
             out.extend_from_slice(&n.to_le_bytes());
-            let direct = enc_i64_delta(vals);
-            match enc_i64_dict(vals) {
-                Some(dict) if dict.len() < direct.len() => {
+            let direct_len: usize = i64_deltas(vals).map(varint_len).sum();
+            match dict_entries(vals.iter().copied()) {
+                Some(entries) if 2 + entries.len() * 8 + vals.len() < direct_len => {
                     out.push(CODEC_DICT);
-                    out.extend_from_slice(&dict);
+                    enc_i64_dict(vals, &entries, out);
                 }
                 _ => {
+                    // Delta-zigzag varints.
                     out.push(CODEC_DIRECT);
-                    out.extend_from_slice(&direct);
+                    for d in i64_deltas(vals) {
+                        push_varint(d, out);
+                    }
                 }
             }
         }
@@ -194,15 +181,23 @@ fn enc_col(col: &ScalarCol, out: &mut Vec<u8>) -> Result<()> {
                 KIND_BYTES
             });
             out.extend_from_slice(&n.to_le_bytes());
-            let direct = enc_packed_direct(p);
-            match enc_packed_dict(p) {
-                Some(dict) if dict.len() < direct.len() => {
+            let item_len = |item: &[u8]| varint_len(item.len() as u64) + item.len();
+            let direct_len: usize = packed_items(p).map(item_len).sum();
+            match dict_entries(packed_items(p)) {
+                Some(entries)
+                    if 2 + entries.iter().map(|e| item_len(e)).sum::<usize>() + p.len()
+                        < direct_len =>
+                {
                     out.push(CODEC_DICT);
-                    out.extend_from_slice(&dict);
+                    enc_packed_dict(p, &entries, out);
                 }
                 _ => {
+                    // Packed: varint item lengths, then the blob.
                     out.push(CODEC_DIRECT);
-                    out.extend_from_slice(&direct);
+                    for item in packed_items(p) {
+                        push_varint(item.len() as u64, out);
+                    }
+                    out.extend_from_slice(p.buffer());
                 }
             }
         }
@@ -410,7 +405,185 @@ mod tests {
     use super::*;
     use crate::column::analyze;
     use crate::Value;
+    use proptest::prelude::*;
     use std::sync::Arc;
+
+    /// The column encoders as they were before the dictionary stopped
+    /// paying two `BTreeMap` lookups per value and before `enc_col`
+    /// stopped materialising the losing body: the byte oracle.
+    mod oracle {
+        use super::super::*;
+        use std::collections::BTreeMap;
+
+        fn enc_i64_delta(vals: &[i64]) -> Vec<u8> {
+            let mut out = Vec::new();
+            let mut prev = 0i64;
+            for &x in vals {
+                push_varint(zigzag(x.wrapping_sub(prev)), &mut out);
+                prev = x;
+            }
+            out
+        }
+
+        pub fn enc_i64_dict(vals: &[i64]) -> Option<Vec<u8>> {
+            let mut dict: BTreeMap<i64, u8> = BTreeMap::new();
+            for &x in vals {
+                if !dict.contains_key(&x) {
+                    if dict.len() == DICT_MAX {
+                        return None;
+                    }
+                    dict.insert(x, 0);
+                }
+            }
+            for (i, idx) in dict.values_mut().enumerate() {
+                *idx = i as u8;
+            }
+            let mut out = Vec::new();
+            out.extend_from_slice(&(dict.len() as u16).to_le_bytes());
+            for &entry in dict.keys() {
+                out.extend_from_slice(&entry.to_le_bytes());
+            }
+            for &x in vals {
+                out.push(dict[&x]);
+            }
+            Some(out)
+        }
+
+        fn enc_packed_direct(p: &Packed) -> Vec<u8> {
+            let mut out = Vec::new();
+            for i in 0..p.len() {
+                push_varint(p.get(i).len() as u64, &mut out);
+            }
+            out.extend_from_slice(p.buffer());
+            out
+        }
+
+        pub fn enc_packed_dict(p: &Packed) -> Option<Vec<u8>> {
+            let mut dict: BTreeMap<&[u8], u8> = BTreeMap::new();
+            for i in 0..p.len() {
+                let item = p.get(i);
+                if !dict.contains_key(item) {
+                    if dict.len() == DICT_MAX {
+                        return None;
+                    }
+                    dict.insert(item, 0);
+                }
+            }
+            for (i, idx) in dict.values_mut().enumerate() {
+                *idx = i as u8;
+            }
+            let mut out = Vec::new();
+            out.extend_from_slice(&(dict.len() as u16).to_le_bytes());
+            for &entry in dict.keys() {
+                push_varint(entry.len() as u64, &mut out);
+                out.extend_from_slice(entry);
+            }
+            for i in 0..p.len() {
+                out.push(dict[p.get(i)]);
+            }
+            Some(out)
+        }
+
+        /// Body of one column after its kind and count: the codec byte,
+        /// then the shorter of the two candidates (direct on a tie).
+        pub fn enc_col_body(col: &ScalarCol) -> Option<Vec<u8>> {
+            let (direct, dict) = match col {
+                ScalarCol::I64(vals) => (enc_i64_delta(vals), enc_i64_dict(vals)),
+                ScalarCol::Str(p) | ScalarCol::Bytes(p) => {
+                    (enc_packed_direct(p), enc_packed_dict(p))
+                }
+                ScalarCol::F64(_) => return None,
+            };
+            Some(match dict {
+                Some(dict) if dict.len() < direct.len() => [&[CODEC_DICT][..], &dict].concat(),
+                _ => [&[CODEC_DIRECT][..], &direct].concat(),
+            })
+        }
+    }
+
+    fn new_i64_dict(vals: &[i64]) -> Option<Vec<u8>> {
+        let entries = dict_entries(vals.iter().copied())?;
+        let mut out = Vec::new();
+        enc_i64_dict(vals, &entries, &mut out);
+        Some(out)
+    }
+
+    fn new_packed_dict(p: &Packed) -> Option<Vec<u8>> {
+        let entries = dict_entries(packed_items(p))?;
+        let mut out = Vec::new();
+        enc_packed_dict(p, &entries, &mut out);
+        Some(out)
+    }
+
+    /// `picks` mapped onto `distinct` different i64s on both sides of
+    /// zero (an odd multiplier keeps them distinct).
+    fn i64_column(distinct: usize, spread: i64, picks: &[usize]) -> Vec<i64> {
+        picks
+            .iter()
+            .map(|r| ((r % distinct.max(1)) as i64 - distinct as i64 / 2).wrapping_mul(spread | 1))
+            .collect()
+    }
+
+    /// `picks` mapped onto `distinct` different byte strings, the empty
+    /// one among them.
+    fn packed_column(distinct: usize, picks: &[usize]) -> Packed {
+        let items = picks.iter().map(|r| match r % distinct.max(1) {
+            0 => Vec::new(),
+            j => format!("item-{j}").into_bytes(),
+        });
+        let items: Vec<Vec<u8>> = items.collect();
+        packed_from_items(items.iter().map(Vec::as_slice)).expect("fits u32 offsets")
+    }
+
+    fn assert_matches_oracle(col: &ScalarCol) {
+        let mut out = Vec::new();
+        enc_col(col, &mut out).expect("encodes");
+        // Kind byte and u32 count precede the body.
+        assert_eq!(Some(out[5..].to_vec()), oracle::enc_col_body(col));
+    }
+
+    #[test]
+    fn dictionaries_match_the_btreemap_oracle_around_the_256_entry_limit() {
+        for distinct in [0usize, 1, 2, 255, 256, 257] {
+            // Every entry appears, late ones first, then repeats.
+            let picks: Vec<usize> = (0..distinct).rev().chain(0..distinct.min(40)).collect();
+            for spread in [1i64, -3, 1_000_000_007, i64::MAX] {
+                let vals = i64_column(distinct, spread, &picks);
+                assert_eq!(new_i64_dict(&vals), oracle::enc_i64_dict(&vals));
+                assert_eq!(new_i64_dict(&vals).is_some(), distinct <= DICT_MAX);
+                assert_matches_oracle(&ScalarCol::I64(vals));
+            }
+            let p = packed_column(distinct, &picks);
+            assert_eq!(new_packed_dict(&p), oracle::enc_packed_dict(&p));
+            assert_matches_oracle(&ScalarCol::Str(p.clone()));
+            assert_matches_oracle(&ScalarCol::Bytes(p));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn column_encoders_emit_the_oracle_bytes(
+            distinct in 0usize..300,
+            spread in any::<i64>(),
+            picks in proptest::collection::vec(0usize..1_000_000, 0..700),
+        ) {
+            let vals = i64_column(distinct, spread, &picks);
+            prop_assert_eq!(new_i64_dict(&vals), oracle::enc_i64_dict(&vals));
+            assert_matches_oracle(&ScalarCol::I64(vals));
+            let p = packed_column(distinct, &picks);
+            prop_assert_eq!(new_packed_dict(&p), oracle::enc_packed_dict(&p));
+            assert_matches_oracle(&ScalarCol::Bytes(p));
+        }
+
+        #[test]
+        fn varint_len_is_the_pushed_length(v in any::<u64>(), shift in 0u32..64) {
+            let mut out = Vec::new();
+            push_varint(v >> shift, &mut out);
+            prop_assert_eq!(varint_len(v >> shift), out.len());
+        }
+    }
 
     fn roundtrip(rows: Vec<Value>) -> usize {
         let block = block_from_vec(rows.clone());

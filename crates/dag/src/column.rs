@@ -501,10 +501,10 @@ mod tests {
             .map(|i| Value::pair(Value::from(format!("k{i}")), Value::from(i)))
             .collect();
         let cols = analyze(&rows).expect("columnar");
-        let before = crate::value::clone_count();
+        let before = crate::value::thread_clone_count();
         let back = cols.rows();
         assert_eq!(
-            crate::value::clone_count(),
+            crate::value::thread_clone_count(),
             before,
             "columns->rows must not clone"
         );

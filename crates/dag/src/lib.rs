@@ -45,7 +45,9 @@ mod operator;
 mod udf;
 pub mod value;
 
-pub use block::{block_from_columns, block_from_vec, empty_block, Block, BlockInner, MainSlot};
+pub use block::{
+    block_from_columns, block_from_vec, block_into_rows, empty_block, Block, BlockInner, MainSlot,
+};
 pub use builder::{PCollection, Pipeline};
 pub use column::{Columns, ScalarCol};
 pub use error::{DagError, Result};

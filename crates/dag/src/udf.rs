@@ -386,9 +386,9 @@ impl SourceFn {
         let data = Arc::new(data);
         SourceFn::new(move |part, total| {
             data.iter()
-                .enumerate()
-                .filter(|(i, _)| i % total.max(1) == part)
-                .map(|(_, v)| v.clone())
+                .skip(part)
+                .step_by(total.max(1))
+                .cloned()
                 .collect()
         })
     }
@@ -508,6 +508,27 @@ mod tests {
         }
         all.sort();
         assert_eq!(all, data);
+    }
+
+    #[test]
+    fn source_from_vec_strides_like_the_modulo_filter() {
+        let data: Vec<Value> = (0..23).map(Value::from).collect();
+        let s = SourceFn::from_vec(data.clone());
+        for total in [0usize, 1, 3, 7] {
+            let mut all = Vec::new();
+            for part in 0..total.max(1) {
+                let filtered: Vec<Value> = data
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| i % total.max(1) == part)
+                    .map(|(_, v)| v.clone())
+                    .collect();
+                assert_eq!(s.produce(part, total), filtered, "{part} of {total}");
+                all.extend(filtered);
+            }
+            all.sort();
+            assert_eq!(all, data, "partitions of {total} permute the input");
+        }
     }
 
     #[test]

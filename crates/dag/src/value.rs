@@ -5,6 +5,7 @@
 //! rather than a generic element type. The typed [`crate::Pipeline`] builder
 //! converts user closures into functions over [`Value`]s.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -24,6 +25,18 @@ static CLONE_COUNT: AtomicU64 = AtomicU64::new(0);
 /// payloads are reference counted and count as a single clone.
 pub fn clone_count() -> u64 {
     CLONE_COUNT.load(AtomicOrdering::Relaxed)
+}
+
+thread_local! {
+    static THREAD_CLONE_COUNT: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `Value` clones performed by the calling thread so far, counted like
+/// [`clone_count`]. A zero-clone proof about code that runs on one thread
+/// reads this view: the process-wide total also moves when a sibling test
+/// clones on another thread.
+pub fn thread_clone_count() -> u64 {
+    THREAD_CLONE_COUNT.with(Cell::get)
 }
 
 /// A single data record flowing through a dataflow program.
@@ -181,6 +194,7 @@ impl Value {
 impl Clone for Value {
     fn clone(&self) -> Self {
         CLONE_COUNT.fetch_add(1, AtomicOrdering::Relaxed);
+        THREAD_CLONE_COUNT.with(|c| c.set(c.get() + 1));
         match self {
             Value::Unit => Value::Unit,
             Value::I64(i) => Value::I64(*i),
@@ -382,6 +396,18 @@ mod tests {
         shuffled.reverse();
         shuffled.sort();
         assert_eq!(sorted, shuffled);
+    }
+
+    #[test]
+    fn thread_clone_count_sees_only_the_calling_thread() {
+        let v = Value::pair(Value::from(1i64), Value::from(2i64));
+        let before = thread_clone_count();
+        std::thread::scope(|s| {
+            s.spawn(|| drop(v.clone()));
+        });
+        assert_eq!(thread_clone_count(), before, "a sibling thread's clone");
+        drop(v.clone());
+        assert_eq!(thread_clone_count(), before + 3, "pair + key + value");
     }
 
     #[test]

@@ -224,12 +224,15 @@ proptest! {
             .map(|&(k, v)| Value::pair(Value::from(k), Value::from(v)))
             .collect();
         let f = CombineFn::sum_i64();
-        let direct = preaggregate(records.clone(), &f, true).unwrap();
+        let preagg = |records: &[Value]| {
+            preaggregate(pado::dag::block_from_vec(records.to_vec()), &f, true).unwrap()
+        };
+        let direct = preagg(&records);
         // Split arbitrarily, pre-aggregate each half, merge the partials.
         let mid = records.len() / 2;
-        let mut partials = preaggregate(records[..mid].to_vec(), &f, true).unwrap();
-        partials.extend(preaggregate(records[mid..].to_vec(), &f, true).unwrap());
-        let merged = preaggregate(partials, &f, true).unwrap();
+        let mut partials = preagg(&records[..mid]).to_vec();
+        partials.extend(preagg(&records[mid..]).iter().cloned());
+        let merged = preagg(&partials);
         prop_assert_eq!(direct, merged);
     }
 }
