@@ -332,7 +332,6 @@ pub struct ThreadedBackend {
     probe: Arc<StallProbe>,
     frame_batch: usize,
     wallclock_timeout: Duration,
-    cancel_grace: Duration,
     watchdog: bool,
     stall_interval: Duration,
     stall_samples: u64,
@@ -352,20 +351,17 @@ impl ThreadedBackend {
 
     /// Builds the backend from the validated threaded knobs in `config`
     /// (`threaded_workers`, `threaded_wallclock_timeout_ms`, plus the
-    /// watchdog and cancellation knobs). The worker pool spins up
+    /// watchdog knobs). The worker pool spins up
     /// immediately and is shared by every executor of the job.
     pub fn from_config(config: &RuntimeConfig) -> Self {
-        let cancel_grace = Duration::from_millis(config.cancel_grace_ms.max(1));
         ThreadedBackend {
-            pool: Arc::new(WorkerPool::with_grace(
+            pool: Arc::new(WorkerPool::new(
                 config.threaded_workers.max(1),
                 Self::CHANNEL_CAPACITY,
-                cancel_grace,
             )),
             probe: Arc::new(StallProbe::default()),
             frame_batch: Self::FRAME_BATCH,
             wallclock_timeout: Duration::from_millis(config.threaded_wallclock_timeout_ms.max(1)),
-            cancel_grace,
             watchdog: config.stall_watchdog,
             stall_interval: Duration::from_millis(config.stall_sample_interval_ms.max(1)),
             stall_samples: config.stall_samples.max(1),
@@ -536,7 +532,7 @@ impl ExecBackend for ThreadedBackend {
         // the top of its next pass, aborts its run, quiesces the pool,
         // and freezes the journal — give it a bounded window to do so.
         if outcome.is_none() {
-            outcome = rx.recv_timeout(self.cancel_grace).ok();
+            outcome = rx.recv_timeout(WorkerPool::DEFAULT_GRACE).ok();
         }
         let master_joined = if outcome.is_some() || handle.is_finished() {
             let _ = handle.join();
@@ -623,7 +619,10 @@ struct WorkerSlot {
 }
 
 impl WorkerPool {
-    /// Default Drop grace before a wedged worker is detached.
+    /// How long a cancelled run gets to unwind cooperatively — master
+    /// loop observing the token, executor control threads exiting, pool
+    /// quiescing — before its threads are detached as a last resort; and
+    /// the default bound on how long `Drop` joins a wedged worker.
     const DEFAULT_GRACE: Duration = Duration::from_secs(2);
 
     /// Spawns `workers` threads behind a `capacity`-bounded job queue,

@@ -40,9 +40,6 @@ pub struct RuntimeConfig {
     /// whatever the median says (guards against duplicating sub-millisecond
     /// tasks whose median rounds to zero).
     pub speculation_floor_ms: u64,
-    /// Completed attempt durations required per fop before its median is
-    /// trusted for speculation.
-    pub speculation_min_samples: usize,
     /// Master scheduling-loop tick in milliseconds: the granularity at
     /// which straggler checks and the wedge timeout are evaluated.
     pub tick_ms: u64,
@@ -111,12 +108,6 @@ pub struct RuntimeConfig {
     /// Consecutive no-progress samples (with work outstanding) before
     /// the watchdog declares the run stalled.
     pub stall_samples: u64,
-    /// Milliseconds a cancelled run gets to unwind cooperatively —
-    /// master loop observing the token, executor control threads
-    /// exiting, pool quiescing — before its threads are detached as a
-    /// last resort. Also bounds how long the pool's `Drop` joins wedged
-    /// workers.
-    pub cancel_grace_ms: u64,
 }
 
 impl Default for RuntimeConfig {
@@ -132,7 +123,6 @@ impl Default for RuntimeConfig {
             speculation: true,
             speculation_multiplier: 3.0,
             speculation_floor_ms: 200,
-            speculation_min_samples: 3,
             tick_ms: 25,
             heartbeat_interval_ms: 50,
             dead_executor_timeout_ms: 1_500,
@@ -150,7 +140,6 @@ impl Default for RuntimeConfig {
             stall_watchdog: false,
             stall_sample_interval_ms: 500,
             stall_samples: 6,
-            cancel_grace_ms: 2_000,
         }
     }
 }
@@ -286,14 +275,6 @@ impl RuntimeConfig {
                  job with its diagnostics",
                 self.threaded_wallclock_timeout_ms, self.event_timeout_ms
             ));
-        }
-        if self.cancel_grace_ms == 0 {
-            return Err(
-                "cancel_grace_ms must be at least 1: a zero grace period detaches \
-                 every cancelled run's threads immediately instead of letting \
-                 them unwind cooperatively"
-                    .into(),
-            );
         }
         if self.stall_watchdog {
             if self.stall_sample_interval_ms == 0 {
@@ -559,15 +540,6 @@ mod tests {
         let err = c.validate().unwrap_err();
         assert!(err.contains("threaded_wallclock_timeout_ms"));
         assert!(err.contains("event_timeout_ms"));
-    }
-
-    #[test]
-    fn validate_rejects_zero_cancel_grace() {
-        let c = RuntimeConfig {
-            cancel_grace_ms: 0,
-            ..RuntimeConfig::default()
-        };
-        assert!(c.validate().unwrap_err().contains("cancel_grace_ms"));
     }
 
     #[test]

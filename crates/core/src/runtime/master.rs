@@ -46,6 +46,7 @@ use crate::runtime::metrics::JobMetrics;
 use crate::runtime::policy::{Candidate, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
 use crate::runtime::reconfig::{ReconfigChange, ReconfigPlan, ReconfigTrigger};
 use crate::runtime::store::{block_bytes, BlockRef, ExecutorStore, StoreError, StoreHandle};
+use crate::runtime::tasks::{Attempt, Report, TaskTable};
 use crate::runtime::transport::{
     mix64, DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, ReliableSender,
     TransportCounters, Wire,
@@ -82,19 +83,6 @@ pub struct JobResult {
     pub metrics: JobMetrics,
     /// The canonically-ordered execution journal.
     pub journal: EventJournal,
-}
-
-#[derive(Debug, Clone)]
-enum TaskState {
-    Pending,
-    /// One or more in-flight attempts (more than one only while a
-    /// speculative duplicate races the original; first commit wins).
-    Running {
-        attempts: Vec<(AttemptId, ExecId)>,
-    },
-    Done {
-        locations: Vec<ExecId>,
-    },
 }
 
 #[derive(Debug)]
@@ -185,8 +173,9 @@ pub struct Master {
     next_exec_id: ExecId,
     policy: Box<dyn SchedulingPolicy>,
 
-    tasks: Vec<Vec<TaskState>>,
-    first_attempted: Vec<Vec<bool>>,
+    /// Task states, the location table's executor side, and every live
+    /// attempt record (executor, launch time, epoch, pins).
+    tasks: TaskTable,
     /// The location table's data side: every committed output, as a shared
     /// block created once by the finishing executor.
     outputs: HashMap<(FopId, usize), Block>,
@@ -201,8 +190,6 @@ pub struct Master {
     /// producer fop. Invalidated with [`Master::invalidate_derived`].
     side_cache: HashMap<FopId, Block>,
     assigned: HashMap<(FopId, usize), ExecId>,
-    attempt_of: HashMap<AttemptId, (FopId, usize)>,
-    next_attempt: AttemptId,
 
     /// Shared writer handle of the execution journal. Executor worker
     /// slots and transport endpoints hold clones; the master itself emits
@@ -245,31 +232,13 @@ pub struct Master {
     injected_faults: HashMap<(FopId, usize), usize>,
     /// Launch ordinal per task, driving deterministic chaos decisions.
     launch_seq: HashMap<(FopId, usize), usize>,
-    /// Wall-clock launch time of each in-flight attempt.
-    launch_times: HashMap<AttemptId, Instant>,
     /// Completed attempt durations (ms) per fop, for straggler medians.
     fop_durations: Vec<Vec<u64>>,
-    /// In-flight attempts that are speculative duplicates.
-    speculative: HashSet<AttemptId>,
-
-    // --- Transport / delivery domain ---
-    /// Every attempt whose terminal report (`TaskDone` or `TaskFailed`)
-    /// was already processed. The by-construction idempotence keystone:
-    /// the dedup windows suppress most duplicate deliveries, but any
-    /// replay that slips past them (window overflow, reordering across a
-    /// restart) hits this set and becomes a complete no-op — no double
-    /// commit, no double slot-free, no double retry charge. Part of the
-    /// replicated completion log: WAL recovery restores it.
-    completed_attempts: HashSet<AttemptId>,
 
     // --- Memory-pressure domain ---
     /// Cross-executor pushes deferred for lack of destination headroom,
     /// retried with backoff (push backpressure).
     deferred_pushes: Vec<DeferredPush>,
-    /// Input blocks each in-flight attempt has pinned on its executor;
-    /// unpinned when the attempt reports terminally (or wholesale on
-    /// executor loss / master restart).
-    attempt_pins: HashMap<AttemptId, (ExecId, Vec<BlockRef>)>,
     /// Cursor into `faults.budget_shrinks`.
     fault_cursor_shrink: usize,
 
@@ -291,9 +260,6 @@ pub struct Master {
     placement: Vec<Placement>,
     /// Live task count per fop, rewritten by committed `Repartition`.
     parallelism: Vec<usize>,
-    /// The epoch each in-flight attempt launched under (the belt under
-    /// the wire-level fence: a cross-epoch attempt never commits).
-    attempt_epochs: HashMap<AttemptId, u64>,
     /// Cursor into `faults.reconfigs`.
     fault_cursor_reconfig: usize,
     /// Evictions handled so far — the storm-policy trigger input.
@@ -370,12 +336,6 @@ impl Master {
         let net = faults.network.clone().map(NetPolicy::new);
         let counters = Arc::new(TransportCounters::default());
         let n_fops = job.plan.fops.len();
-        let tasks = (0..n_fops)
-            .map(|f| vec![TaskState::Pending; job.plan.fops[f].parallelism])
-            .collect::<Vec<_>>();
-        let first_attempted = (0..n_fops)
-            .map(|f| vec![false; job.plan.fops[f].parallelism])
-            .collect();
         let n_stages = job.plan.stage_dag.stages.len();
         let meta = JournalMeta {
             n_stages,
@@ -440,15 +400,12 @@ impl Master {
             executors: BTreeMap::new(),
             next_exec_id: 0,
             policy: Box::new(RoundRobinCacheAware::default()),
-            tasks,
-            first_attempted,
+            tasks: TaskTable::new(&parallelism),
             outputs: HashMap::new(),
             result_parts: BTreeMap::new(),
             routed: HashMap::new(),
             side_cache: HashMap::new(),
             assigned: HashMap::new(),
-            attempt_of: HashMap::new(),
-            next_attempt: 1,
             journal,
             meta,
             stage_completed: vec![false; n_stages],
@@ -465,12 +422,8 @@ impl Master {
             task_failure_counts: HashMap::new(),
             injected_faults: HashMap::new(),
             launch_seq: HashMap::new(),
-            launch_times: HashMap::new(),
             fop_durations: vec![Vec::new(); n_fops],
-            speculative: HashSet::new(),
-            completed_attempts: HashSet::new(),
             deferred_pushes: Vec::new(),
-            attempt_pins: HashMap::new(),
             fault_cursor_shrink: 0,
             epoch,
             reconfig: None,
@@ -478,7 +431,6 @@ impl Master {
             drained: HashSet::new(),
             placement,
             parallelism,
-            attempt_epochs: HashMap::new(),
             fault_cursor_reconfig: 0,
             evictions_seen: 0,
             clock: backend.clock(),
@@ -634,7 +586,7 @@ impl Master {
             }
             if let Some(probe) = &self.probe {
                 probe.tick();
-                probe.record(self.launch_times.len(), self.rx.len());
+                probe.record(self.tasks.running(), self.rx.len());
             }
             match self.rx.recv_timeout(tick) {
                 Ok(frame) => {
@@ -818,7 +770,7 @@ impl Master {
 
     /// Retries pushes parked under backpressure. Entries become due on
     /// their backoff clock, or immediately when a pin release frees
-    /// headroom on their destination (see [`Self::release_attempt_pins`]).
+    /// headroom on their destination (see [`Self::release_pins`]).
     /// A retry succeeds when the destination store freed headroom (pins
     /// released, budget restored); the destination then joins the
     /// output's location set and `PushResumed` is journaled. Obsolete entries — output
@@ -836,7 +788,7 @@ impl Master {
                 parked.push(p);
                 continue;
             }
-            if !matches!(self.tasks[p.fop][p.index], TaskState::Done { .. }) {
+            if !self.tasks.is_done(p.fop, p.index) {
                 continue;
             }
             let Some(output) = self.outputs.get(&(p.fop, p.index)).map(Arc::clone) else {
@@ -864,7 +816,7 @@ impl Master {
                             bytes: block_bytes(&output),
                         },
                     );
-                    if let TaskState::Done { locations } = &mut self.tasks[p.fop][p.index] {
+                    if let Some(locations) = self.tasks.locations_mut(p.fop, p.index) {
                         if !locations.contains(&p.dest) {
                             locations.push(p.dest);
                         }
@@ -922,11 +874,8 @@ impl Master {
     }
 
     fn stage_complete(&self, stage: usize) -> bool {
-        self.job.plan.stage_fops(stage).iter().all(|&f| {
-            self.tasks[f]
-                .iter()
-                .all(|t| matches!(t, TaskState::Done { .. }))
-        })
+        let fops = self.job.plan.stage_fops(stage);
+        fops.iter().all(|&f| self.tasks.fop_done(f))
     }
 
     fn stage_runnable(&self, stage: usize) -> bool {
@@ -1006,46 +955,11 @@ impl Master {
             // one arriving here is already epoch-agnostic.
             MasterMsg::Evict { .. } | MasterMsg::FailReserved { .. } => return self.handle(msg),
         };
-        let current = self
-            .attempt_of
-            .get(&attempt)
-            .map(|&(f, i)| {
-                matches!(
-                    &self.tasks[f][i],
-                    TaskState::Running { attempts } if attempts.iter().any(|&(a, _)| a == attempt)
-                )
-            })
-            .unwrap_or(false);
-        if current {
+        if self.tasks.is_current(attempt) {
             return self.handle(msg);
         }
-        if !self.completed_attempts.insert(attempt) {
-            return Ok(());
-        }
-        self.release_attempt_pins(attempt);
-        if let Some(info) = self.executors.get_mut(&exec) {
-            if info.alive {
-                info.busy = info.busy.saturating_sub(1);
-            }
-        }
-        self.attempt_of.remove(&attempt);
-        self.launch_times.remove(&attempt);
-        self.speculative.remove(&attempt);
-        self.attempt_epochs.remove(&attempt);
+        self.end_attempt(exec, attempt, None);
         Ok(())
-    }
-
-    /// Total in-flight attempts (the prepare phase's quiesce condition
-    /// counts these down to zero).
-    fn running_attempts(&self) -> usize {
-        self.tasks
-            .iter()
-            .flatten()
-            .map(|t| match t {
-                TaskState::Running { attempts } => attempts.len(),
-                _ => 0,
-            })
-            .sum()
     }
 
     /// Opens a reconfiguration transaction: journals the request and
@@ -1086,7 +1000,7 @@ impl Master {
         self.reconfig = Some(ActiveReconfig {
             id,
             plan,
-            quiesce_wait: self.running_attempts(),
+            quiesce_wait: self.tasks.running(),
             deadline: self.clock.now()
                 + Duration::from_millis(self.job.config.reconfig_prepare_timeout_ms),
         });
@@ -1104,37 +1018,30 @@ impl Master {
                         self.meta.n_stages
                     ));
                 }
-                if to == Placement::Transient && self.pool_candidates(Placement::Transient) == 0 {
+                if to == Placement::Transient && self.schedulable(to).count() == 0 {
                     return Err("no alive transient executor to migrate onto".into());
                 }
                 Ok(())
             }
             ReconfigChange::Repartition { fop, parallelism } => {
-                if fop >= self.tasks.len() {
+                if fop >= self.parallelism.len() {
                     return Err(format!(
                         "fop {fop} does not exist (plan has {} fops)",
-                        self.tasks.len()
+                        self.parallelism.len()
                     ));
                 }
                 if parallelism == 0 {
                     return Err("cannot repartition to zero tasks".into());
                 }
-                let untouched = self.tasks[fop]
-                    .iter()
-                    .all(|t| matches!(t, TaskState::Pending))
-                    && self.first_attempted[fop].iter().all(|&b| !b);
-                if !untouched {
+                if !self.tasks.untouched(fop) {
                     return Err(format!(
                         "fop {fop} already has launched or finished tasks; repartition \
                          applies only to pending stages"
                     ));
                 }
-                let producers_clean = self.job.plan.in_edges(fop).iter().all(|e| {
-                    self.tasks[e.src]
-                        .iter()
-                        .all(|t| !matches!(t, TaskState::Done { .. }))
-                });
-                if !producers_clean {
+                let producers = self.job.plan.in_edges(fop);
+                let mut committed = self.tasks.committed();
+                if committed.any(|(f, _, _)| producers.iter().any(|e| e.src == f)) {
                     return Err(format!(
                         "a producer of fop {fop} already committed output bucketed at the \
                          old parallelism"
@@ -1165,7 +1072,7 @@ impl Master {
                 Ok(())
             }
             ReconfigChange::DrainTransient { .. } => {
-                if self.pool_candidates(Placement::Transient) < 2 {
+                if self.schedulable(Placement::Transient).count() < 2 {
                     return Err("draining needs at least two alive transient executors \
                          (one to drain, one to keep running transient tasks)"
                         .into());
@@ -1175,18 +1082,16 @@ impl Master {
         }
     }
 
-    /// Alive, schedulable executors of a pool (not blacklisted, not
-    /// already drained).
-    fn pool_candidates(&self, kind: Placement) -> usize {
-        self.executors
-            .iter()
-            .filter(|(id, e)| {
-                e.alive
-                    && e.handle.kind == kind
-                    && !self.blacklisted.contains(id)
-                    && !self.drained.contains(id)
-            })
-            .count()
+    /// Alive executors of a pool that may take new work (not blacklisted,
+    /// not drained), in id order.
+    fn schedulable(&self, kind: Placement) -> impl Iterator<Item = (ExecId, &ExecInfo)> {
+        self.executors.iter().filter_map(move |(&id, e)| {
+            let ok = e.alive
+                && e.handle.kind == kind
+                && !self.blacklisted.contains(&id)
+                && !self.drained.contains(&id);
+            ok.then_some((id, e))
+        })
     }
 
     /// Drives the in-flight transaction one step per loop iteration:
@@ -1197,7 +1102,7 @@ impl Master {
         let Some(txn) = self.reconfig else {
             return;
         };
-        let quiesced = self.running_attempts() == 0 && self.deferred_pushes.is_empty();
+        let quiesced = self.tasks.running() == 0 && self.deferred_pushes.is_empty();
         if quiesced {
             self.journal.emit(
                 None,
@@ -1241,12 +1146,9 @@ impl Master {
             return;
         }
         let candidate = (0..self.meta.n_stages).find(|&s| {
-            self.job.plan.stage_fops(s).iter().any(|&f| {
-                self.placement[f] == Placement::Transient
-                    && self.tasks[f]
-                        .iter()
-                        .any(|t| !matches!(t, TaskState::Done { .. }))
-            })
+            let fops = self.job.plan.stage_fops(s);
+            fops.iter()
+                .any(|&f| self.placement[f] == Placement::Transient && !self.tasks.fop_done(f))
         });
         if let Some(stage) = candidate {
             self.request_reconfig(
@@ -1294,14 +1196,12 @@ impl Master {
                 // scheduling pass re-derives them under the new pool.
                 let tasks = &self.tasks;
                 let stage_of = &self.meta.stage_of;
-                self.assigned.retain(|&(f, i), _| {
-                    stage_of[f] != stage || matches!(tasks[f][i], TaskState::Done { .. })
-                });
+                self.assigned
+                    .retain(|&(f, i), _| stage_of[f] != stage || tasks.is_done(f, i));
                 Ok(())
             }
             ReconfigChange::Repartition { fop, parallelism } => {
-                self.tasks[fop] = vec![TaskState::Pending; parallelism];
-                self.first_attempted[fop] = vec![false; parallelism];
+                self.tasks.repartition(fop, parallelism);
                 self.parallelism[fop] = parallelism;
                 self.assigned.retain(|&(f, _), _| f != fop);
                 // Shuffle buckets are keyed by consumer parallelism and
@@ -1313,15 +1213,8 @@ impl Master {
             }
             ReconfigChange::DrainTransient { nth } => {
                 let candidates: Vec<ExecId> = self
-                    .executors
-                    .iter()
-                    .filter(|(id, e)| {
-                        e.alive
-                            && e.handle.kind == Placement::Transient
-                            && !self.blacklisted.contains(id)
-                            && !self.drained.contains(id)
-                    })
-                    .map(|(&id, _)| id)
+                    .schedulable(Placement::Transient)
+                    .map(|(id, _)| id)
                     .collect();
                 // Feasibility re-checked above guarantees candidates,
                 // but a crash-recovered master may disagree with the
@@ -1343,30 +1236,18 @@ impl Master {
     /// before the failure stay (each was recorded as a valid location
     /// the moment it landed).
     fn migrate_blocks_off(&mut self, victim: ExecId) -> Result<(), String> {
-        let mut on_victim: Vec<(FopId, usize)> = Vec::new();
-        for f in 0..self.tasks.len() {
-            for i in 0..self.tasks[f].len() {
-                if matches!(
-                    &self.tasks[f][i],
-                    TaskState::Done { locations } if locations.contains(&victim)
-                ) {
-                    on_victim.push((f, i));
-                }
-            }
-        }
+        let on_victim: Vec<(FopId, usize)> = self
+            .tasks
+            .committed()
+            .filter(|(_, _, locations)| locations.contains(&victim))
+            .map(|(f, i, _)| (f, i))
+            .collect();
         let reserved: Vec<ExecId> = self
-            .executors
-            .iter()
-            .filter(|(id, e)| {
-                e.alive && e.handle.kind == Placement::Reserved && !self.blacklisted.contains(id)
-            })
-            .map(|(&id, _)| id)
+            .schedulable(Placement::Reserved)
+            .map(|(id, _)| id)
             .collect();
         for &(f, i) in &on_victim {
-            let sole = matches!(
-                &self.tasks[f][i],
-                TaskState::Done { locations } if locations.len() == 1
-            );
+            let sole = self.tasks.locations(f, i).len() == 1;
             // Sink-safe outputs and multi-location blocks need no copy:
             // dropping the victim's location below loses nothing.
             if !sole || self.result_parts.contains_key(&(f, i)) {
@@ -1394,14 +1275,14 @@ impl Master {
                     block_bytes(&output)
                 ));
             };
-            if let TaskState::Done { locations } = &mut self.tasks[f][i] {
+            if let Some(locations) = self.tasks.locations_mut(f, i) {
                 locations.push(d);
             }
         }
         // Every sole-location block now has a reserved copy: retire the
         // victim's locations and release its store residency.
         for (f, i) in on_victim {
-            if let TaskState::Done { locations } = &mut self.tasks[f][i] {
+            if let Some(locations) = self.tasks.locations_mut(f, i) {
                 locations.retain(|&l| l != victim);
             }
             if let Some(info) = self.executors.get(&victim) {
@@ -1435,79 +1316,25 @@ impl Master {
         cache_hit: bool,
         cached_keys: Vec<CacheKey>,
     ) -> Result<(), RuntimeError> {
-        // Idempotence by construction: one terminal report per attempt is
-        // ever processed. A duplicate delivery that slipped past the
-        // dedup window must not re-commit, re-charge, or free a busy slot
-        // a second time.
-        if !self.completed_attempts.insert(attempt) {
-            return Ok(());
-        }
-        // The attempt is over, win or lose: its input pins release before
-        // any staleness check, so even a discarded report frees memory.
-        self.release_attempt_pins(attempt);
-        // Refresh the container manager's view of the executor cache.
-        if let Some(info) = self.executors.get_mut(&exec) {
-            if info.alive {
-                info.cached = cached_keys.into_iter().collect();
-                info.busy = info.busy.saturating_sub(1);
-            }
-        }
         // The commit protocol: an output is processed exactly once, and
         // only for an attempt the master considers current. Stale attempts
         // (evicted containers, fenced masters, losing speculative
         // duplicates) are discarded.
-        let Some(&(fop, index)) = self.attempt_of.get(&attempt) else {
+        let Some(a) = self.end_attempt(exec, attempt, Some(cached_keys)) else {
             return Ok(());
         };
-        let valid = matches!(
-            &self.tasks[fop][index],
-            TaskState::Running { attempts } if attempts.iter().any(|&(a, _)| a == attempt)
-        );
-        if !valid {
-            return Ok(());
-        }
+        let (fop, index) = (a.fop, a.index);
         // The belt under the wire-level epoch fence: an attempt launched
         // before the last committed reconfiguration never commits after
         // it. Unreachable when the fence holds (prepare quiesces every
         // current attempt before the epoch advances), but a discarded
-        // report must keep the job live: the task reverts to pending and
+        // report must keep the job live: the task is pending again and
         // relaunches under the new epoch.
-        let launch_epoch = self.attempt_epochs.remove(&attempt).unwrap_or(0);
-        if launch_epoch != self.epoch.load(Ordering::Relaxed) {
-            if let TaskState::Running { attempts } = &mut self.tasks[fop][index] {
-                attempts.retain(|&(a, _)| a != attempt);
-                if attempts.is_empty() {
-                    self.tasks[fop][index] = TaskState::Pending;
-                }
-            }
-            self.attempt_of.remove(&attempt);
-            self.launch_times.remove(&attempt);
-            self.speculative.remove(&attempt);
+        if a.epoch != self.epoch.load(Ordering::Relaxed) {
             return Ok(());
         }
-        self.attempt_of.remove(&attempt);
-        if let Some(t0) = self.launch_times.remove(&attempt) {
-            self.fop_durations[fop]
-                .push(self.clock.now().saturating_duration_since(t0).as_millis() as u64);
-        }
-        // First commit wins: if this was the speculative duplicate, it
-        // beat the original. Either way every other in-flight attempt of
-        // this task becomes a loser — unregistered now, so its eventual
-        // completion is stale and only frees its executor slot.
-        let speculative = self.speculative.remove(&attempt);
-        if let TaskState::Running { attempts } = &self.tasks[fop][index] {
-            let losers: Vec<AttemptId> = attempts
-                .iter()
-                .map(|&(a, _)| a)
-                .filter(|&a| a != attempt)
-                .collect();
-            for a in losers {
-                self.attempt_of.remove(&a);
-                self.launch_times.remove(&a);
-                self.speculative.remove(&a);
-                self.attempt_epochs.remove(&a);
-            }
-        }
+        let elapsed = self.clock.now().saturating_duration_since(a.launched_at);
+        self.fop_durations[fop].push(elapsed.as_millis() as u64);
         let locations = self.commit_locations(fop, index, exec, &output)?;
         let bytes = block_bytes(&output);
         let pushed =
@@ -1522,7 +1349,11 @@ impl Master {
         // from the old version must not be served for the new one.
         self.invalidate_derived(fop, index);
         self.outputs.insert((fop, index), output);
-        self.tasks[fop][index] = TaskState::Done { locations };
+        // First commit wins: if this was the speculative duplicate, it
+        // beat the original. Either way every other in-flight attempt of
+        // this task is a loser now — its eventual report is stale and
+        // only frees its executor slot and pins.
+        self.tasks.commit(fop, index, locations);
         self.submit_eager_routing(fop, index);
         self.journal.emit(
             Some(self.meta.stage_of[fop]),
@@ -1531,7 +1362,7 @@ impl Master {
                 index,
                 attempt,
                 exec,
-                speculative,
+                speculative: a.speculative,
                 bytes_pushed: if pushed { bytes } else { 0 },
                 preaggregated,
                 cache_hit,
@@ -1546,9 +1377,41 @@ impl Master {
         Ok(())
     }
 
-    /// Releases the input blocks an attempt pinned at launch. Tolerates
-    /// unknown attempts: master unit tests (and fenced pre-restart
-    /// attempts) report completions the pin table never saw.
+    /// What every terminal report (`TaskDone`, `TaskFailed`, fenced or
+    /// not) does before anyone asks whether it still counts. Idempotent
+    /// by construction: one report per attempt is ever processed, so a
+    /// duplicate delivery that slipped past the dedup window cannot
+    /// re-commit, re-charge, or free a busy slot a second time. The
+    /// attempt is over, win or lose: its input pins release and the
+    /// executor's slot frees even when the report is then discarded.
+    /// Returns the attempt's record when it was still current.
+    fn end_attempt(
+        &mut self,
+        exec: ExecId,
+        attempt: AttemptId,
+        cached_keys: Option<Vec<CacheKey>>,
+    ) -> Option<Attempt> {
+        let (record, current) = match self.tasks.report(attempt) {
+            Report::Duplicate => return None,
+            Report::Stale(record) => (record, false),
+            Report::Current(a) => (Some(a), true),
+        };
+        if let Some(a) = &record {
+            self.release_pins(a);
+        }
+        if let Some(info) = self.executors.get_mut(&exec) {
+            if info.alive {
+                // Refresh the container manager's view of the executor cache.
+                if let Some(keys) = cached_keys {
+                    info.cached = keys.into_iter().collect();
+                }
+                info.busy = info.busy.saturating_sub(1);
+            }
+        }
+        record.filter(|_| current)
+    }
+
+    /// Releases the input blocks a retired attempt pinned at launch.
     ///
     /// Releasing pins is the one event that creates durable headroom on
     /// a store, so pushes parked against that executor become due
@@ -1556,21 +1419,19 @@ impl Master {
     /// re-pins freed bytes for the next waiting task within the same
     /// loop iteration, while a clock-gated retry lands milliseconds
     /// late and finds the store full again.
-    fn release_attempt_pins(&mut self, attempt: AttemptId) {
-        if let Some((exec, refs)) = self.attempt_pins.remove(&attempt) {
-            if let Some(info) = self.executors.get(&exec) {
-                let mut s = info.store.lock();
-                for r in refs {
-                    s.unpin(r);
-                }
+    fn release_pins(&mut self, a: &Attempt) {
+        if let Some(info) = self.executors.get(&a.exec) {
+            let mut s = info.store.lock();
+            for &r in &a.pins {
+                s.unpin(r);
             }
-            let now = self.clock.now();
-            let base = self.job.config.retransmit_base_ms.max(1);
-            for p in &mut self.deferred_pushes {
-                if p.dest == exec {
-                    p.next_try = now;
-                    p.backoff_ms = base;
-                }
+        }
+        let now = self.clock.now();
+        let base = self.job.config.retransmit_base_ms.max(1);
+        for p in &mut self.deferred_pushes {
+            if p.dest == a.exec {
+                p.next_try = now;
+                p.backoff_ms = base;
             }
         }
     }
@@ -1585,32 +1446,13 @@ impl Master {
         attempt: AttemptId,
         reason: String,
     ) -> Result<(), RuntimeError> {
-        // Same idempotence gate as `on_task_done`: an attempt reports
-        // terminally once, however many times the network replays it.
-        if !self.completed_attempts.insert(attempt) {
-            return Ok(());
-        }
-        self.release_attempt_pins(attempt);
-        if let Some(info) = self.executors.get_mut(&exec) {
-            if info.alive {
-                info.busy = info.busy.saturating_sub(1);
-            }
-        }
-        // Stale failures (already-discarded attempts) only free the slot.
-        let Some(&(fop, index)) = self.attempt_of.get(&attempt) else {
+        // Stale failures (already-discarded attempts) only free the slot;
+        // a current one leaves its task pending again (unless a
+        // speculative duplicate still runs).
+        let Some(a) = self.end_attempt(exec, attempt, None) else {
             return Ok(());
         };
-        let current = matches!(
-            &self.tasks[fop][index],
-            TaskState::Running { attempts } if attempts.iter().any(|&(a, _)| a == attempt)
-        );
-        if !current {
-            return Ok(());
-        }
-        self.attempt_of.remove(&attempt);
-        self.launch_times.remove(&attempt);
-        self.speculative.remove(&attempt);
-        self.attempt_epochs.remove(&attempt);
+        let (fop, index) = (a.fop, a.index);
         self.journal.emit(
             Some(self.meta.stage_of[fop]),
             JobEvent::TaskFailed {
@@ -1627,12 +1469,6 @@ impl Master {
             self.abort_reconfig(format!(
                 "allocation failure in task {fop}.{index} mid-prepare"
             ));
-        }
-        if let TaskState::Running { attempts } = &mut self.tasks[fop][index] {
-            attempts.retain(|&(a, _)| a != attempt);
-            if attempts.is_empty() {
-                self.tasks[fop][index] = TaskState::Pending;
-            }
         }
 
         let failures = {
@@ -1670,17 +1506,9 @@ impl Master {
         self.blacklisted.insert(exec);
         self.journal.emit(None, JobEvent::ExecutorBlacklisted(exec));
         // Re-route receiver assignments that have not yet produced data.
-        let stale: Vec<(FopId, usize)> = self
-            .assigned
-            .iter()
-            .filter(|(&(f, i), &e)| {
-                e == exec && !matches!(self.tasks[f][i], TaskState::Done { .. })
-            })
-            .map(|(&k, _)| k)
-            .collect();
-        for k in stale {
-            self.assigned.remove(&k);
-        }
+        let tasks = &self.tasks;
+        self.assigned
+            .retain(|&(f, i), &mut e| e != exec || tasks.is_done(f, i));
         // An unknown executor (a fault-injected blacklist of an id the
         // master never spawned) has nothing to replace.
         let Some(kind) = self.executors.get(&exec).map(|e| e.handle.kind) else {
@@ -1882,7 +1710,6 @@ impl Master {
         // invariant checker to clear the executor's replayed state.
         info.store.lock().clear_silent();
         let kind = info.handle.kind;
-        self.attempt_pins.retain(|_, (e, _)| *e != exec);
         self.deferred_pushes.retain(|p| p.dest != exec);
         // A drained executor that finally dies needs no special recovery
         // (its blocks migrated at drain time); it just stops counting
@@ -1914,50 +1741,21 @@ impl Master {
             .map(|s| self.stage_complete(s))
             .collect();
 
-        // Revert running attempts scheduled on the lost executor. A task
-        // racing a speculative duplicate keeps its surviving attempts.
-        let mut dropped_attempts: Vec<AttemptId> = Vec::new();
-        for ts in &mut self.tasks {
-            for t in ts.iter_mut() {
-                if let TaskState::Running { attempts } = t {
-                    dropped_attempts.extend(
-                        attempts
-                            .iter()
-                            .filter(|&&(_, e)| e == exec)
-                            .map(|&(a, _)| a),
-                    );
-                    attempts.retain(|&(_, e)| e != exec);
-                    if attempts.is_empty() {
-                        *t = TaskState::Pending;
-                    }
-                }
-            }
-        }
-        for a in dropped_attempts {
-            self.attempt_of.remove(&a);
-            self.launch_times.remove(&a);
-            self.speculative.remove(&a);
-            self.attempt_epochs.remove(&a);
-        }
-        // Destroy data whose only copy lived on the lost executor.
-        for f in 0..self.tasks.len() {
-            for i in 0..self.tasks[f].len() {
-                let lost = if let TaskState::Done { locations } = &mut self.tasks[f][i] {
-                    locations.retain(|&l| l != exec);
-                    locations.is_empty() && !self.result_parts.contains_key(&(f, i))
-                } else {
-                    false
-                };
-                if lost {
-                    self.outputs.remove(&(f, i));
-                    self.invalidate_derived(f, i);
-                    self.tasks[f][i] = TaskState::Pending;
-                    self.journal.emit(
-                        Some(self.meta.stage_of[f]),
-                        JobEvent::TaskReverted { fop: f, index: i },
-                    );
-                }
-            }
+        // Revert the attempts scheduled on the lost executor (a task
+        // racing a speculative duplicate keeps its surviving attempts;
+        // the pins died with the store) and destroy data whose only copy
+        // lived there. Terminal outputs are safe in the job sink.
+        let result_parts = &self.result_parts;
+        let reverted = self
+            .tasks
+            .executor_lost(exec, |f, i| result_parts.contains_key(&(f, i)));
+        for (f, i) in reverted {
+            self.outputs.remove(&(f, i));
+            self.invalidate_derived(f, i);
+            self.journal.emit(
+                Some(self.meta.stage_of[f]),
+                JobEvent::TaskReverted { fop: f, index: i },
+            );
         }
         // Invalidate receiver assignments pointing at the lost executor.
         self.assigned.retain(|_, &mut e| e != exec);
@@ -1986,26 +1784,19 @@ impl Master {
     }
 
     /// The master's durable progress record, built from live state. The
-    /// completed-attempt set is sorted so the frame bytes are a pure
-    /// function of the state, never of hash-map iteration order.
+    /// completed-attempt set is ascending so the frame bytes are a pure
+    /// function of the state.
     fn wal_snapshot(&self) -> WalSnapshot {
-        let mut completed_attempts: Vec<AttemptId> =
-            self.completed_attempts.iter().copied().collect();
-        completed_attempts.sort_unstable();
-        let mut committed: Vec<(FopId, usize, Vec<ExecId>)> = Vec::new();
-        for f in 0..self.tasks.len() {
-            for (i, t) in self.tasks[f].iter().enumerate() {
-                if let TaskState::Done { locations } = t {
-                    committed.push((f, i, locations.clone()));
-                }
-            }
-        }
         WalSnapshot {
             epoch: self.epoch.load(Ordering::Relaxed),
-            next_attempt: self.next_attempt,
-            completed_attempts,
-            committed,
-            first_attempted: self.first_attempted.clone(),
+            next_attempt: self.tasks.next_attempt(),
+            completed_attempts: self.tasks.completed(),
+            committed: self
+                .tasks
+                .committed()
+                .map(|(f, i, locations)| (f, i, locations.to_vec()))
+                .collect(),
+            first_attempted: self.tasks.first_attempted().to_vec(),
             parallelism: self.parallelism.clone(),
             placement: self.placement.clone(),
         }
@@ -2044,14 +1835,10 @@ impl Master {
         let Some(wal) = &self.wal else {
             return Ok(());
         };
-        let locations = match self.tasks.get(fop).and_then(|ts| ts.get(index)) {
-            Some(TaskState::Done { locations }) => locations.clone(),
-            _ => Vec::new(),
-        };
         wal.lock().append(&WalRecord::Locations {
             fop,
             index,
-            locations,
+            locations: self.tasks.locations(fop, index).to_vec(),
         })
     }
 
@@ -2124,42 +1911,21 @@ impl Master {
         // An in-flight transaction is in-memory state the recovered
         // master never heard of: it resolves as an abort.
         self.abort_reconfig("master restarted mid-transaction".into());
-        // Pins belong to fenced pre-crash attempts; the executors
-        // outlive the master, so their memory holds lift now. Deferred
-        // pushes die with the dead master's queue.
-        let pins: Vec<(AttemptId, (ExecId, Vec<BlockRef>))> = self.attempt_pins.drain().collect();
-        for (_, (exec, refs)) in pins {
-            if let Some(info) = self.executors.get(&exec) {
-                let mut s = info.store.lock();
-                for r in refs {
-                    s.unpin(r);
-                }
-            }
-        }
-        self.deferred_pushes.clear();
-        let done_before: Vec<Vec<bool>> = self
-            .tasks
-            .iter()
-            .map(|ts| {
-                ts.iter()
-                    .map(|t| matches!(t, TaskState::Done { .. }))
-                    .collect()
-            })
-            .collect();
+        let done_before: Vec<(FopId, usize)> =
+            self.tasks.committed().map(|(f, i, _)| (f, i)).collect();
 
         // Shape overlays: the genesis snapshot makes the replayed shape
         // available from the first frame; if interior corruption
         // destroyed every snapshot, restart from the plan's frozen
         // shape and recompute everything.
         let n_fops = self.job.plan.fops.len();
-        if rec.parallelism.len() == n_fops && rec.placement.len() == n_fops {
+        let shaped = rec.parallelism.len() == n_fops && rec.placement.len() == n_fops;
+        if shaped {
             self.parallelism = rec.parallelism.clone();
             self.placement = rec.placement.clone();
-            self.first_attempted = rec.first_attempted.clone();
         } else {
             self.parallelism = self.job.plan.fops.iter().map(|f| f.parallelism).collect();
             self.placement = self.job.plan.fops.iter().map(|f| f.placement).collect();
-            self.first_attempted = self.parallelism.iter().map(|&p| vec![false; p]).collect();
         }
         // Re-apply committed placement changes the replay could not
         // fold by itself (they need the plan's stage table).
@@ -2175,20 +1941,24 @@ impl Master {
                 }
             }
         }
-        if self.first_attempted.len() != n_fops {
-            self.first_attempted = self.parallelism.iter().map(|&p| vec![false; p]).collect();
-        }
-        for f in 0..n_fops {
-            if self.first_attempted[f].len() != self.parallelism[f] {
-                self.first_attempted[f] = vec![false; self.parallelism[f]];
-            }
-        }
 
-        self.tasks = self
-            .parallelism
-            .iter()
-            .map(|&p| vec![TaskState::Pending; p])
-            .collect();
+        // The task table restarts at that shape (DESIGN.md §14): every
+        // task pending, the idempotence keystone *replaced* by the WAL's
+        // completion log, every pre-crash attempt id fenced.
+        let first_attempted: &[Vec<bool>] = if shaped { &rec.first_attempted } else { &[] };
+        let fenced = self.tasks.reset(
+            &self.parallelism,
+            first_attempted,
+            rec.completed_attempts.iter().copied(),
+            rec.max_attempt,
+        );
+        // Pins belong to the fenced pre-crash attempts; the executors
+        // outlive the master, so their memory holds lift now. Deferred
+        // pushes die with the dead master's queue.
+        for a in &fenced {
+            self.release_pins(a);
+        }
+        self.deferred_pushes.clear();
         self.outputs.clear();
         self.routed.clear();
         self.side_cache.clear();
@@ -2245,52 +2015,31 @@ impl Master {
                 self.result_parts.insert((f, i), Arc::clone(&block));
             }
             self.outputs.insert((f, i), block);
-            self.tasks[f][i] = TaskState::Done { locations: locs };
+            self.tasks.commit(f, i, locs);
         }
         // Result parts of tasks the log no longer believes committed
         // must not leak into the job output: their tasks recompute and
         // re-commit identical bytes.
         let tasks = &self.tasks;
-        self.result_parts.retain(|&(f, i), _| {
-            matches!(
-                tasks.get(f).and_then(|ts| ts.get(i)),
-                Some(TaskState::Done { .. })
-            )
-        });
+        self.result_parts.retain(|&(f, i), _| tasks.is_done(f, i));
 
-        // The idempotence keystone is *replaced*, not merged: the WAL's
-        // completed-attempt set is the replicated completion log, and
-        // pre-crash reports replayed by the network must still bounce.
-        self.completed_attempts = rec.completed_attempts.clone();
         // The epoch only moves forward, so pre-crash frames stay fenced.
         self.epoch.fetch_max(rec.epoch, Ordering::Relaxed);
-        // Fence every attempt the pre-crash master issued.
-        self.next_attempt = rec.max_attempt.max(self.next_attempt) + 1_000_000;
-        self.attempt_of.clear();
         self.assigned.clear();
-        self.launch_times.clear();
-        self.speculative.clear();
         self.task_failure_counts.clear();
         self.exec_failures.clear();
-        self.attempt_epochs.clear();
         for info in self.executors.values_mut() {
             if info.alive {
                 info.busy = 0;
             }
         }
         // Log every commit the crash rolled back; recomputation follows.
-        for (f, was) in done_before.iter().enumerate() {
-            for (i, &was_done) in was.iter().enumerate() {
-                let now_done = matches!(
-                    self.tasks.get(f).and_then(|ts| ts.get(i)),
-                    Some(TaskState::Done { .. })
+        for (f, i) in done_before {
+            if !self.tasks.is_done(f, i) && f < n_fops && i < self.parallelism[f] {
+                self.journal.emit(
+                    Some(self.meta.stage_of[f]),
+                    JobEvent::TaskReverted { fop: f, index: i },
                 );
-                if was_done && !now_done && f < n_fops && i < self.parallelism[f] {
-                    self.journal.emit(
-                        Some(self.meta.stage_of[f]),
-                        JobEvent::TaskReverted { fop: f, index: i },
-                    );
-                }
             }
         }
         self.note_stage_transitions();
@@ -2328,9 +2077,12 @@ impl Master {
                     .filter(|&f| self.placement[f] == Placement::Transient),
             );
             for f in ordered {
-                for i in 0..self.tasks[f].len() {
-                    if matches!(self.tasks[f][i], TaskState::Pending) && self.task_ready(f, i) {
-                        self.launch(f, i)?;
+                for i in 0..self.parallelism[f] {
+                    if self.tasks.is_pending(f, i) && self.task_ready(f, i) {
+                        // No free executor: retry on the next event.
+                        if let Some(exec) = self.pick_executor(f, i) {
+                            self.launch(f, i, exec, false)?;
+                        }
                     }
                 }
             }
@@ -2344,12 +2096,8 @@ impl Master {
     /// reserved executors").
     fn assign_receivers(&mut self, stage: usize) {
         let reserved: Vec<ExecId> = self
-            .executors
-            .iter()
-            .filter(|(id, e)| {
-                e.alive && e.handle.kind == Placement::Reserved && !self.blacklisted.contains(id)
-            })
-            .map(|(&id, _)| id)
+            .schedulable(Placement::Reserved)
+            .map(|(id, _)| id)
             .collect();
         if reserved.is_empty() {
             return;
@@ -2375,7 +2123,7 @@ impl Master {
             let src_par = self.parallelism[e.src];
             let dst_par = self.parallelism[fop];
             for si in required_src_indices(&e, index, src_par, dst_par) {
-                if !matches!(self.tasks[e.src][si], TaskState::Done { .. }) {
+                if !self.tasks.is_done(e.src, si) {
                     return false;
                 }
             }
@@ -2383,56 +2131,66 @@ impl Master {
         true
     }
 
-    fn launch(&mut self, fop: FopId, index: usize) -> Result<(), RuntimeError> {
-        let placement = self.placement[fop];
-        let cache_pref = self.cache_preference(fop);
-        let Some(exec) = self.pick_executor(placement, fop, index, cache_pref) else {
-            return Ok(()); // No free executor; retry on the next event.
-        };
-
+    /// Launches one attempt of task `(fop, index)` on `exec`: the task's
+    /// only one, or — `speculative` — a duplicate of a straggling attempt.
+    /// The duplicate shares the task's identity, so whichever attempt
+    /// finishes first commits and the other is discarded by the commit
+    /// protocol (never double-committed).
+    fn launch(
+        &mut self,
+        fop: FopId,
+        index: usize,
+        exec: ExecId,
+        speculative: bool,
+    ) -> Result<(), RuntimeError> {
         // Admission control: a task launches only when every main input
         // can be pinned on its executor. A refusal leaves the task
         // pending — other tasks keep scheduling, and this one retries
-        // once running attempts release their pins.
+        // once running attempts release their pins. Speculation is
+        // strictly optional work: a refused duplicate is just skipped.
         let Some(pins) = self.pin_inputs(fop, index, exec)? else {
             return Ok(());
         };
-
-        let attempt = self.next_attempt;
-        self.next_attempt += 1;
-
-        let (mains, sides, side_stats) = self.assemble_inputs(fop, index, exec)?;
-        let preaggregate = placement == Placement::Transient
+        let (mains, sides, side) = self.assemble_inputs(fop, index, exec)?;
+        let preaggregate = self.placement[fop] == Placement::Transient
             && self.job.config.partial_aggregation
             && combine_consumer(&self.job.dag, &self.job.plan, fop).is_some();
         let inject = self.decide_injection(fop, index);
 
-        // Launch accounting.
-        let relaunch = self.first_attempted[fop][index];
-        if !relaunch {
-            self.first_attempted[fop][index] = true;
-        }
+        let (attempt, relaunch) = self.tasks.begin(Attempt {
+            fop,
+            index,
+            exec,
+            launched_at: self.clock.now(),
+            epoch: self.epoch.load(Ordering::Relaxed),
+            speculative,
+            pins,
+        });
         self.journal.emit(
             Some(self.meta.stage_of[fop]),
-            JobEvent::TaskLaunched {
-                fop,
-                index,
-                attempt,
-                exec,
-                relaunch,
-                side_bytes_sent: side_stats.sent,
-                side_bytes_saved: side_stats.saved,
-                side_cache_misses: side_stats.misses,
+            if speculative {
+                JobEvent::SpeculativeLaunched {
+                    fop,
+                    index,
+                    attempt,
+                    exec,
+                    side_bytes_sent: side.sent,
+                    side_bytes_saved: side.saved,
+                    side_cache_misses: side.misses,
+                }
+            } else {
+                JobEvent::TaskLaunched {
+                    fop,
+                    index,
+                    attempt,
+                    exec,
+                    relaunch,
+                    side_bytes_sent: side.sent,
+                    side_bytes_saved: side.saved,
+                    side_cache_misses: side.misses,
+                }
             },
         );
-        self.attempt_of.insert(attempt, (fop, index));
-        self.launch_times.insert(attempt, self.clock.now());
-        self.attempt_pins.insert(attempt, (exec, pins));
-        self.attempt_epochs
-            .insert(attempt, self.epoch.load(Ordering::Relaxed));
-        self.tasks[fop][index] = TaskState::Running {
-            attempts: vec![(attempt, exec)],
-        };
         let info = self.executors.get_mut(&exec).ok_or_else(|| {
             RuntimeError::Invariant(format!("picked executor {exec} is not registered"))
         })?;
@@ -2517,52 +2275,40 @@ impl Master {
         let mut pinned: Vec<BlockRef> = Vec::new();
         let mut pinned_bytes = 0usize;
         for (r, data) in &wanted {
-            match s.pin(*r, data) {
+            let refusal = match s.pin(*r, data) {
                 Ok(()) => {
                     pinned.push(*r);
                     pinned_bytes += block_bytes(data);
+                    continue;
                 }
-                Err(StoreError::NoHeadroom {
+                Err(refusal) => refusal,
+            };
+            for p in pinned {
+                s.unpin(p);
+            }
+            return match refusal {
+                // Refusal with nothing resident but our own pins means
+                // the requirement itself is over budget.
+                StoreError::NoHeadroom {
                     needed,
                     budget,
                     resident,
-                }) => {
-                    // Refusal with nothing resident but our own pins
-                    // means the requirement itself is over budget.
-                    let only_us = resident <= pinned_bytes;
-                    for p in pinned {
-                        s.unpin(p);
-                    }
-                    if only_us {
-                        return Err(RuntimeError::MemoryExceeded {
-                            bytes: pinned_bytes + needed,
-                            budget,
-                            context: format!("inputs of task {fop}.{index} on executor {exec}"),
-                        });
-                    }
-                    return Ok(None);
-                }
-                Err(StoreError::TooLarge { bytes, budget }) => {
-                    for p in pinned {
-                        s.unpin(p);
-                    }
-                    return Err(RuntimeError::MemoryExceeded {
-                        bytes,
-                        budget,
-                        context: format!("input {r} of task {fop}.{index} on executor {exec}"),
-                    });
-                }
-                Err(StoreError::SpillUnreadable { .. }) => {
-                    // A spilled copy rotted on disk. The store already
-                    // dropped the corrupt entry, so treat this like a
-                    // headroom refusal: the task stays pending and the
-                    // next admission re-pins from the master's copy.
-                    for p in pinned {
-                        s.unpin(p);
-                    }
-                    return Ok(None);
-                }
-            }
+                } if resident <= pinned_bytes => Err(RuntimeError::MemoryExceeded {
+                    bytes: pinned_bytes + needed,
+                    budget,
+                    context: format!("inputs of task {fop}.{index} on executor {exec}"),
+                }),
+                StoreError::TooLarge { bytes, budget } => Err(RuntimeError::MemoryExceeded {
+                    bytes,
+                    budget,
+                    context: format!("input {r} of task {fop}.{index} on executor {exec}"),
+                }),
+                // A rotted spilled copy counts as a headroom refusal: the
+                // store already dropped the corrupt entry, the task stays
+                // pending, and the next admission re-pins from the
+                // master's copy.
+                StoreError::NoHeadroom { .. } | StoreError::SpillUnreadable { .. } => Ok(None),
+            };
         }
         Ok(Some(pinned))
     }
@@ -2632,6 +2378,10 @@ impl Master {
         None
     }
 
+    /// Completed attempts a fop needs before its median duration is
+    /// trusted to call a running attempt a straggler.
+    const SPECULATION_MIN_SAMPLES: usize = 3;
+
     /// Straggler mitigation: for every fop with enough completed-attempt
     /// samples, duplicate any single-attempt task whose elapsed time
     /// exceeds `speculation_multiplier` × the fop's median duration
@@ -2640,12 +2390,11 @@ impl Master {
         if !self.job.config.speculation || self.reconfig.is_some() {
             return Ok(());
         }
-        let min_samples = self.job.config.speculation_min_samples.max(1);
         let mult = self.job.config.speculation_multiplier;
         let floor = self.job.config.speculation_floor_ms;
         let mut stragglers: Vec<(FopId, usize, ExecId)> = Vec::new();
-        for f in 0..self.tasks.len() {
-            if self.fop_durations[f].len() < min_samples {
+        for f in 0..self.fop_durations.len() {
+            if self.fop_durations[f].len() < Self::SPECULATION_MIN_SAMPLES {
                 continue;
             }
             let mut durs = self.fop_durations[f].clone();
@@ -2654,108 +2403,32 @@ impl Master {
                 continue;
             };
             let threshold = ((median as f64 * mult) as u64).max(floor);
-            for i in 0..self.tasks[f].len() {
-                if let TaskState::Running { attempts } = &self.tasks[f][i] {
-                    // Never stack duplicates: one speculative race at a time.
-                    if attempts.len() != 1 {
-                        continue;
-                    }
-                    let (a, e) = attempts[0];
-                    let now = self.clock.now();
-                    let elapsed = self
-                        .launch_times
-                        .get(&a)
-                        .map(|t| now.saturating_duration_since(*t).as_millis() as u64);
-                    if elapsed.is_some_and(|ms| ms > threshold) {
-                        stragglers.push((f, i, e));
-                    }
+            let now = self.clock.now();
+            // Never stack duplicates: one speculative race at a time.
+            for (i, a) in self.tasks.sole_attempts(f) {
+                let elapsed = now.saturating_duration_since(a.launched_at).as_millis() as u64;
+                if elapsed > threshold {
+                    stragglers.push((f, i, a.exec));
                 }
             }
         }
         for (f, i, avoid) in stragglers {
-            self.launch_speculative(f, i, avoid)?;
+            // No spare executor: keep waiting on the original.
+            if let Some(exec) = self.pick_spare(f, avoid) {
+                self.launch(f, i, exec, true)?;
+            }
         }
         Ok(())
     }
 
-    /// Launches a speculative duplicate of a straggling attempt on a
-    /// different executor. The duplicate shares the task's identity, so
-    /// whichever attempt finishes first commits and the other is
-    /// discarded by the commit protocol (never double-committed).
-    fn launch_speculative(
-        &mut self,
-        fop: FopId,
-        index: usize,
-        avoid: ExecId,
-    ) -> Result<(), RuntimeError> {
-        let kind = self.placement[fop];
+    /// The executor a speculative duplicate goes to: the least busy one
+    /// of the fop's pool, other than the straggler's own.
+    fn pick_spare(&self, fop: FopId, avoid: ExecId) -> Option<ExecId> {
         let slots = self.job.config.slots_per_executor.max(1);
-        let pick = self
-            .executors
-            .iter()
-            .filter(|(&id, e)| {
-                e.alive
-                    && e.handle.kind == kind
-                    && e.busy < slots
-                    && id != avoid
-                    && !self.blacklisted.contains(&id)
-                    && !self.drained.contains(&id)
-            })
-            .max_by_key(|(&id, e)| (slots - e.busy, std::cmp::Reverse(id)))
-            .map(|(&id, _)| id);
-        let Some(exec) = pick else {
-            return Ok(()); // No spare executor: keep waiting on the original.
-        };
-
-        // Speculation is strictly optional work: when the spare executor
-        // has no headroom to pin the inputs, skip it rather than defer.
-        let Some(pins) = self.pin_inputs(fop, index, exec)? else {
-            return Ok(());
-        };
-
-        let attempt = self.next_attempt;
-        self.next_attempt += 1;
-        let (mains, sides, side_stats) = self.assemble_inputs(fop, index, exec)?;
-        let preaggregate = kind == Placement::Transient
-            && self.job.config.partial_aggregation
-            && combine_consumer(&self.job.dag, &self.job.plan, fop).is_some();
-        let inject = self.decide_injection(fop, index);
-
-        self.journal.emit(
-            Some(self.meta.stage_of[fop]),
-            JobEvent::SpeculativeLaunched {
-                fop,
-                index,
-                attempt,
-                exec,
-                side_bytes_sent: side_stats.sent,
-                side_bytes_saved: side_stats.saved,
-                side_cache_misses: side_stats.misses,
-            },
-        );
-        self.attempt_of.insert(attempt, (fop, index));
-        self.launch_times.insert(attempt, self.clock.now());
-        self.attempt_pins.insert(attempt, (exec, pins));
-        self.attempt_epochs
-            .insert(attempt, self.epoch.load(Ordering::Relaxed));
-        self.speculative.insert(attempt);
-        if let TaskState::Running { attempts } = &mut self.tasks[fop][index] {
-            attempts.push((attempt, exec));
-        }
-        let info = self.executors.get_mut(&exec).ok_or_else(|| {
-            RuntimeError::Invariant(format!("speculative executor {exec} is not registered"))
-        })?;
-        info.busy += 1;
-        info.out.send(ExecutorMsg::Run(TaskSpec {
-            attempt,
-            fop,
-            index,
-            mains,
-            sides,
-            preaggregate,
-            inject,
-        }));
-        Ok(())
+        self.schedulable(self.placement[fop])
+            .filter(|&(id, e)| e.busy < slots && id != avoid)
+            .max_by_key(|&(id, e)| (slots - e.busy, std::cmp::Reverse(id)))
+            .map(|(id, _)| id)
     }
 
     /// A cacheable side-input key of this fop, if any (used for
@@ -2773,13 +2446,9 @@ impl Master {
     /// caches the task's input; otherwise round-robin over alive
     /// executors with a free task slot. Reserved tasks go to their
     /// pre-assigned receiver.
-    fn pick_executor(
-        &mut self,
-        kind: Placement,
-        fop: FopId,
-        index: usize,
-        cache_pref: Option<CacheKey>,
-    ) -> Option<ExecId> {
+    fn pick_executor(&mut self, fop: FopId, index: usize) -> Option<ExecId> {
+        let kind = self.placement[fop];
+        let cache_pref = self.cache_preference(fop);
         if kind == Placement::Reserved {
             if let Some(&e) = self.assigned.get(&(fop, index)) {
                 if self.executors.get(&e).map(|i| i.alive) == Some(true)
@@ -2793,16 +2462,9 @@ impl Master {
         }
         let slots = self.job.config.slots_per_executor.max(1);
         let candidates: Vec<Candidate> = self
-            .executors
-            .iter()
-            .filter(|(id, e)| {
-                e.alive
-                    && e.handle.kind == kind
-                    && e.busy < slots
-                    && !self.blacklisted.contains(id)
-                    && !self.drained.contains(id)
-            })
-            .map(|(&id, e)| Candidate {
+            .schedulable(kind)
+            .filter(|(_, e)| e.busy < slots)
+            .map(|(id, e)| Candidate {
                 exec: id,
                 free_slots: slots - e.busy,
                 has_cached_input: cache_pref.map(|k| e.cached.contains(&k)).unwrap_or(false),
@@ -3174,6 +2836,21 @@ mod tests {
             .expect("plan has a terminal fop")
     }
 
+    /// Puts task `(fop, 0)` in flight on `exec` the way `launch` would,
+    /// minus the executor-side send.
+    fn begin(m: &mut Master, fop: FopId, exec: ExecId) -> AttemptId {
+        let a = Attempt {
+            fop,
+            index: 0,
+            exec,
+            launched_at: m.clock.now(),
+            epoch: 0,
+            speculative: false,
+            pins: Vec::new(),
+        };
+        m.tasks.begin(a).0
+    }
+
     fn done_msg(exec: ExecId, attempt: AttemptId) -> MasterMsg {
         MasterMsg::TaskDone {
             exec,
@@ -3190,15 +2867,12 @@ mod tests {
         let mut m = test_master();
         let f = terminal_fop(&m);
         let exec: ExecId = 1; // Spawn order is reserved-first: 1 is transient.
-        m.tasks[f][0] = TaskState::Running {
-            attempts: vec![(7, exec)],
-        };
-        m.attempt_of.insert(7, (f, 0));
+        let attempt = begin(&mut m, f, exec);
         m.executors.get_mut(&exec).unwrap().busy = 1;
 
         m.handle(MasterMsg::Evict { exec }).unwrap();
         assert!(
-            matches!(m.tasks[f][0], TaskState::Pending),
+            m.tasks.is_pending(f, 0),
             "eviction reverts the in-flight attempt"
         );
         assert_eq!(derived(&m).evictions, 1);
@@ -3210,8 +2884,8 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, JobEvent::TaskCommitted { .. }))
             .count();
-        m.handle(done_msg(exec, 7)).unwrap();
-        assert!(matches!(m.tasks[f][0], TaskState::Pending));
+        m.handle(done_msg(exec, attempt)).unwrap();
+        assert!(m.tasks.is_pending(f, 0));
         assert!(m.outputs.is_empty());
         let commits_after = events(&m)
             .iter()
@@ -3226,14 +2900,11 @@ mod tests {
         let mut m = test_master();
         let f = terminal_fop(&m);
         let exec: ExecId = 1;
-        m.tasks[f][0] = TaskState::Running {
-            attempts: vec![(7, exec)],
-        };
-        m.attempt_of.insert(7, (f, 0));
+        let attempt = begin(&mut m, f, exec);
         m.executors.get_mut(&exec).unwrap().busy = 1;
 
-        m.handle(done_msg(exec, 7)).unwrap();
-        assert!(matches!(m.tasks[f][0], TaskState::Done { .. }));
+        m.handle(done_msg(exec, attempt)).unwrap();
+        assert!(m.tasks.is_done(f, 0));
         assert_eq!(m.executors[&exec].busy, 0);
 
         // The other ordering: eviction lands after the commit. Terminal
@@ -3241,7 +2912,7 @@ mod tests {
         // revert, no relaunch) even though its only executor location died.
         m.handle(MasterMsg::Evict { exec }).unwrap();
         assert!(
-            matches!(m.tasks[f][0], TaskState::Done { .. }),
+            m.tasks.is_done(f, 0),
             "committed terminal output survives the eviction"
         );
         assert!(!events(&m)
@@ -3282,10 +2953,7 @@ mod tests {
             .expect("the map fop feeds a shuffle");
 
         let exec: ExecId = 1;
-        m.tasks[map][0] = TaskState::Running {
-            attempts: vec![(7, exec)],
-        };
-        m.attempt_of.insert(7, (map, 0));
+        let attempt = begin(&mut m, map, exec);
         m.executors.get_mut(&exec).unwrap().busy = 1;
         let output = block_from_vec(
             (0..60)
@@ -3294,7 +2962,7 @@ mod tests {
         );
         m.handle(MasterMsg::TaskDone {
             exec,
-            attempt: 7,
+            attempt,
             output,
             preaggregated: 0,
             cache_hit: false,
@@ -3319,15 +2987,12 @@ mod tests {
         let mut m = test_master();
         let f = terminal_fop(&m);
         let exec: ExecId = 1;
-        m.tasks[f][0] = TaskState::Running {
-            attempts: vec![(7, exec)],
-        };
-        m.attempt_of.insert(7, (f, 0));
+        let attempt = begin(&mut m, f, exec);
         // Two busy slots: a duplicate delivery must not free the second.
         m.executors.get_mut(&exec).unwrap().busy = 2;
 
-        m.handle(done_msg(exec, 7)).unwrap();
-        m.handle(done_msg(exec, 7)).unwrap();
+        m.handle(done_msg(exec, attempt)).unwrap();
+        m.handle(done_msg(exec, attempt)).unwrap();
         assert_eq!(
             m.executors[&exec].busy, 1,
             "duplicate TaskDone must not double-free a busy slot"
@@ -3345,16 +3010,13 @@ mod tests {
         let mut m = test_master();
         let f = terminal_fop(&m);
         let exec: ExecId = 1;
-        m.tasks[f][0] = TaskState::Running {
-            attempts: vec![(9, exec)],
-        };
-        m.attempt_of.insert(9, (f, 0));
+        let attempt = begin(&mut m, f, exec);
         m.executors.get_mut(&exec).unwrap().busy = 2;
 
         let fail = |m: &mut Master| {
             m.handle(MasterMsg::TaskFailed {
                 exec,
-                attempt: 9,
+                attempt,
                 reason: "injected".into(),
             })
             .unwrap()
@@ -3425,10 +3087,7 @@ mod tests {
         let mut m = test_master();
         let f = terminal_fop(&m);
         let exec: ExecId = 1; // Transient (reserved spawn first).
-        m.tasks[f][0] = TaskState::Running {
-            attempts: vec![(7, exec)],
-        };
-        m.attempt_of.insert(7, (f, 0));
+        begin(&mut m, f, exec);
         m.executors.get_mut(&exec).unwrap().busy = 1;
         let before = m.placement.clone();
 
@@ -3451,7 +3110,7 @@ mod tests {
         assert_eq!(m.epoch.load(Ordering::Relaxed), 0, "no epoch advance");
         assert_eq!(m.placement, before, "rollback left the placement alone");
         assert!(
-            matches!(m.tasks[f][0], TaskState::Pending),
+            m.tasks.is_pending(f, 0),
             "the reverted task is still runnable under the old placement"
         );
         let evs = events(&m);
@@ -3473,10 +3132,7 @@ mod tests {
         let f = terminal_fop(&m);
         let stage = m.meta.stage_of[f];
         // Hold the first transaction open with a manufactured running attempt.
-        m.tasks[f][0] = TaskState::Running {
-            attempts: vec![(7, 1)],
-        };
-        m.attempt_of.insert(7, (f, 0));
+        begin(&mut m, f, 1);
         let change = ReconfigChange::MigrateStage {
             stage,
             to: Placement::Reserved,
@@ -3515,12 +3171,8 @@ mod tests {
         } else {
             0
         };
-        m.tasks[f][0] = TaskState::Running {
-            attempts: vec![(7, exec)],
-        };
-        m.attempt_of.insert(7, (f, 0));
+        begin(&mut m, f, exec);
         m.executors.get_mut(&exec).unwrap().busy = 1;
-        m.launch_times.insert(7, m.clock.now());
         // Median 10ms × 3.0 multiplier, floored to speculation_floor_ms
         // (200ms): the attempt becomes a straggler only past 200ms.
         m.fop_durations[f] = vec![10, 10, 10];

@@ -16,6 +16,7 @@ pub mod metrics;
 pub mod policy;
 pub mod reconfig;
 pub mod store;
+mod tasks;
 pub mod transport;
 pub mod wal;
 

@@ -1,0 +1,506 @@
+//! The master's task/attempt table (§3.2.3, §3.2.6): which tasks are
+//! pending, running or committed, and every attempt the master still
+//! holds a record of.
+//!
+//! The table is pure state: no channels, stores, journal or clock reads
+//! (`now` and `epoch` are arguments), so each transition is testable
+//! without a cluster. [`super::master::Master`] performs the I/O a
+//! transition implies — unpinning the blocks of a retired attempt,
+//! journaling, appending to the WAL.
+//!
+//! An attempt record lives from [`TaskTable::begin`] until the attempt's
+//! terminal report, the loss of its executor, or a master restart —
+//! whichever comes first. Whether the attempt is still *current* (may
+//! commit its task) is a separate fact: a speculative race's loser stops
+//! being current when its rival commits, but its record — and with it
+//! its input pins — stays until one of those three events retires it.
+
+#![warn(clippy::iter_over_hash_type)]
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
+
+use crate::compiler::FopId;
+use crate::runtime::message::{AttemptId, ExecId};
+use crate::runtime::store::BlockRef;
+
+#[derive(Debug, Clone)]
+enum TaskState {
+    Pending,
+    /// The current attempts (more than one only while a speculative
+    /// duplicate races the original; first commit wins).
+    Running(Vec<AttemptId>),
+    /// Committed; the executors holding the output.
+    Done(Vec<ExecId>),
+}
+
+/// Everything the master knows about one launched attempt.
+#[derive(Debug)]
+pub(crate) struct Attempt {
+    pub(crate) fop: FopId,
+    pub(crate) index: usize,
+    pub(crate) exec: ExecId,
+    pub(crate) launched_at: Instant,
+    /// The reconfiguration epoch the attempt launched under.
+    pub(crate) epoch: u64,
+    pub(crate) speculative: bool,
+    /// Input blocks pinned on `exec` at launch; whoever retires the
+    /// record releases them.
+    pub(crate) pins: Vec<BlockRef>,
+}
+
+/// What a terminal report (`TaskDone` / `TaskFailed`) means to the table.
+#[derive(Debug)]
+pub(crate) enum Report {
+    /// This attempt already reported: the delivery is a complete no-op.
+    Duplicate,
+    /// First report of an attempt that may no longer commit (a race's
+    /// loser, or one retired by executor loss or a restart). Carries the
+    /// record when one was still held.
+    Stale(Option<Attempt>),
+    /// First report of a current attempt. The record is detached from its
+    /// task, which is pending again unless a duplicate still runs; the
+    /// caller either leaves it there (failure, discarded report) or
+    /// follows with [`TaskTable::commit`].
+    Current(Attempt),
+}
+
+#[derive(Debug)]
+pub(crate) struct TaskTable {
+    tasks: Vec<Vec<TaskState>>,
+    /// Whether a task was ever launched (a later launch is a relaunch).
+    first_attempted: Vec<Vec<bool>>,
+    /// Every attempt whose terminal report was processed: the idempotence
+    /// keystone. The dedup windows suppress most duplicate deliveries; a
+    /// replay that slips past them hits this set and changes nothing.
+    /// Part of the replicated completion log: recovery restores it.
+    completed: BTreeSet<AttemptId>,
+    next_attempt: AttemptId,
+    /// Every attempt launched and not yet retired. One is *current*
+    /// while its task lists it as running.
+    attempts: BTreeMap<AttemptId, Attempt>,
+}
+
+impl TaskTable {
+    pub(crate) fn new(parallelism: &[usize]) -> Self {
+        TaskTable {
+            tasks: parallelism
+                .iter()
+                .map(|&p| vec![TaskState::Pending; p])
+                .collect(),
+            first_attempted: parallelism.iter().map(|&p| vec![false; p]).collect(),
+            completed: BTreeSet::new(),
+            next_attempt: 1,
+            attempts: BTreeMap::new(),
+        }
+    }
+
+    fn state(&self, fop: FopId, index: usize) -> Option<&TaskState> {
+        self.tasks.get(fop).and_then(|ts| ts.get(index))
+    }
+
+    pub(crate) fn is_pending(&self, fop: FopId, index: usize) -> bool {
+        matches!(self.state(fop, index), Some(TaskState::Pending))
+    }
+
+    /// Whether the task is committed. False for a slot the table does not
+    /// have (a key from a shape that a recovery rolled back).
+    pub(crate) fn is_done(&self, fop: FopId, index: usize) -> bool {
+        matches!(self.state(fop, index), Some(TaskState::Done(_)))
+    }
+
+    pub(crate) fn fop_done(&self, fop: FopId) -> bool {
+        self.tasks[fop]
+            .iter()
+            .all(|t| matches!(t, TaskState::Done(_)))
+    }
+
+    /// Whether no task of the fop was ever launched or committed.
+    pub(crate) fn untouched(&self, fop: FopId) -> bool {
+        self.tasks[fop]
+            .iter()
+            .all(|t| matches!(t, TaskState::Pending))
+            && self.first_attempted[fop].iter().all(|&b| !b)
+    }
+
+    /// Where a committed output lives; empty when the task is not
+    /// committed (or its only copy is the job sink's).
+    pub(crate) fn locations(&self, fop: FopId, index: usize) -> &[ExecId] {
+        match self.state(fop, index) {
+            Some(TaskState::Done(locations)) => locations,
+            _ => &[],
+        }
+    }
+
+    pub(crate) fn locations_mut(&mut self, fop: FopId, index: usize) -> Option<&mut Vec<ExecId>> {
+        match &mut self.tasks[fop][index] {
+            TaskState::Done(locations) => Some(locations),
+            _ => None,
+        }
+    }
+
+    /// Every committed task with its locations, in `(fop, index)` order.
+    pub(crate) fn committed(&self) -> impl Iterator<Item = (FopId, usize, &[ExecId])> {
+        self.tasks.iter().enumerate().flat_map(|(f, ts)| {
+            ts.iter().enumerate().filter_map(move |(i, t)| match t {
+                TaskState::Done(locations) => Some((f, i, locations.as_slice())),
+                _ => None,
+            })
+        })
+    }
+
+    pub(crate) fn first_attempted(&self) -> &[Vec<bool>] {
+        &self.first_attempted
+    }
+
+    pub(crate) fn next_attempt(&self) -> AttemptId {
+        self.next_attempt
+    }
+
+    /// The completed-attempt set, ascending.
+    pub(crate) fn completed(&self) -> Vec<AttemptId> {
+        self.completed.iter().copied().collect()
+    }
+
+    /// The one "may this attempt still commit its task" test.
+    pub(crate) fn is_current(&self, attempt: AttemptId) -> bool {
+        self.attempts.get(&attempt).is_some_and(|a| {
+            matches!(&self.tasks[a.fop][a.index], TaskState::Running(ids) if ids.contains(&attempt))
+        })
+    }
+
+    /// Total current attempts (what a reconfiguration's prepare phase
+    /// counts down to zero).
+    pub(crate) fn running(&self) -> usize {
+        self.attempts
+            .keys()
+            .filter(|&&id| self.is_current(id))
+            .count()
+    }
+
+    /// The tasks of `fop` with exactly one current attempt, with that
+    /// attempt (the straggler candidates: duplicates never stack).
+    pub(crate) fn sole_attempts(&self, fop: FopId) -> impl Iterator<Item = (usize, &Attempt)> {
+        self.tasks[fop]
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| match t {
+                TaskState::Running(ids) if ids.len() == 1 => Some((i, self.attempts.get(&ids[0])?)),
+                _ => None,
+            })
+    }
+
+    /// Registers a new current attempt: its task's only one, or —
+    /// `speculative` — a duplicate racing the attempt already running.
+    /// Returns the attempt's id and whether the task had been launched
+    /// before.
+    pub(crate) fn begin(&mut self, a: Attempt) -> (AttemptId, bool) {
+        let id = self.next_attempt;
+        self.next_attempt += 1;
+        let relaunch = std::mem::replace(&mut self.first_attempted[a.fop][a.index], true);
+        match &mut self.tasks[a.fop][a.index] {
+            TaskState::Running(ids) => ids.push(id),
+            t => *t = TaskState::Running(vec![id]),
+        }
+        self.attempts.insert(id, a);
+        (id, relaunch)
+    }
+
+    /// Takes an attempt off its task, if it is current; the last one
+    /// leaving puts the task back to pending. Returns whether it was.
+    fn detach(tasks: &mut [Vec<TaskState>], id: AttemptId, a: &Attempt) -> bool {
+        let t = &mut tasks[a.fop][a.index];
+        let TaskState::Running(ids) = t else {
+            return false;
+        };
+        let before = ids.len();
+        ids.retain(|&x| x != id);
+        let was_current = ids.len() < before;
+        if ids.is_empty() {
+            *t = TaskState::Pending;
+        }
+        was_current
+    }
+
+    /// The idempotence gate every terminal report passes first: retires
+    /// the attempt's record and says whether the report still counts.
+    pub(crate) fn report(&mut self, attempt: AttemptId) -> Report {
+        if !self.completed.insert(attempt) {
+            return Report::Duplicate;
+        }
+        let Some(a) = self.attempts.remove(&attempt) else {
+            return Report::Stale(None);
+        };
+        if Self::detach(&mut self.tasks, attempt, &a) {
+            Report::Current(a)
+        } else {
+            Report::Stale(Some(a))
+        }
+    }
+
+    /// Commits task `(fop, index)` at `locations`. Every attempt still
+    /// current on it lost the race: returned, and no longer current, but
+    /// its record (and pins) stays until its own report or the loss of
+    /// its executor.
+    pub(crate) fn commit(
+        &mut self,
+        fop: FopId,
+        index: usize,
+        locations: Vec<ExecId>,
+    ) -> Vec<AttemptId> {
+        match std::mem::replace(&mut self.tasks[fop][index], TaskState::Done(locations)) {
+            TaskState::Running(losers) => losers,
+            _ => Vec::new(),
+        }
+    }
+
+    /// Retires every attempt on a lost executor (a task falls back to
+    /// pending only when no attempt of it survives elsewhere) and forgets
+    /// `exec` as a location. Returns the committed tasks that thereby
+    /// have no location left and that `sink_safe` does not vouch for —
+    /// now pending again — in `(fop, index)` order.
+    pub(crate) fn executor_lost(
+        &mut self,
+        exec: ExecId,
+        sink_safe: impl Fn(FopId, usize) -> bool,
+    ) -> Vec<(FopId, usize)> {
+        let tasks = &mut self.tasks;
+        self.attempts.retain(|&id, a| {
+            if a.exec == exec {
+                Self::detach(tasks, id, a);
+            }
+            a.exec != exec
+        });
+        let mut reverted = Vec::new();
+        for (f, ts) in self.tasks.iter_mut().enumerate() {
+            for (i, t) in ts.iter_mut().enumerate() {
+                if let TaskState::Done(locations) = t {
+                    locations.retain(|&l| l != exec);
+                    if locations.is_empty() && !sink_safe(f, i) {
+                        *t = TaskState::Pending;
+                        reverted.push((f, i));
+                    }
+                }
+            }
+        }
+        reverted
+    }
+
+    /// Resizes an untouched fop to `parallelism` pending, never-launched
+    /// tasks.
+    pub(crate) fn repartition(&mut self, fop: FopId, parallelism: usize) {
+        self.tasks[fop] = vec![TaskState::Pending; parallelism];
+        self.first_attempted[fop] = vec![false; parallelism];
+    }
+
+    /// The restarted master's table: every task pending at the recovered
+    /// shape, the completed set *replaced* by the recovered completion
+    /// log (pre-crash reports the network replays must still bounce),
+    /// and attempt ids fenced past everything the dead master issued.
+    /// `first_attempted` rows that do not fit the shape start over.
+    /// Returns the pre-crash attempt records; their pins are the
+    /// caller's to release.
+    pub(crate) fn reset(
+        &mut self,
+        parallelism: &[usize],
+        first_attempted: &[Vec<bool>],
+        completed: impl IntoIterator<Item = AttemptId>,
+        max_attempt: AttemptId,
+    ) -> Vec<Attempt> {
+        let fenced = std::mem::take(&mut self.attempts).into_values().collect();
+        let fits = first_attempted.len() == parallelism.len();
+        *self = TaskTable {
+            first_attempted: parallelism
+                .iter()
+                .enumerate()
+                .map(|(f, &p)| match first_attempted.get(f) {
+                    Some(row) if fits && row.len() == p => row.clone(),
+                    _ => vec![false; p],
+                })
+                .collect(),
+            completed: completed.into_iter().collect(),
+            next_attempt: max_attempt.max(self.next_attempt) + 1_000_000,
+            ..TaskTable::new(parallelism)
+        };
+        fenced
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const PIN: BlockRef = BlockRef::Output { fop: 0, index: 0 };
+
+    /// Two fops: 0 with two tasks, 1 with one.
+    fn table() -> TaskTable {
+        TaskTable::new(&[2, 1])
+    }
+
+    fn attempt(fop: FopId, index: usize, exec: ExecId, speculative: bool) -> Attempt {
+        Attempt {
+            fop,
+            index,
+            exec,
+            launched_at: Instant::now(),
+            epoch: 0,
+            speculative,
+            pins: vec![PIN],
+        }
+    }
+
+    fn begin(t: &mut TaskTable, fop: FopId, index: usize, exec: ExecId, spec: bool) -> AttemptId {
+        t.begin(attempt(fop, index, exec, spec)).0
+    }
+
+    #[test]
+    fn a_second_terminal_report_is_a_no_op() {
+        let mut t = table();
+        let (a, relaunch) = t.begin(attempt(0, 0, 5, false));
+        assert!(!relaunch && t.is_current(a) && t.running() == 1);
+
+        let Report::Current(rec) = t.report(a) else {
+            panic!("first report of a current attempt");
+        };
+        assert_eq!(
+            (rec.fop, rec.index, rec.exec, &rec.pins[..]),
+            (0, 0, 5, &[PIN][..])
+        );
+        assert!(t.is_pending(0, 0), "detached: the task may relaunch");
+        assert_eq!(t.running(), 0);
+
+        let before = format!("{t:?}");
+        assert!(matches!(t.report(a), Report::Duplicate));
+        assert_eq!(format!("{t:?}"), before, "a duplicate changes nothing");
+
+        // The next launch of the task is a relaunch under a fresh id.
+        let (b, relaunch) = t.begin(attempt(0, 0, 5, false));
+        assert!(relaunch && b > a);
+        // A report for an attempt the table never issued is stale, once.
+        assert!(matches!(t.report(99), Report::Stale(None)));
+        assert!(matches!(t.report(99), Report::Duplicate));
+    }
+
+    #[test]
+    fn commit_returns_the_losers_and_their_pins_outlive_currency() {
+        let mut t = table();
+        let original = begin(&mut t, 0, 0, 1, false);
+        let duplicate = begin(&mut t, 0, 0, 2, true);
+        assert_eq!(t.sole_attempts(0).count(), 0, "a race is not a straggler");
+        assert_eq!(t.running(), 2);
+
+        // The duplicate reports first and wins.
+        let Report::Current(win) = t.report(duplicate) else {
+            panic!("the duplicate is current");
+        };
+        assert!(win.speculative);
+        assert_eq!(t.commit(0, 0, vec![2]), vec![original]);
+        assert!(t.is_done(0, 0));
+        assert_eq!(t.locations(0, 0), &[2]);
+        assert_eq!(t.running(), 0);
+        assert!(!t.is_current(original));
+
+        // The loser's record — pins included — waits for its own report.
+        let Report::Stale(Some(loser)) = t.report(original) else {
+            panic!("the loser's first report is stale and still carries its record");
+        };
+        assert_eq!((loser.exec, &loser.pins[..]), (1, &[PIN][..]));
+        assert!(t.is_done(0, 0), "a stale report leaves the commit alone");
+        assert!(matches!(t.report(original), Report::Duplicate));
+    }
+
+    #[test]
+    fn executor_loss_retires_only_that_executors_attempts() {
+        let mut t = table();
+        let original = begin(&mut t, 0, 0, 1, false);
+        let duplicate = begin(&mut t, 0, 0, 2, true);
+        let lonely = begin(&mut t, 0, 1, 1, false);
+        // Fop 1's output lives on executors 1 and 3.
+        begin(&mut t, 1, 0, 3, false);
+        t.commit(1, 0, vec![1, 3]);
+
+        assert!(t.executor_lost(1, |_, _| false).is_empty());
+        assert!(!t.is_current(original) && !t.is_current(lonely));
+        assert!(
+            t.is_current(duplicate),
+            "the survivor keeps the task running"
+        );
+        assert!(!t.is_pending(0, 0));
+        assert!(t.is_pending(0, 1), "no attempt of 0.1 survived");
+        assert_eq!(t.running(), 1);
+        assert_eq!(t.locations(1, 0), &[3], "the other copy survives");
+        // The lost executor's records are gone: late reports carry nothing.
+        assert!(matches!(t.report(original), Report::Stale(None)));
+
+        // Losing the last copy reverts the commit unless the sink has it.
+        assert!(t.executor_lost(3, |f, i| (f, i) == (1, 0)).is_empty());
+        assert!(t.is_done(1, 0) && t.locations(1, 0).is_empty());
+        t.locations_mut(1, 0).expect("committed").push(4);
+        assert_eq!(t.executor_lost(4, |_, _| false), vec![(1, 0)]);
+        assert!(t.is_pending(1, 0));
+
+        // A loser on a lost executor is retired with it, pins and all.
+        let Report::Current(_) = t.report(duplicate) else {
+            panic!("the duplicate is current");
+        };
+        let late = begin(&mut t, 0, 0, 6, false);
+        begin(&mut t, 0, 0, 7, true);
+        assert_eq!(t.commit(0, 0, vec![7]), vec![late, late + 1]);
+        t.executor_lost(6, |_, _| false);
+        assert!(matches!(t.report(late), Report::Stale(None)));
+    }
+
+    #[test]
+    fn reset_fences_attempt_ids_and_replaces_the_completed_set() {
+        let mut t = table();
+        let a = begin(&mut t, 0, 0, 1, false);
+        let b = begin(&mut t, 0, 1, 2, false);
+        assert!(matches!(t.report(a), Report::Current(_)));
+        t.commit(0, 0, vec![1]);
+
+        // The log saw attempt 40 complete and never heard of `a`'s report.
+        let first = vec![vec![true, false], vec![true]];
+        let fenced = t.reset(&[2, 1], &first, [40], 57);
+        assert_eq!(fenced.len(), 1, "b's record comes back for its pins");
+        assert_eq!((fenced[0].exec, &fenced[0].pins[..]), (2, &[PIN][..]));
+        assert!((0..2).all(|i| t.is_pending(0, i)) && t.running() == 0);
+        assert_eq!(t.completed(), vec![40], "replaced, not merged");
+        assert_eq!(t.first_attempted(), &first[..]);
+        assert!(t.next_attempt() > 57 && t.next_attempt() > b);
+        assert!(matches!(t.report(40), Report::Duplicate));
+        assert!(matches!(t.report(b), Report::Stale(None)));
+        let (_, relaunch) = t.begin(attempt(0, 0, 1, false));
+        assert!(relaunch, "the log remembers 0.0 was launched");
+
+        // A log that issued fewer ids than the dead master still fences.
+        let issued = t.next_attempt();
+        t.reset(&[2, 3], &first, [], 0);
+        assert!(t.next_attempt() > issued);
+        // Rows that do not fit the recovered shape start over.
+        assert_eq!(t.first_attempted()[1], vec![false; 3]);
+        assert_eq!(t.first_attempted()[0], vec![true, false]);
+        t.reset(&[2, 1], &[], [], 0);
+        assert!(t.untouched(0) && t.untouched(1));
+    }
+
+    #[test]
+    fn repartition_resizes_and_forgets_first_attempted() {
+        let mut t = table();
+        let a = begin(&mut t, 0, 1, 1, false);
+        assert!(!t.untouched(0));
+        assert!(matches!(t.report(a), Report::Current(_)));
+        assert!(!t.untouched(0), "a launch leaves a mark");
+
+        t.repartition(0, 3);
+        assert!(t.untouched(0));
+        assert!(t.is_pending(0, 2) && !t.is_pending(0, 3), "three tasks now");
+        assert!(
+            t.is_pending(1, 0) && !t.is_pending(1, 1),
+            "fop 1 keeps its shape"
+        );
+        let (_, relaunch) = t.begin(attempt(0, 1, 1, false));
+        assert!(!relaunch);
+        assert!(!t.fop_done(0));
+        assert_eq!(t.committed().count(), 0);
+    }
+}

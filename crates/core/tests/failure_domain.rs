@@ -204,7 +204,6 @@ fn straggler_gets_speculative_duplicate_that_wins() {
         speculation: true,
         speculation_multiplier: 2.0,
         speculation_floor_ms: 40,
-        speculation_min_samples: 3,
         ..fast_config()
     };
     // Stall one source task's first attempt far past the median of its

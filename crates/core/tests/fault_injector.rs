@@ -1,11 +1,4 @@
-//! Regression suite for the seed-keyed [`FaultInjector`]: the refactor
-//! that centralized the runtime's fault draws is **decision-preserving**,
-//! so every method here is checked bit-for-bit against a verbatim copy
-//! of the legacy inline math it replaced. If any of these sweeps fail,
-//! a fixed chaos seed no longer replays the fault schedule the seeded
-//! suites were written against.
-//!
-//! Also pinned:
+//! Regression suite for the seed-keyed [`FaultInjector`]:
 //! - purity / order-independence: a draw depends only on `(seed, domain,
 //!   causal ids)` — never on how many draws were made before it or which
 //!   backend interleaving asked first (the property that makes a chaos
@@ -19,198 +12,6 @@ use pado_core::runtime::{
 use pado_dag::codec::encode_batch;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, Value};
 use proptest::prelude::*;
-
-// ---------------------------------------------------------------------
-// Verbatim copies of the legacy inline fault math (pre-FaultInjector).
-// These are the regression anchor: they must never be "simplified" to
-// call the injector — that would make the suite vacuous.
-// ---------------------------------------------------------------------
-
-/// splitmix64 finalizer as it appeared in `transport.rs` (and was
-/// imported by `master.rs` / `store.rs`).
-fn legacy_mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// MurmurHash3 fmix64 as it appeared privately in `wal.rs`.
-fn legacy_fmix64(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    x
-}
-
-fn legacy_unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// `Master::decide_injection`'s hash chain: threshold coordinate, delay
-/// magnitude, and the pre/post-compute stall coin.
-fn legacy_task_chaos(seed: u64, fop: u64, index: u64, ordinal: u64) -> (f64, u64, bool) {
-    let mut h = seed;
-    for v in [fop, index, ordinal] {
-        h = legacy_mix64(h ^ v);
-    }
-    let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    let delay_ms = 5u64;
-    let ms = 1 + legacy_mix64(h) % delay_ms.max(1);
-    let pre_compute = legacy_mix64(h ^ 0x0D0E) & 1 == 0;
-    (u, ms, pre_compute)
-}
-
-/// `NetPolicy::decide`'s hash chain: threshold coordinate plus the
-/// reorder-hold and delay-hold magnitudes.
-fn legacy_wire(seed: u64, salt: u64, exec: u64, ordinal: u64) -> (f64, u64, u64) {
-    let mut h = seed ^ salt;
-    for v in [exec, ordinal] {
-        h = legacy_mix64(h ^ v);
-    }
-    let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    let delay_ms = 9u64;
-    (u, legacy_mix64(h) % 3, legacy_mix64(h) % delay_ms.max(1))
-}
-
-/// `BlockStore::inject_write_fault` / `inject_read_fault` draws.
-fn legacy_spill(seed: u64, exec: u64, salt: u64, ordinal: u64) -> f64 {
-    legacy_unit(legacy_mix64(seed ^ legacy_mix64(exec ^ salt) ^ ordinal))
-}
-
-/// `Master::maybe_crash`'s `unit_draw(plan.seed ^ mix64(handled_frames))`.
-fn legacy_crash(seed: u64, handled_frames: u64) -> f64 {
-    legacy_unit(legacy_mix64(seed ^ legacy_mix64(handled_frames)))
-}
-
-/// `ReliableSender::jitter`'s millisecond draw.
-fn legacy_jitter_ms(seed: u64, seq: u64, transmissions: u64, base_ms: u64) -> u64 {
-    let h = legacy_mix64(seed ^ legacy_mix64(seq) ^ transmissions);
-    h % (base_ms / 2 + 1)
-}
-
-/// `wal::inject_corruption`'s three draws: the truncation coin, the cut
-/// offset, and the per-byte flip (hash picks the bit via `% 8`).
-fn legacy_wal(seed: u64, offset: u64) -> (f64, u64, f64, u64) {
-    let truncate_u = legacy_unit(legacy_fmix64(seed ^ 0x7472_756e));
-    let cut = legacy_fmix64(seed ^ 0x6375_7421);
-    let flip_h = legacy_fmix64(seed ^ 0xb17f ^ (offset << 16));
-    (truncate_u, cut, legacy_unit(flip_h), flip_h % 8)
-}
-
-// ---------------------------------------------------------------------
-// Formula-equivalence sweeps
-// ---------------------------------------------------------------------
-
-const SWEEP_SEEDS: [u64; 6] = [0, 1, 42, 0xDEAD_BEEF, u64::MAX, 0x9E37_79B9_7F4A_7C15];
-
-#[test]
-fn task_chaos_draws_match_the_legacy_formula() {
-    for seed in SWEEP_SEEDS {
-        let inj = FaultInjector::new(seed);
-        for fop in 0..4u64 {
-            for index in 0..6u64 {
-                for ordinal in 0..8u64 {
-                    let (u, ms, pre) = legacy_task_chaos(seed, fop, index, ordinal);
-                    let d = inj.task_launch(fop, index, ordinal);
-                    assert_eq!(d.unit(), u, "seed {seed} task {fop}.{index}#{ordinal}");
-                    assert_eq!(1 + d.span(5), ms);
-                    assert_eq!(d.coin(0x0D0E), pre);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn wire_draws_match_the_legacy_formula_per_direction() {
-    for seed in SWEEP_SEEDS {
-        let inj = FaultInjector::new(seed);
-        for (side, salt) in [(WireSide::ToExecutor, 0x7C15), (WireSide::ToMaster, 0x1CE4)] {
-            for exec in 0..5u64 {
-                for ordinal in 0..32u64 {
-                    let (u, hold, delay) = legacy_wire(seed, salt, exec, ordinal);
-                    let d = inj.wire(side, exec, ordinal);
-                    assert_eq!(d.unit(), u, "seed {seed} {side:?} exec {exec}#{ordinal}");
-                    assert_eq!(d.span(3), hold);
-                    assert_eq!(d.span(9), delay);
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn spill_draws_match_the_legacy_formula() {
-    for seed in SWEEP_SEEDS {
-        let inj = FaultInjector::new(seed);
-        for exec in 0..5u64 {
-            // The store bumps its ordinal before drawing, so real
-            // ordinals start at 1.
-            for ordinal in 1..40u64 {
-                assert_eq!(
-                    inj.spill_write(exec, ordinal).unit(),
-                    legacy_spill(seed, exec, 0x57, ordinal),
-                    "seed {seed} write exec {exec}#{ordinal}"
-                );
-                assert_eq!(
-                    inj.spill_read(exec, ordinal).unit(),
-                    legacy_spill(seed, exec, 0x52, ordinal),
-                    "seed {seed} read exec {exec}#{ordinal}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn crash_coin_matches_the_legacy_formula() {
-    for seed in SWEEP_SEEDS {
-        let inj = FaultInjector::new(seed);
-        for handled_frames in 0..200u64 {
-            assert_eq!(
-                inj.crash_boundary(handled_frames).unit(),
-                legacy_crash(seed, handled_frames),
-                "seed {seed} frame {handled_frames}"
-            );
-        }
-    }
-}
-
-#[test]
-fn retransmit_jitter_matches_the_legacy_formula() {
-    for seed in SWEEP_SEEDS {
-        let inj = FaultInjector::new(seed);
-        for base_ms in [1u64, 8, 50] {
-            for seq in 0..20u64 {
-                for tx in 1..5u64 {
-                    assert_eq!(
-                        inj.retransmit_jitter(seq, tx).index(base_ms / 2 + 1),
-                        legacy_jitter_ms(seed, seq, tx, base_ms),
-                        "seed {seed} seq {seq} tx {tx} base {base_ms}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn wal_corruption_draws_match_the_legacy_formula() {
-    for seed in SWEEP_SEEDS {
-        let inj = FaultInjector::new(seed);
-        for offset in 0..256u64 {
-            let (truncate_u, cut, flip_u, bit) = legacy_wal(seed, offset);
-            assert_eq!(inj.wal_truncate().unit(), truncate_u, "seed {seed}");
-            assert_eq!(inj.wal_truncate_offset().hash(), cut, "seed {seed}");
-            let d = inj.wal_bit_flip(offset);
-            assert_eq!(d.unit(), flip_u, "seed {seed} offset {offset}");
-            assert_eq!(d.index(8), bit, "seed {seed} offset {offset}");
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Purity / order-independence properties

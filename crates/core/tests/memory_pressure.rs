@@ -310,17 +310,26 @@ fn check_seed(seed: u64, result: &JobResult, budget: usize) {
     );
 }
 
-/// Deterministic push-backpressure exercise: with the reserved store
-/// sized to the pinned floor plus a sliver, a stalled combine holds its
-/// pins while the other branch's producers commit — their pushes cannot
-/// be admitted even after spilling everything unpinned, so the master
-/// must defer them, retry with backoff, and resume once the pins drop.
-/// The answer must still be byte-identical to an unbounded run.
+/// Deterministic push-backpressure exercise: the reserved store holds
+/// exactly what branch A's stalled combines pin, so while they run no
+/// pushed output of branch B can be admitted even after spilling
+/// everything unpinned — the master must defer the pushes, retry with
+/// backoff, and resume once the pins drop. The answer must still be
+/// byte-identical to an unbounded run.
 #[test]
 fn tight_reserved_store_defers_and_resumes_pushes() {
     let dag = two_branch_dag();
-    let (slow_fop, slow_par) = fop_named(&dag, "SlowSum");
-    let (keyb_fop, keyb_par) = fop_named(&dag, "KeyB");
+    let (keya_fop, _) = fop_named(&dag, "KeyA");
+    let (slow_fop, _) = fop_named(&dag, "SlowSum");
+    let (keyb_fop, _) = fop_named(&dag, "KeyB");
+    // One slot per executor orders the branches without a second timer:
+    // KeyB's tasks queue behind KeyA's for the transient slot, so no
+    // KeyB task launches before the scheduling pass that — KeyA's last
+    // commit in hand — launches the combines and takes their pins.
+    let config = |budget| RuntimeConfig {
+        slots_per_executor: 1,
+        ..config(budget)
+    };
 
     let baseline = LocalCluster::new(1, 1)
         .with_config(config(usize::MAX))
@@ -330,37 +339,47 @@ fn tight_reserved_store_defers_and_resumes_pushes() {
         .with_config(config(1 << 20))
         .run(&dag)
         .expect("probe run");
-    let floor = pinned_floor(&probe.journal);
-    assert!(floor > 0, "probe run pinned nothing");
-    let biggest = probe
-        .journal
-        .events()
-        .filter_map(|e| match e {
-            JobEvent::BlockAdmitted { bytes, .. } => Some(*bytes),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    // Half the unconstrained concurrent pin load: admission control must
-    // serialize the combines' pins, and while the stalled ones are held
-    // a whole pushed output can no longer fit — but any single block
-    // still can, so nothing dies with `MemoryExceeded`.
-    let budget = (floor / 2).max(biggest + 64);
+    // The budget is a function of the data alone: the bytes of every
+    // routed bucket of KeyA's outputs, i.e. what the combines pin
+    // between them. Both fit, nothing else does until one reports; any
+    // single block is smaller, so nothing dies with `MemoryExceeded`.
+    let mut buckets: HashMap<BlockRef, usize> = HashMap::new();
+    let mut biggest = 0;
+    for e in probe.journal.events() {
+        if let JobEvent::BlockAdmitted { block, bytes, .. } = e {
+            biggest = biggest.max(*bytes);
+            if matches!(block, BlockRef::Bucket { fop, .. } if *fop == keya_fop) {
+                buckets.insert(*block, *bytes);
+            }
+        }
+    }
+    let budget: usize = buckets.values().sum();
+    assert!(
+        biggest < budget,
+        "a {biggest} B block cannot share a {budget} B store with a pin"
+    );
 
-    // Stall every SlowSum attempt long enough that KeyB's commits (held
-    // back a short moment so branch A's combine is running by then)
-    // land squarely inside the pinned window.
+    // Stall the first combine: its siblings queue behind it for the
+    // reserved executor's one slot, every pin held — the window KeyB's
+    // commits land in.
     let faults = FaultPlan {
-        first_attempt_delays: (0..slow_par)
-            .map(|i| (slow_fop, i, 250u64))
-            .chain((0..keyb_par).map(|i| (keyb_fop, i, 60u64)))
-            .collect(),
+        first_attempt_delays: vec![(slow_fop, 0, 250)],
         ..Default::default()
     };
     let result = LocalCluster::new(1, 1)
         .with_config(config(budget))
         .run_with_faults(&dag, faults)
         .unwrap_or_else(|e| panic!("backpressure run (budget {budget} B) failed: {e}"));
+    let launched = |fop_wanted: usize| {
+        result
+            .journal
+            .events()
+            .position(|e| matches!(e, JobEvent::TaskLaunched { fop, .. } if *fop == fop_wanted))
+    };
+    assert!(
+        launched(slow_fop) < launched(keyb_fop),
+        "the combines must hold their pins before any KeyB task starts"
+    );
 
     assert_eq!(
         encode_outputs(&result),
@@ -384,8 +403,7 @@ fn tight_reserved_store_defers_and_resumes_pushes() {
         result.metrics
     );
     println!(
-        "backpressure: budget {budget} B (floor {floor} B), {} deferred, {} resumed, \
-         {} spills, {} reloads",
+        "backpressure: budget {budget} B, {} deferred, {} resumed, {} spills, {} reloads",
         result.metrics.pushes_deferred,
         result.metrics.pushes_resumed,
         result.metrics.blocks_spilled,

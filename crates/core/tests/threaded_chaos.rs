@@ -336,7 +336,6 @@ fn wedged_pool_produces_stalled_with_populated_diagnostics() {
         stall_watchdog: true,
         stall_sample_interval_ms: 50,
         stall_samples: 4,
-        cancel_grace_ms: 2_000,
         threaded_workers: 2,
         ..RuntimeConfig::default()
     };
@@ -395,7 +394,6 @@ fn watchdog_abort_quiesces_the_pool_and_cancels_cooperatively() {
         stall_watchdog: true,
         stall_sample_interval_ms: 50,
         stall_samples: 4,
-        cancel_grace_ms: 2_000,
         threaded_workers: 2,
         ..RuntimeConfig::default()
     };

@@ -26,3 +26,6 @@ echo "==> data-plane smoke on the threaded backend (byte-identity vs sim)"
 cargo run -p pado-bench --release --bin dataplane -- --smoke --backend threaded >/dev/null
 
 echo "All checks passed."
+
+echo "==> production lines, crates/core/src/runtime (informational)"
+scripts/loc.sh crates/core/src/runtime || true
