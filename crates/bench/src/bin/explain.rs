@@ -3,14 +3,20 @@
 //! recomputation-cost scores, and the fused physical plan — a textual
 //! rendition of the paper's Figure 3.
 //!
-//! Usage: `cargo run -p pado-bench --bin explain [als|mlr|mr|timeline]`
+//! Usage: `cargo run -p pado-bench --bin explain [als|mlr|mr|timeline|evictions]`
 //!
 //! `timeline` instead prints the event-journal timeline of a small
 //! deterministic demo job (fixed chaos seed, one scripted eviction) —
 //! the exact bytes pinned by the golden test in
 //! `crates/bench/tests/golden_timeline.rs`.
+//!
+//! `evictions` prints the eviction ledger of a small MLR job — per
+//! container loss: attempts caught running, commits reverted because a
+//! consumer still needed them, commits dropped, stages reopened — beside
+//! the simulated Pado engine's relaunch ratio for the same DAG.
 
 use pado_core::compiler::{compile, partition, place_operators, recomputation_scores, Placement};
+use pado_core::runtime::eviction_ledger;
 use pado_dag::LogicalDag;
 use pado_workloads::{als, mlr, mr};
 
@@ -72,8 +78,58 @@ fn explain(name: &str, dag: &LogicalDag) {
     println!();
 }
 
+fn evictions() {
+    let demo = pado_bench::eviction_demo();
+    let rows: Vec<Vec<String>> = eviction_ledger(&demo.runtime.journal)
+        .iter()
+        .map(|row| {
+            let counts = [
+                row.position,
+                row.exec,
+                row.running,
+                row.reverted,
+                row.dropped,
+                row.reopened,
+            ];
+            let mut cells = vec![row.kind.to_string()];
+            cells.extend(counts.iter().map(usize::to_string));
+            cells
+        })
+        .collect();
+    pado_bench::print_table(
+        "Eviction ledger: MLR, 8 partitions x 4 iterations, runtime (sim backend)",
+        &[
+            "loss", "at event", "exec", "running", "reverted", "dropped", "reopened",
+        ],
+        &rows,
+    );
+    let m = &demo.runtime.metrics;
+    let sim = &demo.simulated;
+    println!(
+        "\nrelaunched tasks after {} evictions, same DAG:",
+        pado_bench::DEMO_EVICTIONS
+    );
+    println!(
+        "  runtime    {:>2} of {} (ratio {:.3}), {} outputs dropped",
+        m.relaunched_tasks,
+        m.original_tasks,
+        m.relaunch_ratio(),
+        m.outputs_dropped
+    );
+    println!(
+        "  simulator  {:>2} of {} (ratio {:.3})",
+        sim.relaunched_tasks,
+        sim.original_tasks,
+        sim.relaunch_ratio()
+    );
+}
+
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
+    if which == "evictions" {
+        evictions();
+        return;
+    }
     if which == "timeline" {
         // Bare output so `explain timeline > .../golden/timeline.txt`
         // regenerates the golden file verbatim.

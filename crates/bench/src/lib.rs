@@ -364,6 +364,86 @@ pub fn demo_timeline() -> String {
     demo_journal().render_timeline(false)
 }
 
+/// "The two Pados" on one DAG: the real runtime's result for a small MLR
+/// job under scripted evictions, and the simulated Pado engine's metrics
+/// for the same DAG under as many.
+#[derive(Debug)]
+pub struct EvictionDemo {
+    /// The job through `LocalCluster` (sim backend): its journal feeds
+    /// [`pado_core::runtime::eviction_ledger`].
+    pub runtime: pado_core::runtime::JobResult,
+    /// `simulate(Mode::Pado, ..)` of the same DAG.
+    pub simulated: RunMetrics,
+}
+
+/// Evictions [`eviction_demo`] injects into each engine.
+pub const DEMO_EVICTIONS: usize = 4;
+
+/// Runs MLR (8 partitions, 4 unrolled iterations, 74 tasks) on four
+/// transient and two reserved executors, evicting a transient executor —
+/// the four in turn — at [`DEMO_EVICTIONS`] evenly spaced points: task
+/// completions for the runtime, fractions of the eviction-free JCT for
+/// the simulator, whose toy cost model makes reads and gradients the
+/// long tasks. The job behind `explain evictions`.
+pub fn eviction_demo() -> EvictionDemo {
+    use pado_core::runtime::{FaultPlan, LocalCluster, RuntimeConfig};
+    use pado_engines::OpCost;
+    use pado_workloads::{mlr, MlrConfig};
+
+    let dag = mlr::dag(&MlrConfig {
+        samples: 160,
+        features: 6,
+        classes: 3,
+        partitions: 8,
+        iterations: 4,
+        lr: 0.5,
+        seed: 7,
+    });
+    let spread = |span: usize| (1..=DEMO_EVICTIONS).map(move |i| span * i / (DEMO_EVICTIONS + 1));
+
+    let tasks = pado_core::compiler::compile(&dag)
+        .expect("MLR compiles")
+        .total_tasks();
+    let faults = FaultPlan {
+        evictions: spread(tasks).zip(0..).collect(),
+        ..Default::default()
+    };
+    let config = RuntimeConfig {
+        slots_per_executor: 1,
+        speculation: false,
+        ..Default::default()
+    };
+    let runtime = LocalCluster::new(4, 2)
+        .with_config(config)
+        .run_with_faults(&dag, faults)
+        .expect("demo job");
+
+    let mut model = CostModel::new();
+    for op in dag.op_ids() {
+        let name = &dag.op(op).name;
+        let long = name.starts_with("Read") || name.starts_with("Compute Gradient");
+        let cost = OpCost {
+            compute_us: if long { 400_000 } else { 20_000 },
+            read_store_bytes: if name.starts_with("Read") { 1e6 } else { 0.0 },
+            output_bytes: if name.starts_with("Read") { 1e6 } else { 1e4 },
+        };
+        model.set(op, cost);
+    }
+    let sim_config = |scripted_evictions| SimConfig {
+        n_transient: 4,
+        n_reserved: 2,
+        scripted_evictions,
+        ..SimConfig::default()
+    };
+    let quiet = simulate(Mode::Pado, &dag, &model, sim_config(Vec::new())).expect("simulates");
+    let scripted = spread(quiet.jct_us as usize)
+        .map(|at| at as u64)
+        .zip(0..)
+        .collect();
+    let simulated = simulate(Mode::Pado, &dag, &model, sim_config(scripted)).expect("simulates");
+    EvictionDemo { runtime, simulated }
+}
+
 #[cfg(test)]
 mod chart_tests {
     use super::*;

@@ -83,6 +83,44 @@ pub struct PlanEdge {
     pub member: usize,
 }
 
+/// Adjacency tables over [`PhysicalPlan::edges`] and
+/// [`PhysicalPlan::fops`], built once by [`build_plan`]: the master asks
+/// "which edges enter this fop" once per pending task per scheduling
+/// pass, which a filter-scan of every edge answers too slowly.
+#[derive(Debug, Clone, Default)]
+struct PlanIndex {
+    /// Per fop, its in-edges: main slots first (by slot index), then side.
+    ins: Vec<Vec<PlanEdge>>,
+    /// Per fop, its out-edges in [`PhysicalPlan::edges`] order.
+    outs: Vec<Vec<PlanEdge>>,
+    /// Per stage, its fops in [`PhysicalPlan::fops`] order.
+    stage_fops: Vec<Vec<FopId>>,
+}
+
+impl PlanIndex {
+    fn new(fops: &[Fop], edges: &[PlanEdge], n_stages: usize) -> Self {
+        let mut index = PlanIndex {
+            ins: vec![Vec::new(); fops.len()],
+            outs: vec![Vec::new(); fops.len()],
+            stage_fops: vec![Vec::new(); n_stages],
+        };
+        for e in edges {
+            index.ins[e.dst].push(*e);
+            index.outs[e.src].push(*e);
+        }
+        for ins in &mut index.ins {
+            ins.sort_by_key(|e| match e.slot {
+                InputSlot::Main(i) => (0, i),
+                InputSlot::Side => (1, 0),
+            });
+        }
+        for f in fops {
+            index.stage_fops[f.stage].push(f.id);
+        }
+        index
+    }
+}
+
 /// A complete physical plan for one job.
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
@@ -94,40 +132,38 @@ pub struct PhysicalPlan {
     pub stage_dag: StageDag,
     /// Placement of every logical operator.
     pub placement: Vec<Placement>,
+    index: PlanIndex,
 }
 
 impl PhysicalPlan {
     /// In-edges of a fop, ordered with main slots first (by slot index).
     pub fn in_edges(&self, fop: FopId) -> Vec<PlanEdge> {
-        let mut v: Vec<PlanEdge> = self
-            .edges
-            .iter()
-            .copied()
-            .filter(|e| e.dst == fop)
-            .collect();
-        v.sort_by_key(|e| match e.slot {
-            InputSlot::Main(i) => (0, i),
-            InputSlot::Side => (1, 0),
-        });
-        v
+        self.ins(fop).to_vec()
     }
 
     /// Out-edges of a fop.
     pub fn out_edges(&self, fop: FopId) -> Vec<PlanEdge> {
-        self.edges
-            .iter()
-            .copied()
-            .filter(|e| e.src == fop)
-            .collect()
+        self.outs(fop).to_vec()
     }
 
     /// Fops of the given stage, in topological order within the stage.
     pub fn stage_fops(&self, stage: StageId) -> Vec<FopId> {
-        self.fops
-            .iter()
-            .filter(|f| f.stage == stage)
-            .map(|f| f.id)
-            .collect()
+        self.fops_of(stage).to_vec()
+    }
+
+    /// [`PhysicalPlan::in_edges`] by reference, for per-event callers.
+    pub fn ins(&self, fop: FopId) -> &[PlanEdge] {
+        &self.index.ins[fop]
+    }
+
+    /// [`PhysicalPlan::out_edges`] by reference.
+    pub fn outs(&self, fop: FopId) -> &[PlanEdge] {
+        &self.index.outs[fop]
+    }
+
+    /// [`PhysicalPlan::stage_fops`] by reference.
+    pub fn fops_of(&self, stage: StageId) -> &[FopId] {
+        &self.index.stage_fops[stage]
     }
 
     /// Total number of tasks across all fops (the paper's "original
@@ -322,11 +358,13 @@ pub fn build_plan(
         }
     }
 
+    let index = PlanIndex::new(&fops, &edges, stage_dag.stages.len());
     Ok(PhysicalPlan {
         fops,
         edges,
         stage_dag: stage_dag.clone(),
         placement: placement.to_vec(),
+        index,
     })
 }
 

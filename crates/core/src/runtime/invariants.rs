@@ -9,7 +9,8 @@
 //!    between reverts; each attempt reports terminally at most once, and
 //!    only after it was launched.
 //! 2. **Inputs-before-launch** (§3.2.3): a task launches only when every
-//!    required producer output is committed and not since reverted.
+//!    required producer output is committed and neither reverted nor
+//!    dropped (`OutputDropped`) since that commit.
 //! 3. **Placement** (§3.2): no launch on a blacklisted executor or one
 //!    already evicted / failed / declared dead; no commit arrives from a
 //!    lost executor (the master must discard those reports).
@@ -53,6 +54,18 @@
 //!     means a worker outlived the shutdown grace). This law holds
 //!     regardless of the `success` flag: failing well is part of the
 //!     protocol.
+//! 12. **An eviction costs what the paper says** (§3.2.5): reverts and
+//!     drops happen only while a container loss or a master recovery is
+//!     being handled. A `TaskReverted` that follows a loss (not a
+//!     recovery's rollback) names a task whose output the lost executor
+//!     may have held — its committing attempt ran there, a deferred push
+//!     to it resumed, or the output left its producer for reserved
+//!     executors the journal does not name and the loss is not a
+//!     transient eviction — or that was already dropped, **and** that has
+//!     a consumer task not committed at that position. An `OutputDropped`
+//!     names a committed task whose consumers are all committed; one that
+//!     follows a loss is attributed to the lost executor, which may have
+//!     held the output.
 //!
 //! Test suites call [`assert_clean`] on every seeded run, so the ~330
 //! chaos / network-chaos / reconfig / equivalence seeds verify protocol
@@ -88,6 +101,91 @@ impl fmt::Display for Violation {
     }
 }
 
+/// A task's standing commit, as replayed.
+struct Commit {
+    /// The committing attempt.
+    attempt: AttemptId,
+    /// Whether the commit pushed the output off its producer, to
+    /// reserved executors the journal does not name.
+    pushed: bool,
+    /// Whether the output lost its last copy since (`OutputDropped`).
+    dropped: bool,
+}
+
+impl Commit {
+    /// Whether `exec` may hold a copy of the output, resumed pushes
+    /// aside: the committing attempt ran there (`ran_on`) and kept it
+    /// there, or the output reached reserved executors the journal does
+    /// not name (a push at commit, a drain's migration) and `exec` is not
+    /// a transient container being evicted.
+    fn may_be_on(
+        &self,
+        ran_on: Option<ExecId>,
+        exec: ExecId,
+        evicted: bool,
+        drained: bool,
+    ) -> bool {
+        (!self.pushed && ran_on == Some(exec)) || ((self.pushed || drained) && !evicted)
+    }
+}
+
+/// `JournalMeta::required` inverted: each task's consumer tasks (law 12
+/// asks once per revert and drop). Dense, one slot per task of the plan.
+struct Consumers {
+    /// Per fop, the slot of its first task; one past the last fop, the
+    /// slot count.
+    base: Vec<usize>,
+    of_slot: Vec<Vec<(FopId, usize)>>,
+}
+
+impl Consumers {
+    fn of(required: &[Vec<Vec<(FopId, usize)>>]) -> Self {
+        let mut base = vec![0];
+        for tasks in required {
+            base.push(base[base.len() - 1] + tasks.len());
+        }
+        let mut inverted = Consumers {
+            of_slot: vec![Vec::new(); base[base.len() - 1]],
+            base,
+        };
+        for (f, tasks) in required.iter().enumerate() {
+            for (i, producers) in tasks.iter().enumerate() {
+                for &producer in producers {
+                    // A producer outside the plan has no slot to fill.
+                    if let Some(slot) = inverted.slot(producer) {
+                        inverted.of_slot[slot].push((f, i));
+                    }
+                }
+            }
+        }
+        inverted
+    }
+
+    fn slot(&self, (fop, index): (FopId, usize)) -> Option<usize> {
+        let (from, to) = (*self.base.get(fop)?, *self.base.get(fop + 1)?);
+        (index < to - from).then_some(from + index)
+    }
+
+    fn of_task(&self, task: (FopId, usize)) -> &[(FopId, usize)] {
+        self.slot(task).map_or(&[], |s| &self.of_slot[s])
+    }
+}
+
+/// What the master is handling, as far as reverts and drops go (law 12).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RevertCause {
+    /// Neither: a revert or drop here is a violation.
+    None,
+    /// The loss of `exec`, from the loss event to its replacement.
+    Loss {
+        exec: ExecId,
+        /// A transient eviction: no reserved executor was lost.
+        evicted: bool,
+    },
+    /// A master recovery, from the marker to the next launch.
+    Recovery,
+}
+
 /// Replays the journal and returns every invariant violation found.
 /// `success` tells the checker whether the job completed (end-of-journal
 /// completeness laws only hold for successful runs; a failed job is
@@ -100,8 +198,8 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     let mut launched: HashMap<AttemptId, (FopId, usize, ExecId)> = HashMap::new();
     // attempts that already reported terminally (committed or failed)
     let mut terminal: HashSet<AttemptId> = HashSet::new();
-    // task -> currently-committing attempt
-    let mut committed: HashMap<(FopId, usize), AttemptId> = HashMap::new();
+    // task -> its standing commit
+    let mut committed: HashMap<(FopId, usize), Commit> = HashMap::new();
     let mut blacklisted: HashSet<ExecId> = HashSet::new();
     let mut lost: HashSet<ExecId> = HashSet::new();
     let mut stage_complete = vec![false; meta.n_stages];
@@ -148,6 +246,38 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     let mut abort_marker: Option<usize> = None;
     // true once a PoolQuiesced follows the abort marker
     let mut quiesced_after_abort = false;
+    // --- Need-driven revert (law 12) ---
+    // (fop, index, exec) of every resumed push: a copy the journal names
+    let mut resumed: Vec<(FopId, usize, ExecId)> = Vec::new();
+    // whether a drain ever moved blocks to reserved executors the
+    // journal does not name
+    let mut drained = false;
+    // what the master is handling, as far as reverts and drops go
+    let mut cause = RevertCause::None;
+    // task -> consumer tasks, built at the first revert or drop: most
+    // journals have neither
+    let mut consumers: Option<Consumers> = None;
+    // Why law 12 objects to a revert or drop of `task` at this position,
+    // if it does: `needed` is what the event claims about the consumers.
+    let mut law12 = |task: (FopId, usize),
+                     needed: bool,
+                     committed: &HashMap<(FopId, usize), Commit>,
+                     repartitioned: &HashSet<FopId>|
+     -> Option<String> {
+        let of_task = consumers
+            .get_or_insert_with(|| Consumers::of(&meta.required))
+            .of_task(task);
+        // Frozen edges no longer describe a repartitioned fop's bucketing.
+        if repartitioned.contains(&task.0) || of_task.iter().any(|c| repartitioned.contains(&c.0)) {
+            return None;
+        }
+        let waiting = of_task.iter().find(|c| !committed.contains_key(c));
+        match (needed, waiting) {
+            (true, None) => Some("every consumer of it is committed".into()),
+            (false, Some((cf, ci))) => Some(format!("its consumer {cf}.{ci} is not committed")),
+            _ => None,
+        }
+    };
 
     // Self-reported store occupancy must fit the executor's budget.
     fn check_occupancy(
@@ -179,7 +309,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                         epoch: u64,
                         launched: &mut HashMap<AttemptId, (FopId, usize, ExecId)>,
                         attempt_epoch: &mut HashMap<AttemptId, u64>,
-                        committed: &HashMap<(FopId, usize), AttemptId>,
+                        committed: &HashMap<(FopId, usize), Commit>,
                         blacklisted: &HashSet<ExecId>,
                         lost: &HashSet<ExecId>,
                         repartitioned: &HashSet<FopId>,
@@ -191,7 +321,10 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 message: format!("{kind} of task {fop}.{index} reuses attempt id {attempt}"),
             });
         }
-        if let Some(winner) = committed.get(&(fop, index)) {
+        if let Some(Commit {
+            attempt: winner, ..
+        }) = committed.get(&(fop, index))
+        {
             violations.push(Violation {
                 position: pos,
                 message: format!(
@@ -226,7 +359,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 if repartitioned.contains(&sf) {
                     continue;
                 }
-                if !committed.contains_key(&(sf, si)) {
+                if committed.get(&(sf, si)).is_none_or(|c| c.dropped) {
                     violations.push(Violation {
                         position: pos,
                         message: format!(
@@ -240,6 +373,12 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     };
 
     for (pos, record) in journal.records().iter().enumerate() {
+        if let JobEvent::TaskLaunched { .. } | JobEvent::SpeculativeLaunched { .. } = &record.event
+        {
+            if cause == RevertCause::Recovery {
+                cause = RevertCause::None;
+            }
+        }
         match &record.event {
             JobEvent::TaskLaunched {
                 fop,
@@ -314,6 +453,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 index,
                 attempt,
                 exec,
+                bytes_pushed,
                 ..
             } => {
                 match launched.get(attempt) {
@@ -352,7 +492,15 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                         ),
                     });
                 }
-                if let Some(winner) = committed.insert((*fop, *index), *attempt) {
+                let commit = Commit {
+                    attempt: *attempt,
+                    pushed: *bytes_pushed > 0,
+                    dropped: false,
+                };
+                if let Some(Commit {
+                    attempt: winner, ..
+                }) = committed.insert((*fop, *index), commit)
+                {
                     violations.push(Violation {
                         position: pos,
                         message: format!(
@@ -443,11 +591,69 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 }
             }
             JobEvent::TaskReverted { fop, index } => {
-                if committed.remove(&(*fop, *index)).is_none() {
+                let task = (*fop, *index);
+                let mut object = |why: String| {
                     violations.push(Violation {
                         position: pos,
-                        message: format!("revert of task {fop}.{index} that was not committed"),
+                        message: format!("revert of task {fop}.{index} {why}"),
                     });
+                };
+                match (committed.remove(&task), cause) {
+                    (None, _) => object("that was not committed".into()),
+                    (_, RevertCause::None) => object(NOT_HANDLING.into()),
+                    (_, RevertCause::Recovery) => {}
+                    (Some(commit), RevertCause::Loss { exec, evicted }) => {
+                        let ran_on = launched.get(&commit.attempt).map(|l| l.2);
+                        let held = resumed.contains(&(*fop, *index, exec))
+                            || commit.may_be_on(ran_on, exec, evicted, drained);
+                        if !commit.dropped && !held {
+                            object(format!(
+                                "after the loss of exec {exec}, which never held it"
+                            ));
+                        }
+                        if let Some(why) = law12(task, true, &committed, &repartitioned) {
+                            object(format!("though {why}"));
+                        }
+                    }
+                }
+            }
+            JobEvent::OutputDropped { fop, index, exec } => {
+                let task = (*fop, *index);
+                let mut object = |why: String| {
+                    violations.push(Violation {
+                        position: pos,
+                        message: format!("drop of output {fop}.{index} {why}"),
+                    });
+                };
+                match (committed.get_mut(&task), cause) {
+                    (None, _) => object("of a task that is not committed".into()),
+                    (_, RevertCause::None) => object(NOT_HANDLING.into()),
+                    (Some(commit), _) => {
+                        if std::mem::replace(&mut commit.dropped, true) {
+                            object("twice since its last commit".into());
+                        }
+                        if let RevertCause::Loss {
+                            exec: lost,
+                            evicted,
+                        } = cause
+                        {
+                            let ran_on = launched.get(&commit.attempt).map(|l| l.2);
+                            if lost != *exec {
+                                object(format!(
+                                    "blamed on exec {exec} while exec {lost} is the loss"
+                                ));
+                            } else if !resumed.contains(&(*fop, *index, lost))
+                                && !commit.may_be_on(ran_on, lost, evicted, drained)
+                            {
+                                object(format!(
+                                    "after the loss of exec {lost}, which never held it"
+                                ));
+                            }
+                        }
+                        if let Some(why) = law12(task, false, &committed, &repartitioned) {
+                            object(format!("though {why}"));
+                        }
+                    }
                 }
             }
             JobEvent::ExecutorBlacklisted(e) => {
@@ -468,6 +674,10 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                         message: format!("exec {e} lost twice"),
                     });
                 }
+                cause = RevertCause::Loss {
+                    exec: *e,
+                    evicted: matches!(record.event, JobEvent::ContainerEvicted(_)),
+                };
                 pending_replacements += 1;
                 // The executor's memory died with it: clear its replayed
                 // store state (the live store does the same, silently).
@@ -477,6 +687,9 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 deferred.retain(|(_, _, ex), _| ex != e);
             }
             JobEvent::ContainerAdded(e) => {
+                if let RevertCause::Loss { .. } = cause {
+                    cause = RevertCause::None;
+                }
                 if lost.contains(e) || blacklisted.contains(e) {
                     violations.push(Violation {
                         position: pos,
@@ -539,6 +752,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 // from scratch, so the replay budget resets with it.
                 failures.clear();
                 master_recoveries += 1;
+                cause = RevertCause::Recovery;
                 // Every attempt in flight at the crash is fenced: the
                 // recovered master must never accept its stale report.
                 for attempt in launched.keys() {
@@ -672,16 +886,19 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
             }
             JobEvent::PushResumed {
                 fop, index, exec, ..
-            } => match deferred.get_mut(&(*fop, *index, *exec)) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => violations.push(Violation {
-                    position: pos,
-                    message: format!(
-                        "push of output {fop}.{index} to exec {exec} resumed without a \
-                         matching deferral"
-                    ),
-                }),
-            },
+            } => {
+                resumed.push((*fop, *index, *exec));
+                match deferred.get_mut(&(*fop, *index, *exec)) {
+                    Some(n) if *n > 0 => *n -= 1,
+                    _ => violations.push(Violation {
+                        position: pos,
+                        message: format!(
+                            "push of output {fop}.{index} to exec {exec} resumed without a \
+                             matching deferral"
+                        ),
+                    }),
+                }
+            }
             JobEvent::OomInjected {
                 fop,
                 index,
@@ -745,15 +962,18 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                         ),
                     });
                 }
-                if let ReconfigChange::Repartition {
-                    fop,
-                    parallelism: par,
-                } = change
-                {
-                    if let Some(slot) = parallelism.get_mut(*fop) {
-                        *slot = *par;
+                match change {
+                    ReconfigChange::Repartition {
+                        fop,
+                        parallelism: par,
+                    } => {
+                        if let Some(slot) = parallelism.get_mut(*fop) {
+                            *slot = *par;
+                        }
+                        repartitioned.insert(*fop);
                     }
-                    repartitioned.insert(*fop);
+                    ReconfigChange::DrainTransient { .. } => drained = true,
+                    ReconfigChange::MigrateStage { .. } => {}
                 }
             }
             JobEvent::ReconfigAborted { reconfig, .. } => {
@@ -869,6 +1089,9 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
 
     violations
 }
+
+/// Law 12's diagnostic for a revert or drop nothing accounts for.
+const NOT_HANDLING: &str = "outside the handling of a container loss or master recovery";
 
 /// Panics with every violation found, or returns quietly on a clean
 /// journal. The panic message includes the rendered timeline position of
@@ -1169,6 +1392,278 @@ mod tests {
                 .any(|v| v.message.contains("before its input 0.0 is locatable")),
             "got: {violations:?}"
         );
+    }
+
+    /// Three chained single-task fops in one stage: 0.0 -> 1.0 -> 2.0.
+    fn chain_meta() -> JournalMeta {
+        JournalMeta {
+            stage_of: vec![0, 0, 0],
+            parallelism: vec![1, 1, 1],
+            required: vec![vec![vec![]], vec![vec![(0, 0)]], vec![vec![(1, 0)]]],
+            ..meta()
+        }
+    }
+
+    /// `check` on a failed-run journal over [`chain_meta`], rendered.
+    fn chain_violations(events: Vec<JobEvent>) -> Vec<String> {
+        let violations = check(&journal_with(chain_meta(), events), false);
+        violations.iter().map(|v| v.message.clone()).collect()
+    }
+
+    fn dropped(fop: FopId, exec: ExecId) -> JobEvent {
+        JobEvent::OutputDropped {
+            fop,
+            index: 0,
+            exec,
+        }
+    }
+
+    fn reverted(fop: FopId) -> JobEvent {
+        JobEvent::TaskReverted { fop, index: 0 }
+    }
+
+    /// 0.0 and 1.0 committed on execs 5 and 6.
+    fn two_commits() -> Vec<JobEvent> {
+        vec![
+            launch(0, 0, 1, 5),
+            commit(0, 0, 1, 5),
+            launch(1, 0, 2, 6),
+            commit(1, 0, 2, 6),
+        ]
+    }
+
+    fn with(mut events: Vec<JobEvent>, more: Vec<JobEvent>) -> Vec<JobEvent> {
+        events.extend(more);
+        events
+    }
+
+    #[test]
+    fn consumers_index_inverts_required() {
+        // 2.0 needs both tasks of fop 0 and 1.0; 1.0 needs 0.1; a
+        // producer outside the plan is ignored.
+        let required = vec![
+            vec![vec![], vec![]],
+            vec![vec![(0, 1), (7, 0)]],
+            vec![vec![(0, 0), (0, 1), (1, 0)]],
+        ];
+        let c = Consumers::of(&required);
+        assert_eq!(c.of_task((0, 0)), &[(2, 0)]);
+        assert_eq!(c.of_task((0, 1)), &[(1, 0), (2, 0)]);
+        assert_eq!(c.of_task((1, 0)), &[(2, 0)]);
+        assert!(c.of_task((2, 0)).is_empty() && c.of_task((0, 2)).is_empty());
+        assert!(c.of_task((7, 0)).is_empty());
+    }
+
+    #[test]
+    fn a_drop_then_an_on_demand_recompute_is_clean() {
+        // Exec 5 is evicted after 1.0 committed: 0.0 is dropped. Exec 6
+        // then fails with 2.0 pending: 1.0 reverts and pulls 0.0 back in,
+        // consumers first. Everything recomputes and the run succeeds.
+        let events = with(
+            two_commits(),
+            vec![
+                JobEvent::ContainerEvicted(5),
+                dropped(0, 5),
+                JobEvent::ContainerAdded(7),
+                JobEvent::ReservedFailed(6),
+                reverted(1),
+                reverted(0),
+                JobEvent::ContainerAdded(8),
+                launch(0, 0, 3, 7),
+                commit(0, 0, 3, 7),
+                launch(1, 0, 4, 8),
+                commit(1, 0, 4, 8),
+                launch(2, 0, 5, 8),
+                commit(2, 0, 5, 8),
+                JobEvent::StageCompleted(0),
+            ],
+        );
+        assert_clean(&journal_with(chain_meta(), events), true);
+    }
+
+    #[test]
+    fn a_dropped_output_still_counts_as_committed_at_the_end() {
+        let events = with(
+            two_commits(),
+            vec![
+                JobEvent::ContainerEvicted(5),
+                dropped(0, 5),
+                JobEvent::ContainerAdded(7),
+                launch(2, 0, 3, 7),
+                commit(2, 0, 3, 7),
+                JobEvent::StageCompleted(0),
+            ],
+        );
+        assert_clean(&journal_with(chain_meta(), events), true);
+    }
+
+    #[test]
+    fn law2_launch_against_a_dropped_producer_is_detected() {
+        // 1.0's output was dropped (2.0 was committed then); 2.0 reverts
+        // with its own executor and relaunches without 1.0 being
+        // recomputed first.
+        let events = with(
+            two_commits(),
+            vec![
+                launch(2, 0, 3, 7),
+                commit(2, 0, 3, 7),
+                JobEvent::ContainerEvicted(6),
+                dropped(1, 6),
+                JobEvent::ContainerAdded(8),
+                launch(2, 0, 4, 8),
+            ],
+        );
+        let v = chain_violations(events);
+        assert!(
+            v.iter()
+                .any(|m| m.contains("before its input 1.0 is locatable")),
+            "got: {v:?}"
+        );
+    }
+
+    #[test]
+    fn law12_eager_revert_is_detected() {
+        // 0.0's only consumer committed: losing its copy may drop it,
+        // never revert it.
+        let events = with(
+            two_commits(),
+            vec![JobEvent::ContainerEvicted(5), reverted(0)],
+        );
+        let v = chain_violations(events);
+        assert!(
+            v.iter()
+                .any(|m| m.contains("revert of task 0.0 though every consumer of it is committed")),
+            "got: {v:?}"
+        );
+    }
+
+    #[test]
+    fn law12_drop_of_a_needed_output_is_detected() {
+        // 2.0 has not committed, so 1.0's output is still needed.
+        let events = with(
+            two_commits(),
+            vec![JobEvent::ContainerEvicted(6), dropped(1, 6)],
+        );
+        let v = chain_violations(events);
+        assert!(
+            v.iter()
+                .any(|m| m.contains("drop of output 1.0 though its consumer 2.0 is not committed")),
+            "got: {v:?}"
+        );
+    }
+
+    #[test]
+    fn law12_revert_unrelated_to_the_lost_executor_is_detected() {
+        // Exec 9 never held 1.0's output (it lives where it ran, on 6).
+        let events = with(
+            two_commits(),
+            vec![JobEvent::ContainerEvicted(9), reverted(1)],
+        );
+        let v = chain_violations(events);
+        assert!(
+            v.iter()
+                .any(|m| m.contains("after the loss of exec 9, which never held it")),
+            "got: {v:?}"
+        );
+        // A pushed output lives on reserved executors: an eviction cannot
+        // take it, a reserved failure can.
+        let pushed = |loss: JobEvent| {
+            let mut events = two_commits();
+            events[3] = JobEvent::TaskCommitted {
+                fop: 1,
+                index: 0,
+                attempt: 2,
+                exec: 6,
+                speculative: false,
+                bytes_pushed: 64,
+                preaggregated: 0,
+                cache_hit: false,
+            };
+            chain_violations(with(events, vec![loss, reverted(1)]))
+        };
+        assert!(pushed(JobEvent::ContainerEvicted(6))
+            .iter()
+            .any(|m| m.contains("which never held it")));
+        assert!(pushed(JobEvent::ReservedFailed(0)).is_empty());
+        // A resumed push names its destination.
+        let events = with(
+            two_commits(),
+            vec![
+                JobEvent::PushDeferred {
+                    fop: 1,
+                    index: 0,
+                    exec: 0,
+                    bytes: 8,
+                },
+                JobEvent::PushResumed {
+                    fop: 1,
+                    index: 0,
+                    exec: 0,
+                    bytes: 8,
+                },
+                JobEvent::ReservedFailed(0),
+                reverted(1),
+            ],
+        );
+        assert!(chain_violations(events).is_empty());
+    }
+
+    #[test]
+    fn law12_reverts_and_drops_need_a_loss_or_a_recovery() {
+        let v = chain_violations(with(two_commits(), vec![reverted(1)]));
+        assert!(
+            v.iter().any(|m| m.contains("revert of task 1.0 outside")),
+            "got: {v:?}"
+        );
+        let v = chain_violations(with(two_commits(), vec![dropped(0, 5)]));
+        assert!(
+            v.iter().any(|m| m.contains("drop of output 0.0 outside")),
+            "got: {v:?}"
+        );
+        // A master recovery rolls back whatever its log lost, needed or
+        // not, until the recovered master launches again.
+        let recovery = vec![
+            JobEvent::MasterRecovered,
+            JobEvent::WalRecovered {
+                frames_replayed: 1,
+                frames_truncated: 1,
+                snapshot_restored: false,
+            },
+        ];
+        let rolled_back = with(with(two_commits(), recovery), vec![reverted(0)]);
+        assert!(chain_violations(rolled_back.clone()).is_empty());
+        let late = with(rolled_back, vec![launch(0, 0, 1_000_001, 5), reverted(1)]);
+        assert!(chain_violations(late)
+            .iter()
+            .any(|m| m.contains("revert of task 1.0 outside")));
+    }
+
+    #[test]
+    fn law12_drop_bookkeeping_is_checked() {
+        let evicted = |more: Vec<JobEvent>| {
+            chain_violations(with(
+                with(two_commits(), vec![JobEvent::ContainerEvicted(5)]),
+                more,
+            ))
+        };
+        assert!(evicted(vec![dropped(0, 4)])
+            .iter()
+            .any(|m| m.contains("blamed on exec 4 while exec 5 is the loss")));
+        assert!(evicted(vec![dropped(0, 5), dropped(0, 5)])
+            .iter()
+            .any(|m| m.contains("twice since its last commit")));
+        assert!(evicted(vec![dropped(2, 5)])
+            .iter()
+            .any(|m| m.contains("drop of output 2.0 of a task that is not committed")));
+        // An already-dropped output may revert under any later loss.
+        let events = vec![
+            dropped(0, 5),
+            JobEvent::ContainerAdded(7),
+            JobEvent::ContainerEvicted(6),
+            reverted(1),
+            reverted(0),
+        ];
+        assert!(evicted(events).is_empty());
     }
 
     #[test]

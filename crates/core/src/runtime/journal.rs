@@ -141,6 +141,19 @@ pub enum JobEvent {
         /// Task index.
         index: usize,
     },
+    /// A committed task's output lost its last copy and no consumer task
+    /// still has to read it: the output is gone, the task stays
+    /// committed, and its stage stays complete. A later loss that
+    /// reverts a consumer reverts this task with it.
+    OutputDropped {
+        /// Fused operator.
+        fop: FopId,
+        /// Task index.
+        index: usize,
+        /// The lost executor that held the last copy (after a master
+        /// recovery: one that held a copy before the crash).
+        exec: ExecId,
+    },
     /// An executor was blacklisted after repeated user-code failures.
     ExecutorBlacklisted(ExecId),
     /// A Pado Stage finished (all its tasks committed).
@@ -418,6 +431,7 @@ impl JobEvent {
             JobEvent::TaskCommitted { .. } => "TaskCommitted",
             JobEvent::TaskFailed { .. } => "TaskFailed",
             JobEvent::TaskReverted { .. } => "TaskReverted",
+            JobEvent::OutputDropped { .. } => "OutputDropped",
             JobEvent::ExecutorBlacklisted(_) => "ExecutorBlacklisted",
             JobEvent::StageCompleted(_) => "StageCompleted",
             JobEvent::StageReopened { .. } => "StageReopened",
@@ -720,6 +734,7 @@ impl EventJournal {
                 }
                 JobEvent::TaskFailed { .. } => m.task_failures += 1,
                 JobEvent::TaskReverted { .. } => {}
+                JobEvent::OutputDropped { .. } => m.outputs_dropped += 1,
                 JobEvent::ExecutorBlacklisted(_) => m.blacklisted_executors += 1,
                 JobEvent::StageCompleted(_) => {}
                 JobEvent::StageReopened { recompute, .. } => {
@@ -937,6 +952,81 @@ impl EventJournal {
     }
 }
 
+/// One row of the eviction ledger: what one executor loss cost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LossRow {
+    /// Canonical position of the loss event in the journal.
+    pub position: usize,
+    /// [`JobEvent::kind`] of the loss event.
+    pub kind: &'static str,
+    /// The lost executor.
+    pub exec: ExecId,
+    /// Attempts in flight on it (launched there by the current master,
+    /// no terminal report yet): the uncommitted work that relaunches.
+    pub running: usize,
+    /// Commits reverted because a consumer still needed their output.
+    pub reverted: usize,
+    /// Commits that lost their last copy and were dropped, not re-run.
+    pub dropped: usize,
+    /// Completed stages the loss re-opened.
+    pub reopened: usize,
+}
+
+/// The eviction ledger: one [`LossRow`] per container loss (eviction,
+/// reserved failure, declared dead), in journal order. The master logs
+/// a loss's reverts, drops and reopens between the loss event and the
+/// replacement container, which is how they are attributed.
+pub fn eviction_ledger(journal: &EventJournal) -> Vec<LossRow> {
+    let mut rows: Vec<LossRow> = Vec::new();
+    let mut in_flight: HashMap<AttemptId, ExecId> = HashMap::new();
+    let mut handling = false;
+    for (position, r) in journal.records().iter().enumerate() {
+        match &r.event {
+            JobEvent::TaskLaunched { attempt, exec, .. }
+            | JobEvent::SpeculativeLaunched { attempt, exec, .. } => {
+                in_flight.insert(*attempt, *exec);
+            }
+            JobEvent::TaskCommitted { attempt, .. } | JobEvent::TaskFailed { attempt, .. } => {
+                in_flight.remove(attempt);
+            }
+            // A recovered master knows none of its predecessor's attempts.
+            JobEvent::MasterRecovered => {
+                in_flight.clear();
+                handling = false;
+            }
+            JobEvent::ContainerEvicted(exec)
+            | JobEvent::ReservedFailed(exec)
+            | JobEvent::ExecutorDeclaredDead(exec) => {
+                let before = in_flight.len();
+                in_flight.retain(|_, e| e != exec);
+                rows.push(LossRow {
+                    position,
+                    kind: r.event.kind(),
+                    exec: *exec,
+                    running: before - in_flight.len(),
+                    reverted: 0,
+                    dropped: 0,
+                    reopened: 0,
+                });
+                handling = true;
+            }
+            JobEvent::ContainerAdded(_) => handling = false,
+            event if handling => {
+                if let Some(row) = rows.last_mut() {
+                    match event {
+                        JobEvent::TaskReverted { .. } => row.reverted += 1,
+                        JobEvent::OutputDropped { .. } => row.dropped += 1,
+                        JobEvent::StageReopened { .. } => row.reopened += 1,
+                        _ => {}
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    rows
+}
+
 /// Instant-event rendering for the Chrome trace: fault and topology
 /// events pinned to the executor row they concern (row 0 for the master).
 fn instant_of(event: &JobEvent) -> Option<(String, ExecId)> {
@@ -948,6 +1038,9 @@ fn instant_of(event: &JobEvent) -> Option<(String, ExecId)> {
         JobEvent::ContainerAdded(e) => Some((format!("container added exec {e}"), *e)),
         JobEvent::HeartbeatMissed(e) => Some((format!("heartbeat missed exec {e}"), *e)),
         JobEvent::TaskReverted { fop, index } => Some((format!("revert t{fop}.{index}"), 0)),
+        JobEvent::OutputDropped { fop, index, exec } => {
+            Some((format!("drop output t{fop}.{index}"), *exec))
+        }
         JobEvent::StageCompleted(s) => Some((format!("stage {s} complete"), 0)),
         JobEvent::StageReopened { stage, recompute } => Some((
             if *recompute {
@@ -1068,6 +1161,9 @@ fn describe(event: &JobEvent) -> String {
         } => format!("fail          task {fop}.{index} attempt {attempt} on exec {exec}"),
         JobEvent::TaskReverted { fop, index } => {
             format!("revert        task {fop}.{index}")
+        }
+        JobEvent::OutputDropped { fop, index, exec } => {
+            format!("output-drop   task {fop}.{index} (last copy on exec {exec})")
         }
         JobEvent::ExecutorBlacklisted(e) => format!("blacklist     exec {e}"),
         JobEvent::StageCompleted(s) => format!("stage-done    stage {s}"),
@@ -1282,14 +1378,14 @@ mod tests {
             rec(3, committed(2)),
             rec(4, JobEvent::ContainerEvicted(1)),
             rec(5, JobEvent::TaskReverted { fop: 0, index: 0 }),
-            rec(6, JobEvent::ContainerAdded(2)),
             rec(
-                7,
+                6,
                 JobEvent::StageReopened {
                     stage: 0,
                     recompute: true,
                 },
             ),
+            rec(7, JobEvent::ContainerAdded(2)),
             rec(8, JobEvent::HeartbeatMissed(2)),
             rec(
                 9,
@@ -1299,15 +1395,47 @@ mod tests {
                     seq: 4,
                 },
             ),
+            rec(10, launched(3, true)),
+            rec(11, JobEvent::ExecutorDeclaredDead(1)),
+            rec(
+                12,
+                JobEvent::OutputDropped {
+                    fop: 1,
+                    index: 0,
+                    exec: 1,
+                },
+            ),
+            rec(13, JobEvent::ContainerAdded(3)),
         ];
         let meta = JournalMeta {
             parallelism: vec![1],
             ..JournalMeta::default()
         };
-        let m = EventJournal::from_parts(meta, records).derive_metrics();
+        let journal = EventJournal::from_parts(meta, records);
+        // The ledger books each loss's reverts, drops and reopens, and
+        // the attempts it caught in flight (attempt 3 launched on exec 1).
+        let row = |position, kind, running, reverted, dropped, reopened| LossRow {
+            position,
+            kind,
+            exec: 1,
+            running,
+            reverted,
+            dropped,
+            reopened,
+        };
+        assert_eq!(
+            eviction_ledger(&journal),
+            vec![
+                row(4, "ContainerEvicted", 0, 1, 0, 1),
+                row(11, "ExecutorDeclaredDead", 1, 0, 1, 0)
+            ]
+        );
+        let m = journal.derive_metrics();
+        assert_eq!(m.outputs_dropped, 1);
+        assert_eq!(m.executors_declared_dead, 1);
         assert_eq!(m.original_tasks, 1);
-        assert_eq!(m.tasks_launched, 2);
-        assert_eq!(m.relaunched_tasks, 1);
+        assert_eq!(m.tasks_launched, 3);
+        assert_eq!(m.relaunched_tasks, 2);
         assert_eq!(m.task_failures, 1);
         assert_eq!(m.evictions, 1);
         assert_eq!(m.stage_recomputations, 1);
@@ -1316,8 +1444,8 @@ mod tests {
         assert_eq!(m.bytes_pushed, 64);
         assert_eq!(m.records_preaggregated, 3);
         assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.cache_misses, 2);
-        assert_eq!(m.side_bytes_sent, 16);
+        assert_eq!(m.cache_misses, 3);
+        assert_eq!(m.side_bytes_sent, 24);
     }
 
     #[test]
@@ -1348,11 +1476,21 @@ mod tests {
         );
         j.emit(Some(0), committed(1));
         j.emit(Some(0), JobEvent::ContainerEvicted(1));
+        let dropped = JobEvent::OutputDropped {
+            fop: 0,
+            index: 0,
+            exec: 1,
+        };
+        j.emit(Some(0), dropped);
         let trace = j.freeze(JournalMeta::default()).chrome_trace();
         assert!(trace.starts_with('{') && trace.trim_end().ends_with('}'));
         assert!(trace.contains("\"ph\":\"X\""), "one slice per attempt");
         assert!(trace.contains("t0.0 a1"));
         assert!(trace.contains("evicted exec 1"));
+        assert!(
+            trace.contains("drop output t0.0"),
+            "an instant like a revert"
+        );
         assert!(trace.contains("\"ph\":\"i\""), "instant for the eviction");
     }
 }

@@ -347,9 +347,9 @@ impl Master {
                     (0..dst_par)
                         .map(|i| {
                             let mut req = Vec::new();
-                            for e in job.plan.in_edges(f) {
+                            for e in job.plan.ins(f) {
                                 let src_par = job.plan.fops[e.src].parallelism;
-                                for si in required_src_indices(&e, i, src_par, dst_par) {
+                                for si in required_src_indices(e, i, src_par, dst_par) {
                                     req.push((e.src, si));
                                 }
                             }
@@ -364,6 +364,9 @@ impl Master {
         };
         let placement: Vec<Placement> = job.plan.fops.iter().map(|f| f.placement).collect();
         let parallelism: Vec<usize> = job.plan.fops.iter().map(|f| f.parallelism).collect();
+        let consumers = (0..n_fops)
+            .map(|f| job.plan.outs(f).iter().map(|e| (e.dst, e.dep)).collect())
+            .collect();
         // The epoch cell is shared three ways: every master→executor
         // sender stamps envelopes with it, and the WAL writer stamps
         // every frame with it (so fencing survives a recovery replay).
@@ -400,7 +403,7 @@ impl Master {
             executors: BTreeMap::new(),
             next_exec_id: 0,
             policy: Box::new(RoundRobinCacheAware::default()),
-            tasks: TaskTable::new(&parallelism),
+            tasks: TaskTable::new(&parallelism, consumers),
             outputs: HashMap::new(),
             result_parts: BTreeMap::new(),
             routed: HashMap::new(),
@@ -874,7 +877,7 @@ impl Master {
     }
 
     fn stage_complete(&self, stage: usize) -> bool {
-        let fops = self.job.plan.stage_fops(stage);
+        let fops = self.job.plan.fops_of(stage);
         fops.iter().all(|&f| self.tasks.fop_done(f))
     }
 
@@ -1039,7 +1042,7 @@ impl Master {
                          applies only to pending stages"
                     ));
                 }
-                let producers = self.job.plan.in_edges(fop);
+                let producers = self.job.plan.ins(fop);
                 let mut committed = self.tasks.committed();
                 if committed.any(|(f, _, _)| producers.iter().any(|e| e.src == f)) {
                     return Err(format!(
@@ -1051,7 +1054,7 @@ impl Master {
                 // consumer below the producer (or growing the producer
                 // past the consumer) would orphan partner outputs — data
                 // silently dropped, not rebucketed.
-                for e in self.job.plan.in_edges(fop) {
+                for e in producers {
                     if e.dep == DepType::OneToOne && parallelism < self.parallelism[e.src] {
                         return Err(format!(
                             "fop {fop} has a one-to-one input from fop {} ({} tasks); \
@@ -1060,7 +1063,7 @@ impl Master {
                         ));
                     }
                 }
-                for e in self.job.plan.out_edges(fop) {
+                for e in self.job.plan.outs(fop) {
                     if e.dep == DepType::OneToOne && parallelism > self.parallelism[e.dst] {
                         return Err(format!(
                             "fop {fop} feeds fop {} one-to-one ({} tasks); repartitioning \
@@ -1146,7 +1149,7 @@ impl Master {
             return;
         }
         let candidate = (0..self.meta.n_stages).find(|&s| {
-            let fops = self.job.plan.stage_fops(s);
+            let fops = self.job.plan.fops_of(s);
             fops.iter()
                 .any(|&f| self.placement[f] == Placement::Transient && !self.tasks.fop_done(f))
         });
@@ -1339,7 +1342,7 @@ impl Master {
         let bytes = block_bytes(&output);
         let pushed =
             self.placement[fop] == Placement::Transient && locations.iter().any(|l| l != &exec);
-        if self.job.plan.out_edges(fop).is_empty() {
+        if self.job.plan.outs(fop).is_empty() {
             // Terminal operator: the output is written to the job sink and
             // is safe regardless of container fate. Sink and location
             // table share the block.
@@ -1541,7 +1544,7 @@ impl Master {
         let r = BlockRef::Output { fop, index };
         let mut dests: Vec<ExecId> = Vec::new();
         if self.placement[fop] != Placement::Reserved {
-            for e in self.job.plan.out_edges(fop) {
+            for e in self.job.plan.outs(fop) {
                 if self.placement[e.dst] != Placement::Reserved {
                     continue;
                 }
@@ -1690,9 +1693,11 @@ impl Master {
 
     /// Handles the loss of a container: eviction (transient), machine
     /// failure (reserved), or a heartbeat-detector death sentence.
-    /// Uncommitted attempts revert to pending; outputs whose only
-    /// location died are reverted, which for reserved failures re-opens
-    /// completed ancestor stages exactly as §3.2.6 prescribes.
+    /// Uncommitted attempts revert to pending. A committed output whose
+    /// only location died is reverted when a consumer task still has to
+    /// read it — which for reserved failures re-opens completed ancestor
+    /// stages exactly as §3.2.6 prescribes — and merely dropped when
+    /// every consumer already committed: its stage stays complete.
     fn on_executor_lost(&mut self, exec: ExecId, kind_of_loss: LossKind) {
         let Some(info) = self.executors.get_mut(&exec) else {
             return;
@@ -1745,17 +1750,17 @@ impl Master {
         // racing a speculative duplicate keeps its surviving attempts;
         // the pins died with the store) and destroy data whose only copy
         // lived there. Terminal outputs are safe in the job sink.
-        let result_parts = &self.result_parts;
-        let reverted = self
-            .tasks
-            .executor_lost(exec, |f, i| result_parts.contains_key(&(f, i)));
-        for (f, i) in reverted {
-            self.outputs.remove(&(f, i));
-            self.invalidate_derived(f, i);
-            self.journal.emit(
-                Some(self.meta.stage_of[f]),
-                JobEvent::TaskReverted { fop: f, index: i },
-            );
+        let lost = self.tasks.executor_lost(exec);
+        for &(f, i) in &lost.reverted {
+            self.forget_output(f, i, JobEvent::TaskReverted { fop: f, index: i });
+        }
+        for &(f, i) in &lost.dropped {
+            let dropped = JobEvent::OutputDropped {
+                fop: f,
+                index: i,
+                exec,
+            };
+            self.forget_output(f, i, dropped);
         }
         // Invalidate receiver assignments pointing at the lost executor.
         self.assigned.retain(|_, &mut e| e != exec);
@@ -1781,6 +1786,15 @@ impl Master {
         let replacement = self.spawn_executor(kind);
         self.journal
             .emit(None, JobEvent::ContainerAdded(replacement));
+    }
+
+    /// Discards the data side of a commit that lost its last copy — the
+    /// output block and everything derived from it — and journals what
+    /// became of the task.
+    fn forget_output(&mut self, fop: FopId, index: usize, fate: JobEvent) {
+        self.outputs.remove(&(fop, index));
+        self.invalidate_derived(fop, index);
+        self.journal.emit(Some(self.meta.stage_of[fop]), fate);
     }
 
     /// The master's durable progress record, built from live state. The
@@ -1830,7 +1844,7 @@ impl Master {
     /// Makes the current location set of task `(fop, index)` durable.
     /// `TaskCommitted` events carry no locations, so every mutation of a
     /// committed output's location set rides its own WAL frame; an empty
-    /// set records the output as gone.
+    /// set records a commit whose only copy is the job sink's.
     fn append_wal_locations(&mut self, fop: FopId, index: usize) -> Result<(), RuntimeError> {
         let Some(wal) = &self.wal else {
             return Ok(());
@@ -1911,8 +1925,14 @@ impl Master {
         // An in-flight transaction is in-memory state the recovered
         // master never heard of: it resolves as an abort.
         self.abort_reconfig("master restarted mid-transaction".into());
-        let done_before: Vec<(FopId, usize)> =
-            self.tasks.committed().map(|(f, i, _)| (f, i)).collect();
+        // What the dead master's journal says of each commit: the task,
+        // and an executor holding its output (`None` once dropped, or
+        // when the only copy is the job sink's).
+        let done_before: Vec<(FopId, usize, Option<ExecId>)> = self
+            .tasks
+            .committed()
+            .map(|(f, i, locations)| (f, i, locations.first().copied()))
+            .collect();
 
         // Shape overlays: the genesis snapshot makes the replayed shape
         // available from the first frame; if interior corruption
@@ -1969,10 +1989,12 @@ impl Master {
             .filter(|(_, e)| e.alive)
             .map(|(&id, _)| id)
             .collect();
-        // Rebuild the location table: every replayed commit whose
-        // locations still point at alive executors refetches its block
-        // from their stores; sink-safe terminal outputs fall back to
-        // the durable result parts; anything else recomputes.
+        // Rebuild the location table: every replayed commit is restored;
+        // one whose locations still point at alive executors refetches
+        // its block from their stores, a sink-safe terminal output falls
+        // back to the durable result parts, and any other stays committed
+        // without data — the settle pass below decides, by the rule every
+        // executor loss follows, which of those a consumer still needs.
         let mut committed: Vec<((FopId, usize), Vec<ExecId>)> =
             rec.committed.iter().map(|(&k, v)| (k, v.clone())).collect();
         committed.sort_unstable_by_key(|&(k, _)| k);
@@ -1982,41 +2004,32 @@ impl Master {
                 // CRC by chance): drop it, the task table has no slot.
                 continue;
             }
-            let locs: Vec<ExecId> = locations
+            let mut locs: Vec<ExecId> = locations
                 .into_iter()
                 .filter(|l| alive.contains(l))
                 .collect();
-            let mut block: Option<Block> = None;
-            for &l in &locs {
-                let fetched = self.executors.get(&l).and_then(|info| {
-                    info.store
-                        .lock()
-                        .get(BlockRef::Output { fop: f, index: i })
-                        .ok()
-                        .flatten()
-                });
-                if fetched.is_some() {
-                    block = fetched;
-                    break;
-                }
-            }
-            let terminal = self.job.plan.out_edges(f).is_empty();
-            let block = block.or_else(|| {
-                if terminal {
-                    self.result_parts.get(&(f, i)).map(Arc::clone)
-                } else {
-                    None
-                }
+            let r = BlockRef::Output { fop: f, index: i };
+            let mut block = locs.iter().find_map(|l| {
+                let info = self.executors.get(l)?;
+                let fetched = info.store.lock().get(r);
+                fetched.ok().flatten()
             });
-            let Some(block) = block else {
-                continue;
-            };
-            if terminal {
-                self.result_parts.insert((f, i), Arc::clone(&block));
+            if self.job.plan.outs(f).is_empty() {
+                block = block.or_else(|| self.result_parts.get(&(f, i)).map(Arc::clone));
+                let Some(block) = &block else {
+                    continue;
+                };
+                self.result_parts.insert((f, i), Arc::clone(block));
             }
-            self.outputs.insert((f, i), block);
+            match block {
+                Some(block) => {
+                    self.outputs.insert((f, i), block);
+                }
+                None => locs.clear(),
+            }
             self.tasks.commit(f, i, locs);
         }
+        self.tasks.settle();
         // Result parts of tasks the log no longer believes committed
         // must not leak into the job output: their tasks recompute and
         // re-commit identical bytes.
@@ -2033,13 +2046,27 @@ impl Master {
                 info.busy = 0;
             }
         }
-        // Log every commit the crash rolled back; recomputation follows.
-        for (f, i) in done_before {
-            if !self.tasks.is_done(f, i) && f < n_fops && i < self.parallelism[f] {
+        // Bring the journal in line with the recovered table: log every
+        // commit the crash rolled back (recomputation follows), then
+        // every output it left without a copy that nobody needs.
+        let in_shape = |f: FopId, i: usize| f < n_fops && i < self.parallelism[f];
+        for &(f, i, _) in &done_before {
+            if in_shape(f, i) && !self.tasks.is_done(f, i) {
                 self.journal.emit(
                     Some(self.meta.stage_of[f]),
                     JobEvent::TaskReverted { fop: f, index: i },
                 );
+            }
+        }
+        for &(f, i, held_by) in &done_before {
+            let Some(exec) = held_by else { continue };
+            if self.tasks.is_done(f, i) && !self.outputs.contains_key(&(f, i)) {
+                let dropped = JobEvent::OutputDropped {
+                    fop: f,
+                    index: i,
+                    exec,
+                };
+                self.journal.emit(Some(self.meta.stage_of[f]), dropped);
             }
         }
         self.note_stage_transitions();
@@ -2058,30 +2085,25 @@ impl Master {
         if self.reconfig.is_some() {
             return Ok(());
         }
-        for stage in self.job.plan.stage_dag.topo_order() {
+        let job = Arc::clone(&self.job);
+        for stage in job.plan.stage_dag.topo_order() {
             if !self.stage_runnable(stage) {
                 continue;
             }
             self.assign_receivers(stage);
             // Reserved receivers launch as soon as their inputs are ready;
             // transient tasks fill free slots round-robin.
-            let fops = self.job.plan.stage_fops(stage);
-            let mut ordered: Vec<FopId> = fops
-                .iter()
-                .copied()
-                .filter(|&f| self.placement[f] == Placement::Reserved)
-                .collect();
-            ordered.extend(
-                fops.iter()
-                    .copied()
-                    .filter(|&f| self.placement[f] == Placement::Transient),
-            );
-            for f in ordered {
-                for i in 0..self.parallelism[f] {
-                    if self.tasks.is_pending(f, i) && self.task_ready(f, i) {
-                        // No free executor: retry on the next event.
-                        if let Some(exec) = self.pick_executor(f, i) {
-                            self.launch(f, i, exec, false)?;
+            for kind in [Placement::Reserved, Placement::Transient] {
+                for &f in job.plan.fops_of(stage) {
+                    if self.placement[f] != kind {
+                        continue;
+                    }
+                    for i in 0..self.parallelism[f] {
+                        if self.tasks.is_pending(f, i) && self.task_ready(f, i) {
+                            // No free executor: retry on the next event.
+                            if let Some(exec) = self.pick_executor(f, i) {
+                                self.launch(f, i, exec, false)?;
+                            }
                         }
                     }
                 }
@@ -2103,7 +2125,8 @@ impl Master {
             return;
         }
         let mut cursor = 0usize;
-        for f in self.job.plan.stage_fops(stage) {
+        let job = Arc::clone(&self.job);
+        for &f in job.plan.fops_of(stage) {
             if self.placement[f] != Placement::Reserved {
                 continue;
             }
@@ -2119,10 +2142,10 @@ impl Master {
 
     /// Whether all of a task's inputs are available.
     fn task_ready(&self, fop: FopId, index: usize) -> bool {
-        for e in self.job.plan.in_edges(fop) {
+        for e in self.job.plan.ins(fop) {
             let src_par = self.parallelism[e.src];
             let dst_par = self.parallelism[fop];
-            for si in required_src_indices(&e, index, src_par, dst_par) {
+            for si in required_src_indices(e, index, src_par, dst_par) {
                 if !self.tasks.is_done(e.src, si) {
                     return false;
                 }
@@ -2228,12 +2251,13 @@ impl Master {
     ) -> Result<Option<Vec<BlockRef>>, RuntimeError> {
         let dst_par = self.parallelism[fop];
         let mut wanted: Vec<(BlockRef, Block)> = Vec::new();
-        for e in self.job.plan.in_edges(fop) {
+        let job = Arc::clone(&self.job);
+        for e in job.plan.ins(fop) {
             if !matches!(e.slot, InputSlot::Main(_)) {
                 continue;
             }
             let src_par = self.parallelism[e.src];
-            for si in required_src_indices(&e, index, src_par, dst_par) {
+            for si in required_src_indices(e, index, src_par, dst_par) {
                 let (r, block) = match e.dep {
                     DepType::ManyToMany => (
                         BlockRef::Bucket {
@@ -2436,7 +2460,7 @@ impl Master {
     fn cache_preference(&self, fop: FopId) -> Option<CacheKey> {
         self.job
             .plan
-            .in_edges(fop)
+            .ins(fop)
             .iter()
             .find(|e| e.slot == InputSlot::Side && e.cache)
             .map(|e| e.src)
@@ -2504,12 +2528,13 @@ impl Master {
         let mut mains: Vec<MainSlot> = Vec::new();
         let mut sides: BTreeMap<usize, SideData> = BTreeMap::new();
         let mut stats = SideStats::default();
-        for e in self.job.plan.in_edges(fop) {
+        let job = Arc::clone(&self.job);
+        for e in job.plan.ins(fop) {
             let src_par = self.parallelism[e.src];
             match e.slot {
                 InputSlot::Main(_) => {
                     let mut parts: Vec<Block> = Vec::new();
-                    for si in required_src_indices(&e, index, src_par, dst_par) {
+                    for si in required_src_indices(e, index, src_par, dst_par) {
                         let block = match e.dep {
                             DepType::ManyToMany => self.routed_bucket(e.src, si, dst_par, index),
                             _ => self.outputs.get(&(e.src, si)).map(Arc::clone),
@@ -2524,7 +2549,7 @@ impl Master {
                     mains.push(MainSlot::from_blocks(parts));
                 }
                 InputSlot::Side => {
-                    let records = self.side_records(e.src, src_par);
+                    let records = self.side_records(e.src, src_par)?;
                     let bytes = block_bytes(&records);
                     let key = e.cache.then_some(e.src);
                     let expect_cached = key
@@ -2600,7 +2625,7 @@ impl Master {
             return;
         };
         let mut submitted: HashSet<usize> = HashSet::new();
-        for e in self.job.plan.out_edges(fop) {
+        for e in self.job.plan.outs(fop) {
             if e.dep != DepType::ManyToMany || !matches!(e.slot, InputSlot::Main(_)) {
                 continue;
             }
@@ -2664,24 +2689,31 @@ impl Master {
     /// The full broadcast dataset of a producer fop, as one shared block.
     /// Single-part producers share their output block outright; multi-part
     /// concatenations are built once and memoized.
-    fn side_records(&mut self, src: FopId, src_par: usize) -> Block {
+    ///
+    /// # Errors
+    ///
+    /// A committed part with no data is a scheduler bug — a dropped
+    /// output has no consumer left to launch — surfaced rather than
+    /// broadcast as a silently shorter dataset.
+    fn side_records(&mut self, src: FopId, src_par: usize) -> Result<Block, RuntimeError> {
+        let part = |si: usize| {
+            self.outputs.get(&(src, si)).ok_or_else(|| {
+                RuntimeError::Invariant(format!("side input {src}.{si} is committed without data"))
+            })
+        };
         if src_par == 1 {
-            if let Some(r) = self.outputs.get(&(src, 0)) {
-                return Arc::clone(r);
-            }
+            return part(0).map(Arc::clone);
         }
         if let Some(b) = self.side_cache.get(&src) {
-            return Arc::clone(b);
+            return Ok(Arc::clone(b));
         }
         let mut all = Vec::new();
         for si in 0..src_par {
-            if let Some(r) = self.outputs.get(&(src, si)) {
-                all.extend(r.iter().cloned());
-            }
+            all.extend(part(si)?.iter().cloned());
         }
         let block = block_from_vec(all);
         self.side_cache.insert(src, Arc::clone(&block));
-        block
+        Ok(block)
     }
 
     fn collect_result(&self) -> JobResult {

@@ -34,6 +34,9 @@ pub struct JobMetrics {
     pub records_preaggregated: usize,
     /// Completed-stage recomputations triggered by reserved failures.
     pub stage_recomputations: usize,
+    /// Committed outputs that lost their last copy with every consumer
+    /// already committed: dropped, not recomputed.
+    pub outputs_dropped: usize,
     /// Task attempts that failed in user code (error or caught panic).
     pub task_failures: usize,
     /// Speculative duplicate attempts launched against stragglers.

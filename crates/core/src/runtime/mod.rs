@@ -30,7 +30,9 @@ pub use config::RuntimeConfig;
 pub use executor::{ExecutorHandle, JobContext};
 pub use fault::{ChaosPlan, CrashPlan, FaultDraw, FaultInjector, FaultPlan, WireSide};
 pub use invariants::{assert_clean, check, Violation};
-pub use journal::{EventJournal, JobEvent, Journal, JournalMeta, JournalRecord};
+pub use journal::{
+    eviction_ledger, EventJournal, JobEvent, Journal, JournalMeta, JournalRecord, LossRow,
+};
 pub use local::LocalCluster;
 pub use master::{Injector, JobResult, Master};
 pub use message::{AttemptId, ExecId, InjectedFault, MasterMsg};

@@ -14,11 +14,27 @@
 //! commit its task) is a separate fact: a speculative race's loser stops
 //! being current when its rival commits, but its record — and with it
 //! its input pins — stays until one of those three events retires it.
+//!
+//! # Need-driven revert
+//!
+//! A committed task can outlive every copy of its output. The table keeps
+//! one invariant about such *dataless* commits, restored by
+//! [`TaskTable::settle`] after every executor loss and every master
+//! recovery: **a committed task with no surviving copy has every consumer
+//! task committed**. A lost output is therefore recomputed only when some
+//! consumer still has to read it — an eviction costs the victim's
+//! unpushed work in the running stage (§3.2.5), not the inputs of stages
+//! that finished long ago — and §3.2.6's ancestor recomputation happens
+//! on demand: a later loss that reverts a consumer pulls the dataless
+//! producer back in with it.
 
 #![warn(clippy::iter_over_hash_type)]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::Range;
 use std::time::Instant;
+
+use pado_dag::DepType;
 
 use crate::compiler::FopId;
 use crate::runtime::message::{AttemptId, ExecId};
@@ -65,9 +81,69 @@ pub(crate) enum Report {
     Current(Attempt),
 }
 
+/// What an executor loss did to the commits it left without a copy.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Lost {
+    /// Commits pending again because a consumer still needs them —
+    /// consumers first, the order they journal in.
+    pub(crate) reverted: Vec<(FopId, usize)>,
+    /// Commits whose last copy died with this executor and that nobody
+    /// needs: still committed, in `(fop, index)` order.
+    pub(crate) dropped: Vec<(FopId, usize)>,
+}
+
+/// The consumer task indices of producer task `index` along an edge of
+/// type `dep` into a fop of `dst_par` tasks: the inverse of
+/// [`required_src_indices`](super::master::required_src_indices).
+pub(crate) fn consumer_indices(dep: DepType, index: usize, dst_par: usize) -> Range<usize> {
+    match dep {
+        DepType::OneToOne => index..dst_par.min(index + 1),
+        DepType::OneToMany | DepType::ManyToMany => 0..dst_par,
+        DepType::ManyToOne => {
+            let d = index % dst_par.max(1);
+            d..dst_par.min(d + 1)
+        }
+    }
+}
+
+/// Every fop, each after all the fops it feeds; among the fops free to
+/// come next, the highest id. Fop ids usually ascend along edges — then
+/// this is simply descending id — but a side input wired into the
+/// interior of a fused chain can run from a higher id to a lower one.
+fn consumers_first(outs: &[Vec<(FopId, DepType)>]) -> Vec<FopId> {
+    let mut producers: Vec<Vec<FopId>> = vec![Vec::new(); outs.len()];
+    for (f, edges) in outs.iter().enumerate() {
+        for &(dst, _) in edges {
+            producers[dst].push(f);
+        }
+    }
+    let mut unplaced: Vec<usize> = outs.iter().map(Vec::len).collect();
+    let mut free: BinaryHeap<FopId> = (0..outs.len()).filter(|&f| unplaced[f] == 0).collect();
+    let mut order = Vec::with_capacity(outs.len());
+    while let Some(f) = free.pop() {
+        order.push(f);
+        for &p in &producers[f] {
+            unplaced[p] -= 1;
+            if unplaced[p] == 0 {
+                free.push(p);
+            }
+        }
+    }
+    assert_eq!(order.len(), outs.len(), "the plan's fops form a cycle");
+    order
+}
+
 #[derive(Debug)]
 pub(crate) struct TaskTable {
     tasks: Vec<Vec<TaskState>>,
+    /// Committed tasks per fop, kept by [`TaskTable::set`].
+    done: Vec<usize>,
+    /// Per fop, the `(consumer fop, dependency)` of each out-edge. A fop
+    /// without any is terminal: its commits live in the job sink and are
+    /// never dataless.
+    outs: Vec<Vec<(FopId, DepType)>>,
+    /// The order [`TaskTable::settle`] walks fops in.
+    consumers_first: Vec<FopId>,
     /// Whether a task was ever launched (a later launch is a relaunch).
     first_attempted: Vec<Vec<bool>>,
     /// Every attempt whose terminal report was processed: the idempotence
@@ -82,12 +158,18 @@ pub(crate) struct TaskTable {
 }
 
 impl TaskTable {
-    pub(crate) fn new(parallelism: &[usize]) -> Self {
+    /// Every task pending. `outs[f]` lists fop `f`'s out-edges as
+    /// `(consumer fop, dependency)`.
+    pub(crate) fn new(parallelism: &[usize], outs: Vec<Vec<(FopId, DepType)>>) -> Self {
+        debug_assert_eq!(parallelism.len(), outs.len());
         TaskTable {
+            consumers_first: consumers_first(&outs),
             tasks: parallelism
                 .iter()
                 .map(|&p| vec![TaskState::Pending; p])
                 .collect(),
+            done: vec![0; parallelism.len()],
+            outs,
             first_attempted: parallelism.iter().map(|&p| vec![false; p]).collect(),
             completed: BTreeSet::new(),
             next_attempt: 1,
@@ -110,9 +192,17 @@ impl TaskTable {
     }
 
     pub(crate) fn fop_done(&self, fop: FopId) -> bool {
-        self.tasks[fop]
-            .iter()
-            .all(|t| matches!(t, TaskState::Done(_)))
+        self.done[fop] == self.tasks[fop].len()
+    }
+
+    /// The one write to a task's state, so the per-fop committed count
+    /// cannot drift. Returns the state it replaced.
+    fn set(&mut self, fop: FopId, index: usize, state: TaskState) -> TaskState {
+        let old = std::mem::replace(&mut self.tasks[fop][index], state);
+        let is_done = |t: &TaskState| matches!(t, TaskState::Done(_));
+        self.done[fop] -= usize::from(is_done(&old));
+        self.done[fop] += usize::from(is_done(&self.tasks[fop][index]));
+        old
     }
 
     /// Whether no task of the fop was ever launched or committed.
@@ -198,9 +288,10 @@ impl TaskTable {
         let id = self.next_attempt;
         self.next_attempt += 1;
         let relaunch = std::mem::replace(&mut self.first_attempted[a.fop][a.index], true);
-        match &mut self.tasks[a.fop][a.index] {
-            TaskState::Running(ids) => ids.push(id),
-            t => *t = TaskState::Running(vec![id]),
+        if let TaskState::Running(ids) = &mut self.tasks[a.fop][a.index] {
+            ids.push(id);
+        } else {
+            self.set(a.fop, a.index, TaskState::Running(vec![id]));
         }
         self.attempts.insert(id, a);
         (id, relaunch)
@@ -248,22 +339,18 @@ impl TaskTable {
         index: usize,
         locations: Vec<ExecId>,
     ) -> Vec<AttemptId> {
-        match std::mem::replace(&mut self.tasks[fop][index], TaskState::Done(locations)) {
+        match self.set(fop, index, TaskState::Done(locations)) {
             TaskState::Running(losers) => losers,
             _ => Vec::new(),
         }
     }
 
     /// Retires every attempt on a lost executor (a task falls back to
-    /// pending only when no attempt of it survives elsewhere) and forgets
-    /// `exec` as a location. Returns the committed tasks that thereby
-    /// have no location left and that `sink_safe` does not vouch for —
-    /// now pending again — in `(fop, index)` order.
-    pub(crate) fn executor_lost(
-        &mut self,
-        exec: ExecId,
-        sink_safe: impl Fn(FopId, usize) -> bool,
-    ) -> Vec<(FopId, usize)> {
+    /// pending only when no attempt of it survives elsewhere), forgets
+    /// `exec` as a location, and [settles](TaskTable::settle) the commits
+    /// left without a copy: reverted when a consumer still needs them,
+    /// dropped — still committed — otherwise.
+    pub(crate) fn executor_lost(&mut self, exec: ExecId) -> Lost {
         let tasks = &mut self.tasks;
         self.attempts.retain(|&id, a| {
             if a.exec == exec {
@@ -271,18 +358,60 @@ impl TaskTable {
             }
             a.exec != exec
         });
-        let mut reverted = Vec::new();
+        let mut dropped = Vec::new();
         for (f, ts) in self.tasks.iter_mut().enumerate() {
             for (i, t) in ts.iter_mut().enumerate() {
                 if let TaskState::Done(locations) = t {
+                    let before = locations.len();
                     locations.retain(|&l| l != exec);
-                    if locations.is_empty() && !sink_safe(f, i) {
-                        *t = TaskState::Pending;
-                        reverted.push((f, i));
+                    if locations.is_empty() && before > 0 {
+                        dropped.push((f, i));
                     }
                 }
             }
         }
+        let reverted = self.settle();
+        dropped.retain(|&(f, i)| self.dataless(f, i));
+        Lost { reverted, dropped }
+    }
+
+    /// Whether a task is committed with no copy of its output left
+    /// anywhere (a terminal task's copy is the job sink's).
+    fn dataless(&self, fop: FopId, index: usize) -> bool {
+        !self.outs[fop].is_empty()
+            && matches!(&self.tasks[fop][index], TaskState::Done(l) if l.is_empty())
+    }
+
+    /// Whether `(fop, index)` breaks the invariant: dataless, with some
+    /// consumer task — at the live parallelism — not committed.
+    fn unsettled(&self, fop: FopId, index: usize) -> bool {
+        self.dataless(fop, index)
+            && self.outs[fop].iter().any(|&(dst, dep)| {
+                consumer_indices(dep, index, self.tasks[dst].len()).any(|d| !self.is_done(dst, d))
+            })
+    }
+
+    /// Restores the invariant: every dataless commit with a consumer that
+    /// is not committed goes back to pending. The walk is consumers first,
+    /// so a revert is seen by the producers it makes needed, and it covers
+    /// *every* dataless commit, not just one loss's: a producer dropped by
+    /// an earlier loss comes back when a later one reverts its consumer.
+    /// Returns the reverted tasks in walk order.
+    pub(crate) fn settle(&mut self) -> Vec<(FopId, usize)> {
+        let mut reverted = Vec::new();
+        for at in 0..self.consumers_first.len() {
+            let f = self.consumers_first[at];
+            for i in 0..self.tasks[f].len() {
+                if self.unsettled(f, i) {
+                    self.set(f, i, TaskState::Pending);
+                    reverted.push((f, i));
+                }
+            }
+        }
+        debug_assert!(
+            (0..self.tasks.len()).all(|f| (0..self.tasks[f].len()).all(|i| !self.unsettled(f, i))),
+            "a dataless commit still has an uncommitted consumer"
+        );
         reverted
     }
 
@@ -290,6 +419,7 @@ impl TaskTable {
     /// tasks.
     pub(crate) fn repartition(&mut self, fop: FopId, parallelism: usize) {
         self.tasks[fop] = vec![TaskState::Pending; parallelism];
+        self.done[fop] = 0;
         self.first_attempted[fop] = vec![false; parallelism];
     }
 
@@ -308,6 +438,7 @@ impl TaskTable {
         max_attempt: AttemptId,
     ) -> Vec<Attempt> {
         let fenced = std::mem::take(&mut self.attempts).into_values().collect();
+        let outs = std::mem::take(&mut self.outs);
         let fits = first_attempted.len() == parallelism.len();
         *self = TaskTable {
             first_attempted: parallelism
@@ -320,7 +451,7 @@ impl TaskTable {
                 .collect(),
             completed: completed.into_iter().collect(),
             next_attempt: max_attempt.max(self.next_attempt) + 1_000_000,
-            ..TaskTable::new(parallelism)
+            ..TaskTable::new(parallelism, outs)
         };
         fenced
     }
@@ -332,9 +463,25 @@ mod tests {
 
     const PIN: BlockRef = BlockRef::Output { fop: 0, index: 0 };
 
-    /// Two fops: 0 with two tasks, 1 with one.
+    /// Two fops: 0 with two tasks, gathered by fop 1's one.
     fn table() -> TaskTable {
-        TaskTable::new(&[2, 1])
+        TaskTable::new(&[2, 1], vec![vec![(1, DepType::ManyToOne)], vec![]])
+    }
+
+    /// A chain P(0) -> C(1) -> D(2) -> sink(3), one-to-one, two tasks
+    /// each; every task committed on its own executor `10 * fop + index`
+    /// unless `pending` lists it. The sink's copies are the job's.
+    fn chain(pending: &[(FopId, usize)]) -> TaskTable {
+        let one = |dst| vec![(dst, DepType::OneToOne)];
+        let mut t = TaskTable::new(&[2; 4], vec![one(1), one(2), one(3), vec![]]);
+        for f in 0..4 {
+            for i in 0..2 {
+                if !pending.contains(&(f, i)) {
+                    t.commit(f, i, if f == 3 { vec![] } else { vec![10 * f + i] });
+                }
+            }
+        }
+        t
     }
 
     fn attempt(fop: FopId, index: usize, exec: ExecId, speculative: bool) -> Attempt {
@@ -419,7 +566,7 @@ mod tests {
         begin(&mut t, 1, 0, 3, false);
         t.commit(1, 0, vec![1, 3]);
 
-        assert!(t.executor_lost(1, |_, _| false).is_empty());
+        assert_eq!(t.executor_lost(1), Lost::default());
         assert!(!t.is_current(original) && !t.is_current(lonely));
         assert!(
             t.is_current(duplicate),
@@ -432,12 +579,10 @@ mod tests {
         // The lost executor's records are gone: late reports carry nothing.
         assert!(matches!(t.report(original), Report::Stale(None)));
 
-        // Losing the last copy reverts the commit unless the sink has it.
-        assert!(t.executor_lost(3, |f, i| (f, i) == (1, 0)).is_empty());
+        // Fop 1 is terminal: losing its last executor copy changes
+        // nothing, the sink has it.
+        assert_eq!(t.executor_lost(3), Lost::default());
         assert!(t.is_done(1, 0) && t.locations(1, 0).is_empty());
-        t.locations_mut(1, 0).expect("committed").push(4);
-        assert_eq!(t.executor_lost(4, |_, _| false), vec![(1, 0)]);
-        assert!(t.is_pending(1, 0));
 
         // A loser on a lost executor is retired with it, pins and all.
         let Report::Current(_) = t.report(duplicate) else {
@@ -446,7 +591,7 @@ mod tests {
         let late = begin(&mut t, 0, 0, 6, false);
         begin(&mut t, 0, 0, 7, true);
         assert_eq!(t.commit(0, 0, vec![7]), vec![late, late + 1]);
-        t.executor_lost(6, |_, _| false);
+        t.executor_lost(6);
         assert!(matches!(t.report(late), Report::Stale(None)));
     }
 
@@ -502,5 +647,157 @@ mod tests {
         assert!(!relaunch);
         assert!(!t.fop_done(0));
         assert_eq!(t.committed().count(), 0);
+    }
+    #[test]
+    fn consumer_indices_invert_required_src_indices() {
+        use crate::compiler::{InputSlot, PlanEdge};
+        use crate::runtime::master::required_src_indices;
+        for dep in [
+            DepType::OneToOne,
+            DepType::OneToMany,
+            DepType::ManyToOne,
+            DepType::ManyToMany,
+        ] {
+            let edge = PlanEdge {
+                src: 0,
+                dst: 1,
+                dep,
+                slot: InputSlot::Main(0),
+                cache: false,
+                cross_stage: false,
+                member: 0,
+            };
+            for (src_par, dst_par) in [(1, 1), (4, 4), (5, 2), (2, 5), (3, 1), (1, 3)] {
+                for si in 0..src_par {
+                    let want: Vec<usize> = (0..dst_par)
+                        .filter(|&d| {
+                            required_src_indices(&edge, d, src_par, dst_par).any(|s| s == si)
+                        })
+                        .collect();
+                    let got: Vec<usize> = consumer_indices(dep, si, dst_par).collect();
+                    assert_eq!(got, want, "{dep:?} {si} of {src_par} -> {dst_par}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_lost_output_nobody_needs_is_dropped_and_stays_committed() {
+        let mut t = chain(&[]);
+        let lost = t.executor_lost(0);
+        assert_eq!(lost.reverted, vec![]);
+        assert_eq!(lost.dropped, vec![(0, 0)]);
+        assert!(t.is_done(0, 0) && t.locations(0, 0).is_empty());
+        assert!(t.fop_done(0), "the stage stays complete");
+        // Already dropped: a second loss does not report it again.
+        assert_eq!(t.executor_lost(1).dropped, vec![(0, 1)]);
+    }
+
+    #[test]
+    fn a_lost_output_a_consumer_still_needs_is_reverted() {
+        // The consumer is pending.
+        let mut t = chain(&[(1, 0)]);
+        let lost = t.executor_lost(0);
+        assert_eq!((lost.reverted, lost.dropped), (vec![(0, 0)], vec![]));
+        assert!(t.is_pending(0, 0) && !t.fop_done(0));
+
+        // The consumer is running.
+        let mut t = chain(&[(1, 1)]);
+        begin(&mut t, 1, 1, 7, false);
+        assert_eq!(t.executor_lost(1).reverted, vec![(0, 1)]);
+        // Its sibling's consumer committed: untouched by that loss,
+        // dropped by its own.
+        assert_eq!(t.locations(0, 0), &[0]);
+        assert_eq!(t.executor_lost(0).dropped, vec![(0, 0)]);
+    }
+
+    #[test]
+    fn one_loss_reverts_a_chain_consumers_first() {
+        // P.0 and C.0 both live on executor 5; D.0 is pending. C is
+        // needed by D, and P only because C reverts: a producers-first
+        // walk would find C still committed and drop P.
+        let mut t = chain(&[(2, 0)]);
+        t.locations_mut(0, 0).expect("committed")[0] = 5;
+        t.locations_mut(1, 0).expect("committed")[0] = 5;
+        let lost = t.executor_lost(5);
+        assert_eq!(lost.reverted, vec![(1, 0), (0, 0)], "consumers first");
+        assert_eq!(lost.dropped, vec![]);
+        assert!(t.is_pending(0, 0) && t.is_pending(1, 0));
+        assert!(
+            t.is_done(0, 1) && t.is_done(1, 1),
+            "the other lane is whole"
+        );
+    }
+
+    #[test]
+    fn the_walk_follows_edges_not_fop_ids() {
+        // P is fop 2, C fop 1, D fop 3: the edge P -> C runs against id
+        // order (a side input into the interior of a fused chain does).
+        let one = |dst| vec![(dst, DepType::OneToOne)];
+        let mut t = TaskTable::new(&[1; 4], vec![vec![], one(3), one(1), vec![]]);
+        t.commit(2, 0, vec![5]);
+        t.commit(1, 0, vec![5]);
+        let lost = t.executor_lost(5);
+        assert_eq!(lost.reverted, vec![(1, 0), (2, 0)]);
+        assert_eq!(lost.dropped, vec![]);
+    }
+
+    #[test]
+    fn a_later_loss_pulls_a_dropped_producer_back_in() {
+        let mut t = chain(&[(2, 0)]);
+        // Loss 1 takes P.0's copy; C.0 has its own, so P.0 is dropped.
+        assert_eq!(t.executor_lost(0).dropped, vec![(0, 0)]);
+        // Loss 2 takes C.0's copy while D.0 still needs it: C.0 reverts,
+        // and will need P.0 again.
+        let lost = t.executor_lost(10);
+        assert_eq!(lost.reverted, vec![(1, 0), (0, 0)]);
+        assert_eq!(lost.dropped, vec![]);
+    }
+
+    #[test]
+    fn sink_safe_and_multi_location_commits_are_untouched() {
+        let mut t = chain(&[(1, 0), (3, 0)]);
+        t.locations_mut(0, 0).expect("committed").push(9);
+        assert_eq!(t.executor_lost(0), Lost::default());
+        assert_eq!(t.locations(0, 0), &[9], "the other copy serves");
+        // A terminal commit with an executor location loses only that.
+        t.commit(3, 0, vec![9]);
+        assert_eq!(t.executor_lost(9).reverted, vec![(0, 0)]);
+        assert!(t.is_done(3, 0) && t.locations(3, 0).is_empty());
+    }
+
+    #[test]
+    fn a_speculative_survivor_keeps_its_producers_needed() {
+        let mut t = chain(&[(1, 0)]);
+        let original = begin(&mut t, 1, 0, 0, false);
+        let duplicate = begin(&mut t, 1, 0, 8, true);
+        // Executor 0 held P.0's only copy and ran C.0's original. The
+        // duplicate keeps C.0 running, so P.0 is still needed.
+        let lost = t.executor_lost(0);
+        assert!(!t.is_current(original) && t.is_current(duplicate));
+        assert!(!t.is_pending(1, 0));
+        assert_eq!((lost.reverted, lost.dropped), (vec![(0, 0)], vec![]));
+    }
+
+    #[test]
+    fn the_committed_count_follows_every_transition() {
+        let mut t = table();
+        assert!(!t.fop_done(0));
+        let a = begin(&mut t, 0, 0, 1, false);
+        assert!(matches!(t.report(a), Report::Current(_)));
+        t.commit(0, 0, vec![1]);
+        t.commit(0, 1, vec![1]);
+        assert!(t.fop_done(0) && !t.fop_done(1));
+        // Fop 1 is pending, so both commits are needed.
+        assert_eq!(t.executor_lost(1).reverted, vec![(0, 0), (0, 1)]);
+        assert!(!t.fop_done(0));
+        t.commit(0, 0, vec![2]);
+        t.commit(0, 0, vec![3]);
+        t.commit(0, 1, vec![2]);
+        assert!(t.fop_done(0), "a recommit counts once");
+        t.repartition(1, 2);
+        assert!(!t.fop_done(1));
+        t.reset(&[2, 1], &[], [], 0);
+        assert!(!t.fop_done(0) && t.committed().count() == 0);
     }
 }

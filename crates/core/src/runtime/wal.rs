@@ -619,6 +619,12 @@ fn enc_event(e: &mut Enc, ev: &JobEvent) {
             e.u8(38);
             e.usize(*worker);
         }
+        JobEvent::OutputDropped { fop, index, exec } => {
+            e.u8(39);
+            e.usize(*fop);
+            e.usize(*index);
+            e.usize(*exec);
+        }
     }
 }
 
@@ -788,6 +794,11 @@ fn dec_event(d: &mut Dec<'_>) -> DecodeResult<JobEvent> {
             in_flight: d.usize()?,
         },
         38 => JobEvent::PoolWorkerDetached { worker: d.usize()? },
+        39 => JobEvent::OutputDropped {
+            fop: d.usize()?,
+            index: d.usize()?,
+            exec: d.usize()?,
+        },
         _ => return Err("bad event tag"),
     })
 }
@@ -1153,7 +1164,9 @@ pub struct RecoveredState {
     /// Terminally-reported attempts (the idempotence log).
     pub completed_attempts: HashSet<AttemptId>,
     /// Block location table: committed task → executors believed to hold
-    /// its output. Recovery refetches and reverts what it cannot reach.
+    /// its output; empty for an output that was dropped or lives only in
+    /// the job sink. Recovery refetches what it can reach and reverts
+    /// what it cannot only if a consumer still needs it.
     pub committed: HashMap<(FopId, usize), Vec<ExecId>>,
     /// Per-task first-launch flags.
     pub first_attempted: Vec<Vec<bool>>,
@@ -1188,11 +1201,13 @@ impl RecoveredState {
         self.reconfig_changes.clear();
     }
 
+    /// A commit whose location set empties stays committed: whether a
+    /// dataless output must be recomputed depends on its consumers, which
+    /// the master settles after replay. Only `TaskReverted` un-commits.
     fn lose_executor(&mut self, exec: ExecId) {
         for locs in self.committed.values_mut() {
             locs.retain(|&l| l != exec);
         }
-        self.committed.retain(|_, locs| !locs.is_empty());
     }
 
     fn apply_event(&mut self, event: &JobEvent) {
@@ -1267,11 +1282,7 @@ pub fn replay(scan: &WalScan) -> RecoveredState {
                 index,
                 locations,
             } => {
-                if locations.is_empty() {
-                    state.committed.remove(&(*fop, *index));
-                } else {
-                    state.committed.insert((*fop, *index), locations.clone());
-                }
+                state.committed.insert((*fop, *index), locations.clone());
             }
         }
         state.frames_replayed += 1;
@@ -1594,6 +1605,14 @@ mod tests {
                     snapshot_restored: true,
                 },
             },
+            WalRecord::Event {
+                stage: Some(1),
+                event: JobEvent::OutputDropped {
+                    fop: 3,
+                    index: 9,
+                    exec: 4,
+                },
+            },
         ] {
             let bytes = encode_frame(5, &record);
             let scanned = scan(&bytes);
@@ -1660,12 +1679,66 @@ mod tests {
         assert!(state.completed_attempts.contains(&50));
         assert!(state.completed_attempts.contains(&1), "from the snapshot");
         assert_eq!(state.committed.get(&(2, 3)), Some(&vec![4]));
-        // Exec 1 evicted: (0,0)'s only copy is gone; (1,2) kept its
-        // copies on execs 0 and 3.
-        assert!(!state.committed.contains_key(&(0, 0)));
+        // Exec 1 evicted: (0,0)'s only copy is gone, but the commit
+        // stands until a revert says otherwise; (1,2) kept its copies on
+        // execs 0 and 3.
+        assert_eq!(state.committed.get(&(0, 0)), Some(&vec![]));
         assert_eq!(state.committed.get(&(1, 2)), Some(&vec![0, 3]));
         assert_eq!(state.frames_replayed, 4);
         assert_eq!(state.parallelism, vec![2, 1]);
+    }
+
+    /// The log fold and the live table must agree on what is committed
+    /// when evictions drop some outputs and revert others: drive a
+    /// `TaskTable`, log what the master would, replay the log.
+    #[test]
+    fn replay_and_the_task_table_agree_on_commits_across_drops() {
+        use crate::runtime::tasks::TaskTable;
+        use pado_dag::DepType;
+
+        // 0 -> 1 -> 2 (terminal), one-to-one, two tasks each.
+        let one = |dst| vec![(dst, DepType::OneToOne)];
+        let mut table = TaskTable::new(&[2; 3], vec![one(1), one(2), vec![]]);
+        let mut log: Vec<WalRecord> = Vec::new();
+        let event = |event| WalRecord::Event { stage: None, event };
+        // Lane 0 is through fop 1; lane 1 only through fop 0.
+        for (fop, index, exec) in [(0, 0, 5), (0, 1, 6), (1, 0, 7)] {
+            table.commit(fop, index, vec![exec]);
+            log.push(WalRecord::Locations {
+                fop,
+                index,
+                locations: vec![exec],
+            });
+        }
+        for exec in [5, 6] {
+            log.push(event(JobEvent::ContainerEvicted(exec)));
+            let lost = table.executor_lost(exec);
+            for (fop, index) in lost.reverted {
+                log.push(event(JobEvent::TaskReverted { fop, index }));
+            }
+            for (fop, index) in lost.dropped {
+                log.push(event(JobEvent::OutputDropped { fop, index, exec }));
+            }
+        }
+        assert!(
+            log.contains(&event(JobEvent::OutputDropped {
+                fop: 0,
+                index: 0,
+                exec: 5
+            })) && log.contains(&event(JobEvent::TaskReverted { fop: 0, index: 1 })),
+            "0.0 fed a committed consumer, 0.1 a pending one: {log:?}"
+        );
+
+        let bytes: Vec<u8> = log.iter().flat_map(|r| encode_frame(0, r)).collect();
+        let state = replay(&scan(&bytes));
+        let mut replayed: Vec<_> = state.committed.into_iter().collect();
+        replayed.sort();
+        let live: Vec<_> = table
+            .committed()
+            .map(|(f, i, locations)| ((f, i), locations.to_vec()))
+            .collect();
+        assert_eq!(replayed, live);
+        assert_eq!(live, vec![((0, 0), vec![]), ((1, 0), vec![7])]);
     }
 
     #[test]

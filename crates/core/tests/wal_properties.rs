@@ -103,6 +103,11 @@ fn event_strategy() -> impl Strategy<Value = JobEvent> {
             }
         }),
         (0..6usize, 0..8usize).prop_map(|(fop, index)| JobEvent::TaskReverted { fop, index }),
+        (0..6usize, 0..8usize, 0..9usize).prop_map(|(fop, index, exec)| JobEvent::OutputDropped {
+            fop,
+            index,
+            exec
+        }),
         (0..9usize).prop_map(JobEvent::ContainerEvicted),
         (0..9usize).prop_map(JobEvent::ExecutorDeclaredDead),
         (0..4usize, any::<bool>())
