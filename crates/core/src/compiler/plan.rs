@@ -172,14 +172,6 @@ impl PhysicalPlan {
         self.fops.iter().map(|f| f.parallelism).sum()
     }
 
-    /// The fop instance of logical operator `op` within `stage`, if any.
-    pub fn fop_of(&self, stage: StageId, op: OpId) -> Option<FopId> {
-        self.fops
-            .iter()
-            .find(|f| f.stage == stage && f.chain.contains(&op))
-            .map(|f| f.id)
-    }
-
     /// Renders the plan in Graphviz `dot` format: one cluster per Pado
     /// Stage, fops as nodes (labelled with their fused chain, placement,
     /// and parallelism), transfers as edges.

@@ -239,9 +239,9 @@ pub fn route_hash(v: &Value) -> u64 {
 /// target buckets share the input block itself. Only the hash shuffle
 /// (many-to-many) materializes new blocks — column-built without a
 /// single record clone when the block is columnar, cloning each record
-/// exactly once on the row fallback — and the master memoizes that per
-/// `(output, dst_parallelism)`, so fan-out to N consumers still costs
-/// one pass, not N.
+/// exactly once on the row fallback — and the producing task does that
+/// once per consumer width (the master files the buckets with the
+/// output), so fan-out to N consumers still costs one pass, not N.
 pub fn route(
     records: &Block,
     dep: DepType,

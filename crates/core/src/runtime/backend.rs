@@ -1,21 +1,19 @@
 //! Execution backends: how the master loop and executor slots map onto
 //! threads (DESIGN.md §15).
 //!
-//! The scheduler, commit protocol, transport, and journal are all
-//! backend-agnostic; an [`ExecBackend`] only decides *where* they run:
+//! The scheduler, commit protocol, data plane, transport, and journal
+//! are all backend-agnostic; an [`ExecBackend`] only decides *where* they
+//! run:
 //!
 //! - [`SimBackend`] is the configuration every chaos/invariant suite
 //!   runs on: the master loop runs inline on the caller's thread and
 //!   each executor owns dedicated slot threads. One frame is handled per
-//!   wakeup, shuffle routing happens lazily inside the master, and the
-//!   event interleaving stays as close to the original deterministic
-//!   loop as real threads allow.
+//!   wakeup, and the event interleaving stays as close to the original
+//!   deterministic loop as real threads allow.
 //! - [`ThreadedBackend`] is the wall-clock configuration: the master
 //!   loop runs on its own `pado-master` thread, executor slots are
-//!   serviced by one shared [`WorkerPool`], inbound frames are drained
-//!   in batches between scheduling passes, and hash shuffle routing is
-//!   pushed onto the pool eagerly at commit time so it overlaps and
-//!   parallelizes instead of serializing in the master.
+//!   serviced by one shared [`WorkerPool`], and inbound frames are
+//!   drained in batches between scheduling passes.
 //!
 //! A wedged threaded run **fails well** instead of hanging or leaking
 //! (DESIGN.md §16): every run shares a [`CancelToken`] that the
@@ -39,7 +37,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, SendTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::error::RuntimeError;
@@ -57,7 +55,7 @@ pub enum BackendKind {
     #[default]
     Sim,
     /// Real parallel backend: master on its own thread, executors on a
-    /// shared worker pool, batched frame draining, eager routing.
+    /// shared worker pool, batched frame draining.
     Threaded,
 }
 
@@ -275,13 +273,6 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
         1
     }
 
-    /// Whether committed hash-shuffle outputs are routed eagerly on the
-    /// pool (overlapping producers) instead of lazily in the master at
-    /// consumer-launch time.
-    fn eager_routing(&self) -> bool {
-        false
-    }
-
     /// The cancellation token the master and executors must observe.
     /// The default is a fresh inert token: backends without supervision
     /// (the sim loop) never cancel.
@@ -321,8 +312,8 @@ impl ExecBackend for SimBackend {
 
 /// Real parallel backend: master loop on its own thread supervised by a
 /// wall-clock deadline (and optionally a hang watchdog), executor slots
-/// on a shared [`WorkerPool`], batched frame draining, and eager
-/// commit-time shuffle routing. Aborts are cooperative: supervision
+/// on a shared [`WorkerPool`], and batched frame draining. Aborts are
+/// cooperative: supervision
 /// cancels the shared token, everything unwinds within the grace
 /// period, and the caller gets [`RuntimeError::Stalled`] with a
 /// [`StallDiagnostics`] snapshot.
@@ -344,9 +335,8 @@ impl ThreadedBackend {
     /// starve.
     const FRAME_BATCH: usize = 32;
 
-    /// Capacity of the bounded pool job queue. The master submits eager
-    /// routing work with a non-blocking try-send against this bound;
-    /// executor task bodies queue behind it.
+    /// Capacity of the bounded pool job queue executor task bodies wait
+    /// in: far above the `executors × slots` the launch gate admits.
     const CHANNEL_CAPACITY: usize = 256;
 
     /// Builds the backend from the validated threaded knobs in `config`
@@ -456,10 +446,6 @@ impl ExecBackend for ThreadedBackend {
 
     fn frame_batch(&self) -> usize {
         self.frame_batch
-    }
-
-    fn eager_routing(&self) -> bool {
-        true
     }
 
     fn cancel(&self) -> CancelToken {
@@ -573,16 +559,14 @@ impl ExecBackend for ThreadedBackend {
 pub type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed-size thread pool with a bounded job queue, shared by every
-/// executor of a threaded-backend job (task bodies) and by the master
-/// (eager shuffle routing).
+/// executor of a threaded-backend job (task bodies).
 ///
 /// Threads are named with the executor worker prefix so the process-wide
 /// panic hook filter silences injected task panics on them exactly as it
 /// does for dedicated slot threads. The pool never deadlocks the master:
-/// the master only ever uses [`try_submit`](WorkerPool::try_submit)
-/// (dropping the work back to its lazy fallback when the queue is full),
-/// and executor control threads submit at most `slots` outstanding task
-/// bodies each (the master's `busy < slots` launch gate bounds them).
+/// the master submits nothing, and executor control threads submit at
+/// most `slots` outstanding task bodies each (the master's `busy < slots`
+/// launch gate bounds them).
 ///
 /// Shutdown is cooperative and bounded: [`submit`](WorkerPool::submit)
 /// re-checks the shutdown flag and the pool's [`CancelToken`] every
@@ -718,21 +702,6 @@ impl WorkerPool {
         }
     }
 
-    /// Submits a job only if queue space is immediately available — the
-    /// master's non-blocking path (a full queue means the fallback does
-    /// the work lazily instead).
-    pub fn try_submit(&self, job: PoolJob) -> bool {
-        let Some(tx) = &self.tx else { return false };
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        match tx.try_send(job) {
-            Ok(()) => true,
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                false
-            }
-        }
-    }
-
     /// Jobs submitted but not yet finished.
     pub fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::SeqCst)
@@ -831,29 +800,6 @@ mod tests {
         }
         assert!(pool.wait_quiesce(Duration::from_secs(10)));
         assert_eq!(hits.load(Ordering::SeqCst), 100);
-    }
-
-    #[test]
-    fn try_submit_reports_a_full_queue_instead_of_blocking() {
-        // One worker wedged on a gate; capacity-1 queue fills after one
-        // more job; the next try_submit must return false immediately.
-        let pool = WorkerPool::new(1, 1);
-        let (gate_tx, gate_rx) = crossbeam::channel::bounded::<()>(1);
-        let (started_tx, started_rx) = crossbeam::channel::bounded::<()>(1);
-        assert!(pool.submit(Box::new(move || {
-            let _ = started_tx.send(());
-            let _ = gate_rx.recv();
-        })));
-        // Wait for the worker to pick the blocker up so the queue is
-        // empty, then fill it.
-        started_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("blocker job should start");
-        assert!(pool.try_submit(Box::new(|| {})));
-        let rejected = !pool.try_submit(Box::new(|| {}));
-        gate_tx.send(()).unwrap();
-        assert!(pool.wait_quiesce(Duration::from_secs(10)));
-        assert!(rejected, "third job should have found the queue full");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Each executor owns a user-configured number of task slots, realized as
 //! worker threads sharing one task queue, plus an input cache shared by
-//! its slots. Executors are *pure computers*: the master assembles and
-//! routes all inputs, and executors send finished outputs back. This keeps
+//! its slots. Executors are *pure computers*: the master resolves every
+//! input to a shared block, and executors send finished outputs back,
+//! already sized and partitioned for the shuffles they feed. This keeps
 //! every placement decision (and therefore every eviction consequence) in
 //! one deterministic place, while preserving the paper's control flow.
 //!
@@ -24,12 +25,13 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use pado_dag::{
-    block_from_vec, block_into_rows, Block, Columns, LogicalDag, OperatorKind, UdfError, Value,
+    block_from_vec, block_into_rows, Block, Columns, DepType, LogicalDag, OperatorKind, UdfError,
+    Value,
 };
 use parking_lot::Mutex;
 
 use crate::compiler::{PhysicalPlan, Placement};
-use crate::exec::apply_chain;
+use crate::exec::{apply_chain, route};
 use crate::runtime::backend::{CancelToken, WorkerPool};
 use crate::runtime::cache::CacheKey;
 use crate::runtime::config::RuntimeConfig;
@@ -398,13 +400,15 @@ fn control_loop(
 /// Everything a successful task attempt reports back to the master.
 struct TaskOutput {
     output: Block,
+    buckets: Vec<(usize, Vec<Block>)>,
     preaggregated: usize,
     cache_hit: bool,
     cached_keys: Vec<CacheKey>,
 }
 
 /// Executes one task: resolve side inputs through the cache, apply the
-/// fused chain, optionally pre-aggregate the output, and size it.
+/// fused chain, optionally pre-aggregate the output, size it, and
+/// partition it for the shuffles it feeds.
 ///
 /// The *entire* task body — side-input resolution, plan lookup, chain
 /// application, pre-aggregation — runs inside `catch_unwind`, so any
@@ -481,6 +485,7 @@ fn run_task(
             exec,
             attempt,
             output: done.output,
+            buckets: done.buckets,
             preaggregated: done.preaggregated,
             cache_hit: done.cache_hit,
             cached_keys: done.cached_keys,
@@ -519,8 +524,9 @@ impl Drop for CachePinGuard<'_> {
 ///
 /// Side inputs resolve to shared blocks (a cache hit or the master's copy;
 /// never a record clone) and the fused chain computes the output block.
-/// The block is sized here, on the thread that built it, so the master's
-/// store accounting reads a memoized length instead of encoding. Cache
+/// The block and the shuffle buckets cut from it (`spec.route_to`) are
+/// sized here, on the thread that built them, so the master's store
+/// accounting reads memoized lengths instead of encoding. Cache
 /// entries a task reads stay pinned until it finishes, so concurrent
 /// slots cannot shed an input mid-use.
 fn task_body(
@@ -577,11 +583,23 @@ fn task_body(
         }
     }
     let _ = output.encoded_len();
+    let buckets = spec
+        .route_to
+        .iter()
+        .map(|&width| {
+            let buckets = route(&output, DepType::ManyToMany, spec.index, width);
+            for b in &buckets {
+                let _ = b.encoded_len();
+            }
+            (width, buckets)
+        })
+        .collect();
 
     drop(pins);
     let cached_keys = store.lock().cache_keys();
     Ok(TaskOutput {
         output,
+        buckets,
         preaggregated,
         cache_hit,
         cached_keys,
@@ -727,9 +745,10 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// A worker reports an output it has already sized — on either
-    /// backend, since both run this `run_task` — so the master's store
-    /// accounting never pays for the first encode.
+    /// A worker reports an output it has already sized and partitioned
+    /// — on either backend, since both run this `run_task` — so the
+    /// master's store accounting never pays for the first encode and the
+    /// master routes nothing.
     #[test]
     fn run_task_reports_an_output_it_already_sized() {
         use crate::compiler::compile;
@@ -762,12 +781,22 @@ mod tests {
                 mains: Vec::new(),
                 sides: BTreeMap::new(),
                 preaggregate,
+                route_to: vec![4],
                 inject: None,
             };
             match run_task(3, &job, &store, &Journal::new(), spec) {
-                MasterMsg::TaskDone { output, .. } => {
+                MasterMsg::TaskDone {
+                    output, buckets, ..
+                } => {
                     assert_eq!(output.len(), 50);
                     assert!(output.is_sized(), "preaggregate={preaggregate}");
+                    // One bucket set per requested width, cut from the
+                    // output and sized like it.
+                    assert_eq!(buckets.len(), 1);
+                    let (width, buckets) = &buckets[0];
+                    assert_eq!((*width, buckets.len()), (4, 4));
+                    assert_eq!(buckets.iter().map(|b| b.len()).sum::<usize>(), 50);
+                    assert!(buckets.iter().all(|b| b.is_sized()));
                 }
                 other => panic!("expected TaskDone, got {other:?}"),
             }
@@ -801,6 +830,7 @@ mod tests {
             mains: Vec::new(),
             sides: BTreeMap::new(),
             preaggregate: false,
+            route_to: Vec::new(),
             inject: None,
         };
         install_panic_hook_filter();

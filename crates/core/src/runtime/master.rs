@@ -155,10 +155,14 @@ struct ActiveReconfig {
     deadline: Instant,
 }
 
-/// Eager routing results keyed like [`Master::routed`]: `(fop, index,
-/// dst_par)` → the source block the buckets were computed from plus the
-/// buckets themselves.
-type EagerRouteCache = Arc<Mutex<HashMap<(FopId, usize, usize), (Block, Vec<Block>)>>>;
+/// A committed task output with what is derived from it.
+struct Output {
+    /// The shared block, created once by the finishing executor.
+    block: Block,
+    /// The block hash-partitioned per consumer width, as the producing
+    /// task reported it: a shuffle's one record pass per output.
+    buckets: Vec<(usize, Vec<Block>)>,
+}
 
 /// The master event loop for one job.
 pub struct Master {
@@ -176,18 +180,12 @@ pub struct Master {
     /// Task states, the location table's executor side, and every live
     /// attempt record (executor, launch time, epoch, pins).
     tasks: TaskTable,
-    /// The location table's data side: every committed output, as a shared
-    /// block created once by the finishing executor.
-    outputs: HashMap<(FopId, usize), Block>,
+    /// The location table's data side: every committed output and its
+    /// shuffle buckets. Entries leave through [`Master::drop_output`].
+    outputs: HashMap<(FopId, usize), Output>,
     result_parts: BTreeMap<(FopId, usize), Block>,
-    /// Memoized shuffle routing: buckets of output `(fop, index)` hashed
-    /// to `dst_par` consumers. Shared by every consumer task (and every
-    /// relaunch) that reads the same output at the same parallelism, so a
-    /// shuffle's record pass happens once per output, not once per
-    /// consumer. Invalidated whenever the source output changes.
-    routed: HashMap<(FopId, usize, usize), Vec<Block>>,
     /// Memoized concatenation of a multi-part broadcast dataset, keyed by
-    /// producer fop. Invalidated with [`Master::invalidate_derived`].
+    /// producer fop; forgotten when [`Master::drop_output`] takes a part.
     side_cache: HashMap<FopId, Block>,
     assigned: HashMap<(FopId, usize), ExecId>,
 
@@ -270,19 +268,11 @@ pub struct Master {
     /// timer-order tests). Every master-side timer reads through it.
     clock: Clock,
     /// The shared worker pool, when the backend uses one: executors run
-    /// task bodies on it and the master submits eager routing to it.
+    /// task bodies on it.
     pool: Option<Arc<WorkerPool>>,
     /// Inbound frames drained per loop wakeup before control work reruns
     /// (1 on the sim backend — the original loop shape).
     frame_batch: usize,
-    /// Whether committed shuffle outputs are routed eagerly on the pool.
-    eager_routing: bool,
-    /// Completed eager routing results, keyed like [`Master::routed`]
-    /// and carrying the source block they were computed from: consumed
-    /// by [`Master::routed_bucket`] only when the source still matches
-    /// the live output (an eviction or repartition in between makes the
-    /// entry stale, and the lazy fallback recomputes).
-    eager_routed: EagerRouteCache,
     /// The run-wide cooperative cancellation token (inert on the sim
     /// backend): checked at the top of every scheduling pass, so a
     /// supervisor-initiated abort unwinds through the normal shutdown
@@ -318,9 +308,8 @@ impl Master {
     }
 
     /// Creates a master wired for a specific execution backend: its
-    /// clock, worker pool, frame-batch width, and routing strategy are
-    /// installed before the first executor spawns (executors need the
-    /// pool at spawn time).
+    /// clock, worker pool and frame-batch width are installed before the
+    /// first executor spawns (executors need the pool at spawn time).
     ///
     /// # Errors
     ///
@@ -406,7 +395,6 @@ impl Master {
             tasks: TaskTable::new(&parallelism, consumers),
             outputs: HashMap::new(),
             result_parts: BTreeMap::new(),
-            routed: HashMap::new(),
             side_cache: HashMap::new(),
             assigned: HashMap::new(),
             journal,
@@ -439,8 +427,6 @@ impl Master {
             clock: backend.clock(),
             pool: backend.pool(),
             frame_batch: backend.frame_batch().max(1),
-            eager_routing: backend.eager_routing(),
-            eager_routed: Arc::new(Mutex::new(HashMap::new())),
             cancel: backend.cancel(),
             probe: backend.stall_probe(),
         };
@@ -794,7 +780,7 @@ impl Master {
             if !self.tasks.is_done(p.fop, p.index) {
                 continue;
             }
-            let Some(output) = self.outputs.get(&(p.fop, p.index)).map(Arc::clone) else {
+            let Some(output) = self.output(p.fop, p.index).map(Arc::clone) else {
                 continue;
             };
             let Some(info) = self.executors.get(&p.dest) else {
@@ -918,11 +904,15 @@ impl Master {
             MasterMsg::TaskDone {
                 exec,
                 attempt,
-                output,
+                output: block,
+                buckets,
                 preaggregated,
                 cache_hit,
                 cached_keys,
-            } => self.on_task_done(exec, attempt, output, preaggregated, cache_hit, cached_keys),
+            } => {
+                let output = Output { block, buckets };
+                self.on_task_done(exec, attempt, output, preaggregated, cache_hit, cached_keys)
+            }
             MasterMsg::TaskFailed {
                 exec,
                 attempt,
@@ -1207,11 +1197,6 @@ impl Master {
                 self.tasks.repartition(fop, parallelism);
                 self.parallelism[fop] = parallelism;
                 self.assigned.retain(|&(f, _), _| f != fop);
-                // Shuffle buckets are keyed by consumer parallelism and
-                // broadcast concatenations by producer identity; both may
-                // reference the old partitioning — rebuild on demand.
-                self.routed.clear();
-                self.side_cache.clear();
                 Ok(())
             }
             ReconfigChange::DrainTransient { nth } => {
@@ -1256,7 +1241,7 @@ impl Master {
             if !sole || self.result_parts.contains_key(&(f, i)) {
                 continue;
             }
-            let Some(output) = self.outputs.get(&(f, i)).map(Arc::clone) else {
+            let Some(output) = self.output(f, i).map(Arc::clone) else {
                 continue;
             };
             let r = BlockRef::Output { fop: f, index: i };
@@ -1314,7 +1299,7 @@ impl Master {
         &mut self,
         exec: ExecId,
         attempt: AttemptId,
-        output: Block,
+        output: Output,
         preaggregated: usize,
         cache_hit: bool,
         cached_keys: Vec<CacheKey>,
@@ -1338,26 +1323,26 @@ impl Master {
         }
         let elapsed = self.clock.now().saturating_duration_since(a.launched_at);
         self.fop_durations[fop].push(elapsed.as_millis() as u64);
-        let locations = self.commit_locations(fop, index, exec, &output)?;
-        let bytes = block_bytes(&output);
+        let locations = self.commit_locations(fop, index, exec, &output.block)?;
+        let bytes = block_bytes(&output.block);
         let pushed =
             self.placement[fop] == Placement::Transient && locations.iter().any(|l| l != &exec);
         if self.job.plan.outs(fop).is_empty() {
             // Terminal operator: the output is written to the job sink and
             // is safe regardless of container fate. Sink and location
             // table share the block.
-            self.result_parts.insert((fop, index), Arc::clone(&output));
+            self.result_parts
+                .insert((fop, index), Arc::clone(&output.block));
         }
-        // A recommit after a revert replaces the output; anything routed
-        // from the old version must not be served for the new one.
-        self.invalidate_derived(fop, index);
+        // No older version can be in the table: a task launches only
+        // while pending, and the revert that made it pending dropped its
+        // output with everything derived from it.
         self.outputs.insert((fop, index), output);
         // First commit wins: if this was the speculative duplicate, it
         // beat the original. Either way every other in-flight attempt of
         // this task is a loser now — its eventual report is stale and
         // only frees its executor slot and pins.
         self.tasks.commit(fop, index, locations);
-        self.submit_eager_routing(fop, index);
         self.journal.emit(
             Some(self.meta.stage_of[fop]),
             JobEvent::TaskCommitted {
@@ -1788,13 +1773,42 @@ impl Master {
             .emit(None, JobEvent::ContainerAdded(replacement));
     }
 
-    /// Discards the data side of a commit that lost its last copy — the
-    /// output block and everything derived from it — and journals what
-    /// became of the task.
+    /// Discards the data side of a commit that lost its last copy and
+    /// journals what became of the task.
     fn forget_output(&mut self, fop: FopId, index: usize, fate: JobEvent) {
-        self.outputs.remove(&(fop, index));
-        self.invalidate_derived(fop, index);
+        self.drop_output(fop, index);
         self.journal.emit(Some(self.meta.stage_of[fop]), fate);
+    }
+
+    /// The one place an output and what is derived from it go away: the
+    /// table entry with its buckets, the fop's broadcast concatenation,
+    /// and the unpinned store residency of the block and of exactly the
+    /// buckets the entry lists, on every executor (a pinned copy is left
+    /// for its running attempt to finish with).
+    fn drop_output(&mut self, fop: FopId, index: usize) {
+        let dropped = self.outputs.remove(&(fop, index));
+        self.side_cache.remove(&fop);
+        let buckets = dropped.iter().flat_map(|o| &o.buckets);
+        for info in self.executors.values() {
+            let mut s = info.store.lock();
+            s.remove_unpinned(BlockRef::Output { fop, index });
+            for &(dst_par, _) in buckets.clone() {
+                for dst in 0..dst_par {
+                    s.remove_unpinned(BlockRef::Bucket {
+                        fop,
+                        index,
+                        dst_par,
+                        dst,
+                    });
+                }
+            }
+        }
+    }
+
+    /// The committed output block of task `(fop, index)`, when the
+    /// master holds its data.
+    fn output(&self, fop: FopId, index: usize) -> Option<&Block> {
+        self.outputs.get(&(fop, index)).map(|o| &o.block)
     }
 
     /// The master's durable progress record, built from live state. The
@@ -1980,7 +1994,6 @@ impl Master {
         }
         self.deferred_pushes.clear();
         self.outputs.clear();
-        self.routed.clear();
         self.side_cache.clear();
 
         let alive: HashSet<ExecId> = self
@@ -2022,8 +2035,11 @@ impl Master {
                 self.result_parts.insert((f, i), Arc::clone(block));
             }
             match block {
+                // A refetched block arrives without buckets; its first
+                // shuffle read routes it (`Master::routed_bucket`).
                 Some(block) => {
-                    self.outputs.insert((f, i), block);
+                    let buckets = Vec::new();
+                    self.outputs.insert((f, i), Output { block, buckets });
                 }
                 None => locs.clear(),
             }
@@ -2171,10 +2187,16 @@ impl Master {
         // pending — other tasks keep scheduling, and this one retries
         // once running attempts release their pins. Speculation is
         // strictly optional work: a refused duplicate is just skipped.
-        let Some(pins) = self.pin_inputs(fop, index, exec)? else {
+        let mains = self.main_inputs(fop, index)?;
+        let Some(pins) = self.pin_inputs(fop, index, exec, &mains)? else {
             return Ok(());
         };
-        let (mains, sides, side) = self.assemble_inputs(fop, index, exec)?;
+        let mains = mains
+            .into_iter()
+            .map(|parts| MainSlot::from_blocks(parts.into_iter().map(|(_, b)| b).collect()))
+            .collect();
+        let (sides, side) = self.side_inputs(fop, exec)?;
+        let route_to = self.shuffle_widths(fop);
         let preaggregate = self.placement[fop] == Placement::Transient
             && self.job.config.partial_aggregation
             && combine_consumer(&self.job.dag, &self.job.plan, fop).is_some();
@@ -2225,39 +2247,52 @@ impl Master {
             mains,
             sides,
             preaggregate,
+            route_to,
             inject,
         }));
         Ok(())
     }
 
-    /// Admission control at launch: pins every main-input block of task
-    /// `(fop, index)` on `exec`'s store *before* the attempt exists, so
-    /// a running task's inputs can never spill (or be shed) under it.
-    /// Shuffle consumers pin only their routed bucket, never the whole
-    /// source output — pinning full `ManyToMany` inputs would deadlock
-    /// tight budgets outright.
+    /// The widths a task of `fop` partitions its output for: the distinct
+    /// live parallelisms of the consumers that read it through a shuffle.
+    fn shuffle_widths(&self, fop: FopId) -> Vec<usize> {
+        let mut widths: Vec<usize> = Vec::new();
+        for e in self.job.plan.outs(fop) {
+            let width = self.parallelism[e.dst];
+            let shuffled = e.dep == DepType::ManyToMany && matches!(e.slot, InputSlot::Main(_));
+            if shuffled && !widths.contains(&width) {
+                widths.push(width);
+            }
+        }
+        widths
+    }
+
+    /// Resolves the main inputs of task `(fop, index)`, one list per main
+    /// edge: every required producer part as the store reference the
+    /// consumer pins and the shared block it reads. Narrow edges read the
+    /// producer's output block itself; a shuffle consumer reads — and
+    /// pins — only its bucket of it (pinning full `ManyToMany` inputs
+    /// would deadlock tight budgets outright). No record is cloned.
     ///
-    /// Returns `Ok(None)` on a headroom refusal: the pins taken so far
-    /// roll back and the task stays pending (the scheduler reorders
-    /// around it and retries once running attempts release memory).
-    /// When the task's own requirement alone exceeds the budget on an
-    /// otherwise-empty store, no amount of waiting can help — that is a
-    /// terminal [`RuntimeError::MemoryExceeded`], not a deferral.
-    fn pin_inputs(
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::Invariant`] when a required input is not
+    /// materialized — a scheduler bug (`task_ready` must gate every
+    /// launch), surfaced instead of panicking the master.
+    fn main_inputs(
         &mut self,
         fop: FopId,
         index: usize,
-        exec: ExecId,
-    ) -> Result<Option<Vec<BlockRef>>, RuntimeError> {
+    ) -> Result<Vec<Vec<(BlockRef, Block)>>, RuntimeError> {
         let dst_par = self.parallelism[fop];
-        let mut wanted: Vec<(BlockRef, Block)> = Vec::new();
         let job = Arc::clone(&self.job);
+        let mut mains = Vec::new();
         for e in job.plan.ins(fop) {
             if !matches!(e.slot, InputSlot::Main(_)) {
                 continue;
             }
-            let src_par = self.parallelism[e.src];
-            for si in required_src_indices(e, index, src_par, dst_par) {
+            let mut parts = Vec::new();
+            for si in required_src_indices(e, index, self.parallelism[e.src], dst_par) {
                 let (r, block) = match e.dep {
                     DepType::ManyToMany => (
                         BlockRef::Bucket {
@@ -2273,32 +2308,46 @@ impl Master {
                             fop: e.src,
                             index: si,
                         },
-                        self.outputs.get(&(e.src, si)).map(Arc::clone),
+                        self.output(e.src, si).map(Arc::clone),
                     ),
                 };
                 let block = block.ok_or_else(|| {
                     RuntimeError::Invariant(format!(
-                        "task {fop}.{index} admission ran before input {}.{si} was ready",
+                        "task {fop}.{index} launched before input {}.{si} was ready",
                         e.src
                     ))
                 })?;
-                wanted.push((r, block));
+                parts.push((r, block));
             }
+            mains.push(parts);
         }
-        if wanted.is_empty() {
-            return Ok(Some(Vec::new()));
-        }
-        let store = self
-            .executors
-            .get(&exec)
-            .map(|info| Arc::clone(&info.store))
-            .ok_or_else(|| {
-                RuntimeError::Invariant(format!("picked executor {exec} is not registered"))
-            })?;
-        let mut s = store.lock();
+        Ok(mains)
+    }
+
+    /// Admission control at launch: pins every main-input block of task
+    /// `(fop, index)` on `exec`'s store *before* the attempt exists, so
+    /// a running task's inputs can never spill (or be shed) under it.
+    ///
+    /// Returns `Ok(None)` on a headroom refusal: the pins taken so far
+    /// roll back and the task stays pending (the scheduler reorders
+    /// around it and retries once running attempts release memory).
+    /// When the task's own requirement alone exceeds the budget on an
+    /// otherwise-empty store, no amount of waiting can help — that is a
+    /// terminal [`RuntimeError::MemoryExceeded`], not a deferral.
+    fn pin_inputs(
+        &self,
+        fop: FopId,
+        index: usize,
+        exec: ExecId,
+        mains: &[Vec<(BlockRef, Block)>],
+    ) -> Result<Option<Vec<BlockRef>>, RuntimeError> {
+        let info = self.executors.get(&exec).ok_or_else(|| {
+            RuntimeError::Invariant(format!("picked executor {exec} is not registered"))
+        })?;
+        let mut s = info.store.lock();
         let mut pinned: Vec<BlockRef> = Vec::new();
         let mut pinned_bytes = 0usize;
-        for (r, data) in &wanted {
+        for (r, data) in mains.iter().flatten() {
             let refusal = match s.pin(*r, data) {
                 Ok(()) => {
                     pinned.push(*r);
@@ -2504,82 +2553,50 @@ impl Master {
         )
     }
 
-    /// Routes and packages a task's inputs.
-    ///
-    /// Main inputs are slots of shared blocks: narrow edges hand the
-    /// producer's output block itself to the consumer, and shuffles hand
-    /// the consumer its memoized bucket block. Assembling a task clones
-    /// zero records (the one record pass per shuffled output happens in
-    /// [`Master::routed_bucket`], shared across consumers and relaunches).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Invariant`] when a required input is not
-    /// materialized — a scheduler bug (`task_ready` must gate every
-    /// launch), surfaced instead of panicking the master.
-    #[allow(clippy::type_complexity)]
-    fn assemble_inputs(
+    /// Packages a task's side inputs: each broadcast dataset as one
+    /// shared block, with what shipping it to `exec` costs or saves.
+    fn side_inputs(
         &mut self,
         fop: FopId,
-        index: usize,
         exec: ExecId,
-    ) -> Result<(Vec<MainSlot>, BTreeMap<usize, SideData>, SideStats), RuntimeError> {
-        let dst_par = self.parallelism[fop];
-        let mut mains: Vec<MainSlot> = Vec::new();
+    ) -> Result<(BTreeMap<usize, SideData>, SideStats), RuntimeError> {
         let mut sides: BTreeMap<usize, SideData> = BTreeMap::new();
         let mut stats = SideStats::default();
         let job = Arc::clone(&self.job);
         for e in job.plan.ins(fop) {
-            let src_par = self.parallelism[e.src];
-            match e.slot {
-                InputSlot::Main(_) => {
-                    let mut parts: Vec<Block> = Vec::new();
-                    for si in required_src_indices(e, index, src_par, dst_par) {
-                        let block = match e.dep {
-                            DepType::ManyToMany => self.routed_bucket(e.src, si, dst_par, index),
-                            _ => self.outputs.get(&(e.src, si)).map(Arc::clone),
-                        };
-                        parts.push(block.ok_or_else(|| {
-                            RuntimeError::Invariant(format!(
-                                "task {fop}.{index} launched before input {}.{si} was ready",
-                                e.src
-                            ))
-                        })?);
-                    }
-                    mains.push(MainSlot::from_blocks(parts));
-                }
-                InputSlot::Side => {
-                    let records = self.side_records(e.src, src_par)?;
-                    let bytes = block_bytes(&records);
-                    let key = e.cache.then_some(e.src);
-                    let expect_cached = key
-                        .map(|k| self.executors[&exec].cached.contains(&k))
-                        .unwrap_or(false);
-                    if expect_cached {
-                        stats.saved += bytes;
-                    } else {
-                        stats.sent += bytes;
-                        if key.is_some() {
-                            stats.misses += 1;
-                        }
-                    }
-                    sides.insert(
-                        e.member,
-                        SideData {
-                            key,
-                            records,
-                            expect_cached,
-                        },
-                    );
+            if e.slot != InputSlot::Side {
+                continue;
+            }
+            let records = self.side_records(e.src, self.parallelism[e.src])?;
+            let bytes = block_bytes(&records);
+            let key = e.cache.then_some(e.src);
+            let expect_cached = key
+                .map(|k| self.executors[&exec].cached.contains(&k))
+                .unwrap_or(false);
+            if expect_cached {
+                stats.saved += bytes;
+            } else {
+                stats.sent += bytes;
+                if key.is_some() {
+                    stats.misses += 1;
                 }
             }
+            sides.insert(
+                e.member,
+                SideData {
+                    key,
+                    records,
+                    expect_cached,
+                },
+            );
         }
-        Ok((mains, sides, stats))
+        Ok((sides, stats))
     }
 
     /// The shuffle bucket `dst_index` of output `(src, si)` hashed to
-    /// `dst_par` consumers, routing (one record pass, the only record
-    /// clones in the data plane) at most once per output.
+    /// `dst_par` consumers, as its task reported it. Only an output
+    /// refetched from a store after a master restart arrives without
+    /// buckets: its first read routes it here, once, and files the result.
     fn routed_bucket(
         &mut self,
         src: FopId,
@@ -2587,103 +2604,16 @@ impl Master {
         dst_par: usize,
         dst_index: usize,
     ) -> Option<Block> {
-        let key = (src, si, dst_par);
-        if !self.routed.contains_key(&key) {
-            let records = self.outputs.get(&(src, si))?;
-            // An eager (pool-computed) result is only trusted when it was
-            // routed from the exact block that is still the live output:
-            // a revert-and-recommit in between leaves a stale entry whose
-            // source pointer no longer matches, and the lazy path below
-            // recomputes from the fresh block.
-            let eager = self
-                .pool
-                .as_ref()
-                .and_then(|_| self.eager_routed.lock().remove(&key));
-            let buckets = match eager {
-                Some((source, buckets)) if Arc::ptr_eq(&source, records) => buckets,
-                _ => route(records, DepType::ManyToMany, si, dst_par),
-            };
-            self.routed.insert(key, buckets);
-        }
-        self.routed
-            .get(&key)
-            .and_then(|buckets| buckets.get(dst_index))
-            .map(Arc::clone)
-    }
-
-    /// Submits the hash-shuffle routing of a freshly committed output to
-    /// the worker pool (threaded backend only), so the record pass runs
-    /// in parallel with other producers instead of serially inside the
-    /// master at consumer-launch time. Best-effort: a full pool queue
-    /// skips the submission and [`Master::routed_bucket`] routes lazily.
-    fn submit_eager_routing(&mut self, fop: FopId, index: usize) {
-        if !self.eager_routing {
-            return;
-        }
-        let Some(pool) = &self.pool else { return };
-        let Some(records) = self.outputs.get(&(fop, index)) else {
-            return;
+        let out = self.outputs.get_mut(&(src, si))?;
+        let at = match out.buckets.iter().position(|&(w, _)| w == dst_par) {
+            Some(at) => at,
+            None => {
+                let routed = route(&out.block, DepType::ManyToMany, si, dst_par);
+                out.buckets.push((dst_par, routed));
+                out.buckets.len() - 1
+            }
         };
-        let mut submitted: HashSet<usize> = HashSet::new();
-        for e in self.job.plan.outs(fop) {
-            if e.dep != DepType::ManyToMany || !matches!(e.slot, InputSlot::Main(_)) {
-                continue;
-            }
-            let dst_par = self.parallelism[e.dst];
-            if self.routed.contains_key(&(fop, index, dst_par)) || !submitted.insert(dst_par) {
-                continue;
-            }
-            let records = Arc::clone(records);
-            let map = Arc::clone(&self.eager_routed);
-            pool.try_submit(Box::new(move || {
-                let buckets = route(&records, DepType::ManyToMany, index, dst_par);
-                // Sized by the thread that built them: admission
-                // (`pin_inputs`) then charges memoized lengths instead
-                // of encoding on the master.
-                for b in &buckets {
-                    let _ = b.encoded_len();
-                }
-                map.lock().insert((fop, index, dst_par), (records, buckets));
-            }));
-        }
-    }
-
-    /// Drops everything derived from output `(fop, index)` — shuffle
-    /// buckets and broadcast concatenations — when that output is reverted
-    /// or replaced, and releases the unpinned store residency of the
-    /// output and its routed buckets on every executor (a pinned copy is
-    /// left for its running attempt to finish with).
-    fn invalidate_derived(&mut self, fop: FopId, index: usize) {
-        let bucket_pars: Vec<usize> = self
-            .routed
-            .keys()
-            .filter(|&&(f, i, _)| f == fop && i == index)
-            .map(|&(_, _, p)| p)
-            .collect();
-        self.routed.retain(|&(f, i, _), _| f != fop || i != index);
-        if self.pool.is_some() {
-            // Pending eager results for the replaced output are stale
-            // (the source-pointer check would reject them anyway; this
-            // just frees them early).
-            self.eager_routed
-                .lock()
-                .retain(|&(f, i, _), _| f != fop || i != index);
-        }
-        self.side_cache.remove(&fop);
-        for info in self.executors.values() {
-            let mut s = info.store.lock();
-            s.remove_unpinned(BlockRef::Output { fop, index });
-            for &dst_par in &bucket_pars {
-                for dst in 0..dst_par {
-                    s.remove_unpinned(BlockRef::Bucket {
-                        fop,
-                        index,
-                        dst_par,
-                        dst,
-                    });
-                }
-            }
-        }
+        out.buckets[at].1.get(dst_index).map(Arc::clone)
     }
 
     /// The full broadcast dataset of a producer fop, as one shared block.
@@ -2697,7 +2627,7 @@ impl Master {
     /// broadcast as a silently shorter dataset.
     fn side_records(&mut self, src: FopId, src_par: usize) -> Result<Block, RuntimeError> {
         let part = |si: usize| {
-            self.outputs.get(&(src, si)).ok_or_else(|| {
+            self.output(src, si).ok_or_else(|| {
                 RuntimeError::Invariant(format!("side input {src}.{si} is committed without data"))
             })
         };
@@ -2871,9 +2801,13 @@ mod tests {
     /// Puts task `(fop, 0)` in flight on `exec` the way `launch` would,
     /// minus the executor-side send.
     fn begin(m: &mut Master, fop: FopId, exec: ExecId) -> AttemptId {
+        begin_task(m, fop, 0, exec)
+    }
+
+    fn begin_task(m: &mut Master, fop: FopId, index: usize, exec: ExecId) -> AttemptId {
         let a = Attempt {
             fop,
-            index: 0,
+            index,
             exec,
             launched_at: m.clock.now(),
             epoch: 0,
@@ -2888,6 +2822,7 @@ mod tests {
             exec,
             attempt,
             output: block_from_vec(vec![Value::from(1i64)]),
+            buckets: Vec::new(),
             preaggregated: 0,
             cache_hit: false,
             cached_keys: Vec::new(),
@@ -2953,13 +2888,8 @@ mod tests {
         m.shutdown();
     }
 
-    /// The threaded backend routes a committed shuffle output on the
-    /// pool. The closure sizes the buckets it builds, and admission
-    /// serves those very blocks, so `pin_inputs` (which charges
-    /// `block_bytes`) encodes nothing on the master.
-    #[test]
-    fn eager_route_sizes_its_buckets_before_admission_sees_them() {
-        use crate::runtime::backend::ThreadedBackend;
+    /// Two maps shuffled to three keyed combines, and the map fop's id.
+    fn shuffle_master(config: crate::runtime::RuntimeConfig) -> (Master, FopId) {
         use pado_dag::{CombineFn, ParDoFn, Pipeline, SourceFn};
 
         let p = Pipeline::new();
@@ -2970,47 +2900,120 @@ mod tests {
             .sink("S");
         let dag = p.build().unwrap();
         let plan = crate::compiler::compile(&dag).unwrap();
-        let config = crate::runtime::RuntimeConfig::default();
-        let backend = ThreadedBackend::from_config(&config);
         let job = Arc::new(JobContext { dag, plan, config });
-        let mut m = Master::with_backend(job, 1, 1, FaultPlan::default(), &backend).unwrap();
+        let m = Master::new(job, 1, 1, FaultPlan::default()).unwrap();
         let map = (0..m.job.plan.fops.len())
             .find(|&f| {
-                m.job
-                    .plan
-                    .out_edges(f)
-                    .iter()
-                    .any(|e| e.dep == DepType::ManyToMany)
+                let outs = m.job.plan.outs(f);
+                outs.iter().any(|e| e.dep == DepType::ManyToMany)
             })
             .expect("the map fop feeds a shuffle");
+        (m, map)
+    }
 
-        let exec: ExecId = 1;
-        let attempt = begin(&mut m, map, exec);
-        m.executors.get_mut(&exec).unwrap().busy = 1;
+    /// What a map task of [`shuffle_master`] reports: 60 pairs over 13
+    /// keys, partitioned for the three combines.
+    fn shuffled_done(exec: ExecId, attempt: AttemptId, index: usize) -> (MasterMsg, Vec<Block>) {
         let output = block_from_vec(
             (0..60)
                 .map(|i| Value::pair(Value::from(i % 13), Value::from(i)))
                 .collect(),
         );
-        m.handle(MasterMsg::TaskDone {
+        let buckets = route(&output, DepType::ManyToMany, index, 3);
+        let msg = MasterMsg::TaskDone {
             exec,
             attempt,
             output,
+            buckets: vec![(3, buckets.clone())],
             preaggregated: 0,
             cache_hit: false,
             cached_keys: Vec::new(),
-        })
-        .unwrap();
+        };
+        (msg, buckets)
+    }
 
-        let pool = m.pool.clone().expect("threaded master has a pool");
-        assert!(pool.wait_quiesce(Duration::from_secs(10)));
-        let buckets = m.eager_routed.lock()[&(map, 0, 3)].1.clone();
+    /// The producing task partitions a shuffle output; the master files
+    /// what it reported and serves those very blocks. It routes only an
+    /// entry that has no buckets (an output refetched after a restart),
+    /// and then once.
+    #[test]
+    fn a_commit_files_the_reported_buckets_and_a_miss_routes_once() {
+        let (mut m, map) = shuffle_master(crate::runtime::RuntimeConfig::default());
+        assert_eq!(
+            m.shuffle_widths(map),
+            vec![3],
+            "what launch asks the task for"
+        );
+        assert!(m.shuffle_widths(terminal_fop(&m)).is_empty());
+
+        let exec: ExecId = 1;
+        let attempt = begin(&mut m, map, exec);
+        let (done, buckets) = shuffled_done(exec, attempt, 0);
+        m.handle(done).unwrap();
         assert_eq!(buckets.iter().map(|b| b.len()).sum::<usize>(), 60);
-        assert!(buckets.iter().all(|b| b.is_sized()), "sized on the pool");
         for (dst, bucket) in buckets.iter().enumerate() {
-            let served = m.routed_bucket(map, 0, 3, dst).expect("routed");
+            let served = m.routed_bucket(map, 0, 3, dst).expect("filed at commit");
             assert!(Arc::ptr_eq(&served, bucket), "admission pins this block");
         }
+
+        m.outputs.get_mut(&(map, 0)).unwrap().buckets.clear();
+        let first = m.routed_bucket(map, 0, 3, 1).expect("routed on the miss");
+        assert!(!Arc::ptr_eq(&first, &buckets[1]));
+        assert_eq!(first.to_rows(), buckets[1].to_rows());
+        let second = m.routed_bucket(map, 0, 3, 1).expect("filed by the miss");
+        assert!(Arc::ptr_eq(&first, &second), "one record pass per output");
+        m.shutdown();
+    }
+
+    /// A commit leaves the output on every store its location set names,
+    /// and nothing short of a loss takes it away again: a fault-free job
+    /// never journals the release of an output block.
+    #[test]
+    fn a_committed_output_stays_on_the_stores_its_locations_name() {
+        let config = crate::runtime::RuntimeConfig {
+            executor_memory_bytes: 1 << 20,
+            ..Default::default()
+        };
+        let (mut m, map) = shuffle_master(config);
+        // The combines get their reserved receiver, so the transient
+        // maps push to it instead of keeping their output.
+        m.assign_receivers(m.meta.stage_of[map]);
+        let exec: ExecId = 1;
+        for index in 0..2 {
+            let attempt = begin_task(&mut m, map, index, exec);
+            m.handle(shuffled_done(exec, attempt, index).0).unwrap();
+            let locations = m.tasks.locations(map, index).to_vec();
+            assert_eq!(locations, vec![0], "pushed to the reserved executor");
+            for l in locations {
+                let r = BlockRef::Output { fop: map, index };
+                assert!(
+                    m.executors[&l].store.lock().contains(r),
+                    "executor {l} is a location of {r} and must hold it"
+                );
+            }
+        }
+        // The rest of the job runs for real: combines pin their buckets,
+        // commit, and the job completes.
+        m.run_loop().unwrap();
+        for (f, i, locations) in m.tasks.committed() {
+            let r = BlockRef::Output { fop: f, index: i };
+            for l in locations {
+                assert!(m.executors[l].store.lock().contains(r), "{r} on {l}");
+            }
+        }
+        let released: Vec<JobEvent> = events(&m)
+            .into_iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    JobEvent::BlockReleased {
+                        block: BlockRef::Output { .. },
+                        ..
+                    }
+                )
+            })
+            .collect();
+        assert!(released.is_empty(), "no loss, no release: {released:?}");
         m.shutdown();
     }
 

@@ -56,8 +56,10 @@ pub enum InjectedFault {
     Oom,
 }
 
-/// One task launch: the master assembles and routes all main inputs, so
-/// the executor only computes.
+/// One task launch. The master resolves every input to a shared block —
+/// a producer's output, or the consumer's bucket of it — and the executor
+/// computes the output and partitions it for the shuffles it feeds
+/// (`route_to`), so whoever makes a block also derives what is read from it.
 #[derive(Debug, Clone)]
 pub struct TaskSpec {
     /// This launch attempt.
@@ -75,6 +77,9 @@ pub struct TaskSpec {
     /// (set when all consumers are combine operators and partial
     /// aggregation is enabled).
     pub preaggregate: bool,
+    /// Consumer parallelisms to hash-partition the output for: the
+    /// distinct live widths of the fop's many-to-many main out-edges.
+    pub route_to: Vec<usize>,
     /// Fault to inject into this attempt, if any (chaos testing only).
     pub inject: Option<InjectedFault>,
 }
@@ -95,6 +100,9 @@ pub enum MasterMsg {
         /// Output block of the task, created once here and only referenced
         /// afterwards.
         output: Block,
+        /// The output's shuffle buckets, one sized set per requested
+        /// width (`TaskSpec::route_to`).
+        buckets: Vec<(usize, Vec<Block>)>,
         /// Records removed by transient-side pre-aggregation.
         preaggregated: usize,
         /// Whether the side input was served from the executor cache.

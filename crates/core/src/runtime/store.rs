@@ -414,11 +414,6 @@ impl BlockStore {
         self.spilled.get(&r).map(|s| s.bytes)
     }
 
-    /// Current pin count of a block.
-    pub fn pin_count(&self, r: BlockRef) -> usize {
-        self.pins.get(&r).copied().unwrap_or(0)
-    }
-
     fn emit(&self, event: JobEvent) {
         if self.limited() {
             self.journal.emit(None, event);

@@ -16,12 +16,10 @@ use std::collections::BTreeMap;
 use pado_core::runtime::{
     assert_clean, BackendKind, ChaosPlan, FaultPlan, JobResult, LocalCluster, RuntimeConfig,
 };
-use pado_dag::codec::encode_batch;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
 
-fn ints(n: i64) -> Vec<Value> {
-    (0..n).map(Value::from).collect()
-}
+mod common;
+use common::{encode_outputs, ints};
 
 /// One-to-one: a narrow map pipeline, no shuffle at all.
 fn one_to_one_dag() -> LogicalDag {
@@ -159,16 +157,6 @@ fn run_on(backend: BackendKind, dag: &LogicalDag, faults: FaultPlan) -> JobResul
         .with_config(config())
         .run_with_faults(dag, faults)
         .expect("job completes")
-}
-
-/// Codec-encoded sink outputs; byte equality is the strongest form of
-/// "the backend did not change the answer".
-fn encode_outputs(result: &JobResult) -> Vec<(String, Vec<u8>)> {
-    result
-        .outputs
-        .iter()
-        .map(|(name, records)| (name.clone(), encode_batch(records).expect("encodes")))
-        .collect()
 }
 
 /// Event kinds whose per-run counts are fully determined by the plan and

@@ -20,69 +20,18 @@ use std::collections::HashMap;
 use std::fs;
 
 use pado_core::runtime::{
-    temp_wal_path, CrashPlan, FaultPlan, JobEvent, JobResult, LocalCluster, RuntimeConfig,
-    WalCorruption,
+    temp_wal_path, BackendKind, BlockRef, CrashPlan, FaultPlan, JobEvent, JobResult, LocalCluster,
+    RuntimeConfig, WalCorruption,
 };
 use pado_core::RuntimeError;
-use pado_dag::codec::encode_batch;
-use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, UdfError, Value};
+use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, UdfError, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+mod common;
+use common::{encode_outputs, ints, side_input_dag, wordcount_dag};
+
 const SEEDS: u64 = 110;
-
-fn ints(n: i64) -> Vec<Value> {
-    (0..n).map(Value::from).collect()
-}
-
-fn wordcount_dag() -> LogicalDag {
-    let p = Pipeline::new();
-    p.read(
-        "Read",
-        4,
-        SourceFn::from_vec(vec![
-            Value::from("pado harnesses transient resources"),
-            Value::from("transient containers come and go"),
-            Value::from("reserved containers hold the line"),
-            Value::from("pado retries pado recovers"),
-        ]),
-    )
-    .par_do(
-        "Split",
-        ParDoFn::per_element(|line, emit| {
-            for w in line.as_str().unwrap_or("").split_whitespace() {
-                emit(Value::pair(Value::from(w), Value::from(1i64)));
-            }
-        }),
-    )
-    .combine_per_key("Count", CombineFn::sum_i64())
-    .sink("Out");
-    p.build().unwrap()
-}
-
-fn side_input_dag() -> LogicalDag {
-    let p = Pipeline::new();
-    let bcast = p.read("Bcast", 3, SourceFn::from_vec(ints(9)));
-    let data = p.read("Data", 2, SourceFn::from_vec(ints(6)));
-    data.par_do_with_side(
-        "AddSide",
-        &bcast,
-        ParDoFn::new(|input: TaskInput<'_>, emit| {
-            let side_sum: i64 = input
-                .side
-                .unwrap_or(&[])
-                .iter()
-                .map(|v| v.as_i64().unwrap_or(0))
-                .sum();
-            for v in input.main() {
-                emit(Value::from(v.as_i64().unwrap() + side_sum));
-            }
-        }),
-    )
-    .aggregate("Total", CombineFn::sum_i64())
-    .sink("Out");
-    p.build().unwrap()
-}
 
 fn crash_config(
     wal_path: Option<String>,
@@ -101,16 +50,6 @@ fn crash_config(
         wal_snapshot_every: snapshot_every,
         ..Default::default()
     }
-}
-
-/// Encode every output collection; byte equality here is the strongest
-/// form of "the crash did not change the answer".
-fn encode_outputs(result: &JobResult) -> Vec<(String, Vec<u8>)> {
-    result
-        .outputs
-        .iter()
-        .map(|(name, records)| (name.clone(), encode_batch(records).expect("encodes")))
-        .collect()
 }
 
 /// One randomized crash schedule: a trigger style (fixed handler
@@ -304,6 +243,93 @@ fn every_handler_boundary_recovers() {
         "sweep injected only {recoveries_observed} recoveries; the boundary \
          schedule is not exercising the crash path"
     );
+}
+
+/// A restart with every executor alive recomputes nothing that had
+/// committed: the stores hold every committed output at rest, so the
+/// recovered master refetches all of them and only the attempts in
+/// flight at the crash run again.
+#[test]
+fn a_restart_with_every_executor_alive_refetches_every_commit() {
+    let p = Pipeline::new();
+    p.read("Read", 8, SourceFn::from_vec(ints(400)))
+        .par_do(
+            "Key",
+            ParDoFn::per_element(|v, emit| {
+                emit(Value::pair(
+                    Value::from(v.as_i64().unwrap() % 37),
+                    v.clone(),
+                ))
+            }),
+        )
+        .combine_per_key("Sum", CombineFn::sum_i64())
+        .sink("Out");
+    let dag = p.build().unwrap();
+    for backend in [BackendKind::Sim, BackendKind::Threaded] {
+        for budget in [usize::MAX, 1 << 20] {
+            let cluster =
+                LocalCluster::new(2, 1)
+                    .with_backend(backend)
+                    .with_config(RuntimeConfig {
+                        slots_per_executor: 1,
+                        executor_memory_bytes: budget,
+                        cache_capacity_bytes: 64 << 10,
+                        event_timeout_ms: 10_000,
+                        tick_ms: 5,
+                        ..Default::default()
+                    });
+            let what = format!("{backend:?}, budget {budget}");
+            let baseline = cluster.run(&dag).expect("fault-free run");
+            let released = |e: &JobEvent| {
+                matches!(
+                    e,
+                    JobEvent::BlockReleased {
+                        block: BlockRef::Output { .. },
+                        ..
+                    }
+                )
+            };
+            assert!(
+                !baseline.journal.to_events().iter().any(released),
+                "{what}: a fault-free run released an output block"
+            );
+
+            let faults = FaultPlan {
+                master_failure_after: Some(6),
+                ..Default::default()
+            };
+            let result = cluster.run_with_faults(&dag, faults).expect("recovers");
+            pado_core::runtime::assert_clean(&result.journal, true);
+            assert_eq!(encode_outputs(&result), encode_outputs(&baseline), "{what}");
+            assert_eq!(result.metrics.wal_recoveries, 1, "{what}");
+            let events = result.journal.to_events();
+            let recovered = events
+                .iter()
+                .position(|e| matches!(e, JobEvent::MasterRecovered))
+                .expect("recovery logged");
+            let undone: Vec<&JobEvent> = events[recovered..]
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        JobEvent::TaskReverted { .. } | JobEvent::OutputDropped { .. }
+                    )
+                })
+                .collect();
+            assert!(
+                undone.is_empty(),
+                "{what}: no executor died, yet recovery lost commits: {undone:?}"
+            );
+            // One slot on each of three executors: at most two attempts
+            // besides the committing one were in flight at the crash.
+            assert!(
+                result.metrics.tasks_launched <= result.metrics.original_tasks + 2,
+                "{what}: {} launches for {} tasks",
+                result.metrics.tasks_launched,
+                result.metrics.original_tasks
+            );
+        }
+    }
 }
 
 /// This process's self-armed WAL files still in the temp dir.

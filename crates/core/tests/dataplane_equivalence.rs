@@ -18,6 +18,9 @@ use pado_dag::{
     Pipeline, SourceFn, TaskInput, Value,
 };
 
+mod common;
+use common::ints;
+
 /// The pre-refactor routing semantics: clone every record into its
 /// bucket, once per consumer that asks.
 fn route_reference(
@@ -123,10 +126,6 @@ fn encode(outputs: &BTreeMap<String, Vec<Value>>) -> Vec<(String, Vec<u8>)> {
         .iter()
         .map(|(name, records)| (name.clone(), encode_batch(records).expect("encodes")))
         .collect()
-}
-
-fn ints(n: i64) -> Vec<Value> {
-    (0..n).map(Value::from).collect()
 }
 
 /// Shuffle-heavy: ManyToMany into a keyed combine, then a gather.

@@ -8,9 +8,8 @@ use pado_core::runtime::{ChaosPlan, FaultPlan, LocalCluster, RuntimeConfig};
 use pado_core::RuntimeError;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, UdfError, Value};
 
-fn ints(n: i64) -> Vec<Value> {
-    (0..n).map(Value::from).collect()
-}
+mod common;
+use common::ints;
 
 fn wordcount_dag(partitions: usize) -> LogicalDag {
     let p = Pipeline::new();
@@ -358,8 +357,7 @@ fn master_restart_recovers_without_relaunching_committed_tasks() {
         .position(|e| matches!(e, JobEvent::MasterRecovered))
         .expect("recovery logged");
 
-    // Tasks committed before the crash and not rolled back by recovery
-    // must never launch again.
+    // Tasks committed before the crash must never launch again.
     let committed_before: Vec<(usize, usize)> = events[..rec_idx]
         .iter()
         .filter_map(|e| match e {
@@ -374,11 +372,17 @@ fn master_restart_recovers_without_relaunching_committed_tasks() {
             _ => None,
         })
         .collect();
+    // No executor is lost here, so every commit's block is still on a
+    // store and recovery refetches it: nothing is rolled back.
+    assert!(
+        reverted_after.is_empty(),
+        "recovery reverted commits whose executors are alive: {reverted_after:?}"
+    );
     for e in &events[rec_idx..] {
         if let JobEvent::TaskLaunched { fop, index, .. } = e {
             let t = (*fop, *index);
             assert!(
-                !committed_before.contains(&t) || reverted_after.contains(&t),
+                !committed_before.contains(&t),
                 "surviving commit {t:?} relaunched after recovery"
             );
         }

@@ -7,11 +7,13 @@
 //!   outputs and identical deterministic metrics counters.
 
 use pado_core::runtime::{
-    ChaosPlan, FaultInjector, FaultPlan, JobResult, LocalCluster, RuntimeConfig, WireSide,
+    ChaosPlan, FaultInjector, FaultPlan, LocalCluster, RuntimeConfig, WireSide,
 };
-use pado_dag::codec::encode_batch;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, Value};
 use proptest::prelude::*;
+
+mod common;
+use common::encode_outputs;
 
 // ---------------------------------------------------------------------
 // Purity / order-independence properties
@@ -105,14 +107,6 @@ fn chaos_dag() -> LogicalDag {
     .combine_per_key("Sum", CombineFn::sum_i64())
     .sink("Out");
     p.build().unwrap()
-}
-
-fn encode_outputs(result: &JobResult) -> Vec<(String, Vec<u8>)> {
-    result
-        .outputs
-        .iter()
-        .map(|(name, records)| (name.clone(), encode_batch(records).expect("encodes")))
-        .collect()
 }
 
 /// Two sim runs on the same seed are bit-stable: same output bytes,

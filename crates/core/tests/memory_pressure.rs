@@ -30,20 +30,18 @@ use pado_core::runtime::{
     BlockRef, ChaosPlan, DirectionFaults, EventJournal, FaultPlan, JobEvent, JobResult,
     LocalCluster, NetworkFault, RuntimeConfig,
 };
-use pado_dag::codec::encode_batch;
-use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
+use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::{encode_outputs, ints, side_input_dag};
 
 const SEEDS: u64 = 110;
 const MAX_TASK_ATTEMPTS: usize = 3;
 /// Strictly below the retry budget so chaos (UDF errors + OOM combined)
 /// can never exhaust a task's attempts: every seeded job must complete.
 const MAX_FAULTS_PER_TASK: usize = 2;
-
-fn ints(n: i64) -> Vec<Value> {
-    (0..n).map(Value::from).collect()
-}
 
 /// A shuffle-heavy shape: wide read, keyed combine (ManyToMany routing,
 /// so consumers pin routed buckets, not whole outputs).
@@ -59,32 +57,6 @@ fn shuffle_dag() -> LogicalDag {
         )
         .combine_per_key("Sum", CombineFn::sum_i64())
         .sink("Out");
-    p.build().unwrap()
-}
-
-/// A broadcast shape: a side input pinned by every consumer task plus a
-/// main path, stressing the cache tier inside the shared budget.
-fn side_input_dag() -> LogicalDag {
-    let p = Pipeline::new();
-    let bcast = p.read("Bcast", 3, SourceFn::from_vec(ints(9)));
-    let data = p.read("Data", 2, SourceFn::from_vec(ints(6)));
-    data.par_do_with_side(
-        "AddSide",
-        &bcast,
-        ParDoFn::new(|input: TaskInput<'_>, emit| {
-            let side_sum: i64 = input
-                .side
-                .unwrap_or(&[])
-                .iter()
-                .map(|v| v.as_i64().unwrap_or(0))
-                .sum();
-            for v in input.main() {
-                emit(Value::from(v.as_i64().unwrap() + side_sum));
-            }
-        }),
-    )
-    .aggregate("Total", CombineFn::sum_i64())
-    .sink("Out");
     p.build().unwrap()
 }
 
@@ -143,14 +115,6 @@ fn config(budget: usize) -> RuntimeConfig {
         cache_capacity_bytes: (budget / 4).clamp(1, 64 << 20),
         ..Default::default()
     }
-}
-
-fn encode_outputs(result: &JobResult) -> Vec<(String, Vec<u8>)> {
-    result
-        .outputs
-        .iter()
-        .map(|(name, records)| (name.clone(), encode_batch(records).expect("encodes")))
-        .collect()
 }
 
 /// The largest byte load any one executor ever held in *pinned* blocks

@@ -19,13 +19,15 @@
 use std::collections::HashMap;
 
 use pado_core::runtime::{
-    ChaosPlan, DirectionFaults, FaultPlan, JobEvent, JobResult, LocalCluster, NetworkFault,
-    PartitionSpec, RuntimeConfig,
+    ChaosPlan, DirectionFaults, FaultPlan, JobEvent, LocalCluster, NetworkFault, PartitionSpec,
+    RuntimeConfig,
 };
-use pado_dag::codec::encode_batch;
-use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
+use pado_dag::LogicalDag;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::{encode_outputs, side_input_dag, wordcount_dag};
 
 const SEEDS: u64 = 110;
 const MAX_TASK_ATTEMPTS: usize = 3;
@@ -35,59 +37,6 @@ const MAX_FAULTS_PER_TASK: usize = 2;
 /// With a healthy ack path every message eventually lands; even under
 /// heavy loss no single frame should need anywhere near this many tries.
 const MAX_RETRANSMISSIONS: usize = 64;
-
-fn ints(n: i64) -> Vec<Value> {
-    (0..n).map(Value::from).collect()
-}
-
-fn wordcount_dag() -> LogicalDag {
-    let p = Pipeline::new();
-    p.read(
-        "Read",
-        4,
-        SourceFn::from_vec(vec![
-            Value::from("pado harnesses transient resources"),
-            Value::from("transient containers come and go"),
-            Value::from("reserved containers hold the line"),
-            Value::from("pado retries pado recovers"),
-        ]),
-    )
-    .par_do(
-        "Split",
-        ParDoFn::per_element(|line, emit| {
-            for w in line.as_str().unwrap_or("").split_whitespace() {
-                emit(Value::pair(Value::from(w), Value::from(1i64)));
-            }
-        }),
-    )
-    .combine_per_key("Count", CombineFn::sum_i64())
-    .sink("Out");
-    p.build().unwrap()
-}
-
-fn side_input_dag() -> LogicalDag {
-    let p = Pipeline::new();
-    let bcast = p.read("Bcast", 3, SourceFn::from_vec(ints(9)));
-    let data = p.read("Data", 2, SourceFn::from_vec(ints(6)));
-    data.par_do_with_side(
-        "AddSide",
-        &bcast,
-        ParDoFn::new(|input: TaskInput<'_>, emit| {
-            let side_sum: i64 = input
-                .side
-                .unwrap_or(&[])
-                .iter()
-                .map(|v| v.as_i64().unwrap_or(0))
-                .sum();
-            for v in input.main() {
-                emit(Value::from(v.as_i64().unwrap() + side_sum));
-            }
-        }),
-    )
-    .aggregate("Total", CombineFn::sum_i64())
-    .sink("Out");
-    p.build().unwrap()
-}
 
 /// Tight transport tunings: lost messages retry fast, while the dead
 /// threshold stays far above every partition this suite injects, so a
@@ -106,14 +55,6 @@ fn chaos_config() -> RuntimeConfig {
         retransmit_max_ms: 160,
         ..Default::default()
     }
-}
-
-fn encode_outputs(result: &JobResult) -> Vec<(String, Vec<u8>)> {
-    result
-        .outputs
-        .iter()
-        .map(|(name, records)| (name.clone(), encode_batch(records).expect("encodes")))
-        .collect()
 }
 
 /// Seeded network dimension: moderate loss in both directions, plus (one

@@ -21,69 +21,18 @@ use pado_core::runtime::{
     ChaosPlan, FaultPlan, JobEvent, JobResult, LocalCluster, ReconfigChange, ReconfigTrigger,
     RuntimeConfig, ScheduledReconfig, SpillFaultPlan,
 };
-use pado_dag::codec::encode_batch;
-use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
+use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::{encode_outputs, side_input_dag, wordcount_dag};
 
 const SEEDS: u64 = 110;
 const MAX_TASK_ATTEMPTS: usize = 4;
 /// Strictly below the retry budget so chaos alone can never exhaust a
 /// task's attempts: every seeded job must complete.
 const MAX_FAULTS_PER_TASK: usize = 2;
-
-fn ints(n: i64) -> Vec<Value> {
-    (0..n).map(Value::from).collect()
-}
-
-fn wordcount_dag() -> LogicalDag {
-    let p = Pipeline::new();
-    p.read(
-        "Read",
-        4,
-        SourceFn::from_vec(vec![
-            Value::from("pado harnesses transient resources"),
-            Value::from("transient containers come and go"),
-            Value::from("reserved containers hold the line"),
-            Value::from("pado retries pado recovers"),
-        ]),
-    )
-    .par_do(
-        "Split",
-        ParDoFn::per_element(|line, emit| {
-            for w in line.as_str().unwrap_or("").split_whitespace() {
-                emit(Value::pair(Value::from(w), Value::from(1i64)));
-            }
-        }),
-    )
-    .combine_per_key("Count", CombineFn::sum_i64())
-    .sink("Out");
-    p.build().unwrap()
-}
-
-fn side_input_dag() -> LogicalDag {
-    let p = Pipeline::new();
-    let bcast = p.read("Bcast", 3, SourceFn::from_vec(ints(9)));
-    let data = p.read("Data", 2, SourceFn::from_vec(ints(6)));
-    data.par_do_with_side(
-        "AddSide",
-        &bcast,
-        ParDoFn::new(|input: TaskInput<'_>, emit| {
-            let side_sum: i64 = input
-                .side
-                .unwrap_or(&[])
-                .iter()
-                .map(|v| v.as_i64().unwrap_or(0))
-                .sum();
-            for v in input.main() {
-                emit(Value::from(v.as_i64().unwrap() + side_sum));
-            }
-        }),
-    )
-    .aggregate("Total", CombineFn::sum_i64())
-    .sink("Out");
-    p.build().unwrap()
-}
 
 fn reconfig_config(storm_threshold: usize) -> RuntimeConfig {
     RuntimeConfig {
@@ -99,16 +48,6 @@ fn reconfig_config(storm_threshold: usize) -> RuntimeConfig {
         reconfig_storm_threshold: storm_threshold,
         ..Default::default()
     }
-}
-
-/// Encode every output collection; byte equality here is the strongest
-/// form of "reconfiguration did not change the answer".
-fn encode_outputs(result: &JobResult) -> Vec<(String, Vec<u8>)> {
-    result
-        .outputs
-        .iter()
-        .map(|(name, records)| (name.clone(), encode_batch(records).expect("encodes")))
-        .collect()
 }
 
 /// 1–2 reconfigurations against the progress clock. Stage indices run

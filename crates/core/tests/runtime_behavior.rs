@@ -5,9 +5,8 @@ use pado_core::compiler::{compile, Placement};
 use pado_core::runtime::{FaultPlan, LocalCluster, RuntimeConfig};
 use pado_dag::{CombineFn, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
 
-fn ints(n: i64) -> Vec<Value> {
-    (0..n).map(Value::from).collect()
-}
+mod common;
+use common::ints;
 
 #[test]
 fn group_by_key_end_to_end() {

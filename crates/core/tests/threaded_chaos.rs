@@ -30,10 +30,12 @@ use pado_core::runtime::{
     ScheduledReconfig, ThreadedBackend,
 };
 use pado_core::RuntimeError;
-use pado_dag::codec::encode_batch;
-use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, Value};
+use pado_dag::LogicalDag;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod common;
+use common::{encode_outputs, wordcount_dag};
 
 /// Seeds per family — reduced versus the 110-seed sim matrices.
 const SEEDS: u64 = 10;
@@ -41,31 +43,6 @@ const MAX_TASK_ATTEMPTS: usize = 3;
 /// Strictly below the retry budget so chaos alone can never exhaust a
 /// task's attempts: every seeded job must complete on both backends.
 const MAX_FAULTS_PER_TASK: usize = 2;
-
-fn wordcount_dag() -> LogicalDag {
-    let p = Pipeline::new();
-    p.read(
-        "Read",
-        4,
-        SourceFn::from_vec(vec![
-            Value::from("pado harnesses transient resources"),
-            Value::from("transient containers come and go"),
-            Value::from("reserved containers hold the line"),
-            Value::from("pado retries pado recovers"),
-        ]),
-    )
-    .par_do(
-        "Split",
-        ParDoFn::per_element(|line, emit| {
-            for w in line.as_str().unwrap_or("").split_whitespace() {
-                emit(Value::pair(Value::from(w), Value::from(1i64)));
-            }
-        }),
-    )
-    .combine_per_key("Count", CombineFn::sum_i64())
-    .sink("Out");
-    p.build().unwrap()
-}
 
 fn config() -> RuntimeConfig {
     RuntimeConfig {
@@ -78,14 +55,6 @@ fn config() -> RuntimeConfig {
         threaded_workers: 4,
         ..Default::default()
     }
-}
-
-fn encode_outputs(result: &JobResult) -> Vec<(String, Vec<u8>)> {
-    result
-        .outputs
-        .iter()
-        .map(|(name, records)| (name.clone(), encode_batch(records).expect("encodes")))
-        .collect()
 }
 
 fn run_on(

@@ -242,12 +242,6 @@ impl RunMetrics {
         self.jct_us as f64 / 60_000_000.0
     }
 
-    /// Job completion time in seconds (the bench bins report wall-clock
-    /// runs in seconds, so this keeps predicted-vs-measured comparable).
-    pub fn jct_secs(&self) -> f64 {
-        self.jct_us as f64 / 1_000_000.0
-    }
-
     /// Relaunched-to-original task ratio.
     pub fn relaunch_ratio(&self) -> f64 {
         if self.original_tasks == 0 {
