@@ -324,23 +324,6 @@ fn violations(result: &JobResult, faults: &FaultPlan) -> Vec<String> {
         ));
     }
 
-    let mut committed: HashMap<(usize, usize), bool> = HashMap::new();
-    for e in events {
-        match e {
-            JobEvent::TaskCommitted { fop, index, .. } => {
-                let slot = committed.entry((*fop, *index)).or_insert(false);
-                if *slot {
-                    out.push(format!("double commit of task {fop}.{index}"));
-                }
-                *slot = true;
-            }
-            JobEvent::TaskReverted { fop, index } => {
-                committed.insert((*fop, *index), false);
-            }
-            _ => {}
-        }
-    }
-
     // The crash family batches syncs and corrupts the log, so a restart
     // can lose `TaskLaunched` frames and re-count relaunches as originals.
     if faults.crashes.is_none()

@@ -2,54 +2,13 @@
 //! ratios under the four eviction rates, for Spark, Spark-checkpoint, and
 //! Pado on 40 transient + 5 reserved containers.
 
-use pado_bench::{lifetime_dists, print_csv, print_table, run_repeated};
-use pado_engines::{Mode, SimConfig};
-use pado_workloads::als;
-
 fn main() {
-    let (dag, model) = als::paper();
-    let dists = lifetime_dists();
-    let mut rows = Vec::new();
-    for (rate, dist) in dists {
-        for mode in [Mode::Spark, Mode::SparkCkpt, Mode::Pado] {
-            let config = SimConfig {
-                n_transient: 40,
-                n_reserved: 5,
-                lifetimes: dist.clone(),
-                ..SimConfig::default()
-            };
-            let agg = run_repeated(mode, &dag, &model, &config, 90);
-            rows.push(vec![
-                rate.label().to_string(),
-                mode.name().to_string(),
-                agg.jct_label(),
-                format!("{:.1}", agg.jct_std_min),
-                if agg.relaunch_mean.is_nan() {
-                    "-".into()
-                } else {
-                    format!("{:.1}%", agg.relaunch_mean * 100.0)
-                },
-                format!("{:.0}GB", agg.bytes_checkpointed / 1e9),
-                format!("{:.0}GB", agg.bytes_pushed / 1e9),
-            ]);
-        }
-    }
-    print_table(
+    let (dag, model) = pado_workloads::als::paper();
+    pado_bench::eviction_rate_figure(
+        &dag,
+        &model,
+        90,
         "Figure 5: ALS under different eviction rates (paper at High: Pado 2.1x faster than Spark-checkpoint, 4.1x than Spark; Spark >90m at Medium/High, 31% tasks relaunched; 279GB checkpointed)",
-        &["eviction", "engine", "JCT(m)", "std", "relaunched", "ckpt", "pushed"],
-        &rows,
-    );
-    print_csv(
         "figure5_als",
-        &[
-            "eviction",
-            "engine",
-            "jct_min",
-            "jct_std",
-            "relaunch_ratio",
-            "bytes_ckpt",
-            "bytes_pushed",
-        ],
-        &rows,
     );
 }

@@ -162,19 +162,6 @@ pub fn run_repeated(
     }
 }
 
-/// Convenience: summarize one metrics value without repetition (unit
-/// tests).
-pub fn single(m: &RunMetrics) -> Aggregate {
-    Aggregate {
-        jct_mean_min: m.jct_minutes(),
-        jct_std_min: 0.0,
-        relaunch_mean: m.relaunch_ratio(),
-        capped: false,
-        bytes_checkpointed: m.bytes_checkpointed,
-        bytes_pushed: m.bytes_pushed,
-    }
-}
-
 /// Prints an aligned table: header + rows.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
@@ -210,6 +197,70 @@ pub fn print_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         println!("{}", row.join(","));
     }
+}
+
+/// Prints one of Figures 5–7: `dag` under the four eviction rates, for
+/// Spark, Spark-checkpoint and Pado on 40 transient + 5 reserved
+/// containers, runs capped at `cap_min` simulated minutes, as a table
+/// under `caption` and as CSV named `csv`.
+pub fn eviction_rate_figure(
+    dag: &LogicalDag,
+    model: &CostModel,
+    cap_min: u64,
+    caption: &str,
+    csv: &str,
+) {
+    let mut rows = Vec::new();
+    for (rate, lifetimes) in lifetime_dists() {
+        let config = SimConfig {
+            n_transient: 40,
+            n_reserved: 5,
+            lifetimes,
+            ..SimConfig::default()
+        };
+        for mode in [Mode::Spark, Mode::SparkCkpt, Mode::Pado] {
+            let agg = run_repeated(mode, dag, model, &config, cap_min);
+            rows.push(vec![
+                rate.label().to_string(),
+                mode.name().to_string(),
+                agg.jct_label(),
+                format!("{:.1}", agg.jct_std_min),
+                if agg.relaunch_mean.is_nan() {
+                    "-".into()
+                } else {
+                    format!("{:.1}%", agg.relaunch_mean * 100.0)
+                },
+                format!("{:.0}GB", agg.bytes_checkpointed / 1e9),
+                format!("{:.0}GB", agg.bytes_pushed / 1e9),
+            ]);
+        }
+    }
+    print_table(
+        caption,
+        &[
+            "eviction",
+            "engine",
+            "JCT(m)",
+            "std",
+            "relaunched",
+            "ckpt",
+            "pushed",
+        ],
+        &rows,
+    );
+    print_csv(
+        csv,
+        &[
+            "eviction",
+            "engine",
+            "jct_min",
+            "jct_std",
+            "relaunch_ratio",
+            "bytes_ckpt",
+            "bytes_pushed",
+        ],
+        &rows,
+    );
 }
 
 #[cfg(test)]

@@ -336,7 +336,9 @@ impl ThreadedBackend {
     const FRAME_BATCH: usize = 32;
 
     /// Capacity of the bounded pool job queue executor task bodies wait
-    /// in: far above the `executors × slots` the launch gate admits.
+    /// in: far above the `executors × slots` the launch gate admits to
+    /// transient executors (reserved receivers are not gated, see
+    /// `ExecutorHandle::spawn`; a full queue blocks the submitter).
     const CHANNEL_CAPACITY: usize = 256;
 
     /// Builds the backend from the validated threaded knobs in `config`
@@ -564,9 +566,8 @@ pub type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 /// Threads are named with the executor worker prefix so the process-wide
 /// panic hook filter silences injected task panics on them exactly as it
 /// does for dedicated slot threads. The pool never deadlocks the master:
-/// the master submits nothing, and executor control threads submit at
-/// most `slots` outstanding task bodies each (the master's `busy < slots`
-/// launch gate bounds them).
+/// the master submits nothing, and an executor control thread blocked on
+/// a full queue waits only on workers, which never wait on it.
 ///
 /// Shutdown is cooperative and bounded: [`submit`](WorkerPool::submit)
 /// re-checks the shutdown flag and the pool's [`CancelToken`] every

@@ -103,9 +103,14 @@ impl ExecutorHandle {
     /// dedicated slot threads: task bodies are submitted to the shared
     /// pool instead, and finished reports flow back through the control
     /// thread exactly as before. The master's `busy < slots` launch gate
-    /// still bounds this executor to `slots` outstanding task bodies, so
-    /// the pool's bounded queue never sees more than
-    /// `executors × slots` task submissions at once.
+    /// bounds a *transient* executor to `slots` outstanding task bodies.
+    /// A reserved one has no such bound: `Master::pick_executor` returns
+    /// a reserved task's pre-assigned receiver without looking at `busy`
+    /// (§3.2.3 sets receivers up first), so it can hold
+    /// `parallelism / n_reserved` bodies of a stage at once, and the
+    /// pool's bounded queue can see more than `executors × slots`
+    /// submissions; past its capacity `submit` blocks this control
+    /// thread until a worker takes a job.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         id: ExecId,
@@ -256,9 +261,9 @@ impl TaskSink {
                     journal.clone(),
                     ctrl.clone(),
                 );
-                // Blocking submit is safe here: the master's launch gate
-                // bounds this executor to `slots` outstanding bodies, and
-                // pool workers never wait on this control thread.
+                // Blocking submit is safe here: pool workers never wait
+                // on this control thread (`ctrl` is unbounded), so a full
+                // queue always drains.
                 pool.submit(Box::new(move || {
                     let done = run_task(exec, &job, &store, &journal, spec);
                     let _ = ctrl.send(ExecIn::Out(done));

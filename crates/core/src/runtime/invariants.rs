@@ -1183,6 +1183,69 @@ mod tests {
     }
 
     #[test]
+    fn law7_retry_budget_is_counted_per_task_and_starts_over_at_a_recovery() {
+        let budget = meta().max_task_attempts as AttemptId;
+        // Attempts `ids` of task 0.0 each launch and fail.
+        let failing = |ids: std::ops::Range<AttemptId>| {
+            ids.flat_map(|attempt| {
+                let failed = JobEvent::TaskFailed {
+                    fop: 0,
+                    index: 0,
+                    attempt,
+                    exec: 0,
+                };
+                [launch(0, 0, attempt, 0), failed]
+            })
+            .collect::<Vec<_>>()
+        };
+        // ... then attempt 100 commits it and the job runs to its end.
+        let succeeding = |mut events: Vec<JobEvent>| {
+            events.extend([
+                launch(0, 0, 100, 0),
+                commit(0, 0, 100, 0),
+                launch(1, 0, 101, 1),
+                commit(1, 0, 101, 1),
+                JobEvent::StageCompleted(0),
+            ]);
+            journal(events)
+        };
+        let over = |v: &[Violation], said: &str| v.iter().any(|v| v.message.contains(said));
+
+        // One failure short of the budget: the task may still succeed.
+        assert_clean(&succeeding(failing(0..budget - 1)), true);
+        // The budget's worth of failures fails the job; succeeding anyway
+        // means the master lost count.
+        let v = check(&succeeding(failing(0..budget)), true);
+        assert!(
+            over(
+                &v,
+                "task 0.0 failed 4 times (budget 4) yet the job succeeded"
+            ),
+            "missing budget violation: {v:?}"
+        );
+        // A failed run may exhaust the budget, never exceed it.
+        assert_clean(&journal(failing(0..budget)), false);
+        let v = check(&journal(failing(0..budget + 1)), false);
+        assert!(
+            over(
+                &v,
+                "task 0.0 failed 5 times (budget 4) exceeding the retry budget"
+            ),
+            "missing budget violation: {v:?}"
+        );
+        // A recovered master counts from zero, and so does the law.
+        let mut recovered = failing(0..budget - 1);
+        recovered.push(JobEvent::MasterRecovered);
+        recovered.push(JobEvent::WalRecovered {
+            frames_replayed: 6,
+            frames_truncated: 0,
+            snapshot_restored: false,
+        });
+        recovered.extend(failing(50..50 + budget - 1));
+        assert_clean(&succeeding(recovered), true);
+    }
+
+    #[test]
     fn law10_commit_of_fenced_attempt_is_detected() {
         // Attempt 1 was in flight at the recovery; the recovered master
         // must discard its report, never commit it.

@@ -2008,10 +2008,7 @@ impl Master {
         // back to the durable result parts, and any other stays committed
         // without data — the settle pass below decides, by the rule every
         // executor loss follows, which of those a consumer still needs.
-        let mut committed: Vec<((FopId, usize), Vec<ExecId>)> =
-            rec.committed.iter().map(|(&k, v)| (k, v.clone())).collect();
-        committed.sort_unstable_by_key(|&(k, _)| k);
-        for ((f, i), locations) in committed {
+        for ((f, i), locations) in rec.committed {
             if f >= n_fops || i >= self.parallelism[f] {
                 // A frame from a stale shape (or one that survived the
                 // CRC by chance): drop it, the task table has no slot.

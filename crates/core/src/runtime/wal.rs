@@ -44,8 +44,22 @@
 //! (`next_attempt` jumps past everything ever issued) and epoch fencing
 //! (the epoch never regresses past the recovered stamp) make any frame
 //! from the discarded suffix harmlessly rejectable.
+//!
+//! # Wire forms
+//!
+//! A type's layout is written down once, as its private `Wire` impl:
+//! by hand for the primitives, `Vec<T>` (the one collection-length
+//! guard) and [`WalSnapshot`]; as one `wire_enum!` table for each enum,
+//! whose rows read `tag => Variant { fields in wire order }` and expand
+//! to the encoder and the decoder both. Adding a [`JobEvent`] is the
+//! enum variant, one row with the next free tag (tags are never reused
+//! or renumbered — old logs must keep their meaning), a sample and a
+//! tag arm in `tests::every_wire_form_is_pinned`, and its `kind` /
+//! `describe` arms in the journal.
 
-use std::collections::{HashMap, HashSet};
+#![warn(clippy::iter_over_hash_type)]
+
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -93,57 +107,12 @@ fn crc32(data: &[u8]) -> u32 {
 
 type DecodeResult<T> = Result<T, &'static str>;
 
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.usize(x);
-            }
-        }
-    }
-}
-
 struct Dec<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
     fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
         if self.pos + n > self.bytes.len() {
             return Err("payload underrun");
@@ -157,43 +126,6 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn bool(&mut self) -> DecodeResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err("bad bool"),
-        }
-    }
-
-    fn u64(&mut self) -> DecodeResult<u64> {
-        let s = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(s);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn usize(&mut self) -> DecodeResult<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| "usize overflow")
-    }
-
-    fn str(&mut self) -> DecodeResult<String> {
-        let n = self.usize()?;
-        if n > self.bytes.len().saturating_sub(self.pos) {
-            return Err("string underrun");
-        }
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| "bad utf8")
-    }
-
-    fn opt_usize(&mut self) -> DecodeResult<Option<usize>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.usize()?)),
-            _ => Err("bad option tag"),
-        }
-    }
-
     fn done(&self) -> DecodeResult<()> {
         if self.pos == self.bytes.len() {
             Ok(())
@@ -203,605 +135,216 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn enc_block_ref(e: &mut Enc, b: &BlockRef) {
-    match b {
-        BlockRef::Output { fop, index } => {
-            e.u8(0);
-            e.usize(*fop);
-            e.usize(*index);
-        }
-        BlockRef::Bucket {
-            fop,
-            index,
-            dst_par,
-            dst,
-        } => {
-            e.u8(1);
-            e.usize(*fop);
-            e.usize(*index);
-            e.usize(*dst_par);
-            e.usize(*dst);
+/// The wire form of a type, written down once: `dec` reads exactly what
+/// `enc` wrote, field for field, and refuses anything else.
+trait Wire: Sized {
+    fn enc(&self, e: &mut Vec<u8>);
+    fn dec(d: &mut Dec<'_>) -> DecodeResult<Self>;
+}
+
+impl Wire for u64 {
+    fn enc(&self, e: &mut Vec<u8>) {
+        e.extend_from_slice(&self.to_le_bytes());
+    }
+    fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
+        let mut a = [0u8; 8];
+        a.copy_from_slice(d.take(8)?);
+        Ok(u64::from_le_bytes(a))
+    }
+}
+
+impl Wire for usize {
+    fn enc(&self, e: &mut Vec<u8>) {
+        (*self as u64).enc(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
+        usize::try_from(u64::dec(d)?).map_err(|_| "usize overflow")
+    }
+}
+
+impl Wire for bool {
+    fn enc(&self, e: &mut Vec<u8>) {
+        e.push(*self as u8);
+    }
+    fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
+        match d.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err("bad bool"),
         }
     }
 }
 
-fn dec_block_ref(d: &mut Dec<'_>) -> DecodeResult<BlockRef> {
-    match d.u8()? {
-        0 => Ok(BlockRef::Output {
-            fop: d.usize()?,
-            index: d.usize()?,
-        }),
-        1 => Ok(BlockRef::Bucket {
-            fop: d.usize()?,
-            index: d.usize()?,
-            dst_par: d.usize()?,
-            dst: d.usize()?,
-        }),
-        _ => Err("bad block-ref tag"),
+impl Wire for String {
+    fn enc(&self, e: &mut Vec<u8>) {
+        self.len().enc(e);
+        e.extend_from_slice(self.as_bytes());
+    }
+    fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
+        let n = usize::dec(d)?;
+        if n > d.bytes.len().saturating_sub(d.pos) {
+            return Err("string underrun");
+        }
+        String::from_utf8(d.take(n)?.to_vec()).map_err(|_| "bad utf8")
     }
 }
 
-fn enc_placement(e: &mut Enc, p: Placement) {
-    e.u8(match p {
-        Placement::Transient => 0,
-        Placement::Reserved => 1,
-    });
-}
-
-fn dec_placement(d: &mut Dec<'_>) -> DecodeResult<Placement> {
-    match d.u8()? {
-        0 => Ok(Placement::Transient),
-        1 => Ok(Placement::Reserved),
-        _ => Err("bad placement tag"),
+impl Wire for Option<usize> {
+    fn enc(&self, e: &mut Vec<u8>) {
+        match self {
+            None => e.push(0),
+            Some(x) => {
+                e.push(1);
+                x.enc(e);
+            }
+        }
     }
-}
-
-fn enc_change(e: &mut Enc, c: &ReconfigChange) {
-    match c {
-        ReconfigChange::MigrateStage { stage, to } => {
-            e.u8(0);
-            e.usize(*stage);
-            enc_placement(e, *to);
-        }
-        ReconfigChange::Repartition { fop, parallelism } => {
-            e.u8(1);
-            e.usize(*fop);
-            e.usize(*parallelism);
-        }
-        ReconfigChange::DrainTransient { nth } => {
-            e.u8(2);
-            e.usize(*nth);
+    fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
+        match d.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(usize::dec(d)?)),
+            _ => Err("bad option tag"),
         }
     }
 }
 
-fn dec_change(d: &mut Dec<'_>) -> DecodeResult<ReconfigChange> {
-    match d.u8()? {
-        0 => Ok(ReconfigChange::MigrateStage {
-            stage: d.usize()?,
-            to: dec_placement(d)?,
-        }),
-        1 => Ok(ReconfigChange::Repartition {
-            fop: d.usize()?,
-            parallelism: d.usize()?,
-        }),
-        2 => Ok(ReconfigChange::DrainTransient { nth: d.usize()? }),
-        _ => Err("bad reconfig-change tag"),
+impl<T: Wire> Wire for Vec<T> {
+    fn enc(&self, e: &mut Vec<u8>) {
+        self.len().enc(e);
+        for x in self {
+            x.enc(e);
+        }
+    }
+    /// A corrupt count must never drive an unbounded allocation.
+    fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
+        let n = usize::dec(d)?;
+        if n > 1 << 22 {
+            return Err("implausible collection length");
+        }
+        let mut v = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            v.push(T::dec(d)?);
+        }
+        Ok(v)
     }
 }
 
-fn enc_trigger(e: &mut Enc, t: ReconfigTrigger) {
-    e.u8(match t {
-        ReconfigTrigger::Api => 0,
-        ReconfigTrigger::Policy => 1,
-        ReconfigTrigger::Chaos => 2,
-    });
-}
-
-fn dec_trigger(d: &mut Dec<'_>) -> DecodeResult<ReconfigTrigger> {
-    match d.u8()? {
-        0 => Ok(ReconfigTrigger::Api),
-        1 => Ok(ReconfigTrigger::Policy),
-        2 => Ok(ReconfigTrigger::Chaos),
-        _ => Err("bad trigger tag"),
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn enc(&self, e: &mut Vec<u8>) {
+        self.0.enc(e);
+        self.1.enc(e);
+        self.2.enc(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
+        Ok((A::dec(d)?, B::dec(d)?, C::dec(d)?))
     }
 }
 
-#[allow(clippy::too_many_lines)]
-fn enc_event(e: &mut Enc, ev: &JobEvent) {
-    match ev {
-        JobEvent::TaskLaunched {
-            fop,
-            index,
-            attempt,
-            exec,
-            relaunch,
-            side_bytes_sent,
-            side_bytes_saved,
-            side_cache_misses,
-        } => {
-            e.u8(0);
-            e.usize(*fop);
-            e.usize(*index);
-            e.u64(*attempt);
-            e.usize(*exec);
-            e.bool(*relaunch);
-            e.usize(*side_bytes_sent);
-            e.usize(*side_bytes_saved);
-            e.usize(*side_cache_misses);
+/// The wire form of an enum: a `u8` tag, then the variant's fields in
+/// the order its row lists them. Each row expands to both directions, so
+/// the two cannot disagree; the encoder's `match` has no wildcard (a
+/// variant without a row does not compile) and a tag used twice is an
+/// unreachable decoder arm, which `-D warnings` rejects.
+macro_rules! wire_enum {
+    ($ty:ident, $bad_tag:literal, {
+        $($tag:literal => $variant:ident $({ $($field:ident),* })? $(($inner:ident))?,)*
+    }) => {
+        impl Wire for $ty {
+            fn enc(&self, e: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(($inner))? => {
+                        e.push($tag);
+                        $($($field.enc(e);)*)?
+                        $($inner.enc(e);)?
+                    })*
+                }
+            }
+            fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
+                Ok(match d.u8()? {
+                    $($tag => {
+                        $($(let $field = Wire::dec(d)?;)*)?
+                        $(let $inner = Wire::dec(d)?;)?
+                        $ty::$variant $({ $($field),* })? $(($inner))?
+                    })*
+                    _ => return Err($bad_tag),
+                })
+            }
         }
-        JobEvent::SpeculativeLaunched {
-            fop,
-            index,
-            attempt,
-            exec,
-            side_bytes_sent,
-            side_bytes_saved,
-            side_cache_misses,
-        } => {
-            e.u8(1);
-            e.usize(*fop);
-            e.usize(*index);
-            e.u64(*attempt);
-            e.usize(*exec);
-            e.usize(*side_bytes_sent);
-            e.usize(*side_bytes_saved);
-            e.usize(*side_cache_misses);
-        }
-        JobEvent::TaskStarted {
-            fop,
-            index,
-            attempt,
-            exec,
-        } => {
-            e.u8(2);
-            e.usize(*fop);
-            e.usize(*index);
-            e.u64(*attempt);
-            e.usize(*exec);
-        }
-        JobEvent::TaskCommitted {
-            fop,
-            index,
-            attempt,
-            exec,
-            speculative,
-            bytes_pushed,
-            preaggregated,
-            cache_hit,
-        } => {
-            e.u8(3);
-            e.usize(*fop);
-            e.usize(*index);
-            e.u64(*attempt);
-            e.usize(*exec);
-            e.bool(*speculative);
-            e.usize(*bytes_pushed);
-            e.usize(*preaggregated);
-            e.bool(*cache_hit);
-        }
-        JobEvent::TaskFailed {
-            fop,
-            index,
-            attempt,
-            exec,
-        } => {
-            e.u8(4);
-            e.usize(*fop);
-            e.usize(*index);
-            e.u64(*attempt);
-            e.usize(*exec);
-        }
-        JobEvent::TaskReverted { fop, index } => {
-            e.u8(5);
-            e.usize(*fop);
-            e.usize(*index);
-        }
-        JobEvent::ExecutorBlacklisted(x) => {
-            e.u8(6);
-            e.usize(*x);
-        }
-        JobEvent::StageCompleted(s) => {
-            e.u8(7);
-            e.usize(*s);
-        }
-        JobEvent::StageReopened { stage, recompute } => {
-            e.u8(8);
-            e.usize(*stage);
-            e.bool(*recompute);
-        }
-        JobEvent::ContainerEvicted(x) => {
-            e.u8(9);
-            e.usize(*x);
-        }
-        JobEvent::ReservedFailed(x) => {
-            e.u8(10);
-            e.usize(*x);
-        }
-        JobEvent::ExecutorDeclaredDead(x) => {
-            e.u8(11);
-            e.usize(*x);
-        }
-        JobEvent::ContainerAdded(x) => {
-            e.u8(12);
-            e.usize(*x);
-        }
-        JobEvent::HeartbeatMissed(x) => {
-            e.u8(13);
-            e.usize(*x);
-        }
-        JobEvent::MessageRetransmitted {
-            exec,
-            to_master,
-            seq,
-        } => {
-            e.u8(14);
-            e.usize(*exec);
-            e.bool(*to_master);
-            e.u64(*seq);
-        }
-        JobEvent::MasterRecovered => e.u8(15),
-        JobEvent::BlockAdmitted {
-            exec,
-            block,
-            bytes,
-            resident,
-        } => {
-            e.u8(16);
-            e.usize(*exec);
-            enc_block_ref(e, block);
-            e.usize(*bytes);
-            e.usize(*resident);
-        }
-        JobEvent::BlockSpilled {
-            exec,
-            block,
-            bytes,
-            raw_bytes,
-            resident,
-        } => {
-            e.u8(17);
-            e.usize(*exec);
-            enc_block_ref(e, block);
-            e.usize(*bytes);
-            e.usize(*raw_bytes);
-            e.usize(*resident);
-        }
-        JobEvent::BlockLoaded {
-            exec,
-            block,
-            bytes,
-            resident,
-        } => {
-            e.u8(18);
-            e.usize(*exec);
-            enc_block_ref(e, block);
-            e.usize(*bytes);
-            e.usize(*resident);
-        }
-        JobEvent::BlockReleased {
-            exec,
-            block,
-            bytes,
-            resident,
-        } => {
-            e.u8(19);
-            e.usize(*exec);
-            enc_block_ref(e, block);
-            e.usize(*bytes);
-            e.usize(*resident);
-        }
-        JobEvent::BlockPinned { exec, block } => {
-            e.u8(20);
-            e.usize(*exec);
-            enc_block_ref(e, block);
-        }
-        JobEvent::BlockUnpinned { exec, block } => {
-            e.u8(21);
-            e.usize(*exec);
-            enc_block_ref(e, block);
-        }
-        JobEvent::StoreBudgetChanged { exec, budget } => {
-            e.u8(22);
-            e.usize(*exec);
-            e.usize(*budget);
-        }
-        JobEvent::PushDeferred {
-            fop,
-            index,
-            exec,
-            bytes,
-        } => {
-            e.u8(23);
-            e.usize(*fop);
-            e.usize(*index);
-            e.usize(*exec);
-            e.usize(*bytes);
-        }
-        JobEvent::PushResumed {
-            fop,
-            index,
-            exec,
-            bytes,
-        } => {
-            e.u8(24);
-            e.usize(*fop);
-            e.usize(*index);
-            e.usize(*exec);
-            e.usize(*bytes);
-        }
-        JobEvent::OomInjected {
-            fop,
-            index,
-            attempt,
-            exec,
-        } => {
-            e.u8(25);
-            e.usize(*fop);
-            e.usize(*index);
-            e.u64(*attempt);
-            e.usize(*exec);
-        }
-        JobEvent::CacheHit { exec, key, bytes } => {
-            e.u8(26);
-            e.usize(*exec);
-            e.usize(*key);
-            e.usize(*bytes);
-        }
-        JobEvent::CacheMiss { exec, key } => {
-            e.u8(27);
-            e.usize(*exec);
-            e.usize(*key);
-        }
-        JobEvent::ReconfigRequested {
-            reconfig,
-            trigger,
-            change,
-        } => {
-            e.u8(28);
-            e.u64(*reconfig);
-            enc_trigger(e, *trigger);
-            enc_change(e, change);
-        }
-        JobEvent::ReconfigPrepared { reconfig, quiesced } => {
-            e.u8(29);
-            e.u64(*reconfig);
-            e.usize(*quiesced);
-        }
-        JobEvent::ReconfigCommitted {
-            reconfig,
-            change,
-            epoch,
-        } => {
-            e.u8(30);
-            e.u64(*reconfig);
-            enc_change(e, change);
-            e.u64(*epoch);
-        }
-        JobEvent::ReconfigAborted { reconfig, reason } => {
-            e.u8(31);
-            e.u64(*reconfig);
-            e.str(reason);
-        }
-        JobEvent::EpochAdvanced { epoch } => {
-            e.u8(32);
-            e.u64(*epoch);
-        }
-        JobEvent::StaleFrameFenced { exec, seq, epoch } => {
-            e.u8(33);
-            e.usize(*exec);
-            e.u64(*seq);
-            e.u64(*epoch);
-        }
-        JobEvent::WalRecovered {
-            frames_replayed,
-            frames_truncated,
-            snapshot_restored,
-        } => {
-            e.u8(34);
-            e.usize(*frames_replayed);
-            e.usize(*frames_truncated);
-            e.bool(*snapshot_restored);
-        }
-        JobEvent::RunAborted { reason } => {
-            e.u8(35);
-            e.str(reason);
-        }
-        JobEvent::RunStalled { waited_ms } => {
-            e.u8(36);
-            e.u64(*waited_ms);
-        }
-        JobEvent::PoolQuiesced { in_flight } => {
-            e.u8(37);
-            e.usize(*in_flight);
-        }
-        JobEvent::PoolWorkerDetached { worker } => {
-            e.u8(38);
-            e.usize(*worker);
-        }
-        JobEvent::OutputDropped { fop, index, exec } => {
-            e.u8(39);
-            e.usize(*fop);
-            e.usize(*index);
-            e.usize(*exec);
-        }
-    }
+    };
 }
 
-#[allow(clippy::too_many_lines)]
-fn dec_event(d: &mut Dec<'_>) -> DecodeResult<JobEvent> {
-    Ok(match d.u8()? {
-        0 => JobEvent::TaskLaunched {
-            fop: d.usize()?,
-            index: d.usize()?,
-            attempt: d.u64()?,
-            exec: d.usize()?,
-            relaunch: d.bool()?,
-            side_bytes_sent: d.usize()?,
-            side_bytes_saved: d.usize()?,
-            side_cache_misses: d.usize()?,
-        },
-        1 => JobEvent::SpeculativeLaunched {
-            fop: d.usize()?,
-            index: d.usize()?,
-            attempt: d.u64()?,
-            exec: d.usize()?,
-            side_bytes_sent: d.usize()?,
-            side_bytes_saved: d.usize()?,
-            side_cache_misses: d.usize()?,
-        },
-        2 => JobEvent::TaskStarted {
-            fop: d.usize()?,
-            index: d.usize()?,
-            attempt: d.u64()?,
-            exec: d.usize()?,
-        },
-        3 => JobEvent::TaskCommitted {
-            fop: d.usize()?,
-            index: d.usize()?,
-            attempt: d.u64()?,
-            exec: d.usize()?,
-            speculative: d.bool()?,
-            bytes_pushed: d.usize()?,
-            preaggregated: d.usize()?,
-            cache_hit: d.bool()?,
-        },
-        4 => JobEvent::TaskFailed {
-            fop: d.usize()?,
-            index: d.usize()?,
-            attempt: d.u64()?,
-            exec: d.usize()?,
-        },
-        5 => JobEvent::TaskReverted {
-            fop: d.usize()?,
-            index: d.usize()?,
-        },
-        6 => JobEvent::ExecutorBlacklisted(d.usize()?),
-        7 => JobEvent::StageCompleted(d.usize()?),
-        8 => JobEvent::StageReopened {
-            stage: d.usize()?,
-            recompute: d.bool()?,
-        },
-        9 => JobEvent::ContainerEvicted(d.usize()?),
-        10 => JobEvent::ReservedFailed(d.usize()?),
-        11 => JobEvent::ExecutorDeclaredDead(d.usize()?),
-        12 => JobEvent::ContainerAdded(d.usize()?),
-        13 => JobEvent::HeartbeatMissed(d.usize()?),
-        14 => JobEvent::MessageRetransmitted {
-            exec: d.usize()?,
-            to_master: d.bool()?,
-            seq: d.u64()?,
-        },
-        15 => JobEvent::MasterRecovered,
-        16 => JobEvent::BlockAdmitted {
-            exec: d.usize()?,
-            block: dec_block_ref(d)?,
-            bytes: d.usize()?,
-            resident: d.usize()?,
-        },
-        17 => JobEvent::BlockSpilled {
-            exec: d.usize()?,
-            block: dec_block_ref(d)?,
-            bytes: d.usize()?,
-            raw_bytes: d.usize()?,
-            resident: d.usize()?,
-        },
-        18 => JobEvent::BlockLoaded {
-            exec: d.usize()?,
-            block: dec_block_ref(d)?,
-            bytes: d.usize()?,
-            resident: d.usize()?,
-        },
-        19 => JobEvent::BlockReleased {
-            exec: d.usize()?,
-            block: dec_block_ref(d)?,
-            bytes: d.usize()?,
-            resident: d.usize()?,
-        },
-        20 => JobEvent::BlockPinned {
-            exec: d.usize()?,
-            block: dec_block_ref(d)?,
-        },
-        21 => JobEvent::BlockUnpinned {
-            exec: d.usize()?,
-            block: dec_block_ref(d)?,
-        },
-        22 => JobEvent::StoreBudgetChanged {
-            exec: d.usize()?,
-            budget: d.usize()?,
-        },
-        23 => JobEvent::PushDeferred {
-            fop: d.usize()?,
-            index: d.usize()?,
-            exec: d.usize()?,
-            bytes: d.usize()?,
-        },
-        24 => JobEvent::PushResumed {
-            fop: d.usize()?,
-            index: d.usize()?,
-            exec: d.usize()?,
-            bytes: d.usize()?,
-        },
-        25 => JobEvent::OomInjected {
-            fop: d.usize()?,
-            index: d.usize()?,
-            attempt: d.u64()?,
-            exec: d.usize()?,
-        },
-        26 => JobEvent::CacheHit {
-            exec: d.usize()?,
-            key: d.usize()?,
-            bytes: d.usize()?,
-        },
-        27 => JobEvent::CacheMiss {
-            exec: d.usize()?,
-            key: d.usize()?,
-        },
-        28 => JobEvent::ReconfigRequested {
-            reconfig: d.u64()?,
-            trigger: dec_trigger(d)?,
-            change: dec_change(d)?,
-        },
-        29 => JobEvent::ReconfigPrepared {
-            reconfig: d.u64()?,
-            quiesced: d.usize()?,
-        },
-        30 => JobEvent::ReconfigCommitted {
-            reconfig: d.u64()?,
-            change: dec_change(d)?,
-            epoch: d.u64()?,
-        },
-        31 => JobEvent::ReconfigAborted {
-            reconfig: d.u64()?,
-            reason: d.str()?,
-        },
-        32 => JobEvent::EpochAdvanced { epoch: d.u64()? },
-        33 => JobEvent::StaleFrameFenced {
-            exec: d.usize()?,
-            seq: d.u64()?,
-            epoch: d.u64()?,
-        },
-        34 => JobEvent::WalRecovered {
-            frames_replayed: d.usize()?,
-            frames_truncated: d.usize()?,
-            snapshot_restored: d.bool()?,
-        },
-        35 => JobEvent::RunAborted { reason: d.str()? },
-        36 => JobEvent::RunStalled {
-            waited_ms: d.u64()?,
-        },
-        37 => JobEvent::PoolQuiesced {
-            in_flight: d.usize()?,
-        },
-        38 => JobEvent::PoolWorkerDetached { worker: d.usize()? },
-        39 => JobEvent::OutputDropped {
-            fop: d.usize()?,
-            index: d.usize()?,
-            exec: d.usize()?,
-        },
-        _ => return Err("bad event tag"),
-    })
-}
+wire_enum!(BlockRef, "bad block-ref tag", {
+    0 => Output { fop, index },
+    1 => Bucket { fop, index, dst_par, dst },
+});
+
+wire_enum!(Placement, "bad placement tag", {
+    0 => Transient,
+    1 => Reserved,
+});
+
+wire_enum!(ReconfigChange, "bad reconfig-change tag", {
+    0 => MigrateStage { stage, to },
+    1 => Repartition { fop, parallelism },
+    2 => DrainTransient { nth },
+});
+
+wire_enum!(ReconfigTrigger, "bad trigger tag", {
+    0 => Api,
+    1 => Policy,
+    2 => Chaos,
+});
+
+// Tags are never reused or renumbered: a new event takes the next free
+// one, whatever its place in the enum.
+wire_enum!(JobEvent, "bad event tag", {
+    0 => TaskLaunched {
+        fop, index, attempt, exec, relaunch, side_bytes_sent, side_bytes_saved, side_cache_misses
+    },
+    1 => SpeculativeLaunched {
+        fop, index, attempt, exec, side_bytes_sent, side_bytes_saved, side_cache_misses
+    },
+    2 => TaskStarted { fop, index, attempt, exec },
+    3 => TaskCommitted {
+        fop, index, attempt, exec, speculative, bytes_pushed, preaggregated, cache_hit
+    },
+    4 => TaskFailed { fop, index, attempt, exec },
+    5 => TaskReverted { fop, index },
+    6 => ExecutorBlacklisted(exec),
+    7 => StageCompleted(stage),
+    8 => StageReopened { stage, recompute },
+    9 => ContainerEvicted(exec),
+    10 => ReservedFailed(exec),
+    11 => ExecutorDeclaredDead(exec),
+    12 => ContainerAdded(exec),
+    13 => HeartbeatMissed(exec),
+    14 => MessageRetransmitted { exec, to_master, seq },
+    15 => MasterRecovered,
+    16 => BlockAdmitted { exec, block, bytes, resident },
+    17 => BlockSpilled { exec, block, bytes, raw_bytes, resident },
+    18 => BlockLoaded { exec, block, bytes, resident },
+    19 => BlockReleased { exec, block, bytes, resident },
+    20 => BlockPinned { exec, block },
+    21 => BlockUnpinned { exec, block },
+    22 => StoreBudgetChanged { exec, budget },
+    23 => PushDeferred { fop, index, exec, bytes },
+    24 => PushResumed { fop, index, exec, bytes },
+    25 => OomInjected { fop, index, attempt, exec },
+    26 => CacheHit { exec, key, bytes },
+    27 => CacheMiss { exec, key },
+    28 => ReconfigRequested { reconfig, trigger, change },
+    29 => ReconfigPrepared { reconfig, quiesced },
+    30 => ReconfigCommitted { reconfig, change, epoch },
+    31 => ReconfigAborted { reconfig, reason },
+    32 => EpochAdvanced { epoch },
+    33 => StaleFrameFenced { exec, seq, epoch },
+    34 => WalRecovered { frames_replayed, frames_truncated, snapshot_restored },
+    35 => RunAborted { reason },
+    36 => RunStalled { waited_ms },
+    37 => PoolQuiesced { in_flight },
+    38 => PoolWorkerDetached { worker },
+    39 => OutputDropped { fop, index, exec },
+});
 
 // ---------------------------------------------------------------------
 // Records and snapshots
@@ -829,98 +372,27 @@ pub struct WalSnapshot {
     pub placement: Vec<Placement>,
 }
 
-fn enc_snapshot(e: &mut Enc, s: &WalSnapshot) {
-    e.u64(s.epoch);
-    e.u64(s.next_attempt);
-    e.usize(s.completed_attempts.len());
-    for a in &s.completed_attempts {
-        e.u64(*a);
+impl Wire for WalSnapshot {
+    fn enc(&self, e: &mut Vec<u8>) {
+        self.epoch.enc(e);
+        self.next_attempt.enc(e);
+        self.completed_attempts.enc(e);
+        self.committed.enc(e);
+        self.first_attempted.enc(e);
+        self.parallelism.enc(e);
+        self.placement.enc(e);
     }
-    e.usize(s.committed.len());
-    for (fop, index, locs) in &s.committed {
-        e.usize(*fop);
-        e.usize(*index);
-        e.usize(locs.len());
-        for l in locs {
-            e.usize(*l);
-        }
+    fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
+        Ok(WalSnapshot {
+            epoch: Wire::dec(d)?,
+            next_attempt: Wire::dec(d)?,
+            completed_attempts: Wire::dec(d)?,
+            committed: Wire::dec(d)?,
+            first_attempted: Wire::dec(d)?,
+            parallelism: Wire::dec(d)?,
+            placement: Wire::dec(d)?,
+        })
     }
-    e.usize(s.first_attempted.len());
-    for row in &s.first_attempted {
-        e.usize(row.len());
-        for &b in row {
-            e.bool(b);
-        }
-    }
-    e.usize(s.parallelism.len());
-    for &p in &s.parallelism {
-        e.usize(p);
-    }
-    e.usize(s.placement.len());
-    for &p in &s.placement {
-        enc_placement(e, p);
-    }
-}
-
-/// Length guard for decoded collections: a corrupt count must never
-/// drive an unbounded allocation.
-fn checked_len(n: usize) -> DecodeResult<usize> {
-    if n > 1 << 22 {
-        Err("implausible collection length")
-    } else {
-        Ok(n)
-    }
-}
-
-fn dec_snapshot(d: &mut Dec<'_>) -> DecodeResult<WalSnapshot> {
-    let epoch = d.u64()?;
-    let next_attempt = d.u64()?;
-    let n = checked_len(d.usize()?)?;
-    let mut completed_attempts = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        completed_attempts.push(d.u64()?);
-    }
-    let n = checked_len(d.usize()?)?;
-    let mut committed = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let fop = d.usize()?;
-        let index = d.usize()?;
-        let m = checked_len(d.usize()?)?;
-        let mut locs = Vec::with_capacity(m.min(1024));
-        for _ in 0..m {
-            locs.push(d.usize()?);
-        }
-        committed.push((fop, index, locs));
-    }
-    let n = checked_len(d.usize()?)?;
-    let mut first_attempted = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let m = checked_len(d.usize()?)?;
-        let mut row = Vec::with_capacity(m.min(1024));
-        for _ in 0..m {
-            row.push(d.bool()?);
-        }
-        first_attempted.push(row);
-    }
-    let n = checked_len(d.usize()?)?;
-    let mut parallelism = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        parallelism.push(d.usize()?);
-    }
-    let n = checked_len(d.usize()?)?;
-    let mut placement = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        placement.push(dec_placement(d)?);
-    }
-    Ok(WalSnapshot {
-        epoch,
-        next_attempt,
-        completed_attempts,
-        committed,
-        first_attempted,
-        parallelism,
-        placement,
-    })
 }
 
 /// One durable record: what a frame's payload carries.
@@ -960,35 +432,30 @@ pub struct WalFrame {
 
 /// Encodes one frame (magic, length, CRC, payload) ready to append.
 pub fn encode_frame(epoch: u64, record: &WalRecord) -> Vec<u8> {
-    let mut e = Enc::new();
+    let mut payload = Vec::new();
+    let e = &mut payload;
+    e.push(match record {
+        WalRecord::Event { .. } => KIND_EVENT,
+        WalRecord::Snapshot(_) => KIND_SNAPSHOT,
+        WalRecord::Locations { .. } => KIND_LOCATIONS,
+    });
+    epoch.enc(e);
     match record {
         WalRecord::Event { stage, event } => {
-            e.u8(KIND_EVENT);
-            e.u64(epoch);
-            e.opt_usize(*stage);
-            enc_event(&mut e, event);
+            stage.enc(e);
+            event.enc(e);
         }
-        WalRecord::Snapshot(s) => {
-            e.u8(KIND_SNAPSHOT);
-            e.u64(epoch);
-            enc_snapshot(&mut e, s);
-        }
+        WalRecord::Snapshot(s) => s.enc(e),
         WalRecord::Locations {
             fop,
             index,
             locations,
         } => {
-            e.u8(KIND_LOCATIONS);
-            e.u64(epoch);
-            e.usize(*fop);
-            e.usize(*index);
-            e.usize(locations.len());
-            for l in locations {
-                e.usize(*l);
-            }
+            fop.enc(e);
+            index.enc(e);
+            locations.enc(e);
         }
     }
-    let payload = e.buf;
     let mut out = Vec::with_capacity(12 + payload.len());
     out.extend_from_slice(&WAL_MAGIC.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -998,29 +465,23 @@ pub fn encode_frame(epoch: u64, record: &WalRecord) -> Vec<u8> {
 }
 
 fn decode_payload(payload: &[u8]) -> DecodeResult<WalFrame> {
-    let mut d = Dec::new(payload);
+    let d = &mut Dec {
+        bytes: payload,
+        pos: 0,
+    };
     let kind = d.u8()?;
-    let epoch = d.u64()?;
+    let epoch = Wire::dec(d)?;
     let record = match kind {
         KIND_EVENT => WalRecord::Event {
-            stage: d.opt_usize()?,
-            event: dec_event(&mut d)?,
+            stage: Wire::dec(d)?,
+            event: Wire::dec(d)?,
         },
-        KIND_SNAPSHOT => WalRecord::Snapshot(dec_snapshot(&mut d)?),
-        KIND_LOCATIONS => {
-            let fop = d.usize()?;
-            let index = d.usize()?;
-            let n = checked_len(d.usize()?)?;
-            let mut locations = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                locations.push(d.usize()?);
-            }
-            WalRecord::Locations {
-                fop,
-                index,
-                locations,
-            }
-        }
+        KIND_SNAPSHOT => WalRecord::Snapshot(Wire::dec(d)?),
+        KIND_LOCATIONS => WalRecord::Locations {
+            fop: Wire::dec(d)?,
+            index: Wire::dec(d)?,
+            locations: Wire::dec(d)?,
+        },
         _ => return Err("bad frame kind"),
     };
     d.done()?;
@@ -1162,12 +623,12 @@ pub struct RecoveredState {
     /// Highest attempt id ever observed; the master fences past it.
     pub max_attempt: AttemptId,
     /// Terminally-reported attempts (the idempotence log).
-    pub completed_attempts: HashSet<AttemptId>,
+    pub completed_attempts: BTreeSet<AttemptId>,
     /// Block location table: committed task → executors believed to hold
     /// its output; empty for an output that was dropped or lives only in
     /// the job sink. Recovery refetches what it can reach and reverts
     /// what it cannot only if a consumer still needs it.
-    pub committed: HashMap<(FopId, usize), Vec<ExecId>>,
+    pub committed: BTreeMap<(FopId, usize), Vec<ExecId>>,
     /// Per-task first-launch flags.
     pub first_attempted: Vec<Vec<bool>>,
     /// Live parallelism overlay (empty when the log held no snapshot).
@@ -1624,6 +1085,351 @@ mod tests {
         }
     }
 
+    /// One sample of every `JobEvent` variant, covering between them
+    /// both `BlockRef` shapes, all three `ReconfigChange`s and triggers
+    /// and both placements.
+    #[allow(clippy::too_many_lines)]
+    fn every_event() -> Vec<JobEvent> {
+        use JobEvent::*;
+        let (fop, index, attempt, exec, bytes, resident) = (3, 5, 1 << 40, 7, 4096, 1 << 20);
+        let output = BlockRef::Output { fop, index };
+        let bucket = BlockRef::Bucket {
+            fop,
+            index,
+            dst_par: 8,
+            dst: 2,
+        };
+        let requested = |reconfig, trigger, change| ReconfigRequested {
+            reconfig,
+            trigger,
+            change,
+        };
+        vec![
+            TaskLaunched {
+                fop,
+                index,
+                attempt,
+                exec,
+                relaunch: true,
+                side_bytes_sent: 11,
+                side_bytes_saved: 12,
+                side_cache_misses: 13,
+            },
+            SpeculativeLaunched {
+                fop,
+                index,
+                attempt,
+                exec,
+                side_bytes_sent: 14,
+                side_bytes_saved: 15,
+                side_cache_misses: 16,
+            },
+            TaskStarted {
+                fop,
+                index,
+                attempt,
+                exec,
+            },
+            TaskCommitted {
+                fop,
+                index,
+                attempt,
+                exec,
+                speculative: true,
+                bytes_pushed: 17,
+                preaggregated: 18,
+                cache_hit: false,
+            },
+            TaskFailed {
+                fop,
+                index,
+                attempt,
+                exec,
+            },
+            TaskReverted { fop, index },
+            ExecutorBlacklisted(exec),
+            StageCompleted(2),
+            StageReopened {
+                stage: 2,
+                recompute: true,
+            },
+            ContainerEvicted(exec),
+            ReservedFailed(exec),
+            ExecutorDeclaredDead(exec),
+            ContainerAdded(exec),
+            HeartbeatMissed(exec),
+            MessageRetransmitted {
+                exec,
+                to_master: true,
+                seq: 19,
+            },
+            MasterRecovered,
+            BlockAdmitted {
+                exec,
+                block: output,
+                bytes,
+                resident,
+            },
+            BlockSpilled {
+                exec,
+                block: bucket,
+                bytes,
+                raw_bytes: 9000,
+                resident,
+            },
+            BlockLoaded {
+                exec,
+                block: bucket,
+                bytes,
+                resident,
+            },
+            BlockReleased {
+                exec,
+                block: output,
+                bytes,
+                resident,
+            },
+            BlockPinned {
+                exec,
+                block: bucket,
+            },
+            BlockUnpinned {
+                exec,
+                block: output,
+            },
+            StoreBudgetChanged { exec, budget: 20 },
+            PushDeferred {
+                fop,
+                index,
+                exec,
+                bytes,
+            },
+            PushResumed {
+                fop,
+                index,
+                exec,
+                bytes,
+            },
+            OomInjected {
+                fop,
+                index,
+                attempt,
+                exec,
+            },
+            CacheHit {
+                exec,
+                key: 21,
+                bytes,
+            },
+            CacheMiss { exec, key: 22 },
+            requested(
+                1,
+                ReconfigTrigger::Api,
+                ReconfigChange::MigrateStage {
+                    stage: 2,
+                    to: Placement::Reserved,
+                },
+            ),
+            requested(
+                2,
+                ReconfigTrigger::Policy,
+                ReconfigChange::Repartition {
+                    fop,
+                    parallelism: 9,
+                },
+            ),
+            requested(
+                3,
+                ReconfigTrigger::Chaos,
+                ReconfigChange::DrainTransient { nth: 1 },
+            ),
+            ReconfigPrepared {
+                reconfig: 1,
+                quiesced: 23,
+            },
+            ReconfigCommitted {
+                reconfig: 1,
+                change: ReconfigChange::MigrateStage {
+                    stage: 1,
+                    to: Placement::Transient,
+                },
+                epoch: 24,
+            },
+            ReconfigAborted {
+                reconfig: 2,
+                reason: "executor 7 lost while quiescing".into(),
+            },
+            EpochAdvanced { epoch: 25 },
+            StaleFrameFenced {
+                exec,
+                seq: 26,
+                epoch: 24,
+            },
+            WalRecovered {
+                frames_replayed: 27,
+                frames_truncated: 28,
+                snapshot_restored: true,
+            },
+            RunAborted {
+                reason: String::new(),
+            },
+            RunStalled { waited_ms: 29 },
+            PoolQuiesced { in_flight: 30 },
+            PoolWorkerDetached { worker: 31 },
+            OutputDropped { fop, index, exec },
+        ]
+    }
+
+    /// The tag a variant has always had on the wire. No wildcard: a new
+    /// variant does not compile until it has an arm here, and
+    /// `every_wire_form_is_pinned` fails until `every_event` samples it.
+    fn pinned_tag(event: &JobEvent) -> u8 {
+        match event {
+            JobEvent::TaskLaunched { .. } => 0,
+            JobEvent::SpeculativeLaunched { .. } => 1,
+            JobEvent::TaskStarted { .. } => 2,
+            JobEvent::TaskCommitted { .. } => 3,
+            JobEvent::TaskFailed { .. } => 4,
+            JobEvent::TaskReverted { .. } => 5,
+            JobEvent::ExecutorBlacklisted(_) => 6,
+            JobEvent::StageCompleted(_) => 7,
+            JobEvent::StageReopened { .. } => 8,
+            JobEvent::ContainerEvicted(_) => 9,
+            JobEvent::ReservedFailed(_) => 10,
+            JobEvent::ExecutorDeclaredDead(_) => 11,
+            JobEvent::ContainerAdded(_) => 12,
+            JobEvent::HeartbeatMissed(_) => 13,
+            JobEvent::MessageRetransmitted { .. } => 14,
+            JobEvent::MasterRecovered => 15,
+            JobEvent::BlockAdmitted { .. } => 16,
+            JobEvent::BlockSpilled { .. } => 17,
+            JobEvent::BlockLoaded { .. } => 18,
+            JobEvent::BlockReleased { .. } => 19,
+            JobEvent::BlockPinned { .. } => 20,
+            JobEvent::BlockUnpinned { .. } => 21,
+            JobEvent::StoreBudgetChanged { .. } => 22,
+            JobEvent::PushDeferred { .. } => 23,
+            JobEvent::PushResumed { .. } => 24,
+            JobEvent::OomInjected { .. } => 25,
+            JobEvent::CacheHit { .. } => 26,
+            JobEvent::CacheMiss { .. } => 27,
+            JobEvent::ReconfigRequested { .. } => 28,
+            JobEvent::ReconfigPrepared { .. } => 29,
+            JobEvent::ReconfigCommitted { .. } => 30,
+            JobEvent::ReconfigAborted { .. } => 31,
+            JobEvent::EpochAdvanced { .. } => 32,
+            JobEvent::StaleFrameFenced { .. } => 33,
+            JobEvent::WalRecovered { .. } => 34,
+            JobEvent::RunAborted { .. } => 35,
+            JobEvent::RunStalled { .. } => 36,
+            JobEvent::PoolQuiesced { .. } => 37,
+            JobEvent::PoolWorkerDetached { .. } => 38,
+            JobEvent::OutputDropped { .. } => 39,
+        }
+    }
+
+    /// Every layout the log can hold, pinned byte for byte: the length
+    /// and FNV-1a below were recorded from the encoder of commit
+    /// `6a75e43` (two hand-written 40-arm codecs), before the wire forms
+    /// moved into one table per type. A change here is a format change.
+    #[test]
+    fn every_wire_form_is_pinned() {
+        let mut records: Vec<WalRecord> = Vec::new();
+        let mut tags = std::collections::BTreeSet::new();
+        for (n, event) in every_event().into_iter().enumerate() {
+            let tag = pinned_tag(&event);
+            let stage = (n % 2 == 1).then_some(n);
+            let record = WalRecord::Event { stage, event };
+            // magic, len, crc, kind, epoch, the stage option, then the tag.
+            let at = 12 + 1 + 8 + if stage.is_some() { 9 } else { 1 };
+            assert_eq!(encode_frame(0, &record)[at], tag, "{record:?}");
+            tags.insert(tag);
+            records.push(record);
+        }
+        assert_eq!(tags, (0..40).collect(), "a variant has no sample");
+        records.push(WalRecord::Snapshot(WalSnapshot {
+            epoch: 7,
+            next_attempt: 1 << 33,
+            completed_attempts: vec![],
+            committed: vec![(4, 0, vec![]), (4, 1, vec![2, 9])],
+            first_attempted: vec![vec![], vec![false, true, true]],
+            parallelism: vec![0, 3],
+            placement: vec![Placement::Reserved, Placement::Transient],
+        }));
+        for locations in [vec![], vec![6, 1, 300]] {
+            records.push(WalRecord::Locations {
+                fop: 4,
+                index: 1,
+                locations,
+            });
+        }
+
+        let image: Vec<u8> = records
+            .iter()
+            .enumerate()
+            .flat_map(|(n, r)| encode_frame(n as u64 / 10, r))
+            .collect();
+        let scanned = scan(&image);
+        assert_eq!(
+            (scanned.valid_len, scanned.frames_truncated),
+            (image.len() as u64, 0)
+        );
+        assert_eq!(scanned.frames.len(), records.len());
+        for (n, (frame, record)) in scanned.frames.iter().zip(&records).enumerate() {
+            assert_eq!((frame.epoch, &frame.record), (n as u64 / 10, record));
+        }
+        let fnv1a = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(
+            (image.len(), fnv1a),
+            (2430, 0x7591_b892_daaf_7179),
+            "the image moved"
+        );
+    }
+
+    /// What a decoder refused before the wire forms moved into one table
+    /// per type it still refuses, for the same reason (`usize overflow`
+    /// cannot occur where `usize` is 64 bits wide).
+    #[test]
+    fn decoders_refuse_what_they_always_refused() {
+        let le = |v: u64| v.to_le_bytes().to_vec();
+        // A payload is kind, epoch, body.
+        let refusal = |kind: u8, body: Vec<Vec<u8>>| {
+            let payload = [vec![kind], le(0), body.concat()].concat();
+            decode_payload(&payload).expect_err("refused")
+        };
+        let event = |body: Vec<Vec<u8>>| refusal(KIND_EVENT, [vec![vec![0]], body].concat());
+        assert_eq!(refusal(9, vec![]), "bad frame kind");
+        assert_eq!(refusal(KIND_EVENT, vec![vec![2]]), "bad option tag");
+        assert_eq!(event(vec![vec![40]]), "bad event tag");
+        // StageReopened { stage: 1, recompute: 2 }
+        assert_eq!(event(vec![vec![8], le(1), vec![2]]), "bad bool");
+        // BlockPinned { exec: 1, block: 2.. }
+        assert_eq!(event(vec![vec![20], le(1), vec![2]]), "bad block-ref tag");
+        // ReconfigRequested { reconfig: 1, trigger, change: MigrateStage { stage: 1, to } }
+        assert_eq!(event(vec![vec![28], le(1), vec![3]]), "bad trigger tag");
+        assert_eq!(
+            event(vec![vec![28], le(1), vec![0, 3]]),
+            "bad reconfig-change tag"
+        );
+        assert_eq!(
+            event(vec![vec![28], le(1), vec![0, 0], le(1), vec![2]]),
+            "bad placement tag"
+        );
+        // RunAborted { reason }
+        assert_eq!(event(vec![vec![35], le(5), vec![b'x']]), "string underrun");
+        assert_eq!(event(vec![vec![35], le(1), vec![0xFF]]), "bad utf8");
+        // TaskReverted { fop: 1 } and no index; MasterRecovered and a byte.
+        assert_eq!(event(vec![vec![5], le(1)]), "payload underrun");
+        assert_eq!(event(vec![vec![15, 0]]), "trailing payload bytes");
+        let too_many = vec![le(0), le(0), le((1 << 22) + 1)];
+        assert_eq!(
+            refusal(KIND_LOCATIONS, too_many),
+            "implausible collection length"
+        );
+    }
+
     #[test]
     fn torn_tail_truncates_to_prefix() {
         let mut bytes = encode_frame(0, &ev(1));
@@ -1731,8 +1537,7 @@ mod tests {
 
         let bytes: Vec<u8> = log.iter().flat_map(|r| encode_frame(0, r)).collect();
         let state = replay(&scan(&bytes));
-        let mut replayed: Vec<_> = state.committed.into_iter().collect();
-        replayed.sort();
+        let replayed: Vec<_> = state.committed.into_iter().collect();
         let live: Vec<_> = table
             .committed()
             .map(|(f, i, locations)| ((f, i), locations.to_vec()))

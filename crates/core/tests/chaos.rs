@@ -5,8 +5,8 @@
 //! Invariants enforced per seed:
 //! - outputs byte-identical to the fault-free run (codec-encoded),
 //! - per-task failures stay under the retry budget,
-//! - no double-commits (a second `TaskCommitted` needs an intervening
-//!   `TaskReverted`),
+//! - no double-commits (`assert_clean`, law 1: a second `TaskCommitted`
+//!   needs an intervening `TaskReverted`),
 //! - `task_failures` in metrics equals the event log,
 //! - launch counts bounded by faults actually injected/simulated.
 
@@ -115,22 +115,6 @@ fn check_invariants(seed: u64, result: &JobResult) {
         result.metrics.task_failures, total_failures,
         "seed {seed}: metric and event log disagree on failures"
     );
-
-    // Commit-once: a re-commit requires an intervening revert.
-    let mut committed: HashMap<(usize, usize), bool> = HashMap::new();
-    for e in events {
-        match e {
-            JobEvent::TaskCommitted { fop, index, .. } => {
-                let slot = committed.entry((*fop, *index)).or_insert(false);
-                assert!(!*slot, "seed {seed}: double commit of task {fop}.{index}");
-                *slot = true;
-            }
-            JobEvent::TaskReverted { fop, index } => {
-                committed.insert((*fop, *index), false);
-            }
-            _ => {}
-        }
-    }
 
     // Launch counts are bounded by actual fault activity. Container
     // losses and master recoveries can silently drop a running attempt
