@@ -1,7 +1,8 @@
 //! Prints what the Pado compiler does to each evaluation workload:
 //! placement decisions (Algorithm 1), the Pado Stages (Algorithm 2),
-//! recomputation-cost scores, and the fused physical plan — a textual
-//! rendition of the paper's Figure 3.
+//! recomputation-cost scores, the fused physical plan, and every transfer
+//! fusion could have removed with the condition that kept it — a
+//! textual rendition of the paper's Figure 3.
 //!
 //! Usage: `cargo run -p pado-bench --bin explain [als|mlr|mr|timeline|evictions]`
 //!
@@ -73,6 +74,22 @@ fn explain(name: &str, dag: &LogicalDag) {
                 Placement::Reserved => "reserved",
             },
             chain.join(" -> ")
+        );
+    }
+    let tail = |fop: usize| dag.op(plan.fops[fop].tail()).name.as_str();
+    let head = |fop: usize| dag.op(plan.fops[fop].head()).name.as_str();
+    let unfused = pado_bench::unfused_transfers(&plan);
+    println!(
+        "\nin-stage one-to-one transfers between same-placement fops left unfused:{}",
+        if unfused.is_empty() { " none" } else { "" }
+    );
+    for (e, why) in unfused {
+        println!(
+            "  fop {:>2} -> fop {:>2}  {} -> {}: {why}",
+            e.src,
+            e.dst,
+            tail(e.src),
+            head(e.dst)
         );
     }
     println!();

@@ -430,7 +430,7 @@ pub struct EvictionDemo {
 /// Evictions [`eviction_demo`] injects into each engine.
 pub const DEMO_EVICTIONS: usize = 4;
 
-/// Runs MLR (8 partitions, 4 unrolled iterations, 74 tasks) on four
+/// Runs MLR (8 partitions, 4 unrolled iterations, 42 tasks) on four
 /// transient and two reserved executors, evicting a transient executor —
 /// the four in turn — at [`DEMO_EVICTIONS`] evenly spaced points: task
 /// completions for the runtime, fractions of the eviction-free JCT for
@@ -493,6 +493,77 @@ pub fn eviction_demo() -> EvictionDemo {
         .collect();
     let simulated = simulate(Mode::Pado, &dag, &model, sim_config(scripted)).expect("simulates");
     EvictionDemo { runtime, simulated }
+}
+
+/// The transfers fusion could have removed and did not: every in-stage
+/// one-to-one edge between fops of the same placement, each with the
+/// condition of [`pado_core::compiler::build_plan`] that kept it (the
+/// first that fails, in the order the plan generator tests them).
+pub fn unfused_transfers(
+    plan: &pado_core::compiler::PhysicalPlan,
+) -> Vec<(pado_core::compiler::PlanEdge, &'static str)> {
+    use pado_core::compiler::InputSlot;
+    use pado_dag::DepType;
+
+    plan.edges
+        .iter()
+        .filter(|e| {
+            e.dep == DepType::OneToOne
+                && !e.cross_stage
+                && plan.fops[e.src].placement == plan.fops[e.dst].placement
+        })
+        .map(|e| {
+            let mains = plan.ins(e.dst).iter().filter(|i| i.slot != InputSlot::Side);
+            let why = if mains.count() > 1 {
+                "second main input"
+            } else if plan.outs(e.src).len() > 1 {
+                "in-stage fan-out"
+            } else if plan.fops[e.src].parallelism != plan.fops[e.dst].parallelism {
+                "parallelism"
+            } else {
+                "fusion is off"
+            };
+            (*e, why)
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod unfused_tests {
+    use super::unfused_transfers;
+    use pado_core::compiler::compile;
+    use pado_dag::{CombineFn, ParDoFn, Pipeline, SourceFn, Value};
+
+    #[test]
+    fn each_unfused_transfer_names_what_blocked_it() {
+        let ident = || ParDoFn::per_element(|v, e| e(v.clone()));
+        let p = Pipeline::new();
+        let read = p.read("Read", 4, SourceFn::from_vec(vec![Value::Unit]));
+        let a = read.par_do("A", ident());
+        let b = read.par_do("B", ident()).par_do("Wide", ident());
+        let wide = b.with_parallelism(8);
+        a.par_do_zip("Join", &wide, ident())
+            .aggregate("Agg", CombineFn::sum_i64());
+        let dag = p.build().unwrap();
+        let plan = compile(&dag).unwrap();
+        let name = |fop: usize| dag.op(plan.fops[fop].head()).name.clone();
+        let mut found: Vec<(String, String, &str)> = unfused_transfers(&plan)
+            .into_iter()
+            .map(|(e, why)| (name(e.src), name(e.dst), why))
+            .collect();
+        found.sort();
+        let row = |src: &str, dst: &str, why| (src.to_string(), dst.to_string(), why);
+        assert_eq!(
+            found,
+            [
+                row("A", "Join", "second main input"),
+                row("B", "Wide", "parallelism"),
+                row("Read", "A", "in-stage fan-out"),
+                row("Read", "B", "in-stage fan-out"),
+                row("Wide", "Join", "second main input"),
+            ]
+        );
+    }
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@ fn the_ledger_accounts_for_every_runtime_relaunch() {
         "an eviction never reopens a completed stage: {ledger:?}"
     );
     let dropped: usize = ledger.iter().map(|row| row.dropped).sum();
+    // Zero on the default plan, which fuses each read into its gradient:
+    // `eviction_cost.rs` keeps drops under test on the unfused plan.
     assert_eq!(demo.runtime.metrics.outputs_dropped, dropped);
-    assert!(dropped > 0);
 }

@@ -8,7 +8,14 @@
 //!
 //! Because a transient operator may belong to multiple stages (see
 //! [`mod@crate::compiler::partition`]), fused operators are *per-stage
-//! instances* of logical operators.
+//! instances* of logical operators, and fusion is decided per instance:
+//! a producer fuses into its consumer when that is its only consumer *in
+//! the stage being instantiated*. The `Read` of an unrolled iterative job
+//! has one logical consumer per iteration but exactly one in each stage
+//! copy, so every copy fuses. This is sound because a stage copy is read
+//! only from inside its stage: Algorithm 2 absorbs every transient parent
+//! into the stage of whichever operator reads it, and a reserved operator
+//! is the last member of its own stage.
 
 use std::collections::HashMap;
 
@@ -71,8 +78,10 @@ pub struct PlanEdge {
     pub dep: DepType,
     /// Input slot on the consumer.
     pub slot: InputSlot,
-    /// Whether consumers should cache this input in executor memory
-    /// (task input caching, §3.2.7).
+    /// Whether the producer was marked `cached()` (task input caching,
+    /// §3.2.7). The runtime acts on it for broadcast side inputs only
+    /// ([`InputSlot::Side`]); on a main edge the flag is carried but
+    /// nothing caches.
     pub cache: bool,
     /// Whether producer and consumer live in different stages (the data
     /// is then read from preserved stage outputs on reserved executors).
@@ -273,7 +282,16 @@ pub fn build_plan(
                 let e = mains[0];
                 let in_stage = stage.contains(e.src);
                 let same_side = placement[e.src] == placement[op];
-                let producer_single_consumer = dag.out_edges(e.src).len() == 1;
+                // Consumers are counted over this stage's copy of the
+                // producer, not over the logical DAG: a copy is read only
+                // from inside its stage, so a producer shared by k stages
+                // has one reader in each. Side edges count as consumers.
+                let producer_single_consumer = dag
+                    .out_edges(e.src)
+                    .iter()
+                    .filter(|o| stage.contains(o.dst))
+                    .count()
+                    == 1;
                 let same_par = par[e.src] == par[op];
                 if e.dep == DepType::OneToOne
                     && in_stage
@@ -491,6 +509,94 @@ mod tests {
             .collect();
         assert_eq!(transient_fops.len(), 2);
         assert!(transient_fops.iter().all(|f| f.chain.len() == 2));
+    }
+
+    /// `Read` feeding one gradient per unrolled iteration: `iters` logical
+    /// consumers, one per stage copy.
+    fn unrolled_mlr(iters: usize) -> LogicalDag {
+        let p = Pipeline::new();
+        let train = p.read("Read", 8, SourceFn::from_vec(vec![Value::Unit]));
+        let mut model = p.create("Model 0", vec![Value::from(0.0)]);
+        for k in 0..iters {
+            let grad = train.par_do_with_side(format!("Grad {k}"), &model, ident());
+            let agg = grad.aggregate(format!("Agg {k}"), CombineFn::sum_vector());
+            model = agg.par_do_zip(format!("Model {}", k + 1), &model, ident());
+        }
+        model.sink("Out");
+        p.build().unwrap()
+    }
+
+    #[test]
+    fn a_producer_shared_between_stages_fuses_in_each() {
+        let iters = 3;
+        let dag = unrolled_mlr(iters);
+        let plan = compile(&dag);
+        let name = |op: OpId| dag.op(op).name.as_str();
+        let with_read: Vec<&Fop> = plan
+            .fops
+            .iter()
+            .filter(|f| f.chain.iter().any(|&op| name(op) == "Read"))
+            .collect();
+        assert_eq!(with_read.len(), iters, "one copy of Read per iteration");
+        for (k, fop) in with_read.iter().enumerate() {
+            let chain: Vec<&str> = fop.chain.iter().map(|&op| name(op)).collect();
+            assert_eq!(chain, ["Read", &format!("Grad {k}")]);
+            assert_eq!(fop.placement, Placement::Transient);
+            // What is left to transfer is the model, into the gradient.
+            let ins = plan.in_edges(fop.id);
+            assert_eq!(ins.len(), 1);
+            assert_eq!((ins[0].slot, ins[0].member), (InputSlot::Side, 1));
+            assert!(ins[0].cross_stage);
+        }
+        // Model 0 and Out, and per iteration 8 gradients, Agg, Model.
+        assert_eq!(plan.total_tasks(), 2 + iters * (8 + 1 + 1));
+        assert_eq!(plan.fops.len(), 2 + iters * 3);
+    }
+
+    #[test]
+    fn a_producer_with_one_consumer_in_each_of_two_stages_fuses_twice() {
+        // ALS's head: one read keyed two ways, each keying shuffled into
+        // a reserved aggregate of its own.
+        let p = Pipeline::new();
+        let read = p.read("Read", 4, SourceFn::from_vec(vec![Value::Unit]));
+        read.par_do("Key By User", ident())
+            .combine_per_key("Users", CombineFn::sum_i64());
+        read.par_do("Key By Item", ident())
+            .combine_per_key("Items", CombineFn::sum_i64());
+        let dag = p.build().unwrap();
+        let plan = compile(&dag);
+        let chains: Vec<Vec<&str>> = plan
+            .fops
+            .iter()
+            .map(|f| f.chain.iter().map(|&op| dag.op(op).name.as_str()).collect())
+            .collect();
+        assert_eq!(
+            chains,
+            [
+                vec!["Read", "Key By User"],
+                vec!["Users"],
+                vec!["Read", "Key By Item"],
+                vec!["Items"],
+            ]
+        );
+        assert_eq!(plan.total_tasks(), 2 * (4 + DEFAULT_PARALLELISM));
+    }
+
+    #[test]
+    fn two_consumers_inside_one_stage_block_fusion() {
+        let p = Pipeline::new();
+        let read = p.read("Read", 4, SourceFn::from_vec(vec![Value::Unit]));
+        let a = read.par_do("A", ident());
+        let b = read.par_do("B", ident());
+        a.par_do_zip("Join", &b, ident())
+            .aggregate("Agg", CombineFn::sum_i64());
+        let dag = p.build().unwrap();
+        let plan = compile(&dag);
+        assert_eq!(plan.stage_dag.stages.len(), 1, "one stage holds all five");
+        // Read's output has two readers in that stage, so it stays a
+        // block of its own; Join has two main inputs.
+        assert!(plan.fops.iter().all(|f| f.chain.len() == 1));
+        assert_eq!(plan.fops.len(), 5);
     }
 
     #[test]

@@ -4,16 +4,19 @@
 //! The job is MLR with 8 partitions and 4 unrolled iterations. Each
 //! iteration is one Pado Stage — `Read Training Data` and `Compute
 //! Gradient` on transient executors, `Aggregate Gradients` on a reserved
-//! one — followed by a one-task `Compute Model` stage. A `Read` output
-//! stays on the transient executor that produced it (its consumer is
-//! transient too), so an eviction takes its only copy: needed if that
-//! partition's gradient has not committed, dead weight once it has.
+//! one — followed by a one-task `Compute Model` stage. The default plan
+//! fuses each stage's `Read` into its gradient, which leaves no output
+//! at rest on a transient executor; the drop-or-revert cases therefore
+//! run the unfused plan ([`Job::unfused`]), where a `Read` output stays on the
+//! transient executor that produced it (its consumer is transient too),
+//! so an eviction takes its only copy: needed if that partition's
+//! gradient has not committed, dead weight once it has.
 //!
 //! Every case runs on both backends, must reproduce the fault-free
 //! run's outputs byte for byte, and must replay clean through every
 //! invariant law.
 
-use pado_core::compiler::{compile, PhysicalPlan};
+use pado_core::compiler::{compile_with, PhysicalPlan, PlanConfig};
 use pado_core::runtime::{
     assert_clean, eviction_ledger, BackendKind, CrashPlan, FaultPlan, JobEvent, JobResult,
     LocalCluster, RuntimeConfig,
@@ -24,51 +27,76 @@ use pado_workloads::{mlr, MlrConfig};
 
 const BACKENDS: [BackendKind; 2] = [BackendKind::Sim, BackendKind::Threaded];
 
-fn job() -> (LogicalDag, PhysicalPlan) {
-    let dag = mlr::dag(&MlrConfig {
-        samples: 160,
-        features: 6,
-        classes: 3,
-        partitions: 8,
-        iterations: 4,
-        lr: 0.5,
-        seed: 7,
-    });
-    let plan = compile(&dag).expect("MLR compiles");
-    (dag, plan)
+/// The job under one plan: the cluster compiles with the same options
+/// the eviction points are counted on.
+struct Job {
+    dag: LogicalDag,
+    plan: PhysicalPlan,
+    plan_config: PlanConfig,
 }
 
-/// Task completions once iteration `k`'s gradient stage is complete.
-/// The stages of this job run strictly one after another, so that is
-/// every task up to and including the stage's aggregate.
-fn stage_done(dag: &LogicalDag, plan: &PhysicalPlan, k: usize) -> usize {
-    let name = format!("Aggregate Gradients {k}");
-    let aggregate = plan
-        .fops
-        .iter()
-        .find(|f| dag.op(f.tail()).name == name)
-        .expect("one aggregate per iteration");
-    plan.fops[..=aggregate.id]
-        .iter()
-        .map(|f| f.parallelism)
-        .sum()
-}
+impl Job {
+    fn new(plan_config: PlanConfig) -> Self {
+        let dag = mlr::dag(&MlrConfig {
+            samples: 160,
+            features: 6,
+            classes: 3,
+            partitions: 8,
+            iterations: 4,
+            lr: 0.5,
+            seed: 7,
+        });
+        let plan = compile_with(&dag, &plan_config).expect("MLR compiles");
+        Job {
+            dag,
+            plan,
+            plan_config,
+        }
+    }
 
-fn run(dag: &LogicalDag, backend: BackendKind, faults: FaultPlan) -> JobResult {
-    let config = RuntimeConfig {
-        // A duplicate attempt is a launch no loss accounts for.
-        speculation: false,
-        tick_ms: 5,
-        threaded_workers: 2,
-        ..RuntimeConfig::default()
-    };
-    let result = LocalCluster::new(4, 2)
-        .with_backend(backend)
-        .with_config(config)
-        .run_with_faults(dag, faults)
-        .expect("the job survives its faults");
-    assert_clean(&result.journal, true);
-    result
+    /// Every operator a fop of its own: `Read` outputs rest where they
+    /// were made until their gradient has read them.
+    fn unfused() -> Self {
+        Job::new(PlanConfig {
+            fusion: false,
+            ..PlanConfig::default()
+        })
+    }
+
+    /// Task completions once iteration `k`'s gradient stage is complete.
+    /// The stages of this job run strictly one after another, so that is
+    /// every task up to and including the stage's aggregate.
+    fn stage_done(&self, k: usize) -> usize {
+        let name = format!("Aggregate Gradients {k}");
+        let aggregate = self
+            .plan
+            .fops
+            .iter()
+            .find(|f| self.dag.op(f.tail()).name == name)
+            .expect("one aggregate per iteration");
+        self.plan.fops[..=aggregate.id]
+            .iter()
+            .map(|f| f.parallelism)
+            .sum()
+    }
+
+    fn run(&self, backend: BackendKind, faults: FaultPlan) -> JobResult {
+        let config = RuntimeConfig {
+            // A duplicate attempt is a launch no loss accounts for.
+            speculation: false,
+            tick_ms: 5,
+            threaded_workers: 2,
+            ..RuntimeConfig::default()
+        };
+        let result = LocalCluster::new(4, 2)
+            .with_backend(backend)
+            .with_config(config)
+            .with_plan_config(self.plan_config.clone())
+            .run_with_faults(&self.dag, faults)
+            .expect("the job survives its faults");
+        assert_clean(&result.journal, true);
+        result
+    }
 }
 
 fn encoded(result: &JobResult) -> Vec<(String, Vec<u8>)> {
@@ -110,17 +138,17 @@ fn launched(e: &JobEvent) -> Option<(usize, usize)> {
 
 #[test]
 fn evictions_between_stages_relaunch_nothing() {
-    let (dag, plan) = job();
+    let job = Job::unfused();
     for backend in BACKENDS {
-        let baseline = run(&dag, backend, FaultPlan::default());
+        let baseline = job.run(backend, FaultPlan::default());
         // One eviction as each iteration's stage completes, the four
         // transient executors in turn: nothing is running, and every
         // output the victim holds has been consumed.
         let faults = FaultPlan {
-            evictions: (0..4).map(|k| (stage_done(&dag, &plan, k), k)).collect(),
+            evictions: (0..4).map(|k| (job.stage_done(k), k)).collect(),
             ..FaultPlan::default()
         };
-        let result = run(&dag, backend, faults);
+        let result = job.run(backend, faults);
         assert_eq!(encoded(&result), encoded(&baseline), "{backend:?}");
         let m = &result.metrics;
         assert_eq!(m.evictions, 4, "{backend:?}");
@@ -145,17 +173,54 @@ fn evictions_between_stages_relaunch_nothing() {
 }
 
 #[test]
-fn a_mid_stage_eviction_relaunches_only_unconsumed_work() {
-    let (dag, plan) = job();
+fn on_the_fused_plan_evictions_between_stages_find_nothing_at_rest() {
+    let job = Job::new(PlanConfig::default());
     for backend in BACKENDS {
-        let baseline = run(&dag, backend, FaultPlan::default());
+        let baseline = job.run(backend, FaultPlan::default());
+        // The same four points: with the read inside the gradient task,
+        // every transient output went to a reserved executor as it was
+        // made, so the victims hold nothing to revert or to drop.
+        let faults = FaultPlan {
+            evictions: (0..4).map(|k| (job.stage_done(k), k)).collect(),
+            ..FaultPlan::default()
+        };
+        let result = job.run(backend, faults);
+        assert_eq!(encoded(&result), encoded(&baseline), "{backend:?}");
+        let m = &result.metrics;
+        assert_eq!(
+            (
+                m.evictions,
+                m.relaunched_tasks,
+                m.outputs_dropped,
+                m.stage_recomputations
+            ),
+            (4, 0, 0, 0),
+            "{backend:?}: {m:?}"
+        );
+        let ledger = eviction_ledger(&result.journal);
+        assert_eq!(ledger.len(), 4);
+        for row in &ledger {
+            assert_eq!(
+                (row.running, row.reverted, row.dropped, row.reopened),
+                (0, 0, 0, 0),
+                "{backend:?}: {row:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_mid_stage_eviction_relaunches_only_unconsumed_work() {
+    let job = Job::unfused();
+    for backend in BACKENDS {
+        let baseline = job.run(backend, FaultPlan::default());
         // Ten completions into iteration 1's stage (one more for the
         // model before it): reads and gradients are interleaved.
         let faults = FaultPlan {
-            evictions: vec![(stage_done(&dag, &plan, 0) + 1 + 10, 0)],
+            evictions: vec![(job.stage_done(0) + 1 + 10, 0)],
             ..FaultPlan::default()
         };
-        let result = run(&dag, backend, faults);
+        let result = job.run(backend, faults);
         assert_eq!(encoded(&result), encoded(&baseline), "{backend:?}");
         let ledger = eviction_ledger(&result.journal);
         let [row] = &ledger[..] else {
@@ -175,26 +240,30 @@ fn a_mid_stage_eviction_relaunches_only_unconsumed_work() {
             "{backend:?}"
         );
         assert_eq!(m.outputs_dropped, row.dropped);
+        assert!(
+            row.dropped > 0,
+            "{backend:?}: the victim held iteration 0's consumed reads: {row:?}"
+        );
     }
 }
 
 #[test]
 fn a_reserved_failure_after_drops_recomputes_the_dropped_ancestors() {
-    let (dag, plan) = job();
+    let job = Job::unfused();
     for backend in BACKENDS {
-        let baseline = run(&dag, backend, FaultPlan::default());
+        let baseline = job.run(backend, FaultPlan::default());
         // Evict two transient executors once iteration 0 is through —
         // their reads are dropped — then, well into iteration 1, fail
         // the reserved executor every aggregate and model lives on. The
         // model the running gradients read is gone, and recomputing it
         // walks back through iteration 0's gradients to those reads.
-        let done = stage_done(&dag, &plan, 0);
+        let done = job.stage_done(0);
         let faults = FaultPlan {
             evictions: vec![(done, 0), (done, 1)],
             reserved_failures: vec![(done + 1 + 10, 0)],
             ..FaultPlan::default()
         };
-        let result = run(&dag, backend, faults);
+        let result = job.run(backend, faults);
         assert_eq!(encoded(&result), encoded(&baseline), "{backend:?}");
         assert!(result.metrics.stage_recomputations > 0, "{backend:?}");
 
@@ -225,9 +294,9 @@ fn a_reserved_failure_after_drops_recomputes_the_dropped_ancestors() {
 
 #[test]
 fn a_master_restart_does_not_recompute_what_evictions_dropped() {
-    let (dag, plan) = job();
-    let done = stage_done(&dag, &plan, 1);
-    let evictions = vec![(stage_done(&dag, &plan, 0), 0), (done, 1)];
+    let job = Job::unfused();
+    let done = job.stage_done(1);
+    let evictions = vec![(job.stage_done(0), 0), (done, 1)];
     // Both ways to kill a master, each well into iteration 2.
     let restarts = [
         FaultPlan {
@@ -249,9 +318,9 @@ fn a_master_restart_does_not_recompute_what_evictions_dropped() {
         },
     ];
     for backend in BACKENDS {
-        let baseline = run(&dag, backend, FaultPlan::default());
+        let baseline = job.run(backend, FaultPlan::default());
         for faults in &restarts {
-            let result = run(&dag, backend, faults.clone());
+            let result = job.run(backend, faults.clone());
             assert_eq!(encoded(&result), encoded(&baseline), "{backend:?}");
             assert_eq!(result.metrics.wal_recoveries, 1, "{backend:?}");
 

@@ -254,8 +254,11 @@ impl<'p> PCollection<'p> {
         self
     }
 
-    /// Marks the producing operator's consumers to cache this input in
-    /// executor memory (task input caching, §3.2.7).
+    /// Marks this collection for task input caching (§3.2.7): executors
+    /// that receive it as a broadcast side input keep it in memory, and
+    /// the scheduler prefers them for later tasks that read it. Only side
+    /// inputs are cached; on a collection consumed through main edges
+    /// (`train.cached()` feeding a `par_do`) the mark does nothing.
     pub fn cached(self) -> Self {
         self.pipeline.dag.borrow_mut().op_mut(self.id).cache_input = true;
         self

@@ -125,8 +125,9 @@ pub struct Operator {
     pub kind: OperatorKind,
     /// Requested task parallelism; resolved by the compiler when `None`.
     pub parallelism: Option<usize>,
-    /// Whether tasks of this operator should cache their input in executor
-    /// memory (task input caching, §3.2.7).
+    /// Whether consumers that read this operator's output as a broadcast
+    /// side input should cache it in executor memory (task input caching,
+    /// §3.2.7). Main-edge consumers ignore it.
     pub cache_input: bool,
 }
 

@@ -1734,7 +1734,11 @@ mod tests {
     /// those are its own output; on the other rows it did not repeat
     /// (event tie-breaks followed the hash order), so they were taken from
     /// it with the one change that its `Network` visits transfers in
-    /// ascending id order — the rule this engine keeps.
+    /// ascending id order — the rule this engine keeps. The `iter/*` rows
+    /// are this engine's own output since the plan generator fuses a
+    /// per-stage copy into its one in-stage consumer: each iteration's
+    /// `Read` runs inside its `Grad` task and waits for the model with
+    /// it, where every iteration's reads used to run at t = 0.
     #[rustfmt::skip]
     const GOLDEN: &[GoldenRow] = &[
         ("mr/exp", Mode::Pado, 1, 30036722, 101, 29, 7, 2176000000.0, 0.0),
@@ -1769,38 +1773,38 @@ mod tests {
         ("mr/emp", Mode::SparkCkpt, 1, 257384003, 593, 65, 20, 0.0, 16384000000.0),
         ("mr/emp", Mode::SparkCkpt, 2, 237680003, 590, 62, 17, 0.0, 16384000000.0),
         ("mr/emp", Mode::SparkCkpt, 3, 290152011, 621, 93, 25, 0.0, 16384000000.0),
-        ("iter/exp", Mode::Pado, 1, 208201406, 307, 110, 14, 5350000000.0, 0.0),
-        ("iter/exp", Mode::Pado, 2, 195132218, 434, 237, 23, 5300000000.0, 0.0),
-        ("iter/exp", Mode::Pado, 3, 177595766, 305, 108, 10, 4800000000.0, 0.0),
-        ("iter/exp", Mode::Pado, 4, 266135508, 388, 191, 31, 5200000000.0, 0.0),
-        ("iter/exp", Mode::Pado, 5, 202691848, 320, 123, 18, 5050000000.0, 0.0),
-        ("iter/exp", Mode::Pado, 6, 208350820, 325, 128, 16, 4950000000.0, 0.0),
-        ("iter/exp", Mode::Pado, 7, 187580299, 286, 89, 10, 5150000000.0, 0.0),
-        ("iter/exp", Mode::Pado, 8, 227437908, 348, 151, 18, 5150000000.0, 0.0),
-        ("iter/exp", Mode::Pado, 9, 218220893, 298, 101, 19, 5050000000.0, 0.0),
-        ("iter/exp", Mode::Pado, 10, 186708191, 297, 100, 10, 5000000000.0, 0.0),
-        ("iter/exp", Mode::Spark, 1, 1297933315, 630, 433, 123, 0.0, 0.0),
-        ("iter/exp", Mode::Spark, 2, 955889523, 615, 418, 92, 0.0, 0.0),
-        ("iter/exp", Mode::Spark, 3, 667733926, 489, 292, 51, 0.0, 0.0),
-        ("iter/exp", Mode::SparkCkpt, 1, 239608948, 245, 48, 18, 0.0, 12416000000.0),
-        ("iter/exp", Mode::SparkCkpt, 2, 322090486, 285, 88, 37, 0.0, 12168000000.0),
-        ("iter/exp", Mode::SparkCkpt, 3, 238504163, 260, 63, 16, 0.0, 12608000000.0),
-        ("iter/emp", Mode::Pado, 1, 455177590, 1515, 738, 31, 19200000000.0, 0.0),
-        ("iter/emp", Mode::Pado, 2, 456048003, 1749, 972, 35, 19200000000.0, 0.0),
-        ("iter/emp", Mode::Pado, 3, 469961668, 1914, 1137, 41, 19200000000.0, 0.0),
-        ("iter/emp", Mode::Pado, 4, 450560004, 1604, 827, 28, 19800000000.0, 0.0),
-        ("iter/emp", Mode::Pado, 5, 454160004, 1432, 655, 28, 19700000000.0, 0.0),
-        ("iter/emp", Mode::Pado, 6, 471373203, 1814, 1037, 37, 19200000000.0, 0.0),
-        ("iter/emp", Mode::Pado, 7, 457872002, 1685, 908, 36, 19200000000.0, 0.0),
-        ("iter/emp", Mode::Pado, 8, 454672002, 1527, 750, 29, 19500000000.0, 0.0),
-        ("iter/emp", Mode::Pado, 9, 458010344, 1675, 898, 31, 19550000000.0, 0.0),
-        ("iter/emp", Mode::Pado, 10, 472968003, 2056, 1279, 45, 19200000000.0, 0.0),
-        ("iter/emp", Mode::Spark, 1, 650880012, 1269, 492, 37, 0.0, 0.0),
-        ("iter/emp", Mode::Spark, 2, 652816013, 1559, 782, 47, 0.0, 0.0),
-        ("iter/emp", Mode::Spark, 3, 659752020, 1621, 844, 50, 0.0, 0.0),
-        ("iter/emp", Mode::SparkCkpt, 1, 841583996, 1209, 432, 50, 0.0, 63052000000.0),
-        ("iter/emp", Mode::SparkCkpt, 2, 854405316, 1307, 530, 57, 0.0, 68180000000.0),
-        ("iter/emp", Mode::SparkCkpt, 3, 883536001, 1407, 630, 64, 0.0, 73350000000.0),
+        ("iter/exp", Mode::Pado, 1, 181565394, 132, 31, 10, 5350000000.0, 0.0),
+        ("iter/exp", Mode::Pado, 2, 236017141, 162, 61, 26, 5850000000.0, 0.0),
+        ("iter/exp", Mode::Pado, 3, 178850880, 134, 33, 11, 5150000000.0, 0.0),
+        ("iter/exp", Mode::Pado, 4, 232437907, 153, 52, 27, 5350000000.0, 0.0),
+        ("iter/exp", Mode::Pado, 5, 201667848, 145, 44, 18, 5250000000.0, 0.0),
+        ("iter/exp", Mode::Pado, 6, 206707885, 136, 35, 16, 5100000000.0, 0.0),
+        ("iter/exp", Mode::Pado, 7, 184486428, 124, 23, 10, 5300000000.0, 0.0),
+        ("iter/exp", Mode::Pado, 8, 197840710, 125, 24, 17, 5150000000.0, 0.0),
+        ("iter/exp", Mode::Pado, 9, 178068227, 133, 32, 16, 4800000000.0, 0.0),
+        ("iter/exp", Mode::Pado, 10, 185544265, 135, 34, 10, 5150000000.0, 0.0),
+        ("iter/exp", Mode::Spark, 1, 1220262764, 262, 161, 114, 0.0, 0.0),
+        ("iter/exp", Mode::Spark, 2, 616074845, 195, 94, 60, 0.0, 0.0),
+        ("iter/exp", Mode::Spark, 3, 886535322, 204, 103, 66, 0.0, 0.0),
+        ("iter/exp", Mode::SparkCkpt, 1, 372467666, 151, 50, 35, 0.0, 5350000000.0),
+        ("iter/exp", Mode::SparkCkpt, 2, 284846387, 130, 29, 34, 0.0, 5100000000.0),
+        ("iter/exp", Mode::SparkCkpt, 3, 187650880, 114, 13, 12, 0.0, 4800000000.0),
+        ("iter/emp", Mode::Pado, 1, 457348010, 517, 124, 31, 19200000000.0, 0.0),
+        ("iter/emp", Mode::Pado, 2, 460040018, 533, 140, 35, 19200000000.0, 0.0),
+        ("iter/emp", Mode::Pado, 3, 468760004, 557, 164, 41, 19200000000.0, 0.0),
+        ("iter/emp", Mode::Pado, 4, 456288032, 505, 112, 28, 19200000000.0, 0.0),
+        ("iter/emp", Mode::Pado, 5, 457934945, 505, 112, 28, 19200000000.0, 0.0),
+        ("iter/emp", Mode::Pado, 6, 470360005, 541, 148, 37, 19200000000.0, 0.0),
+        ("iter/emp", Mode::Pado, 7, 460552021, 537, 144, 36, 19200000000.0, 0.0),
+        ("iter/emp", Mode::Pado, 8, 457836034, 509, 116, 29, 19200000000.0, 0.0),
+        ("iter/emp", Mode::Pado, 9, 462872811, 517, 124, 31, 19200000000.0, 0.0),
+        ("iter/emp", Mode::Pado, 10, 470360005, 573, 180, 45, 19200000000.0, 0.0),
+        ("iter/emp", Mode::Spark, 1, 642724007, 553, 160, 37, 0.0, 0.0),
+        ("iter/emp", Mode::Spark, 2, 651308009, 616, 223, 47, 0.0, 0.0),
+        ("iter/emp", Mode::Spark, 3, 650396011, 635, 242, 50, 0.0, 0.0),
+        ("iter/emp", Mode::SparkCkpt, 1, 593596006, 467, 74, 35, 0.0, 19200000000.0),
+        ("iter/emp", Mode::SparkCkpt, 2, 605716005, 467, 74, 47, 0.0, 19200000000.0),
+        ("iter/emp", Mode::SparkCkpt, 3, 608498323, 480, 87, 50, 0.0, 19200000000.0),
         ("paper3/exp", Mode::Pado, 1, 99678133, 876, 24, 6, 11458559999.9995, 0.0),
         ("paper3/exp", Mode::Pado, 2, 103444948, 867, 15, 7, 11458559999.9995, 0.0),
         ("paper3/exp", Mode::Pado, 3, 112282931, 871, 19, 6, 11566079999.999474, 0.0),
