@@ -8,8 +8,8 @@
 //! - [`SimBackend`] is the configuration every chaos/invariant suite
 //!   runs on: the master loop runs inline on the caller's thread and
 //!   each executor owns dedicated slot threads. One frame is handled per
-//!   wakeup, and the event interleaving stays as close to the original
-//!   deterministic loop as real threads allow.
+//!   wakeup; seeded fault *decisions* repeat exactly, but frames arrive
+//!   in the order the slot threads finish, which does not.
 //! - [`ThreadedBackend`] is the wall-clock configuration: the master
 //!   loop runs on its own `pado-master` thread, executor slots are
 //!   serviced by one shared [`WorkerPool`], and inbound frames are
@@ -295,8 +295,8 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     fn drive(&self, master: Master) -> Result<JobResult, RuntimeError>;
 }
 
-/// The existing deterministic event loop: master inline on the calling
-/// thread, dedicated slot threads per executor, one frame per wakeup.
+/// The inline master loop (completions are handled in arrival order):
+/// dedicated slot threads per executor, one frame per wakeup.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimBackend;
 

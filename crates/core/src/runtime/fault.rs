@@ -1,38 +1,36 @@
-//! The seed-keyed fault injector: every probabilistic fault decision in
-//! the runtime routed through one type — and the fault *plans*
-//! ([`FaultPlan`], [`ChaosPlan`], [`CrashPlan`]) a caller hands the
-//! master to say which faults a run gets.
+//! Where fault plans live: the *plans* a caller hands the master to say
+//! which faults a run gets ([`FaultPlan`], [`ChaosPlan`], [`CrashPlan`]),
+//! the [`FaultSchedule`] that says what of a plan is due, and the
+//! seed-keyed [`FaultInjector`] every probabilistic fault decision in the
+//! runtime draws through.
 //!
-//! Before this module existed, each fault family rolled its own draw
-//! inline: the task chaos plan hashed in `master.rs`, the network policy
-//! in `transport.rs`, spill faults in `store.rs`, crash coins in
-//! `master.rs`, WAL corruption in `wal.rs`. All of those draws were
-//! already *causally* keyed — a decision depends only on the seed plus
-//! identifiers of the causal event being decided (task identity + launch
-//! ordinal, per-link transmission ordinal, per-store spill ordinal,
-//! handled-frame ordinal, envelope sequence number) — never on sim-loop
-//! iteration order, wall-clock time, or thread interleaving. That is the
-//! property that lets a chaos seed inject the *same* fault schedule on
-//! the deterministic [`SimBackend`](crate::runtime::SimBackend) and the
-//! true-parallel [`ThreadedBackend`](crate::runtime::ThreadedBackend):
-//! the causal identifiers are backend-invariant, so the draws are too.
+//! Every draw is *causally* keyed: a decision depends only on the seed
+//! plus identifiers of the causal event being decided (task identity +
+//! launch ordinal, per-link transmission ordinal, per-store spill
+//! ordinal, handled-frame ordinal, envelope sequence number), never on
+//! sim-loop iteration order, wall-clock time, or thread interleaving.
+//! The causal identifiers are backend-invariant, so a chaos seed injects
+//! the *same* fault schedule on [`SimBackend`](crate::runtime::SimBackend)
+//! and the true-parallel
+//! [`ThreadedBackend`](crate::runtime::ThreadedBackend).
 //!
-//! [`FaultInjector`] centralizes those draws behind typed methods, one
-//! per decision site. Two hash shapes exist (a chained fold and a single
-//! mix) because the refactor is **decision-preserving**: each method
-//! reproduces its legacy inline formula bit-for-bit, so every seeded
-//! suite written before the refactor replays the identical fault
-//! schedule (`crates/core/tests/fault_injector.rs` pins this with
-//! formula-equivalence sweeps against verbatim copies of the legacy
-//! math).
+//! [`FaultInjector`] puts those draws behind typed methods, one per
+//! decision site. Two hash shapes exist (a chained fold and a single
+//! mix) and each method's formula is pinned bit for bit
+//! (`crates/core/tests/fault_injector.rs` sweeps them against verbatim
+//! copies of the math), so every seeded suite replays the fault schedule
+//! it was written against.
 //!
-//! The only deliberately non-causal trigger left in the tree is the
-//! crash family's `every_kth_append` clock (WAL append counts include
-//! racing executor emissions, so the crash *boundary* floats across
-//! backends — documented as intentional in DESIGN.md §14); its coin,
-//! like everything else, draws through this module.
+//! The only deliberately non-causal trigger in the tree is the crash
+//! family's `every_kth_append` clock (WAL append counts include racing
+//! executor emissions, so the crash *boundary* floats across backends —
+//! documented as intentional in DESIGN.md §14); its coin, like
+//! everything else, draws through this module.
+
+use std::collections::BTreeMap;
 
 use crate::compiler::FopId;
+use crate::runtime::message::InjectedFault;
 use crate::runtime::reconfig::ScheduledReconfig;
 use crate::runtime::store::SpillFaultPlan;
 use crate::runtime::transport::NetworkFault;
@@ -339,9 +337,353 @@ pub struct FaultPlan {
     pub crashes: Option<CrashPlan>,
 }
 
+/// What a due fault asks of the master. `k` picks the `k`-th executor of
+/// the family's pool that is not lost, in id order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum FaultAction {
+    /// Evict a transient executor.
+    Evict(usize),
+    /// Fail a reserved executor's machine.
+    FailReserved(usize),
+    /// Shrink a reserved executor's store budget to the given bytes.
+    ShrinkBudget(usize, usize),
+    /// Open the scheduled reconfiguration transaction.
+    Reconfig(ScheduledReconfig),
+    /// Kill the master and recover it from the write-ahead log, whose
+    /// surviving image the corruption mangles first.
+    Restart(Option<WalCorruption>),
+}
+
+/// A [`FaultPlan`] with the clocks and cursors that say what of it is
+/// due: the harness half of a chaos run. Pure state: no channel, store,
+/// journal or clock. The master reports its three trigger points and
+/// applies what comes back. Nothing here belongs to the master a restart
+/// kills, so a recovered master neither refires a spent fault nor
+/// forgets how often a task was launched or hit.
+#[derive(Debug, Default)]
+pub(crate) struct FaultSchedule {
+    plan: FaultPlan,
+    /// Valid task completions handled: the per-commit families' clock.
+    commits: usize,
+    /// Progress-bearing frames handled: the crash family's clock.
+    frames: u64,
+    /// The first unfired entry of `evictions`, `reserved_failures`,
+    /// `budget_shrinks` and `reconfigs`.
+    cursors: [usize; 4],
+    /// Crashes the crash family has fired.
+    crashes: usize,
+    /// Per task, its launches so far (the ordinal a chaos draw is keyed
+    /// on) and the errors, panics and OOMs injected into them (toward
+    /// `max_faults_per_task`).
+    launches: BTreeMap<(FopId, usize), (usize, usize)>,
+}
+
+/// Moves `cursor` past the entries of `list` due at `now` and returns
+/// them. A list is consumed in list order: a head that is not due holds
+/// back everything after it.
+fn take_due<'a, T>(list: &'a [T], cursor: &mut usize, now: usize, at: fn(&T) -> usize) -> &'a [T] {
+    let start = *cursor;
+    while list.get(*cursor).is_some_and(|e| at(e) <= now) {
+        *cursor += 1;
+    }
+    &list[start..*cursor]
+}
+
+impl FaultSchedule {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
+        FaultSchedule {
+            plan,
+            ..Default::default()
+        }
+    }
+
+    pub(crate) fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// The master committed a task: what is due now, in firing order.
+    /// Allocates only when something is.
+    pub(crate) fn on_commit(&mut self) -> Vec<FaultAction> {
+        self.commits += 1;
+        let now = self.commits;
+        let (p, [evict, fail, shrink, reconfig]) = (&self.plan, &mut self.cursors);
+        let evictions = take_due(&p.evictions, evict, now, |e| e.0);
+        let failures = take_due(&p.reserved_failures, fail, now, |e| e.0);
+        let shrinks = take_due(&p.budget_shrinks, shrink, now, |e| e.0);
+        let reconfigs = take_due(&p.reconfigs, reconfig, now, |r| r.after_done_events);
+        let mut due = Vec::new();
+        due.extend(evictions.iter().map(|e| FaultAction::Evict(e.1)));
+        due.extend(failures.iter().map(|e| FaultAction::FailReserved(e.1)));
+        due.extend(shrinks.iter().map(|e| FaultAction::ShrinkBudget(e.1, e.2)));
+        due.extend(reconfigs.iter().map(|&r| FaultAction::Reconfig(r)));
+        if p.master_failure_after.is_some_and(|n| now >= n) {
+            self.plan.master_failure_after = None;
+            due.push(FaultAction::Restart(None));
+        }
+        due
+    }
+
+    /// The master handled a progress-bearing frame, the only point it
+    /// can die with no handler half-applied, and its log has absorbed
+    /// `wal_appends` frames: the restart, when a crash trigger fires.
+    pub(crate) fn on_frame(&mut self, wal_appends: u64) -> Option<FaultAction> {
+        self.frames += 1;
+        let plan = self.plan.crashes?;
+        if self.crashes >= plan.max_crashes {
+            return None;
+        }
+        // A periodic trigger's next round is due `round` periods in.
+        let round = self.crashes as u64 + 1;
+        let reached = |clock: u64, every: Option<u64>| {
+            every.is_some_and(|n| clock >= n.saturating_mul(round))
+        };
+        let coin = FaultInjector::new(plan.seed).crash_boundary(self.frames);
+        let due = reached(self.frames, plan.after_handled_frames)
+            || reached(wal_appends, plan.every_kth_append.filter(|&k| k > 0))
+            || coin.unit() < plan.handler_prob;
+        if !due {
+            return None;
+        }
+        self.crashes += 1;
+        Some(FaultAction::Restart(plan.corruption))
+    }
+
+    /// Decides fault injection for the next launch of task `(fop, index)`,
+    /// combining targeted first-attempt delays with the probabilistic
+    /// chaos plan. Decisions depend only on `(seed, task, launch
+    /// ordinal)`, so a chaos run replays identically from its seed.
+    pub(crate) fn on_launch(&mut self, fop: FopId, index: usize) -> Option<InjectedFault> {
+        let (launches, injected) = self.launches.entry((fop, index)).or_default();
+        let ordinal = *launches;
+        *launches += 1;
+        let targets = |t: &&(FopId, usize, u64)| t.0 == fop && t.1 == index;
+        if ordinal == 0 {
+            if let Some(&(_, _, ms)) = self.plan.first_attempt_delays.iter().find(targets) {
+                return Some(InjectedFault::Delay(ms));
+            }
+            if let Some(&(_, _, ms)) = self.plan.first_attempt_done_delays.iter().find(targets) {
+                return Some(InjectedFault::DelayDone(ms));
+            }
+        }
+        let chaos = self.plan.chaos.as_ref()?;
+        // Keyed by (task identity, per-task launch ordinal) — causal
+        // identifiers, so the same seed hits the same launches on both
+        // backends.
+        let d =
+            FaultInjector::new(chaos.seed).task_launch(fop as u64, index as u64, ordinal as u64);
+        let u = d.unit();
+        let panic_below = chaos.error_prob + chaos.panic_prob;
+        let oom_below = panic_below + chaos.oom_prob;
+        if u < oom_below && *injected < chaos.max_faults_per_task {
+            *injected += 1;
+            return Some(if u < chaos.error_prob {
+                InjectedFault::Error
+            } else if u < panic_below {
+                InjectedFault::Panic
+            } else {
+                InjectedFault::Oom
+            });
+        }
+        if u < oom_below + chaos.delay_prob {
+            let ms = 1 + d.span(chaos.delay_ms);
+            // Half the stalls land before the compute (a straggler), half
+            // after it (output computed, report not yet sent) — the window
+            // where evictions and partitions race the TaskDone.
+            return Some(if d.coin(0x0D0E) {
+                InjectedFault::Delay(ms)
+            } else {
+                InjectedFault::DelayDone(ms)
+            });
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::reconfig::{ReconfigChange, ReconfigTrigger};
+
+    #[test]
+    fn one_commit_fires_its_families_in_order_and_once() {
+        let reconfig = ScheduledReconfig {
+            after_done_events: 1,
+            plan: ReconfigChange::DrainTransient { nth: 0 }.into(),
+            trigger: ReconfigTrigger::Chaos,
+        };
+        let mut s = FaultSchedule::new(FaultPlan {
+            master_failure_after: Some(1),
+            reconfigs: vec![reconfig],
+            budget_shrinks: vec![(1, 2, 99)],
+            reserved_failures: vec![(1, 1)],
+            evictions: vec![(1, 0), (2, 7)],
+            ..Default::default()
+        });
+        let legacy_restart = FaultAction::Restart(None);
+        assert_eq!(
+            s.on_commit(),
+            vec![
+                FaultAction::Evict(0),
+                FaultAction::FailReserved(1),
+                FaultAction::ShrinkBudget(2, 99),
+                FaultAction::Reconfig(reconfig),
+                legacy_restart,
+            ]
+        );
+        assert_eq!(s.on_commit(), vec![FaultAction::Evict(7)]);
+        let idle = s.on_commit();
+        assert!(
+            idle.is_empty() && idle.capacity() == 0,
+            "nothing due, nothing allocated"
+        );
+    }
+
+    #[test]
+    fn a_head_that_is_not_due_holds_back_the_rest_of_its_list() {
+        let mut s = FaultSchedule::new(FaultPlan {
+            evictions: vec![(3, 0), (1, 1), (2, 2)],
+            reserved_failures: vec![(2, 5)],
+            ..Default::default()
+        });
+        assert_eq!(s.on_commit(), vec![]);
+        // Each family has its own cursor: only the evictions wait.
+        assert_eq!(s.on_commit(), vec![FaultAction::FailReserved(5)]);
+        let in_list_order = [0, 1, 2].map(FaultAction::Evict);
+        assert_eq!(s.on_commit(), in_list_order);
+    }
+
+    fn crashes(plan: CrashPlan) -> FaultSchedule {
+        FaultSchedule::new(FaultPlan {
+            crashes: Some(plan),
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn crash_rounds_fire_at_multiples_up_to_the_budget() {
+        let corruption = Some(WalCorruption {
+            seed: 5,
+            bit_flip_prob: 0.01,
+            truncate_prob: 0.5,
+        });
+        let mut s = crashes(CrashPlan {
+            after_handled_frames: Some(3),
+            max_crashes: 2,
+            corruption,
+            ..Default::default()
+        });
+        let fired: Vec<u64> = (1..=12).filter(|_| s.on_frame(0).is_some()).collect();
+        assert_eq!(fired, vec![3, 6], "at n, 2n, and never a third");
+
+        let mut s = crashes(CrashPlan {
+            every_kth_append: Some(10),
+            max_crashes: 2,
+            corruption,
+            ..Default::default()
+        });
+        let appends = [9, 10, 19, 25, 40];
+        let fired = appends.map(|a| s.on_frame(a));
+        let restart = Some(FaultAction::Restart(corruption));
+        assert_eq!(fired, [None, restart, None, restart, None]);
+        assert_eq!(crashes(CrashPlan::default()).on_frame(u64::MAX), None);
+    }
+
+    #[test]
+    fn the_crash_coin_is_keyed_on_the_frame_ordinal() {
+        let (seed, handler_prob) = (0xFEED, 0.3);
+        let mut s = crashes(CrashPlan {
+            seed,
+            handler_prob,
+            max_crashes: usize::MAX,
+            ..Default::default()
+        });
+        let coin = |frame| FaultInjector::new(seed).crash_boundary(frame).unit() < handler_prob;
+        let want: Vec<u64> = (1..=200).filter(|&f| coin(f)).collect();
+        let got: Vec<u64> = (1..=200).filter(|_| s.on_frame(0).is_some()).collect();
+        assert!(!got.is_empty() && got.len() < 200);
+        assert_eq!(got, want);
+    }
+
+    fn chaos(seed: u64, error_prob: f64) -> ChaosPlan {
+        ChaosPlan {
+            seed,
+            error_prob,
+            panic_prob: 0.15,
+            oom_prob: 0.1,
+            delay_prob: 0.3,
+            delay_ms: 8,
+            max_faults_per_task: 2,
+        }
+    }
+
+    /// What a restarted master must not reset: the schedule counts a
+    /// task's launches and its injected faults across every call.
+    #[test]
+    fn the_launch_ordinal_and_the_injection_cap_are_per_task_and_persist() {
+        let mut s = FaultSchedule::new(FaultPlan {
+            chaos: Some(chaos(1, 1.0)),
+            first_attempt_delays: vec![(0, 1, 40)],
+            first_attempt_done_delays: vec![(0, 2, 50)],
+            ..Default::default()
+        });
+        use InjectedFault::{Delay, DelayDone, Error};
+        // Past the cap a would-be fault degrades to a stall: delays are
+        // not faults and are never capped.
+        let stall = |f: &Option<InjectedFault>| matches!(f, Some(Delay(_) | DelayDone(_)));
+        let launches: Vec<_> = (0..4).map(|_| s.on_launch(0, 0)).collect();
+        assert_eq!(launches[..2], [Some(Error), Some(Error)]);
+        assert!(
+            launches[2..].iter().all(stall),
+            "capped at two: {launches:?}"
+        );
+        // Another task has its own ordinal and its own cap; a targeted
+        // delay takes its first launch only.
+        let launches: Vec<_> = (0..4).map(|_| s.on_launch(0, 1)).collect();
+        assert_eq!(launches[..3], [Some(Delay(40)), Some(Error), Some(Error)]);
+        assert!(stall(&launches[3]));
+        assert_eq!(s.on_launch(0, 2), Some(DelayDone(50)));
+        assert!(stall(&s.on_launch(0, 0)), "task 0.0 is still spent");
+    }
+
+    /// Launches 0–5 of task 3.5, recorded from `Master::decide_injection`
+    /// before the decision moved here.
+    #[test]
+    fn launch_decisions_are_pinned() {
+        use InjectedFault::{Delay, DelayDone, Error, Oom, Panic};
+        let pinned = [
+            (
+                0x7,
+                [
+                    Some(Oom),
+                    None,
+                    Some(Delay(3)),
+                    Some(Error),
+                    Some(DelayDone(5)),
+                    Some(Delay(4)),
+                ],
+            ),
+            (
+                0xC0FFEE,
+                [
+                    Some(Delay(8)),
+                    None,
+                    Some(DelayDone(1)),
+                    Some(Panic),
+                    Some(Panic),
+                    Some(DelayDone(8)),
+                ],
+            ),
+        ];
+        for (seed, want) in pinned {
+            let mut s = FaultSchedule::new(FaultPlan {
+                chaos: Some(chaos(seed, 0.2)),
+                first_attempt_delays: vec![(9, 9, 1)],
+                ..Default::default()
+            });
+            let got: Vec<_> = (0..6).map(|_| s.on_launch(3, 5)).collect();
+            assert_eq!(got, want, "seed {seed:#x}");
+        }
+    }
 
     #[test]
     fn draws_are_pure_functions_of_seed_and_causal_ids() {

@@ -18,6 +18,8 @@
 //! topological order, and relaunches exactly the tasks whose preserved
 //! outputs were lost.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,13 +37,11 @@ use crate::runtime::backend::{CancelToken, ExecBackend, SimBackend, StallProbe, 
 use crate::runtime::cache::CacheKey;
 use crate::runtime::clock::Clock;
 use crate::runtime::executor::{combine_consumer, ExecutorHandle, JobContext};
-use crate::runtime::fault::{FaultInjector, FaultPlan};
+use crate::runtime::fault::{FaultAction, FaultPlan, FaultSchedule};
 use crate::runtime::journal::{
     EventJournal, Journal, JournalMeta, MAX_RETRANSMISSIONS_PER_MESSAGE,
 };
-use crate::runtime::message::{
-    AttemptId, ExecId, ExecutorMsg, InjectedFault, MasterMsg, SideData, TaskSpec,
-};
+use crate::runtime::message::{AttemptId, ExecId, ExecutorMsg, MasterMsg, SideData, TaskSpec};
 use crate::runtime::metrics::JobMetrics;
 use crate::runtime::policy::{Candidate, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
 use crate::runtime::reconfig::{ReconfigChange, ReconfigPlan, ReconfigTrigger};
@@ -85,11 +85,26 @@ pub struct JobResult {
     pub journal: EventJournal,
 }
 
+/// An executor's lifecycle. Only `Alive` takes new attempts; the store
+/// of every state but `Lost` stays readable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ExecState {
+    Alive,
+    /// Exhausted its fault threshold.
+    Blacklisted,
+    /// A transient executor emptied ahead of a predicted eviction: its
+    /// blocks migrated to reserved stores, its container lives on.
+    Drained,
+    /// Evicted, failed, or declared dead.
+    Lost,
+}
+
 #[derive(Debug)]
 struct ExecInfo {
     handle: ExecutorHandle,
-    alive: bool,
-    busy: usize,
+    state: ExecState,
+    /// User-code failures here, toward the blacklist threshold.
+    failures: usize,
     cached: HashSet<CacheKey>,
     /// This executor's byte-accounted memory domain, shared with its
     /// worker slots: the master admits pushes, pins task inputs, and
@@ -105,6 +120,12 @@ struct ExecInfo {
     /// Whether the detector already flagged the current silence (so one
     /// quiet spell counts one missed-heartbeat, not one per tick).
     hb_flagged: bool,
+}
+
+impl ExecInfo {
+    fn live(&self) -> bool {
+        self.state != ExecState::Lost
+    }
 }
 
 /// Why an executor was lost, for loss-specific accounting. All kinds
@@ -188,6 +209,11 @@ pub struct Master {
     /// producer fop; forgotten when [`Master::drop_output`] takes a part.
     side_cache: HashMap<FopId, Block>,
     assigned: HashMap<(FopId, usize), ExecId>,
+    /// Cross-executor pushes deferred for lack of destination headroom,
+    /// retried with backoff (push backpressure).
+    deferred_pushes: Vec<DeferredPush>,
+    /// Completed attempt durations (ms) per fop, for straggler medians.
+    fop_durations: Vec<Vec<u64>>,
 
     /// Shared writer handle of the execution journal. Executor worker
     /// slots and transport endpoints hold clones; the master itself emits
@@ -198,10 +224,9 @@ pub struct Master {
     /// checker replays against).
     meta: JournalMeta,
     stage_completed: Vec<bool>,
-    done_events: usize,
-    faults: FaultPlan,
-    fault_cursor_evict: usize,
-    fault_cursor_fail: usize,
+    /// The harness's fault plan and what of it has fired: not state of
+    /// the master a restart kills.
+    faults: FaultSchedule,
 
     // --- Durability domain ---
     /// The write-ahead log: armed at `RuntimeConfig::wal_path`, or at a
@@ -212,33 +237,6 @@ pub struct Master {
     wal: Option<Arc<Mutex<WalWriter>>>,
     /// The temp file a self-armed WAL lives in, removed on drop.
     temp_wal: Option<PathBuf>,
-    /// Crashes the crash chaos family has injected so far.
-    crashes_injected: usize,
-    /// Handled (progress-bearing) frames — the crash family's
-    /// handler-boundary clock.
-    handled_frames: u64,
-
-    // --- Task-failure domain ---
-    /// Executors that exhausted their fault threshold: no new work, but
-    /// they stay alive so their committed outputs remain readable.
-    blacklisted: HashSet<ExecId>,
-    /// User-code failures per executor (toward the blacklist threshold).
-    exec_failures: HashMap<ExecId, usize>,
-    /// User-code failures per task (toward the retry budget).
-    task_failure_counts: HashMap<(FopId, usize), usize>,
-    /// Injected error/panic count per task (toward the chaos cap).
-    injected_faults: HashMap<(FopId, usize), usize>,
-    /// Launch ordinal per task, driving deterministic chaos decisions.
-    launch_seq: HashMap<(FopId, usize), usize>,
-    /// Completed attempt durations (ms) per fop, for straggler medians.
-    fop_durations: Vec<Vec<u64>>,
-
-    // --- Memory-pressure domain ---
-    /// Cross-executor pushes deferred for lack of destination headroom,
-    /// retried with backoff (push backpressure).
-    deferred_pushes: Vec<DeferredPush>,
-    /// Cursor into `faults.budget_shrinks`.
-    fault_cursor_shrink: usize,
 
     // --- Reconfiguration domain ---
     /// The reconfiguration epoch: shared with every master→executor
@@ -248,18 +246,10 @@ pub struct Master {
     /// The in-flight two-phase transaction, if any (at most one).
     reconfig: Option<ActiveReconfig>,
     next_reconfig_id: u64,
-    /// Transient executors drained ahead of predicted eviction: still
-    /// alive (their container was not reclaimed) but no new attempt
-    /// lands on them and their blocks have migrated to reserved stores.
-    drained: HashSet<ExecId>,
     /// Live placement per fop: seeded from the frozen plan, rewritten
     /// by committed `MigrateStage` changes. Every placement decision
     /// reads this overlay, never the plan.
     placement: Vec<Placement>,
-    /// Live task count per fop, rewritten by committed `Repartition`.
-    parallelism: Vec<usize>,
-    /// Cursor into `faults.reconfigs`.
-    fault_cursor_reconfig: usize,
     /// Evictions handled so far — the storm-policy trigger input.
     evictions_seen: usize,
 
@@ -352,7 +342,6 @@ impl Master {
             executor_memory_bytes: job.config.executor_memory_bytes,
         };
         let placement: Vec<Placement> = job.plan.fops.iter().map(|f| f.placement).collect();
-        let parallelism: Vec<usize> = job.plan.fops.iter().map(|f| f.parallelism).collect();
         let consumers = (0..n_fops)
             .map(|f| job.plan.outs(f).iter().map(|e| (e.dst, e.dep)).collect())
             .collect();
@@ -392,37 +381,23 @@ impl Master {
             executors: BTreeMap::new(),
             next_exec_id: 0,
             policy: Box::new(RoundRobinCacheAware::default()),
-            tasks: TaskTable::new(&parallelism, consumers),
+            tasks: TaskTable::new(&meta.parallelism, consumers),
             outputs: HashMap::new(),
             result_parts: BTreeMap::new(),
             side_cache: HashMap::new(),
             assigned: HashMap::new(),
+            deferred_pushes: Vec::new(),
+            fop_durations: vec![Vec::new(); n_fops],
             journal,
             meta,
             stage_completed: vec![false; n_stages],
-            done_events: 0,
-            faults,
-            fault_cursor_evict: 0,
-            fault_cursor_fail: 0,
+            faults: FaultSchedule::new(faults),
             wal,
             temp_wal,
-            crashes_injected: 0,
-            handled_frames: 0,
-            blacklisted: HashSet::new(),
-            exec_failures: HashMap::new(),
-            task_failure_counts: HashMap::new(),
-            injected_faults: HashMap::new(),
-            launch_seq: HashMap::new(),
-            fop_durations: vec![Vec::new(); n_fops],
-            deferred_pushes: Vec::new(),
-            fault_cursor_shrink: 0,
             epoch,
             reconfig: None,
             next_reconfig_id: 0,
-            drained: HashSet::new(),
             placement,
-            parallelism,
-            fault_cursor_reconfig: 0,
             evictions_seen: 0,
             clock: backend.clock(),
             pool: backend.pool(),
@@ -473,7 +448,7 @@ impl Master {
             self.job.config.cache_capacity_bytes,
             self.journal.clone(),
         );
-        if let Some(sf) = self.faults.spill_faults {
+        if let Some(sf) = self.faults.plan().spill_faults {
             store.lock().set_spill_faults(sf);
         }
         let handle = ExecutorHandle::spawn(
@@ -518,8 +493,8 @@ impl Master {
             id,
             ExecInfo {
                 handle,
-                alive: true,
-                busy: 0,
+                state: ExecState::Alive,
+                failures: 0,
                 cached: HashSet::new(),
                 store,
                 out,
@@ -578,31 +553,30 @@ impl Master {
                 probe.record(self.tasks.running(), self.rx.len());
             }
             match self.rx.recv_timeout(tick) {
-                Ok(frame) => {
-                    // Only substantive deliveries reset the wedge timer:
-                    // heartbeats, acks, and suppressed duplicates prove
-                    // the wire is alive, not that the job is advancing.
-                    if self.handle_frame(frame)? {
-                        last_progress = self.clock.now();
-                        self.handled_frames += 1;
-                        // The crash family fires here — the handler
-                        // boundary — so recovery never sees a frame's
-                        // effects half-applied.
-                        self.maybe_crash()?;
-                    }
+                Ok(first) => {
                     // The threaded backend drains a burst of already-
                     // queued frames before rerunning the control work
                     // below, amortizing pump/schedule passes across
                     // concurrent completions. The sim backend keeps the
                     // original one-frame-per-wakeup shape (batch = 1).
-                    for _ in 1..self.frame_batch {
-                        let Some(frame) = self.rx.try_recv() else {
+                    let mut next = Some(first);
+                    for _ in 0..self.frame_batch {
+                        let Some(frame) = next.take().or_else(|| self.rx.try_recv()) else {
                             break;
                         };
+                        // Only substantive deliveries reset the wedge
+                        // timer: heartbeats, acks, and suppressed
+                        // duplicates prove the wire is alive, not that
+                        // the job is advancing.
                         if self.handle_frame(frame)? {
                             last_progress = self.clock.now();
-                            self.handled_frames += 1;
-                            self.maybe_crash()?;
+                            // The crash family fires here — the handler
+                            // boundary — so recovery never sees a frame's
+                            // effects half-applied.
+                            let logged = self.wal.as_ref().map_or(0, |w| w.lock().total_appends());
+                            if let Some(restart) = self.faults.on_frame(logged) {
+                                self.apply_fault(restart)?;
+                            }
                         }
                     }
                     self.note_stage_transitions();
@@ -652,10 +626,8 @@ impl Master {
             }
             Wire::Ack { from, seq } => {
                 self.note_liveness(from);
-                if let Some(info) = self.executors.get_mut(&from) {
-                    if info.alive {
-                        info.out.on_ack(seq);
-                    }
+                if let Some(info) = self.executors.get_mut(&from).filter(|e| e.live()) {
+                    info.out.on_ack(seq);
                 }
                 Ok(false)
             }
@@ -666,15 +638,12 @@ impl Master {
                 payload,
             } => {
                 self.note_liveness(from);
-                let Some(info) = self.executors.get_mut(&from) else {
-                    return Ok(false);
-                };
-                if !info.alive {
+                let Some(info) = self.executors.get_mut(&from).filter(|e| e.live()) else {
                     // Frames from an evicted or declared-dead executor are
                     // dropped unacknowledged; the container is being torn
                     // down out-of-band anyway.
                     return Ok(false);
-                }
+                };
                 info.out.link().send(ExecIn::Net(Wire::Ack { from, seq }));
                 // Dedup before the epoch fence: retransmissions of frames
                 // already handled are suppressed here, keeping the window
@@ -713,11 +682,9 @@ impl Master {
     /// partitioned-then-healed executor revives on its first retransmitted
     /// report even before its next heartbeat.
     fn note_liveness(&mut self, exec: ExecId) {
-        if let Some(info) = self.executors.get_mut(&exec) {
-            if info.alive {
-                info.last_heartbeat = self.clock.now();
-                info.hb_flagged = false;
-            }
+        if let Some(info) = self.executors.get_mut(&exec).filter(|e| e.live()) {
+            info.last_heartbeat = self.clock.now();
+            info.hb_flagged = false;
         }
     }
 
@@ -738,10 +705,7 @@ impl Master {
         );
         let dead_after = Duration::from_millis(self.job.config.dead_executor_timeout_ms);
         let mut dead: Vec<ExecId> = Vec::new();
-        for (&id, info) in self.executors.iter_mut() {
-            if !info.alive {
-                continue;
-            }
+        for (&id, info) in self.executors.iter_mut().filter(|(_, e)| e.live()) {
             info.out.pump(now)?;
             let age = now.duration_since(info.last_heartbeat);
             if age >= dead_after {
@@ -759,80 +723,105 @@ impl Master {
 
     /// Retries pushes parked under backpressure. Entries become due on
     /// their backoff clock, or immediately when a pin release frees
-    /// headroom on their destination (see [`Self::release_pins`]).
-    /// A retry succeeds when the destination store freed headroom (pins
-    /// released, budget restored); the destination then joins the
-    /// output's location set and `PushResumed` is journaled. Obsolete entries — output
-    /// reverted or gone, destination dead — are dropped silently: the
-    /// producer-local copy (or a recomputation) serves instead.
+    /// headroom on their destination (see [`Self::release_pins`]). The
+    /// destination of a retry that lands joins the output's location
+    /// set. Obsolete entries — output reverted or gone, destination
+    /// lost — are dropped silently: the producer-local copy (or a
+    /// recomputation) serves instead.
     fn retry_deferred_pushes(&mut self) -> Result<(), RuntimeError> {
         if self.deferred_pushes.is_empty() {
             return Ok(());
         }
         let now = self.clock.now();
-        let max_backoff = self.job.config.retransmit_max_ms.max(1);
-        let mut parked: Vec<DeferredPush> = Vec::new();
-        for mut p in std::mem::take(&mut self.deferred_pushes) {
+        for p in std::mem::take(&mut self.deferred_pushes) {
             if now < p.next_try {
-                parked.push(p);
+                self.deferred_pushes.push(p);
                 continue;
             }
-            if !self.tasks.is_done(p.fop, p.index) {
-                continue;
-            }
-            let Some(output) = self.output(p.fop, p.index).map(Arc::clone) else {
+            let done = self.tasks.is_done(p.fop, p.index);
+            let Some(output) = self.output(p.fop, p.index).filter(|_| done).cloned() else {
                 continue;
             };
-            let Some(info) = self.executors.get(&p.dest) else {
-                continue;
-            };
-            if !info.alive {
-                continue;
-            }
-            let r = BlockRef::Output {
-                fop: p.fop,
-                index: p.index,
-            };
-            let admitted = info.store.lock().admit(r, &output);
-            match admitted {
-                Ok(()) => {
-                    self.journal.emit(
-                        Some(self.meta.stage_of[p.fop]),
-                        JobEvent::PushResumed {
-                            fop: p.fop,
-                            index: p.index,
-                            exec: p.dest,
-                            bytes: block_bytes(&output),
-                        },
-                    );
-                    if let Some(locations) = self.tasks.locations_mut(p.fop, p.index) {
-                        if !locations.contains(&p.dest) {
-                            locations.push(p.dest);
-                        }
+            if self.push(p.fop, p.index, p.dest, &output, Some(p.backoff_ms))? {
+                if let Some(locations) = self.tasks.locations_mut(p.fop, p.index) {
+                    if !locations.contains(&p.dest) {
+                        locations.push(p.dest);
                     }
-                    self.append_wal_locations(p.fop, p.index)?;
                 }
-                // A spill-I/O fault parks the push exactly like missing
-                // headroom: back off and retry, never fail the job.
-                Err(StoreError::NoHeadroom { .. } | StoreError::SpillUnreadable { .. }) => {
-                    p.backoff_ms = p.backoff_ms.saturating_mul(2).min(max_backoff);
-                    p.next_try = now + Duration::from_millis(p.backoff_ms);
-                    parked.push(p);
-                }
-                Err(StoreError::TooLarge { bytes, budget }) => {
-                    return Err(RuntimeError::MemoryExceeded {
-                        bytes,
-                        budget,
-                        context: format!(
-                            "push of output {}.{} to executor {}",
-                            p.fop, p.index, p.dest
-                        ),
-                    });
-                }
+                self.append_wal_locations(p.fop, p.index)?;
             }
         }
-        self.deferred_pushes = parked;
         Ok(())
+    }
+
+    /// One cross-executor push: offers output `(fop, index)` to `dest`'s
+    /// store and says whether it landed. A store with no headroom (or a
+    /// spill-I/O fault making room: a disk hiccup never fails the job)
+    /// parks the push to retry with backoff — journaled `PushDeferred`
+    /// the first time, doubling from `parked_ms` after — and a parked
+    /// push that lands is journaled `PushResumed`. A lost destination
+    /// takes nothing; an output over a whole store budget fails the job.
+    fn push(
+        &mut self,
+        fop: FopId,
+        index: usize,
+        dest: ExecId,
+        output: &Block,
+        parked_ms: Option<u64>,
+    ) -> Result<bool, RuntimeError> {
+        let Some(info) = self.executors.get(&dest).filter(|e| e.live()) else {
+            return Ok(false);
+        };
+        let admitted = info
+            .store
+            .lock()
+            .admit(BlockRef::Output { fop, index }, output);
+        let (exec, bytes) = (dest, block_bytes(output));
+        let stage = Some(self.meta.stage_of[fop]);
+        match admitted {
+            Ok(()) => {
+                if parked_ms.is_some() {
+                    let resumed = JobEvent::PushResumed {
+                        fop,
+                        index,
+                        exec,
+                        bytes,
+                    };
+                    self.journal.emit(stage, resumed);
+                }
+                Ok(true)
+            }
+            Err(StoreError::NoHeadroom { .. } | StoreError::SpillUnreadable { .. }) => {
+                let backoff_ms = match parked_ms {
+                    Some(ms) => ms
+                        .saturating_mul(2)
+                        .min(self.job.config.retransmit_max_ms.max(1)),
+                    None => {
+                        let deferred = JobEvent::PushDeferred {
+                            fop,
+                            index,
+                            exec,
+                            bytes,
+                        };
+                        self.journal.emit(stage, deferred);
+                        self.job.config.retransmit_base_ms.max(1)
+                    }
+                };
+                self.deferred_pushes.push(DeferredPush {
+                    fop,
+                    index,
+                    dest,
+                    next_try: self.clock.now() + Duration::from_millis(backoff_ms),
+                    backoff_ms,
+                });
+                Ok(false)
+            }
+            Err(StoreError::TooLarge { bytes, budget }) => Err(RuntimeError::MemoryExceeded {
+                bytes,
+                budget,
+                context: format!("push of output {fop}.{index} to executor {dest}"),
+            }),
+        }
     }
 
     /// The journal frozen into its canonical, replayable form.
@@ -1017,11 +1006,9 @@ impl Master {
                 Ok(())
             }
             ReconfigChange::Repartition { fop, parallelism } => {
-                if fop >= self.parallelism.len() {
-                    return Err(format!(
-                        "fop {fop} does not exist (plan has {} fops)",
-                        self.parallelism.len()
-                    ));
+                let n_fops = self.job.plan.fops.len();
+                if fop >= n_fops {
+                    return Err(format!("fop {fop} does not exist (plan has {n_fops} fops)"));
                 }
                 if parallelism == 0 {
                     return Err("cannot repartition to zero tasks".into());
@@ -1045,20 +1032,22 @@ impl Master {
                 // past the consumer) would orphan partner outputs — data
                 // silently dropped, not rebucketed.
                 for e in producers {
-                    if e.dep == DepType::OneToOne && parallelism < self.parallelism[e.src] {
+                    if e.dep == DepType::OneToOne && parallelism < self.tasks.width(e.src) {
                         return Err(format!(
                             "fop {fop} has a one-to-one input from fop {} ({} tasks); \
                              repartitioning below that would orphan producer outputs",
-                            e.src, self.parallelism[e.src]
+                            e.src,
+                            self.tasks.width(e.src)
                         ));
                     }
                 }
                 for e in self.job.plan.outs(fop) {
-                    if e.dep == DepType::OneToOne && parallelism > self.parallelism[e.dst] {
+                    if e.dep == DepType::OneToOne && parallelism > self.tasks.width(e.dst) {
                         return Err(format!(
                             "fop {fop} feeds fop {} one-to-one ({} tasks); repartitioning \
                              past that would orphan its own outputs",
-                            e.dst, self.parallelism[e.dst]
+                            e.dst,
+                            self.tasks.width(e.dst)
                         ));
                     }
                 }
@@ -1075,16 +1064,13 @@ impl Master {
         }
     }
 
-    /// Alive executors of a pool that may take new work (not blacklisted,
+    /// The executors of a pool that may take new work (not blacklisted,
     /// not drained), in id order.
     fn schedulable(&self, kind: Placement) -> impl Iterator<Item = (ExecId, &ExecInfo)> {
-        self.executors.iter().filter_map(move |(&id, e)| {
-            let ok = e.alive
-                && e.handle.kind == kind
-                && !self.blacklisted.contains(&id)
-                && !self.drained.contains(&id);
-            ok.then_some((id, e))
-        })
+        self.executors
+            .iter()
+            .filter(move |(_, e)| e.state == ExecState::Alive && e.handle.kind == kind)
+            .map(|(&id, e)| (id, e))
     }
 
     /// Drives the in-flight transaction one step per loop iteration:
@@ -1195,7 +1181,6 @@ impl Master {
             }
             ReconfigChange::Repartition { fop, parallelism } => {
                 self.tasks.repartition(fop, parallelism);
-                self.parallelism[fop] = parallelism;
                 self.assigned.retain(|&(f, _), _| f != fop);
                 Ok(())
             }
@@ -1211,7 +1196,9 @@ impl Master {
                     return Err("no drain candidate survived the prepare phase".into());
                 };
                 self.migrate_blocks_off(victim)?;
-                self.drained.insert(victim);
+                if let Some(info) = self.executors.get_mut(&victim) {
+                    info.state = ExecState::Drained;
+                }
                 Ok(())
             }
         }
@@ -1288,10 +1275,8 @@ impl Master {
     /// new stamp; the explicit payload lets the executor adopt it even
     /// with no task traffic.
     fn broadcast_epoch(&mut self, epoch: u64) {
-        for info in self.executors.values_mut() {
-            if info.alive {
-                info.out.send(ExecutorMsg::AdvanceEpoch(epoch));
-            }
+        for info in self.executors.values_mut().filter(|e| e.live()) {
+            info.out.send(ExecutorMsg::AdvanceEpoch(epoch));
         }
     }
 
@@ -1360,8 +1345,9 @@ impl Master {
         // set, so the location table rides its own WAL frame.
         self.append_wal_locations(fop, index)?;
 
-        self.done_events += 1;
-        self.fire_due_faults()?;
+        for fault in self.faults.on_commit() {
+            self.apply_fault(fault)?;
+        }
         Ok(())
     }
 
@@ -1370,9 +1356,10 @@ impl Master {
     /// by construction: one report per attempt is ever processed, so a
     /// duplicate delivery that slipped past the dedup window cannot
     /// re-commit, re-charge, or free a busy slot a second time. The
-    /// attempt is over, win or lose: its input pins release and the
-    /// executor's slot frees even when the report is then discarded.
-    /// Returns the attempt's record when it was still current.
+    /// attempt is over, win or lose: its input pins release and — the
+    /// table retiring its record — the executor's slot frees even when
+    /// the report is then discarded. Returns the attempt's record when it
+    /// was still current.
     fn end_attempt(
         &mut self,
         exec: ExecId,
@@ -1387,14 +1374,10 @@ impl Master {
         if let Some(a) = &record {
             self.release_pins(a);
         }
-        if let Some(info) = self.executors.get_mut(&exec) {
-            if info.alive {
-                // Refresh the container manager's view of the executor cache.
-                if let Some(keys) = cached_keys {
-                    info.cached = keys.into_iter().collect();
-                }
-                info.busy = info.busy.saturating_sub(1);
-            }
+        // Refresh the container manager's view of the executor cache.
+        let info = self.executors.get_mut(&exec).filter(|e| e.live());
+        if let (Some(info), Some(keys)) = (info, cached_keys) {
+            info.cached = keys.into_iter().collect();
         }
         record.filter(|_| current)
     }
@@ -1459,11 +1442,7 @@ impl Master {
             ));
         }
 
-        let failures = {
-            let f = self.task_failure_counts.entry((fop, index)).or_insert(0);
-            *f += 1;
-            *f
-        };
+        let failures = self.tasks.charge_failure(fop, index);
         if failures >= self.job.config.max_task_attempts {
             return Err(RuntimeError::TaskFailed {
                 fop,
@@ -1474,15 +1453,12 @@ impl Master {
             });
         }
 
-        let exec_faults = {
-            let f = self.exec_failures.entry(exec).or_insert(0);
-            *f += 1;
-            *f
-        };
-        if exec_faults >= self.job.config.executor_fault_threshold
-            && !self.blacklisted.contains(&exec)
-        {
-            self.blacklist(exec);
+        let threshold = self.job.config.executor_fault_threshold;
+        if let Some(info) = self.executors.get_mut(&exec) {
+            info.failures += 1;
+            if info.failures >= threshold && info.state == ExecState::Alive {
+                self.blacklist(exec);
+            }
         }
         Ok(())
     }
@@ -1491,17 +1467,16 @@ impl Master {
     /// no new work but stays alive, so outputs already committed to it
     /// remain readable. A replacement container takes over its share.
     fn blacklist(&mut self, exec: ExecId) {
-        self.blacklisted.insert(exec);
+        let Some(info) = self.executors.get_mut(&exec) else {
+            return;
+        };
+        info.state = ExecState::Blacklisted;
+        let kind = info.handle.kind;
         self.journal.emit(None, JobEvent::ExecutorBlacklisted(exec));
         // Re-route receiver assignments that have not yet produced data.
         let tasks = &self.tasks;
         self.assigned
             .retain(|&(f, i), &mut e| e != exec || tasks.is_done(f, i));
-        // An unknown executor (a fault-injected blacklist of an id the
-        // master never spawned) has nothing to replace.
-        let Some(kind) = self.executors.get(&exec).map(|e| e.handle.kind) else {
-            return;
-        };
         let replacement = self.spawn_executor(kind);
         self.journal
             .emit(None, JobEvent::ContainerAdded(replacement));
@@ -1514,11 +1489,10 @@ impl Master {
     ///
     /// Every location is backed by a store admission. The producer-local
     /// copy admits unconditionally (spilling itself to disk when memory
-    /// has no headroom — a commit never stalls on its own output). A
-    /// cross-executor push the destination cannot take is *deferred*
-    /// (journaled `PushDeferred`, retried with backoff); only an output
-    /// larger than a whole store budget fails the job, as
-    /// [`RuntimeError::MemoryExceeded`].
+    /// has no headroom — a commit never stalls on its own output); a
+    /// cross-executor copy is a [`Master::push`], deferred when its
+    /// destination cannot take it. Only an output larger than a whole
+    /// store budget fails the job, as [`RuntimeError::MemoryExceeded`].
     fn commit_locations(
         &mut self,
         fop: FopId,
@@ -1533,7 +1507,7 @@ impl Master {
                 if self.placement[e.dst] != Placement::Reserved {
                     continue;
                 }
-                for di in 0..self.parallelism[e.dst] {
+                for di in 0..self.tasks.width(e.dst) {
                     if let Some(&d) = self.assigned.get(&(e.dst, di)) {
                         if d != exec && !dests.contains(&d) {
                             dests.push(d);
@@ -1544,44 +1518,8 @@ impl Master {
         }
         let mut locations: Vec<ExecId> = Vec::new();
         for d in dests {
-            let Some(info) = self.executors.get(&d) else {
-                continue;
-            };
-            if !info.alive {
-                continue;
-            }
-            let admitted = info.store.lock().admit(r, output);
-            match admitted {
-                Ok(()) => locations.push(d),
-                // A spill-I/O fault while making room is the same outcome
-                // as no room: the push defers and retries like any other
-                // backpressured push — a disk hiccup never fails the job.
-                Err(StoreError::NoHeadroom { .. } | StoreError::SpillUnreadable { .. }) => {
-                    self.journal.emit(
-                        Some(self.meta.stage_of[fop]),
-                        JobEvent::PushDeferred {
-                            fop,
-                            index,
-                            exec: d,
-                            bytes: block_bytes(output),
-                        },
-                    );
-                    self.deferred_pushes.push(DeferredPush {
-                        fop,
-                        index,
-                        dest: d,
-                        next_try: self.clock.now()
-                            + Duration::from_millis(self.job.config.retransmit_base_ms.max(1)),
-                        backoff_ms: self.job.config.retransmit_base_ms.max(1),
-                    });
-                }
-                Err(StoreError::TooLarge { bytes, budget }) => {
-                    return Err(RuntimeError::MemoryExceeded {
-                        bytes,
-                        budget,
-                        context: format!("push of output {fop}.{index} to executor {d}"),
-                    });
-                }
+            if self.push(fop, index, d, output, None)? {
+                locations.push(d);
             }
         }
         if locations.is_empty() {
@@ -1613,67 +1551,45 @@ impl Master {
         Ok(locations)
     }
 
-    fn fire_due_faults(&mut self) -> Result<(), RuntimeError> {
-        while self.fault_cursor_evict < self.faults.evictions.len()
-            && self.faults.evictions[self.fault_cursor_evict].0 <= self.done_events
-        {
-            let (_, k) = self.faults.evictions[self.fault_cursor_evict];
-            self.fault_cursor_evict += 1;
-            if let Some(victim) = self.nth_alive(Placement::Transient, k) {
-                self.on_executor_lost(victim, LossKind::Eviction);
-            }
-        }
-        while self.fault_cursor_fail < self.faults.reserved_failures.len()
-            && self.faults.reserved_failures[self.fault_cursor_fail].0 <= self.done_events
-        {
-            let (_, k) = self.faults.reserved_failures[self.fault_cursor_fail];
-            self.fault_cursor_fail += 1;
-            if let Some(victim) = self.nth_alive(Placement::Reserved, k) {
-                self.on_executor_lost(victim, LossKind::ReservedFailure);
-            }
-        }
-        while self.fault_cursor_shrink < self.faults.budget_shrinks.len()
-            && self.faults.budget_shrinks[self.fault_cursor_shrink].0 <= self.done_events
-        {
-            let (_, k, bytes) = self.faults.budget_shrinks[self.fault_cursor_shrink];
-            self.fault_cursor_shrink += 1;
-            if let Some(victim) = self.nth_alive(Placement::Reserved, k) {
-                if let Some(info) = self.executors.get(&victim) {
-                    // The store spills what it can and journals the
-                    // applied budget (clamped up to pinned occupancy).
-                    info.store.lock().set_budget(bytes);
+    /// Carries out a fault the harness's schedule says is due, through
+    /// the handler the real event would reach.
+    fn apply_fault(&mut self, fault: FaultAction) -> Result<(), RuntimeError> {
+        match fault {
+            FaultAction::Evict(k) => {
+                if let Some(victim) = self.nth_alive(Placement::Transient, k) {
+                    self.on_executor_lost(victim, LossKind::Eviction);
                 }
             }
-        }
-        while self.fault_cursor_reconfig < self.faults.reconfigs.len()
-            && self.faults.reconfigs[self.fault_cursor_reconfig].after_done_events
-                <= self.done_events
-        {
-            let scheduled = self.faults.reconfigs[self.fault_cursor_reconfig];
-            self.fault_cursor_reconfig += 1;
-            self.request_reconfig(scheduled.plan, scheduled.trigger);
-        }
-        if let Some(n) = self.faults.master_failure_after {
-            if self.done_events >= n {
-                self.faults.master_failure_after = None;
-                self.crash_and_recover(None)?;
+            FaultAction::FailReserved(k) => {
+                if let Some(victim) = self.nth_alive(Placement::Reserved, k) {
+                    self.on_executor_lost(victim, LossKind::ReservedFailure);
+                }
             }
+            FaultAction::ShrinkBudget(k, bytes) => {
+                if let Some(victim) = self.nth_alive(Placement::Reserved, k) {
+                    // The store spills what it can and journals the
+                    // applied budget (clamped up to pinned occupancy).
+                    self.executors[&victim].store.lock().set_budget(bytes);
+                }
+            }
+            FaultAction::Reconfig(scheduled) => {
+                self.request_reconfig(scheduled.plan, scheduled.trigger);
+            }
+            FaultAction::Restart(corruption) => self.crash_and_recover(corruption.as_ref())?,
         }
         Ok(())
     }
 
+    /// The `k`-th executor of a pool that is not lost (modulo their
+    /// number), in id order.
     fn nth_alive(&self, kind: Placement, k: usize) -> Option<ExecId> {
         let alive: Vec<ExecId> = self
             .executors
             .iter()
-            .filter(|(_, e)| e.alive && e.handle.kind == kind)
+            .filter(|(_, e)| e.live() && e.handle.kind == kind)
             .map(|(&id, _)| id)
             .collect();
-        if alive.is_empty() {
-            None
-        } else {
-            Some(alive[k % alive.len()])
-        }
+        alive.get(k % alive.len().max(1)).copied()
     }
 
     /// Handles the loss of a container: eviction (transient), machine
@@ -1684,13 +1600,10 @@ impl Master {
     /// stages exactly as §3.2.6 prescribes — and merely dropped when
     /// every consumer already committed: its stage stays complete.
     fn on_executor_lost(&mut self, exec: ExecId, kind_of_loss: LossKind) {
-        let Some(info) = self.executors.get_mut(&exec) else {
+        let Some(info) = self.executors.get_mut(&exec).filter(|e| e.live()) else {
             return;
         };
-        if !info.alive {
-            return;
-        }
-        info.alive = false;
+        info.state = ExecState::Lost;
         info.cached.clear();
         // The kill is a resource-manager action, delivered out-of-band:
         // it reaches even an executor the network has partitioned away.
@@ -1701,10 +1614,6 @@ impl Master {
         info.store.lock().clear_silent();
         let kind = info.handle.kind;
         self.deferred_pushes.retain(|p| p.dest != exec);
-        // A drained executor that finally dies needs no special recovery
-        // (its blocks migrated at drain time); it just stops counting
-        // against the drain bookkeeping.
-        self.drained.remove(&exec);
         if kind_of_loss == LossKind::Eviction {
             self.evictions_seen += 1;
         }
@@ -1825,7 +1734,9 @@ impl Master {
                 .map(|(f, i, locations)| (f, i, locations.to_vec()))
                 .collect(),
             first_attempted: self.tasks.first_attempted().to_vec(),
-            parallelism: self.parallelism.clone(),
+            parallelism: (0..self.placement.len())
+                .map(|f| self.tasks.width(f))
+                .collect(),
             placement: self.placement.clone(),
         }
     }
@@ -1870,37 +1781,6 @@ impl Master {
         })
     }
 
-    /// Evaluates the crash family's triggers at a handler boundary and
-    /// kills/recovers the master when one fires.
-    fn maybe_crash(&mut self) -> Result<(), RuntimeError> {
-        let Some(plan) = self.faults.crashes else {
-            return Ok(());
-        };
-        if self.crashes_injected >= plan.max_crashes {
-            return Ok(());
-        }
-        let round = self.crashes_injected as u64 + 1;
-        let mut due = false;
-        if let Some(n) = plan.after_handled_frames {
-            due |= self.handled_frames >= n.saturating_mul(round);
-        }
-        if let Some(k) = plan.every_kth_append {
-            let appends = self.wal.as_ref().map_or(0, |w| w.lock().total_appends());
-            due |= k > 0 && appends >= k.saturating_mul(round);
-        }
-        if plan.handler_prob > 0.0 {
-            due |= FaultInjector::new(plan.seed)
-                .crash_boundary(self.handled_frames)
-                .unit()
-                < plan.handler_prob;
-        }
-        if !due {
-            return Ok(());
-        }
-        self.crashes_injected += 1;
-        self.crash_and_recover(plan.corruption.as_ref())
-    }
-
     /// Kills the master and rebuilds it from the write-ahead log: the
     /// unsynced WAL suffix is lost (the simulated page cache), optional
     /// seeded corruption mangles the surviving image, and the recovery
@@ -1910,11 +1790,11 @@ impl Master {
     /// (refetched from surviving executor stores), the reconfiguration
     /// epoch, and the shape overlays. Everything else is in-memory state
     /// of the dead master and resets, retry budgets and executor fault
-    /// counts included. Chaos-injection bookkeeping survives: it is the
-    /// *test harness's* fault schedule, and keeps injected faults bounded
-    /// per task across the restart. Transport sessions (sequence numbers,
-    /// dedup windows) survive too: the in-process model restarts master
-    /// *state*, not its sockets.
+    /// counts included. `faults` is not the master's: the harness's
+    /// schedule keeps injected faults bounded per task across the
+    /// restart. Executors outlive the master, lifecycle state and
+    /// transport sessions (sequence numbers, dedup windows) included: the
+    /// in-process model restarts master *state*, not its sockets.
     fn crash_and_recover(
         &mut self,
         corruption: Option<&WalCorruption>,
@@ -1954,18 +1834,18 @@ impl Master {
         // shape and recompute everything.
         let n_fops = self.job.plan.fops.len();
         let shaped = rec.parallelism.len() == n_fops && rec.placement.len() == n_fops;
-        if shaped {
-            self.parallelism = rec.parallelism.clone();
+        let parallelism: Vec<usize> = if shaped {
             self.placement = rec.placement.clone();
+            rec.parallelism.clone()
         } else {
-            self.parallelism = self.job.plan.fops.iter().map(|f| f.parallelism).collect();
             self.placement = self.job.plan.fops.iter().map(|f| f.placement).collect();
-        }
+            self.meta.parallelism.clone()
+        };
         // Re-apply committed placement changes the replay could not
         // fold by itself (they need the plan's stage table).
         // `Repartition` replays inside the WAL fold; a committed
-        // `DrainTransient`'s drained set deliberately persists as
-        // harness state (DESIGN.md §14).
+        // `DrainTransient` lives on in its executor's state, which
+        // outlives the master (DESIGN.md §14).
         for change in &rec.reconfig_changes {
             if let ReconfigChange::MigrateStage { stage, to } = change {
                 for f in 0..self.placement.len() {
@@ -1981,7 +1861,7 @@ impl Master {
         // completion log, every pre-crash attempt id fenced.
         let first_attempted: &[Vec<bool>] = if shaped { &rec.first_attempted } else { &[] };
         let fenced = self.tasks.reset(
-            &self.parallelism,
+            &parallelism,
             first_attempted,
             rec.completed_attempts.iter().copied(),
             rec.max_attempt,
@@ -1996,12 +1876,6 @@ impl Master {
         self.outputs.clear();
         self.side_cache.clear();
 
-        let alive: HashSet<ExecId> = self
-            .executors
-            .iter()
-            .filter(|(_, e)| e.alive)
-            .map(|(&id, _)| id)
-            .collect();
         // Rebuild the location table: every replayed commit is restored;
         // one whose locations still point at alive executors refetches
         // its block from their stores, a sink-safe terminal output falls
@@ -2009,14 +1883,14 @@ impl Master {
         // without data — the settle pass below decides, by the rule every
         // executor loss follows, which of those a consumer still needs.
         for ((f, i), locations) in rec.committed {
-            if f >= n_fops || i >= self.parallelism[f] {
+            if f >= n_fops || i >= self.tasks.width(f) {
                 // A frame from a stale shape (or one that survived the
                 // CRC by chance): drop it, the task table has no slot.
                 continue;
             }
             let mut locs: Vec<ExecId> = locations
                 .into_iter()
-                .filter(|l| alive.contains(l))
+                .filter(|l| self.executors.get(l).is_some_and(ExecInfo::live))
                 .collect();
             let r = BlockRef::Output { fop: f, index: i };
             let mut block = locs.iter().find_map(|l| {
@@ -2052,17 +1926,13 @@ impl Master {
         // The epoch only moves forward, so pre-crash frames stay fenced.
         self.epoch.fetch_max(rec.epoch, Ordering::Relaxed);
         self.assigned.clear();
-        self.task_failure_counts.clear();
-        self.exec_failures.clear();
         for info in self.executors.values_mut() {
-            if info.alive {
-                info.busy = 0;
-            }
+            info.failures = 0;
         }
         // Bring the journal in line with the recovered table: log every
         // commit the crash rolled back (recomputation follows), then
         // every output it left without a copy that nobody needs.
-        let in_shape = |f: FopId, i: usize| f < n_fops && i < self.parallelism[f];
+        let in_shape = |f: FopId, i: usize| f < n_fops && i < self.tasks.width(f);
         for &(f, i, _) in &done_before {
             if in_shape(f, i) && !self.tasks.is_done(f, i) {
                 self.journal.emit(
@@ -2111,7 +1981,7 @@ impl Master {
                     if self.placement[f] != kind {
                         continue;
                     }
-                    for i in 0..self.parallelism[f] {
+                    for i in 0..self.tasks.width(f) {
                         if self.tasks.is_pending(f, i) && self.task_ready(f, i) {
                             // No free executor: retry on the next event.
                             if let Some(exec) = self.pick_executor(f, i) {
@@ -2143,7 +2013,7 @@ impl Master {
             if self.placement[f] != Placement::Reserved {
                 continue;
             }
-            for i in 0..self.parallelism[f] {
+            for i in 0..self.tasks.width(f) {
                 self.assigned.entry((f, i)).or_insert_with(|| {
                     let e = reserved[cursor % reserved.len()];
                     cursor += 1;
@@ -2156,8 +2026,8 @@ impl Master {
     /// Whether all of a task's inputs are available.
     fn task_ready(&self, fop: FopId, index: usize) -> bool {
         for e in self.job.plan.ins(fop) {
-            let src_par = self.parallelism[e.src];
-            let dst_par = self.parallelism[fop];
+            let src_par = self.tasks.width(e.src);
+            let dst_par = self.tasks.width(fop);
             for si in required_src_indices(e, index, src_par, dst_par) {
                 if !self.tasks.is_done(e.src, si) {
                     return false;
@@ -2197,7 +2067,6 @@ impl Master {
         let preaggregate = self.placement[fop] == Placement::Transient
             && self.job.config.partial_aggregation
             && combine_consumer(&self.job.dag, &self.job.plan, fop).is_some();
-        let inject = self.decide_injection(fop, index);
 
         let (attempt, relaunch) = self.tasks.begin(Attempt {
             fop,
@@ -2236,7 +2105,6 @@ impl Master {
         let info = self.executors.get_mut(&exec).ok_or_else(|| {
             RuntimeError::Invariant(format!("picked executor {exec} is not registered"))
         })?;
-        info.busy += 1;
         info.out.send(ExecutorMsg::Run(TaskSpec {
             attempt,
             fop,
@@ -2245,7 +2113,7 @@ impl Master {
             sides,
             preaggregate,
             route_to,
-            inject,
+            inject: self.faults.on_launch(fop, index),
         }));
         Ok(())
     }
@@ -2255,7 +2123,7 @@ impl Master {
     fn shuffle_widths(&self, fop: FopId) -> Vec<usize> {
         let mut widths: Vec<usize> = Vec::new();
         for e in self.job.plan.outs(fop) {
-            let width = self.parallelism[e.dst];
+            let width = self.tasks.width(e.dst);
             let shuffled = e.dep == DepType::ManyToMany && matches!(e.slot, InputSlot::Main(_));
             if shuffled && !widths.contains(&width) {
                 widths.push(width);
@@ -2281,7 +2149,7 @@ impl Master {
         fop: FopId,
         index: usize,
     ) -> Result<Vec<Vec<(BlockRef, Block)>>, RuntimeError> {
-        let dst_par = self.parallelism[fop];
+        let dst_par = self.tasks.width(fop);
         let job = Arc::clone(&self.job);
         let mut mains = Vec::new();
         for e in job.plan.ins(fop) {
@@ -2289,7 +2157,7 @@ impl Master {
                 continue;
             }
             let mut parts = Vec::new();
-            for si in required_src_indices(e, index, self.parallelism[e.src], dst_par) {
+            for si in required_src_indices(e, index, self.tasks.width(e.src), dst_par) {
                 let (r, block) = match e.dep {
                     DepType::ManyToMany => (
                         BlockRef::Bucket {
@@ -2383,71 +2251,6 @@ impl Master {
         Ok(Some(pinned))
     }
 
-    /// Decides fault injection for the next launch of task `(fop, index)`,
-    /// combining targeted first-attempt delays with the probabilistic
-    /// chaos plan. Decisions depend only on `(seed, task, launch
-    /// ordinal)`, so a chaos run replays identically from its seed.
-    fn decide_injection(&mut self, fop: FopId, index: usize) -> Option<InjectedFault> {
-        let ordinal = {
-            let c = self.launch_seq.entry((fop, index)).or_insert(0);
-            let o = *c;
-            *c += 1;
-            o
-        };
-        if ordinal == 0 {
-            if let Some(&(_, _, ms)) = self
-                .faults
-                .first_attempt_delays
-                .iter()
-                .find(|&&(f, i, _)| f == fop && i == index)
-            {
-                return Some(InjectedFault::Delay(ms));
-            }
-            if let Some(&(_, _, ms)) = self
-                .faults
-                .first_attempt_done_delays
-                .iter()
-                .find(|&&(f, i, _)| f == fop && i == index)
-            {
-                return Some(InjectedFault::DelayDone(ms));
-            }
-        }
-        let chaos = self.faults.chaos.as_ref()?;
-        // Keyed by (task identity, per-task launch ordinal) — causal
-        // identifiers, so the same seed hits the same launches on both
-        // backends.
-        let d =
-            FaultInjector::new(chaos.seed).task_launch(fop as u64, index as u64, ordinal as u64);
-        let u = d.unit();
-        let injected = self.injected_faults.entry((fop, index)).or_insert(0);
-        if *injected < chaos.max_faults_per_task {
-            if u < chaos.error_prob {
-                *injected += 1;
-                return Some(InjectedFault::Error);
-            }
-            if u < chaos.error_prob + chaos.panic_prob {
-                *injected += 1;
-                return Some(InjectedFault::Panic);
-            }
-            if u < chaos.error_prob + chaos.panic_prob + chaos.oom_prob {
-                *injected += 1;
-                return Some(InjectedFault::Oom);
-            }
-        }
-        if u < chaos.error_prob + chaos.panic_prob + chaos.oom_prob + chaos.delay_prob {
-            let ms = 1 + d.span(chaos.delay_ms);
-            // Half the stalls land before the compute (a straggler), half
-            // after it (output computed, report not yet sent) — the window
-            // where evictions and partitions race the TaskDone.
-            return Some(if d.coin(0x0D0E) {
-                InjectedFault::Delay(ms)
-            } else {
-                InjectedFault::DelayDone(ms)
-            });
-        }
-        None
-    }
-
     /// Completed attempts a fop needs before its median duration is
     /// trusted to call a running attempt a straggler.
     const SPECULATION_MIN_SAMPLES: usize = 3;
@@ -2496,8 +2299,9 @@ impl Master {
     fn pick_spare(&self, fop: FopId, avoid: ExecId) -> Option<ExecId> {
         let slots = self.job.config.slots_per_executor.max(1);
         self.schedulable(self.placement[fop])
-            .filter(|&(id, e)| e.busy < slots && id != avoid)
-            .max_by_key(|&(id, e)| (slots - e.busy, std::cmp::Reverse(id)))
+            .map(|(id, _)| (id, self.tasks.held(id)))
+            .filter(|&(id, held)| held < slots && id != avoid)
+            .max_by_key(|&(id, held)| (slots - held, std::cmp::Reverse(id)))
             .map(|(id, _)| id)
     }
 
@@ -2521,9 +2325,7 @@ impl Master {
         let cache_pref = self.cache_preference(fop);
         if kind == Placement::Reserved {
             if let Some(&e) = self.assigned.get(&(fop, index)) {
-                if self.executors.get(&e).map(|i| i.alive) == Some(true)
-                    && !self.blacklisted.contains(&e)
-                {
+                if self.executors.get(&e).map(|i| i.state) == Some(ExecState::Alive) {
                     return Some(e);
                 }
             }
@@ -2533,10 +2335,10 @@ impl Master {
         let slots = self.job.config.slots_per_executor.max(1);
         let candidates: Vec<Candidate> = self
             .schedulable(kind)
-            .filter(|(_, e)| e.busy < slots)
+            .filter(|&(id, _)| self.tasks.held(id) < slots)
             .map(|(id, e)| Candidate {
                 exec: id,
-                free_slots: slots - e.busy,
+                free_slots: slots - self.tasks.held(id),
                 has_cached_input: cache_pref.map(|k| e.cached.contains(&k)).unwrap_or(false),
             })
             .collect();
@@ -2564,7 +2366,7 @@ impl Master {
             if e.slot != InputSlot::Side {
                 continue;
             }
-            let records = self.side_records(e.src, self.parallelism[e.src])?;
+            let records = self.side_records(e.src, self.tasks.width(e.src))?;
             let bytes = block_bytes(&records);
             let key = e.cache.then_some(e.src);
             let expect_cached = key
@@ -2762,6 +2564,10 @@ mod tests {
     // (the chaos suites cover the stochastic orderings).
 
     fn test_master() -> Master {
+        test_master_with(FaultPlan::default())
+    }
+
+    fn test_master_with(faults: FaultPlan) -> Master {
         use pado_dag::{Pipeline, SourceFn};
         let p = Pipeline::new();
         p.read("R", 1, SourceFn::from_vec(vec![Value::from(1i64)]))
@@ -2773,8 +2579,7 @@ mod tests {
             plan,
             config: crate::runtime::RuntimeConfig::default(),
         });
-        Master::new(job, 1, 1, FaultPlan::default())
-            .expect("wal-less master creation is infallible")
+        Master::new(job, 1, 1, faults).expect("master creation")
     }
 
     /// The canonical event log, frozen from the live journal.
@@ -2832,7 +2637,6 @@ mod tests {
         let f = terminal_fop(&m);
         let exec: ExecId = 1; // Spawn order is reserved-first: 1 is transient.
         let attempt = begin(&mut m, f, exec);
-        m.executors.get_mut(&exec).unwrap().busy = 1;
 
         m.handle(MasterMsg::Evict { exec }).unwrap();
         assert!(
@@ -2865,11 +2669,11 @@ mod tests {
         let f = terminal_fop(&m);
         let exec: ExecId = 1;
         let attempt = begin(&mut m, f, exec);
-        m.executors.get_mut(&exec).unwrap().busy = 1;
+        assert_eq!(m.tasks.held(exec), 1);
 
         m.handle(done_msg(exec, attempt)).unwrap();
         assert!(m.tasks.is_done(f, 0));
-        assert_eq!(m.executors[&exec].busy, 0);
+        assert_eq!(m.tasks.held(exec), 0);
 
         // The other ordering: eviction lands after the commit. Terminal
         // outputs live in the job sink, so the task must stay Done (no
@@ -3020,13 +2824,15 @@ mod tests {
         let f = terminal_fop(&m);
         let exec: ExecId = 1;
         let attempt = begin(&mut m, f, exec);
-        // Two busy slots: a duplicate delivery must not free the second.
-        m.executors.get_mut(&exec).unwrap().busy = 2;
+        // Two busy slots (a duplicate of the task races it on the same
+        // executor): a duplicate delivery must not free the second.
+        begin(&mut m, f, exec);
 
         m.handle(done_msg(exec, attempt)).unwrap();
         m.handle(done_msg(exec, attempt)).unwrap();
         assert_eq!(
-            m.executors[&exec].busy, 1,
+            m.tasks.held(exec),
+            1,
             "duplicate TaskDone must not double-free a busy slot"
         );
         let commits = events(&m)
@@ -3043,7 +2849,7 @@ mod tests {
         let f = terminal_fop(&m);
         let exec: ExecId = 1;
         let attempt = begin(&mut m, f, exec);
-        m.executors.get_mut(&exec).unwrap().busy = 2;
+        begin(&mut m, f, exec);
 
         let fail = |m: &mut Master| {
             m.handle(MasterMsg::TaskFailed {
@@ -3056,8 +2862,29 @@ mod tests {
         fail(&mut m);
         fail(&mut m);
         assert_eq!(derived(&m).task_failures, 1, "one failure, not two");
-        assert_eq!(m.task_failure_counts[&(f, 0)], 1, "retry charged once");
-        assert_eq!(m.executors[&exec].busy, 1);
+        assert_eq!(m.tasks.failures(f, 0), 1, "retry charged once");
+        assert_eq!(m.tasks.held(exec), 1);
+        m.shutdown();
+    }
+
+    /// A restart fences the dead master's attempts but their bodies run
+    /// on: the late report of one frees no slot a post-restart attempt
+    /// holds on the same executor.
+    #[test]
+    fn a_fenced_attempts_late_report_frees_no_slot() {
+        let mut m = test_master_with(FaultPlan {
+            master_failure_after: Some(usize::MAX),
+            ..Default::default()
+        });
+        let f = terminal_fop(&m);
+        let exec: ExecId = 1;
+        let fenced = begin(&mut m, f, exec);
+        m.crash_and_recover(None).unwrap();
+        assert_eq!(m.tasks.held(exec), 0, "the restarted table holds nothing");
+        begin(&mut m, f, exec);
+        m.handle(done_msg(exec, fenced)).unwrap();
+        assert!(!m.tasks.is_done(f, 0), "a fenced report commits nothing");
+        assert_eq!(m.tasks.held(exec), 1, "the live attempt keeps its slot");
         m.shutdown();
     }
 
@@ -3120,7 +2947,6 @@ mod tests {
         let f = terminal_fop(&m);
         let exec: ExecId = 1; // Transient (reserved spawn first).
         begin(&mut m, f, exec);
-        m.executors.get_mut(&exec).unwrap().busy = 1;
         let before = m.placement.clone();
 
         let id = m.request_reconfig(
@@ -3204,7 +3030,6 @@ mod tests {
             0
         };
         begin(&mut m, f, exec);
-        m.executors.get_mut(&exec).unwrap().busy = 1;
         // Median 10ms × 3.0 multiplier, floored to speculation_floor_ms
         // (200ms): the attempt becomes a straggler only past 200ms.
         m.fop_durations[f] = vec![10, 10, 10];

@@ -146,6 +146,9 @@ pub(crate) struct TaskTable {
     consumers_first: Vec<FopId>,
     /// Whether a task was ever launched (a later launch is a relaunch).
     first_attempted: Vec<Vec<bool>>,
+    /// User-code failures per task, toward the retry budget. In-memory
+    /// state of one master: a restart clears it.
+    failures: Vec<Vec<usize>>,
     /// Every attempt whose terminal report was processed: the idempotence
     /// keystone. The dedup windows suppress most duplicate deliveries; a
     /// replay that slips past them hits this set and changes nothing.
@@ -155,6 +158,9 @@ pub(crate) struct TaskTable {
     /// Every attempt launched and not yet retired. One is *current*
     /// while its task lists it as running.
     attempts: BTreeMap<AttemptId, Attempt>,
+    /// Records in `attempts` per executor id: the task bodies it has not
+    /// reported on yet. Kept by `begin`, `report` and `executor_lost`.
+    held: Vec<usize>,
 }
 
 impl TaskTable {
@@ -171,9 +177,11 @@ impl TaskTable {
             done: vec![0; parallelism.len()],
             outs,
             first_attempted: parallelism.iter().map(|&p| vec![false; p]).collect(),
+            failures: parallelism.iter().map(|&p| vec![0; p]).collect(),
             completed: BTreeSet::new(),
             next_attempt: 1,
             attempts: BTreeMap::new(),
+            held: Vec::new(),
         }
     }
 
@@ -193,6 +201,27 @@ impl TaskTable {
 
     pub(crate) fn fop_done(&self, fop: FopId) -> bool {
         self.done[fop] == self.tasks[fop].len()
+    }
+
+    /// The live task count of a fop; a committed `Repartition` rewrites it.
+    pub(crate) fn width(&self, fop: FopId) -> usize {
+        self.tasks[fop].len()
+    }
+
+    /// Attempt records held on `exec`: the slots it has in use.
+    pub(crate) fn held(&self, exec: ExecId) -> usize {
+        self.held.get(exec).copied().unwrap_or(0)
+    }
+
+    /// Charges the task's retry budget a user-code failure; returns the sum.
+    pub(crate) fn charge_failure(&mut self, fop: FopId, index: usize) -> usize {
+        self.failures[fop][index] += 1;
+        self.failures[fop][index]
+    }
+
+    #[cfg(test)]
+    pub(crate) fn failures(&self, fop: FopId, index: usize) -> usize {
+        self.failures[fop][index]
     }
 
     /// The one write to a task's state, so the per-fop committed count
@@ -293,6 +322,8 @@ impl TaskTable {
         } else {
             self.set(a.fop, a.index, TaskState::Running(vec![id]));
         }
+        self.held.resize(self.held.len().max(a.exec + 1), 0);
+        self.held[a.exec] += 1;
         self.attempts.insert(id, a);
         (id, relaunch)
     }
@@ -322,6 +353,7 @@ impl TaskTable {
         let Some(a) = self.attempts.remove(&attempt) else {
             return Report::Stale(None);
         };
+        self.held[a.exec] -= 1;
         if Self::detach(&mut self.tasks, attempt, &a) {
             Report::Current(a)
         } else {
@@ -358,6 +390,9 @@ impl TaskTable {
             }
             a.exec != exec
         });
+        if let Some(n) = self.held.get_mut(exec) {
+            *n = 0;
+        }
         let mut dropped = Vec::new();
         for (f, ts) in self.tasks.iter_mut().enumerate() {
             for (i, t) in ts.iter_mut().enumerate() {
@@ -421,15 +456,16 @@ impl TaskTable {
         self.tasks[fop] = vec![TaskState::Pending; parallelism];
         self.done[fop] = 0;
         self.first_attempted[fop] = vec![false; parallelism];
+        self.failures[fop] = vec![0; parallelism];
     }
 
     /// The restarted master's table: every task pending at the recovered
-    /// shape, the completed set *replaced* by the recovered completion
-    /// log (pre-crash reports the network replays must still bounce),
-    /// and attempt ids fenced past everything the dead master issued.
+    /// shape with its retry budget whole, no executor holding a record,
+    /// the completed set *replaced* by the recovered completion log
+    /// (pre-crash reports the network replays must still bounce), and
+    /// attempt ids fenced past everything the dead master issued.
     /// `first_attempted` rows that do not fit the shape start over.
-    /// Returns the pre-crash attempt records; their pins are the
-    /// caller's to release.
+    /// Returns the pre-crash attempt records, whose pins the caller frees.
     pub(crate) fn reset(
         &mut self,
         parallelism: &[usize],
@@ -505,6 +541,7 @@ mod tests {
         let mut t = table();
         let (a, relaunch) = t.begin(attempt(0, 0, 5, false));
         assert!(!relaunch && t.is_current(a) && t.running() == 1);
+        assert_eq!((t.held(5), t.held(6)), (1, 0));
 
         let Report::Current(rec) = t.report(a) else {
             panic!("first report of a current attempt");
@@ -514,7 +551,7 @@ mod tests {
             (0, 0, 5, &[PIN][..])
         );
         assert!(t.is_pending(0, 0), "detached: the task may relaunch");
-        assert_eq!(t.running(), 0);
+        assert_eq!((t.running(), t.held(5)), (0, 0));
 
         let before = format!("{t:?}");
         assert!(matches!(t.report(a), Report::Duplicate));
@@ -523,9 +560,11 @@ mod tests {
         // The next launch of the task is a relaunch under a fresh id.
         let (b, relaunch) = t.begin(attempt(0, 0, 5, false));
         assert!(relaunch && b > a);
-        // A report for an attempt the table never issued is stale, once.
+        // A report for an attempt the table never issued is stale, once,
+        // and frees no slot of the attempt that does run there.
         assert!(matches!(t.report(99), Report::Stale(None)));
         assert!(matches!(t.report(99), Report::Duplicate));
+        assert_eq!(t.held(5), 1);
     }
 
     #[test]
@@ -546,6 +585,7 @@ mod tests {
         assert_eq!(t.locations(0, 0), &[2]);
         assert_eq!(t.running(), 0);
         assert!(!t.is_current(original));
+        assert_eq!((t.held(1), t.held(2)), (1, 0), "a loser still runs");
 
         // The loser's record — pins included — waits for its own report.
         let Report::Stale(Some(loser)) = t.report(original) else {
@@ -554,6 +594,7 @@ mod tests {
         assert_eq!((loser.exec, &loser.pins[..]), (1, &[PIN][..]));
         assert!(t.is_done(0, 0), "a stale report leaves the commit alone");
         assert!(matches!(t.report(original), Report::Duplicate));
+        assert_eq!(t.held(1), 0);
     }
 
     #[test]
@@ -566,7 +607,9 @@ mod tests {
         begin(&mut t, 1, 0, 3, false);
         t.commit(1, 0, vec![1, 3]);
 
+        assert_eq!((t.held(1), t.held(2), t.held(3)), (2, 1, 1));
         assert_eq!(t.executor_lost(1), Lost::default());
+        assert_eq!((t.held(1), t.held(2), t.held(3)), (0, 1, 1));
         assert!(!t.is_current(original) && !t.is_current(lonely));
         assert!(
             t.is_current(duplicate),
@@ -602,6 +645,7 @@ mod tests {
         let b = begin(&mut t, 0, 1, 2, false);
         assert!(matches!(t.report(a), Report::Current(_)));
         t.commit(0, 0, vec![1]);
+        assert_eq!((t.charge_failure(0, 1), t.charge_failure(0, 1)), (1, 2));
 
         // The log saw attempt 40 complete and never heard of `a`'s report.
         let first = vec![vec![true, false], vec![true]];
@@ -609,6 +653,11 @@ mod tests {
         assert_eq!(fenced.len(), 1, "b's record comes back for its pins");
         assert_eq!((fenced[0].exec, &fenced[0].pins[..]), (2, &[PIN][..]));
         assert!((0..2).all(|i| t.is_pending(0, i)) && t.running() == 0);
+        assert_eq!(
+            (t.held(2), t.failures(0, 1)),
+            (0, 0),
+            "both die with the master"
+        );
         assert_eq!(t.completed(), vec![40], "replaced, not merged");
         assert_eq!(t.first_attempted(), &first[..]);
         assert!(t.next_attempt() > 57 && t.next_attempt() > b);
@@ -621,6 +670,7 @@ mod tests {
         let issued = t.next_attempt();
         t.reset(&[2, 3], &first, [], 0);
         assert!(t.next_attempt() > issued);
+        assert_eq!((t.width(0), t.width(1)), (2, 3));
         // Rows that do not fit the recovered shape start over.
         assert_eq!(t.first_attempted()[1], vec![false; 3]);
         assert_eq!(t.first_attempted()[0], vec![true, false]);
@@ -636,8 +686,9 @@ mod tests {
         assert!(matches!(t.report(a), Report::Current(_)));
         assert!(!t.untouched(0), "a launch leaves a mark");
 
+        assert_eq!(t.charge_failure(0, 1), 1);
         t.repartition(0, 3);
-        assert!(t.untouched(0));
+        assert!(t.untouched(0) && t.width(0) == 3 && t.failures(0, 1) == 0);
         assert!(t.is_pending(0, 2) && !t.is_pending(0, 3), "three tasks now");
         assert!(
             t.is_pending(1, 0) && !t.is_pending(1, 1),

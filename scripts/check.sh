@@ -25,7 +25,22 @@ cargo test -p pado-core --test backend_equivalence -q -- --ignored
 echo "==> data-plane smoke on the threaded backend (byte-identity vs sim)"
 cargo run -p pado-bench --release --bin dataplane -- --smoke --backend threaded >/dev/null
 
-echo "All checks passed."
+echo "==> production lines, crates/core/src/runtime"
+scripts/loc.sh crates/core/src/runtime
 
-echo "==> production lines, crates/core/src/runtime (informational)"
-scripts/loc.sh crates/core/src/runtime || true
+echo "==> production-line ceilings (scripts/loc.budget)"
+over=0
+while read -r path ceiling; do
+    case "$path" in '' | '#'*) continue ;; esac
+    if [ "$path" = all ]; then set --; else set -- "$path"; fi
+    lines=$(scripts/loc.sh "$@" | awk 'END { print $1 }')
+    if [ "$lines" -gt "$ceiling" ]; then
+        echo "  $path: $lines lines, over its ceiling of $ceiling" >&2
+        over=1
+    else
+        echo "  $path: $lines <= $ceiling"
+    fi
+done <scripts/loc.budget
+[ "$over" -eq 0 ]
+
+echo "All checks passed."
