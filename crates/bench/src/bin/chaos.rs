@@ -6,7 +6,7 @@
 //! baseline plus the commit/retry invariants.
 //!
 //! Usage: `cargo run -p pado-bench --bin chaos [n_seeds] [--network]
-//! [--reconfig] [--crash] [--journal <path>] [--wal-dump <path>]
+//! [--drain] [--crash] [--journal <path>] [--wal-dump <path>]
 //! [--backend <sim|threaded>] [--stall-diag <path>]`
 //! `--backend` selects the execution backend for the seeded runs; the
 //! fault-free baselines always run on the deterministic sim backend, so
@@ -16,10 +16,11 @@
 //! drop/duplicate/reorder/delay in both directions plus timed executor
 //! partitions kept below the dead-executor threshold, so outputs must
 //! still match the fault-free baseline byte-for-byte.
-//! `--reconfig` adds the live-reconfiguration dimension: seeded
-//! epoch-fenced placement transactions (stage migrations, transient
-//! drains — including infeasible requests that must abort cleanly)
-//! plus spill-tier disk faults, racing the rest of the chaos.
+//! `--drain` adds the drain dimension: 1–2 seeded drains a seed (a
+//! transient executor cordoned ahead of a predicted eviction, its
+//! sole-copy outputs copied to reserved stores — ordinals past the pool
+//! wrap, a drain with one transient executor left is refused) plus
+//! spill-tier disk faults, racing the rest of the chaos.
 //! `--crash` adds the durability dimension: each seed arms a write-ahead
 //! log and a randomized crash schedule (fixed handler boundary,
 //! every-k-th WAL append, or probabilistic), sometimes with seeded
@@ -38,12 +39,11 @@
 
 use std::collections::HashMap;
 
-use pado_core::compiler::Placement;
 use pado_core::error::RuntimeError;
 use pado_core::runtime::{
     temp_wal_path, BackendKind, ChaosPlan, CrashPlan, DirectionFaults, FaultPlan, JobEvent,
-    JobResult, LocalCluster, NetworkFault, PartitionSpec, ReconfigChange, ReconfigTrigger,
-    RuntimeConfig, ScheduledReconfig, SpillFaultPlan, WalCorruption,
+    JobResult, LocalCluster, NetworkFault, PartitionSpec, RuntimeConfig, SpillFaultPlan,
+    WalCorruption,
 };
 use pado_dag::codec::encode_batch;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
@@ -170,34 +170,15 @@ fn random_network(
     }
 }
 
-/// Seeded reconfiguration requests: stage migrations (both directions)
-/// and transient drains, fired after a random number of task commits.
-/// Out-of-range stages are generated on purpose — an infeasible request
-/// must abort cleanly, not wedge the job.
-fn random_reconfigs(rng: &mut StdRng, n_transient: usize) -> Vec<ScheduledReconfig> {
-    let mut out = Vec::new();
-    for _ in 0..rng.gen_range(1..3usize) {
-        let change = if rng.gen_bool(0.7) {
-            ReconfigChange::MigrateStage {
-                stage: rng.gen_range(0..4usize),
-                to: if rng.gen_bool(0.7) {
-                    Placement::Reserved
-                } else {
-                    Placement::Transient
-                },
-            }
-        } else {
-            ReconfigChange::DrainTransient {
-                nth: rng.gen_range(0..n_transient.max(1)),
-            }
-        };
-        out.push(ScheduledReconfig {
-            after_done_events: rng.gen_range(1..8usize),
-            plan: change.into(),
-            trigger: ReconfigTrigger::Chaos,
-        });
-    }
-    out
+/// Seeded drains `(after n commits, k-th schedulable transient)`,
+/// earliest first (a fault family's list fires in list order). Ordinals
+/// run past the pool on purpose: they wrap.
+fn random_drains(rng: &mut StdRng) -> Vec<(usize, usize)> {
+    let mut drains: Vec<(usize, usize)> = (0..rng.gen_range(1..3usize))
+        .map(|_| (rng.gen_range(1..8usize), rng.gen_range(0..6usize)))
+        .collect();
+    drains.sort_unstable();
+    drains
 }
 
 /// A seeded crash schedule: one of the three trigger styles, a small
@@ -228,7 +209,7 @@ fn random_fault_plan(
     rng: &mut StdRng,
     seed: u64,
     network: bool,
-    reconfig: bool,
+    drain: bool,
     n_transient: usize,
     n_reserved: usize,
 ) -> FaultPlan {
@@ -273,12 +254,12 @@ fn random_fault_plan(
         first_attempt_delays: Vec::new(),
         first_attempt_done_delays: Vec::new(),
         network: network.then(|| random_network(rng, seed, n_transient, n_reserved)),
-        reconfigs: if reconfig {
-            random_reconfigs(rng, n_transient)
+        drains: if drain {
+            random_drains(rng)
         } else {
             Vec::new()
         },
-        spill_faults: (reconfig && rng.gen_bool(0.3)).then(|| SpillFaultPlan {
+        spill_faults: (drain && rng.gen_bool(0.3)).then(|| SpillFaultPlan {
             seed: seed ^ 0x5349_4C4C,
             write_prob: rng.gen_range(0.0..0.3),
             read_prob: rng.gen_range(0.0..0.3),
@@ -370,7 +351,7 @@ fn violations(result: &JobResult, faults: &FaultPlan) -> Vec<String> {
 fn main() {
     let mut n_seeds: u64 = 100;
     let mut network = false;
-    let mut reconfig = false;
+    let mut drain = false;
     let mut crash = false;
     let mut journal_path: Option<String> = None;
     let mut wal_dump_path: Option<String> = None;
@@ -380,8 +361,8 @@ fn main() {
     while let Some(arg) = args.next() {
         if arg == "--network" {
             network = true;
-        } else if arg == "--reconfig" {
-            reconfig = true;
+        } else if arg == "--drain" {
+            drain = true;
         } else if arg == "--crash" {
             crash = true;
         } else if arg == "--journal" {
@@ -428,7 +409,7 @@ fn main() {
         "oom",
         "spill",
         "defer",
-        "epoch",
+        "drain",
         "crash"
     );
     let (mut ok, mut bad) = (0u64, 0u64);
@@ -436,8 +417,7 @@ fn main() {
     let mut total_spec = 0usize;
     let mut total_oom = 0usize;
     let mut total_spills = 0usize;
-    let mut total_commits = 0usize;
-    let mut total_aborts = 0usize;
+    let mut total_drains = 0usize;
     let mut total_recoveries = 0usize;
     let mut total_frames_truncated = 0usize;
     let mut total_snapshot_restores = 0usize;
@@ -450,8 +430,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(seed);
         let n_transient = rng.gen_range(1..4usize);
         let n_reserved = rng.gen_range(1..3usize);
-        let mut faults =
-            random_fault_plan(&mut rng, seed, network, reconfig, n_transient, n_reserved);
+        let mut faults = random_fault_plan(&mut rng, seed, network, drain, n_transient, n_reserved);
         let mut config = chaos_config();
         let wal = crash.then(|| temp_wal_path(&format!("chaos-bench-{seed}")));
         if let Some(path) = &wal {
@@ -490,6 +469,11 @@ fn main() {
             probs.push("outputs diverged from fault-free baseline".into());
         }
         let verdict = if probs.is_empty() { "ok" } else { "VIOLATION" };
+        let drains_applied = result
+            .journal
+            .events()
+            .filter(|e| matches!(e, JobEvent::ExecutorDrained { .. }))
+            .count();
         println!(
             "{seed:>5}  {name:<10} {:>5} {:>4} {:>7} {:>5} {:>5} {:>5} {:>5} {:>4} {:>5} {:>5} {:>6} {:>5}  {verdict}",
             faults.evictions.len(),
@@ -505,7 +489,7 @@ fn main() {
             result.metrics.oom_injected,
             result.metrics.blocks_spilled,
             result.metrics.pushes_deferred,
-            result.metrics.final_epoch,
+            drains_applied,
             result.metrics.wal_recoveries,
         );
         for p in &probs {
@@ -522,13 +506,10 @@ fn main() {
                 result.metrics.executors_declared_dead,
             );
         }
-        if reconfig {
+        if drain {
             println!(
-                "       reconfig: committed={} aborted={} fenced={} final_epoch={}",
-                result.metrics.reconfigs_committed,
-                result.metrics.reconfigs_aborted,
-                result.metrics.frames_fenced,
-                result.metrics.final_epoch,
+                "       drain: scheduled={:?} applied={drains_applied}",
+                faults.drains
             );
         }
         if crash {
@@ -544,8 +525,7 @@ fn main() {
         total_spec += result.metrics.speculative_launches;
         total_oom += result.metrics.oom_injected;
         total_spills += result.metrics.blocks_spilled;
-        total_commits += result.metrics.reconfigs_committed;
-        total_aborts += result.metrics.reconfigs_aborted;
+        total_drains += drains_applied;
         total_recoveries += result.metrics.wal_recoveries;
         total_frames_truncated += result.metrics.wal_frames_truncated;
         total_snapshot_restores += result.metrics.wal_snapshot_restores;
@@ -596,7 +576,7 @@ fn main() {
         "\n{ok}/{n_seeds} seeds clean, {bad} violating; \
          {total_failures} injected task failures survived, {total_spec} speculative launches, \
          {total_oom} injected allocation failures, {total_spills} blocks spilled, \
-         {total_commits} reconfigs committed, {total_aborts} aborted; \
+         {total_drains} drains applied; \
          crash: {total_recoveries} recoveries, {total_frames_truncated} frames truncated, \
          {total_snapshot_restores} snapshot restores"
     );

@@ -5,7 +5,9 @@
 //! reserved executors. When the cache fills, the least recently used entry
 //! is evicted.
 
-use std::collections::HashMap;
+#![warn(clippy::iter_over_hash_type)]
+
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use pado_dag::Block;
@@ -23,7 +25,7 @@ pub struct LruCache {
     capacity_bytes: usize,
     used_bytes: usize,
     clock: u64,
-    entries: HashMap<CacheKey, Entry>,
+    entries: BTreeMap<CacheKey, Entry>,
     /// Pin counts of entries currently read by running tasks: pinned
     /// entries are never evicted or shed (a put that would need to
     /// evict a pinned entry is refused instead).
@@ -44,7 +46,7 @@ impl LruCache {
             capacity_bytes,
             used_bytes: 0,
             clock: 0,
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             pins: HashMap::new(),
         }
     }
@@ -117,7 +119,7 @@ impl LruCache {
         true
     }
 
-    /// Keys currently cached, unordered.
+    /// Keys currently cached, ascending.
     pub fn keys(&self) -> Vec<CacheKey> {
         self.entries.keys().copied().collect()
     }

@@ -1,8 +1,8 @@
 //! The scheduling clock both execution backends implement.
 //!
 //! Every master-side timer — heartbeat miss/dead detection, deferred-push
-//! backoff, speculation age, reconfiguration prepare deadlines — reads
-//! time through a [`Clock`] instead of calling [`Instant::now`] directly.
+//! backoff, speculation age — reads time through a [`Clock`] instead of
+//! calling [`Instant::now`] directly.
 //! Both stock backends run on [`Clock::wall`]; the manual variant exists
 //! for tests, which can jump time forward deterministically and observe
 //! that timers fire in deadline order instead of sleeping real

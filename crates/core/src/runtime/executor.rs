@@ -16,9 +16,10 @@
 //! a heartbeat so the master's failure detector can tell a dead executor
 //! from a slow one. Worker slots never touch the wire directly.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -160,10 +161,6 @@ impl ExecutorHandle {
         };
         let seed = net.as_ref().map_or(0, |p| p.seed());
         let ctrs = Arc::clone(&counters);
-        // The executor's view of the reconfiguration epoch: advanced by
-        // inbound envelope stamps and `AdvanceEpoch` broadcasts, stamped
-        // onto every outbound report.
-        let epoch = Arc::new(AtomicU64::new(0));
         let link = FaultyLink::new(to_master, id, Direction::ToMaster, net, counters);
         let out = ReliableSender::new(
             link,
@@ -179,18 +176,13 @@ impl ExecutorHandle {
             Duration::from_millis(job.config.retransmit_max_ms),
             seed ^ (id as u64),
         )
-        .with_journal(journal, true)
-        .with_epoch(Arc::clone(&epoch));
+        .with_journal(journal, true);
         let heartbeat = Duration::from_millis(job.config.heartbeat_interval_ms.max(1));
         let dedup = DedupWindow::new(job.config.transport_dedup_window);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("pado-exec-{id}-ctrl"))
-                .spawn(move || {
-                    control_loop(
-                        id, ctrl_rx, sink, out, dedup, heartbeat, ctrs, epoch, cancel,
-                    )
-                })
+                .spawn(move || control_loop(id, ctrl_rx, sink, out, dedup, heartbeat, ctrs, cancel))
                 .expect("spawn executor control thread"),
         );
         ExecutorHandle {
@@ -295,9 +287,6 @@ fn worker_loop(
     while let Ok(msg) = rx.recv() {
         match msg {
             ExecutorMsg::Stop => break,
-            // Epoch advances are consumed by the control thread; a stray
-            // one reaching a worker slot carries no work.
-            ExecutorMsg::AdvanceEpoch(_) => {}
             ExecutorMsg::Run(spec) => {
                 let done = run_task(exec, &job, &store, &journal, spec);
                 if ctrl.send(ExecIn::Out(done)).is_err() {
@@ -320,7 +309,6 @@ fn control_loop(
     mut dedup: DedupWindow,
     heartbeat: Duration,
     counters: Arc<TransportCounters>,
-    epoch: Arc<std::sync::atomic::AtomicU64>,
     cancel: CancelToken,
 ) {
     let mut next_beat = Instant::now();
@@ -354,24 +342,12 @@ fn control_loop(
                 return;
             }
             Ok(ExecIn::Out(msg)) => out.send(msg),
-            Ok(ExecIn::Net(Wire::Msg {
-                seq,
-                epoch: env_epoch,
-                payload,
-                ..
-            })) => {
+            Ok(ExecIn::Net(Wire::Msg { seq, payload, .. })) => {
                 // Always ack — the first ack may have been lost — but only
-                // forward first deliveries to the task queue. Every
-                // envelope also carries the master's epoch at send time:
-                // adopt it monotonically so subsequent reports are stamped
-                // with the newest epoch this executor has seen.
+                // forward first deliveries to the task queue.
                 out.link().send(Wire::Ack { from: exec, seq });
-                epoch.fetch_max(env_epoch, std::sync::atomic::Ordering::Relaxed);
                 if dedup.fresh(seq) {
                     match payload {
-                        ExecutorMsg::AdvanceEpoch(e) => {
-                            epoch.fetch_max(e, std::sync::atomic::Ordering::Relaxed);
-                        }
                         ExecutorMsg::Run(spec) => sink.run(spec),
                         ExecutorMsg::Stop => sink.stop(),
                     }
@@ -386,9 +362,6 @@ fn control_loop(
             // master-side only. Tolerate both.
             Ok(ExecIn::Net(Wire::Heartbeat { .. })) => {}
             Ok(ExecIn::Net(Wire::Direct(payload))) => match payload {
-                ExecutorMsg::AdvanceEpoch(e) => {
-                    epoch.fetch_max(e, std::sync::atomic::Ordering::Relaxed);
-                }
                 ExecutorMsg::Run(spec) => sink.run(spec),
                 ExecutorMsg::Stop => sink.stop(),
             },

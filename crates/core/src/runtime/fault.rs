@@ -27,11 +27,12 @@
 //! documented as intentional in DESIGN.md §14); its coin, like
 //! everything else, draws through this module.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::collections::BTreeMap;
 
 use crate::compiler::FopId;
 use crate::runtime::message::InjectedFault;
-use crate::runtime::reconfig::ScheduledReconfig;
 use crate::runtime::store::SpillFaultPlan;
 use crate::runtime::transport::NetworkFault;
 use crate::runtime::wal::WalCorruption;
@@ -323,11 +324,10 @@ pub struct FaultPlan {
     /// applied budget clamps up to pinned occupancy, so a shrink can
     /// squeeze but never strand a running attempt.
     pub budget_shrinks: Vec<(usize, usize, usize)>,
-    /// Reconfiguration transactions scheduled against the same
-    /// completion clock as the other fault families (the chaos family's
-    /// random mid-job reconfigs, and the explicit API's deterministic
-    /// ones, both ride here).
-    pub reconfigs: Vec<ScheduledReconfig>,
+    /// Drains ahead of predicted evictions, `(n, k)` like `evictions`:
+    /// after `n` completions, the `k`-th *schedulable* transient executor
+    /// takes no new work and its sole-copy outputs go to reserved stores.
+    pub drains: Vec<(usize, usize)>,
     /// Seeded spill-I/O fault injection on every executor store
     /// (`None` = the disk tier never fails).
     pub spill_faults: Option<SpillFaultPlan>,
@@ -347,8 +347,8 @@ pub(crate) enum FaultAction {
     FailReserved(usize),
     /// Shrink a reserved executor's store budget to the given bytes.
     ShrinkBudget(usize, usize),
-    /// Open the scheduled reconfiguration transaction.
-    Reconfig(ScheduledReconfig),
+    /// Drain the `k`-th transient executor that still takes work.
+    Drain(usize),
     /// Kill the master and recover it from the write-ahead log, whose
     /// surviving image the corruption mangles first.
     Restart(Option<WalCorruption>),
@@ -368,7 +368,7 @@ pub(crate) struct FaultSchedule {
     /// Progress-bearing frames handled: the crash family's clock.
     frames: u64,
     /// The first unfired entry of `evictions`, `reserved_failures`,
-    /// `budget_shrinks` and `reconfigs`.
+    /// `budget_shrinks` and `drains`.
     cursors: [usize; 4],
     /// Crashes the crash family has fired.
     crashes: usize,
@@ -406,16 +406,16 @@ impl FaultSchedule {
     pub(crate) fn on_commit(&mut self) -> Vec<FaultAction> {
         self.commits += 1;
         let now = self.commits;
-        let (p, [evict, fail, shrink, reconfig]) = (&self.plan, &mut self.cursors);
+        let (p, [evict, fail, shrink, drain]) = (&self.plan, &mut self.cursors);
         let evictions = take_due(&p.evictions, evict, now, |e| e.0);
         let failures = take_due(&p.reserved_failures, fail, now, |e| e.0);
         let shrinks = take_due(&p.budget_shrinks, shrink, now, |e| e.0);
-        let reconfigs = take_due(&p.reconfigs, reconfig, now, |r| r.after_done_events);
+        let drains = take_due(&p.drains, drain, now, |e| e.0);
         let mut due = Vec::new();
         due.extend(evictions.iter().map(|e| FaultAction::Evict(e.1)));
         due.extend(failures.iter().map(|e| FaultAction::FailReserved(e.1)));
         due.extend(shrinks.iter().map(|e| FaultAction::ShrinkBudget(e.1, e.2)));
-        due.extend(reconfigs.iter().map(|&r| FaultAction::Reconfig(r)));
+        due.extend(drains.iter().map(|e| FaultAction::Drain(e.1)));
         if p.master_failure_after.is_some_and(|n| now >= n) {
             self.plan.master_failure_after = None;
             due.push(FaultAction::Restart(None));
@@ -502,18 +502,12 @@ impl FaultSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::reconfig::{ReconfigChange, ReconfigTrigger};
 
     #[test]
     fn one_commit_fires_its_families_in_order_and_once() {
-        let reconfig = ScheduledReconfig {
-            after_done_events: 1,
-            plan: ReconfigChange::DrainTransient { nth: 0 }.into(),
-            trigger: ReconfigTrigger::Chaos,
-        };
         let mut s = FaultSchedule::new(FaultPlan {
             master_failure_after: Some(1),
-            reconfigs: vec![reconfig],
+            drains: vec![(1, 3)],
             budget_shrinks: vec![(1, 2, 99)],
             reserved_failures: vec![(1, 1)],
             evictions: vec![(1, 0), (2, 7)],
@@ -526,7 +520,7 @@ mod tests {
                 FaultAction::Evict(0),
                 FaultAction::FailReserved(1),
                 FaultAction::ShrinkBudget(2, 99),
-                FaultAction::Reconfig(reconfig),
+                FaultAction::Drain(3),
                 legacy_restart,
             ]
         );

@@ -11,9 +11,10 @@
 //! 2. **Inputs-before-launch** (§3.2.3): a task launches only when every
 //!    required producer output is committed and neither reverted nor
 //!    dropped (`OutputDropped`) since that commit.
-//! 3. **Placement** (§3.2): no launch on a blacklisted executor or one
-//!    already evicted / failed / declared dead; no commit arrives from a
-//!    lost executor (the master must discard those reports).
+//! 3. **Placement** (§3.2): no launch on a blacklisted or drained
+//!    executor or one already evicted / failed / declared dead; no commit
+//!    arrives from a lost executor (the master must discard those
+//!    reports).
 //! 4. **Recovery** (§3.2.5–§3.2.6): every container loss or blacklisting
 //!    is followed by a replacement container, and on a successful run
 //!    every reverted task is re-committed, every task ends committed, and
@@ -30,12 +31,8 @@
 //!    blocks are never spilled; a spilled block is reloaded before it is
 //!    pinned again; every resumed push was first deferred; an attempt
 //!    hit by an injected allocation failure never commits.
-//! 9. **Epoch-fenced reconfiguration**: the reconfiguration epoch only
-//!    advances by exactly one; no task commits under a stale epoch (its
-//!    launch epoch must equal the epoch at commit time); a transaction
-//!    prepares only after a request, commits only after a prepare and
-//!    under the epoch the journal just advanced to; and on a successful
-//!    run every requested transaction resolves to committed or aborted.
+//! 9. *Retired* with the reconfiguration transaction it checked; the
+//!    number is not reused, which leaves eleven live laws.
 //! 10. **Crash-consistent recovery**: an attempt that was in flight at a
 //!     master recovery is fenced — the recovered master must never accept
 //!     a terminal report for it (each task still commits exactly once
@@ -68,7 +65,7 @@
 //!     held the output.
 //!
 //! Test suites call [`assert_clean`] on every seeded run, so the ~330
-//! chaos / network-chaos / reconfig / equivalence seeds verify protocol
+//! chaos / network-chaos / drain / equivalence seeds verify protocol
 //! conformance, not just byte-identical outputs.
 
 use std::collections::{HashMap, HashSet};
@@ -77,7 +74,6 @@ use std::fmt;
 use crate::compiler::FopId;
 use crate::runtime::journal::{EventJournal, JobEvent};
 use crate::runtime::message::{AttemptId, ExecId};
-use crate::runtime::reconfig::ReconfigChange;
 use crate::runtime::store::BlockRef;
 
 /// One invariant violation found during replay.
@@ -116,8 +112,8 @@ impl Commit {
     /// Whether `exec` may hold a copy of the output, resumed pushes
     /// aside: the committing attempt ran there (`ran_on`) and kept it
     /// there, or the output reached reserved executors the journal does
-    /// not name (a push at commit, a drain's migration) and `exec` is not
-    /// a transient container being evicted.
+    /// not name (a push at commit, a drain's copy) and `exec` is not a
+    /// transient container being evicted.
     fn may_be_on(
         &self,
         ran_on: Option<ExecId>,
@@ -221,20 +217,6 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     let mut deferred: HashMap<(FopId, usize, ExecId), usize> = HashMap::new();
     // attempts hit by an injected allocation failure: must never commit
     let mut oomed: HashSet<AttemptId> = HashSet::new();
-    // --- Reconfiguration domain (law 9) ---
-    // current replayed reconfiguration epoch
-    let mut epoch: u64 = 0;
-    // attempt -> the epoch it was launched under
-    let mut attempt_epoch: HashMap<AttemptId, u64> = HashMap::new();
-    // reconfig id -> true once prepared (false while merely requested)
-    let mut open_reconfigs: HashMap<u64, bool> = HashMap::new();
-    // live task counts: starts at the frozen meta, updated by committed
-    // repartitions (the meta keeps the plan-time value)
-    let mut parallelism: Vec<usize> = meta.parallelism.clone();
-    // fops whose partition count changed: their frozen `required` edges
-    // no longer describe the live bucketing, so the inputs-before-launch
-    // law is skipped for them (and for edges that reference them)
-    let mut repartitioned: HashSet<FopId> = HashSet::new();
     // --- Durability domain (law 10) ---
     // attempts that were in flight (launched, not terminal) at a master
     // recovery: the recovered master must reject their stale reports
@@ -249,9 +231,9 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     // --- Need-driven revert (law 12) ---
     // (fop, index, exec) of every resumed push: a copy the journal names
     let mut resumed: Vec<(FopId, usize, ExecId)> = Vec::new();
-    // whether a drain ever moved blocks to reserved executors the
-    // journal does not name
-    let mut drained = false;
+    // drained executors (law 3); once there is one, outputs may sit on
+    // reserved executors the journal does not name (law 12)
+    let mut drained: Vec<ExecId> = Vec::new();
     // what the master is handling, as far as reverts and drops go
     let mut cause = RevertCause::None;
     // task -> consumer tasks, built at the first revert or drop: most
@@ -261,16 +243,11 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     // if it does: `needed` is what the event claims about the consumers.
     let mut law12 = |task: (FopId, usize),
                      needed: bool,
-                     committed: &HashMap<(FopId, usize), Commit>,
-                     repartitioned: &HashSet<FopId>|
+                     committed: &HashMap<(FopId, usize), Commit>|
      -> Option<String> {
         let of_task = consumers
             .get_or_insert_with(|| Consumers::of(&meta.required))
             .of_task(task);
-        // Frozen edges no longer describe a repartitioned fop's bucketing.
-        if repartitioned.contains(&task.0) || of_task.iter().any(|c| repartitioned.contains(&c.0)) {
-            return None;
-        }
         let waiting = of_task.iter().find(|c| !committed.contains_key(c));
         match (needed, waiting) {
             (true, None) => Some("every consumer of it is committed".into()),
@@ -306,15 +283,12 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                         attempt: AttemptId,
                         exec: ExecId,
                         kind: &str,
-                        epoch: u64,
                         launched: &mut HashMap<AttemptId, (FopId, usize, ExecId)>,
-                        attempt_epoch: &mut HashMap<AttemptId, u64>,
                         committed: &HashMap<(FopId, usize), Commit>,
                         blacklisted: &HashSet<ExecId>,
+                        drained: &[ExecId],
                         lost: &HashSet<ExecId>,
-                        repartitioned: &HashSet<FopId>,
                         violations: &mut Vec<Violation>| {
-        attempt_epoch.insert(attempt, epoch);
         if launched.insert(attempt, (fop, index, exec)).is_some() {
             violations.push(Violation {
                 position: pos,
@@ -341,6 +315,14 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 ),
             });
         }
+        if drained.contains(&exec) {
+            violations.push(Violation {
+                position: pos,
+                message: format!(
+                    "{kind} of task {fop}.{index} attempt {attempt} on drained exec {exec}"
+                ),
+            });
+        }
         if lost.contains(&exec) {
             violations.push(Violation {
                 position: pos,
@@ -349,16 +331,8 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 ),
             });
         }
-        let required = if repartitioned.contains(&fop) {
-            None // frozen edges no longer describe the live bucketing
-        } else {
-            meta.required.get(fop).and_then(|f| f.get(index))
-        };
-        if let Some(required) = required {
+        if let Some(required) = meta.required.get(fop).and_then(|f| f.get(index)) {
             for &(sf, si) in required {
-                if repartitioned.contains(&sf) {
-                    continue;
-                }
                 if committed.get(&(sf, si)).is_none_or(|c| c.dropped) {
                     violations.push(Violation {
                         position: pos,
@@ -393,13 +367,11 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 *attempt,
                 *exec,
                 "launch",
-                epoch,
                 &mut launched,
-                &mut attempt_epoch,
                 &committed,
                 &blacklisted,
+                &drained,
                 &lost,
-                &repartitioned,
                 &mut violations,
             ),
             JobEvent::SpeculativeLaunched {
@@ -415,13 +387,11 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 *attempt,
                 *exec,
                 "speculative launch",
-                epoch,
                 &mut launched,
-                &mut attempt_epoch,
                 &committed,
                 &blacklisted,
+                &drained,
                 &lost,
-                &repartitioned,
                 &mut violations,
             ),
             JobEvent::TaskStarted {
@@ -518,17 +488,6 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                         ),
                     });
                 }
-                if let Some(&launch_epoch) = attempt_epoch.get(attempt) {
-                    if launch_epoch != epoch {
-                        violations.push(Violation {
-                            position: pos,
-                            message: format!(
-                                "commit of task {fop}.{index} attempt {attempt} under epoch \
-                                 {epoch}, but it launched under stale epoch {launch_epoch}"
-                            ),
-                        });
-                    }
-                }
                 if fenced_attempts.contains(attempt) {
                     violations.push(Violation {
                         position: pos,
@@ -605,13 +564,13 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                     (Some(commit), RevertCause::Loss { exec, evicted }) => {
                         let ran_on = launched.get(&commit.attempt).map(|l| l.2);
                         let held = resumed.contains(&(*fop, *index, exec))
-                            || commit.may_be_on(ran_on, exec, evicted, drained);
+                            || commit.may_be_on(ran_on, exec, evicted, !drained.is_empty());
                         if !commit.dropped && !held {
                             object(format!(
                                 "after the loss of exec {exec}, which never held it"
                             ));
                         }
-                        if let Some(why) = law12(task, true, &committed, &repartitioned) {
+                        if let Some(why) = law12(task, true, &committed) {
                             object(format!("though {why}"));
                         }
                     }
@@ -643,14 +602,14 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                                     "blamed on exec {exec} while exec {lost} is the loss"
                                 ));
                             } else if !resumed.contains(&(*fop, *index, lost))
-                                && !commit.may_be_on(ran_on, lost, evicted, drained)
+                                && !commit.may_be_on(ran_on, lost, evicted, !drained.is_empty())
                             {
                                 object(format!(
                                     "after the loss of exec {lost}, which never held it"
                                 ));
                             }
                         }
-                        if let Some(why) = law12(task, false, &committed, &repartitioned) {
+                        if let Some(why) = law12(task, false, &committed) {
                             object(format!("though {why}"));
                         }
                     }
@@ -916,86 +875,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 }
                 oomed.insert(*attempt);
             }
-            JobEvent::ReconfigRequested { reconfig, .. } => {
-                if open_reconfigs.insert(*reconfig, false).is_some() {
-                    violations.push(Violation {
-                        position: pos,
-                        message: format!(
-                            "reconfiguration {reconfig} requested while already in flight"
-                        ),
-                    });
-                }
-            }
-            JobEvent::ReconfigPrepared { reconfig, .. } => match open_reconfigs.get_mut(reconfig) {
-                Some(prepared) if !*prepared => *prepared = true,
-                Some(_) => violations.push(Violation {
-                    position: pos,
-                    message: format!("reconfiguration {reconfig} prepared twice"),
-                }),
-                None => violations.push(Violation {
-                    position: pos,
-                    message: format!("reconfiguration {reconfig} prepared without a request"),
-                }),
-            },
-            JobEvent::ReconfigCommitted {
-                reconfig,
-                change,
-                epoch: committed_under,
-            } => {
-                match open_reconfigs.remove(reconfig) {
-                    Some(true) => {}
-                    Some(false) => violations.push(Violation {
-                        position: pos,
-                        message: format!("reconfiguration {reconfig} committed without a prepare"),
-                    }),
-                    None => violations.push(Violation {
-                        position: pos,
-                        message: format!("reconfiguration {reconfig} committed without a request"),
-                    }),
-                }
-                if *committed_under != epoch {
-                    violations.push(Violation {
-                        position: pos,
-                        message: format!(
-                            "reconfiguration {reconfig} committed under epoch {committed_under}, \
-                             but the replayed epoch is {epoch}"
-                        ),
-                    });
-                }
-                match change {
-                    ReconfigChange::Repartition {
-                        fop,
-                        parallelism: par,
-                    } => {
-                        if let Some(slot) = parallelism.get_mut(*fop) {
-                            *slot = *par;
-                        }
-                        repartitioned.insert(*fop);
-                    }
-                    ReconfigChange::DrainTransient { .. } => drained = true,
-                    ReconfigChange::MigrateStage { .. } => {}
-                }
-            }
-            JobEvent::ReconfigAborted { reconfig, .. } => {
-                if open_reconfigs.remove(reconfig).is_none() {
-                    violations.push(Violation {
-                        position: pos,
-                        message: format!("reconfiguration {reconfig} aborted without a request"),
-                    });
-                }
-            }
-            JobEvent::EpochAdvanced { epoch: next } => {
-                if *next != epoch + 1 {
-                    violations.push(Violation {
-                        position: pos,
-                        message: format!(
-                            "epoch advanced from {epoch} to {next} (must step by exactly one)"
-                        ),
-                    });
-                }
-                epoch = *next;
-            }
-            JobEvent::StaleFrameFenced { .. } => {}
+            JobEvent::ExecutorDrained { exec } => drained.push(*exec),
             JobEvent::CacheHit { .. } | JobEvent::CacheMiss { .. } => {}
             JobEvent::RunAborted { .. } | JobEvent::RunStalled { .. } => {
                 if abort_marker.is_none() {
@@ -1027,7 +907,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     }
 
     if success {
-        for (fop, &par) in parallelism.iter().enumerate() {
+        for (fop, &par) in meta.parallelism.iter().enumerate() {
             for index in 0..par {
                 if !committed.contains_key(&(fop, index)) {
                     violations.push(Violation {
@@ -1059,17 +939,6 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 message: format!(
                     "{master_recoveries} master recoveries but {wal_recoveries} WAL \
                      recoveries: every restart must recover from the log"
-                ),
-            });
-        }
-        let mut unresolved: Vec<(u64, bool)> = open_reconfigs.into_iter().collect();
-        unresolved.sort_unstable();
-        for (id, prepared) in unresolved {
-            violations.push(Violation {
-                position: usize::MAX,
-                message: format!(
-                    "reconfiguration {id} {} but never resolved to committed or aborted",
-                    if prepared { "prepared" } else { "requested" }
                 ),
             });
         }
@@ -1750,6 +1619,57 @@ mod tests {
     }
 
     #[test]
+    fn launch_on_a_drained_executor_is_detected() {
+        let drained = JobEvent::ExecutorDrained { exec: 2 };
+        let v = check(&journal(vec![drained.clone(), launch(0, 0, 1, 2)]), false);
+        assert!(
+            v.iter().any(|v| v.message.contains("on drained exec 2")),
+            "got: {v:?}"
+        );
+        // An attempt launched there before the drain may still commit,
+        // and other executors keep taking work.
+        let j = journal(vec![
+            launch(0, 0, 1, 2),
+            drained,
+            commit(0, 0, 1, 2),
+            launch(1, 0, 2, 3),
+            commit(1, 0, 2, 3),
+            JobEvent::StageCompleted(0),
+        ]);
+        assert_clean(&j, true);
+    }
+
+    /// Law 2 asks every launch of every fop for its inputs: 2.0 here, of
+    /// a fop whose producer has more tasks than it (a width change is what
+    /// the retired law-9 exemption used to skip).
+    #[test]
+    fn law2_holds_on_every_fop() {
+        let gather = JournalMeta {
+            stage_of: vec![0, 0],
+            parallelism: vec![2, 1],
+            required: vec![vec![vec![], vec![]], vec![vec![(0, 0), (0, 1)]]],
+            ..meta()
+        };
+        let early = vec![launch(0, 0, 1, 5), commit(0, 0, 1, 5), launch(1, 0, 2, 6)];
+        let v = check(&journal_with(gather.clone(), early), false);
+        assert!(
+            v.iter()
+                .any(|v| v.message.contains("before its input 0.1 is locatable")),
+            "got: {v:?}"
+        );
+        let in_order = vec![
+            launch(0, 0, 1, 5),
+            commit(0, 0, 1, 5),
+            launch(0, 1, 2, 5),
+            commit(0, 1, 2, 5),
+            launch(1, 0, 3, 6),
+            commit(1, 0, 3, 6),
+            JobEvent::StageCompleted(0),
+        ];
+        assert_clean(&journal_with(gather, in_order), true);
+    }
+
+    #[test]
     fn eviction_without_replacement_fails_successful_runs_only() {
         let events = vec![
             launch(0, 0, 1, 0),
@@ -1977,175 +1897,6 @@ mod tests {
             },
         ]);
         assert!(check(&j, false).is_empty());
-    }
-
-    fn reconfig_lifecycle(id: u64, epoch: u64) -> Vec<JobEvent> {
-        use crate::compiler::Placement;
-        use crate::runtime::reconfig::ReconfigTrigger;
-        let change = ReconfigChange::MigrateStage {
-            stage: 0,
-            to: Placement::Reserved,
-        };
-        vec![
-            JobEvent::ReconfigRequested {
-                reconfig: id,
-                trigger: ReconfigTrigger::Api,
-                change,
-            },
-            JobEvent::ReconfigPrepared {
-                reconfig: id,
-                quiesced: 0,
-            },
-            JobEvent::EpochAdvanced { epoch },
-            JobEvent::ReconfigCommitted {
-                reconfig: id,
-                change,
-                epoch,
-            },
-        ]
-    }
-
-    #[test]
-    fn clean_reconfig_run_passes() {
-        let mut events = vec![launch(0, 0, 1, 0), commit(0, 0, 1, 0)];
-        events.extend(reconfig_lifecycle(0, 1));
-        events.extend([
-            launch(1, 0, 2, 1),
-            commit(1, 0, 2, 1),
-            JobEvent::StageCompleted(0),
-        ]);
-        assert_clean(&journal(events), true);
-    }
-
-    #[test]
-    fn stale_epoch_commit_is_detected() {
-        // Attempt 2 launches under epoch 0, a reconfiguration commits
-        // (epoch -> 1), then the stale attempt's commit arrives.
-        let mut events = vec![launch(0, 0, 1, 0), commit(0, 0, 1, 0), launch(1, 0, 2, 1)];
-        events.extend(reconfig_lifecycle(0, 1));
-        events.push(commit(1, 0, 2, 1));
-        let violations = check(&journal(events), false);
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.message.contains("launched under stale epoch 0")),
-            "got: {violations:?}"
-        );
-    }
-
-    #[test]
-    fn epoch_must_step_by_exactly_one() {
-        let j = journal(vec![JobEvent::EpochAdvanced { epoch: 2 }]);
-        assert!(check(&j, false)
-            .iter()
-            .any(|v| v.message.contains("must step by exactly one")));
-    }
-
-    #[test]
-    fn prepare_and_commit_require_their_predecessors() {
-        let j = journal(vec![JobEvent::ReconfigPrepared {
-            reconfig: 3,
-            quiesced: 0,
-        }]);
-        assert!(check(&j, false)
-            .iter()
-            .any(|v| v.message.contains("prepared without a request")));
-        use crate::compiler::Placement;
-        use crate::runtime::reconfig::ReconfigTrigger;
-        let change = ReconfigChange::MigrateStage {
-            stage: 0,
-            to: Placement::Reserved,
-        };
-        let j = journal(vec![
-            JobEvent::ReconfigRequested {
-                reconfig: 3,
-                trigger: ReconfigTrigger::Chaos,
-                change,
-            },
-            JobEvent::EpochAdvanced { epoch: 1 },
-            JobEvent::ReconfigCommitted {
-                reconfig: 3,
-                change,
-                epoch: 1,
-            },
-        ]);
-        assert!(check(&j, false)
-            .iter()
-            .any(|v| v.message.contains("committed without a prepare")));
-    }
-
-    #[test]
-    fn unresolved_prepared_reconfig_fails_successful_run() {
-        use crate::compiler::Placement;
-        use crate::runtime::reconfig::ReconfigTrigger;
-        let events = vec![
-            launch(0, 0, 1, 0),
-            commit(0, 0, 1, 0),
-            launch(1, 0, 2, 1),
-            commit(1, 0, 2, 1),
-            JobEvent::StageCompleted(0),
-            JobEvent::ReconfigRequested {
-                reconfig: 0,
-                trigger: ReconfigTrigger::Policy,
-                change: ReconfigChange::MigrateStage {
-                    stage: 0,
-                    to: Placement::Reserved,
-                },
-            },
-            JobEvent::ReconfigPrepared {
-                reconfig: 0,
-                quiesced: 1,
-            },
-        ];
-        let violations = check(&journal(events.clone()), true);
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.message.contains("prepared but never resolved")),
-            "got: {violations:?}"
-        );
-        // A failed run may end mid-transaction.
-        assert!(check(&journal(events), false).is_empty());
-    }
-
-    #[test]
-    fn committed_repartition_updates_the_completeness_target() {
-        use crate::runtime::reconfig::ReconfigTrigger;
-        // Fop 1 repartitions from 1 task to 2; a run that commits only
-        // 1.0 no longer satisfies completeness.
-        let change = ReconfigChange::Repartition {
-            fop: 1,
-            parallelism: 2,
-        };
-        let events = vec![
-            JobEvent::ReconfigRequested {
-                reconfig: 0,
-                trigger: ReconfigTrigger::Api,
-                change,
-            },
-            JobEvent::ReconfigPrepared {
-                reconfig: 0,
-                quiesced: 0,
-            },
-            JobEvent::EpochAdvanced { epoch: 1 },
-            JobEvent::ReconfigCommitted {
-                reconfig: 0,
-                change,
-                epoch: 1,
-            },
-            launch(0, 0, 1, 0),
-            commit(0, 0, 1, 0),
-            launch(1, 0, 2, 1),
-            commit(1, 0, 2, 1),
-            JobEvent::StageCompleted(0),
-        ];
-        let violations = check(&journal(events), true);
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.message.contains("task 1.1 never committed")),
-            "got: {violations:?}"
-        );
     }
 
     #[test]

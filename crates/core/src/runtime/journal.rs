@@ -30,6 +30,8 @@
 //! configuration) and keeps "launch happens-before start" a structural
 //! fact the invariant checker can rely on.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -39,7 +41,6 @@ use parking_lot::Mutex;
 use crate::compiler::FopId;
 use crate::runtime::message::{AttemptId, ExecId};
 use crate::runtime::metrics::JobMetrics;
-use crate::runtime::reconfig::{ReconfigChange, ReconfigTrigger};
 use crate::runtime::store::BlockRef;
 
 /// Per-message retransmission bound the invariant checker enforces: with
@@ -320,58 +321,12 @@ pub enum JobEvent {
         /// The cache key (producing fop).
         key: usize,
     },
-    /// A reconfiguration transaction was requested (by the explicit API,
-    /// the eviction-storm policy, or the chaos fault family).
-    ReconfigRequested {
-        /// Transaction id, unique within the job.
-        reconfig: u64,
-        /// Who asked.
-        trigger: ReconfigTrigger,
-        /// The placement change to apply at commit.
-        change: ReconfigChange,
-    },
-    /// The prepare phase finished: every in-flight attempt reached a
-    /// terminal state and the transaction may commit.
-    ReconfigPrepared {
-        /// The prepared transaction.
-        reconfig: u64,
-        /// In-flight attempts the quiesce had to wait out.
-        quiesced: usize,
-    },
-    /// The transaction committed: the change is applied and the epoch it
-    /// advanced to is live.
-    ReconfigCommitted {
-        /// The committed transaction.
-        reconfig: u64,
-        /// The applied change.
-        change: ReconfigChange,
-        /// The epoch the commit advanced to.
-        epoch: u64,
-    },
-    /// The transaction rolled back (timeout, eviction, OOM, master
-    /// restart, or an infeasible change): nothing was applied and the old
-    /// placement remains runnable.
-    ReconfigAborted {
-        /// The aborted transaction.
-        reconfig: u64,
-        /// Why it rolled back.
-        reason: String,
-    },
-    /// The global reconfiguration epoch advanced (always by exactly one;
-    /// law 9 checks it).
-    EpochAdvanced {
-        /// The new epoch.
-        epoch: u64,
-    },
-    /// The master rejected a payload frame stamped with a pre-commit
-    /// epoch (the frame was still acknowledged so the sender drains).
-    StaleFrameFenced {
-        /// The executor whose frame was fenced.
+    /// A transient executor was drained ahead of a predicted eviction:
+    /// it takes no new attempts, and every output only it held is being
+    /// copied to a reserved store. Its container and its copies stay.
+    ExecutorDrained {
+        /// The drained executor.
         exec: ExecId,
-        /// The link-level sequence number of the fenced frame.
-        seq: u64,
-        /// The stale epoch stamped on the frame.
-        epoch: u64,
     },
     /// The master rebuilt its state from the durable write-ahead log
     /// (always paired with a [`JobEvent::MasterRecovered`]); carries the
@@ -454,12 +409,7 @@ impl JobEvent {
             JobEvent::OomInjected { .. } => "OomInjected",
             JobEvent::CacheHit { .. } => "CacheHit",
             JobEvent::CacheMiss { .. } => "CacheMiss",
-            JobEvent::ReconfigRequested { .. } => "ReconfigRequested",
-            JobEvent::ReconfigPrepared { .. } => "ReconfigPrepared",
-            JobEvent::ReconfigCommitted { .. } => "ReconfigCommitted",
-            JobEvent::ReconfigAborted { .. } => "ReconfigAborted",
-            JobEvent::EpochAdvanced { .. } => "EpochAdvanced",
-            JobEvent::StaleFrameFenced { .. } => "StaleFrameFenced",
+            JobEvent::ExecutorDrained { .. } => "ExecutorDrained",
             JobEvent::WalRecovered { .. } => "WalRecovered",
             JobEvent::RunAborted { .. } => "RunAborted",
             JobEvent::RunStalled { .. } => "RunStalled",
@@ -777,13 +727,7 @@ impl EventJournal {
                 JobEvent::OomInjected { .. } => m.oom_injected += 1,
                 JobEvent::CacheHit { .. } => m.store_cache_hits += 1,
                 JobEvent::CacheMiss { .. } => m.store_cache_misses += 1,
-                JobEvent::ReconfigRequested { .. } | JobEvent::ReconfigPrepared { .. } => {}
-                JobEvent::ReconfigCommitted { .. } => m.reconfigs_committed += 1,
-                JobEvent::ReconfigAborted { .. } => m.reconfigs_aborted += 1,
-                JobEvent::EpochAdvanced { epoch } => {
-                    m.final_epoch = m.final_epoch.max(*epoch);
-                }
-                JobEvent::StaleFrameFenced { .. } => m.frames_fenced += 1,
+                JobEvent::ExecutorDrained { .. } => {}
                 JobEvent::WalRecovered {
                     frames_replayed,
                     frames_truncated,
@@ -1065,28 +1009,7 @@ fn instant_of(event: &JobEvent) -> Option<(String, ExecId)> {
         JobEvent::OomInjected {
             fop, index, exec, ..
         } => Some((format!("oom injected t{fop}.{index}"), *exec)),
-        JobEvent::ReconfigRequested {
-            reconfig,
-            trigger,
-            change,
-        } => Some((
-            format!("reconfig {reconfig} requested ({trigger}): {change}"),
-            0,
-        )),
-        JobEvent::ReconfigPrepared { reconfig, .. } => {
-            Some((format!("reconfig {reconfig} prepared"), 0))
-        }
-        JobEvent::ReconfigCommitted {
-            reconfig, epoch, ..
-        } => Some((format!("reconfig {reconfig} committed (epoch {epoch})"), 0)),
-        JobEvent::ReconfigAborted { reconfig, reason } => {
-            Some((format!("reconfig {reconfig} aborted: {reason}"), 0))
-        }
-        JobEvent::EpochAdvanced { epoch } => Some((format!("epoch {epoch}"), 0)),
-        JobEvent::StaleFrameFenced { exec, seq, epoch } => Some((
-            format!("fenced stale frame seq {seq} (epoch {epoch}) from exec {exec}"),
-            *exec,
-        )),
+        JobEvent::ExecutorDrained { exec } => Some((format!("drained exec {exec}"), *exec)),
         JobEvent::WalRecovered {
             frames_replayed,
             frames_truncated,
@@ -1245,26 +1168,7 @@ fn describe(event: &JobEvent) -> String {
             format!("cache-hit     side {key} on exec {exec} ({bytes} B)")
         }
         JobEvent::CacheMiss { exec, key } => format!("cache-miss    side {key} on exec {exec}"),
-        JobEvent::ReconfigRequested {
-            reconfig,
-            trigger,
-            change,
-        } => format!("reconfig-req  reconfig {reconfig} ({trigger}): {change}"),
-        JobEvent::ReconfigPrepared { reconfig, quiesced } => {
-            format!("reconfig-prep reconfig {reconfig} (quiesced {quiesced} attempts)")
-        }
-        JobEvent::ReconfigCommitted {
-            reconfig,
-            change,
-            epoch,
-        } => format!("reconfig-done reconfig {reconfig}: {change} (epoch {epoch})"),
-        JobEvent::ReconfigAborted { reconfig, reason } => {
-            format!("reconfig-abrt reconfig {reconfig}: {reason}")
-        }
-        JobEvent::EpochAdvanced { epoch } => format!("epoch-advance epoch {epoch}"),
-        JobEvent::StaleFrameFenced { exec, seq, epoch } => {
-            format!("fence-stale   seq {seq} (epoch {epoch}) from exec {exec}")
-        }
+        JobEvent::ExecutorDrained { exec } => format!("executor-drained exec {exec}"),
         JobEvent::WalRecovered {
             frames_replayed,
             frames_truncated,

@@ -40,6 +40,8 @@
 //! assert_eq!(counts.len(), 2); // "a" and "b"
 //! ```
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::sync::Arc;
 
 use pado_dag::LogicalDag;
@@ -53,7 +55,6 @@ use crate::runtime::config::RuntimeConfig;
 use crate::runtime::executor::JobContext;
 use crate::runtime::fault::FaultPlan;
 use crate::runtime::master::{JobResult, Master};
-use crate::runtime::reconfig::{ReconfigPlan, ReconfigTrigger, ScheduledReconfig};
 
 /// An in-process Pado cluster: `n_transient` eviction-prone executors and
 /// `n_reserved` stable executors, each with configurable task slots.
@@ -64,7 +65,7 @@ pub struct LocalCluster {
     config: RuntimeConfig,
     plan_config: PlanConfig,
     policy_factory: Option<Arc<dyn Fn() -> Box<dyn SchedulingPolicy> + Send + Sync>>,
-    reconfigs: Vec<ScheduledReconfig>,
+    drains: Vec<(usize, usize)>,
     backend: BackendKind,
 }
 
@@ -90,7 +91,7 @@ impl LocalCluster {
             config: RuntimeConfig::default(),
             plan_config: PlanConfig::default(),
             policy_factory: None,
-            reconfigs: Vec::new(),
+            drains: Vec::new(),
             backend: BackendKind::Sim,
         }
     }
@@ -104,17 +105,13 @@ impl LocalCluster {
         self
     }
 
-    /// Schedules an explicit live-reconfiguration request: after
-    /// `after_done_events` task commits, the master opens a two-phase
-    /// transaction applying `plan` (see
-    /// [`ReconfigChange`](crate::runtime::ReconfigChange)). May be
-    /// called repeatedly; requests fire in schedule order.
-    pub fn with_reconfig(mut self, after_done_events: usize, plan: ReconfigPlan) -> Self {
-        self.reconfigs.push(ScheduledReconfig {
-            after_done_events,
-            plan,
-            trigger: ReconfigTrigger::Api,
-        });
+    /// Schedules a drain ahead of a predicted eviction: after
+    /// `after_done_events` task commits the master stops placing work on
+    /// the `nth` schedulable transient executor (modulo their number) and
+    /// copies every output only it holds to a reserved store. May be
+    /// called repeatedly; drains fire in schedule order.
+    pub fn with_drain(mut self, after_done_events: usize, nth: usize) -> Self {
+        self.drains.push((after_done_events, nth));
         self
     }
 
@@ -182,12 +179,9 @@ impl LocalCluster {
         backend: &dyn ExecBackend,
     ) -> Result<JobResult, RuntimeError> {
         self.config
-            .validate_with_cluster(self.n_transient + self.n_reserved)
-            .map_err(RuntimeError::Config)?;
-        self.config
             .validate_for_backend(self.backend)
             .map_err(RuntimeError::Config)?;
-        faults.reconfigs.extend(self.reconfigs.iter().copied());
+        faults.drains.extend(self.drains.iter().copied());
         let plan = compile_with(dag, &self.plan_config)?;
         let job = Arc::new(JobContext {
             dag: dag.clone(),

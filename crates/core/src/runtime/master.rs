@@ -44,7 +44,6 @@ use crate::runtime::journal::{
 use crate::runtime::message::{AttemptId, ExecId, ExecutorMsg, MasterMsg, SideData, TaskSpec};
 use crate::runtime::metrics::JobMetrics;
 use crate::runtime::policy::{Candidate, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
-use crate::runtime::reconfig::{ReconfigChange, ReconfigPlan, ReconfigTrigger};
 use crate::runtime::store::{block_bytes, BlockRef, ExecutorStore, StoreError, StoreHandle};
 use crate::runtime::tasks::{Attempt, Report, TaskTable};
 use crate::runtime::transport::{
@@ -92,8 +91,8 @@ enum ExecState {
     Alive,
     /// Exhausted its fault threshold.
     Blacklisted,
-    /// A transient executor emptied ahead of a predicted eviction: its
-    /// blocks migrated to reserved stores, its container lives on.
+    /// A transient executor expected to be evicted: every output only it
+    /// held was offered to a reserved store, its container lives on.
     Drained,
     /// Evicted, failed, or declared dead.
     Lost,
@@ -162,20 +161,6 @@ struct DeferredPush {
     backoff_ms: u64,
 }
 
-/// One in-flight two-phase reconfiguration transaction. At most one
-/// exists at a time: a second request aborts immediately rather than
-/// queueing (the caller retries once the first resolves).
-#[derive(Debug, Clone, Copy)]
-struct ActiveReconfig {
-    id: u64,
-    plan: ReconfigPlan,
-    /// In-flight attempts at request time (reported in `ReconfigPrepared`
-    /// as how much work the prepare phase had to quiesce).
-    quiesce_wait: usize,
-    /// Past this instant an unquiesced prepare aborts.
-    deadline: Instant,
-}
-
 /// A committed task output with what is derived from it.
 struct Output {
     /// The shared block, created once by the finishing executor.
@@ -199,7 +184,7 @@ pub struct Master {
     policy: Box<dyn SchedulingPolicy>,
 
     /// Task states, the location table's executor side, and every live
-    /// attempt record (executor, launch time, epoch, pins).
+    /// attempt record (executor, launch time, pins).
     tasks: TaskTable,
     /// The location table's data side: every committed output and its
     /// shuffle buckets. Entries leave through [`Master::drop_output`].
@@ -237,21 +222,6 @@ pub struct Master {
     wal: Option<Arc<Mutex<WalWriter>>>,
     /// The temp file a self-armed WAL lives in, removed on drop.
     temp_wal: Option<PathBuf>,
-
-    // --- Reconfiguration domain ---
-    /// The reconfiguration epoch: shared with every master→executor
-    /// sender (envelopes stamp it at first transmit) and advanced by
-    /// exactly one at each transaction commit.
-    epoch: Arc<AtomicU64>,
-    /// The in-flight two-phase transaction, if any (at most one).
-    reconfig: Option<ActiveReconfig>,
-    next_reconfig_id: u64,
-    /// Live placement per fop: seeded from the frozen plan, rewritten
-    /// by committed `MigrateStage` changes. Every placement decision
-    /// reads this overlay, never the plan.
-    placement: Vec<Placement>,
-    /// Evictions handled so far — the storm-policy trigger input.
-    evictions_seen: usize,
 
     // --- Execution-backend plumbing ---
     /// The scheduling clock (wall on both stock backends; manual in
@@ -341,14 +311,9 @@ impl Master {
             retransmit_bound: MAX_RETRANSMISSIONS_PER_MESSAGE,
             executor_memory_bytes: job.config.executor_memory_bytes,
         };
-        let placement: Vec<Placement> = job.plan.fops.iter().map(|f| f.placement).collect();
         let consumers = (0..n_fops)
             .map(|f| job.plan.outs(f).iter().map(|e| (e.dst, e.dep)).collect())
             .collect();
-        // The epoch cell is shared three ways: every master→executor
-        // sender stamps envelopes with it, and the WAL writer stamps
-        // every frame with it (so fencing survives a recovery replay).
-        let epoch = Arc::new(AtomicU64::new(0));
         // The WAL sink must be armed before the journal is cloned out to
         // executors: every clone copies the sink, and a late arm would
         // leave executor emissions volatile.
@@ -362,7 +327,8 @@ impl Master {
             Some(path) => {
                 let writer = WalWriter::create(
                     path,
-                    Arc::clone(&epoch),
+                    // The frame header's inert stamp (see `wal.rs`).
+                    Arc::new(AtomicU64::new(0)),
                     job.config.wal_sync_every,
                     job.config.wal_snapshot_every,
                 )?;
@@ -394,11 +360,6 @@ impl Master {
             faults: FaultSchedule::new(faults),
             wal,
             temp_wal,
-            epoch,
-            reconfig: None,
-            next_reconfig_id: 0,
-            placement,
-            evictions_seen: 0,
             clock: backend.clock(),
             pool: backend.pool(),
             frame_batch: backend.frame_batch().max(1),
@@ -416,10 +377,9 @@ impl Master {
         for _ in 0..n_transient {
             master.spawn_executor(Placement::Transient);
         }
-        // Genesis snapshot: the plan's frozen shape (parallelism,
-        // placement) is durable before any event, so a recovery replay
-        // always knows how many tasks each fop has — even when the
-        // first crash lands before the first completion.
+        // Genesis snapshot: the first-launch table's shape is durable
+        // before any event, so a recovery replay can mark launches even
+        // when the first crash lands before the first periodic snapshot.
         master.append_wal_snapshot()?;
         Ok(master)
     }
@@ -487,8 +447,7 @@ impl Master {
             Duration::from_millis(self.job.config.retransmit_max_ms),
             seed ^ mix64(id as u64),
         )
-        .with_journal(self.journal.clone(), false)
-        .with_epoch(Arc::clone(&self.epoch));
+        .with_journal(self.journal.clone(), false);
         self.executors.insert(
             id,
             ExecInfo {
@@ -600,7 +559,6 @@ impl Master {
             }
             self.pump_transport()?;
             self.retry_deferred_pushes()?;
-            self.pump_reconfig();
             // Straggler checks are time-gated so a burst of completions
             // does not rescan the task table once per message.
             if self.clock.now().saturating_duration_since(last_spec_check) >= tick {
@@ -609,10 +567,6 @@ impl Master {
             }
             self.schedule()?;
         }
-        // In-flight commits can finish the job while a transaction is
-        // still preparing; resolve it so the journal never ends with an
-        // open prepare.
-        self.abort_reconfig("job completed before the transaction could commit".into());
         Ok(())
     }
 
@@ -632,10 +586,7 @@ impl Master {
                 Ok(false)
             }
             Wire::Msg {
-                from,
-                seq,
-                epoch: env_epoch,
-                payload,
+                from, seq, payload, ..
             } => {
                 self.note_liveness(from);
                 let Some(info) = self.executors.get_mut(&from).filter(|e| e.live()) else {
@@ -645,27 +596,8 @@ impl Master {
                     return Ok(false);
                 };
                 info.out.link().send(ExecIn::Net(Wire::Ack { from, seq }));
-                // Dedup before the epoch fence: retransmissions of frames
-                // already handled are suppressed here, keeping the window
-                // floor advancing whatever their stamp says.
                 if !info.dedup.fresh(seq) {
                     self.counters.deduplicated.fetch_add(1, Ordering::Relaxed);
-                    return Ok(false);
-                }
-                // The epoch fence: payloads stamped before the last
-                // committed reconfiguration are acknowledged (above) but
-                // never handled, so no pre-commit message can commit a
-                // task into the post-commit world.
-                if env_epoch < self.epoch.load(Ordering::Relaxed) {
-                    self.journal.emit(
-                        None,
-                        JobEvent::StaleFrameFenced {
-                            exec: from,
-                            seq,
-                            epoch: env_epoch,
-                        },
-                    );
-                    self.handle_fenced(payload)?;
                     return Ok(false);
                 }
                 self.handle(payload)?;
@@ -738,18 +670,32 @@ impl Master {
                 self.deferred_pushes.push(p);
                 continue;
             }
-            let done = self.tasks.is_done(p.fop, p.index);
-            let Some(output) = self.output(p.fop, p.index).filter(|_| done).cloned() else {
-                continue;
-            };
-            if self.push(p.fop, p.index, p.dest, &output, Some(p.backoff_ms))? {
-                if let Some(locations) = self.tasks.locations_mut(p.fop, p.index) {
-                    if !locations.contains(&p.dest) {
-                        locations.push(p.dest);
-                    }
+            self.push_copy(p.fop, p.index, p.dest, Some(p.backoff_ms))?;
+        }
+        Ok(())
+    }
+
+    /// Offers a copy of committed output `(fop, index)` to `dest`
+    /// ([`Master::push`]); one that lands joins the output's location
+    /// set, durably. An output reverted or gone takes no copy.
+    fn push_copy(
+        &mut self,
+        fop: FopId,
+        index: usize,
+        dest: ExecId,
+        parked_ms: Option<u64>,
+    ) -> Result<(), RuntimeError> {
+        let done = self.tasks.is_done(fop, index);
+        let Some(output) = self.output(fop, index).filter(|_| done).cloned() else {
+            return Ok(());
+        };
+        if self.push(fop, index, dest, &output, parked_ms)? {
+            if let Some(locations) = self.tasks.locations_mut(fop, index) {
+                if !locations.contains(&dest) {
+                    locations.push(dest);
                 }
-                self.append_wal_locations(p.fop, p.index)?;
             }
+            self.append_wal_locations(fop, index)?;
         }
         Ok(())
     }
@@ -918,150 +864,9 @@ impl Master {
         }
     }
 
-    /// Administrative processing of a payload the epoch fence rejected.
-    /// The executor freed a worker slot whether or not the master honors
-    /// the report, so slot, pin, and idempotence bookkeeping still apply —
-    /// but no commit, task-state change, or retry charge may result.
-    ///
-    /// A stale-stamped report from an attempt the master still considers
-    /// current is impossible (prepare quiesces every current attempt
-    /// before the epoch can advance, and an attempt's report is stamped
-    /// at or above its launch epoch); if one ever arrives it falls
-    /// through to the normal handler, whose own staleness belts keep the
-    /// job live rather than wedging a Running task forever.
-    fn handle_fenced(&mut self, msg: MasterMsg) -> Result<(), RuntimeError> {
-        let (exec, attempt) = match &msg {
-            MasterMsg::TaskDone { exec, attempt, .. }
-            | MasterMsg::TaskFailed { exec, attempt, .. } => (*exec, *attempt),
-            // Resource-manager notices ride the un-fenced Direct path;
-            // one arriving here is already epoch-agnostic.
-            MasterMsg::Evict { .. } | MasterMsg::FailReserved { .. } => return self.handle(msg),
-        };
-        if self.tasks.is_current(attempt) {
-            return self.handle(msg);
-        }
-        self.end_attempt(exec, attempt, None);
-        Ok(())
-    }
-
-    /// Opens a reconfiguration transaction: journals the request and
-    /// either admits it into the prepare phase or aborts it on the spot
-    /// (another transaction in flight, or an infeasible change). Returns
-    /// the transaction id.
-    fn request_reconfig(&mut self, plan: ReconfigPlan, trigger: ReconfigTrigger) -> u64 {
-        let id = self.next_reconfig_id;
-        self.next_reconfig_id += 1;
-        self.journal.emit(
-            None,
-            JobEvent::ReconfigRequested {
-                reconfig: id,
-                trigger,
-                change: plan.change,
-            },
-        );
-        if self.reconfig.is_some() {
-            self.journal.emit(
-                None,
-                JobEvent::ReconfigAborted {
-                    reconfig: id,
-                    reason: "another reconfiguration is already in flight".into(),
-                },
-            );
-            return id;
-        }
-        if let Err(reason) = self.reconfig_feasible(plan.change) {
-            self.journal.emit(
-                None,
-                JobEvent::ReconfigAborted {
-                    reconfig: id,
-                    reason,
-                },
-            );
-            return id;
-        }
-        self.reconfig = Some(ActiveReconfig {
-            id,
-            plan,
-            quiesce_wait: self.tasks.running(),
-            deadline: self.clock.now()
-                + Duration::from_millis(self.job.config.reconfig_prepare_timeout_ms),
-        });
-        id
-    }
-
-    /// Whether a change can possibly commit, checked at request time so
-    /// a doomed transaction aborts before pausing the scheduler.
-    fn reconfig_feasible(&self, change: ReconfigChange) -> Result<(), String> {
-        match change {
-            ReconfigChange::MigrateStage { stage, to } => {
-                if stage >= self.meta.n_stages {
-                    return Err(format!(
-                        "stage {stage} does not exist (plan has {} stages)",
-                        self.meta.n_stages
-                    ));
-                }
-                if to == Placement::Transient && self.schedulable(to).count() == 0 {
-                    return Err("no alive transient executor to migrate onto".into());
-                }
-                Ok(())
-            }
-            ReconfigChange::Repartition { fop, parallelism } => {
-                let n_fops = self.job.plan.fops.len();
-                if fop >= n_fops {
-                    return Err(format!("fop {fop} does not exist (plan has {n_fops} fops)"));
-                }
-                if parallelism == 0 {
-                    return Err("cannot repartition to zero tasks".into());
-                }
-                if !self.tasks.untouched(fop) {
-                    return Err(format!(
-                        "fop {fop} already has launched or finished tasks; repartition \
-                         applies only to pending stages"
-                    ));
-                }
-                let producers = self.job.plan.ins(fop);
-                let mut committed = self.tasks.committed();
-                if committed.any(|(f, _, _)| producers.iter().any(|e| e.src == f)) {
-                    return Err(format!(
-                        "a producer of fop {fop} already committed output bucketed at the \
-                         old parallelism"
-                    ));
-                }
-                // One-to-one edges pair task i with task i: shrinking the
-                // consumer below the producer (or growing the producer
-                // past the consumer) would orphan partner outputs — data
-                // silently dropped, not rebucketed.
-                for e in producers {
-                    if e.dep == DepType::OneToOne && parallelism < self.tasks.width(e.src) {
-                        return Err(format!(
-                            "fop {fop} has a one-to-one input from fop {} ({} tasks); \
-                             repartitioning below that would orphan producer outputs",
-                            e.src,
-                            self.tasks.width(e.src)
-                        ));
-                    }
-                }
-                for e in self.job.plan.outs(fop) {
-                    if e.dep == DepType::OneToOne && parallelism > self.tasks.width(e.dst) {
-                        return Err(format!(
-                            "fop {fop} feeds fop {} one-to-one ({} tasks); repartitioning \
-                             past that would orphan its own outputs",
-                            e.dst,
-                            self.tasks.width(e.dst)
-                        ));
-                    }
-                }
-                Ok(())
-            }
-            ReconfigChange::DrainTransient { .. } => {
-                if self.schedulable(Placement::Transient).count() < 2 {
-                    return Err("draining needs at least two alive transient executors \
-                         (one to drain, one to keep running transient tasks)"
-                        .into());
-                }
-                Ok(())
-            }
-        }
+    /// Where the plan places a fop: fixed at compile time (§3.1).
+    fn placement(&self, fop: FopId) -> Placement {
+        self.job.plan.fops[fop].placement
     }
 
     /// The executors of a pool that may take new work (not blacklisted,
@@ -1073,211 +878,9 @@ impl Master {
             .map(|(&id, e)| (id, e))
     }
 
-    /// Drives the in-flight transaction one step per loop iteration:
-    /// commit once quiesced, abort once past the prepare deadline. Also
-    /// hosts the eviction-storm policy trigger.
-    fn pump_reconfig(&mut self) {
-        self.maybe_fire_storm_policy();
-        let Some(txn) = self.reconfig else {
-            return;
-        };
-        let quiesced = self.tasks.running() == 0 && self.deferred_pushes.is_empty();
-        if quiesced {
-            self.journal.emit(
-                None,
-                JobEvent::ReconfigPrepared {
-                    reconfig: txn.id,
-                    quiesced: txn.quiesce_wait,
-                },
-            );
-            match self.apply_change(txn.plan.change) {
-                Ok(()) => {
-                    let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.journal.emit(None, JobEvent::EpochAdvanced { epoch });
-                    self.journal.emit(
-                        None,
-                        JobEvent::ReconfigCommitted {
-                            reconfig: txn.id,
-                            change: txn.plan.change,
-                            epoch,
-                        },
-                    );
-                    self.reconfig = None;
-                    self.broadcast_epoch(epoch);
-                }
-                Err(reason) => self.abort_reconfig(reason),
-            }
-        } else if self.clock.now() >= txn.deadline {
-            self.abort_reconfig(format!(
-                "prepare timed out after {} ms without quiescing",
-                self.job.config.reconfig_prepare_timeout_ms
-            ));
-        }
-    }
-
-    /// The policy hook: once `reconfig_storm_threshold` evictions have
-    /// landed, degrade transient-placed work to the reserved pool, one
-    /// stage per transaction (candidates disappear as they migrate, so
-    /// the hook naturally stops firing).
-    fn maybe_fire_storm_policy(&mut self) {
-        let threshold = self.job.config.reconfig_storm_threshold;
-        if threshold == 0 || self.reconfig.is_some() || self.evictions_seen < threshold {
-            return;
-        }
-        let candidate = (0..self.meta.n_stages).find(|&s| {
-            let fops = self.job.plan.fops_of(s);
-            fops.iter()
-                .any(|&f| self.placement[f] == Placement::Transient && !self.tasks.fop_done(f))
-        });
-        if let Some(stage) = candidate {
-            self.request_reconfig(
-                ReconfigPlan::from(ReconfigChange::MigrateStage {
-                    stage,
-                    to: Placement::Reserved,
-                }),
-                ReconfigTrigger::Policy,
-            );
-        }
-    }
-
-    /// Rolls back the in-flight transaction, if any. Nothing was applied
-    /// during prepare, so rollback is the act of not applying: the old
-    /// placement is intact and scheduling resumes on it immediately.
-    fn abort_reconfig(&mut self, reason: String) {
-        if let Some(txn) = self.reconfig.take() {
-            self.journal.emit(
-                None,
-                JobEvent::ReconfigAborted {
-                    reconfig: txn.id,
-                    reason,
-                },
-            );
-        }
-    }
-
-    /// Applies a change at commit point (the job is quiesced). An error
-    /// aborts the transaction; every partial effect an erroring path may
-    /// leave behind (extra block copies on reserved stores) is additive
-    /// and harmless under the old placement.
-    fn apply_change(&mut self, change: ReconfigChange) -> Result<(), String> {
-        // The world may have moved between request and commit (evictions
-        // during prepare); re-check feasibility before touching state.
-        self.reconfig_feasible(change)?;
-        match change {
-            ReconfigChange::MigrateStage { stage, to } => {
-                for f in 0..self.placement.len() {
-                    if self.meta.stage_of[f] == stage {
-                        self.placement[f] = to;
-                    }
-                }
-                // Receiver assignments reflect the old pool; drop the
-                // ones that have not produced data yet so the next
-                // scheduling pass re-derives them under the new pool.
-                let tasks = &self.tasks;
-                let stage_of = &self.meta.stage_of;
-                self.assigned
-                    .retain(|&(f, i), _| stage_of[f] != stage || tasks.is_done(f, i));
-                Ok(())
-            }
-            ReconfigChange::Repartition { fop, parallelism } => {
-                self.tasks.repartition(fop, parallelism);
-                self.assigned.retain(|&(f, _), _| f != fop);
-                Ok(())
-            }
-            ReconfigChange::DrainTransient { nth } => {
-                let candidates: Vec<ExecId> = self
-                    .schedulable(Placement::Transient)
-                    .map(|(id, _)| id)
-                    .collect();
-                // Feasibility re-checked above guarantees candidates,
-                // but a crash-recovered master may disagree with the
-                // requesting one — abort rather than index into nothing.
-                let Some(&victim) = candidates.get(nth % candidates.len().max(1)) else {
-                    return Err("no drain candidate survived the prepare phase".into());
-                };
-                self.migrate_blocks_off(victim)?;
-                if let Some(info) = self.executors.get_mut(&victim) {
-                    info.state = ExecState::Drained;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Moves every output whose *only* location is `victim` onto an
-    /// alive reserved store, then retires the victim's copies. Performed
-    /// at commit point under quiescence, so nothing is pinned. A block
-    /// no reserved store can take aborts the drain; copies admitted
-    /// before the failure stay (each was recorded as a valid location
-    /// the moment it landed).
-    fn migrate_blocks_off(&mut self, victim: ExecId) -> Result<(), String> {
-        let on_victim: Vec<(FopId, usize)> = self
-            .tasks
-            .committed()
-            .filter(|(_, _, locations)| locations.contains(&victim))
-            .map(|(f, i, _)| (f, i))
-            .collect();
-        let reserved: Vec<ExecId> = self
-            .schedulable(Placement::Reserved)
-            .map(|(id, _)| id)
-            .collect();
-        for &(f, i) in &on_victim {
-            let sole = self.tasks.locations(f, i).len() == 1;
-            // Sink-safe outputs and multi-location blocks need no copy:
-            // dropping the victim's location below loses nothing.
-            if !sole || self.result_parts.contains_key(&(f, i)) {
-                continue;
-            }
-            let Some(output) = self.output(f, i).map(Arc::clone) else {
-                continue;
-            };
-            let r = BlockRef::Output { fop: f, index: i };
-            let mut admitted = None;
-            for &d in &reserved {
-                let ok = self
-                    .executors
-                    .get(&d)
-                    .map(|info| info.store.lock().admit(r, &output).is_ok())
-                    .unwrap_or(false);
-                if ok {
-                    admitted = Some(d);
-                    break;
-                }
-            }
-            let Some(d) = admitted else {
-                return Err(format!(
-                    "no reserved store had headroom for block {f}.{i} ({} B)",
-                    block_bytes(&output)
-                ));
-            };
-            if let Some(locations) = self.tasks.locations_mut(f, i) {
-                locations.push(d);
-            }
-        }
-        // Every sole-location block now has a reserved copy: retire the
-        // victim's locations and release its store residency.
-        for (f, i) in on_victim {
-            if let Some(locations) = self.tasks.locations_mut(f, i) {
-                locations.retain(|&l| l != victim);
-            }
-            if let Some(info) = self.executors.get(&victim) {
-                info.store
-                    .lock()
-                    .remove_unpinned(BlockRef::Output { fop: f, index: i });
-            }
-            self.append_wal_locations(f, i).map_err(|e| e.to_string())?;
-        }
-        Ok(())
-    }
-
-    /// Reliably tells every alive executor about the committed epoch.
-    /// The envelopes of these (and all later) messages already carry the
-    /// new stamp; the explicit payload lets the executor adopt it even
-    /// with no task traffic.
-    fn broadcast_epoch(&mut self, epoch: u64) {
-        for info in self.executors.values_mut().filter(|e| e.live()) {
-            info.out.send(ExecutorMsg::AdvanceEpoch(epoch));
-        }
+    /// [`Master::schedulable`], as ids.
+    fn schedulable_ids(&self, kind: Placement) -> Vec<ExecId> {
+        self.schedulable(kind).map(|(id, _)| id).collect()
     }
 
     fn on_task_done(
@@ -1297,21 +900,12 @@ impl Master {
             return Ok(());
         };
         let (fop, index) = (a.fop, a.index);
-        // The belt under the wire-level epoch fence: an attempt launched
-        // before the last committed reconfiguration never commits after
-        // it. Unreachable when the fence holds (prepare quiesces every
-        // current attempt before the epoch advances), but a discarded
-        // report must keep the job live: the task is pending again and
-        // relaunches under the new epoch.
-        if a.epoch != self.epoch.load(Ordering::Relaxed) {
-            return Ok(());
-        }
         let elapsed = self.clock.now().saturating_duration_since(a.launched_at);
         self.fop_durations[fop].push(elapsed.as_millis() as u64);
         let locations = self.commit_locations(fop, index, exec, &output.block)?;
         let bytes = block_bytes(&output.block);
         let pushed =
-            self.placement[fop] == Placement::Transient && locations.iter().any(|l| l != &exec);
+            self.placement(fop) == Placement::Transient && locations.iter().any(|l| l != &exec);
         if self.job.plan.outs(fop).is_empty() {
             // Terminal operator: the output is written to the job sink and
             // is safe regardless of container fate. Sink and location
@@ -1351,9 +945,9 @@ impl Master {
         Ok(())
     }
 
-    /// What every terminal report (`TaskDone`, `TaskFailed`, fenced or
-    /// not) does before anyone asks whether it still counts. Idempotent
-    /// by construction: one report per attempt is ever processed, so a
+    /// What every terminal report (`TaskDone`, `TaskFailed`) does before
+    /// anyone asks whether it still counts. Idempotent by construction:
+    /// one report per attempt is ever processed, so a
     /// duplicate delivery that slipped past the dedup window cannot
     /// re-commit, re-charge, or free a busy slot a second time. The
     /// attempt is over, win or lose: its input pins release and — the
@@ -1433,15 +1027,6 @@ impl Master {
                 exec,
             },
         );
-        // An allocation failure mid-prepare is a signal the quiesce is
-        // fighting memory pressure: roll the transaction back rather
-        // than let the prepare window starve the retry.
-        if self.reconfig.is_some() && reason.contains("allocation failure") {
-            self.abort_reconfig(format!(
-                "allocation failure in task {fop}.{index} mid-prepare"
-            ));
-        }
-
         let failures = self.tasks.charge_failure(fop, index);
         if failures >= self.job.config.max_task_attempts {
             return Err(RuntimeError::TaskFailed {
@@ -1485,7 +1070,8 @@ impl Master {
     /// Where a completed task's output now lives: reserved anchors keep it
     /// locally; transient tasks push it to the reserved executors assigned
     /// to their consumer tasks (escaping evictions); transient tasks with
-    /// only transient consumers keep it locally, still at risk.
+    /// only transient consumers keep it locally, still at risk — unless
+    /// their executor is drained, when a reserved store takes it instead.
     ///
     /// Every location is backed by a store admission. The producer-local
     /// copy admits unconditionally (spilling itself to disk when memory
@@ -1502,9 +1088,10 @@ impl Master {
     ) -> Result<Vec<ExecId>, RuntimeError> {
         let r = BlockRef::Output { fop, index };
         let mut dests: Vec<ExecId> = Vec::new();
-        if self.placement[fop] != Placement::Reserved {
-            for e in self.job.plan.outs(fop) {
-                if self.placement[e.dst] != Placement::Reserved {
+        if self.placement(fop) != Placement::Reserved {
+            let outs = self.job.plan.outs(fop);
+            for e in outs {
+                if self.placement(e.dst) != Placement::Reserved {
                     continue;
                 }
                 for di in 0..self.tasks.width(e.dst) {
@@ -1514,6 +1101,10 @@ impl Master {
                         }
                     }
                 }
+            }
+            let drained = self.executors.get(&exec).map(|e| e.state) == Some(ExecState::Drained);
+            if dests.is_empty() && !outs.is_empty() && drained {
+                dests.extend(self.reserved_home(index));
             }
         }
         let mut locations: Vec<ExecId> = Vec::new();
@@ -1572,9 +1163,7 @@ impl Master {
                     self.executors[&victim].store.lock().set_budget(bytes);
                 }
             }
-            FaultAction::Reconfig(scheduled) => {
-                self.request_reconfig(scheduled.plan, scheduled.trigger);
-            }
+            FaultAction::Drain(k) => self.drain(k)?,
             FaultAction::Restart(corruption) => self.crash_and_recover(corruption.as_ref())?,
         }
         Ok(())
@@ -1590,6 +1179,50 @@ impl Master {
             .map(|(&id, _)| id)
             .collect();
         alive.get(k % alive.len().max(1)).copied()
+    }
+
+    /// A schedulable reserved executor to keep a copy of some task
+    /// `index`'s output on, spread by index.
+    fn reserved_home(&self, index: usize) -> Option<ExecId> {
+        let reserved = self.schedulable_ids(Placement::Reserved);
+        reserved.get(index % reserved.len().max(1)).copied()
+    }
+
+    /// Drains the `nth` schedulable transient executor (modulo their
+    /// number) ahead of a predicted eviction: it takes no new attempt,
+    /// and every output only it holds is offered to a reserved store
+    /// ([`Master::push_copy`]; one refused for headroom parks and
+    /// retries like any push). Nothing is removed from the victim, whose
+    /// container and store live on: a drain only ever adds locations, so
+    /// no attempt in flight is affected and nothing has to quiesce.
+    /// Refused — a no-op — with fewer than two schedulable transient
+    /// executors: one has to keep running transient tasks.
+    fn drain(&mut self, nth: usize) -> Result<(), RuntimeError> {
+        let candidates = self.schedulable_ids(Placement::Transient);
+        if candidates.len() < 2 {
+            return Ok(());
+        }
+        let victim = candidates[nth % candidates.len()];
+        if let Some(info) = self.executors.get_mut(&victim) {
+            info.state = ExecState::Drained;
+        }
+        self.journal
+            .emit(None, JobEvent::ExecutorDrained { exec: victim });
+        // Sink-safe outputs need no copy: the job sink has them.
+        let sole: Vec<(FopId, usize)> = self
+            .tasks
+            .committed()
+            .filter(|&(f, i, locations)| {
+                locations == [victim] && !self.result_parts.contains_key(&(f, i))
+            })
+            .map(|(f, i, _)| (f, i))
+            .collect();
+        for (f, i) in sole {
+            if let Some(dest) = self.reserved_home(i) {
+                self.push_copy(f, i, dest, None)?;
+            }
+        }
+        Ok(())
     }
 
     /// Handles the loss of a container: eviction (transient), machine
@@ -1614,15 +1247,6 @@ impl Master {
         info.store.lock().clear_silent();
         let kind = info.handle.kind;
         self.deferred_pushes.retain(|p| p.dest != exec);
-        if kind_of_loss == LossKind::Eviction {
-            self.evictions_seen += 1;
-        }
-        // Any loss invalidates the quiesce a prepare phase is waiting
-        // for: roll the transaction back and let normal recovery run
-        // under the old placement (which is still fully runnable).
-        if self.reconfig.is_some() {
-            self.abort_reconfig(format!("executor {exec} lost mid-prepare"));
-        }
         // Sync the stage bracket first: a commit in the same frame may
         // have just completed a stage whose `StageCompleted` is not yet
         // logged, and the reopen below must nest inside it.
@@ -1725,7 +1349,6 @@ impl Master {
     /// function of the state.
     fn wal_snapshot(&self) -> WalSnapshot {
         WalSnapshot {
-            epoch: self.epoch.load(Ordering::Relaxed),
             next_attempt: self.tasks.next_attempt(),
             completed_attempts: self.tasks.completed(),
             committed: self
@@ -1734,10 +1357,6 @@ impl Master {
                 .map(|(f, i, locations)| (f, i, locations.to_vec()))
                 .collect(),
             first_attempted: self.tasks.first_attempted().to_vec(),
-            parallelism: (0..self.placement.len())
-                .map(|f| self.tasks.width(f))
-                .collect(),
-            placement: self.placement.clone(),
         }
     }
 
@@ -1786,10 +1405,10 @@ impl Master {
     /// seeded corruption mangles the surviving image, and the recovery
     /// scan replays the longest valid prefix.
     ///
-    /// The replay carries the completion log, the block location table
-    /// (refetched from surviving executor stores), the reconfiguration
-    /// epoch, and the shape overlays. Everything else is in-memory state
-    /// of the dead master and resets, retry budgets and executor fault
+    /// The replay carries the completion log and the block location table
+    /// (refetched from surviving executor stores). Everything else is
+    /// in-memory state of the dead master and resets, retry budgets and
+    /// executor fault
     /// counts included. `faults` is not the master's: the harness's
     /// schedule keeps injected faults bounded per task across the
     /// restart. Executors outlive the master, lifecycle state and
@@ -1816,9 +1435,6 @@ impl Master {
                 snapshot_restored: rec.snapshot_restored,
             },
         );
-        // An in-flight transaction is in-memory state the recovered
-        // master never heard of: it resolves as an abort.
-        self.abort_reconfig("master restarted mid-transaction".into());
         // What the dead master's journal says of each commit: the task,
         // and an executor holding its output (`None` once dropped, or
         // when the only copy is the job sink's).
@@ -1828,41 +1444,12 @@ impl Master {
             .map(|(f, i, locations)| (f, i, locations.first().copied()))
             .collect();
 
-        // Shape overlays: the genesis snapshot makes the replayed shape
-        // available from the first frame; if interior corruption
-        // destroyed every snapshot, restart from the plan's frozen
-        // shape and recompute everything.
+        // The task table restarts (DESIGN.md §14): every task pending, the
+        // idempotence keystone *replaced* by the WAL's completion log,
+        // every pre-crash attempt id fenced.
         let n_fops = self.job.plan.fops.len();
-        let shaped = rec.parallelism.len() == n_fops && rec.placement.len() == n_fops;
-        let parallelism: Vec<usize> = if shaped {
-            self.placement = rec.placement.clone();
-            rec.parallelism.clone()
-        } else {
-            self.placement = self.job.plan.fops.iter().map(|f| f.placement).collect();
-            self.meta.parallelism.clone()
-        };
-        // Re-apply committed placement changes the replay could not
-        // fold by itself (they need the plan's stage table).
-        // `Repartition` replays inside the WAL fold; a committed
-        // `DrainTransient` lives on in its executor's state, which
-        // outlives the master (DESIGN.md §14).
-        for change in &rec.reconfig_changes {
-            if let ReconfigChange::MigrateStage { stage, to } = change {
-                for f in 0..self.placement.len() {
-                    if self.meta.stage_of[f] == *stage {
-                        self.placement[f] = *to;
-                    }
-                }
-            }
-        }
-
-        // The task table restarts at that shape (DESIGN.md §14): every
-        // task pending, the idempotence keystone *replaced* by the WAL's
-        // completion log, every pre-crash attempt id fenced.
-        let first_attempted: &[Vec<bool>] = if shaped { &rec.first_attempted } else { &[] };
         let fenced = self.tasks.reset(
-            &parallelism,
-            first_attempted,
+            &rec.first_attempted,
             rec.completed_attempts.iter().copied(),
             rec.max_attempt,
         );
@@ -1884,8 +1471,8 @@ impl Master {
         // executor loss follows, which of those a consumer still needs.
         for ((f, i), locations) in rec.committed {
             if f >= n_fops || i >= self.tasks.width(f) {
-                // A frame from a stale shape (or one that survived the
-                // CRC by chance): drop it, the task table has no slot.
+                // A frame that survived the CRC by chance: drop it, the
+                // task table has no slot.
                 continue;
             }
             let mut locs: Vec<ExecId> = locations
@@ -1923,8 +1510,6 @@ impl Master {
         let tasks = &self.tasks;
         self.result_parts.retain(|&(f, i), _| tasks.is_done(f, i));
 
-        // The epoch only moves forward, so pre-crash frames stay fenced.
-        self.epoch.fetch_max(rec.epoch, Ordering::Relaxed);
         self.assigned.clear();
         for info in self.executors.values_mut() {
             info.failures = 0;
@@ -1932,9 +1517,8 @@ impl Master {
         // Bring the journal in line with the recovered table: log every
         // commit the crash rolled back (recomputation follows), then
         // every output it left without a copy that nobody needs.
-        let in_shape = |f: FopId, i: usize| f < n_fops && i < self.tasks.width(f);
         for &(f, i, _) in &done_before {
-            if in_shape(f, i) && !self.tasks.is_done(f, i) {
+            if !self.tasks.is_done(f, i) {
                 self.journal.emit(
                     Some(self.meta.stage_of[f]),
                     JobEvent::TaskReverted { fop: f, index: i },
@@ -1962,12 +1546,6 @@ impl Master {
     /// receivers first, then launch every ready pending task with the
     /// round-robin, cache-aware policy.
     fn schedule(&mut self) -> Result<(), RuntimeError> {
-        // Prepare phase: no new attempts launch while a reconfiguration
-        // transaction is quiescing — otherwise the running set never
-        // drains and prepare can only time out.
-        if self.reconfig.is_some() {
-            return Ok(());
-        }
         let job = Arc::clone(&self.job);
         for stage in job.plan.stage_dag.topo_order() {
             if !self.stage_runnable(stage) {
@@ -1978,7 +1556,7 @@ impl Master {
             // transient tasks fill free slots round-robin.
             for kind in [Placement::Reserved, Placement::Transient] {
                 for &f in job.plan.fops_of(stage) {
-                    if self.placement[f] != kind {
+                    if self.placement(f) != kind {
                         continue;
                     }
                     for i in 0..self.tasks.width(f) {
@@ -2000,17 +1578,14 @@ impl Master {
     /// task scheduler first schedules and sets up the tasks placed on
     /// reserved executors").
     fn assign_receivers(&mut self, stage: usize) {
-        let reserved: Vec<ExecId> = self
-            .schedulable(Placement::Reserved)
-            .map(|(id, _)| id)
-            .collect();
+        let reserved = self.schedulable_ids(Placement::Reserved);
         if reserved.is_empty() {
             return;
         }
         let mut cursor = 0usize;
         let job = Arc::clone(&self.job);
         for &f in job.plan.fops_of(stage) {
-            if self.placement[f] != Placement::Reserved {
+            if self.placement(f) != Placement::Reserved {
                 continue;
             }
             for i in 0..self.tasks.width(f) {
@@ -2064,7 +1639,7 @@ impl Master {
             .collect();
         let (sides, side) = self.side_inputs(fop, exec)?;
         let route_to = self.shuffle_widths(fop);
-        let preaggregate = self.placement[fop] == Placement::Transient
+        let preaggregate = self.placement(fop) == Placement::Transient
             && self.job.config.partial_aggregation
             && combine_consumer(&self.job.dag, &self.job.plan, fop).is_some();
 
@@ -2073,7 +1648,6 @@ impl Master {
             index,
             exec,
             launched_at: self.clock.now(),
-            epoch: self.epoch.load(Ordering::Relaxed),
             speculative,
             pins,
         });
@@ -2119,7 +1693,7 @@ impl Master {
     }
 
     /// The widths a task of `fop` partitions its output for: the distinct
-    /// live parallelisms of the consumers that read it through a shuffle.
+    /// parallelisms of the consumers that read it through a shuffle.
     fn shuffle_widths(&self, fop: FopId) -> Vec<usize> {
         let mut widths: Vec<usize> = Vec::new();
         for e in self.job.plan.outs(fop) {
@@ -2260,7 +1834,7 @@ impl Master {
     /// exceeds `speculation_multiplier` × the fop's median duration
     /// (floored by `speculation_floor_ms`). First commit wins.
     fn maybe_speculate(&mut self) -> Result<(), RuntimeError> {
-        if !self.job.config.speculation || self.reconfig.is_some() {
+        if !self.job.config.speculation {
             return Ok(());
         }
         let mult = self.job.config.speculation_multiplier;
@@ -2298,7 +1872,7 @@ impl Master {
     /// of the fop's pool, other than the straggler's own.
     fn pick_spare(&self, fop: FopId, avoid: ExecId) -> Option<ExecId> {
         let slots = self.job.config.slots_per_executor.max(1);
-        self.schedulable(self.placement[fop])
+        self.schedulable(self.placement(fop))
             .map(|(id, _)| (id, self.tasks.held(id)))
             .filter(|&(id, held)| held < slots && id != avoid)
             .max_by_key(|&(id, held)| (slots - held, std::cmp::Reverse(id)))
@@ -2321,7 +1895,7 @@ impl Master {
     /// executors with a free task slot. Reserved tasks go to their
     /// pre-assigned receiver.
     fn pick_executor(&mut self, fop: FopId, index: usize) -> Option<ExecId> {
-        let kind = self.placement[fop];
+        let kind = self.placement(fop);
         let cache_pref = self.cache_preference(fop);
         if kind == Placement::Reserved {
             if let Some(&e) = self.assigned.get(&(fop, index)) {
@@ -2612,7 +2186,6 @@ mod tests {
             index,
             exec,
             launched_at: m.clock.now(),
-            epoch: 0,
             speculative: false,
             pins: Vec::new(),
         };
@@ -2888,133 +2461,63 @@ mod tests {
         m.shutdown();
     }
 
-    // --- Reconfiguration transaction tests ---
-
+    /// A drain is additive and immediate: the victim takes no new work,
+    /// what only it held gains a reserved copy, what it commits later goes
+    /// straight to a reserved store, and nothing it holds is taken away.
     #[test]
-    fn quiesced_reconfig_commits_and_advances_the_epoch() {
-        let mut m = test_master();
-        let f = terminal_fop(&m);
-        let before = m.placement[f];
-        let id = m.request_reconfig(
-            ReconfigChange::MigrateStage {
-                stage: m.meta.stage_of[f],
-                to: Placement::Reserved,
-            }
-            .into(),
-            ReconfigTrigger::Api,
-        );
-        assert!(m.reconfig.is_some(), "transaction opened");
-        // Nothing is running, so the very next pump quiesces and commits.
-        m.pump_reconfig();
-        assert!(m.reconfig.is_none(), "transaction resolved");
-        assert_eq!(m.epoch.load(Ordering::Relaxed), 1);
-        assert_eq!(m.placement[f], Placement::Reserved);
-        assert_ne!(
-            before,
-            Placement::Reserved,
-            "the migration changed something"
-        );
+    fn a_drain_copies_sole_outputs_and_takes_no_new_work() {
+        let (mut m, map) = shuffle_master(crate::runtime::RuntimeConfig::default());
+        let (reserved, victim): (ExecId, ExecId) = (0, 1);
+        let spare = m.spawn_executor(Placement::Transient);
+        // No receiver is assigned, so map 0's output rests on its producer.
+        let rested = begin_task(&mut m, map, 0, victim);
+        m.handle(shuffled_done(victim, rested, 0).0).unwrap();
+        assert_eq!(m.tasks.locations(map, 0), &[victim]);
+        let in_flight = begin_task(&mut m, map, 1, victim);
+
+        m.apply_fault(FaultAction::Drain(0)).unwrap();
+        assert_eq!(m.executors[&victim].state, ExecState::Drained);
+        assert_eq!(m.schedulable_ids(Placement::Transient), vec![spare]);
+        assert_eq!(m.tasks.locations(map, 0), &[victim, reserved]);
+        let r = BlockRef::Output { fop: map, index: 0 };
+        for holder in [victim, reserved] {
+            assert!(m.executors[&holder].store.lock().contains(r), "{holder}");
+        }
+        // The attempt launched before the drain still commits; its output
+        // would have rested on the victim and goes to the reserved store.
+        m.handle(shuffled_done(victim, in_flight, 1).0).unwrap();
+        assert_eq!(m.tasks.locations(map, 1), &[reserved]);
+
+        // One schedulable transient executor left: a second drain is
+        // refused, silently.
+        m.apply_fault(FaultAction::Drain(0)).unwrap();
+        assert_eq!(m.executors[&spare].state, ExecState::Alive);
+        m.handle(MasterMsg::Evict { exec: victim }).unwrap();
         let evs = events(&m);
-        let prepared = evs
+        let drains = evs
             .iter()
-            .position(
-                |e| matches!(e, JobEvent::ReconfigPrepared { reconfig, .. } if *reconfig == id),
-            )
-            .expect("ReconfigPrepared journaled");
-        let advanced = evs
-            .iter()
-            .position(|e| matches!(e, JobEvent::EpochAdvanced { epoch: 1 }))
-            .expect("EpochAdvanced journaled");
-        let committed = evs
-            .iter()
-            .position(
-                |e| matches!(e, JobEvent::ReconfigCommitted { reconfig, epoch: 1, .. } if *reconfig == id),
-            )
-            .expect("ReconfigCommitted journaled");
+            .filter(|e| matches!(e, JobEvent::ExecutorDrained { .. }));
+        assert_eq!(
+            drains.collect::<Vec<_>>(),
+            vec![&JobEvent::ExecutorDrained { exec: victim }]
+        );
         assert!(
-            prepared < advanced && advanced < committed,
-            "prepare, epoch advance, and commit journal in order: {evs:?}"
+            !evs.iter()
+                .any(|e| matches!(e, JobEvent::TaskReverted { .. })),
+            "the eviction found nothing only the victim held"
         );
-        let d = derived(&m);
-        assert_eq!(d.reconfigs_committed, 1);
-        assert_eq!(d.final_epoch, 1);
-        m.shutdown();
-    }
-
-    #[test]
-    fn eviction_mid_prepare_aborts_and_rolls_back() {
-        let mut m = test_master();
-        let f = terminal_fop(&m);
-        let exec: ExecId = 1; // Transient (reserved spawn first).
-        begin(&mut m, f, exec);
-        let before = m.placement.clone();
-
-        let id = m.request_reconfig(
-            ReconfigChange::MigrateStage {
-                stage: m.meta.stage_of[f],
-                to: Placement::Reserved,
-            }
-            .into(),
-            ReconfigTrigger::Api,
-        );
-        // One attempt in flight: the pump must keep waiting, not commit.
-        m.pump_reconfig();
-        assert!(m.reconfig.is_some(), "prepare waits for the quiesce");
-
-        // The eviction lands mid-prepare: the transaction rolls back and
-        // the old placement stays runnable.
-        m.handle(MasterMsg::Evict { exec }).unwrap();
-        assert!(m.reconfig.is_none(), "transaction aborted");
-        assert_eq!(m.epoch.load(Ordering::Relaxed), 0, "no epoch advance");
-        assert_eq!(m.placement, before, "rollback left the placement alone");
-        assert!(
-            m.tasks.is_pending(f, 0),
-            "the reverted task is still runnable under the old placement"
-        );
-        let evs = events(&m);
-        assert!(evs
-            .iter()
-            .any(|e| matches!(e, JobEvent::ReconfigAborted { reconfig, .. } if *reconfig == id)));
-        assert!(!evs
-            .iter()
-            .any(|e| matches!(e, JobEvent::EpochAdvanced { .. })));
-        let d = derived(&m);
-        assert_eq!(d.reconfigs_aborted, 1);
-        assert_eq!(d.final_epoch, 0);
-        m.shutdown();
-    }
-
-    #[test]
-    fn concurrent_reconfig_requests_are_rejected() {
-        let mut m = test_master();
-        let f = terminal_fop(&m);
-        let stage = m.meta.stage_of[f];
-        // Hold the first transaction open with a manufactured running attempt.
-        begin(&mut m, f, 1);
-        let change = ReconfigChange::MigrateStage {
-            stage,
-            to: Placement::Reserved,
-        };
-        let first = m.request_reconfig(change.into(), ReconfigTrigger::Api);
-        let second = m.request_reconfig(change.into(), ReconfigTrigger::Api);
-        assert_ne!(first, second);
-        let evs = events(&m);
-        assert!(evs.iter().any(
-            |e| matches!(e, JobEvent::ReconfigAborted { reconfig, reason } if *reconfig == second
-                && reason.contains("already in flight"))
-        ));
-        assert!(m.reconfig.is_some_and(|t| t.id == first));
+        assert!(m.tasks.is_done(map, 0) && m.tasks.is_done(map, 1));
         m.shutdown();
     }
 
     // --- Clock-abstraction regression test (timer-order sensitivity) ---
     //
-    // Every master timer (speculation, heartbeats, deferred pushes,
-    // reconfig deadlines) must read `self.clock`, never wall time
-    // directly: the threaded backend shares the implementation, and a
-    // stray `Instant::now()` would make timer order depend on host
-    // scheduling. Driving speculation off a manual clock — no sleeps —
-    // proves the timer path is fully clock-routed.
+    // Every master timer (speculation, heartbeats, deferred pushes) must
+    // read `self.clock`, never wall time directly: the threaded backend
+    // shares the implementation, and a stray `Instant::now()` would make
+    // timer order depend on host scheduling. Driving speculation off a
+    // manual clock — no sleeps — proves the timer path is fully
+    // clock-routed.
 
     #[test]
     fn speculation_timer_fires_on_clock_advance_not_wall_time() {
@@ -3024,7 +2527,7 @@ mod tests {
         // Run the straggler on the kind the fop is NOT placed on, so the
         // single executor of the placed kind is free to host the
         // duplicate (the picker skips the straggler's own executor).
-        let exec: ExecId = if m.placement[f] == Placement::Reserved {
+        let exec: ExecId = if m.placement(f) == Placement::Reserved {
             1
         } else {
             0

@@ -1,5 +1,7 @@
 //! Control-plane messages between the master and executors.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::collections::BTreeMap;
 
 use pado_dag::{Block, MainSlot};
@@ -140,12 +142,6 @@ pub enum MasterMsg {
 pub enum ExecutorMsg {
     /// Run a task.
     Run(TaskSpec),
-    /// A reconfiguration transaction committed: adopt the new epoch for
-    /// all subsequent outbound envelopes. Handled by the executor's
-    /// control thread, never forwarded to worker slots. Inbound envelope
-    /// stamps already carry the epoch, so this broadcast only matters for
-    /// executors with nothing else addressed to them after the commit.
-    AdvanceEpoch(u64),
     /// Shut down the worker.
     Stop,
 }

@@ -1,5 +1,7 @@
 //! Job-level execution metrics.
 
+#![warn(clippy::iter_over_hash_type)]
+
 /// Counters collected by the master over one job execution.
 ///
 /// `relaunched_tasks` mirrors the paper's "ratio of relaunched tasks to
@@ -88,15 +90,6 @@ pub struct JobMetrics {
     pub store_cache_hits: usize,
     /// Executor-observed input-cache misses.
     pub store_cache_misses: usize,
-    /// Reconfiguration transactions that committed (epoch advanced).
-    pub reconfigs_committed: usize,
-    /// Reconfiguration transactions that rolled back.
-    pub reconfigs_aborted: usize,
-    /// The reconfiguration epoch the job finished under (0 when no
-    /// reconfiguration ever committed).
-    pub final_epoch: u64,
-    /// Payload frames the master rejected for carrying a stale epoch.
-    pub frames_fenced: usize,
     /// Master recoveries that rebuilt state from the write-ahead log.
     pub wal_recoveries: usize,
     /// WAL frames replayed across all recoveries.
@@ -125,9 +118,8 @@ impl JobMetrics {
     ///
     /// Only logically determined counters participate: plan-shaped totals
     /// (`original_tasks`), fault-schedule echoes (`evictions`,
-    /// `reserved_failures`, `oom_injected`, `task_failures`), and epoch
-    /// machinery (`reconfigs_committed`, `reconfigs_aborted`,
-    /// `final_epoch`, `wal_recoveries`, `stage_recomputations`).
+    /// `reserved_failures`, `oom_injected`, `task_failures`), and recovery
+    /// counts (`wal_recoveries`, `stage_recomputations`).
     ///
     /// Deliberately excluded:
     /// - placement/timing-sensitive counters (`bytes_pushed`,
@@ -140,7 +132,7 @@ impl JobMetrics {
     ///   `max_message_retransmissions`) — real wall-clock retransmission
     ///   timers make these inherently nondeterministic.
     pub fn backend_drift(&self, other: &JobMetrics) -> Vec<(&'static str, usize, usize)> {
-        let pairs: [(&'static str, usize, usize); 10] = [
+        let pairs: [(&'static str, usize, usize); 7] = [
             ("original_tasks", self.original_tasks, other.original_tasks),
             ("task_failures", self.task_failures, other.task_failures),
             ("evictions", self.evictions, other.evictions),
@@ -154,21 +146,6 @@ impl JobMetrics {
                 "stage_recomputations",
                 self.stage_recomputations,
                 other.stage_recomputations,
-            ),
-            (
-                "reconfigs_committed",
-                self.reconfigs_committed,
-                other.reconfigs_committed,
-            ),
-            (
-                "reconfigs_aborted",
-                self.reconfigs_aborted,
-                other.reconfigs_aborted,
-            ),
-            (
-                "final_epoch",
-                self.final_epoch as usize,
-                other.final_epoch as usize,
             ),
             ("wal_recoveries", self.wal_recoveries, other.wal_recoveries),
         ];
@@ -229,10 +206,13 @@ mod tests {
         // ...but a deterministic counter disagreeing is drift.
         let c = JobMetrics {
             task_failures: 2,
-            final_epoch: 3,
+            wal_recoveries: 3,
             ..a.clone()
         };
         let drift = a.backend_drift(&c);
-        assert_eq!(drift, vec![("task_failures", 1, 2), ("final_epoch", 0, 3)]);
+        assert_eq!(
+            drift,
+            vec![("task_failures", 1, 2), ("wal_recoveries", 0, 3)]
+        );
     }
 }

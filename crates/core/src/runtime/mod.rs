@@ -14,7 +14,6 @@ pub mod master;
 pub mod message;
 pub mod metrics;
 pub mod policy;
-pub mod reconfig;
 pub mod store;
 mod tasks;
 pub mod transport;
@@ -38,7 +37,6 @@ pub use master::{Injector, JobResult, Master};
 pub use message::{AttemptId, ExecId, InjectedFault, MasterMsg};
 pub use metrics::JobMetrics;
 pub use policy::{Candidate, LeastLoaded, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
-pub use reconfig::{ReconfigChange, ReconfigPlan, ReconfigTrigger, ScheduledReconfig};
 pub use store::{
     block_bytes, BlockRef, BlockStore, ExecutorStore, SpillFaultPlan, StoreError, StoreHandle,
 };

@@ -3,8 +3,8 @@
 //! holds a record of.
 //!
 //! The table is pure state: no channels, stores, journal or clock reads
-//! (`now` and `epoch` are arguments), so each transition is testable
-//! without a cluster. [`super::master::Master`] performs the I/O a
+//! (`now` is an argument), so each transition is testable without a
+//! cluster. [`super::master::Master`] performs the I/O a
 //! transition implies — unpinning the blocks of a retired attempt,
 //! journaling, appending to the WAL.
 //!
@@ -57,8 +57,6 @@ pub(crate) struct Attempt {
     pub(crate) index: usize,
     pub(crate) exec: ExecId,
     pub(crate) launched_at: Instant,
-    /// The reconfiguration epoch the attempt launched under.
-    pub(crate) epoch: u64,
     pub(crate) speculative: bool,
     /// Input blocks pinned on `exec` at launch; whoever retires the
     /// record releases them.
@@ -203,7 +201,7 @@ impl TaskTable {
         self.done[fop] == self.tasks[fop].len()
     }
 
-    /// The live task count of a fop; a committed `Repartition` rewrites it.
+    /// The task count of a fop, fixed at construction from the plan.
     pub(crate) fn width(&self, fop: FopId) -> usize {
         self.tasks[fop].len()
     }
@@ -232,14 +230,6 @@ impl TaskTable {
         self.done[fop] -= usize::from(is_done(&old));
         self.done[fop] += usize::from(is_done(&self.tasks[fop][index]));
         old
-    }
-
-    /// Whether no task of the fop was ever launched or committed.
-    pub(crate) fn untouched(&self, fop: FopId) -> bool {
-        self.tasks[fop]
-            .iter()
-            .all(|t| matches!(t, TaskState::Pending))
-            && self.first_attempted[fop].iter().all(|&b| !b)
     }
 
     /// Where a committed output lives; empty when the task is not
@@ -288,8 +278,7 @@ impl TaskTable {
         })
     }
 
-    /// Total current attempts (what a reconfiguration's prepare phase
-    /// counts down to zero).
+    /// Total current attempts.
     pub(crate) fn running(&self) -> usize {
         self.attempts
             .keys()
@@ -418,7 +407,7 @@ impl TaskTable {
     }
 
     /// Whether `(fop, index)` breaks the invariant: dataless, with some
-    /// consumer task — at the live parallelism — not committed.
+    /// consumer task not committed.
     fn unsettled(&self, fop: FopId, index: usize) -> bool {
         self.dataless(fop, index)
             && self.outs[fop].iter().any(|&(dst, dep)| {
@@ -450,31 +439,22 @@ impl TaskTable {
         reverted
     }
 
-    /// Resizes an untouched fop to `parallelism` pending, never-launched
-    /// tasks.
-    pub(crate) fn repartition(&mut self, fop: FopId, parallelism: usize) {
-        self.tasks[fop] = vec![TaskState::Pending; parallelism];
-        self.done[fop] = 0;
-        self.first_attempted[fop] = vec![false; parallelism];
-        self.failures[fop] = vec![0; parallelism];
-    }
-
-    /// The restarted master's table: every task pending at the recovered
-    /// shape with its retry budget whole, no executor holding a record,
+    /// The restarted master's table: every task pending with its retry
+    /// budget whole, no executor holding a record,
     /// the completed set *replaced* by the recovered completion log
     /// (pre-crash reports the network replays must still bounce), and
     /// attempt ids fenced past everything the dead master issued.
-    /// `first_attempted` rows that do not fit the shape start over.
+    /// `first_attempted` rows that do not fit the plan start over.
     /// Returns the pre-crash attempt records, whose pins the caller frees.
     pub(crate) fn reset(
         &mut self,
-        parallelism: &[usize],
         first_attempted: &[Vec<bool>],
         completed: impl IntoIterator<Item = AttemptId>,
         max_attempt: AttemptId,
     ) -> Vec<Attempt> {
         let fenced = std::mem::take(&mut self.attempts).into_values().collect();
         let outs = std::mem::take(&mut self.outs);
+        let parallelism: Vec<usize> = self.tasks.iter().map(Vec::len).collect();
         let fits = first_attempted.len() == parallelism.len();
         *self = TaskTable {
             first_attempted: parallelism
@@ -487,7 +467,7 @@ impl TaskTable {
                 .collect(),
             completed: completed.into_iter().collect(),
             next_attempt: max_attempt.max(self.next_attempt) + 1_000_000,
-            ..TaskTable::new(parallelism, outs)
+            ..TaskTable::new(&parallelism, outs)
         };
         fenced
     }
@@ -526,7 +506,6 @@ mod tests {
             index,
             exec,
             launched_at: Instant::now(),
-            epoch: 0,
             speculative,
             pins: vec![PIN],
         }
@@ -649,7 +628,7 @@ mod tests {
 
         // The log saw attempt 40 complete and never heard of `a`'s report.
         let first = vec![vec![true, false], vec![true]];
-        let fenced = t.reset(&[2, 1], &first, [40], 57);
+        let fenced = t.reset(&first, [40], 57);
         assert_eq!(fenced.len(), 1, "b's record comes back for its pins");
         assert_eq!((fenced[0].exec, &fenced[0].pins[..]), (2, &[PIN][..]));
         assert!((0..2).all(|i| t.is_pending(0, i)) && t.running() == 0);
@@ -668,37 +647,17 @@ mod tests {
 
         // A log that issued fewer ids than the dead master still fences.
         let issued = t.next_attempt();
-        t.reset(&[2, 3], &first, [], 0);
+        let misfit = vec![vec![true, false], vec![true; 3]];
+        t.reset(&misfit, [], 0);
         assert!(t.next_attempt() > issued);
-        assert_eq!((t.width(0), t.width(1)), (2, 3));
-        // Rows that do not fit the recovered shape start over.
-        assert_eq!(t.first_attempted()[1], vec![false; 3]);
+        assert_eq!((t.width(0), t.width(1)), (2, 1), "the plan's shape");
+        // Rows that do not fit the plan start over.
+        assert_eq!(t.first_attempted()[1], vec![false]);
         assert_eq!(t.first_attempted()[0], vec![true, false]);
-        t.reset(&[2, 1], &[], [], 0);
-        assert!(t.untouched(0) && t.untouched(1));
+        t.reset(&[], [], 0);
+        assert_eq!(t.first_attempted(), &[vec![false; 2], vec![false]][..]);
     }
 
-    #[test]
-    fn repartition_resizes_and_forgets_first_attempted() {
-        let mut t = table();
-        let a = begin(&mut t, 0, 1, 1, false);
-        assert!(!t.untouched(0));
-        assert!(matches!(t.report(a), Report::Current(_)));
-        assert!(!t.untouched(0), "a launch leaves a mark");
-
-        assert_eq!(t.charge_failure(0, 1), 1);
-        t.repartition(0, 3);
-        assert!(t.untouched(0) && t.width(0) == 3 && t.failures(0, 1) == 0);
-        assert!(t.is_pending(0, 2) && !t.is_pending(0, 3), "three tasks now");
-        assert!(
-            t.is_pending(1, 0) && !t.is_pending(1, 1),
-            "fop 1 keeps its shape"
-        );
-        let (_, relaunch) = t.begin(attempt(0, 1, 1, false));
-        assert!(!relaunch);
-        assert!(!t.fop_done(0));
-        assert_eq!(t.committed().count(), 0);
-    }
     #[test]
     fn consumer_indices_invert_required_src_indices() {
         use crate::compiler::{InputSlot, PlanEdge};
@@ -846,9 +805,7 @@ mod tests {
         t.commit(0, 0, vec![3]);
         t.commit(0, 1, vec![2]);
         assert!(t.fop_done(0), "a recommit counts once");
-        t.repartition(1, 2);
-        assert!(!t.fop_done(1));
-        t.reset(&[2, 1], &[], [], 0);
+        t.reset(&[], [], 0);
         assert!(!t.fop_done(0) && t.committed().count() == 0);
     }
 }

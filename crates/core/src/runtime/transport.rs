@@ -28,6 +28,8 @@
 //!
 //! [`AttemptId`]: crate::runtime::message::AttemptId
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -131,10 +133,8 @@ pub enum Wire<T> {
         from: ExecId,
         /// Sequence number within that link direction.
         seq: Seq,
-        /// Reconfiguration epoch the sender held when the payload was
-        /// first transmitted. Retransmissions keep the original stamp, so
-        /// a frame sent before an epoch advance is still recognizably
-        /// stale when it finally lands (see `runtime::reconfig`).
+        /// Inert, always 0: the stamp of the retired reconfiguration
+        /// fence, kept because `perf/` builds this variant (ROADMAP 1(b)).
         epoch: u64,
         /// The control message.
         payload: T,
@@ -347,8 +347,6 @@ impl<W: Clone> FaultyLink<W> {
 #[derive(Debug)]
 struct Pending<T> {
     payload: T,
-    /// Epoch stamped on the first transmission; retransmissions reuse it.
-    epoch: u64,
     transmissions: u64,
     next_at: Instant,
     backoff: Duration,
@@ -368,9 +366,6 @@ pub struct ReliableSender<T, W> {
     base: Duration,
     max: Duration,
     seed: u64,
-    /// Shared reconfiguration epoch; every first transmission stamps the
-    /// cell's current value onto its envelope.
-    epoch: Arc<AtomicU64>,
     unacked: BTreeMap<Seq, Pending<T>>,
     backlog: VecDeque<T>,
     counters: Arc<TransportCounters>,
@@ -381,8 +376,9 @@ pub struct ReliableSender<T, W> {
 }
 
 impl<T: Clone, W: Clone> ReliableSender<T, W> {
-    /// Creates the endpoint. `wrap` builds the wire frame for a stamped
-    /// payload; `cap` bounds in-flight messages (and therefore the peer's
+    /// Creates the endpoint. `wrap` builds the wire frame for a payload
+    /// (its third argument is [`Wire::Msg`]'s inert stamp, always 0);
+    /// `cap` bounds in-flight messages (and therefore the peer's
     /// dedup window occupancy); `base`/`max` bound the backoff schedule.
     pub fn new(
         link: FaultyLink<W>,
@@ -403,21 +399,11 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
             base: base.max(Duration::from_millis(1)),
             max,
             seed,
-            epoch: Arc::new(AtomicU64::new(0)),
             unacked: BTreeMap::new(),
             backlog: VecDeque::new(),
             counters,
             journal: None,
         }
-    }
-
-    /// Shares the reconfiguration epoch cell with this endpoint. All
-    /// endpoints of one process share one cell; the master advances it at
-    /// reconfiguration commit and executors follow the envelopes.
-    #[must_use]
-    pub fn with_epoch(mut self, epoch: Arc<AtomicU64>) -> Self {
-        self.epoch = epoch;
-        self
     }
 
     /// Attaches the job's execution journal: each retransmission emits a
@@ -442,8 +428,7 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
     fn transmit(&mut self, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let frame = (self.wrap)(self.peer, seq, epoch, payload.clone());
+        let frame = (self.wrap)(self.peer, seq, 0, payload.clone());
         self.link.send(frame);
         self.counters.note_transmissions(1);
         let backoff = self.base + self.jitter(seq, 1);
@@ -451,7 +436,6 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
             seq,
             Pending {
                 payload,
-                epoch,
                 transmissions: 1,
                 next_at: Instant::now() + backoff,
                 backoff,
@@ -511,7 +495,7 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
                 p.transmissions += 1;
                 p.backoff = (p.backoff * 2).min(self.max);
                 (
-                    (self.wrap)(self.peer, seq, p.epoch, p.payload.clone()),
+                    (self.wrap)(self.peer, seq, 0, p.payload.clone()),
                     p.transmissions,
                     p.backoff,
                 )
@@ -705,33 +689,6 @@ mod tests {
         s.pump(Instant::now()).unwrap();
         assert!(payloads(&rx).is_empty(), "acked: no more retransmissions");
         assert_eq!(s.in_flight(), 0);
-    }
-
-    #[test]
-    fn retransmissions_keep_the_original_epoch_stamp() {
-        let (tx, rx) = unbounded();
-        let epoch = Arc::new(AtomicU64::new(0));
-        let mut s = reliable(tx, None, 8).with_epoch(Arc::clone(&epoch));
-        s.send(1);
-        epoch.store(3, Ordering::Relaxed);
-        s.send(2);
-        let stamps = |rx: &crossbeam::channel::Receiver<Wire<u32>>| {
-            let mut out = Vec::new();
-            while let Some(f) = rx.try_recv() {
-                if let Wire::Msg { epoch, payload, .. } = f {
-                    out.push((payload, epoch));
-                }
-            }
-            out
-        };
-        assert_eq!(stamps(&rx), vec![(1, 0), (2, 3)], "first transmissions");
-        std::thread::sleep(Duration::from_millis(12));
-        s.pump(Instant::now()).unwrap();
-        // Payload 1 was first sent under epoch 0: its retransmission must
-        // still say so, or a fenced receiver could mistake it for fresh.
-        let retx = stamps(&rx);
-        assert!(retx.contains(&(1, 0)), "stale stamp preserved: {retx:?}");
-        assert!(!retx.contains(&(1, 3)));
     }
 
     #[test]

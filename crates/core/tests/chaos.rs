@@ -67,7 +67,7 @@ fn random_fault_plan(rng: &mut StdRng, seed: u64) -> FaultPlan {
         first_attempt_delays: Vec::new(),
         first_attempt_done_delays: Vec::new(),
         network: None,
-        reconfigs: Vec::new(),
+        drains: Vec::new(),
         spill_faults: None,
         crashes: None,
     }

@@ -507,7 +507,7 @@ fn chaos_outputs_match_cloning_reference_plane() {
                 first_attempt_delays: Vec::new(),
                 first_attempt_done_delays: Vec::new(),
                 network: None,
-                reconfigs: Vec::new(),
+                drains: Vec::new(),
                 spill_faults: None,
                 crashes: None,
             };

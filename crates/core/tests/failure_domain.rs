@@ -388,9 +388,6 @@ fn wedged_job_reports_partial_events_and_metrics() {
     let config = RuntimeConfig {
         event_timeout_ms: 150,
         tick_ms: 5,
-        // Keep the prepare window below the (deliberately tiny) wedge
-        // timeout, as validation requires.
-        reconfig_prepare_timeout_ms: 100,
         ..Default::default()
     };
     let err = LocalCluster::new(0, 1)

@@ -217,7 +217,7 @@ fn random_fault_plan(rng: &mut StdRng, seed: u64, floor: usize, budget: usize) -
         first_attempt_delays: Vec::new(),
         first_attempt_done_delays: Vec::new(),
         network: rng.gen_bool(0.4).then(|| random_network(rng, seed)),
-        reconfigs: Vec::new(),
+        drains: Vec::new(),
         spill_faults: None,
         crashes: None,
     }

@@ -128,7 +128,7 @@ fn random_fault_plan(
         first_attempt_delays: Vec::new(),
         first_attempt_done_delays: Vec::new(),
         network: Some(random_network(rng, seed, n_transient, n_reserved)),
-        reconfigs: Vec::new(),
+        drains: Vec::new(),
         spill_faults: None,
         crashes: None,
     }

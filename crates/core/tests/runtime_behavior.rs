@@ -93,8 +93,6 @@ fn no_transient_executors_wedges_and_aborts() {
     let dag = p.build().unwrap();
     let config = RuntimeConfig {
         event_timeout_ms: 200,
-        // Validation requires the prepare window below the wedge timeout.
-        reconfig_prepare_timeout_ms: 150,
         ..Default::default()
     };
     let err = LocalCluster::new(0, 1)
@@ -507,14 +505,12 @@ fn custom_scheduling_policy_is_used() {
 }
 
 #[test]
-fn fixed_seed_reconfig_timeline_is_golden() {
-    use pado_core::runtime::ReconfigChange;
-
+fn fixed_seed_drain_timeline_is_golden() {
     // Same serial-chain recipe as `fixed_seed_journal_is_deterministic`
     // (parallelism 1, one slot, no speculation, no blacklisting) plus a
-    // mid-job stage migration: the two-phase transaction must land at
-    // the same journal position run over run, and the rendered timeline
-    // must spell the transaction out.
+    // mid-job drain of the first of two transient executors: it must
+    // land at the same journal position run over run, and the rendered
+    // timeline must say so.
     let build = || {
         let p = Pipeline::new();
         p.read("Read", 1, SourceFn::from_vec(ints(12)))
@@ -534,50 +530,30 @@ fn fixed_seed_reconfig_timeline_is_golden() {
         executor_fault_threshold: 100,
         heartbeat_interval_ms: 1_000,
         dead_executor_timeout_ms: 60_000,
-        // Generous: quiesce of the single in-flight task must never race
-        // the prepare deadline, or the committed/aborted outcome (and
-        // with it the timeline) would depend on thread timing.
-        reconfig_prepare_timeout_ms: 5_000,
         ..Default::default()
     };
     let run = || {
         let dag = build();
-        LocalCluster::new(1, 1)
+        LocalCluster::new(2, 1)
             .with_config(config.clone())
-            .with_reconfig(
-                1,
-                ReconfigChange::MigrateStage {
-                    stage: 1,
-                    to: Placement::Reserved,
-                }
-                .into(),
-            )
+            .with_drain(1, 0)
             .run(&dag)
             .unwrap()
     };
     let a = run();
     let b = run();
     pado_core::runtime::assert_clean(&a.journal, true);
-    assert_eq!(a.metrics.reconfigs_committed, 1);
-    assert_eq!(a.metrics.final_epoch, 1);
     let timeline = a.journal.render_timeline(false);
     assert_eq!(
         timeline,
         b.journal.render_timeline(false),
-        "time-elided reconfig timeline must be byte-stable for a fixed seed"
+        "time-elided drain timeline must be byte-stable for a fixed seed"
     );
-    for needle in [
-        "reconfig-req",
-        "reconfig-prep",
-        "epoch-advance epoch 1",
-        "reconfig-done",
-        "migrate stage 1 to reserved",
-    ] {
-        assert!(
-            timeline.contains(needle),
-            "timeline must narrate the transaction (missing {needle:?}):\n{timeline}"
-        );
-    }
+    // Executor 0 is the reserved one; 1 is the first transient.
+    assert!(
+        timeline.contains("executor-drained exec 1"),
+        "timeline must narrate the drain:\n{timeline}"
+    );
 }
 
 #[test]

@@ -23,11 +23,9 @@
 use std::fs;
 use std::time::Duration;
 
-use pado_core::compiler::Placement;
 use pado_core::runtime::{
     assert_clean, temp_wal_path, BackendKind, ChaosPlan, CrashPlan, DirectionFaults, FaultPlan,
-    JobResult, LocalCluster, NetworkFault, ReconfigChange, ReconfigTrigger, RuntimeConfig,
-    ScheduledReconfig, ThreadedBackend,
+    JobResult, LocalCluster, NetworkFault, RuntimeConfig, ThreadedBackend,
 };
 use pado_core::RuntimeError;
 use pado_dag::LogicalDag;
@@ -213,38 +211,22 @@ fn memory_pressure_family_agrees_across_backends() {
     }
 }
 
-/// Family 4: live reconfiguration — epoch-fenced placement changes
-/// triggered by the (backend-invariant) progress clock, layered over
-/// UDF chaos. Epochs, commit/abort resolutions, and outputs must agree.
+/// Family 4: drains — a transient executor cordoned ahead of a
+/// predicted eviction on the (backend-invariant) progress clock, layered
+/// over UDF chaos. Outputs and the deterministic counters must agree.
 #[test]
-fn reconfig_family_agrees_across_backends() {
+fn drain_family_agrees_across_backends() {
     let dag = wordcount_dag();
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7EC0_4F16);
-        let change = if rng.gen_bool(0.5) {
-            ReconfigChange::MigrateStage {
-                stage: 0,
-                to: if rng.gen_bool(0.5) {
-                    Placement::Reserved
-                } else {
-                    Placement::Transient
-                },
-            }
-        } else {
-            ReconfigChange::DrainTransient { nth: 0 }
-        };
         let faults = FaultPlan {
-            reconfigs: vec![ScheduledReconfig {
-                after_done_events: rng.gen_range(1..6usize),
-                plan: change.into(),
-                trigger: ReconfigTrigger::Chaos,
-            }],
+            drains: vec![(rng.gen_range(1..6usize), rng.gen_range(0..3usize))],
             chaos: rng.gen_bool(0.5).then(|| chaos_plan(seed)),
             ..Default::default()
         };
         let sim = run_on(BackendKind::Sim, &dag, config(), faults.clone());
         let threaded = run_on(BackendKind::Threaded, &dag, config(), faults);
-        assert_backends_agree("reconfig", seed, &sim, &threaded);
+        assert_backends_agree("drain", seed, &sim, &threaded);
     }
 }
 

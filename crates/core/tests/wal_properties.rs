@@ -1,8 +1,8 @@
 //! Property tests of the write-ahead log codec and recovery scan: for
 //! arbitrary event sequences,
 //!
-//! - encode → scan round-trips every frame byte-identically (epoch and
-//!   record), with nothing truncated,
+//! - encode → scan round-trips every frame byte-identically (header
+//!   stamp and record), with nothing truncated,
 //! - truncating the image at an arbitrary byte offset always recovers
 //!   exactly the whole frames before the cut — a torn tail, never a
 //!   snapshot fallback,
@@ -11,22 +11,11 @@
 //!   the reported valid prefix is clean and stable,
 //! - completely arbitrary bytes never panic `scan` or `replay`.
 
-use pado_core::compiler::Placement;
 use pado_core::runtime::{
-    encode_frame, inject_corruption, replay, scan, BlockRef, JobEvent, ReconfigChange,
-    ReconfigTrigger, WalCorruption, WalRecord, WalSnapshot,
+    encode_frame, inject_corruption, replay, scan, BlockRef, JobEvent, WalCorruption, WalRecord,
+    WalSnapshot,
 };
 use proptest::prelude::*;
-
-fn placement_strategy() -> impl Strategy<Value = Placement> {
-    any::<bool>().prop_map(|t| {
-        if t {
-            Placement::Transient
-        } else {
-            Placement::Reserved
-        }
-    })
-}
 
 fn block_ref_strategy() -> impl Strategy<Value = BlockRef> {
     prop_oneof![
@@ -42,20 +31,9 @@ fn block_ref_strategy() -> impl Strategy<Value = BlockRef> {
     ]
 }
 
-fn change_strategy() -> impl Strategy<Value = ReconfigChange> {
-    prop_oneof![
-        (0..4usize, placement_strategy())
-            .prop_map(|(stage, to)| ReconfigChange::MigrateStage { stage, to }),
-        (0..6usize, 1..9usize)
-            .prop_map(|(fop, parallelism)| ReconfigChange::Repartition { fop, parallelism }),
-        (0..5usize).prop_map(|nth| ReconfigChange::DrainTransient { nth }),
-    ]
-}
-
 /// A cross-section of the journal vocabulary: master-side scheduling
-/// events, executor-side store events, reconfiguration lifecycle
-/// (including the `String`-carrying abort), and the recovery marker
-/// itself.
+/// events, executor-side store events, a drain, the `String`-carrying
+/// abort marker, and the recovery marker itself.
 fn event_strategy() -> impl Strategy<Value = JobEvent> {
     prop_oneof![
         (
@@ -137,29 +115,8 @@ fn event_strategy() -> impl Strategy<Value = JobEvent> {
             key,
             bytes
         }),
-        (0..100u64, any::<bool>(), change_strategy()).prop_map(|(reconfig, api, change)| {
-            JobEvent::ReconfigRequested {
-                reconfig,
-                trigger: if api {
-                    ReconfigTrigger::Api
-                } else {
-                    ReconfigTrigger::Chaos
-                },
-                change,
-            }
-        }),
-        (0..100u64, change_strategy(), 0..50u64).prop_map(|(reconfig, change, epoch)| {
-            JobEvent::ReconfigCommitted {
-                reconfig,
-                change,
-                epoch,
-            }
-        }),
-        (0..100u64, "[a-z ]{0,16}")
-            .prop_map(|(reconfig, reason)| JobEvent::ReconfigAborted { reconfig, reason }),
-        (0..50u64).prop_map(|epoch| JobEvent::EpochAdvanced { epoch }),
-        (0..9usize, 0..1_000u64, 0..50u64)
-            .prop_map(|(exec, seq, epoch)| JobEvent::StaleFrameFenced { exec, seq, epoch }),
+        (0..9usize).prop_map(|exec| JobEvent::ExecutorDrained { exec }),
+        "[a-z ]{0,16}".prop_map(|reason| JobEvent::RunAborted { reason }),
         Just(JobEvent::MasterRecovered),
         (0..200usize, 0..20usize, any::<bool>()).prop_map(
             |(frames_replayed, frames_truncated, snapshot_restored)| JobEvent::WalRecovered {
@@ -173,7 +130,7 @@ fn event_strategy() -> impl Strategy<Value = JobEvent> {
 
 fn snapshot_strategy() -> impl Strategy<Value = WalSnapshot> {
     (
-        (0..50u64, 0..10_000u64),
+        0..10_000u64,
         proptest::collection::vec(0..10_000u64, 0..6),
         proptest::collection::vec(
             (
@@ -184,26 +141,13 @@ fn snapshot_strategy() -> impl Strategy<Value = WalSnapshot> {
             0..5,
         ),
         proptest::collection::vec(proptest::collection::vec(any::<bool>(), 0..4), 0..4),
-        (
-            proptest::collection::vec(1..9usize, 0..4),
-            proptest::collection::vec(placement_strategy(), 0..4),
-        ),
     )
         .prop_map(
-            |(
-                (epoch, next_attempt),
-                completed_attempts,
-                committed,
-                first_attempted,
-                (parallelism, placement),
-            )| WalSnapshot {
-                epoch,
+            |(next_attempt, completed_attempts, committed, first_attempted)| WalSnapshot {
                 next_attempt,
                 completed_attempts,
                 committed,
                 first_attempted,
-                parallelism,
-                placement,
             },
         )
 }
