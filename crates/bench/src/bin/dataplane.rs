@@ -44,6 +44,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use pado_bench::chaos::{encode_outputs, with_budget, write_artifact};
 use pado_core::exec::{apply_op_block, route, route_hash};
 use pado_core::runtime::{BackendKind, LocalCluster, RuntimeConfig};
 use pado_dag::codec::encode_batch;
@@ -240,17 +241,14 @@ fn run_pipeline(
     mem_budget: usize,
     backend: BackendKind,
 ) -> (f64, u64, pado_core::runtime::JobResult) {
-    let mut config = RuntimeConfig {
+    // The input cache shares the budget; `with_budget` keeps it a small
+    // slice so pinned inputs and pushed blocks get the headroom.
+    let config = RuntimeConfig {
         slots_per_executor: 2,
         threaded_workers: 4,
         ..Default::default()
     };
-    if mem_budget != usize::MAX {
-        config.executor_memory_bytes = mem_budget;
-        // The input cache shares the budget; keep it a small slice so
-        // pinned inputs and pushed blocks get the headroom.
-        config.cache_capacity_bytes = (mem_budget / 4).max(1);
-    }
+    let config = with_budget(config, mem_budget);
     let before = clone_count();
     let t0 = Instant::now();
     let result = LocalCluster::new(2, 2)
@@ -274,31 +272,6 @@ fn out_bytes(result: &pado_core::runtime::JobResult) -> (usize, usize) {
         let block = block_from_vec(records.clone());
         (enc + block.encoded_len(), raw + block.raw_len())
     })
-}
-
-/// Codec-encoded outputs; byte equality is the strongest form of "the
-/// budget did not change the answer".
-fn encode_outputs(result: &pado_core::runtime::JobResult) -> Vec<(String, Vec<u8>)> {
-    result
-        .outputs
-        .iter()
-        .map(|(name, records)| {
-            (
-                name.clone(),
-                pado_dag::codec::encode_batch(records).expect("encodes"),
-            )
-        })
-        .collect()
-}
-
-fn write_trace(path: &str, journal: &pado_core::runtime::EventJournal) {
-    if let Some(dir) = std::path::Path::new(path)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-    {
-        std::fs::create_dir_all(dir).expect("create trace directory");
-    }
-    std::fs::write(path, journal.chrome_trace()).expect("write Chrome trace");
 }
 
 /// `traces/dataplane.trace.json` -> `traces/dataplane-mem.trace.json`.
@@ -447,7 +420,7 @@ fn main() {
     let (secs, clones, result) =
         run_pipeline(&broadcast_heavy_dag(n_e2e, consumers), usize::MAX, backend);
     if let Some(path) = &trace_path {
-        write_trace(path, &result.journal);
+        write_artifact(path, result.journal.chrome_trace());
         println!("wrote Chrome trace of the broadcast-heavy run to {path}");
     }
     let pushed = n_e2e as u64 * consumers as u64;
@@ -492,7 +465,7 @@ fn main() {
         let (secs, _, tight) = run_pipeline(&dag, budget, backend);
         if let Some(path) = &trace_path {
             let mem_path = mem_trace_path(path);
-            write_trace(&mem_path, &tight.journal);
+            write_artifact(&mem_path, tight.journal.chrome_trace());
             println!("wrote Chrome trace of the budgeted run to {mem_path}");
         }
         let m = &tight.metrics;

@@ -3,6 +3,8 @@
 //! per-figure binaries.
 #![warn(missing_docs)]
 
+pub mod chaos;
+
 use pado_dag::LogicalDag;
 use pado_engines::{simulate, CostModel, Mode, RunMetrics, SimConfig, SimError};
 use pado_simcluster::{LifetimeDist, MIN};

@@ -12,6 +12,7 @@
 //! soon as they complete, so an eviction only ever relaunches the evicted
 //! tasks of the running stage.
 #![warn(missing_docs)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod compiler;
 pub mod error;

@@ -31,8 +31,6 @@
 //! order is identical), and must produce byte-identical job outputs —
 //! `crates/core/tests/backend_equivalence.rs` is the differential proof.
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;

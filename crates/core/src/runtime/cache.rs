@@ -5,8 +5,6 @@
 //! reserved executors. When the cache fills, the least recently used entry
 //! is evicted.
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 

@@ -16,8 +16,6 @@
 //! a heartbeat so the master's failure detector can tell a dead executor
 //! from a slow one. Worker slots never touch the wire directly.
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};

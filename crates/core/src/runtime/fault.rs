@@ -27,8 +27,6 @@
 //! documented as intentional in DESIGN.md §14); its coin, like
 //! everything else, draws through this module.
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::collections::BTreeMap;
 
 use crate::compiler::FopId;

@@ -714,11 +714,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 cause = RevertCause::Recovery;
                 // Every attempt in flight at the crash is fenced: the
                 // recovered master must never accept its stale report.
-                for attempt in launched.keys() {
-                    if !terminal.contains(attempt) {
-                        fenced_attempts.insert(*attempt);
-                    }
-                }
+                fenced_attempts.extend(launched.keys().filter(|a| !terminal.contains(a)));
             }
             JobEvent::WalRecovered { .. } => {
                 wal_recoveries += 1;

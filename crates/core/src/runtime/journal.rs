@@ -30,8 +30,6 @@
 //! configuration) and keeps "launch happens-before start" a structural
 //! fact the invariant checker can rely on.
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;

@@ -40,8 +40,6 @@
 //! assert_eq!(counts.len(), 2); // "a" and "b"
 //! ```
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::sync::Arc;
 
 use pado_dag::LogicalDag;

@@ -18,8 +18,6 @@
 //! topological order, and relaunches exactly the tasks whose preserved
 //! outputs were lost.
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1851,10 +1849,11 @@ impl Master {
             };
             let threshold = ((median as f64 * mult) as u64).max(floor);
             let now = self.clock.now();
-            // Never stack duplicates: one speculative race at a time.
+            // Never stack duplicates: one speculative race at a time. And a
+            // duplicate reads its inputs anew: none while a loss has one reverted.
             for (i, a) in self.tasks.sole_attempts(f) {
                 let elapsed = now.saturating_duration_since(a.launched_at).as_millis() as u64;
-                if elapsed > threshold {
+                if elapsed > threshold && self.task_ready(f, i) {
                     stragglers.push((f, i, a.exec));
                 }
             }

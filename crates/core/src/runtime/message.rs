@@ -1,7 +1,5 @@
 //! Control-plane messages between the master and executors.
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::collections::BTreeMap;
 
 use pado_dag::{Block, MainSlot};

@@ -1,7 +1,5 @@
 //! Job-level execution metrics.
 
-#![warn(clippy::iter_over_hash_type)]
-
 /// Counters collected by the master over one job execution.
 ///
 /// `relaunched_tasks` mirrors the paper's "ratio of relaunched tasks to

@@ -742,7 +742,10 @@ impl BlockStore {
             // Unlimited stores journal nothing, so pins taken before this
             // shrink are invisible to replay; emit them now or the
             // matching unpins would look like pins from nowhere.
-            let held: Vec<(BlockRef, usize)> = self.pins.iter().map(|(r, n)| (*r, *n)).collect();
+            // In block order: the map's own differs from process to process.
+            let mut held: Vec<(BlockRef, usize)> =
+                self.pins.iter().map(|(r, n)| (*r, *n)).collect();
+            held.sort_unstable();
             for (r, n) in held {
                 for _ in 0..n {
                     self.emit(JobEvent::BlockPinned {
@@ -1058,6 +1061,25 @@ mod tests {
             .count();
         assert_eq!(pins, 2);
         assert_eq!(unpins, 2);
+    }
+
+    #[test]
+    fn shrink_from_unlimited_replays_pins_in_block_order() {
+        let j = Journal::new();
+        let mut s = BlockStore::new(1, UNLIMITED, j.clone());
+        for index in [5, 2, 7, 0, 3, 6, 1, 4] {
+            s.pin(out(0, index), &block(4)).unwrap();
+        }
+        s.set_budget(16 * bsz());
+        let pinned: Vec<BlockRef> = events(&j)
+            .iter()
+            .filter_map(|e| match e {
+                JobEvent::BlockPinned { block, .. } => Some(*block),
+                _ => None,
+            })
+            .collect();
+        let in_order: Vec<BlockRef> = (0..8).map(|index| out(0, index)).collect();
+        assert_eq!(pinned, in_order, "a journal must not depend on hash order");
     }
 
     #[test]

@@ -28,8 +28,6 @@
 //! on demand: a later loss that reverts a consumer pulls the dataless
 //! producer back in with it.
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::ops::Range;
 use std::time::Instant;

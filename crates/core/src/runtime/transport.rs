@@ -28,8 +28,6 @@
 //!
 //! [`AttemptId`]: crate::runtime::message::AttemptId
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -56,8 +56,6 @@
 //! tag arm in `tests::every_wire_form_is_pinned`, and its `kind` /
 //! `describe` arms in the journal.
 
-#![warn(clippy::iter_over_hash_type)]
-
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};

@@ -14,12 +14,12 @@
 use std::collections::BTreeMap;
 
 use pado_core::runtime::{
-    assert_clean, BackendKind, ChaosPlan, FaultPlan, JobResult, LocalCluster, RuntimeConfig,
+    assert_clean, BackendKind, FaultPlan, JobResult, LocalCluster, RuntimeConfig,
 };
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
 
 mod common;
-use common::{encode_outputs, ints};
+use common::{clean, encode_outputs, ints, run_matrix, SOAK};
 
 /// One-to-one: a narrow map pipeline, no shuffle at all.
 fn one_to_one_dag() -> LogicalDag {
@@ -233,27 +233,9 @@ fn threaded_backend_survives_evictions() {
 #[test]
 #[ignore = "soak test: run explicitly or in CI"]
 fn threaded_soak_under_task_failures() {
-    let dag = hash_shuffle_dag();
-    let baseline = encode_outputs(&run_on(BackendKind::Sim, &dag, FaultPlan::default()));
-    for round in 0..10u64 {
-        let faults = FaultPlan {
-            chaos: Some(ChaosPlan {
-                seed: 0x50AC ^ round,
-                error_prob: 0.15,
-                panic_prob: 0.10,
-                oom_prob: 0.0,
-                delay_prob: 0.10,
-                delay_ms: 2,
-                max_faults_per_task: 2,
-            }),
-            ..Default::default()
-        };
-        let result = run_on(BackendKind::Threaded, &dag, faults);
-        assert_clean(&result.journal, true);
-        assert_eq!(
-            baseline,
-            encode_outputs(&result),
-            "soak round {round}: outputs diverged from the fault-free baseline"
-        );
-    }
+    let shapes = [("hash_shuffle", hash_shuffle_dag())];
+    let rounds = (0..10).map(|round| 0x50AC ^ round);
+    run_matrix(&SOAK, &shapes, rounds, BackendKind::Threaded, |o| {
+        clean(o);
+    });
 }

@@ -11,9 +11,6 @@
 //!   and `MasterRecovered` events pair one to one),
 //! - no double-commits across the crash (a second `TaskCommitted`
 //!   needs an intervening `TaskReverted`),
-//! - the reported metrics equal what the journal derives, so the
-//!   recovery statistics (`wal_recoveries`, frames replayed/truncated,
-//!   snapshot restores) are exactly the journal's story,
 //! - recoveries never exceed the planned crash budget.
 
 use std::collections::HashMap;
@@ -21,79 +18,20 @@ use std::fs;
 
 use pado_core::runtime::{
     temp_wal_path, BackendKind, BlockRef, CrashPlan, FaultPlan, JobEvent, JobResult, LocalCluster,
-    RuntimeConfig, WalCorruption,
+    RuntimeConfig,
 };
 use pado_core::RuntimeError;
-use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, UdfError, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pado_dag::{CombineFn, ParDoFn, Pipeline, SourceFn, UdfError, Value};
 
 mod common;
-use common::{encode_outputs, ints, side_input_dag, wordcount_dag};
+use common::*;
 
 const SEEDS: u64 = 110;
-
-fn crash_config(
-    wal_path: Option<String>,
-    sync_every: usize,
-    snapshot_every: usize,
-) -> RuntimeConfig {
-    RuntimeConfig {
-        slots_per_executor: 2,
-        event_timeout_ms: 10_000,
-        max_task_attempts: 3,
-        executor_fault_threshold: 2,
-        speculation_floor_ms: 50,
-        tick_ms: 5,
-        wal_path,
-        wal_sync_every: sync_every,
-        wal_snapshot_every: snapshot_every,
-        ..Default::default()
-    }
-}
-
-/// One randomized crash schedule: a trigger style (fixed handler
-/// boundary, every-k-th WAL append, or probabilistic per boundary), a
-/// crash budget, and sometimes file corruption between crash and
-/// recovery.
-fn random_crash_plan(rng: &mut StdRng, seed: u64) -> CrashPlan {
-    let mut plan = CrashPlan {
-        seed: seed ^ 0x632a_5b01,
-        max_crashes: rng.gen_range(1..4usize),
-        ..Default::default()
-    };
-    match rng.gen_range(0..3u32) {
-        0 => plan.after_handled_frames = Some(rng.gen_range(1..20u64)),
-        1 => plan.every_kth_append = Some(rng.gen_range(5..40u64)),
-        _ => plan.handler_prob = 0.08,
-    }
-    if rng.gen_bool(0.3) {
-        plan.corruption = Some(WalCorruption {
-            seed: seed ^ 0xc0de,
-            bit_flip_prob: 0.0005,
-            truncate_prob: 0.3,
-        });
-    }
-    plan
-}
 
 fn check_crash_invariants(seed: u64, result: &JobResult, plan: &CrashPlan) {
     // Every recovered run must replay cleanly through the generic
     // invariant checker — law 10 (crash-recovery continuation) included.
     pado_core::runtime::assert_clean(&result.journal, true);
-
-    // The recovery statistics on the result are exactly what the
-    // journal derives (modulo the four wire-level counters the journal
-    // cannot see).
-    let mut derived = result.journal.derive_metrics();
-    derived.messages_dropped = result.metrics.messages_dropped;
-    derived.messages_duplicated = result.metrics.messages_duplicated;
-    derived.messages_deduplicated = result.metrics.messages_deduplicated;
-    derived.max_message_retransmissions = result.metrics.max_message_retransmissions;
-    assert_eq!(
-        derived, result.metrics,
-        "seed {seed}: journal-derived metrics drifted from reported metrics"
-    );
 
     let events = result.journal.to_events();
 
@@ -132,57 +70,11 @@ fn check_crash_invariants(seed: u64, result: &JobResult, plan: &CrashPlan) {
 /// top, and seeded WAL-file corruption on ~30% of seeds.
 #[test]
 fn crash_matrix_preserves_outputs() {
-    let shapes: Vec<(&str, LogicalDag)> = vec![
-        ("wordcount", wordcount_dag()),
-        ("side_input", side_input_dag()),
-    ];
-    let baselines: Vec<Vec<(String, Vec<u8>)>> = shapes
-        .iter()
-        .map(|(name, dag)| {
-            let r = LocalCluster::new(2, 2)
-                .with_config(crash_config(None, 1, 64))
-                .run(dag)
-                .unwrap_or_else(|e| panic!("crash-free baseline {name} failed: {e}"));
-            encode_outputs(&r)
-        })
-        .collect();
-
-    for seed in 0..SEEDS {
-        let shape = (seed % shapes.len() as u64) as usize;
-        let (name, dag) = &shapes[shape];
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(7));
-        let n_transient = rng.gen_range(1..4usize);
-        let n_reserved = rng.gen_range(1..3usize);
-        let sync_every = rng.gen_range(1..4usize);
-        let snapshot_every = rng.gen_range(8..64usize);
-        let plan = random_crash_plan(&mut rng, seed);
-        let evictions = if rng.gen_bool(0.25) {
-            vec![(rng.gen_range(1..10usize), rng.gen_range(0..3usize))]
-        } else {
-            Vec::new()
-        };
-        let wal = temp_wal_path(&format!("crash-matrix-{seed}"));
-        let faults = FaultPlan {
-            evictions,
-            crashes: Some(plan),
-            ..Default::default()
-        };
-        let result = LocalCluster::new(n_transient, n_reserved)
-            .with_config(crash_config(
-                Some(wal.to_string_lossy().into_owned()),
-                sync_every,
-                snapshot_every,
-            ))
-            .run_with_faults(dag, faults.clone())
-            .unwrap_or_else(|e| panic!("seed {seed} ({name}, {plan:?}) failed: {e}"));
-        fs::remove_file(&wal).ok();
-        assert_eq!(
-            encode_outputs(&result),
-            baselines[shape],
-            "seed {seed} ({name}): outputs diverged from crash-free baseline"
-        );
-        check_crash_invariants(seed, &result, &plan);
-    }
+    run_matrix(&CRASH, &chaos_shapes(), 0..SEEDS, BackendKind::Sim, |o| {
+        let (case, result) = clean(o);
+        let plan = case.faults.crashes.expect("every seed crashes");
+        check_crash_invariants(case.seed, result, &plan);
+    });
 }
 
 /// Exhaustive boundary sweep: kill the master at every single handler
@@ -193,7 +85,7 @@ fn every_handler_boundary_recovers() {
     let dag = wordcount_dag();
     let baseline = encode_outputs(
         &LocalCluster::new(2, 2)
-            .with_config(crash_config(None, 1, 64))
+            .with_config(base_config())
             .run(&dag)
             .expect("crash-free baseline"),
     );
@@ -207,11 +99,11 @@ fn every_handler_boundary_recovers() {
             ..Default::default()
         };
         let result = LocalCluster::new(2, 2)
-            .with_config(crash_config(
-                Some(wal.to_string_lossy().into_owned()),
-                1,
-                16,
-            ))
+            .with_config(RuntimeConfig {
+                wal_path: Some(wal.to_string_lossy().into_owned()),
+                wal_snapshot_every: 16,
+                ..base_config()
+            })
             .run_with_faults(
                 &dag,
                 FaultPlan {
@@ -274,9 +166,7 @@ fn a_restart_with_every_executor_alive_refetches_every_commit() {
                         slots_per_executor: 1,
                         executor_memory_bytes: budget,
                         cache_capacity_bytes: 64 << 10,
-                        event_timeout_ms: 10_000,
-                        tick_ms: 5,
-                        ..Default::default()
+                        ..base_config()
                     });
             let what = format!("{backend:?}, budget {budget}");
             let baseline = cluster.run(&dag).expect("fault-free run");
@@ -351,7 +241,7 @@ fn leftover_temp_wals() -> Vec<String> {
 fn restarts_without_a_wal_path_recover_from_a_temp_log_and_remove_it() {
     let dag = wordcount_dag();
     let baseline = LocalCluster::new(2, 2)
-        .with_config(crash_config(None, 1, 64))
+        .with_config(base_config())
         .run(&dag)
         .expect("crash-free baseline");
     let plans = [
@@ -370,7 +260,7 @@ fn restarts_without_a_wal_path_recover_from_a_temp_log_and_remove_it() {
     ];
     for faults in plans {
         let result = LocalCluster::new(2, 2)
-            .with_config(crash_config(None, 1, 64))
+            .with_config(base_config())
             .run_with_faults(&dag, faults.clone())
             .expect("job completes");
         assert_eq!(
@@ -395,7 +285,7 @@ fn restarts_without_a_wal_path_recover_from_a_temp_log_and_remove_it() {
         .sink("Out");
     let failing = p.build().unwrap();
     let err = LocalCluster::new(2, 2)
-        .with_config(crash_config(None, 1, 64))
+        .with_config(base_config())
         .run_with_faults(
             &failing,
             FaultPlan {

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use pado_core::compiler::{compile, InputSlot, PhysicalPlan};
 use pado_core::exec::{apply_chain, route, route_hash};
 use pado_core::runtime::master::required_src_indices;
-use pado_core::runtime::{ChaosPlan, FaultPlan, LocalCluster, RuntimeConfig};
+use pado_core::runtime::{BackendKind, LocalCluster};
 use pado_dag::codec::encode_batch;
 use pado_dag::{
     block_from_vec, block_into_rows, Block, CombineFn, DepType, LogicalDag, MainSlot, ParDoFn,
@@ -19,7 +19,7 @@ use pado_dag::{
 };
 
 mod common;
-use common::ints;
+use common::{base_config, clean, ints, run_matrix, DATAPLANE};
 
 /// The pre-refactor routing semantics: clone every record into its
 /// bucket, once per consumer that asks.
@@ -228,18 +228,6 @@ fn shapes() -> Vec<(&'static str, LogicalDag)> {
         ("groupby", groupby_dag()),
         ("floatkeys", floatkeys_dag()),
     ]
-}
-
-fn config() -> RuntimeConfig {
-    RuntimeConfig {
-        slots_per_executor: 2,
-        event_timeout_ms: 10_000,
-        max_task_attempts: 3,
-        executor_fault_threshold: 2,
-        speculation_floor_ms: 50,
-        tick_ms: 5,
-        ..Default::default()
-    }
 }
 
 #[test]
@@ -470,7 +458,7 @@ fn cluster_outputs_match_cloning_reference_plane() {
         let plan = compile(&dag).unwrap();
         let expected = encode(&run_reference(&dag, &plan));
         let result = LocalCluster::new(2, 2)
-            .with_config(config())
+            .with_config(base_config())
             .run(&dag)
             .unwrap_or_else(|e| panic!("{name}: cluster run failed: {e}"));
         assert_eq!(
@@ -489,38 +477,14 @@ fn chaos_outputs_match_cloning_reference_plane() {
     for (name, dag) in shapes() {
         let plan = compile(&dag).unwrap();
         let expected = encode(&run_reference(&dag, &plan));
-        for seed in 0..8u64 {
-            let faults = FaultPlan {
-                evictions: vec![(2 + (seed as usize % 3), seed as usize % 2)],
-                reserved_failures: if seed % 3 == 0 { vec![(4, 0)] } else { vec![] },
-                master_failure_after: (seed % 4 == 1).then_some(3),
-                chaos: Some(ChaosPlan {
-                    seed,
-                    error_prob: 0.15,
-                    panic_prob: 0.10,
-                    oom_prob: 0.0,
-                    delay_prob: 0.15,
-                    delay_ms: 5,
-                    max_faults_per_task: 2,
-                }),
-                budget_shrinks: Vec::new(),
-                first_attempt_delays: Vec::new(),
-                first_attempt_done_delays: Vec::new(),
-                network: None,
-                drains: Vec::new(),
-                spill_faults: None,
-                crashes: None,
-            };
-            let result = LocalCluster::new(2, 2)
-                .with_config(config())
-                .run_with_faults(&dag, faults)
-                .unwrap_or_else(|e| panic!("{name} seed {seed}: chaos run failed: {e}"));
+        run_matrix(&DATAPLANE, &[(name, dag)], 0..8, BackendKind::Sim, |o| {
+            let (case, result) = clean(o);
             assert_eq!(
                 encode(&result.outputs),
                 expected,
-                "{name} seed {seed}: chaos run diverged from reference"
+                "{name} seed {}: chaos run diverged from reference",
+                case.seed
             );
-            pado_core::runtime::assert_clean(&result.journal, true);
-        }
+        });
     }
 }

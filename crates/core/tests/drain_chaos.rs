@@ -10,9 +10,9 @@
 //!
 //! Invariants enforced per seed:
 //! - outputs byte-identical to the fault-free baseline (codec-encoded),
-//! - the journal replays cleanly through `assert_clean` (every law,
-//!   including law 3's "no launch on a drained executor"),
-//! - journal-derived metrics equal the reported metrics,
+//! - the journal replays cleanly through every law, including law 3's
+//!   "no launch on a drained executor", and the rest of the shared
+//!   `violations`,
 //! - no more drains applied than came due.
 //!
 //! A deterministic property test then pins what a drain buys on the
@@ -20,84 +20,16 @@
 
 use pado_core::compiler::{compile_with, PlanConfig};
 use pado_core::runtime::{
-    assert_clean, eviction_ledger, BackendKind, ChaosPlan, FaultPlan, JobEvent, JobResult,
-    LocalCluster, RuntimeConfig, SpillFaultPlan,
+    assert_clean, eviction_ledger, BackendKind, FaultPlan, JobEvent, JobResult, LocalCluster,
+    RuntimeConfig,
 };
 use pado_dag::LogicalDag;
 use pado_workloads::{als, mlr, mr, AlsConfig, MlrConfig, MrConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{encode_outputs, side_input_dag, wordcount_dag};
+use common::*;
 
 const SEEDS: u64 = 110;
-const MAX_TASK_ATTEMPTS: usize = 4;
-/// Strictly below the retry budget so chaos alone can never exhaust a
-/// task's attempts: every seeded job must complete.
-const MAX_FAULTS_PER_TASK: usize = 2;
-
-fn chaos_config() -> RuntimeConfig {
-    RuntimeConfig {
-        slots_per_executor: 2,
-        event_timeout_ms: 10_000,
-        max_task_attempts: MAX_TASK_ATTEMPTS,
-        executor_fault_threshold: 2,
-        speculation_floor_ms: 50,
-        tick_ms: 5,
-        ..Default::default()
-    }
-}
-
-/// 1–2 drains against the progress clock, earliest first (a fault
-/// family's list fires in list order).
-fn random_drains(rng: &mut StdRng) -> Vec<(usize, usize)> {
-    let mut drains: Vec<(usize, usize)> = (0..rng.gen_range(1..3usize))
-        .map(|_| (rng.gen_range(1..8usize), rng.gen_range(0..6usize)))
-        .collect();
-    drains.sort_unstable();
-    drains
-}
-
-fn random_fault_plan(rng: &mut StdRng, seed: u64) -> FaultPlan {
-    let evictions = (0..rng.gen_range(0..3usize))
-        .map(|_| (rng.gen_range(1..10usize), rng.gen_range(0..3usize)))
-        .collect();
-    let reserved_failures = (0..rng.gen_range(0..2usize))
-        .map(|_| (rng.gen_range(2..10usize), 0))
-        .collect();
-    let master_failure_after = if rng.gen_bool(0.2) {
-        Some(rng.gen_range(3..8usize))
-    } else {
-        None
-    };
-    let spill_faults = rng.gen_bool(0.3).then(|| SpillFaultPlan {
-        seed: seed ^ 0x5349_4C4C,
-        write_prob: rng.gen_range(0.0..0.3),
-        read_prob: rng.gen_range(0.0..0.3),
-    });
-    FaultPlan {
-        evictions,
-        reserved_failures,
-        master_failure_after,
-        chaos: Some(ChaosPlan {
-            seed,
-            error_prob: 0.10,
-            panic_prob: 0.05,
-            oom_prob: 0.0,
-            delay_prob: 0.20,
-            delay_ms: 8,
-            max_faults_per_task: MAX_FAULTS_PER_TASK,
-        }),
-        budget_shrinks: Vec::new(),
-        first_attempt_delays: Vec::new(),
-        first_attempt_done_delays: Vec::new(),
-        network: None,
-        drains: random_drains(rng),
-        spill_faults,
-        crashes: None,
-    }
-}
 
 fn count(events: &[JobEvent], pick: impl Fn(&JobEvent) -> bool) -> usize {
     events.iter().filter(|e| pick(e)).count()
@@ -105,21 +37,6 @@ fn count(events: &[JobEvent], pick: impl Fn(&JobEvent) -> bool) -> usize {
 
 /// Checks one seeded run and returns `(drains due, drains applied)`.
 fn check_drain_invariants(seed: u64, faults: &FaultPlan, result: &JobResult) -> (usize, usize) {
-    assert_clean(&result.journal, true);
-
-    // The metrics surfaced on the result must be exactly what the
-    // journal derives (modulo the four wire-level counters the journal
-    // cannot see, which we copy over before comparing).
-    let mut derived = result.journal.derive_metrics();
-    derived.messages_dropped = result.metrics.messages_dropped;
-    derived.messages_duplicated = result.metrics.messages_duplicated;
-    derived.messages_deduplicated = result.metrics.messages_deduplicated;
-    derived.max_message_retransmissions = result.metrics.max_message_retransmissions;
-    assert_eq!(
-        derived, result.metrics,
-        "seed {seed}: journal-derived metrics drifted from reported metrics"
-    );
-
     // A drain comes due on the commit clock and applies at once or not
     // at all: never more applied than due.
     let events = result.journal.to_events();
@@ -135,44 +52,15 @@ fn check_drain_invariants(seed: u64, faults: &FaultPlan, result: &JobResult) -> 
 
 #[test]
 fn hundred_seeds_of_drain_chaos_preserve_outputs() {
-    let shapes: Vec<(&str, LogicalDag)> = vec![
-        ("wordcount", wordcount_dag()),
-        ("side_input", side_input_dag()),
-    ];
-    let baselines: Vec<Vec<(String, Vec<u8>)>> = shapes
-        .iter()
-        .map(|(name, dag)| {
-            let r = LocalCluster::new(2, 2)
-                .with_config(chaos_config())
-                .run(dag)
-                .unwrap_or_else(|e| panic!("fault-free baseline {name} failed: {e}"));
-            encode_outputs(&r)
-        })
-        .collect();
-
     let (mut applied_total, mut refused_total, mut wrapped) = (0, 0, 0);
-    for seed in 0..SEEDS {
-        let shape = (seed % shapes.len() as u64) as usize;
-        let (name, dag) = &shapes[shape];
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5245_434F_4E46);
-        let n_transient = rng.gen_range(2..4usize);
-        let n_reserved = rng.gen_range(1..3usize);
-        let faults = random_fault_plan(&mut rng, seed);
-        let result = LocalCluster::new(n_transient, n_reserved)
-            .with_config(chaos_config())
-            .run_with_faults(dag, faults.clone())
-            .unwrap_or_else(|e| panic!("seed {seed} ({name}, {faults:?}) failed: {e}"));
-        assert_eq!(
-            encode_outputs(&result),
-            baselines[shape],
-            "seed {seed} ({name}): outputs diverged from fault-free baseline"
-        );
-        let (due, applied) = check_drain_invariants(seed, &faults, &result);
+    run_matrix(&DRAIN, &chaos_shapes(), 0..SEEDS, BackendKind::Sim, |o| {
+        let (case, result) = clean(o);
+        let (due, applied) = check_drain_invariants(case.seed, &case.faults, result);
         applied_total += applied;
         refused_total += due - applied;
-        let past_the_pool = faults.drains.iter().any(|d| d.1 >= n_transient);
+        let past_the_pool = case.faults.drains.iter().any(|d| d.1 >= case.n_transient);
         wrapped += usize::from(past_the_pool && applied == due && due > 0);
-    }
+    });
     // The matrix reaches all three outcomes it was written for.
     assert!(applied_total > 0, "no seed applied a drain");
     assert!(refused_total > 0, "no seed had a drain refused");

@@ -16,12 +16,12 @@
 //! run's outputs byte for byte, and must replay clean through every
 //! invariant law.
 
+use pado_bench::chaos::encode_outputs;
 use pado_core::compiler::{compile_with, PhysicalPlan, PlanConfig};
 use pado_core::runtime::{
     assert_clean, eviction_ledger, BackendKind, CrashPlan, FaultPlan, JobEvent, JobResult,
     LocalCluster, RuntimeConfig,
 };
-use pado_dag::codec::encode_batch;
 use pado_dag::LogicalDag;
 use pado_workloads::{mlr, MlrConfig};
 
@@ -99,14 +99,6 @@ impl Job {
     }
 }
 
-fn encoded(result: &JobResult) -> Vec<(String, Vec<u8>)> {
-    result
-        .outputs
-        .iter()
-        .map(|(name, records)| (name.clone(), encode_batch(records).expect("encodes")))
-        .collect()
-}
-
 /// The task of every event `pick` selects one from.
 fn tasks_where(
     events: &[JobEvent],
@@ -149,7 +141,11 @@ fn evictions_between_stages_relaunch_nothing() {
             ..FaultPlan::default()
         };
         let result = job.run(backend, faults);
-        assert_eq!(encoded(&result), encoded(&baseline), "{backend:?}");
+        assert_eq!(
+            encode_outputs(&result),
+            encode_outputs(&baseline),
+            "{backend:?}"
+        );
         let m = &result.metrics;
         assert_eq!(m.evictions, 4, "{backend:?}");
         assert_eq!(
@@ -185,7 +181,11 @@ fn on_the_fused_plan_evictions_between_stages_find_nothing_at_rest() {
             ..FaultPlan::default()
         };
         let result = job.run(backend, faults);
-        assert_eq!(encoded(&result), encoded(&baseline), "{backend:?}");
+        assert_eq!(
+            encode_outputs(&result),
+            encode_outputs(&baseline),
+            "{backend:?}"
+        );
         let m = &result.metrics;
         assert_eq!(
             (
@@ -221,7 +221,11 @@ fn a_mid_stage_eviction_relaunches_only_unconsumed_work() {
             ..FaultPlan::default()
         };
         let result = job.run(backend, faults);
-        assert_eq!(encoded(&result), encoded(&baseline), "{backend:?}");
+        assert_eq!(
+            encode_outputs(&result),
+            encode_outputs(&baseline),
+            "{backend:?}"
+        );
         let ledger = eviction_ledger(&result.journal);
         let [row] = &ledger[..] else {
             panic!("one eviction, one row: {ledger:?}");
@@ -264,7 +268,11 @@ fn a_reserved_failure_after_drops_recomputes_the_dropped_ancestors() {
             ..FaultPlan::default()
         };
         let result = job.run(backend, faults);
-        assert_eq!(encoded(&result), encoded(&baseline), "{backend:?}");
+        assert_eq!(
+            encode_outputs(&result),
+            encode_outputs(&baseline),
+            "{backend:?}"
+        );
         assert!(result.metrics.stage_recomputations > 0, "{backend:?}");
 
         let events = result.journal.to_events();
@@ -321,7 +329,11 @@ fn a_master_restart_does_not_recompute_what_evictions_dropped() {
         let baseline = job.run(backend, FaultPlan::default());
         for faults in &restarts {
             let result = job.run(backend, faults.clone());
-            assert_eq!(encoded(&result), encoded(&baseline), "{backend:?}");
+            assert_eq!(
+                encode_outputs(&result),
+                encode_outputs(&baseline),
+                "{backend:?}"
+            );
             assert_eq!(result.metrics.wal_recoveries, 1, "{backend:?}");
 
             let events = result.journal.to_events();

@@ -9,7 +9,6 @@
 //! - the journal replays cleanly (occupancy ≤ budget on every store
 //!   event, pinned blocks never spilled, spilled blocks reloaded before
 //!   reuse, OOM'd attempts never commit),
-//! - reported metrics equal journal-derived metrics,
 //! - peak store occupancy stays within the configured budget,
 //! - unbounded runs emit zero spill / defer / OOM events.
 //!
@@ -27,21 +26,15 @@ use std::collections::HashMap;
 
 use pado_core::runtime::message::ExecId;
 use pado_core::runtime::{
-    BlockRef, ChaosPlan, DirectionFaults, EventJournal, FaultPlan, JobEvent, JobResult,
-    LocalCluster, NetworkFault, RuntimeConfig,
+    BackendKind, BlockRef, EventJournal, FaultPlan, JobEvent, JobResult, LocalCluster,
+    RuntimeConfig,
 };
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{encode_outputs, ints, side_input_dag};
+use common::*;
 
 const SEEDS: u64 = 110;
-const MAX_TASK_ATTEMPTS: usize = 3;
-/// Strictly below the retry budget so chaos (UDF errors + OOM combined)
-/// can never exhaust a task's attempts: every seeded job must complete.
-const MAX_FAULTS_PER_TASK: usize = 2;
 
 /// A shuffle-heavy shape: wide read, keyed combine (ManyToMany routing,
 /// so consumers pin routed buckets, not whole outputs).
@@ -101,20 +94,7 @@ fn fop_named(dag: &LogicalDag, name: &str) -> (usize, usize) {
 }
 
 fn config(budget: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        slots_per_executor: 2,
-        event_timeout_ms: 10_000,
-        max_task_attempts: MAX_TASK_ATTEMPTS,
-        executor_fault_threshold: 2,
-        speculation_floor_ms: 50,
-        tick_ms: 5,
-        executor_memory_bytes: budget,
-        // The cache tier lives inside the same budget; keep its
-        // sub-bound under the store budget so validate() accepts tight
-        // configurations.
-        cache_capacity_bytes: (budget / 4).clamp(1, 64 << 20),
-        ..Default::default()
-    }
+    with_budget(base_config(), budget)
 }
 
 /// The largest byte load any one executor ever held in *pinned* blocks
@@ -161,86 +141,8 @@ fn pinned_floor(journal: &EventJournal) -> usize {
     floor
 }
 
-/// Seeded network dimension, same shape as the network-chaos suite but
-/// milder (memory pressure, not the wire, is the protagonist here).
-fn random_network(rng: &mut StdRng, seed: u64) -> NetworkFault {
-    let dir = |rng: &mut StdRng| DirectionFaults {
-        drop_prob: rng.gen_range(0.0..0.10),
-        dup_prob: rng.gen_range(0.0..0.08),
-        reorder_prob: rng.gen_range(0.0..0.08),
-        delay_prob: rng.gen_range(0.0..0.10),
-        delay_ms: rng.gen_range(1..8u64),
-    };
-    NetworkFault {
-        seed: seed ^ 0x4D45_4DFA,
-        to_executor: dir(rng),
-        to_master: dir(rng),
-        partitions: Vec::new(),
-    }
-}
-
-fn random_fault_plan(rng: &mut StdRng, seed: u64, floor: usize, budget: usize) -> FaultPlan {
-    let evictions = (0..rng.gen_range(0..3usize))
-        .map(|_| (rng.gen_range(1..10usize), rng.gen_range(0..3usize)))
-        .collect();
-    let reserved_failures = if rng.gen_bool(0.3) {
-        vec![(rng.gen_range(2..10usize), 0)]
-    } else {
-        Vec::new()
-    };
-    // Chaos shrinks squeeze a reserved executor mid-run but never below
-    // the pinned floor, so the job still completes (the store clamps the
-    // applied budget up to its unspillable occupancy regardless).
-    let budget_shrinks = if rng.gen_bool(0.35) {
-        vec![(
-            rng.gen_range(2..6usize),
-            0,
-            floor.max(budget.saturating_mul(3) / 4),
-        )]
-    } else {
-        Vec::new()
-    };
-    FaultPlan {
-        evictions,
-        reserved_failures,
-        master_failure_after: None,
-        chaos: Some(ChaosPlan {
-            seed,
-            error_prob: 0.10,
-            panic_prob: 0.05,
-            oom_prob: 0.12,
-            delay_prob: 0.10,
-            delay_ms: 5,
-            max_faults_per_task: MAX_FAULTS_PER_TASK,
-        }),
-        budget_shrinks,
-        first_attempt_delays: Vec::new(),
-        first_attempt_done_delays: Vec::new(),
-        network: rng.gen_bool(0.4).then(|| random_network(rng, seed)),
-        drains: Vec::new(),
-        spill_faults: None,
-        crashes: None,
-    }
-}
-
-fn count<F: Fn(&JobEvent) -> bool>(journal: &EventJournal, pred: F) -> usize {
-    journal.events().filter(|e| pred(e)).count()
-}
-
 fn check_seed(seed: u64, result: &JobResult, budget: usize) {
     pado_core::runtime::assert_clean(&result.journal, true);
-
-    // Reported metrics must be exactly what the journal derives (modulo
-    // the four wire-level counters the journal cannot see).
-    let mut derived = result.journal.derive_metrics();
-    derived.messages_dropped = result.metrics.messages_dropped;
-    derived.messages_duplicated = result.metrics.messages_duplicated;
-    derived.messages_deduplicated = result.metrics.messages_deduplicated;
-    derived.max_message_retransmissions = result.metrics.max_message_retransmissions;
-    assert_eq!(
-        derived, result.metrics,
-        "seed {seed}: journal-derived metrics drifted from reported metrics"
-    );
 
     // Self-reported occupancy never exceeded the configured budget (the
     // invariant checker verifies this per event and per shrunk budget;
@@ -250,27 +152,6 @@ fn check_seed(seed: u64, result: &JobResult, budget: usize) {
         "seed {seed}: peak store occupancy {} exceeds the {} B budget",
         result.metrics.peak_store_bytes,
         budget
-    );
-
-    // Every spill pairs with a reload or a release: blocks do not rot on
-    // disk past job end unless their executor died (checker handles the
-    // per-event laws; here we sanity-check the counters agree with the
-    // event stream).
-    assert_eq!(
-        result.metrics.blocks_spilled,
-        count(&result.journal, |e| matches!(
-            e,
-            JobEvent::BlockSpilled { .. }
-        )),
-        "seed {seed}: spill counter drifted"
-    );
-    assert_eq!(
-        result.metrics.oom_injected,
-        count(&result.journal, |e| matches!(
-            e,
-            JobEvent::OomInjected { .. }
-        )),
-        "seed {seed}: OOM counter drifted"
     );
 }
 
@@ -377,14 +258,11 @@ fn tight_reserved_store_defers_and_resumes_pushes() {
 
 #[test]
 fn memory_pressure_matrix_preserves_outputs() {
-    let shapes: Vec<(&str, LogicalDag)> =
-        vec![("shuffle", shuffle_dag()), ("side_input", side_input_dag())];
+    let shapes = [("shuffle", shuffle_dag()), ("side_input", side_input_dag())];
 
     // Unbounded baselines: the answer every budgeted run must reproduce,
     // and proof that an unlimited store is metrically invisible.
-    let mut baselines = Vec::new();
-    let mut floors = Vec::new();
-    let mut peaks = Vec::new();
+    let mut working_sets = Vec::new();
     for (name, dag) in &shapes {
         let unbounded = LocalCluster::new(2, 2)
             .with_config(config(usize::MAX))
@@ -417,43 +295,27 @@ fn memory_pressure_matrix_preserves_outputs() {
         let peak = probe.metrics.peak_store_bytes;
         assert!(floor > 0, "{name}: probe run pinned nothing");
         assert!(peak >= floor, "{name}: peak below pinned floor");
-        baselines.push(encode_outputs(&unbounded));
-        floors.push(floor);
-        peaks.push(peak);
+        working_sets.push((floor, peak));
     }
 
-    let mut total_spills = 0usize;
-    let mut total_loads = 0usize;
-    let mut total_deferred = 0usize;
-    let mut total_oom = 0usize;
-    for seed in 0..SEEDS {
-        let shape = (seed % shapes.len() as u64) as usize;
-        let (name, dag) = &shapes[shape];
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x4D45_4D00);
-        // Budget: a working-set fraction (1/2, 1/3, 1/4 by seed), never
-        // below the pinned floor plus slack for one in-flight reload.
-        let frac = 2 + (seed % 3) as usize;
-        let budget = (peaks[shape] / frac).max(floors[shape] + 64);
-        let n_transient = rng.gen_range(1..4usize);
-        let n_reserved = rng.gen_range(1..3usize);
-        let faults = random_fault_plan(&mut rng, seed, floors[shape], budget);
-        let result = LocalCluster::new(n_transient, n_reserved)
-            .with_config(config(budget))
-            .run_with_faults(dag, faults.clone())
-            .unwrap_or_else(|e| {
-                panic!("seed {seed} ({name}, budget {budget} B, {faults:?}) failed: {e}")
-            });
-        assert_eq!(
-            encode_outputs(&result),
-            baselines[shape],
-            "seed {seed} ({name}, budget {budget} B): outputs diverged from baseline"
-        );
-        check_seed(seed, &result, budget);
-        total_spills += result.metrics.blocks_spilled;
-        total_loads += result.metrics.blocks_loaded;
-        total_deferred += result.metrics.pushes_deferred;
-        total_oom += result.metrics.oom_injected;
-    }
+    // Budget: a working-set fraction (1/2, 1/3, 1/4 by seed), never
+    // below the pinned floor plus slack for one in-flight reload.
+    let family = Family {
+        working_sets: &working_sets,
+        ..MEMORY
+    };
+    let runs = run_matrix(&family, &shapes, 0..SEEDS, BackendKind::Sim, |o| {
+        let (case, result) = clean(o);
+        check_seed(case.seed, result, case.config.executor_memory_bytes);
+    });
+    let (total_spills, total_loads) = (
+        total(&runs, |m| m.blocks_spilled),
+        total(&runs, |m| m.blocks_loaded),
+    );
+    let (total_deferred, total_oom) = (
+        total(&runs, |m| m.pushes_deferred),
+        total(&runs, |m| m.oom_injected),
+    );
 
     // The matrix as a whole must actually exercise the pressure paths:
     // spills happened, spilled blocks were reloaded, and the OOM fault

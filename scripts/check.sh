@@ -4,31 +4,40 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
+# Announces a stage; from the second on, first says how long the last took.
+stage() {
+    if [ -n "${stage_started:-}" ]; then
+        echo "    ($((SECONDS - stage_started)) s)"
+    fi
+    stage_started=$SECONDS
+    echo "==> $*"
+}
+
+stage "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (-D warnings)"
+stage "cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test (every suite and 110-seed matrix in the workspace)"
+stage "cargo test (every suite and 110-seed matrix in the workspace)"
 cargo test --workspace -q
 
-echo "==> benchmark crate (its own workspace: builds against engines/simcluster/core, smoke-runs all four workloads)"
+stage "benchmark crate (its own workspace: builds against engines/simcluster/core, smoke-runs all four workloads)"
 cargo test --offline --manifest-path perf/Cargo.toml -q
 
-echo "==> data-plane small-budget smoke (spill-to-disk, byte-identical)"
+stage "data-plane small-budget smoke (spill-to-disk, byte-identical)"
 cargo run -p pado-bench --release --bin dataplane -- --smoke --mem-budget auto >/dev/null
 
-echo "==> threaded soak (10 rounds of chaos against fault-free sim baseline)"
+stage "threaded soak (10 rounds of chaos against fault-free sim baseline)"
 cargo test -p pado-core --test backend_equivalence -q -- --ignored
 
-echo "==> data-plane smoke on the threaded backend (byte-identity vs sim)"
+stage "data-plane smoke on the threaded backend (byte-identity vs sim)"
 cargo run -p pado-bench --release --bin dataplane -- --smoke --backend threaded >/dev/null
 
-echo "==> production lines, crates/core/src/runtime"
+stage "production lines, crates/core/src/runtime"
 scripts/loc.sh crates/core/src/runtime
 
-echo "==> production-line ceilings (scripts/loc.budget)"
+stage "production-line ceilings (scripts/loc.budget)"
 over=0
 while read -r path ceiling; do
     case "$path" in '' | '#'*) continue ;; esac
@@ -43,4 +52,4 @@ while read -r path ceiling; do
 done <scripts/loc.budget
 [ "$over" -eq 0 ]
 
-echo "All checks passed."
+stage "done in $SECONDS s: all checks passed."
