@@ -1,19 +1,14 @@
 //! Data-plane benchmark: throughput and peak memory of the block-based
-//! intermediate-data path against the pre-refactor cloning plane.
+//! intermediate-data path.
 //!
-//! Three layers:
-//! - **kernels** time just the route+push path — the shared-block plane
-//!   (route once, hand `Arc` references to every consumer) against an
-//!   in-bench reimplementation of the old cloning plane (route per
-//!   consumer, deep-clone the broadcast per consumer task, as the old
-//!   master/executor pair did) — and assert the block plane moves
-//!   broadcast records at least 2× faster while cloning zero of them;
+//! Two layers:
 //! - **grouping kernels** time the vectorized keyed-combine kernel over
 //!   columnar blocks against the pre-refactor row oracle (clone every
-//!   record into a `BTreeMap`, fold per key) on a shuffle-heavy input,
-//!   assert byte-identical outputs and a ≥3× records/sec speedup, and
-//!   report how far the column codecs compress the keyed working set
-//!   below its row encoding;
+//!   record into a `BTreeMap`, fold per key) on a shuffle-heavy input —
+//!   once over i64 keys and once over the `mr` workload's `page-{k}`
+//!   string keys — assert byte-identical outputs and a ≥3× records/sec
+//!   speedup for each, and report how far the column codecs compress
+//!   the keyed working set below its row encoding;
 //! - **end-to-end** runs shuffle-heavy and broadcast-heavy pipelines on
 //!   the in-process cluster, reporting records/sec, compressed output
 //!   bytes, total record clones, and peak resident set (`VmHWM`).
@@ -23,9 +18,8 @@
 //! [--backend <sim|threaded>]`
 //! `--smoke` shrinks datasets for CI. `--backend` selects the execution
 //! backend for the end-to-end sections (default sim); a final section
-//! always races the two backends head-to-head on the shuffle-heavy plan
-//! and asserts byte-identical outputs (plus a >=1.5x threaded wall-clock
-//! speedup in full mode on >=4-core hosts). `--trace <path>` writes a
+//! always races the two backends head-to-head on the shuffle-heavy plan,
+//! asserts byte-identical outputs and reports the ratio. `--trace <path>` writes a
 //! Chrome-trace JSON of the broadcast-heavy end-to-end run's event
 //! journal to `<path>` (open it in chrome://tracing or Perfetto).
 //! `--mem-budget` adds a third section: the shuffle-heavy pipeline runs
@@ -45,13 +39,12 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use pado_bench::chaos::{encode_outputs, with_budget, write_artifact};
-use pado_core::exec::{apply_op_block, route, route_hash};
+use pado_core::exec::apply_op_block;
 use pado_core::runtime::{BackendKind, LocalCluster, RuntimeConfig};
 use pado_dag::codec::encode_batch;
 use pado_dag::value::clone_count;
 use pado_dag::{
-    block_from_vec, Block, CombineFn, DepType, MainSlot, ParDoFn, Pipeline, SourceFn, TaskInput,
-    Value,
+    block_from_vec, Block, CombineFn, MainSlot, ParDoFn, Pipeline, SourceFn, TaskInput, Value,
 };
 
 /// Peak resident set size of this process in bytes (`VmHWM`), if the
@@ -67,114 +60,24 @@ fn fmt_rate(records: u64, secs: f64) -> String {
     format!("{:>8.1}M rec/s", records as f64 / secs / 1e6)
 }
 
-/// The pre-refactor routing: clone every record into its bucket.
-fn route_cloning(records: &[Value], dep: DepType, src_index: usize, p: usize) -> Vec<Vec<Value>> {
-    let p = p.max(1);
-    let mut buckets: Vec<Vec<Value>> = vec![Vec::new(); p];
-    match dep {
-        DepType::OneToOne | DepType::ManyToOne => {
-            buckets[src_index % p].extend(records.iter().cloned());
-        }
-        DepType::OneToMany => {
-            for b in &mut buckets {
-                b.extend(records.iter().cloned());
-            }
-        }
-        DepType::ManyToMany => {
-            for r in records {
-                let i = (route_hash(r) % p as u64) as usize;
-                buckets[i].push(r.clone());
-            }
-        }
-    }
-    buckets
-}
+/// Builds the key of a keyed record from its key number.
+type KeyFn = fn(i64) -> Value;
 
-fn checksum(records: &[Value]) -> i64 {
-    records
-        .iter()
-        .map(|v| v.as_i64().unwrap_or(1))
-        .fold(0i64, |a, b| a.wrapping_add(b))
-}
-
-/// Broadcast kernel: one producer output pushed to `consumers` tasks.
-/// Returns (blocks secs, cloning secs, records moved).
-fn broadcast_kernel(n: usize, consumers: usize) -> (f64, f64, u64) {
-    let data: Vec<Value> = (0..n as i64).map(Value::from).collect();
-    let block: Block = block_from_vec(data.clone());
-    let moved = (n * consumers) as u64;
-
-    // Block plane: route once, every consumer reads the shared block.
-    let before = clone_count();
-    let t0 = Instant::now();
-    let mut sum = 0i64;
-    let buckets = route(&block, DepType::OneToMany, 0, consumers);
-    for b in &buckets {
-        sum = sum.wrapping_add(checksum(b));
-    }
-    let block_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        clone_count() - before,
-        0,
-        "block broadcast must clone zero records"
-    );
-
-    // Cloning plane: the old master routed per consumer launch and the
-    // old executor deep-cloned the broadcast before applying the chain.
-    let before = clone_count();
-    let t0 = Instant::now();
-    let mut old_sum = 0i64;
-    for i in 0..consumers {
-        let routed = route_cloning(&data, DepType::OneToMany, 0, consumers);
-        let task_input: Vec<Value> = routed[i].clone();
-        old_sum = old_sum.wrapping_add(checksum(&task_input));
-    }
-    let cloning_secs = t0.elapsed().as_secs_f64();
-    assert!(
-        clone_count() - before >= moved,
-        "cloning baseline under-counts"
-    );
-    assert_eq!(sum, old_sum, "planes disagree on broadcast contents");
-    (block_secs, cloning_secs, moved)
-}
-
-/// Shuffle kernel: one producer output hashed to `consumers` tasks, each
-/// consumer pulling its bucket. Returns (blocks secs, cloning secs, records).
-fn shuffle_kernel(n: usize, consumers: usize) -> (f64, f64, u64) {
-    let data: Vec<Value> = (0..n as i64)
-        .map(|i| Value::pair(Value::from(i % 1024), Value::from(i)))
-        .collect();
-    let block: Block = block_from_vec(data.clone());
-
-    // Block plane: one routing pass (memoized by the master), consumers
-    // share the bucket blocks.
-    let t0 = Instant::now();
-    let buckets = route(&block, DepType::ManyToMany, 0, consumers);
-    let mut sum = 0i64;
-    for b in &buckets {
-        sum = sum.wrapping_add(b.len() as i64);
-    }
-    let block_secs = t0.elapsed().as_secs_f64();
-
-    // Cloning plane: the old master re-routed the whole output once per
-    // consumer task.
-    let t0 = Instant::now();
-    let mut old_sum = 0i64;
-    for i in 0..consumers {
-        let routed = route_cloning(&data, DepType::ManyToMany, 0, consumers);
-        old_sum = old_sum.wrapping_add(routed[i].len() as i64);
-    }
-    let cloning_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(sum, old_sum, "planes disagree on shuffle sizes");
-    (block_secs, cloning_secs, n as u64)
-}
-
-/// Shuffle-heavy keyed working set: `n` pairs over 4096 i64 keys.
-fn keyed_rows(n: usize) -> Vec<Value> {
+/// Shuffle-heavy keyed working set: `n` pairs over 4096 keys, each key
+/// `key(i % 4096)`.
+fn keyed_rows(n: usize, key: KeyFn) -> Vec<Value> {
     (0..n as i64)
-        .map(|i| Value::pair(Value::from(i % 4096), Value::from(1i64)))
+        .map(|i| Value::pair(key(i % 4096), Value::from(1i64)))
         .collect()
 }
+
+/// The two key shapes the grouping kernel is timed on: i64, and the
+/// `mr` workload's page names, which group through the abbreviated-key
+/// string sort.
+const KEY_SHAPES: [(&str, KeyFn); 2] = [
+    ("i64", Value::from),
+    ("page-{k}", |k| Value::from(format!("page-{k}"))),
+];
 
 /// Grouping kernel: the vectorized keyed combine over columnar blocks
 /// against the pre-refactor row oracle — clone every record, group
@@ -182,7 +85,7 @@ fn keyed_rows(n: usize) -> Vec<Value> {
 /// shuffle-heavy input. The kernel side is `apply_op_block`, the
 /// block-returning path the engine's chains run. Returns (kernel secs,
 /// oracle secs, records, the kernel output's layout).
-fn combine_kernel(n: usize, parts: usize) -> (f64, f64, u64, &'static str) {
+fn combine_kernel(n: usize, parts: usize, key: KeyFn) -> (f64, f64, u64, &'static str) {
     let p = Pipeline::new();
     let src = p.read("Src", 1, SourceFn::from_vec(Vec::new()));
     src.combine_per_key("Count", CombineFn::sum_i64())
@@ -193,7 +96,7 @@ fn combine_kernel(n: usize, parts: usize) -> (f64, f64, u64, &'static str) {
         .find(|&id| dag.op(id).name == "Count")
         .expect("combine op");
 
-    let rows = keyed_rows(n);
+    let rows = keyed_rows(n, key);
     let per = (n / parts.max(1)).max(1);
     let blocks: Vec<Block> = rows
         .chunks(per)
@@ -360,53 +263,34 @@ fn main() {
         "data-plane bench ({})",
         if smoke { "smoke" } else { "full" }
     );
-    println!("\n== kernels: route+push, {n_kernel} records -> {consumers} consumers ==");
-
-    let (b, c, moved) = broadcast_kernel(n_kernel, consumers);
-    let speedup = c / b;
-    println!(
-        "broadcast  blocks {}   cloning {}   speedup {speedup:>6.1}x",
-        fmt_rate(moved, b),
-        fmt_rate(moved, c),
-    );
-    assert!(
-        speedup >= 2.0,
-        "block plane must beat the cloning plane >=2x on broadcast (got {speedup:.2}x)"
-    );
-
-    let (b, c, n_rec) = shuffle_kernel(n_kernel, consumers);
-    println!(
-        "shuffle    blocks {}   cloning {}   speedup {:>6.1}x",
-        fmt_rate(n_rec, b),
-        fmt_rate(n_rec, c),
-        c / b,
-    );
-
     println!("\n== grouping kernels: vectorized combine vs row oracle, {n_kernel} records ==");
-    let (k, c, n_rec, layout) = combine_kernel(n_kernel, 4);
-    let speedup = c / k;
-    println!(
-        "combine    kernel {}   oracle  {}   speedup {speedup:>6.1}x   output layout: {layout}",
-        fmt_rate(n_rec, k),
-        fmt_rate(n_rec, c),
-    );
-    assert!(
-        speedup >= 3.0,
-        "vectorized keyed combine must beat the row oracle >=3x on a \
-         shuffle-heavy input (got {speedup:.2}x)"
-    );
-    let working_set = block_from_vec(keyed_rows(n_kernel));
-    println!(
-        "blocks     {} records  {} B raw -> {} B encoded ({:.2}x smaller)",
-        working_set.len(),
-        working_set.raw_len(),
-        working_set.encoded_len(),
-        working_set.raw_len() as f64 / working_set.encoded_len() as f64,
-    );
-    assert!(
-        working_set.encoded_len() < working_set.raw_len(),
-        "the column codecs must compress the keyed working set below its row encoding"
-    );
+    for (shape, key) in KEY_SHAPES {
+        let (k, c, n_rec, layout) = combine_kernel(n_kernel, 4, key);
+        let speedup = c / k;
+        println!(
+            "combine    {shape:<9} keys  kernel {}   oracle  {}   speedup {speedup:>6.1}x   \
+             output layout: {layout}",
+            fmt_rate(n_rec, k),
+            fmt_rate(n_rec, c),
+        );
+        assert!(
+            speedup >= 3.0,
+            "vectorized keyed combine must beat the row oracle >=3x on a \
+             shuffle-heavy input of {shape} keys (got {speedup:.2}x)"
+        );
+        let working_set = block_from_vec(keyed_rows(n_kernel, key));
+        println!(
+            "blocks     {shape:<9} keys  {} records  {} B raw -> {} B encoded ({:.2}x smaller)",
+            working_set.len(),
+            working_set.raw_len(),
+            working_set.encoded_len(),
+            working_set.raw_len() as f64 / working_set.encoded_len() as f64,
+        );
+        assert!(
+            working_set.encoded_len() < working_set.raw_len(),
+            "the column codecs must compress the keyed working set below its row encoding"
+        );
+    }
 
     println!("\n== end-to-end: in-process cluster ==");
     let (secs, clones, result) = run_pipeline(&shuffle_heavy_dag(n_e2e), usize::MAX, backend);

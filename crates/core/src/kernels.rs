@@ -3,15 +3,17 @@
 //! When every input block of a `GroupByKey`, `Combine`, or hash-shuffle
 //! route exposes a column layout, these kernels run over the flat column
 //! vectors instead of dispatching per boxed [`Value`] record: grouping
-//! is a stable sort of a `u32` permutation, routing is a primitive copy
+//! is one sort of (u64 key, position) pairs, routing is a primitive copy
 //! per record, and neither clones a single `Value`. The row
 //! implementations in [`crate::exec`] remain the semantic oracle — every
 //! kernel here must produce byte-identical output, which the equivalence
 //! suites assert across the chaos matrices:
 //!
-//! - grouping order: a stable sort by (key, input position) reproduces
+//! - grouping order: a sort by (key, input position) reproduces
 //!   `BTreeMap<Value, _>` iteration exactly — ascending keys (floats by
-//!   `total_cmp` via a monotone bit map), values in encounter order;
+//!   `total_cmp` via a monotone bit map, strings by an 8-byte
+//!   abbreviation with a full-bytes tie-break), values in encounter
+//!   order ([`ScalarCol::sort_perm`]);
 //! - shuffle buckets: [`ScalarCol::hash_at`] feeds the same
 //!   `DefaultHasher` the same tag byte and payload writes as
 //!   `Value::hash`, so every record lands in the row path's bucket.
@@ -67,15 +69,11 @@ pub fn gather_columns(mains: &[MainSlot]) -> Option<Vec<&Columns>> {
 /// calls `emit(key_index, &positions)` where positions are the original
 /// input indices in encounter order.
 fn for_each_group(keys: &ScalarCol, mut emit: impl FnMut(u32, &[u32])) {
-    let perm = keys.sort_perm();
-    let mut i = 0;
-    while i < perm.len() {
-        let mut j = i + 1;
-        while j < perm.len() && keys.eq_at(perm[i] as usize, perm[j] as usize) {
-            j += 1;
-        }
-        emit(perm[i], &perm[i..j]);
-        i = j;
+    let (perm, starts) = keys.sort_perm();
+    let ends = starts.iter().skip(1).map(|&e| e as usize);
+    for (start, end) in starts.iter().zip(ends.chain([perm.len()])) {
+        let run = &perm[*start as usize..end];
+        emit(run[0], run);
     }
 }
 

@@ -452,6 +452,123 @@ fn non_pair_records_error_instead_of_vanishing() {
     }
 }
 
+/// FNV-1a over every byte written into it.
+struct Fnv(u64);
+
+impl Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// One `mr::dag` job's data plane run task by task as the executor runs
+/// it — each map task's chain output pre-aggregated for the reduce
+/// combine, then cut into reducer buckets; each reducer's chain over its
+/// buckets — folded into one FNV-1a hash: `encode_block` of every
+/// pre-aggregated map output, every bucket and every reducer output,
+/// then `encode_batch` of every reducer's rows.
+fn mr_dataplane_hash(records: usize, pages: usize, seed: u64) -> u64 {
+    use pado_core::runtime::executor::{combine_consumer, preaggregate};
+    use pado_dag::colcodec::encode_block;
+    use pado_workloads::{mr, MrConfig};
+
+    let cfg = MrConfig {
+        records,
+        pages,
+        partitions: 32,
+        reducers: 8,
+        seed,
+    };
+    let dag = mr::dag(&cfg);
+    let plan = compile(&dag).unwrap();
+    let shuffle = (0..plan.fops.len())
+        .flat_map(|f| plan.out_edges(f))
+        .find(|e| e.dep == DepType::ManyToMany)
+        .expect("map-reduce has one shuffle");
+    let (maps, reducers) = (plan.fops[shuffle.src].parallelism, cfg.reducers);
+    let (f, keyed) = combine_consumer(&dag, &plan, shuffle.src).expect("combine consumer");
+    let none = BTreeMap::new();
+
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut buckets: Vec<Vec<Block>> = vec![Vec::new(); reducers];
+    for i in 0..maps {
+        let out = apply_chain(&dag, &plan.fops[shuffle.src], i, &[], &none).unwrap();
+        let out = preaggregate(out, &f, keyed).unwrap();
+        h.write(&encode_block(&out).unwrap());
+        for (j, b) in route(&out, DepType::ManyToMany, i, reducers)
+            .into_iter()
+            .enumerate()
+        {
+            h.write(&encode_block(&b).unwrap());
+            buckets[j].push(b);
+        }
+    }
+    let outs: Vec<Block> = buckets
+        .into_iter()
+        .enumerate()
+        .map(|(j, parts)| {
+            let mains = [MainSlot::from_blocks(parts)];
+            apply_chain(&dag, &plan.fops[shuffle.dst], j, &mains, &none).unwrap()
+        })
+        .collect();
+    for out in &outs {
+        h.write(&encode_block(out).unwrap());
+    }
+    for out in &outs {
+        h.write(&encode_batch(out.rows()).unwrap());
+    }
+    h.0
+}
+
+/// Every byte the map-reduce data plane encodes, pinned by hash: the
+/// grouping sort, the dictionary finder and the LZ matcher may get
+/// faster, but they may not change one map output, bucket or reducer
+/// output. The hashes were recorded before those kernels were rewritten.
+#[test]
+fn mr_dataplane_bytes_are_pinned() {
+    let settings: [((usize, usize), [u64; 3]); 3] = [
+        (
+            (250_000, 100_000),
+            [
+                0xf51c_7de2_2acc_98f6,
+                0xde61_2989_86c2_837e,
+                0x8baf_daa0_5977_c2f6,
+            ],
+        ),
+        (
+            (20_000, 50),
+            [
+                0x8c95_ea73_d194_d7cf,
+                0xf6f7_fe8c_f100_f6b9,
+                0x8efa_4e35_ce43_63b1,
+            ],
+        ),
+        (
+            (5_000, 5_000),
+            [
+                0x8ffd_70e9_0e59_321e,
+                0xa9b5_0c66_b942_aedc,
+                0x1f79_3178_ebb8_7e8d,
+            ],
+        ),
+    ];
+    let got: Vec<((usize, usize), [u64; 3])> = std::thread::scope(|s| {
+        let runs: Vec<_> = settings
+            .iter()
+            .map(|&((records, pages), _)| {
+                s.spawn(move || {
+                    let hashes = [1, 2, 3].map(|seed| mr_dataplane_hash(records, pages, seed));
+                    ((records, pages), hashes)
+                })
+            })
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    assert_eq!(got, settings, "(records, pages) -> hashes for seeds 1-3");
+}
+
 #[test]
 fn cluster_outputs_match_cloning_reference_plane() {
     for (name, dag) in shapes() {

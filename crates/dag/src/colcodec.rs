@@ -98,19 +98,53 @@ fn i64_deltas(vals: &[i64]) -> impl Iterator<Item = u64> + '_ {
     })
 }
 
+/// Slots of the linear-probing table [`dict_entries`] finds distinct
+/// items with: four per possible entry.
+const DICT_SLOTS: usize = 1024;
+
+const SLOT_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Where an item hashing to `h` starts probing: the top bits of `h`
+/// times an odd constant.
+fn home_slot(h: u64) -> usize {
+    (h.wrapping_mul(SLOT_MUL) >> (64 - DICT_SLOTS.trailing_zeros())) as usize
+}
+
+/// An item's bytes folded in 8 at a time (length first, the last word
+/// zero-padded).
+fn bytes_hash(item: &[u8]) -> u64 {
+    item.chunks(8).fold(item.len() as u64, |h, word| {
+        let mut w = [0u8; 8];
+        w[..word.len()].copy_from_slice(word);
+        (h.rotate_left(5) ^ u64::from_le_bytes(w)).wrapping_mul(SLOT_MUL)
+    })
+}
+
 /// The distinct items in ascending order, or `None` when there are more
 /// than [`DICT_MAX`] of them. A dictionary index is an item's position
-/// here.
-fn dict_entries<T: Ord>(items: impl Iterator<Item = T>) -> Option<Vec<T>> {
+/// here. Items are found in a [`DICT_SLOTS`]-slot table of `u16`
+/// indices into the entries (0 = empty), sorted once at the end.
+fn dict_entries<T: Ord>(
+    items: impl Iterator<Item = T>,
+    hash: impl Fn(&T) -> u64,
+) -> Option<Vec<T>> {
+    let mut slots = [0u16; DICT_SLOTS];
     let mut entries: Vec<T> = Vec::new();
-    for x in items {
-        if let Err(at) = entries.binary_search(&x) {
-            if entries.len() == DICT_MAX {
-                return None;
+    'items: for x in items {
+        let mut s = home_slot(hash(&x));
+        while slots[s] != 0 {
+            if entries[slots[s] as usize - 1] == x {
+                continue 'items;
             }
-            entries.insert(at, x);
+            s = (s + 1) % DICT_SLOTS;
         }
+        if entries.len() == DICT_MAX {
+            return None;
+        }
+        entries.push(x);
+        slots[s] = entries.len() as u16;
     }
+    entries.sort_unstable();
     Some(entries)
 }
 
@@ -153,7 +187,7 @@ fn enc_col(col: &ScalarCol, out: &mut Vec<u8>) -> Result<()> {
             out.push(KIND_I64);
             out.extend_from_slice(&n.to_le_bytes());
             let direct_len: usize = i64_deltas(vals).map(varint_len).sum();
-            match dict_entries(vals.iter().copied()) {
+            match dict_entries(vals.iter().copied(), |&x| x as u64) {
                 Some(entries) if 2 + entries.len() * 8 + vals.len() < direct_len => {
                     out.push(CODEC_DICT);
                     enc_i64_dict(vals, &entries, out);
@@ -183,7 +217,7 @@ fn enc_col(col: &ScalarCol, out: &mut Vec<u8>) -> Result<()> {
             out.extend_from_slice(&n.to_le_bytes());
             let item_len = |item: &[u8]| varint_len(item.len() as u64) + item.len();
             let direct_len: usize = packed_items(p).map(item_len).sum();
-            match dict_entries(packed_items(p)) {
+            match dict_entries(packed_items(p), |x| bytes_hash(x)) {
                 Some(entries)
                     if 2 + entries.iter().map(|e| item_len(e)).sum::<usize>() + p.len()
                         < direct_len =>
@@ -502,14 +536,14 @@ mod tests {
     }
 
     fn new_i64_dict(vals: &[i64]) -> Option<Vec<u8>> {
-        let entries = dict_entries(vals.iter().copied())?;
+        let entries = dict_entries(vals.iter().copied(), |&x| x as u64)?;
         let mut out = Vec::new();
         enc_i64_dict(vals, &entries, &mut out);
         Some(out)
     }
 
     fn new_packed_dict(p: &Packed) -> Option<Vec<u8>> {
-        let entries = dict_entries(packed_items(p))?;
+        let entries = dict_entries(packed_items(p), |x| bytes_hash(x))?;
         let mut out = Vec::new();
         enc_packed_dict(p, &entries, &mut out);
         Some(out)
@@ -557,6 +591,29 @@ mod tests {
             assert_eq!(new_packed_dict(&p), oracle::enc_packed_dict(&p));
             assert_matches_oracle(&ScalarCol::Str(p.clone()));
             assert_matches_oracle(&ScalarCol::Bytes(p));
+        }
+        // Items that all start probing in the table's last slot: one
+        // probe run holds every entry and wraps around to slot 0.
+        let last = DICT_SLOTS - 1;
+        let ints: Vec<i64> = (0..)
+            .filter(|&x| home_slot(x as u64) == last)
+            .take(257)
+            .collect();
+        let items: Vec<Vec<u8>> = (0..)
+            .map(|k: u32| format!("collide-{k}").into_bytes())
+            .filter(|b| home_slot(bytes_hash(b)) == last)
+            .take(257)
+            .collect();
+        for distinct in [1usize, 255, 256, 257] {
+            let picks: Vec<usize> = (0..distinct).rev().chain(0..distinct.min(40)).collect();
+            let vals: Vec<i64> = picks.iter().map(|&i| ints[i]).collect();
+            assert_eq!(new_i64_dict(&vals), oracle::enc_i64_dict(&vals));
+            assert_eq!(new_i64_dict(&vals).is_some(), distinct <= DICT_MAX);
+            assert_matches_oracle(&ScalarCol::I64(vals));
+            let p = packed_from_items(picks.iter().map(|&i| items[i].as_slice())).unwrap();
+            assert_eq!(new_packed_dict(&p), oracle::enc_packed_dict(&p));
+            assert_eq!(new_packed_dict(&p).is_some(), distinct <= DICT_MAX);
+            assert_matches_oracle(&ScalarCol::Str(p));
         }
     }
 

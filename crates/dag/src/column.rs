@@ -68,6 +68,26 @@ impl Packed {
     pub fn buffer(&self) -> &[u8] {
         &self.bytes
     }
+
+    /// Length of the longest prefix every item starts with (0 when
+    /// empty).
+    pub fn common_prefix_len(&self) -> usize {
+        let first: &[u8] = if self.is_empty() { &[] } else { self.get(0) };
+        (1..self.len()).fold(first.len(), |len, i| {
+            let same = first[..len].iter().zip(self.get(i));
+            same.take_while(|(a, b)| a == b).count()
+        })
+    }
+}
+
+/// The first 8 bytes of `item`, zero-padded, as a big-endian u64: its
+/// unsigned order agrees with the items' byte order wherever two
+/// abbreviations differ.
+fn abbreviation(item: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    let n = item.len().min(8);
+    word[..n].copy_from_slice(&item[..n]);
+    u64::from_be_bytes(word)
 }
 
 /// One homogeneous column of scalar values.
@@ -183,35 +203,50 @@ impl ScalarCol {
         }
     }
 
-    /// Bit-level equality of two positions — the same equivalence the
-    /// row path's `BTreeMap<Value, _>` uses (`total_cmp` for floats).
-    pub fn eq_at(&self, a: usize, b: usize) -> bool {
-        match self {
-            ScalarCol::I64(v) => v[a] == v[b],
-            ScalarCol::F64(v) => v[a].to_bits() == v[b].to_bits(),
-            ScalarCol::Str(p) | ScalarCol::Bytes(p) => p.get(a) == p.get(b),
-        }
-    }
-
     /// A stable permutation of `0..len` sorting by value in exactly the
     /// order `BTreeMap<Value, _>` iterates (ascending `Ord`, floats by
-    /// `total_cmp`); ties keep their original positions, so grouped
-    /// values appear in input order.
-    pub fn sort_perm(&self) -> Vec<u32> {
-        let mut idx: Vec<u32> = (0..self.len() as u32).collect();
-        match self {
-            ScalarCol::I64(v) => idx.sort_by_key(|&i| v[i as usize]),
-            ScalarCol::F64(v) => {
-                // Monotone map of the IEEE bits onto u64 reproducing
-                // `f64::total_cmp`'s order.
-                let keys: Vec<u64> = v.iter().map(|x| total_order_key(*x)).collect();
-                idx.sort_by_key(|&i| keys[i as usize]);
-            }
+    /// `total_cmp`, bit-level equality), and where in it each run of
+    /// equal values starts. Ties keep their input order.
+    ///
+    /// One sort of `(normalized key, position)` pairs for every kind: an
+    /// i64 with its sign bit flipped, a float's [`total_order_key`], and
+    /// for str/bytes the [`abbreviation`] of what follows the column's
+    /// common prefix. Only a run of equal abbreviations whose items
+    /// differ is re-sorted, by the full bytes.
+    pub fn sort_perm(&self) -> (Vec<u32>, Vec<u32>) {
+        let (mut keyed, packed): (Vec<(u64, u32)>, _) = match self {
+            ScalarCol::I64(v) => (
+                v.iter().map(|&x| (x as u64) ^ 1 << 63).zip(0..).collect(),
+                None,
+            ),
+            ScalarCol::F64(v) => (
+                v.iter().map(|&x| total_order_key(x)).zip(0..).collect(),
+                None,
+            ),
             ScalarCol::Str(p) | ScalarCol::Bytes(p) => {
-                idx.sort_by(|&a, &b| p.get(a as usize).cmp(p.get(b as usize)));
+                let skip = p.common_prefix_len();
+                let abbreviated = (0..p.len()).map(|i| (abbreviation(&p.get(i)[skip..]), i as u32));
+                (abbreviated.collect(), Some(p))
             }
+        };
+        keyed.sort_unstable();
+        let mut starts = Vec::new();
+        let mut i = 0;
+        while i < keyed.len() {
+            let j = i + keyed[i..].iter().take_while(|x| x.0 == keyed[i].0).count();
+            starts.push(i as u32);
+            if let Some(p) = packed {
+                let item = |&(_, at): &(u64, u32)| p.get(at as usize);
+                let run = &mut keyed[i..j];
+                if run.iter().any(|x| item(x) != item(&run[0])) {
+                    run.sort_unstable_by(|a, b| item(a).cmp(item(b)).then(a.1.cmp(&b.1)));
+                    let differs = (i + 1..j).filter(|&k| item(&keyed[k]) != item(&keyed[k - 1]));
+                    starts.extend(differs.map(|k| k as u32));
+                }
+            }
+            i = j;
         }
-        idx
+        (keyed.into_iter().map(|(_, at)| at).collect(), starts)
     }
 
     /// Bytes this column would occupy in the row (per-record) encoding:
@@ -355,6 +390,7 @@ pub fn analyze(rows: &[Value]) -> Option<Columns> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::hash_map::DefaultHasher;
 
     fn hash_value(v: &Value) -> u64 {
@@ -433,7 +469,11 @@ mod tests {
             }
         }
         if let Columns::Scalar(c) = &cols {
-            assert!(!c.eq_at(1, 2), "-0.0 and +0.0 must stay distinct keys");
+            assert_eq!(
+                c.sort_perm().1.len(),
+                3,
+                "-0.0 and +0.0 must stay distinct keys"
+            );
         }
     }
 
@@ -476,23 +516,108 @@ mod tests {
         }
     }
 
+    /// `sort_perm` of `rows` (one scalar column) against the reference:
+    /// `BTreeMap<Value, _>` iteration order, insertion order within a
+    /// key, one run per key.
+    fn assert_sort_perm_is_btreemap_order(rows: &[Value]) {
+        use std::collections::BTreeMap;
+        let Some(Columns::Scalar(c)) = analyze(rows) else {
+            panic!("expected a scalar column")
+        };
+        let mut groups: BTreeMap<&Value, Vec<u32>> = BTreeMap::new();
+        for (i, r) in rows.iter().enumerate() {
+            groups.entry(r).or_default().push(i as u32);
+        }
+        let starts: Vec<u32> = groups
+            .values()
+            .scan(0, |at, g| {
+                let start = *at;
+                *at += g.len() as u32;
+                Some(start)
+            })
+            .collect();
+        let perm: Vec<u32> = groups.into_values().flatten().collect();
+        assert_eq!(c.sort_perm(), (perm, starts), "{rows:?}");
+    }
+
+    fn strs(items: &[&str]) -> Vec<Value> {
+        items.iter().map(|&s| Value::from(s)).collect()
+    }
+
+    fn blobs(items: &[&[u8]]) -> Vec<Value> {
+        items.iter().map(|&b| Value::Bytes(Arc::from(b))).collect()
+    }
+
     #[test]
     fn sort_perm_matches_value_ordering() {
-        use std::collections::BTreeMap;
-        let vals = [3.5, f64::NAN, -0.0, 0.0, -f64::NAN, f64::INFINITY, -1.0];
-        let rows: Vec<Value> = vals.iter().map(|&x| Value::from(x)).collect();
-        let Some(Columns::Scalar(c)) = analyze(&rows) else {
-            panic!("expected f64 column")
-        };
-        let perm = c.sort_perm();
-        // Reference order: BTreeMap over Value keys (total_cmp),
-        // insertion order within a key.
-        let mut groups: BTreeMap<Value, Vec<u32>> = BTreeMap::new();
-        for (i, r) in rows.iter().enumerate() {
-            groups.entry(r.clone()).or_default().push(i as u32);
+        let vals = [
+            3.5,
+            f64::NAN,
+            -0.0,
+            0.0,
+            -f64::NAN,
+            f64::INFINITY,
+            -1.0,
+            3.5,
+        ];
+        assert_sort_perm_is_btreemap_order(&vals.map(Value::from));
+        let ints = [5, i64::MIN, -1, 0, i64::MAX, -1, 1, i64::MIN];
+        assert_sort_perm_is_btreemap_order(&ints.map(Value::from));
+        for items in [
+            // A shared prefix longer than 8 bytes.
+            &[
+                "shared-prefix/b",
+                "shared-prefix/a",
+                "shared-prefix/ab",
+                "shared-prefix/b",
+            ][..],
+            // Equal for 8 bytes past the common prefix `p:`.
+            &[
+                "p:abcdefgh2",
+                "p:abcdefgh",
+                "p:abcdefgh1",
+                "p:a",
+                "p:abcdefgh1",
+                "p:abcdefgh",
+            ],
+            &["ab\0", "ab", "a", "ab\0\0", "ab", "ab\0"],
+            &["", "a", "", "b", ""],
+            &["same", "same", "same"],
+            &["solo"],
+            // The common prefix is a whole item.
+            &[
+                "abc",
+                "abcdef",
+                "abc",
+                "abcd",
+                "abcdefghijklm",
+                "abcdefghijkl",
+            ],
+        ] {
+            assert_sort_perm_is_btreemap_order(&strs(items));
         }
-        let expected: Vec<u32> = groups.into_values().flatten().collect();
-        assert_eq!(perm, expected);
+        assert_sort_perm_is_btreemap_order(&blobs(&[
+            b"\xff",
+            b"\0",
+            b"",
+            b"\0\0",
+            b"\0",
+            b"\xff\0\0\0\0\0\0\0\0",
+            b"\xff",
+        ]));
+    }
+
+    proptest! {
+        #[test]
+        fn sort_perm_orders_byte_strings_like_the_btreemap(
+            items in proptest::collection::vec(
+                proptest::collection::vec((0usize..4).prop_map(|i| [0u8, 1, b'a', 0xff][i]), 0..13),
+                1..40,
+            ),
+        ) {
+            let items: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
+            assert_sort_perm_is_btreemap_order(&blobs(&items));
+        }
     }
 
     #[test]

@@ -56,9 +56,37 @@ fn emit(out: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) {
     }
 }
 
+/// Length of the match between the earlier position `c` and `i`, whose
+/// first [`MIN_MATCH`] bytes are known equal: compared 8 bytes at a time
+/// (the first differing byte is the lowest set byte of the XOR), then
+/// byte by byte within 8 bytes of the end.
+#[inline]
+fn match_len(input: &[u8], c: usize, i: usize) -> usize {
+    let n = input.len();
+    let word = |at: usize| u64::from_le_bytes(input[at..at + 8].try_into().expect("8 bytes"));
+    let mut len = MIN_MATCH;
+    while i + len + 8 <= n {
+        let diff = word(c + len) ^ word(i + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while i + len < n && input[c + len] == input[i + len] {
+        len += 1;
+    }
+    len
+}
+
 /// Compresses `input`. The output is only useful with [`decompress`] and
 /// the original length; it is not self-framing.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    compress_with(input, match_len)
+}
+
+/// [`compress`] with the match-extension step as a parameter, so the
+/// tests can run the byte-wise oracle through the same matcher.
+fn compress_with(input: &[u8], extend: impl Fn(&[u8], usize, usize) -> usize) -> Vec<u8> {
     let n = input.len();
     let mut out = Vec::with_capacity(n / 2 + 16);
     if n <= MIN_MATCH {
@@ -77,10 +105,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         if cand > 0 {
             let c = cand - 1;
             if i - c <= MAX_OFFSET && input[c..c + MIN_MATCH] == input[i..i + MIN_MATCH] {
-                let mut len = MIN_MATCH;
-                while i + len < n && input[c + len] == input[i + len] {
-                    len += 1;
-                }
+                let len = extend(input, c, i);
                 emit(&mut out, &input[anchor..i], Some((i - c, len)));
                 i += len;
                 anchor = i;
@@ -115,6 +140,18 @@ fn read_run_len(input: &[u8], pos: &mut usize) -> Result<usize, &'static str> {
 /// `expected_len` bytes.
 pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, &'static str> {
     let mut out = Vec::with_capacity(expected_len);
+    decompress_into(input, expected_len, &mut out)?;
+    Ok(out)
+}
+
+/// [`decompress`] into `out`, which never grows past `expected_len`: a
+/// literal run or match that would overshoot it is rejected before a
+/// byte of it is copied.
+fn decompress_into(
+    input: &[u8],
+    expected_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), &'static str> {
     let mut pos = 0usize;
     while pos < input.len() {
         let token = input[pos];
@@ -126,6 +163,9 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, &'static
         let end = pos.checked_add(lit).ok_or("lz: literal overflow")?;
         if end > input.len() {
             return Err("lz: truncated literals");
+        }
+        if out.len() + lit > expected_len {
+            return Err("lz: output exceeds expected length");
         }
         out.extend_from_slice(&input[pos..end]);
         pos = end;
@@ -144,26 +184,29 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, &'static
         if offset == 0 || offset > out.len() {
             return Err("lz: bad match offset");
         }
-        // Matches may overlap their own output (offset < len), so copy
-        // byte-at-a-time from the already-written tail.
-        let start = out.len() - offset;
-        for k in 0..mlen {
-            let b = out[start + k];
-            out.push(b);
-        }
-        if out.len() > expected_len {
+        if out.len() + mlen > expected_len {
             return Err("lz: output exceeds expected length");
+        }
+        let start = out.len() - offset;
+        if offset >= mlen {
+            out.extend_from_within(start..start + mlen);
+        } else {
+            // Overlapping its own output: byte by byte from the tail.
+            for k in start..start + mlen {
+                out.push(out[k]);
+            }
         }
     }
     if out.len() != expected_len {
         return Err("lz: output length mismatch");
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(data: &[u8]) {
         let packed = compress(data);
@@ -228,6 +271,72 @@ mod tests {
     fn compression_is_deterministic() {
         let data = b"deterministic deterministic deterministic".repeat(7);
         assert_eq!(compress(&data), compress(&data));
+    }
+
+    /// The byte-at-a-time match extension [`match_len`] replaced: the
+    /// oracle it must agree with.
+    fn match_len_bytewise(input: &[u8], c: usize, i: usize) -> usize {
+        let mut len = MIN_MATCH;
+        while i + len < input.len() && input[c + len] == input[i + len] {
+            len += 1;
+        }
+        len
+    }
+
+    fn assert_matches_bytewise_oracle(data: &[u8]) {
+        assert_eq!(
+            compress(data),
+            compress_with(data, match_len_bytewise),
+            "{data:?}"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn word_wise_matching_emits_the_bytewise_tokens(
+            random in proptest::collection::vec(any::<u8>(), 0..300),
+            period in 1usize..20,
+            len in 0usize..400,
+            tail in 0usize..10,
+        ) {
+            let small: Vec<u8> = random.iter().map(|b| b % 3).collect();
+            assert_matches_bytewise_oracle(&random);
+            assert_matches_bytewise_oracle(&small);
+            assert_matches_bytewise_oracle(&vec![0u8; len]);
+            let periodic: Vec<u8> = (0..len).map(|k| random.get(k % period).copied().unwrap_or(7)).collect();
+            assert_matches_bytewise_oracle(&periodic);
+            // A repeat of a prefix that ends `tail` bytes before the end
+            // of the input, followed by bytes that break it.
+            let mut near_end = random.clone();
+            near_end.extend_from_slice(&random[..random.len().min(len)]);
+            near_end.extend((0..tail).map(|k| !random.get(k).copied().unwrap_or(0)));
+            assert_matches_bytewise_oracle(&near_end);
+        }
+    }
+
+    #[test]
+    fn a_match_past_the_expected_length_is_rejected_before_it_is_copied() {
+        // One literal, then a period-1 match of ~1 M bytes: a 4 KiB input
+        // claiming to expand 255x past the 16 bytes it is expected to.
+        let mut input = vec![0x1f, b'a', 1, 0];
+        input.extend([255; 4096]);
+        input.push(0);
+        let mut out = Vec::with_capacity(16);
+        let capacity = out.capacity();
+        assert_eq!(
+            decompress_into(&input, 16, &mut out),
+            Err("lz: output exceeds expected length")
+        );
+        assert!(out.len() <= 16, "output grew to {} bytes", out.len());
+        assert_eq!(out.capacity(), capacity, "output reallocated");
+        // The same bound holds for a non-overlapping match and a literal
+        // run.
+        let mut copy = vec![0x84];
+        copy.extend_from_slice(b"abcdefgh");
+        copy.extend_from_slice(&[8, 0]);
+        assert_eq!(decompress(&copy, 16).unwrap(), b"abcdefghabcdefgh");
+        assert!(decompress(&copy, 12).is_err());
+        assert!(decompress(&[0x30, 1, 2, 3], 2).is_err());
     }
 
     #[test]
