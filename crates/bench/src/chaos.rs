@@ -424,11 +424,7 @@ pub fn violations(
         ));
     }
     let m = &result.metrics;
-    // The crash family batches syncs and corrupts the log, so a restart
-    // can lose `TaskLaunched` frames and re-count relaunches as originals.
-    if faults.crashes.is_none()
-        && m.tasks_launched != m.original_tasks + m.relaunched_tasks + m.speculative_launches
-    {
+    if m.tasks_launched != m.original_tasks + m.relaunched_tasks + m.speculative_launches {
         out.push(format!("launch ledger out of balance: {m:?}"));
     }
     if m.max_message_retransmissions > MAX_RETRANSMISSIONS {
@@ -561,7 +557,6 @@ mod tests {
             index: 0,
             attempt,
             exec,
-            relaunch: false,
             side_bytes_sent: 0,
             side_bytes_saved: 0,
             side_cache_misses: 0,
@@ -668,12 +663,13 @@ mod tests {
         let mut result = result(false);
         result.metrics.tasks_launched += 1;
         assert_one(judged(&result, &FaultPlan::default()), "launch ledger");
-        // The crash family is exempt: a restart can lose launch frames.
+        // A crash plan is judged too: relaunches are read from the
+        // journal, which a restart does not lose.
         let crashing = FaultPlan {
             crashes: Some(CrashPlan::default()),
             ..Default::default()
         };
-        assert_eq!(judged(&result, &crashing), Vec::<String>::new());
+        assert_one(judged(&result, &crashing), "launch ledger");
     }
 
     #[test]

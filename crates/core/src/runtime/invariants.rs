@@ -1015,7 +1015,6 @@ mod tests {
             index,
             attempt,
             exec,
-            relaunch: false,
             side_bytes_sent: 0,
             side_bytes_saved: 0,
             side_cache_misses: 0,

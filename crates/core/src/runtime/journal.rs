@@ -30,7 +30,7 @@
 //! configuration) and keeps "launch happens-before start" a structural
 //! fact the invariant checker can rely on.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,8 +63,6 @@ pub enum JobEvent {
         attempt: AttemptId,
         /// Executor chosen.
         exec: ExecId,
-        /// Whether this is a relaunch (not the first attempt).
-        relaunch: bool,
         /// Side-input bytes shipped with this launch (cache misses).
         side_bytes_sent: usize,
         /// Side-input bytes served from the executor cache instead.
@@ -634,19 +632,17 @@ impl EventJournal {
             original_tasks: self.meta.original_tasks(),
             ..JobMetrics::default()
         };
+        let mut launched = Launched(HashSet::with_capacity(m.original_tasks));
         for r in &self.records {
             match &r.event {
                 JobEvent::TaskLaunched {
-                    relaunch,
                     side_bytes_sent,
                     side_bytes_saved,
                     side_cache_misses,
                     ..
                 } => {
                     m.tasks_launched += 1;
-                    if *relaunch {
-                        m.relaunched_tasks += 1;
-                    }
+                    m.relaunched_tasks += usize::from(launched.relaunch(&r.event));
                     m.side_bytes_sent += side_bytes_sent;
                     m.side_bytes_saved += side_bytes_saved;
                     m.cache_misses += side_cache_misses;
@@ -753,6 +749,7 @@ impl EventJournal {
     /// serial execution — the golden-test form.
     pub fn render_timeline(&self, show_times: bool) -> String {
         let mut out = String::new();
+        let mut launched = Launched::default();
         for (pos, r) in self.records.iter().enumerate() {
             out.push_str(&format!("{pos:>5}  "));
             if show_times {
@@ -763,6 +760,9 @@ impl EventJournal {
                 None => out.push_str("--  "),
             }
             out.push_str(&describe(&r.event));
+            if launched.relaunch(&r.event) {
+                out.push_str(" (relaunch)");
+            }
             out.push('\n');
         }
         out
@@ -1028,6 +1028,24 @@ fn instant_of(event: &JobEvent) -> Option<(String, ExecId)> {
     }
 }
 
+/// The tasks launched so far in a walk over the journal. A relaunch is a
+/// fact of history: a `TaskLaunched` is one when an earlier record
+/// launched the same task. The in-memory journal survives a master
+/// restart, so the count holds whatever the WAL lost.
+#[derive(Default)]
+struct Launched(HashSet<(FopId, usize)>);
+
+impl Launched {
+    /// Whether `event` is a `TaskLaunched` of a task launched before (a
+    /// speculative duplicate always follows its task's launch).
+    fn relaunch(&mut self, event: &JobEvent) -> bool {
+        match event {
+            JobEvent::TaskLaunched { fop, index, .. } => !self.0.insert((*fop, *index)),
+            _ => false,
+        }
+    }
+}
+
 /// One-line human description of an event (the timeline body).
 fn describe(event: &JobEvent) -> String {
     match event {
@@ -1036,12 +1054,8 @@ fn describe(event: &JobEvent) -> String {
             index,
             attempt,
             exec,
-            relaunch,
             ..
-        } => {
-            let tag = if *relaunch { " (relaunch)" } else { "" };
-            format!("launch        task {fop}.{index} attempt {attempt} on exec {exec}{tag}")
-        }
+        } => format!("launch        task {fop}.{index} attempt {attempt} on exec {exec}"),
         JobEvent::SpeculativeLaunched {
             fop,
             index,
@@ -1208,13 +1222,13 @@ mod tests {
         }
     }
 
-    fn launched(attempt: AttemptId, relaunch: bool) -> JobEvent {
+    /// A launch of task 0.0.
+    fn launched(attempt: AttemptId) -> JobEvent {
         JobEvent::TaskLaunched {
             fop: 0,
             index: 0,
             attempt,
             exec: 1,
-            relaunch,
             side_bytes_sent: 8,
             side_bytes_saved: 0,
             side_cache_misses: 1,
@@ -1238,7 +1252,7 @@ mod tests {
     fn task_started_anchors_after_its_launch() {
         // Raw order: launch a1, commit a1, (late-arriving) start a1.
         let records = vec![
-            rec(0, launched(1, false)),
+            rec(0, launched(1)),
             rec(1, committed(1)),
             rec(
                 2,
@@ -1266,7 +1280,7 @@ mod tests {
     #[test]
     fn derive_metrics_folds_every_event_kind() {
         let records = vec![
-            rec(0, launched(1, false)),
+            rec(0, launched(1)),
             rec(
                 1,
                 JobEvent::TaskFailed {
@@ -1276,7 +1290,7 @@ mod tests {
                     exec: 1,
                 },
             ),
-            rec(2, launched(2, true)),
+            rec(2, launched(2)),
             rec(3, committed(2)),
             rec(4, JobEvent::ContainerEvicted(1)),
             rec(5, JobEvent::TaskReverted { fop: 0, index: 0 }),
@@ -1297,7 +1311,7 @@ mod tests {
                     seq: 4,
                 },
             ),
-            rec(10, launched(3, true)),
+            rec(10, launched(3)),
             rec(11, JobEvent::ExecutorDeclaredDead(1)),
             rec(
                 12,
@@ -1308,6 +1322,19 @@ mod tests {
                 },
             ),
             rec(13, JobEvent::ContainerAdded(3)),
+            // Task 1.0's first launch: relaunches are counted per task.
+            rec(
+                14,
+                JobEvent::TaskLaunched {
+                    fop: 1,
+                    index: 0,
+                    attempt: 4,
+                    exec: 2,
+                    side_bytes_sent: 0,
+                    side_bytes_saved: 0,
+                    side_cache_misses: 0,
+                },
+            ),
         ];
         let meta = JournalMeta {
             parallelism: vec![1],
@@ -1336,8 +1363,12 @@ mod tests {
         assert_eq!(m.outputs_dropped, 1);
         assert_eq!(m.executors_declared_dead, 1);
         assert_eq!(m.original_tasks, 1);
-        assert_eq!(m.tasks_launched, 3);
+        // Task 0.0 launched three times: its second and third launches
+        // are relaunches, read from history.
+        assert_eq!(m.tasks_launched, 4);
         assert_eq!(m.relaunched_tasks, 2);
+        let relaunch_lines = journal.render_timeline(false);
+        assert_eq!(relaunch_lines.matches("(relaunch)").count(), 2);
         assert_eq!(m.task_failures, 1);
         assert_eq!(m.evictions, 1);
         assert_eq!(m.stage_recomputations, 1);
@@ -1353,7 +1384,7 @@ mod tests {
     #[test]
     fn timeline_elides_times_when_asked() {
         let j = Journal::new();
-        j.emit(Some(0), launched(1, false));
+        j.emit(Some(0), launched(1));
         let ej = j.freeze(JournalMeta::default());
         let with = ej.render_timeline(true);
         let without = ej.render_timeline(false);
@@ -1366,7 +1397,7 @@ mod tests {
     #[test]
     fn chrome_trace_emits_duration_per_attempt() {
         let j = Journal::new();
-        j.emit(Some(0), launched(1, false));
+        j.emit(Some(0), launched(1));
         j.emit(
             Some(0),
             JobEvent::TaskStarted {

@@ -48,7 +48,7 @@ use crate::runtime::transport::{
     mix64, DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, ReliableSender,
     TransportCounters, Wire,
 };
-use crate::runtime::wal::{temp_wal_path, WalCorruption, WalRecord, WalSnapshot, WalWriter};
+use crate::runtime::wal::{temp_wal_path, WalCorruption, WalRecord, WalWriter};
 
 // The event schema lives with the journal; re-exported here because the
 // events were born in this module and callers still import them from it.
@@ -375,9 +375,8 @@ impl Master {
         for _ in 0..n_transient {
             master.spawn_executor(Placement::Transient);
         }
-        // Genesis snapshot: the first-launch table's shape is durable
-        // before any event, so a recovery replay can mark launches even
-        // when the first crash lands before the first periodic snapshot.
+        // Genesis snapshot: the log opens on the table's durable form,
+        // and the crash family's append clock counts it.
         master.append_wal_snapshot()?;
         Ok(master)
     }
@@ -1342,31 +1341,14 @@ impl Master {
         self.outputs.get(&(fop, index)).map(|o| &o.block)
     }
 
-    /// The master's durable progress record, built from live state. The
-    /// completed-attempt set is ascending so the frame bytes are a pure
-    /// function of the state.
-    fn wal_snapshot(&self) -> WalSnapshot {
-        WalSnapshot {
-            next_attempt: self.tasks.next_attempt(),
-            completed_attempts: self.tasks.completed(),
-            committed: self
-                .tasks
-                .committed()
-                .map(|(f, i, locations)| (f, i, locations.to_vec()))
-                .collect(),
-            first_attempted: self.tasks.first_attempted().to_vec(),
-        }
-    }
-
     /// Appends (and syncs) a compacting snapshot frame. A no-op without
     /// an armed WAL.
     fn append_wal_snapshot(&mut self) -> Result<(), RuntimeError> {
         let Some(wal) = self.wal.as_ref().map(Arc::clone) else {
             return Ok(());
         };
-        let snap = self.wal_snapshot();
         let mut w = wal.lock();
-        w.append(&WalRecord::Snapshot(snap))?;
+        w.append(&WalRecord::Snapshot(self.tasks.snapshot()))?;
         w.sync()
     }
 
@@ -1401,17 +1383,17 @@ impl Master {
     /// Kills the master and rebuilds it from the write-ahead log: the
     /// unsynced WAL suffix is lost (the simulated page cache), optional
     /// seeded corruption mangles the surviving image, and the recovery
-    /// scan replays the longest valid prefix.
+    /// scan replays the longest valid prefix into the task table's
+    /// durable form, from which the table restarts (DESIGN.md §14).
     ///
-    /// The replay carries the completion log and the block location table
-    /// (refetched from surviving executor stores). Everything else is
-    /// in-memory state of the dead master and resets, retry budgets and
-    /// executor fault
-    /// counts included. `faults` is not the master's: the harness's
-    /// schedule keeps injected faults bounded per task across the
-    /// restart. Executors outlive the master, lifecycle state and
-    /// transport sessions (sequence numbers, dedup windows) included: the
-    /// in-process model restarts master *state*, not its sockets.
+    /// Everything else is in-memory state of the dead master and resets,
+    /// retry budgets and executor fault counts included. `faults` is not
+    /// the master's: the harness's schedule keeps injected faults bounded
+    /// per task across the restart. Executors outlive the master,
+    /// lifecycle state and transport sessions (sequence numbers, dedup
+    /// windows) included: the in-process model restarts master *state*,
+    /// not its sockets. So does the in-memory journal, which is where a
+    /// relaunch is read from.
     fn crash_and_recover(
         &mut self,
         corruption: Option<&WalCorruption>,
@@ -1420,8 +1402,7 @@ impl Master {
             RuntimeError::Invariant("master restart requested with no WAL armed".into())
         })?;
         let rec = wal.lock().crash_and_recover(corruption)?;
-        // The in-memory journal survives (replicated progress record);
-        // the recovery markers are the first thing the new master logs,
+        // The recovery markers are the first thing the new master logs,
         // and law 10 fences every in-flight pre-crash attempt at the
         // `MasterRecovered` mark.
         self.journal.emit(None, JobEvent::MasterRecovered);
@@ -1433,106 +1414,67 @@ impl Master {
                 snapshot_restored: rec.snapshot_restored,
             },
         );
-        // What the dead master's journal says of each commit: the task,
-        // and an executor holding its output (`None` once dropped, or
-        // when the only copy is the job sink's).
-        let done_before: Vec<(FopId, usize, Option<ExecId>)> = self
-            .tasks
-            .committed()
-            .map(|(f, i, locations)| (f, i, locations.first().copied()))
-            .collect();
-
-        // The task table restarts (DESIGN.md §14): every task pending, the
-        // idempotence keystone *replaced* by the WAL's completion log,
-        // every pre-crash attempt id fenced.
-        let n_fops = self.job.plan.fops.len();
-        let fenced = self.tasks.reset(
-            &rec.first_attempted,
-            rec.completed_attempts.iter().copied(),
-            rec.max_attempt,
-        );
-        // Pins belong to the fenced pre-crash attempts; the executors
-        // outlive the master, so their memory holds lift now. Deferred
-        // pushes die with the dead master's queue.
-        for a in &fenced {
-            self.release_pins(a);
+        // The executors outlive the master, so the fenced attempts' pins
+        // lift before the refetch below needs the room. Deferred pushes
+        // die with the dead master's queue.
+        for a in self.tasks.fence() {
+            self.release_pins(&a);
         }
         self.deferred_pushes.clear();
         self.outputs.clear();
         self.side_cache.clear();
+        self.assigned.clear();
+        for info in self.executors.values_mut() {
+            info.failures = 0;
+        }
 
-        // Rebuild the location table: every replayed commit is restored;
-        // one whose locations still point at alive executors refetches
-        // its block from their stores, a sink-safe terminal output falls
-        // back to the durable result parts, and any other stays committed
-        // without data — the settle pass below decides, by the rule every
-        // executor loss follows, which of those a consumer still needs.
-        for ((f, i), locations) in rec.committed {
-            if f >= n_fops || i >= self.tasks.width(f) {
-                // A frame that survived the CRC by chance: drop it, the
-                // task table has no slot.
-                continue;
-            }
-            let mut locs: Vec<ExecId> = locations
-                .into_iter()
-                .filter(|l| self.executors.get(l).is_some_and(ExecInfo::live))
+        // Each logged commit keeps the locations still alive; its block is
+        // refetched from one of them, a terminal output falls back to the
+        // durable result parts (and is not restored without one), and any
+        // other stays committed without data for `settle` to judge.
+        let (executors, outputs, parts) =
+            (&self.executors, &mut self.outputs, &mut self.result_parts);
+        let plan = &self.job.plan;
+        let undone = self.tasks.restart(&rec.snapshot, |f, i, logged| {
+            let mut locations: Vec<ExecId> = logged
+                .iter()
+                .copied()
+                .filter(|l| executors.get(l).is_some_and(ExecInfo::live))
                 .collect();
             let r = BlockRef::Output { fop: f, index: i };
-            let mut block = locs.iter().find_map(|l| {
-                let info = self.executors.get(l)?;
-                let fetched = info.store.lock().get(r);
+            let mut block = locations.iter().find_map(|l| {
+                let fetched = executors.get(l)?.store.lock().get(r);
                 fetched.ok().flatten()
             });
-            if self.job.plan.outs(f).is_empty() {
-                block = block.or_else(|| self.result_parts.get(&(f, i)).map(Arc::clone));
-                let Some(block) = &block else {
-                    continue;
-                };
-                self.result_parts.insert((f, i), Arc::clone(block));
+            if plan.outs(f).is_empty() {
+                block = block.or_else(|| parts.get(&(f, i)).map(Arc::clone));
+                parts.insert((f, i), Arc::clone(block.as_ref()?));
             }
             match block {
                 // A refetched block arrives without buckets; its first
                 // shuffle read routes it (`Master::routed_bucket`).
                 Some(block) => {
                     let buckets = Vec::new();
-                    self.outputs.insert((f, i), Output { block, buckets });
+                    outputs.insert((f, i), Output { block, buckets });
                 }
-                None => locs.clear(),
+                None => locations.clear(),
             }
-            self.tasks.commit(f, i, locs);
-        }
-        self.tasks.settle();
+            Some(locations)
+        });
         // Result parts of tasks the log no longer believes committed
         // must not leak into the job output: their tasks recompute and
         // re-commit identical bytes.
         let tasks = &self.tasks;
         self.result_parts.retain(|&(f, i), _| tasks.is_done(f, i));
-
-        self.assigned.clear();
-        for info in self.executors.values_mut() {
-            info.failures = 0;
+        for (fop, index) in undone.reverted {
+            let stage = Some(self.meta.stage_of[fop]);
+            self.journal
+                .emit(stage, JobEvent::TaskReverted { fop, index });
         }
-        // Bring the journal in line with the recovered table: log every
-        // commit the crash rolled back (recomputation follows), then
-        // every output it left without a copy that nobody needs.
-        for &(f, i, _) in &done_before {
-            if !self.tasks.is_done(f, i) {
-                self.journal.emit(
-                    Some(self.meta.stage_of[f]),
-                    JobEvent::TaskReverted { fop: f, index: i },
-                );
-            }
-        }
-        for &(f, i, held_by) in &done_before {
-            let Some(exec) = held_by else { continue };
-            if self.tasks.is_done(f, i) && !self.outputs.contains_key(&(f, i)) {
-                let dropped = JobEvent::OutputDropped {
-                    fop: f,
-                    index: i,
-                    exec,
-                };
-                self.journal.emit(Some(self.meta.stage_of[f]), dropped);
-            }
+        for (fop, index, exec) in undone.dropped {
+            let stage = Some(self.meta.stage_of[fop]);
+            self.journal
+                .emit(stage, JobEvent::OutputDropped { fop, index, exec });
         }
         self.note_stage_transitions();
         // A fresh snapshot compacts the replay for the next crash and
@@ -1641,7 +1583,7 @@ impl Master {
             && self.job.config.partial_aggregation
             && combine_consumer(&self.job.dag, &self.job.plan, fop).is_some();
 
-        let (attempt, relaunch) = self.tasks.begin(Attempt {
+        let attempt = self.tasks.begin(Attempt {
             fop,
             index,
             exec,
@@ -1667,7 +1609,6 @@ impl Master {
                     index,
                     attempt,
                     exec,
-                    relaunch,
                     side_bytes_sent: side.sent,
                     side_bytes_saved: side.saved,
                     side_cache_misses: side.misses,
@@ -2137,21 +2078,17 @@ mod tests {
     // (the chaos suites cover the stochastic orderings).
 
     fn test_master() -> Master {
-        test_master_with(FaultPlan::default())
+        test_master_with(FaultPlan::default(), Default::default())
     }
 
-    fn test_master_with(faults: FaultPlan) -> Master {
+    fn test_master_with(faults: FaultPlan, config: crate::runtime::RuntimeConfig) -> Master {
         use pado_dag::{Pipeline, SourceFn};
         let p = Pipeline::new();
         p.read("R", 1, SourceFn::from_vec(vec![Value::from(1i64)]))
             .sink("S");
         let dag = p.build().unwrap();
         let plan = crate::compiler::compile(&dag).unwrap();
-        let job = Arc::new(JobContext {
-            dag,
-            plan,
-            config: crate::runtime::RuntimeConfig::default(),
-        });
+        let job = Arc::new(JobContext { dag, plan, config });
         Master::new(job, 1, 1, faults).expect("master creation")
     }
 
@@ -2188,7 +2125,7 @@ mod tests {
             speculative: false,
             pins: Vec::new(),
         };
-        m.tasks.begin(a).0
+        m.tasks.begin(a)
     }
 
     fn done_msg(exec: ExecId, attempt: AttemptId) -> MasterMsg {
@@ -2444,10 +2381,7 @@ mod tests {
     /// holds on the same executor.
     #[test]
     fn a_fenced_attempts_late_report_frees_no_slot() {
-        let mut m = test_master_with(FaultPlan {
-            master_failure_after: Some(usize::MAX),
-            ..Default::default()
-        });
+        let mut m = test_master_with(restartable(), Default::default());
         let f = terminal_fop(&m);
         let exec: ExecId = 1;
         let fenced = begin(&mut m, f, exec);
@@ -2457,6 +2391,44 @@ mod tests {
         m.handle(done_msg(exec, fenced)).unwrap();
         assert!(!m.tasks.is_done(f, 0), "a fenced report commits nothing");
         assert_eq!(m.tasks.held(exec), 1, "the live attempt keeps its slot");
+        m.shutdown();
+    }
+
+    /// A plan that arms the WAL (the restart itself is applied by hand).
+    fn restartable() -> FaultPlan {
+        FaultPlan {
+            master_failure_after: Some(usize::MAX),
+            ..Default::default()
+        }
+    }
+
+    /// A relaunch is read from the journal, which outlives the master: a
+    /// launch the WAL lost in its unsynced suffix still makes the next
+    /// launch of its task a relaunch, and the launch ledger balances.
+    #[test]
+    fn a_launch_the_wal_lost_still_makes_the_next_one_a_relaunch() {
+        let config = crate::runtime::RuntimeConfig {
+            wal_sync_every: 64,
+            ..Default::default()
+        };
+        let mut m = test_master_with(restartable(), config);
+        let f = terminal_fop(&m);
+        let exec = m.pick_executor(f, 0).expect("a free slot");
+        m.launch(f, 0, exec, false).unwrap();
+        m.apply_fault(FaultAction::Restart(None)).unwrap();
+        let replayed = derived(&m).wal_frames_replayed;
+        assert_eq!(replayed, 1, "only the genesis snapshot was synced");
+        let exec = m.pick_executor(f, 0).expect("a free slot");
+        m.launch(f, 0, exec, false).unwrap();
+        let metrics = derived(&m);
+        assert_eq!((metrics.tasks_launched, metrics.relaunched_tasks), (2, 1));
+        assert_eq!(
+            metrics.tasks_launched,
+            metrics.original_tasks + metrics.relaunched_tasks + metrics.speculative_launches
+        );
+        assert!(events(&m)
+            .iter()
+            .any(|e| matches!(e, JobEvent::MasterRecovered)));
         m.shutdown();
     }
 

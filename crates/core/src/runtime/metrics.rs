@@ -4,9 +4,12 @@
 ///
 /// `relaunched_tasks` mirrors the paper's "ratio of relaunched tasks to
 /// original tasks" metric (Figures 5–7): every task launch beyond the
-/// first attempt of each task counts as a relaunch. `tasks_launched`
-/// therefore decomposes as `original_tasks + relaunched_tasks +
-/// speculative_launches` in runs where every task eventually commits.
+/// first attempt of each task counts as a relaunch, read from the
+/// journal's history. `tasks_launched` therefore decomposes as
+/// `original_tasks + relaunched_tasks + speculative_launches` in every
+/// run that launched each task at least once (every completed job),
+/// master restarts included: the journal outlives the master, whatever
+/// the WAL lost.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobMetrics {
     /// Tasks in the physical plan (the denominator of the relaunch ratio).

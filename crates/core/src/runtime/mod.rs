@@ -40,6 +40,7 @@ pub use policy::{Candidate, LeastLoaded, RoundRobinCacheAware, SchedulingPolicy,
 pub use store::{
     block_bytes, BlockRef, BlockStore, ExecutorStore, SpillFaultPlan, StoreError, StoreHandle,
 };
+pub use tasks::{TaskTable, Undone};
 pub use transport::{DirectionFaults, NetworkFault, PartitionSpec};
 pub use wal::{
     encode_frame, inject_corruption, replay, scan, temp_wal_path, RecoveredState, WalCorruption,

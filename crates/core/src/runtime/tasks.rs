@@ -37,6 +37,7 @@ use pado_dag::DepType;
 use crate::compiler::FopId;
 use crate::runtime::message::{AttemptId, ExecId};
 use crate::runtime::store::BlockRef;
+use crate::runtime::wal::WalSnapshot;
 
 #[derive(Debug, Clone)]
 enum TaskState {
@@ -88,6 +89,17 @@ pub(crate) struct Lost {
     pub(crate) dropped: Vec<(FopId, usize)>,
 }
 
+/// What a master restart undid, in `(fop, index)` order, the way `Lost`
+/// reports an executor loss.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Undone {
+    /// Pre-crash commits the restarted table does not hold.
+    pub reverted: Vec<(FopId, usize)>,
+    /// Pre-crash commits left committed without a copy, each with the
+    /// executor that last held one.
+    pub dropped: Vec<(FopId, usize, ExecId)>,
+}
+
 /// The consumer task indices of producer task `index` along an edge of
 /// type `dep` into a fop of `dst_par` tasks: the inverse of
 /// [`required_src_indices`](super::master::required_src_indices).
@@ -129,8 +141,9 @@ fn consumers_first(outs: &[Vec<(FopId, DepType)>]) -> Vec<FopId> {
     order
 }
 
+/// The master's task/attempt table (see the module docs).
 #[derive(Debug)]
-pub(crate) struct TaskTable {
+pub struct TaskTable {
     tasks: Vec<Vec<TaskState>>,
     /// Committed tasks per fop, kept by [`TaskTable::set`].
     done: Vec<usize>,
@@ -140,8 +153,6 @@ pub(crate) struct TaskTable {
     outs: Vec<Vec<(FopId, DepType)>>,
     /// The order [`TaskTable::settle`] walks fops in.
     consumers_first: Vec<FopId>,
-    /// Whether a task was ever launched (a later launch is a relaunch).
-    first_attempted: Vec<Vec<bool>>,
     /// User-code failures per task, toward the retry budget. In-memory
     /// state of one master: a restart clears it.
     failures: Vec<Vec<usize>>,
@@ -162,7 +173,7 @@ pub(crate) struct TaskTable {
 impl TaskTable {
     /// Every task pending. `outs[f]` lists fop `f`'s out-edges as
     /// `(consumer fop, dependency)`.
-    pub(crate) fn new(parallelism: &[usize], outs: Vec<Vec<(FopId, DepType)>>) -> Self {
+    pub fn new(parallelism: &[usize], outs: Vec<Vec<(FopId, DepType)>>) -> Self {
         debug_assert_eq!(parallelism.len(), outs.len());
         TaskTable {
             consumers_first: consumers_first(&outs),
@@ -172,7 +183,6 @@ impl TaskTable {
                 .collect(),
             done: vec![0; parallelism.len()],
             outs,
-            first_attempted: parallelism.iter().map(|&p| vec![false; p]).collect(),
             failures: parallelism.iter().map(|&p| vec![0; p]).collect(),
             completed: BTreeSet::new(),
             next_attempt: 1,
@@ -181,18 +191,12 @@ impl TaskTable {
         }
     }
 
-    fn state(&self, fop: FopId, index: usize) -> Option<&TaskState> {
-        self.tasks.get(fop).and_then(|ts| ts.get(index))
-    }
-
     pub(crate) fn is_pending(&self, fop: FopId, index: usize) -> bool {
-        matches!(self.state(fop, index), Some(TaskState::Pending))
+        matches!(self.tasks[fop][index], TaskState::Pending)
     }
 
-    /// Whether the task is committed. False for a slot the table does not
-    /// have (a key from a shape that a recovery rolled back).
     pub(crate) fn is_done(&self, fop: FopId, index: usize) -> bool {
-        matches!(self.state(fop, index), Some(TaskState::Done(_)))
+        matches!(self.tasks[fop][index], TaskState::Done(_))
     }
 
     pub(crate) fn fop_done(&self, fop: FopId) -> bool {
@@ -233,8 +237,8 @@ impl TaskTable {
     /// Where a committed output lives; empty when the task is not
     /// committed (or its only copy is the job sink's).
     pub(crate) fn locations(&self, fop: FopId, index: usize) -> &[ExecId] {
-        match self.state(fop, index) {
-            Some(TaskState::Done(locations)) => locations,
+        match &self.tasks[fop][index] {
+            TaskState::Done(locations) => locations,
             _ => &[],
         }
     }
@@ -256,17 +260,18 @@ impl TaskTable {
         })
     }
 
-    pub(crate) fn first_attempted(&self) -> &[Vec<bool>] {
-        &self.first_attempted
-    }
-
-    pub(crate) fn next_attempt(&self) -> AttemptId {
-        self.next_attempt
-    }
-
-    /// The completed-attempt set, ascending.
-    pub(crate) fn completed(&self) -> Vec<AttemptId> {
-        self.completed.iter().copied().collect()
+    /// The table's durable form: the attempt-id mark, the completed set
+    /// and every commit with its locations, each ascending, so the frame
+    /// bytes are a pure function of the table.
+    pub fn snapshot(&self) -> WalSnapshot {
+        WalSnapshot {
+            next_attempt: self.next_attempt,
+            completed_attempts: self.completed.iter().copied().collect(),
+            committed: self
+                .committed()
+                .map(|(f, i, locations)| (f, i, locations.to_vec()))
+                .collect(),
+        }
     }
 
     /// The one "may this attempt still commit its task" test.
@@ -298,12 +303,10 @@ impl TaskTable {
 
     /// Registers a new current attempt: its task's only one, or —
     /// `speculative` — a duplicate racing the attempt already running.
-    /// Returns the attempt's id and whether the task had been launched
-    /// before.
-    pub(crate) fn begin(&mut self, a: Attempt) -> (AttemptId, bool) {
+    /// Returns the attempt's id.
+    pub(crate) fn begin(&mut self, a: Attempt) -> AttemptId {
         let id = self.next_attempt;
         self.next_attempt += 1;
-        let relaunch = std::mem::replace(&mut self.first_attempted[a.fop][a.index], true);
         if let TaskState::Running(ids) = &mut self.tasks[a.fop][a.index] {
             ids.push(id);
         } else {
@@ -312,7 +315,7 @@ impl TaskTable {
         self.held.resize(self.held.len().max(a.exec + 1), 0);
         self.held[a.exec] += 1;
         self.attempts.insert(id, a);
-        (id, relaunch)
+        id
     }
 
     /// Takes an attempt off its task, if it is current; the last one
@@ -437,37 +440,62 @@ impl TaskTable {
         reverted
     }
 
-    /// The restarted master's table: every task pending with its retry
-    /// budget whole, no executor holding a record,
-    /// the completed set *replaced* by the recovered completion log
+    /// Retires every attempt record, the first act of a master restart:
+    /// the caller frees their pins before [`TaskTable::restart`] refetches.
+    pub(crate) fn fence(&mut self) -> Vec<Attempt> {
+        self.held.clear();
+        std::mem::take(&mut self.attempts).into_values().collect()
+    }
+
+    /// The restarted master's table, from the log's snapshot: every task
+    /// pending with its retry budget whole, the completed set *replaced*
     /// (pre-crash reports the network replays must still bounce), and
-    /// attempt ids fenced past everything the dead master issued.
-    /// `first_attempted` rows that do not fit the plan start over.
-    /// Returns the pre-crash attempt records, whose pins the caller frees.
-    pub(crate) fn reset(
+    /// attempt ids fenced past everything the dead master issued. Each
+    /// logged commit the plan has a slot for is offered to `restore`,
+    /// which returns the locations that still hold a copy (empty: none)
+    /// or `None` to leave the task pending; then the table settles.
+    /// Returns what the restart undid. A master calls `fence` first.
+    pub fn restart(
         &mut self,
-        first_attempted: &[Vec<bool>],
-        completed: impl IntoIterator<Item = AttemptId>,
-        max_attempt: AttemptId,
-    ) -> Vec<Attempt> {
-        let fenced = std::mem::take(&mut self.attempts).into_values().collect();
-        let outs = std::mem::take(&mut self.outs);
+        snapshot: &WalSnapshot,
+        mut restore: impl FnMut(FopId, usize, &[ExecId]) -> Option<Vec<ExecId>>,
+    ) -> Undone {
+        debug_assert!(self.attempts.is_empty(), "restart before fence");
+        let before: Vec<(FopId, usize, Option<ExecId>)> = self
+            .committed()
+            .map(|(f, i, locations)| (f, i, locations.first().copied()))
+            .collect();
         let parallelism: Vec<usize> = self.tasks.iter().map(Vec::len).collect();
-        let fits = first_attempted.len() == parallelism.len();
         *self = TaskTable {
-            first_attempted: parallelism
-                .iter()
-                .enumerate()
-                .map(|(f, &p)| match first_attempted.get(f) {
-                    Some(row) if fits && row.len() == p => row.clone(),
-                    _ => vec![false; p],
-                })
-                .collect(),
-            completed: completed.into_iter().collect(),
-            next_attempt: max_attempt.max(self.next_attempt) + 1_000_000,
-            ..TaskTable::new(&parallelism, outs)
+            completed: snapshot.completed_attempts.iter().copied().collect(),
+            next_attempt: snapshot
+                .next_attempt
+                .max(self.next_attempt)
+                .saturating_add(1_000_000),
+            ..TaskTable::new(&parallelism, std::mem::take(&mut self.outs))
         };
-        fenced
+        for (f, i, logged) in &snapshot.committed {
+            // A frame that survived the CRC by chance may name a slot the
+            // plan does not have.
+            if parallelism.get(*f).is_some_and(|&p| *i < p) {
+                if let Some(locations) = restore(*f, *i, logged) {
+                    self.commit(*f, *i, locations);
+                }
+            }
+        }
+        self.settle();
+        Undone {
+            reverted: before
+                .iter()
+                .filter(|&&(f, i, _)| !self.is_done(f, i))
+                .map(|&(f, i, _)| (f, i))
+                .collect(),
+            dropped: before
+                .iter()
+                .filter_map(|&(f, i, held)| Some((f, i, held?)))
+                .filter(|&(f, i, _)| self.dataless(f, i))
+                .collect(),
+        }
     }
 }
 
@@ -510,14 +538,14 @@ mod tests {
     }
 
     fn begin(t: &mut TaskTable, fop: FopId, index: usize, exec: ExecId, spec: bool) -> AttemptId {
-        t.begin(attempt(fop, index, exec, spec)).0
+        t.begin(attempt(fop, index, exec, spec))
     }
 
     #[test]
     fn a_second_terminal_report_is_a_no_op() {
         let mut t = table();
-        let (a, relaunch) = t.begin(attempt(0, 0, 5, false));
-        assert!(!relaunch && t.is_current(a) && t.running() == 1);
+        let a = begin(&mut t, 0, 0, 5, false);
+        assert!(t.is_current(a) && t.running() == 1);
         assert_eq!((t.held(5), t.held(6)), (1, 0));
 
         let Report::Current(rec) = t.report(a) else {
@@ -534,9 +562,9 @@ mod tests {
         assert!(matches!(t.report(a), Report::Duplicate));
         assert_eq!(format!("{t:?}"), before, "a duplicate changes nothing");
 
-        // The next launch of the task is a relaunch under a fresh id.
-        let (b, relaunch) = t.begin(attempt(0, 0, 5, false));
-        assert!(relaunch && b > a);
+        // The next launch of the task runs under a fresh id.
+        let b = begin(&mut t, 0, 0, 5, false);
+        assert!(b > a);
         // A report for an attempt the table never issued is stale, once,
         // and frees no slot of the attempt that does run there.
         assert!(matches!(t.report(99), Report::Stale(None)));
@@ -616,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_fences_attempt_ids_and_replaces_the_completed_set() {
+    fn restart_fences_attempt_ids_and_replaces_the_completed_set() {
         let mut t = table();
         let a = begin(&mut t, 0, 0, 1, false);
         let b = begin(&mut t, 0, 1, 2, false);
@@ -625,35 +653,71 @@ mod tests {
         assert_eq!((t.charge_failure(0, 1), t.charge_failure(0, 1)), (1, 2));
 
         // The log saw attempt 40 complete and never heard of `a`'s report.
-        let first = vec![vec![true, false], vec![true]];
-        let fenced = t.reset(&first, [40], 57);
+        let fenced = t.fence();
         assert_eq!(fenced.len(), 1, "b's record comes back for its pins");
         assert_eq!((fenced[0].exec, &fenced[0].pins[..]), (2, &[PIN][..]));
+        let log = WalSnapshot {
+            next_attempt: 57,
+            completed_attempts: vec![40],
+            committed: vec![],
+        };
+        let undone = t.restart(&log, |_, _, _| panic!("nothing to restore"));
+        assert_eq!(undone.reverted, vec![(0, 0)], "the log lost 0.0's commit");
         assert!((0..2).all(|i| t.is_pending(0, i)) && t.running() == 0);
         assert_eq!(
             (t.held(2), t.failures(0, 1)),
             (0, 0),
             "both die with the master"
         );
-        assert_eq!(t.completed(), vec![40], "replaced, not merged");
-        assert_eq!(t.first_attempted(), &first[..]);
-        assert!(t.next_attempt() > 57 && t.next_attempt() > b);
+        let snap = t.snapshot();
+        assert_eq!(snap.completed_attempts, vec![40], "replaced, not merged");
+        assert!(snap.next_attempt > 57 && snap.next_attempt > b);
         assert!(matches!(t.report(40), Report::Duplicate));
         assert!(matches!(t.report(b), Report::Stale(None)));
-        let (_, relaunch) = t.begin(attempt(0, 0, 1, false));
-        assert!(relaunch, "the log remembers 0.0 was launched");
 
-        // A log that issued fewer ids than the dead master still fences.
-        let issued = t.next_attempt();
-        let misfit = vec![vec![true, false], vec![true; 3]];
-        t.reset(&misfit, [], 0);
-        assert!(t.next_attempt() > issued);
+        // A log that issued fewer ids than the dead master still fences,
+        // and a slot the plan lacks is never offered.
+        let issued = t.snapshot().next_attempt;
+        let misfit = WalSnapshot {
+            committed: vec![(0, 2, vec![]), (1, 1, vec![]), (5, 0, vec![])],
+            ..WalSnapshot::default()
+        };
+        t.restart(&misfit, |f, i, _| panic!("{f}.{i} is not in the plan"));
+        assert!(t.snapshot().next_attempt > issued);
         assert_eq!((t.width(0), t.width(1)), (2, 1), "the plan's shape");
-        // Rows that do not fit the plan start over.
-        assert_eq!(t.first_attempted()[1], vec![false]);
-        assert_eq!(t.first_attempted()[0], vec![true, false]);
-        t.reset(&[], [], 0);
-        assert_eq!(t.first_attempted(), &[vec![false; 2], vec![false]][..]);
+
+        // The durable form round-trips: restarted from its own snapshot,
+        // every copy still there, the table holds the same facts.
+        t.commit(0, 1, vec![7]);
+        t.commit(1, 0, vec![]);
+        let snap = t.snapshot();
+        let undone = t.restart(&snap, |_, _, logged| Some(logged.to_vec()));
+        assert_eq!(undone, Undone::default());
+        let again = t.snapshot();
+        assert_eq!(
+            (again.completed_attempts, again.committed),
+            (snap.completed_attempts, snap.committed)
+        );
+    }
+
+    /// What the store work finds decides what the restart undid: a commit
+    /// left without a copy is reverted when a consumer still needs it,
+    /// dropped otherwise, and one `restore` refuses is reverted.
+    #[test]
+    fn a_restart_reports_what_it_reverted_and_dropped() {
+        let mut t = chain(&[(2, 0), (3, 0)]);
+        let snap = t.snapshot();
+        t.fence();
+        let undone = t.restart(&snap, |f, i, logged| match (f, i) {
+            // Every copy of 1.0 (needed by 2.0) and 0.1 (its consumer
+            // committed) is gone; 2.1's restore is refused outright.
+            (1, 0) | (0, 1) => Some(vec![]),
+            (2, 1) => None,
+            _ => Some(logged.to_vec()),
+        });
+        assert_eq!(undone.reverted, vec![(1, 0), (2, 1)]);
+        assert_eq!(undone.dropped, vec![(0, 1, 1)]);
+        assert!(t.is_pending(1, 0) && t.is_pending(2, 1) && t.is_done(0, 1));
     }
 
     #[test]
@@ -803,7 +867,7 @@ mod tests {
         t.commit(0, 0, vec![3]);
         t.commit(0, 1, vec![2]);
         assert!(t.fop_done(0), "a recommit counts once");
-        t.reset(&[], [], 0);
+        t.restart(&WalSnapshot::default(), |_, _, _| None);
         assert!(!t.fop_done(0) && t.committed().count() == 0);
     }
 }

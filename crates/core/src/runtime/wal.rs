@@ -3,14 +3,19 @@
 //! Pado deliberately refuses to checkpoint intermediate *data* — blocks
 //! live in executor stores and are recomputed on loss — but the master's
 //! scheduling decisions must survive a master crash at any instruction
-//! boundary. Because master state is already a pure function of the
-//! event journal (PR 4), durability is a persistence-and-replay
-//! exercise: every [`JobEvent`] the master emits is appended to an
+//! boundary. Every [`JobEvent`] the master emits is appended to an
 //! on-disk log as a length-prefixed, CRC-checksummed frame, interleaved
-//! with periodic compacting snapshots of the derived state
-//! ([`WalSnapshot`]) and with dedicated block-location records
-//! (the location table is reconstructable independently of scheduler
-//! state, following Whiz/F²).
+//! with periodic compacting snapshots of the task table and with
+//! dedicated block-location records (the location table is
+//! reconstructable independently of scheduler state, following Whiz/F²).
+//!
+//! The task table's durable state has one shape, [`WalSnapshot`]: the
+//! attempt-id mark, the completed-attempt set and the commits with their
+//! locations — three facts that need no plan. The live table writes it,
+//! [`replay`] folds every surviving frame into one, and the restarted
+//! master's table is rebuilt from it. What the log may lose (the unsynced
+//! suffix) the in-memory journal still holds, so facts read from history,
+//! such as whether a launch was a relaunch, come from the journal.
 //!
 //! # Frame format
 //!
@@ -52,11 +57,10 @@
 //! whose rows read `tag => Variant { fields in wire order }` and expand
 //! to the encoder and the decoder both. Adding a [`JobEvent`] is the
 //! enum variant, one row with the next free tag (tags are never reused
-//! or renumbered — old logs must keep their meaning; 28–33 are retired), a sample and a
-//! tag arm in `tests::every_wire_form_is_pinned`, and its `kind` /
-//! `describe` arms in the journal.
+//! or renumbered — old logs must keep their meaning; 0 and 28–33 are
+//! retired), a sample and a tag arm in `tests::every_wire_form_is_pinned`,
+//! and its `kind` / `describe` arms in the journal.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -276,11 +280,9 @@ wire_enum!(BlockRef, "bad block-ref tag", {
 
 // Tags are never reused or renumbered: a new event takes the next free
 // one, whatever its place in the enum. 28–33 belonged to the retired
-// reconfiguration transaction; a frame carrying one is refused.
+// reconfiguration transaction, 0 to `TaskLaunched` while it carried a
+// relaunch flag; a frame carrying one is refused.
 wire_enum!(JobEvent, "bad event tag", {
-    0 => TaskLaunched {
-        fop, index, attempt, exec, relaunch, side_bytes_sent, side_bytes_saved, side_cache_misses
-    },
     1 => SpeculativeLaunched {
         fop, index, attempt, exec, side_bytes_sent, side_bytes_saved, side_cache_misses
     },
@@ -319,26 +321,30 @@ wire_enum!(JobEvent, "bad event tag", {
     38 => PoolWorkerDetached { worker },
     39 => OutputDropped { fop, index, exec },
     40 => ExecutorDrained { exec },
+    41 => TaskLaunched {
+        fop, index, attempt, exec, side_bytes_sent, side_bytes_saved, side_cache_misses
+    },
 });
 
 // ---------------------------------------------------------------------
 // Records and snapshots
 // ---------------------------------------------------------------------
 
-/// A compacting snapshot of the master's WAL-recoverable state. Appended
-/// periodically so recovery replays a bounded suffix, and the fallback
-/// target when interior corruption invalidates the events after it.
+/// The task table's durable form: `TaskTable::snapshot` writes it,
+/// [`replay`] folds frames into it, `TaskTable::restart` reads it.
+/// Appended periodically as a compacting snapshot so recovery replays a
+/// bounded suffix, and the fallback target when interior corruption
+/// invalidates the events after it. Every list is ascending.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WalSnapshot {
     /// Next attempt id the master would issue.
     pub next_attempt: AttemptId,
     /// Attempts that had reported terminally (the idempotence log).
     pub completed_attempts: Vec<AttemptId>,
-    /// Block location table: committed task → executors holding its
-    /// output.
+    /// Block location table: committed task → executors believed to hold
+    /// its output; empty for an output that was dropped or lives only in
+    /// the job sink.
     pub committed: Vec<(FopId, usize, Vec<ExecId>)>,
-    /// Per-task first-launch flags (drives the relaunch metric).
-    pub first_attempted: Vec<Vec<bool>>,
 }
 
 impl Wire for WalSnapshot {
@@ -346,15 +352,74 @@ impl Wire for WalSnapshot {
         self.next_attempt.enc(e);
         self.completed_attempts.enc(e);
         self.committed.enc(e);
-        self.first_attempted.enc(e);
     }
     fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
         Ok(WalSnapshot {
             next_attempt: Wire::dec(d)?,
             completed_attempts: Wire::dec(d)?,
             committed: Wire::dec(d)?,
-            first_attempted: Wire::dec(d)?,
         })
+    }
+}
+
+impl WalSnapshot {
+    /// Folds one frame in. A snapshot replaces the state, keeping the
+    /// higher attempt mark. A commit whose location set empties stays
+    /// committed: whether a dataless output must be recomputed depends on
+    /// its consumers, which the restarted table settles. Only
+    /// `TaskReverted` un-commits.
+    fn apply(&mut self, record: &WalRecord) {
+        let event = match record {
+            WalRecord::Snapshot(s) => {
+                let next_attempt = self.next_attempt.max(s.next_attempt);
+                *self = WalSnapshot {
+                    next_attempt,
+                    ..s.clone()
+                };
+                return;
+            }
+            WalRecord::Locations {
+                fop,
+                index,
+                locations,
+            } => {
+                return match self.find(*fop, *index) {
+                    Ok(at) => self.committed[at].2.clone_from(locations),
+                    Err(at) => self.committed.insert(at, (*fop, *index, locations.clone())),
+                }
+            }
+            WalRecord::Event { event, .. } => event,
+        };
+        match event {
+            JobEvent::TaskLaunched { attempt, .. }
+            | JobEvent::SpeculativeLaunched { attempt, .. } => {
+                self.next_attempt = self.next_attempt.max(attempt.saturating_add(1));
+            }
+            JobEvent::TaskCommitted { attempt, .. } | JobEvent::TaskFailed { attempt, .. } => {
+                self.next_attempt = self.next_attempt.max(attempt.saturating_add(1));
+                if let Err(at) = self.completed_attempts.binary_search(attempt) {
+                    self.completed_attempts.insert(at, *attempt);
+                }
+            }
+            JobEvent::TaskReverted { fop, index } => {
+                if let Ok(at) = self.find(*fop, *index) {
+                    self.committed.remove(at);
+                }
+            }
+            JobEvent::ContainerEvicted(x)
+            | JobEvent::ReservedFailed(x)
+            | JobEvent::ExecutorDeclaredDead(x) => {
+                for (_, _, locations) in &mut self.committed {
+                    locations.retain(|l| l != x);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn find(&self, fop: FopId, index: usize) -> Result<usize, usize> {
+        self.committed
+            .binary_search_by_key(&(fop, index), |&(f, i, _)| (f, i))
     }
 }
 
@@ -575,23 +640,13 @@ pub fn scan(bytes: &[u8]) -> WalScan {
 // Replay: frames -> recovered master state
 // ---------------------------------------------------------------------
 
-/// Master state rebuilt from a scanned WAL: everything
-/// [`Master`](crate::runtime::Master) needs to resume scheduling after a
-/// crash, plus the recovery statistics the journal reports.
+/// What a scanned WAL recovers: the task table's durable form, plus the
+/// recovery statistics the journal reports.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveredState {
-    /// Highest attempt id ever observed; the master fences past it.
-    pub max_attempt: AttemptId,
-    /// Terminally-reported attempts (the idempotence log).
-    pub completed_attempts: BTreeSet<AttemptId>,
-    /// Block location table: committed task → executors believed to hold
-    /// its output; empty for an output that was dropped or lives only in
-    /// the job sink. Recovery refetches what it can reach and reverts
-    /// what it cannot only if a consumer still needs it.
-    pub committed: BTreeMap<(FopId, usize), Vec<ExecId>>,
-    /// Per-task first-launch flags.
-    pub first_attempted: Vec<Vec<bool>>,
-    /// Frames folded into this state.
+    /// Every replayed frame folded into one snapshot.
+    pub snapshot: WalSnapshot,
+    /// Frames folded into the snapshot.
     pub frames_replayed: usize,
     /// Frames the scan discarded.
     pub frames_truncated: usize,
@@ -599,85 +654,18 @@ pub struct RecoveredState {
     pub snapshot_restored: bool,
 }
 
-impl RecoveredState {
-    fn apply_snapshot(&mut self, s: &WalSnapshot) {
-        self.max_attempt = self.max_attempt.max(s.next_attempt);
-        self.completed_attempts = s.completed_attempts.iter().copied().collect();
-        self.committed = s
-            .committed
-            .iter()
-            .map(|(f, i, locs)| ((*f, *i), locs.clone()))
-            .collect();
-        self.first_attempted = s.first_attempted.clone();
-    }
-
-    /// A commit whose location set empties stays committed: whether a
-    /// dataless output must be recomputed depends on its consumers, which
-    /// the master settles after replay. Only `TaskReverted` un-commits.
-    fn lose_executor(&mut self, exec: ExecId) {
-        for locs in self.committed.values_mut() {
-            locs.retain(|&l| l != exec);
-        }
-    }
-
-    fn apply_event(&mut self, event: &JobEvent) {
-        match event {
-            JobEvent::TaskLaunched {
-                fop,
-                index,
-                attempt,
-                ..
-            }
-            | JobEvent::SpeculativeLaunched {
-                fop,
-                index,
-                attempt,
-                ..
-            } => {
-                self.max_attempt = self.max_attempt.max(*attempt);
-                if let Some(row) = self.first_attempted.get_mut(*fop) {
-                    if let Some(slot) = row.get_mut(*index) {
-                        *slot = true;
-                    }
-                }
-            }
-            JobEvent::TaskCommitted { attempt, .. } | JobEvent::TaskFailed { attempt, .. } => {
-                self.max_attempt = self.max_attempt.max(*attempt);
-                self.completed_attempts.insert(*attempt);
-            }
-            JobEvent::TaskReverted { fop, index } => {
-                self.committed.remove(&(*fop, *index));
-            }
-            JobEvent::ContainerEvicted(x)
-            | JobEvent::ReservedFailed(x)
-            | JobEvent::ExecutorDeclaredDead(x) => self.lose_executor(*x),
-            _ => {}
-        }
-    }
-}
-
-/// Folds scanned frames into the master state they describe.
+/// Folds scanned frames into the task-table state they describe.
 pub fn replay(scan: &WalScan) -> RecoveredState {
-    let mut state = RecoveredState {
+    let mut snapshot = WalSnapshot::default();
+    for frame in &scan.frames {
+        snapshot.apply(&frame.record);
+    }
+    RecoveredState {
+        snapshot,
+        frames_replayed: scan.frames.len(),
         frames_truncated: scan.frames_truncated,
         snapshot_restored: scan.snapshot_restored,
-        ..RecoveredState::default()
-    };
-    for frame in &scan.frames {
-        match &frame.record {
-            WalRecord::Snapshot(s) => state.apply_snapshot(s),
-            WalRecord::Event { event, .. } => state.apply_event(event),
-            WalRecord::Locations {
-                fop,
-                index,
-                locations,
-            } => {
-                state.committed.insert((*fop, *index), locations.clone());
-            }
-        }
-        state.frames_replayed += 1;
     }
-    state
 }
 
 // ---------------------------------------------------------------------
@@ -837,8 +825,8 @@ impl WalWriter {
     /// file is truncated to the scan's recovery point so post-recovery
     /// appends continue a consistent log. Returns the replayed state.
     ///
-    /// File-level only — callers re-derive scheduler state from the
-    /// returned [`RecoveredState`] after this returns.
+    /// File-level only: the caller restarts its task table from the
+    /// returned [`RecoveredState::snapshot`].
     pub fn crash_and_recover(
         &mut self,
         corruption: Option<&WalCorruption>,
@@ -962,7 +950,6 @@ mod tests {
             next_attempt: 9,
             completed_attempts: vec![1, 2, 3],
             committed: vec![(0, 0, vec![1]), (1, 2, vec![0, 3])],
-            first_attempted: vec![vec![true, false], vec![true]],
         })
     }
 
@@ -1026,7 +1013,6 @@ mod tests {
                 index,
                 attempt,
                 exec,
-                relaunch: true,
                 side_bytes_sent: 11,
                 side_bytes_saved: 12,
                 side_cache_misses: 13,
@@ -1159,7 +1145,6 @@ mod tests {
     /// `every_wire_form_is_pinned` fails until `every_event` samples it.
     fn pinned_tag(event: &JobEvent) -> u8 {
         match event {
-            JobEvent::TaskLaunched { .. } => 0,
             JobEvent::SpeculativeLaunched { .. } => 1,
             JobEvent::TaskStarted { .. } => 2,
             JobEvent::TaskCommitted { .. } => 3,
@@ -1194,14 +1179,16 @@ mod tests {
             JobEvent::PoolWorkerDetached { .. } => 38,
             JobEvent::OutputDropped { .. } => 39,
             JobEvent::ExecutorDrained { .. } => 40,
+            JobEvent::TaskLaunched { .. } => 41,
         }
     }
 
     /// Every layout the log can hold, pinned byte for byte. The length
-    /// and FNV-1a below were re-recorded when tags 28–33 were retired,
-    /// tag 40 added and the snapshot lost its shape overlays; the rows
-    /// that survived were checked byte-identical against the encoder of
-    /// commit `4b4fa0e` first. A change here is a format change.
+    /// and FNV-1a below were re-recorded when `TaskLaunched` lost its
+    /// relaunch flag (tag 0 retired, 41 added) and the snapshot its
+    /// first-launch rows; every other row was checked byte-identical
+    /// against the encoder of commit `420373f` first. A change here is a
+    /// format change.
     #[test]
     fn every_wire_form_is_pinned() {
         let mut records: Vec<WalRecord> = Vec::new();
@@ -1216,13 +1203,12 @@ mod tests {
             tags.insert(tag);
             records.push(record);
         }
-        let live: std::collections::BTreeSet<u8> = (0..28).chain(34..41).collect();
+        let live: std::collections::BTreeSet<u8> = (1..28).chain(34..42).collect();
         assert_eq!(tags, live, "a variant has no sample");
         records.push(WalRecord::Snapshot(WalSnapshot {
             next_attempt: 1 << 33,
             completed_attempts: vec![],
             committed: vec![(4, 0, vec![]), (4, 1, vec![2, 9])],
-            first_attempted: vec![vec![], vec![false, true, true]],
         }));
         for locations in [vec![], vec![6, 1, 300]] {
             records.push(WalRecord::Locations {
@@ -1251,7 +1237,7 @@ mod tests {
         });
         assert_eq!(
             (image.len(), fnv1a),
-            (2019, 0x48d6_9a69_d6a4_e613),
+            (1991, 0xe807_0e72_c7a3_4946),
             "the image moved"
         );
     }
@@ -1270,12 +1256,24 @@ mod tests {
         let event = |body: Vec<Vec<u8>>| refusal(KIND_EVENT, [vec![vec![0]], body].concat());
         assert_eq!(refusal(9, vec![]), "bad frame kind");
         assert_eq!(refusal(KIND_EVENT, vec![vec![2]]), "bad option tag");
-        assert_eq!(event(vec![vec![41]]), "bad event tag");
-        // The retired reconfiguration tags are refused, not mis-decoded:
-        // e.g. what used to be a well-formed epoch advance, tag 32.
+        assert_eq!(event(vec![vec![42]]), "bad event tag");
+        // Retired tags are refused, not mis-decoded: e.g. what used to be
+        // a well-formed epoch advance, tag 32, or a flagged launch, tag 0.
         for retired in 28..=33 {
             assert_eq!(event(vec![vec![retired], le(1)]), "bad event tag");
         }
+        let flagged_launch = [
+            vec![0],
+            le(3),
+            le(5),
+            le(1),
+            le(7),
+            vec![1],
+            le(0),
+            le(0),
+            le(0),
+        ];
+        assert_eq!(event(flagged_launch.to_vec()), "bad event tag");
         // StageReopened { stage: 1, recompute: 2 }
         assert_eq!(event(vec![vec![8], le(1), vec![2]]), "bad bool");
         // BlockPinned { exec: 1, block: 2.. }
@@ -1343,34 +1341,69 @@ mod tests {
             },
         ));
         let state = replay(&scan(&bytes));
-        assert_eq!(state.max_attempt, 50);
-        assert!(state.completed_attempts.contains(&50));
-        assert!(state.completed_attempts.contains(&1), "from the snapshot");
-        assert_eq!(state.committed.get(&(2, 3)), Some(&vec![4]));
         // Exec 1 evicted: (0,0)'s only copy is gone, but the commit
         // stands until a revert says otherwise; (1,2) kept its copies on
         // execs 0 and 3.
-        assert_eq!(state.committed.get(&(0, 0)), Some(&vec![]));
-        assert_eq!(state.committed.get(&(1, 2)), Some(&vec![0, 3]));
+        assert_eq!(
+            state.snapshot,
+            WalSnapshot {
+                next_attempt: 51,
+                completed_attempts: vec![1, 2, 3, 50],
+                committed: vec![(0, 0, vec![]), (1, 2, vec![0, 3]), (2, 3, vec![4])],
+            }
+        );
         assert_eq!(state.frames_replayed, 4);
+        // A later snapshot replaces the fold but never lowers the mark.
+        bytes.extend_from_slice(&encode_frame(0, &snap()));
+        let state = replay(&scan(&bytes));
+        assert_eq!(state.snapshot.next_attempt, 51);
+        assert_eq!(state.snapshot.committed.len(), 2);
     }
 
-    /// The log fold and the live table must agree on what is committed
-    /// when evictions drop some outputs and revert others: drive a
-    /// `TaskTable`, log what the master would, replay the log.
+    /// There is one durable form: replaying what the master logs while
+    /// evictions drop some outputs and revert others folds to exactly the
+    /// table's own snapshot (attempt mark, completed set, commits).
     #[test]
     fn replay_and_the_task_table_agree_on_commits_across_drops() {
-        use crate::runtime::tasks::TaskTable;
+        use crate::runtime::tasks::{Attempt, Report, TaskTable};
         use pado_dag::DepType;
 
         // 0 -> 1 -> 2 (terminal), one-to-one, two tasks each.
         let one = |dst| vec![(dst, DepType::OneToOne)];
         let mut table = TaskTable::new(&[2; 3], vec![one(1), one(2), vec![]]);
-        let mut log: Vec<WalRecord> = Vec::new();
+        let mut log: Vec<WalRecord> = vec![WalRecord::Snapshot(table.snapshot())];
         let event = |event| WalRecord::Event { stage: None, event };
         // Lane 0 is through fop 1; lane 1 only through fop 0.
         for (fop, index, exec) in [(0, 0, 5), (0, 1, 6), (1, 0, 7)] {
+            let attempt = table.begin(Attempt {
+                fop,
+                index,
+                exec,
+                launched_at: std::time::Instant::now(),
+                speculative: false,
+                pins: Vec::new(),
+            });
+            log.push(event(JobEvent::TaskLaunched {
+                fop,
+                index,
+                attempt,
+                exec,
+                side_bytes_sent: 0,
+                side_bytes_saved: 0,
+                side_cache_misses: 0,
+            }));
+            assert!(matches!(table.report(attempt), Report::Current(_)));
             table.commit(fop, index, vec![exec]);
+            log.push(event(JobEvent::TaskCommitted {
+                fop,
+                index,
+                attempt,
+                exec,
+                speculative: false,
+                bytes_pushed: 0,
+                preaggregated: 0,
+                cache_hit: false,
+            }));
             log.push(WalRecord::Locations {
                 fop,
                 index,
@@ -1397,14 +1430,13 @@ mod tests {
         );
 
         let bytes: Vec<u8> = log.iter().flat_map(|r| encode_frame(0, r)).collect();
-        let state = replay(&scan(&bytes));
-        let replayed: Vec<_> = state.committed.into_iter().collect();
-        let live: Vec<_> = table
-            .committed()
-            .map(|(f, i, locations)| ((f, i), locations.to_vec()))
-            .collect();
-        assert_eq!(replayed, live);
-        assert_eq!(live, vec![((0, 0), vec![]), ((1, 0), vec![7])]);
+        let live = table.snapshot();
+        assert_eq!(replay(&scan(&bytes)).snapshot, live);
+        assert_eq!(live.committed, vec![(0, 0, vec![]), (1, 0, vec![7])]);
+        assert_eq!(
+            (live.next_attempt, &live.completed_attempts[..]),
+            (4, &[1, 2, 3][..])
+        );
     }
 
     #[test]
@@ -1422,7 +1454,7 @@ mod tests {
         w.append(&ev(4)).expect("append");
         let state = w.crash_and_recover(None).expect("recover");
         assert_eq!(state.frames_replayed, 1, "synced frame survives");
-        assert!(state.completed_attempts.contains(&3));
+        assert_eq!(state.snapshot.completed_attempts, vec![3]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -9,12 +9,15 @@
 //! - seeded bit-flip + truncation corruption never panics the scan, the
 //!   surviving frames are a prefix of what was written, and rescanning
 //!   the reported valid prefix is clean and stable,
-//! - completely arbitrary bytes never panic `scan` or `replay`.
+//! - completely arbitrary bytes never panic `scan` or `replay`,
+//! - a fixed-plan task table restarted from the replay of any generated
+//!   log never panics and commits no slot outside the plan.
 
 use pado_core::runtime::{
-    encode_frame, inject_corruption, replay, scan, BlockRef, JobEvent, WalCorruption, WalRecord,
-    WalSnapshot,
+    encode_frame, inject_corruption, replay, scan, BlockRef, JobEvent, TaskTable, WalCorruption,
+    WalRecord, WalSnapshot,
 };
+use pado_dag::DepType;
 use proptest::prelude::*;
 
 fn block_ref_strategy() -> impl Strategy<Value = BlockRef> {
@@ -38,22 +41,19 @@ fn event_strategy() -> impl Strategy<Value = JobEvent> {
     prop_oneof![
         (
             (0..6usize, 0..8usize, 0..10_000u64, 0..9usize),
-            (any::<bool>(), 0..4_096usize, 0..4_096usize, 0..4usize),
+            (0..4_096usize, 0..4_096usize, 0..4usize),
         )
-            .prop_map(
-                |((fop, index, attempt, exec), (relaunch, sent, saved, misses))| {
-                    JobEvent::TaskLaunched {
-                        fop,
-                        index,
-                        attempt,
-                        exec,
-                        relaunch,
-                        side_bytes_sent: sent,
-                        side_bytes_saved: saved,
-                        side_cache_misses: misses,
-                    }
+            .prop_map(|((fop, index, attempt, exec), (sent, saved, misses))| {
+                JobEvent::TaskLaunched {
+                    fop,
+                    index,
+                    attempt,
+                    exec,
+                    side_bytes_sent: sent,
+                    side_bytes_saved: saved,
+                    side_cache_misses: misses,
                 }
-            ),
+            }),
         (
             (0..6usize, 0..8usize, 0..10_000u64, 0..9usize),
             (any::<bool>(), 0..4_096usize, 0..64usize, any::<bool>()),
@@ -140,14 +140,12 @@ fn snapshot_strategy() -> impl Strategy<Value = WalSnapshot> {
             ),
             0..5,
         ),
-        proptest::collection::vec(proptest::collection::vec(any::<bool>(), 0..4), 0..4),
     )
         .prop_map(
-            |(next_attempt, completed_attempts, committed, first_attempted)| WalSnapshot {
+            |(next_attempt, completed_attempts, committed)| WalSnapshot {
                 next_attempt,
                 completed_attempts,
                 committed,
-                first_attempted,
             },
         )
 }
@@ -272,6 +270,26 @@ proptest! {
         let rec = replay(&s);
         prop_assert_eq!(rec.frames_replayed, s.frames.len());
         prop_assert_eq!(rec.snapshot_restored, s.snapshot_restored);
+    }
+
+    /// The generated logs name fops 0..6 and tasks 0..8; the plan is
+    /// narrower (a fan-in into one task) and ends in a sink. Restarting it
+    /// from the replay checks each logged slot once, at the boundary.
+    #[test]
+    fn a_restart_from_any_log_stays_inside_the_plan(records in log_strategy()) {
+        let widths = [3, 3, 1];
+        let outs = vec![
+            vec![(1, DepType::OneToOne)],
+            vec![(2, DepType::ManyToOne)],
+            vec![],
+        ];
+        let mut table = TaskTable::new(&widths, outs);
+        let rec = replay(&scan(&encode_log(&records)));
+        table.restart(&rec.snapshot, |_, _, logged| Some(logged.to_vec()));
+        for (f, i, _) in table.snapshot().committed {
+            prop_assert!(f < widths.len() && i < widths[f], "{f}.{i} is outside the plan");
+        }
+        prop_assert!(table.snapshot().next_attempt > rec.snapshot.next_attempt);
     }
 
     /// Completely arbitrary bytes — not even a valid prefix — never
