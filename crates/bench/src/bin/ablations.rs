@@ -2,69 +2,43 @@
 //! execution-plan generator's fusion): each row disables one mechanism
 //! and reruns the three workloads under the high eviction rate.
 
-use pado_bench::{lifetime_dists, print_csv, print_table, run_repeated, EvictionRate};
+use pado_bench::{lifetime_dists, workloads_figure};
 use pado_engines::{Mode, SimConfig};
-use pado_workloads::{als, mlr, mr};
-
-type Variant = (&'static str, Box<dyn Fn(SimConfig) -> SimConfig>);
 
 fn main() {
-    let dists = lifetime_dists();
-    let high = dists
-        .iter()
-        .find(|(r, _)| *r == EvictionRate::High)
-        .map(|(_, d)| d.clone())
-        .expect("high rate present");
-
-    let workloads: Vec<(&str, _, u64)> = vec![
-        ("ALS", als::paper(), 120),
-        ("MLR", mlr::paper(), 360),
-        ("MR", mr::paper(), 90),
-    ];
-    let variants: Vec<Variant> = vec![
-        ("full", Box::new(|c| c)),
+    let [.., (_, high)] = lifetime_dists();
+    let full = SimConfig {
+        n_transient: 40,
+        n_reserved: 5,
+        lifetimes: high,
+        ..SimConfig::default()
+    };
+    let variants = [
+        ("full", full.clone()),
         (
             "no partial aggregation",
-            Box::new(|c| SimConfig {
+            SimConfig {
                 partial_aggregation: false,
-                ..c
-            }),
+                ..full.clone()
+            },
         ),
         (
             "no broadcast caching",
-            Box::new(|c| SimConfig {
+            SimConfig {
                 broadcast_caching: false,
-                ..c
-            }),
+                ..full
+            },
         ),
-    ];
-
-    let mut rows = Vec::new();
-    for (name, (dag, model), cap) in &workloads {
-        for (label, tweak) in &variants {
-            let config = tweak(SimConfig {
-                n_transient: 40,
-                n_reserved: 5,
-                lifetimes: high.clone(),
-                ..SimConfig::default()
-            });
-            let agg = run_repeated(Mode::Pado, dag, model, &config, *cap);
-            rows.push(vec![
-                name.to_string(),
-                label.to_string(),
-                agg.jct_label(),
-                format!("{:.0}GB", agg.bytes_pushed / 1e9),
-            ]);
-        }
-    }
-    print_table(
+    ]
+    .map(|(label, config)| (vec![label.to_string()], Mode::Pado, config));
+    workloads_figure(
         "Ablations: Pado at the high eviction rate with individual optimizations disabled",
         &["workload", "variant", "JCT(m)", "pushed"],
-        &rows,
-    );
-    print_csv(
-        "ablations",
-        &["workload", "variant", "jct_min", "bytes_pushed"],
-        &rows,
+        (
+            "ablations",
+            &["workload", "variant", "jct_min", "bytes_pushed"],
+        ),
+        &variants,
+        |agg| vec![agg.jct_label(), format!("{:.0}GB", agg.bytes_pushed / 1e9)],
     );
 }

@@ -4,53 +4,40 @@
 //! cost operators to the long-lived class. Compares blind vs. aware
 //! Pado on the three workloads over a half-short / half-long mix.
 
-use pado_bench::{print_csv, print_table, run_repeated};
+use pado_bench::workloads_figure;
 use pado_engines::{Mode, SimConfig};
 use pado_simcluster::{LifetimeDist, SEC};
-use pado_workloads::{als, mlr, mr};
 
 fn main() {
-    let workloads: Vec<(&str, _, u64)> = vec![
-        ("ALS", als::paper(), 120),
-        ("MLR", mlr::paper(), 360),
-        ("MR", mr::paper(), 90),
-    ];
-    let mut rows = Vec::new();
-    for (name, (dag, model), cap) in &workloads {
-        let base = SimConfig {
-            n_transient: 20,
-            n_reserved: 5,
-            lifetimes: LifetimeDist::Exponential {
-                mean_us: (90 * SEC) as f64,
-            },
-            n_transient_long: 20,
-            long_lifetimes: LifetimeDist::Exponential {
-                mean_us: (30 * 60 * SEC) as f64,
-            },
-            ..SimConfig::default()
+    let base = SimConfig {
+        n_transient: 20,
+        n_reserved: 5,
+        lifetimes: LifetimeDist::Exponential {
+            mean_us: (90 * SEC) as f64,
+        },
+        n_transient_long: 20,
+        long_lifetimes: LifetimeDist::Exponential {
+            mean_us: (30 * 60 * SEC) as f64,
+        },
+        ..SimConfig::default()
+    };
+    let variants = [("blind", false), ("lifetime-aware", true)].map(|(label, aware)| {
+        let config = SimConfig {
+            lifetime_aware: aware,
+            ..base.clone()
         };
-        for (label, aware) in [("blind", false), ("lifetime-aware", true)] {
-            let config = SimConfig {
-                lifetime_aware: aware,
-                ..base.clone()
-            };
-            let agg = run_repeated(Mode::Pado, dag, model, &config, *cap);
-            rows.push(vec![
-                name.to_string(),
-                label.to_string(),
-                agg.jct_label(),
-                format!("{:.1}%", agg.relaunch_mean * 100.0),
-            ]);
-        }
-    }
-    print_table(
+        (vec![label.to_string()], Mode::Pado, config)
+    });
+    workloads_figure(
         "Extension: lifetime-aware placement over mixed transient pools (20 short-lived ~90s + 20 long-lived ~30m)",
         &["workload", "placement", "JCT(m)", "relaunched"],
-        &rows,
-    );
-    print_csv(
-        "ext_lifetime_aware",
-        &["workload", "placement", "jct_min", "relaunch_ratio"],
-        &rows,
+        ("ext_lifetime_aware", &["workload", "placement", "jct_min", "relaunch_ratio"]),
+        &variants,
+        |agg| {
+            vec![
+                agg.jct_label(),
+                format!("{:.1}%", agg.relaunch_mean * 100.0),
+            ]
+        },
     );
 }

@@ -2,52 +2,29 @@
 //! containers (plus 40 transient) under the high eviction rate, comparing
 //! Pado against Spark-checkpoint on all three workloads.
 
-use pado_bench::{lifetime_dists, print_csv, print_table, run_repeated, EvictionRate};
+use pado_bench::{lifetime_dists, workloads_figure};
 use pado_engines::{Mode, SimConfig};
-use pado_workloads::{als, mlr, mr};
 
 fn main() {
-    let dists = lifetime_dists();
-    let high = dists
-        .iter()
-        .find(|(r, _)| *r == EvictionRate::High)
-        .map(|(_, d)| d.clone())
-        .expect("high rate present");
-
-    let workloads: Vec<(&str, _, u64)> = vec![
-        ("ALS", als::paper(), 120),
-        ("MLR", mlr::paper(), 360),
-        ("MR", mr::paper(), 90),
-    ];
-    let mut rows = Vec::new();
-    for (name, (dag, model), cap) in &workloads {
-        for reserved in 3..=7usize {
-            for mode in [Mode::SparkCkpt, Mode::Pado] {
-                let config = SimConfig {
-                    n_transient: 40,
-                    n_reserved: reserved,
-                    lifetimes: high.clone(),
-                    ..SimConfig::default()
-                };
-                let agg = run_repeated(mode, dag, model, &config, *cap);
-                rows.push(vec![
-                    name.to_string(),
-                    reserved.to_string(),
-                    mode.name().to_string(),
-                    agg.jct_label(),
-                    format!("{:.1}", agg.jct_std_min),
-                ]);
-            }
+    let [.., (_, high)] = lifetime_dists();
+    let mut variants = Vec::new();
+    for reserved in 3..=7usize {
+        for mode in [Mode::SparkCkpt, Mode::Pado] {
+            let config = SimConfig {
+                n_transient: 40,
+                n_reserved: reserved,
+                lifetimes: high.clone(),
+                ..SimConfig::default()
+            };
+            let labels = vec![reserved.to_string(), mode.name().to_string()];
+            variants.push((labels, mode, config));
         }
     }
-    print_table(
+    workloads_figure(
         "Figure 8: JCT vs number of reserved containers at the high eviction rate (paper: Spark-checkpoint degrades steeply for ALS/MLR; Pado's MR slows ~2.6x from 7 to 3 reserved; Pado wins everywhere, up to 3.8x for MLR)",
         &["workload", "reserved", "engine", "JCT(m)", "std"],
-        &rows,
-    );
-    print_csv(
-        "figure8",
-        &["workload", "reserved", "engine", "jct_min", "jct_std"],
-        &rows,
+        ("figure8", &["workload", "reserved", "engine", "jct_min", "jct_std"]),
+        &variants,
+        |agg| vec![agg.jct_label(), format!("{:.1}", agg.jct_std_min)],
     );
 }

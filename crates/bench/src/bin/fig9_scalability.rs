@@ -2,50 +2,32 @@
 //! sizes with a fixed 8:1 transient-to-reserved ratio (27, 45, and 63
 //! containers) under the high eviction rate.
 
-use pado_bench::{lifetime_dists, print_csv, print_table, run_repeated, EvictionRate};
+use pado_bench::{lifetime_dists, workloads_figure};
 use pado_engines::{Mode, SimConfig};
-use pado_workloads::{als, mlr, mr};
 
 fn main() {
-    let dists = lifetime_dists();
-    let high = dists
-        .iter()
-        .find(|(r, _)| *r == EvictionRate::High)
-        .map(|(_, d)| d.clone())
-        .expect("high rate present");
-
-    let sizes = [(24usize, 3usize), (40, 5), (56, 7)];
-    let workloads: Vec<(&str, _, u64)> = vec![
-        ("ALS", als::paper(), 120),
-        ("MLR", mlr::paper(), 360),
-        ("MR", mr::paper(), 90),
-    ];
-    let mut rows = Vec::new();
-    for (name, (dag, model), cap) in &workloads {
-        for (t, r) in sizes {
+    let [.., (_, high)] = lifetime_dists();
+    let variants: Vec<_> = [(24usize, 3usize), (40, 5), (56, 7)]
+        .into_iter()
+        .map(|(t, r)| {
             let config = SimConfig {
                 n_transient: t,
                 n_reserved: r,
                 lifetimes: high.clone(),
                 ..SimConfig::default()
             };
-            let agg = run_repeated(Mode::Pado, dag, model, &config, *cap);
-            rows.push(vec![
-                name.to_string(),
-                format!("{} ({}T+{}R)", t + r, t, r),
-                agg.jct_label(),
-                format!("{:.1}", agg.jct_std_min),
-            ]);
-        }
-    }
-    print_table(
+            (
+                vec![format!("{} ({}T+{}R)", t + r, t, r)],
+                Mode::Pado,
+                config,
+            )
+        })
+        .collect();
+    workloads_figure(
         "Figure 9: Pado JCT at a fixed 8:1 transient:reserved ratio, high eviction rate (paper: all workloads scale with cluster size; ALS scales worst, being communication-intensive)",
         &["workload", "containers", "JCT(m)", "std"],
-        &rows,
-    );
-    print_csv(
-        "figure9",
-        &["workload", "containers", "jct_min", "jct_std"],
-        &rows,
+        ("figure9", &["workload", "containers", "jct_min", "jct_std"]),
+        &variants,
+        |agg| vec![agg.jct_label(), format!("{:.1}", agg.jct_std_min)],
     );
 }

@@ -9,6 +9,7 @@ use pado_dag::LogicalDag;
 use pado_engines::{simulate, CostModel, Mode, RunMetrics, SimConfig, SimError};
 use pado_simcluster::{LifetimeDist, MIN};
 use pado_trace::{analyze, generate, SynthConfig};
+use pado_workloads::{als, mlr, mr};
 
 /// The paper's four eviction rates (§5.2): none, plus the lifetime CDFs
 /// obtained at 5 %, 1 %, and 0.1 % safety margins.
@@ -263,6 +264,37 @@ pub fn eviction_rate_figure(
         ],
         &rows,
     );
+}
+
+/// One simulated configuration of a [`workloads_figure`]: the row labels
+/// it adds after the workload's name, the engine, and the cluster.
+pub type Variant = (Vec<String>, Mode, SimConfig);
+
+/// Prints a figure over the three paper workloads: for ALS, MLR and MR in
+/// turn and each variant, one row of the workload's name, the variant's
+/// labels and `cells` of its repeated runs, as a table under `caption`
+/// headed `header` and as CSV `csv` (name, header).
+pub fn workloads_figure(
+    caption: &str,
+    header: &[&str],
+    csv: (&str, &[&str]),
+    variants: &[Variant],
+    cells: impl Fn(&Aggregate) -> Vec<String>,
+) {
+    let workloads = [
+        ("ALS", als::paper(), 120),
+        ("MLR", mlr::paper(), 360),
+        ("MR", mr::paper(), 90),
+    ];
+    let mut rows = Vec::new();
+    for (name, (dag, model), cap) in &workloads {
+        for (labels, mode, config) in variants {
+            let agg = run_repeated(*mode, dag, model, config, *cap);
+            rows.push([vec![name.to_string()], labels.clone(), cells(&agg)].concat());
+        }
+    }
+    print_table(caption, header, &rows);
+    print_csv(csv.0, csv.1, &rows);
 }
 
 #[cfg(test)]

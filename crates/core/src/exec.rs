@@ -172,7 +172,8 @@ pub fn apply_op_rows(
     })
 }
 
-/// Produces the records of a source task's partition.
+/// The records of a source task's partition, owned (see
+/// [`pado_dag::SourceFn::produce`]; tasks read [`pado_dag::SourceFn::block`]).
 pub fn source_partition(
     dag: &LogicalDag,
     op: pado_dag::OpId,
@@ -193,8 +194,9 @@ pub fn source_partition(
 /// broadcast side input (see [`crate::compiler::PlanEdge::member`]).
 /// Interior chain members read the previous member's output block as
 /// their main input. Rows exist only where a user function or
-/// `GroupByKey` produces them: the source partition and a ParDo's
-/// emitted records are each sealed into a block once.
+/// `GroupByKey` produces them: a ParDo's emitted records and a
+/// generator's partition are sealed into a block once per task run, and
+/// a dataset's partition once per dataset, shared by every read after.
 ///
 /// # Errors
 ///
@@ -208,10 +210,9 @@ pub fn apply_chain(
 ) -> Result<Block, UdfError> {
     let head = fop.head();
     let side0 = sides.get(&0).map(|b| b.rows());
-    let mut data = if dag.op(head).kind.is_source() {
-        block_from_vec(source_partition(dag, head, index, fop.parallelism))
-    } else {
-        apply_op_block(dag, head, TaskInput::new(mains, side0))?
+    let mut data = match &dag.op(head).kind {
+        OperatorKind::Source { f, .. } => f.block(index, fop.parallelism),
+        _ => apply_op_block(dag, head, TaskInput::new(mains, side0))?,
     };
     for (pos, &op) in fop.chain.iter().enumerate().skip(1) {
         let side = sides.get(&pos).map(|b| b.rows());

@@ -1500,11 +1500,15 @@ impl Master {
                         continue;
                     }
                     for i in 0..self.tasks.width(f) {
-                        if self.tasks.is_pending(f, i) && self.task_ready(f, i) {
-                            // No free executor: retry on the next event.
-                            if let Some(exec) = self.pick_executor(f, i) {
-                                self.launch(f, i, exec, false)?;
-                            }
+                        if !self.tasks.is_pending(f, i) || !self.task_ready(f, i) {
+                            continue;
+                        }
+                        // Every transient slot is held: retry on the next event.
+                        if kind == Placement::Transient && self.free_slots(kind).next().is_none() {
+                            break;
+                        }
+                        if let Some(exec) = self.pick_executor(f, i) {
+                            self.launch(f, i, exec, false)?;
                         }
                     }
                 }
@@ -1540,16 +1544,11 @@ impl Master {
 
     /// Whether all of a task's inputs are available.
     fn task_ready(&self, fop: FopId, index: usize) -> bool {
-        for e in self.job.plan.ins(fop) {
-            let src_par = self.tasks.width(e.src);
-            let dst_par = self.tasks.width(fop);
-            for si in required_src_indices(e, index, src_par, dst_par) {
-                if !self.tasks.is_done(e.src, si) {
-                    return false;
-                }
-            }
-        }
-        true
+        let dst_par = self.tasks.width(fop);
+        self.job.plan.ins(fop).iter().all(|e| {
+            required_src_indices(e, index, self.tasks.width(e.src), dst_par)
+                .all(|si| self.tasks.is_done(e.src, si))
+        })
     }
 
     /// Launches one attempt of task `(fop, index)` on `exec`: the task's
@@ -1784,10 +1783,8 @@ impl Master {
                 continue;
             }
             let mut durs = self.fop_durations[f].clone();
-            durs.sort_unstable();
-            let Some(&median) = durs.get(durs.len() / 2) else {
-                continue;
-            };
+            let mid = durs.len() / 2;
+            let median = *durs.select_nth_unstable(mid).1;
             let threshold = ((median as f64 * mult) as u64).max(floor);
             let now = self.clock.now();
             // Never stack duplicates: one speculative race at a time. And a
@@ -1811,12 +1808,19 @@ impl Master {
     /// The executor a speculative duplicate goes to: the least busy one
     /// of the fop's pool, other than the straggler's own.
     fn pick_spare(&self, fop: FopId, avoid: ExecId) -> Option<ExecId> {
+        self.free_slots(self.placement(fop))
+            .filter(|&(id, ..)| id != avoid)
+            .max_by_key(|&(id, _, free)| (free, std::cmp::Reverse(id)))
+            .map(|(id, ..)| id)
+    }
+
+    /// The schedulable executors of a pool with a free task slot, with
+    /// how many they have free.
+    fn free_slots(&self, kind: Placement) -> impl Iterator<Item = (ExecId, &ExecInfo, usize)> {
         let slots = self.job.config.slots_per_executor.max(1);
-        self.schedulable(self.placement(fop))
-            .map(|(id, _)| (id, self.tasks.held(id)))
-            .filter(|&(id, held)| held < slots && id != avoid)
-            .max_by_key(|&(id, held)| (slots - held, std::cmp::Reverse(id)))
-            .map(|(id, _)| id)
+        self.schedulable(kind)
+            .map(move |(id, e)| (id, e, slots.saturating_sub(self.tasks.held(id))))
+            .filter(|&(.., free)| free > 0)
     }
 
     /// A cacheable side-input key of this fop, if any (used for
@@ -1846,16 +1850,17 @@ impl Master {
             // The assigned receiver died or was blacklisted; fall through
             // to any reserved.
         }
-        let slots = self.job.config.slots_per_executor.max(1);
         let candidates: Vec<Candidate> = self
-            .schedulable(kind)
-            .filter(|&(id, _)| self.tasks.held(id) < slots)
-            .map(|(id, e)| Candidate {
-                exec: id,
-                free_slots: slots - self.tasks.held(id),
-                has_cached_input: cache_pref.map(|k| e.cached.contains(&k)).unwrap_or(false),
+            .free_slots(kind)
+            .map(|(exec, e, free_slots)| Candidate {
+                exec,
+                free_slots,
+                has_cached_input: cache_pref.is_some_and(|k| e.cached.contains(&k)),
             })
             .collect();
+        if candidates.is_empty() {
+            return None;
+        }
         self.policy.pick(
             TaskToPlace {
                 fop,
@@ -1883,9 +1888,7 @@ impl Master {
             let records = self.side_records(e.src, self.tasks.width(e.src))?;
             let bytes = block_bytes(&records);
             let key = e.cache.then_some(e.src);
-            let expect_cached = key
-                .map(|k| self.executors[&exec].cached.contains(&k))
-                .unwrap_or(false);
+            let expect_cached = key.is_some_and(|k| self.executors[&exec].cached.contains(&k));
             if expect_cached {
                 stats.saved += bytes;
             } else {
@@ -1962,12 +1965,8 @@ impl Master {
     fn collect_result(&self) -> JobResult {
         let mut outputs: BTreeMap<String, Vec<Value>> = BTreeMap::new();
         for ((fop, _idx), records) in &self.result_parts {
-            let name = self
-                .job
-                .dag
-                .op(self.job.plan.fops[*fop].tail())
-                .name
-                .clone();
+            let tail = self.job.plan.fops[*fop].tail();
+            let name = self.job.dag.op(tail).name.clone();
             outputs.entry(name).or_default().extend(records.to_rows());
         }
         let journal = self.frozen_journal();
@@ -2240,6 +2239,42 @@ mod tests {
             cached_keys: Vec::new(),
         };
         (msg, buckets)
+    }
+
+    /// A scheduling pass asks the policy only while a transient slot is
+    /// free: with the one slot held, the pending map is not offered.
+    #[test]
+    fn the_policy_is_not_asked_while_every_transient_slot_is_held() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Counting(Arc<AtomicUsize>);
+        impl SchedulingPolicy for Counting {
+            fn pick(&mut self, task: TaskToPlace, candidates: &[Candidate]) -> Option<ExecId> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                RoundRobinCacheAware::default().pick(task, candidates)
+            }
+        }
+        let config = crate::runtime::RuntimeConfig {
+            slots_per_executor: 1,
+            ..Default::default()
+        };
+        let (mut m, map) = shuffle_master(config);
+        let asked = Arc::new(AtomicUsize::new(0));
+        m.set_policy(Box::new(Counting(Arc::clone(&asked))));
+        let exec: ExecId = 1;
+        let attempt = begin(&mut m, map, exec);
+        m.schedule().unwrap();
+        assert_eq!(asked.load(Ordering::Relaxed), 0);
+        assert!(m.tasks.is_pending(map, 1));
+
+        m.handle(shuffled_done(exec, attempt, 0).0).unwrap();
+        m.schedule().unwrap();
+        assert_eq!(
+            asked.load(Ordering::Relaxed),
+            1,
+            "the freed slot takes map 1"
+        );
+        assert!(!m.tasks.is_pending(map, 1));
+        m.shutdown();
     }
 
     /// The producing task partitions a shuffle output; the master files

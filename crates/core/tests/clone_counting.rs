@@ -3,8 +3,11 @@
 //! on one-to-one, gather, and broadcast edges, zero on a hash shuffle of
 //! a columnar block (the vectorized kernel copies primitives), exactly N
 //! on a hash shuffle of a heterogeneous row block, an end-to-end
-//! broadcast job stays O(records) instead of O(records × consumers), and
-//! a whole map-reduce job clones no record at all past its source read.
+//! broadcast job stays O(records) instead of O(records × consumers), a
+//! whole map-reduce job over a generator source clones no record at all,
+//! and an iterative job over a dataset source clones none of its records:
+//! the dataset is dealt into partition blocks once and every read, in
+//! every iteration and relaunch, shares them.
 //!
 //! The counter is process-global and the test harness runs tests on
 //! threads, so every counting test serializes on one mutex and measures
@@ -178,5 +181,45 @@ fn map_reduce_job_clones_no_record_past_the_source_read() {
         let delta = clone_count() - before;
         assert_eq!(result.outputs["Out"].len(), 700);
         assert_eq!(delta, 0, "{backend:?}: the job cloned {delta} values");
+    }
+}
+
+/// End-to-end: MLR reads one immutable training set in every iteration
+/// (Figure 3b), and a relaunch after an eviction reads it again. The
+/// dataset is dealt into partition blocks by its first read and every
+/// later read shares them, so the whole job, on both backends, makes
+/// fewer `Value` clones than the dataset has records. A source that
+/// copied its partition per read cloned each record once per iteration.
+#[test]
+fn an_iterative_job_clones_no_dataset_record() {
+    use pado_core::runtime::{BackendKind, FaultPlan};
+    use pado_workloads::{mlr, MlrConfig};
+
+    let _guard = COUNTER_LOCK.lock().unwrap();
+    let cfg = MlrConfig {
+        iterations: 4,
+        ..MlrConfig::default()
+    };
+    let dag = mlr::dag(&cfg);
+    let want = mlr::reference(&cfg);
+    for backend in [BackendKind::Sim, BackendKind::Threaded] {
+        let faults = FaultPlan {
+            evictions: vec![(8, 0)],
+            ..FaultPlan::default()
+        };
+        let before = clone_count();
+        let result = LocalCluster::new(2, 2)
+            .with_backend(backend)
+            .run_with_faults(&dag, faults)
+            .expect("MLR job");
+        let delta = clone_count() - before;
+        assert_eq!(result.metrics.evictions, 1, "{backend:?}");
+        let model = result.outputs["Model Out"][0].as_vector().unwrap();
+        assert!(model.iter().zip(&want).all(|(a, b)| (a - b).abs() <= 1e-9));
+        assert!(
+            delta < cfg.samples as u64,
+            "{backend:?}: the job cloned {delta} values over {} records",
+            cfg.samples
+        );
     }
 }

@@ -6,9 +6,9 @@
 //! common element-wise case.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::block::MainSlot;
+use crate::block::{block_from_vec, block_into_rows, Block, MainSlot};
 use crate::value::Value;
 
 /// The output callback handed to user functions; each call emits one record.
@@ -363,14 +363,26 @@ impl fmt::Debug for CombineFn {
     }
 }
 
-/// A source function: given `(partition, total_partitions)`, produces the
-/// records of that partition.
+/// A source: given `(partition, total_partitions)`, the records of that
+/// partition.
 ///
 /// `Read` sources use it to model loading from external storage; `Created`
 /// sources use it with a single partition to materialize in-memory data
-/// (§3.1.1).
+/// (§3.1.1). A generator ([`SourceFn::new`]) produces its records on every
+/// read. A dataset ([`SourceFn::from_vec`]) is dealt into partition blocks
+/// once, by its first read, which moves the records; every later read at
+/// that partitioning — a later iteration, a relaunch, a speculative
+/// duplicate, a later job over the same DAG — shares the same block.
+/// Clones of a `SourceFn` share the deal.
 #[derive(Clone)]
-pub struct SourceFn(Arc<dyn Fn(usize, usize) -> Vec<Value> + Send + Sync>);
+pub struct SourceFn(Arc<Source>);
+
+enum Source {
+    Generate(Box<dyn Fn(usize, usize) -> Vec<Value> + Send + Sync>),
+    /// The records until the first read takes them, and the blocks that
+    /// read dealt them into.
+    Dataset(Mutex<Vec<Value>>, OnceLock<Vec<Block>>),
+}
 
 impl SourceFn {
     /// Wraps a partitioned generator function.
@@ -378,25 +390,57 @@ impl SourceFn {
     where
         F: Fn(usize, usize) -> Vec<Value> + Send + Sync + 'static,
     {
-        SourceFn(Arc::new(f))
+        SourceFn(Arc::new(Source::Generate(Box::new(f))))
     }
 
-    /// A source that deals a fixed dataset round-robin across partitions.
+    /// A source that deals a fixed dataset round-robin across partitions:
+    /// record `i` of `n` partitions belongs to partition `i % n`.
     pub fn from_vec(data: Vec<Value>) -> Self {
-        let data = Arc::new(data);
-        SourceFn::new(move |part, total| {
-            data.iter()
-                .skip(part)
-                .step_by(total.max(1))
-                .cloned()
-                .collect()
-        })
+        SourceFn(Arc::new(Source::Dataset(Mutex::new(data), OnceLock::new())))
     }
 
-    /// Produces the records of one partition.
-    pub fn produce(&self, partition: usize, total: usize) -> Vec<Value> {
-        (self.0)(partition, total)
+    /// The records of one partition, as a block.
+    ///
+    /// A dataset's first read deals it into `total` blocks, and every read
+    /// at that `total` returns an `Arc` of the same block. A read at
+    /// another `total` gathers its records from the dealt blocks by index
+    /// (cloning them); so does one past the last partition.
+    pub fn block(&self, partition: usize, total: usize) -> Block {
+        let (data, dealt) = match &*self.0 {
+            Source::Generate(f) => return block_from_vec(f(partition, total)),
+            Source::Dataset(data, dealt) => (data, dealt),
+        };
+        let total = total.max(1);
+        let parts = dealt.get_or_init(|| {
+            let mut data = data.lock().expect("held only to take the records");
+            deal(std::mem::take(&mut *data), total)
+        });
+        if parts.len() == total && partition < total {
+            return Arc::clone(&parts[partition]);
+        }
+        let (len, d) = (parts.iter().map(|b| b.len()).sum(), parts.len());
+        let gathered = (partition..len)
+            .step_by(total)
+            .map(|i| parts[i % d][i / d].clone());
+        block_from_vec(gathered.collect())
     }
+
+    /// The records of one partition, owned: a generator's moved out of
+    /// its fresh block, a dataset's cloned from the shared one.
+    pub fn produce(&self, partition: usize, total: usize) -> Vec<Value> {
+        block_into_rows(self.block(partition, total))
+    }
+}
+
+/// Moves `records` round-robin into `total` blocks: record `i` to block
+/// `i % total`.
+fn deal(records: Vec<Value>, total: usize) -> Vec<Block> {
+    let size = records.len().div_ceil(total);
+    let mut parts: Vec<Vec<Value>> = (0..total).map(|_| Vec::with_capacity(size)).collect();
+    for (i, v) in records.into_iter().enumerate() {
+        parts[i % total].push(v);
+    }
+    parts.into_iter().map(block_from_vec).collect()
 }
 
 impl fmt::Debug for SourceFn {
