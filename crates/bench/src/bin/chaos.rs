@@ -12,8 +12,8 @@
 //! `--backend threaded` doubles as a cross-backend differential check.
 //! `--journal` writes a Chrome trace of the last seed's journal,
 //! `--wal-dump` (with `--crash`) a frame dump of its surviving WAL image,
-//! `--stall-diag` the diagnostics of any seed the hang watchdog aborts
-//! with `RuntimeError::Stalled` (CI uploads it as a failure artifact).
+//! `--stall-diag` the report and timeline of any seed the master found
+//! wedged, `RuntimeError::Wedged` (CI uploads it as a failure artifact).
 //! Exits non-zero if any seed fails or violates an invariant.
 
 use pado_bench::chaos::{chaos_shapes, run_matrix, total, write_artifact, Dim, Family, BENCH};
@@ -78,10 +78,10 @@ fn main() {
         let result = match &o.run {
             Ok(r) => r,
             Err(e) => {
-                if let RuntimeError::Stalled { diagnostics } = e {
-                    stall_reports.push(format!(
-                        "seed {seed} shape {name} stalled:\n{diagnostics}\n"
-                    ));
+                if let RuntimeError::Wedged { diagnostics: d } = e {
+                    let timeline = d.journal.render_timeline(true);
+                    stall_reports
+                        .push(format!("seed {seed} shape {name} wedged:\n{d}\n{timeline}"));
                 }
                 println!("{seed:>5}  {name:<10} JOB FAILED: {e}");
                 bad += 1;
@@ -158,7 +158,7 @@ fn main() {
     if let (Some(path), false) = (&stall_diag_path, stall_reports.is_empty()) {
         write_artifact(path, stall_reports.join("\n"));
         let n = stall_reports.len();
-        println!("wrote stall diagnostics for {n} wedged seed(s) to {path}");
+        println!("wrote wedge reports for {n} wedged seed(s) to {path}");
     }
     println!(
         "\n{}/{n_seeds} seeds clean, {bad} violating; \

@@ -4,7 +4,7 @@ use std::fmt;
 
 use pado_dag::{DagError, OpId};
 
-use crate::runtime::{JobEvent, JobMetrics, StallDiagnostics};
+use crate::runtime::{JobEvent, StallDiagnostics};
 
 /// Errors produced by the Pado compiler.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,16 +68,13 @@ pub enum RuntimeError {
         /// Event log up to the terminal failure.
         events: Vec<JobEvent>,
     },
-    /// The master saw no progress within the event timeout. Carries the
-    /// partial event log and metrics gathered before the job wedged.
+    /// The master saw no progress within `event_timeout_ms` (or the
+    /// threaded backstop found the master thread itself stuck): the run
+    /// was aborted, cancelled and shut down, on either backend.
     Wedged {
-        /// Milliseconds waited since the last progress event.
-        waited_ms: u64,
-        /// Event log up to the stall.
-        events: Vec<JobEvent>,
-        /// Metrics gathered before the stall (boxed to keep the error
+        /// What was stuck and what the run did (boxed to keep the error
         /// small on the hot `Result` paths).
-        metrics: Box<JobMetrics>,
+        diagnostics: Box<StallDiagnostics>,
     },
     /// A single block (or one task's pinned input set) exceeds the
     /// per-executor store budget: no amount of spilling can ever fit
@@ -89,16 +86,6 @@ pub enum RuntimeError {
         budget: usize,
         /// What needed the bytes (block ref or task id).
         context: String,
-    },
-    /// The threaded backend's supervisor (hang watchdog or wall-clock
-    /// deadline) observed a wedged run, cancelled it cooperatively, and
-    /// captured a diagnostics snapshot — queue depths, per-worker state,
-    /// and the tail of the journal — so a hang in CI reads as a bug
-    /// report instead of an opaque timeout.
-    Stalled {
-        /// Where and why the run stopped making progress (boxed to keep
-        /// the error small on the hot `Result` paths).
-        diagnostics: Box<StallDiagnostics>,
     },
     /// A scheduler invariant was violated (a bug in the runtime, not in
     /// user code); surfaced instead of panicking the master thread.
@@ -126,13 +113,7 @@ impl fmt::Display for RuntimeError {
                 f,
                 "task {fop}.{index} failed after {attempts} attempts: {reason}"
             ),
-            RuntimeError::Wedged {
-                waited_ms, events, ..
-            } => write!(
-                f,
-                "job aborted: no progress within {waited_ms} ms ({} events logged)",
-                events.len()
-            ),
+            RuntimeError::Wedged { diagnostics } => write!(f, "job aborted: {diagnostics}"),
             RuntimeError::MemoryExceeded {
                 bytes,
                 budget,
@@ -142,7 +123,6 @@ impl fmt::Display for RuntimeError {
                 "executor memory exceeded: {context} needs {bytes} B resident but the \
                  store budget is {budget} B"
             ),
-            RuntimeError::Stalled { diagnostics } => write!(f, "job stalled: {diagnostics}"),
             RuntimeError::Invariant(msg) => write!(f, "scheduler invariant violated: {msg}"),
             RuntimeError::Config(msg) => write!(f, "invalid runtime configuration: {msg}"),
         }

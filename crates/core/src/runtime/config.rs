@@ -22,8 +22,10 @@ pub struct RuntimeConfig {
     /// Whether transient tasks pre-aggregate their combine-bound outputs
     /// before pushing (task output partial aggregation, §3.2.7).
     pub partial_aggregation: bool,
-    /// Milliseconds the master waits for any event before declaring the
-    /// job wedged (defensive; never reached in healthy runs).
+    /// Milliseconds the master waits for progress (a report or a
+    /// resource-manager notice; heartbeats and acks do not count) before
+    /// declaring the job wedged, on either backend. The threaded
+    /// backend's backstop against a stuck master thread is twice this.
     pub event_timeout_ms: u64,
     /// Retry budget per task: total attempts (first launch included) a
     /// task may consume through user-code failures before the job fails
@@ -43,8 +45,8 @@ pub struct RuntimeConfig {
     /// whatever the median says (guards against duplicating sub-millisecond
     /// tasks whose median rounds to zero).
     pub speculation_floor_ms: u64,
-    /// Master scheduling-loop tick in milliseconds: the granularity at
-    /// which straggler checks and the wedge timeout are evaluated.
+    /// Master scheduling-loop tick in milliseconds: the longest the loop
+    /// waits for a frame, and the interval of its straggler checks.
     pub tick_ms: u64,
     /// Milliseconds between executor heartbeats.
     pub heartbeat_interval_ms: u64,
@@ -82,26 +84,6 @@ pub struct RuntimeConfig {
     /// the sim backend, which gives each executor dedicated slot
     /// threads).
     pub threaded_workers: usize,
-    /// Wall-clock milliseconds the threaded backend waits for the master
-    /// thread before aborting the job (the backstop against a deadlock
-    /// in the parallel plumbing). Must exceed `event_timeout_ms` so the
-    /// master's own wedge detector always fires first on a merely-idle
-    /// job.
-    pub threaded_wallclock_timeout_ms: u64,
-    /// Whether the threaded backend runs a hang watchdog: a supervisor
-    /// thread sampling progress (journal length, pool in-flight count,
-    /// outstanding attempts) that cancels a stalled run and surfaces
-    /// `RuntimeError::Stalled` with a diagnostics snapshot. Only
-    /// meaningful on the threaded backend; rejected on the sim backend
-    /// (whose loop is the progress detector already).
-    pub stall_watchdog: bool,
-    /// Milliseconds between watchdog progress samples. Must stay below
-    /// `threaded_wallclock_timeout_ms`, or the wall-clock abort always
-    /// fires first and the watchdog's diagnostics never materialize.
-    pub stall_sample_interval_ms: u64,
-    /// Consecutive no-progress samples (with work outstanding) before
-    /// the watchdog declares the run stalled.
-    pub stall_samples: u64,
 }
 
 impl Default for RuntimeConfig {
@@ -128,10 +110,6 @@ impl Default for RuntimeConfig {
             wal_sync_every: 1,
             wal_snapshot_every: 64,
             threaded_workers: 4,
-            threaded_wallclock_timeout_ms: 60_000,
-            stall_watchdog: false,
-            stall_sample_interval_ms: 500,
-            stall_samples: 6,
         }
     }
 }
@@ -147,8 +125,8 @@ impl RuntimeConfig {
         }
         if self.tick_ms >= self.event_timeout_ms {
             return Err(format!(
-                "tick_ms ({}) must be below event_timeout_ms ({}) or the wedge \
-                 timeout never fires",
+                "tick_ms ({}) must be below event_timeout_ms ({}) or one idle \
+                 wait outlasts the wedge timeout",
                 self.tick_ms, self.event_timeout_ms
             ));
         }
@@ -243,61 +221,17 @@ impl RuntimeConfig {
         if self.threaded_workers == 0 {
             return Err("threaded_workers must be at least 1".into());
         }
-        if self.threaded_wallclock_timeout_ms <= self.event_timeout_ms {
-            return Err(format!(
-                "threaded_wallclock_timeout_ms ({}) must exceed event_timeout_ms \
-                 ({}): the wall-clock abort is a deadlock backstop and must never \
-                 fire before the master's own wedge detector can report a stuck \
-                 job with its diagnostics",
-                self.threaded_wallclock_timeout_ms, self.event_timeout_ms
-            ));
-        }
-        if self.stall_watchdog {
-            if self.stall_sample_interval_ms == 0 {
-                return Err("stall_sample_interval_ms must be at least 1 when the \
-                            stall watchdog is enabled"
-                    .into());
-            }
-            if self.stall_samples == 0 {
-                return Err("stall_samples must be at least 1 when the stall \
-                            watchdog is enabled"
-                    .into());
-            }
-            if self.stall_sample_interval_ms >= self.threaded_wallclock_timeout_ms {
-                return Err(format!(
-                    "stall_sample_interval_ms ({}) must be below \
-                     threaded_wallclock_timeout_ms ({}): a watchdog that cannot \
-                     complete one sample before the wall-clock abort fires can \
-                     never produce its diagnostics",
-                    self.stall_sample_interval_ms, self.threaded_wallclock_timeout_ms
-                ));
-            }
-        }
         Ok(())
     }
 
-    /// Validates settings whose sanity depends on the execution backend,
-    /// on top of [`RuntimeConfig::validate`]. Called by the cluster
-    /// harness once the backend is chosen.
-    pub fn validate_for_backend(
-        &self,
-        backend: crate::runtime::backend::BackendKind,
-    ) -> Result<(), String> {
-        self.validate()?;
-        if self.stall_watchdog && backend == crate::runtime::backend::BackendKind::Sim {
-            return Err(
-                "stall_watchdog requires the threaded backend: the sim backend \
-                 runs the master inline on the caller's thread, where the \
-                 master's own wedge detector is the progress watchdog"
-                    .into(),
-            );
-        }
-        Ok(())
+    /// [`RuntimeConfig::validate`] under the names `perf/` compiles
+    /// against; no check depends on the backend or the cluster shape.
+    /// They go when `perf/` is next editable (ROADMAP item 1(b)).
+    pub fn validate_for_backend(&self, _: crate::runtime::BackendKind) -> Result<(), String> {
+        self.validate()
     }
 
-    /// [`RuntimeConfig::validate`] under the name `perf/` compiles
-    /// against; no check depends on the cluster shape any more. Goes when
-    /// `perf/` is next editable (ROADMAP item 1(b)).
+    /// See [`RuntimeConfig::validate_for_backend`].
     pub fn validate_with_cluster(&self, _n_executors: usize) -> Result<(), String> {
         self.validate()
     }
@@ -317,7 +251,7 @@ mod tests {
         assert!(c.executor_fault_threshold >= 1);
         assert!(c.speculation_multiplier > 1.0);
         assert!(c.tick_ms >= 1);
-        // Ticks must subdivide the wedge timeout, or it never fires.
+        // Ticks must subdivide the wedge timeout, or one wait outlasts it.
         assert!(c.tick_ms < c.event_timeout_ms);
         assert!(c.validate().is_ok());
     }
@@ -462,67 +396,18 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_wallclock_timeout_at_or_below_event_timeout() {
-        let c = RuntimeConfig {
-            threaded_wallclock_timeout_ms: 30_000,
-            event_timeout_ms: 30_000,
+    fn the_aliases_check_exactly_what_validate_checks() {
+        use crate::runtime::BackendKind;
+        let bad = RuntimeConfig {
+            tick_ms: 0,
             ..RuntimeConfig::default()
         };
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("threaded_wallclock_timeout_ms"));
-        assert!(err.contains("event_timeout_ms"));
-    }
-
-    #[test]
-    fn validate_rejects_zero_watchdog_knobs_only_when_armed() {
-        // Disarmed: zero watchdog knobs are inert and ignored.
-        let c = RuntimeConfig {
-            stall_sample_interval_ms: 0,
-            stall_samples: 0,
-            ..RuntimeConfig::default()
-        };
-        assert!(c.validate().is_ok());
-        let c = RuntimeConfig {
-            stall_watchdog: true,
-            stall_sample_interval_ms: 0,
-            ..RuntimeConfig::default()
-        };
-        assert!(c
-            .validate()
-            .unwrap_err()
-            .contains("stall_sample_interval_ms"));
-        let c = RuntimeConfig {
-            stall_watchdog: true,
-            stall_samples: 0,
-            ..RuntimeConfig::default()
-        };
-        assert!(c.validate().unwrap_err().contains("stall_samples"));
-    }
-
-    #[test]
-    fn validate_rejects_sample_interval_at_or_above_wallclock_timeout() {
-        let c = RuntimeConfig {
-            stall_watchdog: true,
-            stall_sample_interval_ms: 60_000,
-            threaded_wallclock_timeout_ms: 60_000,
-            ..RuntimeConfig::default()
-        };
-        let err = c.validate().unwrap_err();
-        assert!(err.contains("stall_sample_interval_ms"));
-        assert!(err.contains("threaded_wallclock_timeout_ms"));
-    }
-
-    #[test]
-    fn validate_rejects_watchdog_on_the_sim_backend() {
-        use crate::runtime::backend::BackendKind;
-        let c = RuntimeConfig {
-            stall_watchdog: true,
-            ..RuntimeConfig::default()
-        };
-        assert!(c.validate().is_ok(), "backend-independent checks pass");
-        let err = c.validate_for_backend(BackendKind::Sim).unwrap_err();
-        assert!(err.contains("stall_watchdog"));
-        assert!(c.validate_for_backend(BackendKind::Threaded).is_ok());
+        for c in [RuntimeConfig::default(), bad] {
+            for backend in [BackendKind::Sim, BackendKind::Threaded] {
+                assert_eq!(c.validate_for_backend(backend), c.validate());
+            }
+            assert_eq!(c.validate_with_cluster(6), c.validate());
+        }
     }
 
     #[test]

@@ -311,9 +311,9 @@ fn control_loop(
 ) {
     let mut next_beat = Instant::now();
     loop {
-        // Cooperative cancellation point: a supervisor abort unwinds
-        // this control thread without waiting for the master's Kill
-        // (which a wedged master may never send).
+        // Cooperative cancellation point: a wedged run unwinds this
+        // control thread without waiting for the master's Kill (which a
+        // stuck master may never send).
         if cancel.is_cancelled() {
             sink.stop();
             return;

@@ -42,10 +42,10 @@
 //!     counts are equal — the WAL is the only way a master recovers — so
 //!     the journal of a recovered run is a consistent continuation of
 //!     the pre-crash prefix.
-//! 11. **Aborts fail well**: an aborted or stalled run (`RunAborted` /
-//!     `RunStalled`) still quiesces its worker pool — a `PoolQuiesced`
-//!     event must follow the abort marker, and it must report zero jobs
-//!     still in flight; and no run, aborted or not, may leak a worker
+//! 11. **Aborts fail well**: a run the master declared wedged
+//!     (`RunAborted`, journaled before it cancels the run) still
+//!     quiesces its worker pool — a `PoolQuiesced` event must follow the
+//!     abort marker, and it must report zero jobs still in flight; and no run, aborted or not, may leak a worker
 //!     thread (`PoolWorkerDetached` is always a violation — a healthy
 //!     shutdown unblocks every job via the cancel token, so a detach
 //!     means a worker outlived the shutdown grace). This law holds
@@ -224,7 +224,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     let mut master_recoveries: usize = 0;
     let mut wal_recoveries: usize = 0;
     // --- Abort domain (law 11) ---
-    // position of the first abort marker (RunAborted / RunStalled)
+    // position of the first abort marker (RunAborted)
     let mut abort_marker: Option<usize> = None;
     // true once a PoolQuiesced follows the abort marker
     let mut quiesced_after_abort = false;
@@ -873,7 +873,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
             }
             JobEvent::ExecutorDrained { exec } => drained.push(*exec),
             JobEvent::CacheHit { .. } | JobEvent::CacheMiss { .. } => {}
-            JobEvent::RunAborted { .. } | JobEvent::RunStalled { .. } => {
+            JobEvent::RunAborted { .. } => {
                 if abort_marker.is_none() {
                     abort_marker = Some(pos);
                     quiesced_after_abort = false;
@@ -1211,9 +1211,19 @@ mod tests {
 
     #[test]
     fn law11_stalled_run_that_quiesces_is_clean() {
+        // A wedge cancels the run before shutdown: a body queued behind
+        // the stuck ones may still start before the pool quiesces.
         let j = journal(vec![
             launch(0, 0, 1, 0),
-            JobEvent::RunStalled { waited_ms: 3_000 },
+            JobEvent::RunAborted {
+                reason: "no progress within 300 ms".into(),
+            },
+            JobEvent::TaskStarted {
+                fop: 0,
+                index: 0,
+                attempt: 1,
+                exec: 0,
+            },
             JobEvent::PoolQuiesced { in_flight: 0 },
         ]);
         assert_clean(&j, false);
@@ -1255,7 +1265,9 @@ mod tests {
     #[test]
     fn law11_quiesce_with_jobs_in_flight_is_detected() {
         let j = journal(vec![
-            JobEvent::RunStalled { waited_ms: 3_000 },
+            JobEvent::RunAborted {
+                reason: "no progress within 300 ms".into(),
+            },
             JobEvent::PoolQuiesced { in_flight: 2 },
         ]);
         let v = check(&j, false);

@@ -165,7 +165,7 @@ impl LocalCluster {
     /// the given fault schedule. This is [`LocalCluster::run_with_faults`]
     /// with the backend construction split out, so tests can keep a
     /// handle on the backend's innards (e.g. wedge its worker pool
-    /// deliberately and assert the stall diagnostics).
+    /// deliberately and assert the wedge report).
     ///
     /// # Errors
     ///
@@ -176,9 +176,7 @@ impl LocalCluster {
         mut faults: FaultPlan,
         backend: &dyn ExecBackend,
     ) -> Result<JobResult, RuntimeError> {
-        self.config
-            .validate_for_backend(self.backend)
-            .map_err(RuntimeError::Config)?;
+        self.config.validate().map_err(RuntimeError::Config)?;
         faults.drains.extend(self.drains.iter().copied());
         let plan = compile_with(dag, &self.plan_config)?;
         let job = Arc::new(JobContext {

@@ -20,8 +20,8 @@ pub mod transport;
 pub mod wal;
 
 pub use backend::{
-    BackendKind, CancelToken, ExecBackend, SimBackend, StallDiagnostics, StallProbe,
-    ThreadedBackend, WorkerPool, WorkerState,
+    BackendKind, CancelToken, ExecBackend, SimBackend, StallDiagnostics, ThreadedBackend,
+    WorkerPool, WorkerState,
 };
 pub use cache::{CacheKey, LruCache};
 pub use clock::Clock;

@@ -57,8 +57,8 @@
 //! whose rows read `tag => Variant { fields in wire order }` and expand
 //! to the encoder and the decoder both. Adding a [`JobEvent`] is the
 //! enum variant, one row with the next free tag (tags are never reused
-//! or renumbered — old logs must keep their meaning; 0 and 28–33 are
-//! retired), a sample and a tag arm in `tests::every_wire_form_is_pinned`,
+//! or renumbered — old logs must keep their meaning; 0, 28–33 and 36
+//! are retired), a sample and a tag arm in `tests::every_wire_form_is_pinned`,
 //! and its `kind` / `describe` arms in the journal.
 
 use std::fmt::Write as _;
@@ -281,7 +281,8 @@ wire_enum!(BlockRef, "bad block-ref tag", {
 // Tags are never reused or renumbered: a new event takes the next free
 // one, whatever its place in the enum. 28–33 belonged to the retired
 // reconfiguration transaction, 0 to `TaskLaunched` while it carried a
-// relaunch flag; a frame carrying one is refused.
+// relaunch flag, 36 to `RunStalled`, the retired hang watchdog's abort
+// marker; a frame carrying one is refused.
 wire_enum!(JobEvent, "bad event tag", {
     1 => SpeculativeLaunched {
         fop, index, attempt, exec, side_bytes_sent, side_bytes_saved, side_cache_misses
@@ -316,7 +317,6 @@ wire_enum!(JobEvent, "bad event tag", {
     27 => CacheMiss { exec, key },
     34 => WalRecovered { frames_replayed, frames_truncated, snapshot_restored },
     35 => RunAborted { reason },
-    36 => RunStalled { waited_ms },
     37 => PoolQuiesced { in_flight },
     38 => PoolWorkerDetached { worker },
     39 => OutputDropped { fop, index, exec },
@@ -1132,7 +1132,6 @@ mod tests {
             RunAborted {
                 reason: String::new(),
             },
-            RunStalled { waited_ms: 29 },
             PoolQuiesced { in_flight: 30 },
             PoolWorkerDetached { worker: 31 },
             OutputDropped { fop, index, exec },
@@ -1174,7 +1173,6 @@ mod tests {
             JobEvent::CacheMiss { .. } => 27,
             JobEvent::WalRecovered { .. } => 34,
             JobEvent::RunAborted { .. } => 35,
-            JobEvent::RunStalled { .. } => 36,
             JobEvent::PoolQuiesced { .. } => 37,
             JobEvent::PoolWorkerDetached { .. } => 38,
             JobEvent::OutputDropped { .. } => 39,
@@ -1186,9 +1184,11 @@ mod tests {
     /// Every layout the log can hold, pinned byte for byte. The length
     /// and FNV-1a below were re-recorded when `TaskLaunched` lost its
     /// relaunch flag (tag 0 retired, 41 added) and the snapshot its
-    /// first-launch rows; every other row was checked byte-identical
-    /// against the encoder of commit `420373f` first. A change here is a
-    /// format change.
+    /// first-launch rows (every other row was checked byte-identical
+    /// against the encoder of commit `420373f` first), and again when
+    /// `RunStalled` left (tag 36 retired; every remaining event's frame,
+    /// with and without a stage, is byte-identical to the encoder of
+    /// commit `c2fdfce`). A change here is a format change.
     #[test]
     fn every_wire_form_is_pinned() {
         let mut records: Vec<WalRecord> = Vec::new();
@@ -1203,7 +1203,7 @@ mod tests {
             tags.insert(tag);
             records.push(record);
         }
-        let live: std::collections::BTreeSet<u8> = (1..28).chain(34..42).collect();
+        let live: std::collections::BTreeSet<u8> = (1..28).chain([34, 35]).chain(37..42).collect();
         assert_eq!(tags, live, "a variant has no sample");
         records.push(WalRecord::Snapshot(WalSnapshot {
             next_attempt: 1 << 33,
@@ -1237,7 +1237,7 @@ mod tests {
         });
         assert_eq!(
             (image.len(), fnv1a),
-            (1991, 0xe807_0e72_c7a3_4946),
+            (1960, 0x0a7f_e32d_2671_a7a4),
             "the image moved"
         );
     }
@@ -1258,8 +1258,9 @@ mod tests {
         assert_eq!(refusal(KIND_EVENT, vec![vec![2]]), "bad option tag");
         assert_eq!(event(vec![vec![42]]), "bad event tag");
         // Retired tags are refused, not mis-decoded: e.g. what used to be
-        // a well-formed epoch advance, tag 32, or a flagged launch, tag 0.
-        for retired in 28..=33 {
+        // a well-formed epoch advance, tag 32, a stall marker, tag 36, or
+        // a flagged launch, tag 0.
+        for retired in (28..=33).chain([36]) {
             assert_eq!(event(vec![vec![retired], le(1)]), "bad event tag");
         }
         let flagged_launch = [
