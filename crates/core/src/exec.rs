@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use pado_dag::column::LayoutBuilder;
 use pado_dag::{
     block_from_vec, block_into_rows, empty_block, Block, DepType, LogicalDag, MainSlot,
     OperatorKind, TaskInput, UdfError, Value,
@@ -193,10 +194,11 @@ pub fn source_partition(
 /// per main edge); `sides` maps a chain-member index to that member's
 /// broadcast side input (see [`crate::compiler::PlanEdge::member`]).
 /// Interior chain members read the previous member's output block as
-/// their main input. Rows exist only where a user function or
-/// `GroupByKey` produces them: a ParDo's emitted records and a
-/// generator's partition are sealed into a block once per task run, and
-/// a dataset's partition once per dataset, shared by every read after.
+/// their main input. A generator's partition is sealed into a block once
+/// per task run, a dataset's once per dataset. A ParDo's emitted records
+/// are sealed as rows, except by the tail when `columnar_tail` says a
+/// kernel reads the output next: it takes each record apart as it is
+/// emitted ([`LayoutBuilder`]).
 ///
 /// # Errors
 ///
@@ -207,17 +209,27 @@ pub fn apply_chain(
     index: usize,
     mains: &[MainSlot],
     sides: &BTreeMap<usize, Block>,
+    columnar_tail: bool,
 ) -> Result<Block, UdfError> {
-    let head = fop.head();
-    let side0 = sides.get(&0).map(|b| b.rows());
-    let mut data = match &dag.op(head).kind {
-        OperatorKind::Source { f, .. } => f.block(index, fop.parallelism),
-        _ => apply_op_block(dag, head, TaskInput::new(mains, side0))?,
+    let tail = fop.chain.len() - 1;
+    let apply = |pos: usize, mains: &[MainSlot]| -> Result<Block, UdfError> {
+        let op = fop.chain[pos];
+        let input = TaskInput::new(mains, sides.get(&pos).map(|b| b.rows()));
+        match &dag.op(op).kind {
+            OperatorKind::ParDo(f) if columnar_tail && pos == tail => {
+                let mut out = LayoutBuilder::default();
+                f.try_call(input, &mut |v| out.push(v))?;
+                Ok(out.finish())
+            }
+            _ => apply_op_block(dag, op, input),
+        }
     };
-    for (pos, &op) in fop.chain.iter().enumerate().skip(1) {
-        let side = sides.get(&pos).map(|b| b.rows());
-        let link = [MainSlot::from_block(data)];
-        data = apply_op_block(dag, op, TaskInput::new(&link, side))?;
+    let mut data = match &dag.op(fop.head()).kind {
+        OperatorKind::Source { f, .. } => f.block(index, fop.parallelism),
+        _ => apply(0, mains)?,
+    };
+    for pos in 1..=tail {
+        data = apply(pos, &[MainSlot::from_block(data)])?;
     }
     Ok(data)
 }
@@ -348,8 +360,13 @@ mod tests {
         let plan = compile(&dag).unwrap();
         let fop = &plan.fops[0];
         assert_eq!(fop.chain.len(), 2);
-        let out = apply_chain(&dag, fop, 1, &[], &BTreeMap::new()).unwrap();
-        assert_eq!(out.rows(), &[Value::from(2i64), Value::from(22i64)]);
+        for columnar_tail in [false, true] {
+            let out = apply_chain(&dag, fop, 1, &[], &BTreeMap::new(), columnar_tail).unwrap();
+            // A ParDo tail a kernel reads next is born columnar; one a
+            // row reader reads next is born as rows.
+            assert_eq!(out.has_rows(), !columnar_tail);
+            assert_eq!(out.rows(), &[Value::from(2i64), Value::from(22i64)]);
+        }
     }
 
     #[test]

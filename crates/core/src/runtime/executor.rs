@@ -31,6 +31,7 @@ use parking_lot::Mutex;
 
 use crate::compiler::{PhysicalPlan, Placement};
 use crate::exec::{apply_chain, route};
+use crate::kernels::{combine_global, combine_keyed};
 use crate::runtime::backend::{CancelToken, WorkerPool};
 use crate::runtime::cache::CacheKey;
 use crate::runtime::config::RuntimeConfig;
@@ -547,8 +548,10 @@ fn task_body(
         sides.insert(*member, records);
     }
 
+    // A kernel reads what the task routes or pre-aggregates next.
+    let columnar = spec.preaggregate || !spec.route_to.is_empty();
     let fop = &job.plan.fops[spec.fop];
-    let mut output = apply_chain(&job.dag, fop, spec.index, &spec.mains, &sides)?;
+    let mut output = apply_chain(&job.dag, fop, spec.index, &spec.mains, &sides, columnar)?;
 
     let mut preaggregated = 0usize;
     if spec.preaggregate {
@@ -622,7 +625,7 @@ pub fn combine_consumer(
 
 /// Merges records within one partition ahead of the consumer combine:
 /// per key for keyed combiners, into a single accumulator for global
-/// ones. Homogeneous pair partitions take the vectorized kernel over the
+/// ones. A columnar partition takes the vectorized kernel over the
 /// block's columns; the row fallback consumes the records without
 /// cloning when it holds the only reference.
 ///
@@ -643,14 +646,11 @@ pub fn preaggregate(
         // shuffled stream.
         return Ok(records);
     }
-    if !keyed {
-        return Ok(block_from_vec(vec![f.merge_all(block_into_rows(records))]));
-    }
-    match records.columns() {
-        Some(Columns::Pair { keys, vals }) => {
-            return Ok(crate::kernels::combine_keyed(keys, vals, f));
-        }
-        Some(cols) => {
+    match (records.columns(), keyed) {
+        (Some(cols), false) => return Ok(block_from_vec(vec![combine_global(&[cols], f)])),
+        (None, false) => return Ok(block_from_vec(vec![f.merge_all(block_into_rows(records))])),
+        (Some(Columns::Pair { keys, vals }), true) => return Ok(combine_keyed(keys, vals, f)),
+        (Some(cols), true) => {
             // Homogeneous but not pair-shaped: every record is a
             // non-pair, so the first one names the failure.
             return Err(UdfError::new(format!(
@@ -660,7 +660,7 @@ pub fn preaggregate(
         }
         // Heterogeneous: row path below, which may still be all pairs
         // of mixed scalar kinds.
-        None => {}
+        (None, true) => {}
     }
     let mut accs: BTreeMap<Value, Value> = BTreeMap::new();
     for rec in block_into_rows(records) {
@@ -749,7 +749,8 @@ mod tests {
             config: RuntimeConfig::default(),
         };
         let store = ExecutorStore::handle(3, usize::MAX, 1024, Journal::new());
-        for preaggregate in [false, true] {
+        for (preaggregate, route_to) in [(false, vec![4]), (true, vec![4]), (false, vec![])] {
+            let case = format!("preaggregate={preaggregate} route_to={route_to:?}");
             let spec = TaskSpec {
                 attempt: 1,
                 fop: 0,
@@ -757,7 +758,7 @@ mod tests {
                 mains: Vec::new(),
                 sides: BTreeMap::new(),
                 preaggregate,
-                route_to: vec![4],
+                route_to: route_to.clone(),
                 inject: None,
             };
             match run_task(3, &job, &store, &Journal::new(), spec) {
@@ -765,14 +766,20 @@ mod tests {
                     output, buckets, ..
                 } => {
                     assert_eq!(output.len(), 50);
-                    assert!(output.is_sized(), "preaggregate={preaggregate}");
+                    assert!(output.is_sized(), "{case}");
+                    // The ParDo tail's layout follows its next reader: a
+                    // kernel's (route, pre-aggregate) is born columnar,
+                    // with no row view built; anything else is born rows.
+                    let kernel_reads = preaggregate || !route_to.is_empty();
+                    assert_eq!(output.has_rows(), !kernel_reads, "{case}");
                     // One bucket set per requested width, cut from the
                     // output and sized like it.
-                    assert_eq!(buckets.len(), 1);
-                    let (width, buckets) = &buckets[0];
-                    assert_eq!((*width, buckets.len()), (4, 4));
-                    assert_eq!(buckets.iter().map(|b| b.len()).sum::<usize>(), 50);
-                    assert!(buckets.iter().all(|b| b.is_sized()));
+                    assert_eq!(buckets.len(), route_to.len(), "{case}");
+                    for (width, buckets) in &buckets {
+                        assert_eq!((*width, buckets.len()), (4, 4));
+                        assert_eq!(buckets.iter().map(|b| b.len()).sum::<usize>(), 50);
+                        assert!(buckets.iter().all(|b| b.is_sized() && !b.has_rows()));
+                    }
                 }
                 other => panic!("expected TaskDone, got {other:?}"),
             }

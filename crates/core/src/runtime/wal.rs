@@ -87,18 +87,31 @@ const KIND_SNAPSHOT: u8 = 2;
 const KIND_LOCATIONS: u8 = 3;
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE, bitwise — the log is control-plane-sized, not a hot path)
+// CRC32 (IEEE, a table lookup a byte: every frame appended or scanned)
 // ---------------------------------------------------------------------
 
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
+/// The CRC register after shifting each byte value's 8 bits through it.
+const CRC_TABLE: [u32; 256] = crc_table();
+
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
             crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+}
+
+fn crc32(data: &[u8]) -> u32 {
+    let step = |crc: u32, &b: &u8| CRC_TABLE[usize::from(crc as u8 ^ b)] ^ (crc >> 8);
+    !data.iter().fold(!0, step)
 }
 
 // ---------------------------------------------------------------------
@@ -147,9 +160,7 @@ impl Wire for u64 {
         e.extend_from_slice(&self.to_le_bytes());
     }
     fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(d.take(8)?);
-        Ok(u64::from_le_bytes(a))
+        Ok(u64::from_le_bytes(d.take(8)?.try_into().expect("took 8")))
     }
 }
 
@@ -191,12 +202,9 @@ impl Wire for String {
 
 impl Wire for Option<usize> {
     fn enc(&self, e: &mut Vec<u8>) {
-        match self {
-            None => e.push(0),
-            Some(x) => {
-                e.push(1);
-                x.enc(e);
-            }
+        e.push(self.is_some() as u8);
+        if let Some(x) = self {
+            x.enc(e);
         }
     }
     fn dec(d: &mut Dec<'_>) -> DecodeResult<Self> {
@@ -522,11 +530,7 @@ fn parse_frame_at(bytes: &[u8], pos: usize) -> Option<(WalFrame, usize)> {
     if pos + 12 > bytes.len() {
         return None;
     }
-    let word = |at: usize| {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(&bytes[at..at + 4]);
-        u32::from_le_bytes(a)
-    };
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
     if word(pos) != WAL_MAGIC {
         return None;
     }
@@ -580,17 +584,9 @@ pub fn scan(bytes: &[u8]) -> WalScan {
         ends.push(end);
         pos = end;
     }
-    if pos == bytes.len() {
-        // Clean: the log ends exactly at a frame boundary.
-        return WalScan {
-            frames,
-            valid_len: pos as u64,
-            frames_truncated: 0,
-            snapshot_restored: false,
-        };
-    }
-    // Resync: hunt for a parseable frame beyond the damage. Finding one
-    // proves the corruption is interior (bit rot), not a torn append.
+    // Resync: hunt for a parseable frame beyond the damage (if any).
+    // Finding one proves the corruption is interior (bit rot), not a torn
+    // append.
     let mut stranded = 0usize;
     let mut search = pos + 1;
     while search + 12 <= bytes.len() {
@@ -609,11 +605,12 @@ pub fn scan(bytes: &[u8]) -> WalScan {
         }
     }
     if stranded == 0 {
-        // Torn tail: truncate the garbage, keep the whole prefix.
+        // Clean (the log ends exactly at a frame boundary) or a torn tail:
+        // truncate the garbage, if any, and keep the whole prefix.
         return WalScan {
             frames,
             valid_len: pos as u64,
-            frames_truncated: 1,
+            frames_truncated: usize::from(pos < bytes.len()),
             snapshot_restored: false,
         };
     }
@@ -928,6 +925,34 @@ pub fn temp_wal_path(tag: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bitwise CRC32 the table is built from: the oracle.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_is_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_table_matches_the_bitwise_loop(
+            data in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
+    }
 
     fn ev(attempt: AttemptId) -> WalRecord {
         WalRecord::Event {

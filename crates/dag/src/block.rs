@@ -117,6 +117,11 @@ impl BlockInner {
         self.sizes.get().is_some()
     }
 
+    /// Whether the row view exists (sealed from rows, or derived since).
+    pub fn has_rows(&self) -> bool {
+        self.rows.get().is_some()
+    }
+
     fn sizes(&self) -> BlockSizes {
         *self.sizes.get_or_init(|| {
             let raw = 4 + self.raw_body_bytes();
@@ -151,12 +156,6 @@ impl std::ops::Deref for BlockInner {
     type Target = [Value];
 
     fn deref(&self) -> &[Value] {
-        self.rows()
-    }
-}
-
-impl AsRef<[Value]> for BlockInner {
-    fn as_ref(&self) -> &[Value] {
         self.rows()
     }
 }

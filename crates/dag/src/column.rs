@@ -1,12 +1,13 @@
 //! Typed column layouts for [`crate::Block`].
 //!
-//! A block analyzes its rows once and, when every record shares one of
-//! the four scalar shapes (i64 / f64 / str / bytes) — or is a `Pair` of
-//! two such scalars — stores them as flat column vectors instead of
-//! boxed [`Value`] trees. Columns are what the vectorized kernels in
-//! `pado-core` operate on and what the block codec compresses; anything
-//! heterogeneous (or containing `Unit`/`List`/`Vector`) stays on the
-//! row-of-`Value` fallback, which remains the semantic oracle.
+//! When every record of a block shares one of the four scalar shapes
+//! (i64 / f64 / str / bytes) — or is a `Pair` of two such scalars — the
+//! block stores them as flat column vectors instead of boxed [`Value`]
+//! trees, taken apart as they are emitted ([`LayoutBuilder`]) or by
+//! analyzing its rows once ([`analyze`]). Columns are what the vectorized
+//! kernels in `pado-core` operate on and what the block codec compresses;
+//! anything heterogeneous (or containing `Unit`/`List`/`Vector`) stays on
+//! the row-of-`Value` fallback, which remains the semantic oracle.
 //!
 //! Invariants the rest of the engine relies on:
 //!
@@ -21,6 +22,7 @@
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use crate::block::{block_from_columns, block_from_vec, Block};
 use crate::value::Value;
 
 /// Variable-length byte items (strings or byte blobs) packed into one
@@ -128,6 +130,29 @@ impl ScalarCol {
         }
     }
 
+    /// An empty column of `v`'s kind; `None` for a non-scalar.
+    fn for_value(v: &Value) -> Option<ScalarCol> {
+        Some(match v {
+            Value::I64(_) => ScalarCol::I64(Vec::new()),
+            Value::F64(_) => ScalarCol::F64(Vec::new()),
+            Value::Str(_) => ScalarCol::Str(Packed::default()),
+            Value::Bytes(_) => ScalarCol::Bytes(Packed::default()),
+            _ => return None,
+        })
+    }
+
+    /// Appends `v`'s payload; `false` (unchanged) on a kind mismatch or offset overflow.
+    fn push(&mut self, v: &Value) -> bool {
+        match (self, v) {
+            (ScalarCol::I64(c), Value::I64(x)) => c.push(*x),
+            (ScalarCol::F64(c), Value::F64(x)) => c.push(*x),
+            (ScalarCol::Str(p), Value::Str(s)) => return p.push(s.as_bytes()),
+            (ScalarCol::Bytes(p), Value::Bytes(b)) => return p.push(b),
+            _ => return false,
+        }
+        true
+    }
+
     /// Constructs a fresh [`Value`] for position `i` (never clones).
     pub fn value_at(&self, i: usize) -> Value {
         match self {
@@ -191,10 +216,11 @@ impl ScalarCol {
                 v[i].to_bits().hash(state);
             }
             ScalarCol::Str(p) => {
+                // What `str::hash` feeds the hasher, without re-checking
+                // the UTF-8 the column was built from.
                 state.write_u8(3);
-                std::str::from_utf8(p.get(i))
-                    .expect("str column holds valid utf-8")
-                    .hash(state);
+                state.write(p.get(i));
+                state.write_u8(0xff);
             }
             ScalarCol::Bytes(p) => {
                 state.write_u8(4);
@@ -282,11 +308,32 @@ pub enum Columns {
 }
 
 impl Columns {
-    /// Number of records.
+    /// Number of records; a pair's is its values' count, as a value `push`
+    /// refuses leaves its key behind.
     pub fn len(&self) -> usize {
         match self {
             Columns::Scalar(c) => c.len(),
-            Columns::Pair { keys, .. } => keys.len(),
+            Columns::Pair { vals, .. } => vals.len(),
+        }
+    }
+
+    /// An empty layout of `v`'s shape; `None` for a non-columnar one.
+    fn for_value(v: &Value) -> Option<Columns> {
+        match v {
+            Value::Pair(k, x) => Some(Columns::Pair {
+                keys: ScalarCol::for_value(k)?,
+                vals: ScalarCol::for_value(x)?,
+            }),
+            _ => ScalarCol::for_value(v).map(Columns::Scalar),
+        }
+    }
+
+    /// Takes `v` apart into the columns; `false` when it does not fit.
+    fn push(&mut self, v: &Value) -> bool {
+        match (self, v) {
+            (Columns::Scalar(c), _) => c.push(v),
+            (Columns::Pair { keys, vals }, Value::Pair(k, x)) => keys.push(k) && vals.push(x),
+            _ => false,
         }
     }
 
@@ -320,70 +367,56 @@ impl Columns {
     }
 }
 
-/// A growing column that commits to a kind on the first value and
-/// rejects (`false`) anything that does not match.
-struct ColBuilder {
-    col: ScalarCol,
+/// Builds a block's layout one record at a time, the one place the layout
+/// rule lives. The first record picks the shape; each that fits is taken
+/// apart into the columns and dropped while hot. The first that does not
+/// turns what was built into fresh rows (no clone) and it, and all after
+/// it, stay rows: a sealed block holds the layout [`analyze`] finds.
+#[derive(Default)]
+pub struct LayoutBuilder {
+    cols: Option<Columns>,
+    rows: Vec<Value>,
 }
 
-impl ColBuilder {
-    fn for_value(v: &Value) -> Option<ColBuilder> {
-        let col = match v {
-            Value::I64(_) => ScalarCol::I64(Vec::new()),
-            Value::F64(_) => ScalarCol::F64(Vec::new()),
-            Value::Str(_) => ScalarCol::Str(Packed::default()),
-            Value::Bytes(_) => ScalarCol::Bytes(Packed::default()),
-            _ => return None,
-        };
-        Some(ColBuilder { col })
+impl LayoutBuilder {
+    /// Takes `v` apart into the columns; `false` when it does not fit.
+    fn take_apart(&mut self, v: &Value) -> bool {
+        if self.cols.is_none() {
+            self.cols = Columns::for_value(v);
+        }
+        self.cols.as_mut().is_some_and(|c| c.push(v))
     }
 
-    fn push(&mut self, v: &Value) -> bool {
-        match (&mut self.col, v) {
-            (ScalarCol::I64(c), Value::I64(x)) => {
-                c.push(*x);
-                true
-            }
-            (ScalarCol::F64(c), Value::F64(x)) => {
-                c.push(*x);
-                true
-            }
-            (ScalarCol::Str(p), Value::Str(s)) => p.push(s.as_bytes()),
-            (ScalarCol::Bytes(p), Value::Bytes(b)) => p.push(b),
-            _ => false,
+    /// Adds one record: into the columns while they fit (the record is
+    /// dropped here), as a row once one has not.
+    pub fn push(&mut self, v: Value) {
+        if self.rows.is_empty() && self.take_apart(&v) {
+            return;
+        }
+        if let Some(cols) = self.cols.take() {
+            self.rows = cols.rows();
+        }
+        self.rows.push(v);
+    }
+
+    /// Seals the records pushed so far as one block.
+    pub fn finish(self) -> Block {
+        match self.cols {
+            Some(cols) => block_from_columns(cols),
+            None => block_from_vec(self.rows),
         }
     }
 }
 
-/// Analyzes rows into a column layout, or `None` when the data is
-/// heterogeneous, empty, contains non-columnar shapes (`Unit`, `List`,
-/// `Vector`, nested pairs), or would overflow the packed `u32` offsets.
+/// The column layout of `rows`, or `None` when the data is heterogeneous,
+/// empty, contains non-columnar shapes (`Unit`, `List`, `Vector`, nested
+/// pairs), or would overflow the packed `u32` offsets.
 pub fn analyze(rows: &[Value]) -> Option<Columns> {
-    let first = rows.first()?;
-    match first {
-        Value::Pair(k0, v0) => {
-            let mut kb = ColBuilder::for_value(k0)?;
-            let mut vb = ColBuilder::for_value(v0)?;
-            for r in rows {
-                let Value::Pair(k, v) = r else { return None };
-                if !kb.push(k) || !vb.push(v) {
-                    return None;
-                }
-            }
-            Some(Columns::Pair {
-                keys: kb.col,
-                vals: vb.col,
-            })
-        }
-        _ => {
-            let mut b = ColBuilder::for_value(first)?;
-            for r in rows {
-                if !b.push(r) {
-                    return None;
-                }
-            }
-            Some(Columns::Scalar(b.col))
-        }
+    let mut b = LayoutBuilder::default();
+    if rows.iter().all(|r| b.take_apart(r)) {
+        b.cols
+    } else {
+        None
     }
 }
 
@@ -487,7 +520,11 @@ mod tests {
         } else {
             panic!("expected i64 column");
         }
-        let rows = vec![Value::from("alpha"), Value::from("")];
+        let rows = vec![
+            Value::from("alpha"),
+            Value::from(""),
+            Value::from("größe-π-页"),
+        ];
         if let Some(Columns::Scalar(c)) = analyze(&rows) {
             for (i, r) in rows.iter().enumerate() {
                 assert_eq!(hash_col(&c, i), hash_value(r), "str hash diverged at {i}");
@@ -513,6 +550,30 @@ mod tests {
             }
         } else {
             panic!("expected f64 column");
+        }
+    }
+
+    proptest! {
+        /// A str column hashes its bytes as `str::hash` does, without
+        /// re-reading them as UTF-8: a toolchain whose `str` hash feeds
+        /// the hasher differently fails here, not in a shuffle.
+        #[test]
+        fn str_column_hash_matches_value_hash_for_any_string(
+            items in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 0..12), 1..20),
+        ) {
+            let rows: Vec<Value> = items
+                .iter()
+                .map(|cs| {
+                    let s: String = cs.iter().map(|&c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}')).collect();
+                    Value::from(s)
+                })
+                .collect();
+            let Some(Columns::Scalar(c)) = analyze(&rows) else {
+                panic!("expected a str column")
+            };
+            for (i, r) in rows.iter().enumerate() {
+                prop_assert_eq!(hash_col(&c, i), hash_value(r), "str hash diverged for {:?}", r);
+            }
         }
     }
 

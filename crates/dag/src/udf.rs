@@ -313,30 +313,16 @@ impl CombineFn {
 
     /// A combiner keeping the maximum `I64`.
     pub fn max_i64() -> Self {
-        CombineFn::new(
-            || Value::I64(i64::MIN),
-            |a, b| {
-                Value::I64(
-                    a.as_i64()
-                        .unwrap_or(i64::MIN)
-                        .max(b.as_i64().unwrap_or(i64::MIN)),
-                )
-            },
-        )
+        let get = |v: Value| v.as_i64().unwrap_or(i64::MIN);
+        let merge = move |a, b| Value::I64(get(a).max(get(b)));
+        CombineFn::new(|| Value::I64(i64::MIN), merge)
     }
 
     /// A combiner keeping the minimum `I64`.
     pub fn min_i64() -> Self {
-        CombineFn::new(
-            || Value::I64(i64::MAX),
-            |a, b| {
-                Value::I64(
-                    a.as_i64()
-                        .unwrap_or(i64::MAX)
-                        .min(b.as_i64().unwrap_or(i64::MAX)),
-                )
-            },
-        )
+        let get = |v: Value| v.as_i64().unwrap_or(i64::MAX);
+        let merge = move |a, b| Value::I64(get(a).min(get(b)));
+        CombineFn::new(|| Value::I64(i64::MAX), merge)
     }
 
     /// Returns the neutral element.

@@ -8,7 +8,9 @@
 //!   without changing a record, whichever side it was seeded from,
 //! - re-encoding a decoded block reproduces the same bytes (the
 //!   determinism the store's byte accounting and the journal matrices
-//!   rely on).
+//!   rely on),
+//! - a block built record by record as a ParDo emits them is the block
+//!   sealed from the same rows.
 
 use std::sync::Arc;
 
@@ -56,8 +58,70 @@ fn columnar_rows() -> BoxedStrategy<Vec<Value>> {
     prop_oneof![i64s, f64s, strs, pairs].boxed()
 }
 
+/// A leaf of kind 0–6: i64, f64 (±0 among them), str, bytes, `Unit`, a
+/// `List`, a `Vector`.
+fn leaf(kind: usize, i: usize) -> Value {
+    match kind {
+        0 => Value::from(i as i64 - 3),
+        1 => Value::from([1.5, -0.0, 0.0][i % 3] * i as f64),
+        2 => Value::from(["", "page-1", "größe"][i % 3]),
+        3 => Value::Bytes(Arc::from(&b"\0\xffab"[..i % 5])),
+        4 => Value::Unit,
+        5 => Value::list(vec![Value::from(i as i64)]),
+        _ => Value::vector(vec![i as f64]),
+    }
+}
+
+/// A record of one shape: a leaf, a pair of two leaves, or a pair whose
+/// value is itself a pair.
+fn record((key, val, nesting): (usize, usize, u8), i: usize) -> Value {
+    match nesting {
+        0 => leaf(key, i),
+        1 => Value::pair(leaf(key, i), leaf(val, i)),
+        _ => Value::pair(leaf(key, i), Value::pair(leaf(val, i), leaf(key, i))),
+    }
+}
+
+/// What a ParDo might emit: up to 40 records of one shape, switching to
+/// a second shape at record `switch` (no switch when it is past the end).
+fn emitted() -> BoxedStrategy<Vec<Value>> {
+    let shape = (0usize..7, 0usize..7, 0u8..3);
+    (shape.clone(), shape, 0usize..40, 0usize..60)
+        .prop_map(|(a, b, n, switch)| {
+            (0..n)
+                .map(|i| record(if i < switch { a } else { b }, i))
+                .collect()
+        })
+        .boxed()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Taking records apart as they are emitted seals the block that
+    /// sealing them as rows would: the layout `analyze` finds (columns
+    /// exactly when there are columns, with no row view beside them), the
+    /// same sizes and the same encoded bytes. The builder clones nothing.
+    #[test]
+    fn layout_builder_seals_the_block_rows_would(rows in emitted()) {
+        // Fresh owned copies (decoded, not cloned) to emit.
+        let copies = decode_batch(&encode_batch(&rows).expect("encodes")).expect("decodes");
+        let before = pado_dag::value::thread_clone_count();
+        let mut builder = column::LayoutBuilder::default();
+        for r in copies {
+            builder.push(r);
+        }
+        let built = builder.finish();
+        prop_assert_eq!(pado_dag::value::thread_clone_count(), before);
+        let analyzed = column::analyze(&rows);
+        prop_assert_eq!(built.has_rows(), analyzed.is_none());
+        prop_assert_eq!(built.columns(), analyzed.as_ref());
+        let sealed = block_from_vec(rows.clone());
+        prop_assert_eq!(built.raw_len(), sealed.raw_len());
+        prop_assert_eq!(built.encoded_len(), sealed.encoded_len());
+        prop_assert_eq!(encode_block(&built).expect("encodes"), encode_block(&sealed).expect("encodes"));
+        prop_assert_eq!(built.rows(), &rows[..]);
+    }
 
     /// `size_bytes` is the exact encoded length — the store's byte
     /// accounting and the codec agree on every value shape.

@@ -1193,36 +1193,6 @@ impl SimEngine {
     }
 }
 
-#[cfg(test)]
-impl SimEngine {
-    /// Recomputes the done count, the pending sets and the exception sets
-    /// from the task table and asserts the maintained ones equal them.
-    fn check_indices(&self) {
-        let done = |s: &&TState| matches!(s, TState::Done(_));
-        assert_eq!(self.done, self.state.iter().filter(done).count());
-        for (f, fop) in self.plan.fops.iter().enumerate() {
-            let tasks = &self.state[self.offset[f]..][..fop.parallelism];
-            let pending = (0..tasks.len()).filter(|&i| matches!(tasks[i], TState::Pending));
-            assert!(
-                self.pending[f].iter().copied().eq(pending),
-                "pending set of fop {f}"
-            );
-        }
-        for e in self.in_edges.iter().flatten() {
-            let Some(w) = e.wide else { continue };
-            let src = e.edge.src;
-            let producers = &self.state[self.offset[src]..][..self.plan.fops[src].parallelism];
-            let exceptions = (0..producers.len())
-                .filter(|&i| !matches!(producers[i], TState::Done(info) if e.usable.holds(info)));
-            assert!(
-                self.wide[w].exceptions.iter().copied().eq(exceptions),
-                "exceptions of edge {src} -> {}",
-                e.edge.dst
-            );
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum PlacementTarget {
     Master,
@@ -1238,6 +1208,36 @@ mod tests {
     use crate::common::{CostModel, OpCost};
     use crate::simulate;
     use pado_dag::{CombineFn, ParDoFn, Pipeline, SourceFn};
+
+    impl SimEngine {
+        /// Recomputes the done count, the pending sets and the exception sets
+        /// from the task table and asserts the maintained ones equal them.
+        pub(super) fn check_indices(&self) {
+            let done = |s: &&TState| matches!(s, TState::Done(_));
+            assert_eq!(self.done, self.state.iter().filter(done).count());
+            for (f, fop) in self.plan.fops.iter().enumerate() {
+                let tasks = &self.state[self.offset[f]..][..fop.parallelism];
+                let pending = (0..tasks.len()).filter(|&i| matches!(tasks[i], TState::Pending));
+                assert!(
+                    self.pending[f].iter().copied().eq(pending),
+                    "pending set of fop {f}"
+                );
+            }
+            for e in self.in_edges.iter().flatten() {
+                let Some(w) = e.wide else { continue };
+                let src = e.edge.src;
+                let producers = &self.state[self.offset[src]..][..self.plan.fops[src].parallelism];
+                let exceptions = (0..producers.len()).filter(
+                    |&i| !matches!(producers[i], TState::Done(info) if e.usable.holds(info)),
+                );
+                assert!(
+                    self.wide[w].exceptions.iter().copied().eq(exceptions),
+                    "exceptions of edge {src} -> {}",
+                    e.edge.dst
+                );
+            }
+        }
+    }
 
     /// A Map-Reduce-like job: read from store, map, shuffle, reduce.
     fn mr_job(maps: usize, reduces: usize) -> (LogicalDag, CostModel) {

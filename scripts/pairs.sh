@@ -4,11 +4,18 @@
 #
 # Runs `perf/run.sh --workload W --seed S --seconds 22 --trace 0` in the two
 # checkouts in turn (which side goes first alternates pair by pair) and prints,
-# per end-to-end metric of BENCHMARK.json, the two medians, the parent's
-# interquartile range, in how many pairs this checkout read better (and ties),
-# and each side's failed/attempted jobs — all from the last JSON line of each run.
+# per end-to-end metric of BENCHMARK.json, each side's quartiles (q1/median/q3),
+# the change in medians, the parent's interquartile range, in how many pairs
+# this checkout read better (and ties), and a verdict from the metric's
+# `better` and `bound` (BENCHMARK.json is only read):
+#   gain        at least 9/10 of the pairs won and |change in medians| > parent IQR
+#   worse       the change's median is worse than the parent's by more than the bound
+#   unresolved  the parent's IQR, relative to its median, is wider than the bound
+#               and not every change run beats every parent run
+#   flat        anything else
+# Last, each side's failed/attempted jobs — all from the last JSON line of each run.
 set -euo pipefail
-[ $# -ge 2 ] || { sed -n '2,9p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
 here="$(cd "$(dirname "$0")/.." && pwd)"
 parent="$(cd "$1" && pwd)"
 workload="$2" pairs="${3:-10}" seed="${4:-1}"
@@ -40,13 +47,28 @@ def load(side, i):
         return json.loads(open(f"{out}/{side}.{i}.json").read())
     except (OSError, ValueError):
         return None
+def quartiles(xs):
+    return statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
+def verdict(ps, cs, better, bound, wins):
+    (p1, mp, p3), mc = quartiles(ps), statistics.median(cs)
+    sign = 1 if better == "lower" else -1  # > 0: the change reads better
+    rel = lambda x: x / abs(mp) if mp else (0.0 if x == 0 else float("inf"))
+    if wins >= 0.9 * len(ps) and sign * (mp - mc) > p3 - p1:
+        return "gain"
+    if rel(sign * (mc - mp)) > bound:
+        return "worse"
+    if rel(p3 - p1) > bound and not all(sign * (p - c) > 0 for c in cs for p in ps):
+        return "unresolved"
+    return "flat"
 runs = {s: [load(s, i) for i in range(1, pairs + 1)] for s in ("parent", "change")}
 print(f"{workload}, seed {seed}, {pairs} alternating pairs (parent -> change)")
 for side, rs in runs.items():
     ok = [r for r in rs if r]
     print(f"  {side}: {sum(r['failed'] for r in ok)} failed of "
           f"{sum(r['attempted'] for r in ok)} jobs, {len(rs) - len(ok)} runs without a result")
-print(f"  {'metric':<16}{'parent':>12}{'change':>12}{'delta':>9}{'parent IQR':>12}  wins/ties")
+fmt = lambda q: "/".join(f"{x:.4g}" for x in q)
+print(f"  {'metric':<16}{'parent q1/med/q3':>29}{'change q1/med/q3':>29}{'delta':>9}"
+      f"{'parent IQR':>12}  wins/ties  verdict")
 for m in metrics:
     name, lower = m["name"], m["better"] == "lower"
     both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -55,11 +77,10 @@ for m in metrics:
         print(f"  {name:<16} no complete pair")
         continue
     ps, cs = [p for p, _ in both], [c for _, c in both]
-    mp, mc = statistics.median(ps), statistics.median(cs)
-    q = statistics.quantiles(ps, n=4) if len(ps) > 1 else [mp, mp, mp]
+    qp, qc = quartiles(ps), quartiles(cs)
     wins = sum((c < p) if lower else (c > p) for p, c in both)
     ties = sum(c == p for p, c in both)
-    delta = (mc - mp) / mp * 100 if mp else 0.0
-    print(f"  {name:<16}{mp:>12.4f}{mc:>12.4f}{delta:>+8.1f}%{q[2] - q[0]:>12.4f}"
-          f"  {wins}/{len(both)}, {ties} ties")
+    delta = (qc[1] - qp[1]) / qp[1] * 100 if qp[1] else 0.0
+    print(f"  {name:<16}  {fmt(qp):>27}  {fmt(qc):>27}{delta:>+8.1f}%{qp[2] - qp[0]:>12.4g}"
+          f"  {wins}/{len(both)}, {ties} ties  {verdict(ps, cs, m['better'], m['bound'], wins)}")
 EOF
