@@ -195,10 +195,9 @@ pub fn source_partition(
 /// broadcast side input (see [`crate::compiler::PlanEdge::member`]).
 /// Interior chain members read the previous member's output block as
 /// their main input. A generator's partition is sealed into a block once
-/// per task run, a dataset's once per dataset. A ParDo's emitted records
-/// are sealed as rows, except by the tail when `columnar_tail` says a
-/// kernel reads the output next: it takes each record apart as it is
-/// emitted ([`LayoutBuilder`]).
+/// per task run, a dataset's once per dataset. A ParDo at the chain's
+/// tail takes each record apart as it is emitted ([`LayoutBuilder`]);
+/// an interior one seals rows.
 ///
 /// # Errors
 ///
@@ -209,14 +208,13 @@ pub fn apply_chain(
     index: usize,
     mains: &[MainSlot],
     sides: &BTreeMap<usize, Block>,
-    columnar_tail: bool,
 ) -> Result<Block, UdfError> {
     let tail = fop.chain.len() - 1;
     let apply = |pos: usize, mains: &[MainSlot]| -> Result<Block, UdfError> {
         let op = fop.chain[pos];
         let input = TaskInput::new(mains, sides.get(&pos).map(|b| b.rows()));
         match &dag.op(op).kind {
-            OperatorKind::ParDo(f) if columnar_tail && pos == tail => {
+            OperatorKind::ParDo(f) if pos == tail => {
                 let mut out = LayoutBuilder::default();
                 f.try_call(input, &mut |v| out.push(v))?;
                 Ok(out.finish())
@@ -360,13 +358,10 @@ mod tests {
         let plan = compile(&dag).unwrap();
         let fop = &plan.fops[0];
         assert_eq!(fop.chain.len(), 2);
-        for columnar_tail in [false, true] {
-            let out = apply_chain(&dag, fop, 1, &[], &BTreeMap::new(), columnar_tail).unwrap();
-            // A ParDo tail a kernel reads next is born columnar; one a
-            // row reader reads next is born as rows.
-            assert_eq!(out.has_rows(), !columnar_tail);
-            assert_eq!(out.rows(), &[Value::from(2i64), Value::from(22i64)]);
-        }
+        let out = apply_chain(&dag, fop, 1, &[], &BTreeMap::new()).unwrap();
+        // A ParDo tail is born columnar.
+        assert!(!out.has_rows());
+        assert_eq!(out.rows(), &[Value::from(2i64), Value::from(22i64)]);
     }
 
     #[test]

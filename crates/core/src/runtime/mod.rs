@@ -33,7 +33,7 @@ pub use journal::{
     eviction_ledger, EventJournal, JobEvent, Journal, JournalMeta, JournalRecord, LossRow,
 };
 pub use local::LocalCluster;
-pub use master::{Injector, JobResult, Master};
+pub use master::{JobResult, Master};
 pub use message::{AttemptId, ExecId, InjectedFault, MasterMsg};
 pub use metrics::JobMetrics;
 pub use policy::{Candidate, LeastLoaded, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};

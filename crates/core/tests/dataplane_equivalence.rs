@@ -96,7 +96,7 @@ fn run_reference(dag: &LogicalDag, plan: &PhysicalPlan) -> BTreeMap<String, Vec<
                             }
                         }
                     }
-                    apply_chain(dag, fop, index, &mains, &sides, false)
+                    apply_chain(dag, fop, index, &mains, &sides)
                         .map(block_into_rows)
                         .unwrap_or_else(|e| panic!("reference task {f}.{index} failed: {e}"))
                 })
@@ -494,7 +494,7 @@ fn mr_dataplane_hash(records: usize, pages: usize, seed: u64) -> u64 {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let mut buckets: Vec<Vec<Block>> = vec![Vec::new(); reducers];
     for i in 0..maps {
-        let out = apply_chain(&dag, &plan.fops[shuffle.src], i, &[], &none, true).unwrap();
+        let out = apply_chain(&dag, &plan.fops[shuffle.src], i, &[], &none).unwrap();
         let out = preaggregate(out, &f, keyed).unwrap();
         h.write(&encode_block(&out).unwrap());
         for (j, b) in route(&out, DepType::ManyToMany, i, reducers)
@@ -510,7 +510,7 @@ fn mr_dataplane_hash(records: usize, pages: usize, seed: u64) -> u64 {
         .enumerate()
         .map(|(j, parts)| {
             let mains = [MainSlot::from_blocks(parts)];
-            apply_chain(&dag, &plan.fops[shuffle.dst], j, &mains, &none, false).unwrap()
+            apply_chain(&dag, &plan.fops[shuffle.dst], j, &mains, &none).unwrap()
         })
         .collect();
     for out in &outs {

@@ -187,21 +187,6 @@ impl ParDoFn {
         })
     }
 
-    /// Wraps an element-wise function that also sees the side input.
-    pub fn per_element_with_side<F>(f: F) -> Self
-    where
-        F: Fn(&Value, &[Value], Emit<'_>) + Send + Sync + 'static,
-    {
-        ParDoFn::new(move |input, emit| {
-            let side = input.side.unwrap_or(&[]);
-            for part in input.mains {
-                for v in part {
-                    f(v, side, emit);
-                }
-            }
-        })
-    }
-
     /// Invokes the function on one task input.
     ///
     /// # Panics
@@ -239,7 +224,12 @@ impl fmt::Debug for ParDoFn {
 pub struct CombineFn {
     identity: Arc<dyn Fn() -> Value + Send + Sync>,
     merge: Arc<dyn Fn(Value, Value) -> Value + Send + Sync>,
+    i64_fold: Option<I64Fold>,
 }
+
+/// The identity and merge of a combiner whose merge of two `I64`s is
+/// exactly this i64 op.
+type I64Fold = (i64, fn(i64, i64) -> i64);
 
 impl CombineFn {
     /// Builds a combiner from an identity constructor and a merge function.
@@ -255,15 +245,23 @@ impl CombineFn {
         CombineFn {
             identity: Arc::new(identity),
             merge: Arc::new(merge),
+            i64_fold: None,
         }
+    }
+
+    /// A combiner over `I64`s by `op` from `identity`; any other operand
+    /// counts as `identity`.
+    fn i64_op(identity: i64, op: fn(i64, i64) -> i64) -> Self {
+        let get = move |v: Value| v.as_i64().unwrap_or(identity);
+        let merge = move |a, b| Value::I64(op(get(a), get(b)));
+        let mut f = CombineFn::new(move || Value::I64(identity), merge);
+        f.i64_fold = Some((identity, op));
+        f
     }
 
     /// A combiner summing `I64` records.
     pub fn sum_i64() -> Self {
-        CombineFn::new(
-            || Value::I64(0),
-            |a, b| Value::I64(a.as_i64().unwrap_or(0) + b.as_i64().unwrap_or(0)),
-        )
+        CombineFn::i64_op(0, |a, b| a + b)
     }
 
     /// A combiner summing `F64` records.
@@ -313,21 +311,24 @@ impl CombineFn {
 
     /// A combiner keeping the maximum `I64`.
     pub fn max_i64() -> Self {
-        let get = |v: Value| v.as_i64().unwrap_or(i64::MIN);
-        let merge = move |a, b| Value::I64(get(a).max(get(b)));
-        CombineFn::new(|| Value::I64(i64::MIN), merge)
+        CombineFn::i64_op(i64::MIN, i64::max)
     }
 
     /// A combiner keeping the minimum `I64`.
     pub fn min_i64() -> Self {
-        let get = |v: Value| v.as_i64().unwrap_or(i64::MAX);
-        let merge = move |a, b| Value::I64(get(a).min(get(b)));
-        CombineFn::new(|| Value::I64(i64::MAX), merge)
+        CombineFn::i64_op(i64::MAX, i64::min)
     }
 
     /// Returns the neutral element.
     pub fn identity(&self) -> Value {
         (self.identity)()
+    }
+
+    /// `(identity, op)` when merging two `I64`s is exactly `op` on them
+    /// (`sum_i64`, `max_i64`, `min_i64`), so a kernel may fold an i64
+    /// column without building a `Value` per operand.
+    pub fn i64_fold(&self) -> Option<I64Fold> {
+        self.i64_fold
     }
 
     /// Merges two accumulated values.
@@ -449,19 +450,6 @@ mod tests {
         let mut out = Vec::new();
         f.call(TaskInput::new(&mains, None), &mut |v| out.push(v));
         assert_eq!(out, vec![Value::from(1i64), Value::from(2i64)]);
-    }
-
-    #[test]
-    fn per_element_with_side_sees_broadcast() {
-        let f = ParDoFn::per_element_with_side(|v, side, emit| {
-            let inc = side[0].as_i64().unwrap();
-            emit(Value::from(v.as_i64().unwrap() + inc));
-        });
-        let mains = vec![MainSlot::from_vec(vec![Value::from(1i64)])];
-        let side = vec![Value::from(10i64)];
-        let mut out = Vec::new();
-        f.call(TaskInput::new(&mains, Some(&side)), &mut |v| out.push(v));
-        assert_eq!(out, vec![Value::from(11i64)]);
     }
 
     #[test]

@@ -233,15 +233,6 @@ impl<E> Cluster<E> {
             .collect()
     }
 
-    /// Alive transient containers of one pool, in id order.
-    pub fn alive_in_pool(&self, pool: usize) -> Vec<ContainerId> {
-        self.containers
-            .iter()
-            .filter(|c| c.alive && c.kind == Kind::Transient && c.pool == pool)
-            .map(|c| c.id)
-            .collect()
-    }
-
     /// The external store's node id.
     pub const STORE: ContainerId = 0;
 
@@ -299,11 +290,6 @@ impl<E> Cluster<E> {
             seq: self.seq,
             item,
         }));
-    }
-
-    /// Schedules a timer event at absolute time `at`.
-    pub fn schedule_at(&mut self, at: SimTime, ev: E) {
-        self.push(at.max(self.now), Item::Timer(ev));
     }
 
     /// Schedules a deterministic eviction of a specific container at an
@@ -467,8 +453,8 @@ mod tests {
     #[test]
     fn timers_fire_in_order() {
         let mut c = small_cluster(LifetimeDist::None);
-        c.schedule_at(500, 2);
-        c.schedule_at(100, 1);
+        c.schedule_after(500, 2);
+        c.schedule_after(100, 1);
         c.schedule_after(900, 3);
         let mut seen = Vec::new();
         while let Some(ev) = c.next_event() {
@@ -596,9 +582,13 @@ mod pool_tests {
             9,
         );
         let long = c.add_transient_pool(3, spec, LifetimeDist::Exponential { mean_us: 5_000.0 });
+        let alive_in_pool = |c: &Cluster<u32>, pool| {
+            let alive = c.alive(Kind::Transient).into_iter();
+            alive.filter(|&id| c.container(id).pool == pool).count()
+        };
         assert_eq!(long.len(), 3);
-        assert_eq!(c.alive_in_pool(0).len(), 2);
-        assert_eq!(c.alive_in_pool(1).len(), 3);
+        assert_eq!(alive_in_pool(&c, 0), 2);
+        assert_eq!(alive_in_pool(&c, 1), 3);
         for &id in &long {
             assert_eq!(c.container(id).pool, 1);
         }
@@ -615,7 +605,7 @@ mod pool_tests {
                 None => break,
             }
         }
-        assert_eq!(c.alive_in_pool(0).len(), 2);
-        assert_eq!(c.alive_in_pool(1).len(), 3);
+        assert_eq!(alive_in_pool(&c, 0), 2);
+        assert_eq!(alive_in_pool(&c, 1), 3);
     }
 }

@@ -8,14 +8,15 @@
 # the change in medians, the parent's interquartile range, in how many pairs
 # this checkout read better (and ties), and a verdict from the metric's
 # `better` and `bound` (BENCHMARK.json is only read):
-#   gain        at least 9/10 of the pairs won and |change in medians| > parent IQR
-#   worse       the change's median is worse than the parent's by more than the bound
-#   unresolved  the parent's IQR, relative to its median, is wider than the bound
+#   unresolved  a run of either side has no result for the metric, or the
+#               parent's IQR, relative to its median, is wider than the bound
 #               and not every change run beats every parent run
+#   gain        at least 9/10 of the pairs run won and |change in medians| > parent IQR
+#   worse       the change's median is worse than the parent's by more than the bound
 #   flat        anything else
 # Last, each side's failed/attempted jobs — all from the last JSON line of each run.
 set -euo pipefail
-[ $# -ge 2 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
 here="$(cd "$(dirname "$0")/.." && pwd)"
 parent="$(cd "$1" && pwd)"
 workload="$2" pairs="${3:-10}" seed="${4:-1}"
@@ -50,10 +51,12 @@ def load(side, i):
 def quartiles(xs):
     return statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
 def verdict(ps, cs, better, bound, wins):
+    if len(ps) < pairs:
+        return "unresolved"
     (p1, mp, p3), mc = quartiles(ps), statistics.median(cs)
     sign = 1 if better == "lower" else -1  # > 0: the change reads better
     rel = lambda x: x / abs(mp) if mp else (0.0 if x == 0 else float("inf"))
-    if wins >= 0.9 * len(ps) and sign * (mp - mc) > p3 - p1:
+    if wins >= 0.9 * pairs and sign * (mp - mc) > p3 - p1:
         return "gain"
     if rel(sign * (mc - mp)) > bound:
         return "worse"
@@ -71,10 +74,11 @@ print(f"  {'metric':<16}{'parent q1/med/q3':>29}{'change q1/med/q3':>29}{'delta'
       f"{'parent IQR':>12}  wins/ties  verdict")
 for m in metrics:
     name, lower = m["name"], m["better"] == "lower"
-    both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
-            for p, c in zip(runs["parent"], runs["change"]) if p and c]
+    value = lambda r: r and r["metrics"].get(name, {}).get("value")
+    both = [(value(p), value(c)) for p, c in zip(runs["parent"], runs["change"])
+            if value(p) is not None and value(c) is not None]
     if not both:
-        print(f"  {name:<16} no complete pair")
+        print(f"  {name:<16} no complete pair  unresolved")
         continue
     ps, cs = [p for p, _ in both], [c for _, c in both]
     qp, qc = quartiles(ps), quartiles(cs)
@@ -82,5 +86,5 @@ for m in metrics:
     ties = sum(c == p for p, c in both)
     delta = (qc[1] - qp[1]) / qp[1] * 100 if qp[1] else 0.0
     print(f"  {name:<16}  {fmt(qp):>27}  {fmt(qc):>27}{delta:>+8.1f}%{qp[2] - qp[0]:>12.4g}"
-          f"  {wins}/{len(both)}, {ties} ties  {verdict(ps, cs, m['better'], m['bound'], wins)}")
+          f"  {wins}/{pairs}, {ties} ties  {verdict(ps, cs, m['better'], m['bound'], wins)}")
 EOF
