@@ -150,10 +150,6 @@ pub enum Wire<T> {
         /// The executor asserting liveness.
         from: ExecId,
     },
-    /// Out-of-band message that bypasses the network entirely: the
-    /// resource manager's eviction/failure notices ride here, modeling
-    /// the RM's direct channel to the master.
-    Direct(T),
 }
 
 /// Everything an executor's control thread multiplexes over one inbox.
