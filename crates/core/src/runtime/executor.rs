@@ -29,7 +29,7 @@ use pado_dag::{
 };
 use parking_lot::Mutex;
 
-use crate::compiler::{PhysicalPlan, Placement};
+use crate::compiler::{FopId, InputSlot, PhysicalPlan, Placement};
 use crate::exec::{apply_chain, route};
 use crate::kernels::{combine_global, combine_keyed};
 use crate::runtime::backend::{CancelToken, WorkerPool};
@@ -37,7 +37,7 @@ use crate::runtime::cache::CacheKey;
 use crate::runtime::config::RuntimeConfig;
 use crate::runtime::journal::{JobEvent, Journal};
 use crate::runtime::message::{ExecId, ExecutorMsg, InjectedFault, MasterMsg, TaskSpec};
-use crate::runtime::store::{ExecutorStore, StoreHandle};
+use crate::runtime::store::{ExecutorStore, StoreHandle, UNLIMITED};
 use crate::runtime::transport::{
     DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, ReliableSender, TransportCounters, Wire,
 };
@@ -75,6 +75,19 @@ pub struct JobContext {
     pub plan: PhysicalPlan,
     /// Runtime tunables.
     pub config: RuntimeConfig,
+}
+
+impl JobContext {
+    /// Whether the master reads the encoded size of a block task `fop`
+    /// reports (its output, or a shuffle `bucket` cut from it): every one
+    /// under a memory budget; with none, only a transient output's
+    /// (`bytes_pushed`) and a side-input source's (`SideStats`, `CacheHit`).
+    fn size_is_read(&self, fop: FopId, bucket: bool) -> bool {
+        let outs = self.plan.outs(fop);
+        let side = outs.iter().any(|e| e.slot == InputSlot::Side);
+        let read = side || self.plan.fops[fop].placement == Placement::Transient;
+        self.config.executor_memory_bytes != UNLIMITED || (!bucket && read)
+    }
 }
 
 /// A live executor: its control thread, task queue, and worker threads.
@@ -497,8 +510,9 @@ impl Drop for CachePinGuard<'_> {
 /// Side inputs resolve to shared blocks (a cache hit or the master's copy;
 /// never a record clone) and the fused chain computes the output block.
 /// The block and the shuffle buckets cut from it (`spec.route_to`) are
-/// sized here, on the thread that built them, so the master's store
-/// accounting reads memoized lengths instead of encoding. Cache
+/// sized here, on the thread that built them, exactly when the master
+/// will read the size ([`JobContext::size_is_read`]): it reads memoized
+/// lengths, and no block is encoded for a size nobody reads. Cache
 /// entries a task reads stay pinned until it finishes, so concurrent
 /// slots cannot shed an input mid-use.
 fn task_body(
@@ -554,13 +568,16 @@ fn task_body(
             preaggregated = before.saturating_sub(output.len());
         }
     }
-    let _ = output.encoded_len();
+    if job.size_is_read(spec.fop, false) {
+        let _ = output.encoded_len();
+    }
+    let size_buckets = job.size_is_read(spec.fop, true);
     let buckets = spec
         .route_to
         .iter()
         .map(|&width| {
             let buckets = route(&output, DepType::ManyToMany, spec.index, width);
-            for b in &buckets {
+            for b in buckets.iter().filter(|_| size_buckets) {
                 let _ = b.encoded_len();
             }
             (width, buckets)
@@ -714,65 +731,80 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// A worker reports an output it has already sized and partitioned
-    /// — on either backend, since both run this `run_task` — so the
-    /// master's store accounting never pays for the first encode and the
-    /// master routes nothing.
+    /// A worker reports an output partitioned, and sized where the
+    /// master reads the size — on either backend, since both run this
+    /// `run_task` — so the master's accounting never pays for the first
+    /// encode and the master routes nothing. Under a budget the stores
+    /// charge the output and every bucket; with none, only the transient
+    /// output's push is journaled, so its buckets arrive unsized.
     #[test]
     fn run_task_reports_an_output_it_already_sized() {
         use crate::compiler::compile;
+        use pado_dag::colcodec::encode_block;
         use pado_dag::{ParDoFn, Pipeline, SourceFn};
 
-        let p = Pipeline::new();
-        p.read(
-            "R",
-            1,
-            SourceFn::from_vec((0..50).map(Value::from).collect()),
-        )
-        .par_do(
-            "Key",
-            ParDoFn::per_element(|v, emit| emit(Value::pair(v.clone(), Value::from(1i64)))),
-        )
-        .combine_per_key("C", CombineFn::sum_i64());
-        let dag = p.build().unwrap();
-        let plan = compile(&dag).unwrap();
-        let job = JobContext {
-            dag,
-            plan,
-            config: RuntimeConfig::default(),
-        };
-        let store = ExecutorStore::handle(3, usize::MAX, 1024, Journal::new());
-        for (preaggregate, route_to) in [(false, vec![4]), (true, vec![4]), (false, vec![])] {
-            let case = format!("preaggregate={preaggregate} route_to={route_to:?}");
-            let spec = TaskSpec {
-                attempt: 1,
-                fop: 0,
-                index: 0,
-                mains: Vec::new(),
-                sides: BTreeMap::new(),
-                preaggregate,
-                route_to: route_to.clone(),
-                inject: None,
+        for budget in [1 << 20, UNLIMITED] {
+            let p = Pipeline::new();
+            p.read(
+                "R",
+                1,
+                SourceFn::from_vec((0..50).map(Value::from).collect()),
+            )
+            .par_do(
+                "Key",
+                ParDoFn::per_element(|v, emit| emit(Value::pair(v.clone(), Value::from(1i64)))),
+            )
+            .combine_per_key("C", CombineFn::sum_i64());
+            let dag = p.build().unwrap();
+            let plan = compile(&dag).unwrap();
+            assert_eq!(plan.fops[0].placement, Placement::Transient);
+            let config = RuntimeConfig {
+                executor_memory_bytes: budget,
+                ..RuntimeConfig::default()
             };
-            match run_task(3, &job, &store, &Journal::new(), spec) {
-                MasterMsg::TaskDone {
-                    output, buckets, ..
-                } => {
-                    assert_eq!(output.len(), 50);
-                    assert!(output.is_sized(), "{case}");
-                    // The ParDo tail's output is born columnar, with no
-                    // row view built, whoever reads it next.
-                    assert!(!output.has_rows(), "{case}");
-                    // One bucket set per requested width, cut from the
-                    // output and sized like it.
-                    assert_eq!(buckets.len(), route_to.len(), "{case}");
-                    for (width, buckets) in &buckets {
-                        assert_eq!((*width, buckets.len()), (4, 4));
-                        assert_eq!(buckets.iter().map(|b| b.len()).sum::<usize>(), 50);
-                        assert!(buckets.iter().all(|b| b.is_sized() && !b.has_rows()));
+            let job = JobContext { dag, plan, config };
+            let store = ExecutorStore::handle(3, budget, 1024, Journal::new());
+            for (preaggregate, route_to) in [(false, vec![4]), (true, vec![4]), (false, vec![])] {
+                let case =
+                    format!("budget={budget} preaggregate={preaggregate} route_to={route_to:?}");
+                let spec = TaskSpec {
+                    attempt: 1,
+                    fop: 0,
+                    index: 0,
+                    mains: Vec::new(),
+                    sides: BTreeMap::new(),
+                    preaggregate,
+                    route_to: route_to.clone(),
+                    inject: None,
+                };
+                match run_task(3, &job, &store, &Journal::new(), spec) {
+                    MasterMsg::TaskDone {
+                        output, buckets, ..
+                    } => {
+                        assert_eq!(output.len(), 50);
+                        assert!(output.is_sized(), "{case}");
+                        // The ParDo tail's output is born columnar, with no
+                        // row view built, whoever reads it next.
+                        assert!(!output.has_rows(), "{case}");
+                        // One bucket set per requested width, cut from the
+                        // output and sized like it.
+                        assert_eq!(buckets.len(), route_to.len(), "{case}");
+                        for (width, buckets) in &buckets {
+                            assert_eq!((*width, buckets.len()), (4, 4));
+                            assert_eq!(buckets.iter().map(|b| b.len()).sum::<usize>(), 50);
+                            if budget != UNLIMITED {
+                                assert!(buckets.iter().all(|b| b.is_sized() && !b.has_rows()));
+                                continue;
+                            }
+                            assert!(buckets.iter().all(|b| !b.is_sized() && !b.has_rows()));
+                            // Sized on first read, to the same length.
+                            for b in buckets {
+                                assert_eq!(b.encoded_len(), encode_block(b).unwrap().len());
+                            }
+                        }
                     }
+                    other => panic!("expected TaskDone, got {other:?}"),
                 }
-                other => panic!("expected TaskDone, got {other:?}"),
             }
         }
     }

@@ -601,13 +601,8 @@ impl Master {
     /// into the eviction recovery path.
     fn pump_transport(&mut self) -> Result<(), RuntimeError> {
         let now = self.clock.now();
-        let miss_after = Duration::from_millis(
-            self.job
-                .config
-                .heartbeat_interval_ms
-                .saturating_mul(4)
-                .max(1),
-        );
+        let heartbeat = self.job.config.heartbeat_interval_ms;
+        let miss_after = Duration::from_millis(heartbeat.saturating_mul(4).max(1));
         let dead_after = Duration::from_millis(self.job.config.dead_executor_timeout_ms);
         let mut dead: Vec<ExecId> = Vec::new();
         for (&id, info) in self.executors.iter_mut().filter(|(_, e)| e.live()) {
@@ -695,7 +690,7 @@ impl Master {
             .store
             .lock()
             .admit(BlockRef::Output { fop, index }, output);
-        let (exec, bytes) = (dest, block_bytes(output));
+        let (exec, bytes) = (dest, || block_bytes(output));
         let stage = Some(self.meta.stage_of[fop]);
         match admitted {
             Ok(()) => {
@@ -704,7 +699,7 @@ impl Master {
                         fop,
                         index,
                         exec,
-                        bytes,
+                        bytes: bytes(),
                     };
                     self.journal.emit(stage, resumed);
                 }
@@ -720,7 +715,7 @@ impl Master {
                             fop,
                             index,
                             exec,
-                            bytes,
+                            bytes: bytes(),
                         };
                         self.journal.emit(stage, deferred);
                         self.job.config.retransmit_base_ms.max(1)
@@ -876,9 +871,11 @@ impl Master {
         let elapsed = self.clock.now().saturating_duration_since(a.launched_at);
         self.fop_durations[fop].push(elapsed.as_millis() as u64);
         let locations = self.commit_locations(fop, index, exec, &output.block)?;
-        let bytes = block_bytes(&output.block);
-        let pushed =
-            self.placement(fop) == Placement::Transient && locations.iter().any(|l| l != &exec);
+        let pushed = locations.iter().any(|l| l != &exec);
+        let bytes_pushed = match self.placement(fop) {
+            Placement::Transient if pushed => block_bytes(&output.block),
+            _ => 0,
+        };
         if self.job.plan.outs(fop).is_empty() {
             // Terminal operator: the output is written to the job sink and
             // is safe regardless of container fate. Sink and location
@@ -903,7 +900,7 @@ impl Master {
                 attempt,
                 exec,
                 speculative: a.speculative,
-                bytes_pushed: if pushed { bytes } else { 0 },
+                bytes_pushed,
                 preaggregated,
                 cache_hit,
             },
@@ -1699,16 +1696,16 @@ impl Master {
         })?;
         let mut s = info.store.lock();
         let mut pinned: Vec<BlockRef> = Vec::new();
-        let mut pinned_bytes = 0usize;
         for (r, data) in mains.iter().flatten() {
             let refusal = match s.pin(*r, data) {
                 Ok(()) => {
                     pinned.push(*r);
-                    pinned_bytes += block_bytes(data);
                     continue;
                 }
                 Err(refusal) => refusal,
             };
+            let held = mains.iter().flatten().take(pinned.len());
+            let pinned_bytes: usize = held.map(|(_, data)| block_bytes(data)).sum();
             for p in pinned {
                 s.unpin(p);
             }

@@ -28,8 +28,8 @@
 //! and silently skips when no room remains.
 //!
 //! Stores with `budget == usize::MAX` (the default) are unlimited: they
-//! track bytes but never spill and emit no journal events, so memory
-//! accounting is invisible unless a budget is set.
+//! never spill, emit no journal events, and size no block, so memory
+//! accounting is invisible (and costs no encode) unless a budget is set.
 //!
 //! The disk tier is fallible: real tempfile I/O errors and the
 //! [`SpillFaultPlan`] chaos knob surface the same way. A failed spill
@@ -78,8 +78,9 @@ pub struct SpillFaultPlan {
     pub read_prob: f64,
 }
 
-/// Budget value meaning "no limit": the store tracks bytes but never
-/// spills and emits no journal events.
+/// Budget value meaning "no limit": the store never spills, emits no
+/// journal events and sizes no block on admission; its byte counts are
+/// summed (and each block sized, once) only when asked for.
 pub const UNLIMITED: usize = usize::MAX;
 
 /// Canonical byte size of a block: the one sizing rule shared by the
@@ -198,10 +199,11 @@ fn spill_path() -> PathBuf {
     std::env::temp_dir().join(format!("pado-spill-{}-{id}.bin", std::process::id()))
 }
 
+/// A block held in memory. Its bytes are [`block_bytes`], memoized in
+/// the block itself.
 #[derive(Debug)]
 struct Resident {
     data: Block,
-    bytes: usize,
     last_used: u64,
 }
 
@@ -209,10 +211,9 @@ struct Resident {
 #[derive(Debug, Clone, Copy)]
 struct Spill {
     at: u64,
-    /// Length of the encoded payload on disk.
+    /// Length of the encoded payload on disk: the [`block_bytes`] the
+    /// block is accounted at when resident.
     len: usize,
-    /// Bytes the block is accounted at when resident.
-    bytes: usize,
 }
 
 /// One store's disk tier: a single tempfile, created by the first spill
@@ -312,7 +313,6 @@ pub struct BlockStore {
     /// Bytes held by the sibling cache tier, counted against the same
     /// budget (kept in sync by [`ExecutorStore`]).
     external_bytes: usize,
-    resident_bytes: usize,
     clock: u64,
     resident: HashMap<BlockRef, Resident>,
     spilled: HashMap<BlockRef, Spill>,
@@ -332,7 +332,6 @@ impl BlockStore {
             exec,
             budget,
             external_bytes: 0,
-            resident_bytes: 0,
             clock: 0,
             resident: HashMap::new(),
             spilled: HashMap::new(),
@@ -384,15 +383,16 @@ impl BlockStore {
     }
 
     /// Bytes of blocks currently resident in memory (excludes spilled
-    /// blocks and the cache tier).
+    /// blocks and the cache tier), summed when asked: exact, and sizing
+    /// any resident block not sized yet.
     pub fn resident_bytes(&self) -> usize {
-        self.resident_bytes
+        self.resident.values().map(|e| block_bytes(&e.data)).sum()
     }
 
     /// Combined occupancy counted against the budget: resident block
     /// bytes plus the sibling cache tier's bytes.
     pub fn occupancy(&self) -> usize {
-        self.resident_bytes + self.external_bytes
+        self.resident_bytes() + self.external_bytes
     }
 
     fn set_external_bytes(&mut self, bytes: usize) {
@@ -411,12 +411,14 @@ impl BlockStore {
 
     /// Bytes of a block on the disk tier (`None` when not spilled).
     pub fn spilled_bytes(&self, r: BlockRef) -> Option<usize> {
-        self.spilled.get(&r).map(|s| s.bytes)
+        self.spilled.get(&r).map(|s| s.len)
     }
 
-    fn emit(&self, event: JobEvent) {
+    /// Journals a memory event, built only under a budget: an unlimited
+    /// store neither journals nor sizes what the event would carry.
+    fn emit(&self, event: impl FnOnce() -> JobEvent) {
         if self.limited() {
-            self.journal.emit(None, event);
+            self.journal.emit(None, event());
         }
     }
 
@@ -447,23 +449,13 @@ impl BlockStore {
             self.resident.insert(r, entry);
             return false;
         };
-        // Saturating: a byte-accounting drift under injected faults must
-        // surface as a metrics anomaly, never an underflow panic.
-        self.resident_bytes = self.resident_bytes.saturating_sub(entry.bytes);
-        let raw_bytes = entry.data.raw_len();
-        self.spilled.insert(
-            r,
-            Spill {
-                at,
-                len: payload.len(),
-                bytes: entry.bytes,
-            },
-        );
-        self.emit(JobEvent::BlockSpilled {
+        let len = payload.len();
+        self.spilled.insert(r, Spill { at, len });
+        self.emit(|| JobEvent::BlockSpilled {
             exec: self.exec,
             block: r,
-            bytes: entry.bytes,
-            raw_bytes,
+            bytes: len,
+            raw_bytes: entry.data.raw_len(),
             resident: self.occupancy(),
         });
         true
@@ -509,39 +501,24 @@ impl BlockStore {
         if self.spilled.contains_key(&r) {
             return Ok(());
         }
-        let bytes = block_bytes(data);
-        if !self.limited() {
-            self.resident_bytes += bytes;
-            self.resident.insert(
-                r,
-                Resident {
-                    data: Arc::clone(data),
-                    bytes,
-                    last_used: self.clock,
-                },
-            );
-            return Ok(());
+        // Only a budget reads the size; an unlimited store admits unsized.
+        if self.limited() {
+            let bytes = block_bytes(data);
+            if bytes > self.budget {
+                let budget = self.budget;
+                return Err(StoreError::TooLarge { bytes, budget });
+            }
+            self.headroom_for(bytes)?;
         }
-        if bytes > self.budget {
-            return Err(StoreError::TooLarge {
-                bytes,
-                budget: self.budget,
-            });
-        }
-        self.headroom_for(bytes)?;
-        self.resident_bytes += bytes;
-        self.resident.insert(
-            r,
-            Resident {
-                data: Arc::clone(data),
-                bytes,
-                last_used: self.clock,
-            },
-        );
-        self.emit(JobEvent::BlockAdmitted {
+        let resident = Resident {
+            data: Arc::clone(data),
+            last_used: self.clock,
+        };
+        self.resident.insert(r, resident);
+        self.emit(|| JobEvent::BlockAdmitted {
             exec: self.exec,
             block: r,
-            bytes,
+            bytes: block_bytes(data),
             resident: self.occupancy(),
         });
         Ok(())
@@ -554,7 +531,6 @@ impl BlockStore {
     pub fn insert_or_spill(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
         match self.insert(r, data) {
             Err(StoreError::NoHeadroom { .. }) => {
-                let bytes = block_bytes(data);
                 if self.inject_write_fault() {
                     return Err(StoreError::SpillUnreadable {
                         block: r,
@@ -575,17 +551,17 @@ impl BlockStore {
                     StoreError::SpillUnreadable { block: r, reason }
                 })?;
                 let len = payload.len();
-                self.spilled.insert(r, Spill { at, len, bytes });
-                self.emit(JobEvent::BlockAdmitted {
+                self.spilled.insert(r, Spill { at, len });
+                self.emit(|| JobEvent::BlockAdmitted {
                     exec: self.exec,
                     block: r,
-                    bytes,
+                    bytes: len,
                     resident: self.occupancy(),
                 });
-                self.emit(JobEvent::BlockSpilled {
+                self.emit(|| JobEvent::BlockSpilled {
                     exec: self.exec,
                     block: r,
-                    bytes,
+                    bytes: len,
                     raw_bytes: data.raw_len(),
                     resident: self.occupancy(),
                 });
@@ -608,7 +584,7 @@ impl BlockStore {
         let Some(&spill) = self.spilled.get(&r) else {
             return Ok(());
         };
-        self.headroom_for(spill.bytes)?;
+        self.headroom_for(spill.len)?;
         let read = if self.inject_read_fault() {
             Err("injected disk fault".to_string())
         } else {
@@ -623,19 +599,12 @@ impl BlockStore {
         self.unspill(r);
         let data = read.map_err(|reason| StoreError::SpillUnreadable { block: r, reason })?;
         self.clock += 1;
-        self.resident_bytes += spill.bytes;
-        self.resident.insert(
-            r,
-            Resident {
-                data,
-                bytes: spill.bytes,
-                last_used: self.clock,
-            },
-        );
-        self.emit(JobEvent::BlockLoaded {
+        let last_used = self.clock;
+        self.resident.insert(r, Resident { data, last_used });
+        self.emit(|| JobEvent::BlockLoaded {
             exec: self.exec,
             block: r,
-            bytes: spill.bytes,
+            bytes: spill.len,
             resident: self.occupancy(),
         });
         Ok(())
@@ -664,7 +633,7 @@ impl BlockStore {
             self.insert(r, data)?;
         }
         *self.pins.entry(r).or_insert(0) += 1;
-        self.emit(JobEvent::BlockPinned {
+        self.emit(|| JobEvent::BlockPinned {
             exec: self.exec,
             block: r,
         });
@@ -679,7 +648,7 @@ impl BlockStore {
             if *n == 0 {
                 self.pins.remove(&r);
             }
-            self.emit(JobEvent::BlockUnpinned {
+            self.emit(|| JobEvent::BlockUnpinned {
                 exec: self.exec,
                 block: r,
             });
@@ -694,19 +663,18 @@ impl BlockStore {
             return false;
         }
         if let Some(e) = self.resident.remove(&r) {
-            self.resident_bytes = self.resident_bytes.saturating_sub(e.bytes);
-            self.emit(JobEvent::BlockReleased {
+            self.emit(|| JobEvent::BlockReleased {
                 exec: self.exec,
                 block: r,
-                bytes: e.bytes,
+                bytes: block_bytes(&e.data),
                 resident: self.occupancy(),
             });
             true
         } else if let Some(s) = self.unspill(r) {
-            self.emit(JobEvent::BlockReleased {
+            self.emit(|| JobEvent::BlockReleased {
                 exec: self.exec,
                 block: r,
-                bytes: s.bytes,
+                bytes: s.len,
                 resident: self.occupancy(),
             });
             true
@@ -722,7 +690,6 @@ impl BlockStore {
         self.spilled.clear();
         self.disk.remove();
         self.resident.clear();
-        self.resident_bytes = 0;
         self.pins.clear();
     }
 
@@ -748,13 +715,15 @@ impl BlockStore {
             held.sort_unstable();
             for (r, n) in held {
                 for _ in 0..n {
-                    self.emit(JobEvent::BlockPinned {
+                    self.emit(|| JobEvent::BlockPinned {
                         exec: self.exec,
                         block: r,
                     });
                 }
             }
         }
+        // The first occupancy read sizes every block admitted unsized
+        // while the store was unlimited, before any spill is decided.
         while self.occupancy() > self.budget {
             if !self.spill_lru_victim() {
                 break;
@@ -837,11 +806,13 @@ impl ExecutorStore {
 
     /// Sheds unpinned cache entries until `extra` more bytes fit under
     /// the budget (cache data can always be re-sent; spilled blocks
-    /// cost a reload — shed the cheap tier first).
-    fn make_room(&mut self, extra: usize) {
+    /// cost a reload — shed the cheap tier first). `extra` is read only
+    /// under a budget.
+    fn make_room(&mut self, extra: impl FnOnce() -> usize) {
         if self.blocks.budget() == UNLIMITED {
             return;
         }
+        let extra = extra();
         while self.occupancy() + extra > self.blocks.budget()
             && self.cache.shed_lru_unpinned().is_some()
         {}
@@ -853,7 +824,7 @@ impl ExecutorStore {
     /// when only pinned bytes remain (push backpressure defers).
     pub fn admit(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
         if !self.blocks.contains(r) {
-            self.make_room(block_bytes(data));
+            self.make_room(|| block_bytes(data));
         }
         self.blocks.insert(r, data)
     }
@@ -862,7 +833,7 @@ impl ExecutorStore {
     /// memory has no headroom — commits never stall on their own output.
     pub fn admit_or_spill(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
         if !self.blocks.contains(r) {
-            self.make_room(block_bytes(data));
+            self.make_room(|| block_bytes(data));
         }
         self.blocks.insert_or_spill(r, data)
     }
@@ -871,7 +842,7 @@ impl ExecutorStore {
     /// reload-if-spilled). See [`BlockStore::pin`].
     pub fn pin(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
         if !self.blocks.contains(r) || self.blocks.is_spilled(r) {
-            self.make_room(block_bytes(data));
+            self.make_room(|| block_bytes(data));
         }
         self.blocks.pin(r, data)
     }
@@ -886,7 +857,7 @@ impl ExecutorStore {
     /// [`BlockStore::get`].
     pub fn get(&mut self, r: BlockRef) -> Result<Option<Block>, StoreError> {
         if let Some(bytes) = self.blocks.spilled_bytes(r) {
-            self.make_room(bytes);
+            self.make_room(|| bytes);
         }
         self.blocks.get(r)
     }
@@ -1035,6 +1006,48 @@ mod tests {
         assert_eq!(s.resident_bytes(), bsz());
         assert_eq!(s.get(out(0, 0)).unwrap().unwrap().len(), 4);
         assert!(events(&j).is_empty());
+    }
+
+    /// An unlimited store admits and pins without sizing, yet reports
+    /// exact bytes when asked; a budget arriving later sizes what it
+    /// holds before its first spill, so it journals what a store of
+    /// blocks sized on admission journals.
+    #[test]
+    fn unlimited_store_sizes_nothing_until_a_budget_arrives() {
+        const LENS: [usize; 6] = [4, 40, 2, 90, 7, 25];
+        // Sized from other blocks, so reading it sizes none of the script's.
+        let half = LENS.map(|n| block_bytes(&block(n))).iter().sum::<usize>() / 2;
+        // Sizes before the budget: none, all, or all by `resident_bytes`.
+        let script = |presize: bool, count: bool| {
+            let j = Journal::new();
+            let mut s = BlockStore::new(1, UNLIMITED, j.clone());
+            let blocks: Vec<Block> = LENS.into_iter().map(block).collect();
+            for b in blocks.iter().filter(|_| presize) {
+                b.encoded_len();
+            }
+            for (i, b) in blocks.iter().enumerate() {
+                match i % 3 {
+                    0 => s.pin(out(0, i), b).unwrap(),
+                    _ => s.insert(out(0, i), b).unwrap(),
+                }
+            }
+            assert!(blocks.iter().all(|b| b.is_sized() == presize));
+            if count {
+                let encoded = blocks.iter().map(|b| encode_block(b).unwrap().len());
+                assert_eq!(s.resident_bytes(), encoded.sum::<usize>());
+            }
+            s.set_budget(half);
+            s.unpin(out(0, 0));
+            s.insert(out(1, 0), &block(60)).unwrap();
+            let evs = events(&j);
+            assert!(evs
+                .iter()
+                .any(|e| matches!(e, JobEvent::BlockSpilled { .. })));
+            evs
+        };
+        let sized = script(true, false);
+        assert_eq!(script(false, true), sized);
+        assert_eq!(script(false, false), sized);
     }
 
     #[test]

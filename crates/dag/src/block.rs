@@ -97,8 +97,8 @@ impl BlockInner {
 
     /// Serialized size in bytes: the length of this block's
     /// [`crate::colcodec::encode_block`] output, which is what spill
-    /// files and push payloads actually occupy. Memoized; the store's
-    /// budget accounting charges this.
+    /// files and push payloads actually occupy. Memoized: only the first
+    /// call encodes. A budget charges it; a transient push journals it.
     pub fn encoded_len(&self) -> usize {
         self.sizes().encoded
     }
@@ -110,9 +110,9 @@ impl BlockInner {
         self.sizes().raw
     }
 
-    /// Whether [`BlockInner::encoded_len`] is already memoized. Blocks
-    /// are sized by the worker that builds them; tests use this to show
-    /// the master's store accounting triggers no encode.
+    /// Whether [`BlockInner::encoded_len`] is already memoized. A worker
+    /// sizes what it builds only when the master will read the size;
+    /// tests use this to show such blocks arrive sized, and no others.
     pub fn is_sized(&self) -> bool {
         self.sizes.get().is_some()
     }

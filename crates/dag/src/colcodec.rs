@@ -348,6 +348,15 @@ fn dec_col(r: &mut Reader<'_>) -> Result<ScalarCol> {
     }
 }
 
+thread_local!(static THREAD_ENCODE_COUNT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) });
+
+/// [`encode_block`] calls made by the calling thread so far: the view a
+/// proof that one thread encodes nothing reads, like
+/// [`crate::value::thread_clone_count`].
+pub fn thread_encode_count() -> u64 {
+    THREAD_ENCODE_COUNT.with(|c| c.get())
+}
+
 /// Serializes a block: columnar layout when the block has one, the row
 /// codec otherwise, LZ-compressed when that is strictly smaller.
 ///
@@ -356,6 +365,7 @@ fn dec_col(r: &mut Reader<'_>) -> Result<ScalarCol> {
 /// Fails with [`DagError::Codec`] on a length overflowing the format's
 /// `u32` fields.
 pub fn encode_block(block: &BlockInner) -> Result<Vec<u8>> {
+    THREAD_ENCODE_COUNT.with(|c| c.set(c.get() + 1));
     let mut body = Vec::new();
     match block.columns() {
         Some(Columns::Scalar(c)) => {

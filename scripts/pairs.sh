@@ -15,13 +15,21 @@
 #   worse       the change's median is worse than the parent's by more than the bound
 #   flat        anything else
 # Last, each side's failed/attempted jobs — all from the last JSON line of each run.
+# The header names each side's commit (`+dirty` when its tree has changes).
 set -euo pipefail
-[ $# -ge 2 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
 here="$(cd "$(dirname "$0")/.." && pwd)"
 parent="$(cd "$1" && pwd)"
 workload="$2" pairs="${3:-10}" seed="${4:-1}"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
+
+commit() { # checkout
+    local dirty=""
+    [ -z "$(git -C "$1" status --porcelain)" ] || dirty="+dirty"
+    echo "$(git -C "$1" rev-parse --short HEAD)$dirty"
+}
+commits="$(commit "$parent") -> $(commit "$here")"
 
 # A run that had a failed job exits non-zero after printing its result line.
 run() { # side checkout pair
@@ -38,9 +46,9 @@ for i in $(seq 1 "$pairs"); do
     echo "pair $i/$pairs done" >&2
 done
 
-python3 - "$here/BENCHMARK.json" "$out" "$pairs" "$workload" "$seed" <<'EOF'
+python3 - "$here/BENCHMARK.json" "$out" "$pairs" "$workload" "$seed" "$commits" <<'EOF'
 import json, statistics, sys
-bench, out, pairs, workload, seed = sys.argv[1:]
+bench, out, pairs, workload, seed, commits = sys.argv[1:]
 pairs = int(pairs)
 metrics = json.load(open(bench))["end_to_end"]
 def load(side, i):
@@ -64,7 +72,7 @@ def verdict(ps, cs, better, bound, wins):
         return "unresolved"
     return "flat"
 runs = {s: [load(s, i) for i in range(1, pairs + 1)] for s in ("parent", "change")}
-print(f"{workload}, seed {seed}, {pairs} alternating pairs (parent -> change)")
+print(f"{workload}, seed {seed}, {pairs} alternating pairs (parent -> change: {commits})")
 for side, rs in runs.items():
     ok = [r for r in rs if r]
     print(f"  {side}: {sum(r['failed'] for r in ok)} failed of "
