@@ -5,7 +5,8 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pado_core::compiler::compile;
 use pado_core::exec::route;
-use pado_core::runtime::LruCache;
+use pado_core::runtime::store::UNLIMITED;
+use pado_core::runtime::{ExecutorStore, Journal};
 use pado_dag::{block_from_vec, Block, CombineFn, DepType, Value};
 use pado_simcluster::Network;
 
@@ -50,13 +51,13 @@ fn bench_partial_aggregation(c: &mut Criterion) {
 fn bench_cache(c: &mut Criterion) {
     c.bench_function("lru_cache_put_get_churn", |b| {
         b.iter(|| {
-            let mut cache = LruCache::new(64 * 1024);
+            let mut store = ExecutorStore::new(0, UNLIMITED, 64 * 1024, Journal::new());
             for k in 0..256usize {
                 let data = block_from_vec(vec![Value::from(k as i64); 64]);
-                cache.put(k, data);
-                black_box(cache.get(k / 2));
+                store.cache_put(k, data);
+                black_box(store.cache_get(k / 2));
             }
-            cache.len()
+            store.cache_keys().len()
         })
     });
 }

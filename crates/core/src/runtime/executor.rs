@@ -33,11 +33,10 @@ use crate::compiler::{FopId, InputSlot, PhysicalPlan, Placement};
 use crate::exec::{apply_chain, route};
 use crate::kernels::{combine_global, combine_keyed};
 use crate::runtime::backend::{CancelToken, WorkerPool};
-use crate::runtime::cache::CacheKey;
 use crate::runtime::config::RuntimeConfig;
 use crate::runtime::journal::{JobEvent, Journal};
 use crate::runtime::message::{ExecId, ExecutorMsg, InjectedFault, MasterMsg, TaskSpec};
-use crate::runtime::store::{ExecutorStore, StoreHandle, UNLIMITED};
+use crate::runtime::store::{CacheKey, ExecutorStore, StoreHandle, UNLIMITED};
 use crate::runtime::transport::{
     DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, ReliableSender, TransportCounters, Wire,
 };

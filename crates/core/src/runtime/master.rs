@@ -32,7 +32,6 @@ use crate::compiler::{FopId, InputSlot, Placement, PlanEdge};
 use crate::error::RuntimeError;
 use crate::exec::route;
 use crate::runtime::backend::{CancelToken, ExecBackend, SimBackend, StallDiagnostics, WorkerPool};
-use crate::runtime::cache::CacheKey;
 use crate::runtime::clock::Clock;
 use crate::runtime::executor::{combine_consumer, ExecutorHandle, JobContext};
 use crate::runtime::fault::{FaultAction, FaultPlan, FaultSchedule};
@@ -42,6 +41,7 @@ use crate::runtime::journal::{
 use crate::runtime::message::{AttemptId, ExecId, ExecutorMsg, MasterMsg, SideData, TaskSpec};
 use crate::runtime::metrics::JobMetrics;
 use crate::runtime::policy::{Candidate, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
+use crate::runtime::store::CacheKey;
 use crate::runtime::store::{block_bytes, BlockRef, ExecutorStore, StoreError, StoreHandle};
 use crate::runtime::tasks::{Attempt, Report, TaskTable};
 use crate::runtime::transport::{

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use pado_dag::{Block, MainSlot};
 
 use crate::compiler::FopId;
-use crate::runtime::cache::CacheKey;
+use crate::runtime::store::CacheKey;
 
 /// Identifier of an executor; monotonically assigned, never reused (a
 /// replacement container gets a fresh id).

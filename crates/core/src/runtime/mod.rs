@@ -2,7 +2,6 @@
 //! fault tolerance, and the in-process cluster harness.
 
 pub mod backend;
-pub mod cache;
 pub mod clock;
 pub mod config;
 pub mod executor;
@@ -23,7 +22,6 @@ pub use backend::{
     BackendKind, CancelToken, ExecBackend, SimBackend, StallDiagnostics, ThreadedBackend,
     WorkerPool, WorkerState,
 };
-pub use cache::{CacheKey, LruCache};
 pub use clock::Clock;
 pub use config::RuntimeConfig;
 pub use executor::{ExecutorHandle, JobContext};
@@ -38,7 +36,7 @@ pub use message::{AttemptId, ExecId, InjectedFault, MasterMsg};
 pub use metrics::JobMetrics;
 pub use policy::{Candidate, LeastLoaded, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
 pub use store::{
-    block_bytes, BlockRef, BlockStore, ExecutorStore, SpillFaultPlan, StoreError, StoreHandle,
+    block_bytes, BlockRef, CacheKey, ExecutorStore, SpillFaultPlan, StoreError, StoreHandle,
 };
 pub use tasks::{TaskTable, Undone};
 pub use transport::{DirectionFaults, NetworkFault, PartitionSpec};

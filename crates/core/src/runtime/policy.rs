@@ -13,8 +13,8 @@
 use std::fmt;
 
 use crate::compiler::FopId;
-use crate::runtime::cache::CacheKey;
 use crate::runtime::message::ExecId;
+use crate::runtime::store::CacheKey;
 
 /// What a policy knows about each candidate executor.
 #[derive(Debug, Clone)]

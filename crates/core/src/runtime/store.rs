@@ -1,35 +1,36 @@
-//! Per-executor byte-accounted block store with a disk spill tier.
+//! One executor's memory domain: a byte-accounted store of everything
+//! resident on it, with a disk spill tier.
 //!
 //! Pado's reserved containers are a scarce resource (§2.2): they hold
 //! preserved stage outputs, partitions pushed from transient tasks, and
 //! the §3.2.7 input cache. This module makes that residency explicit:
-//! every block living on an executor is owned by a [`BlockStore`] and
-//! accounted in bytes against [`RuntimeConfig::executor_memory_bytes`].
-//! Under pressure the store spills least-recently-used *unpinned* blocks
-//! to a real tempfile — one per store, each payload at an offset of its
-//! own — byte-identical on reload via the compressed
-//! [`pado_dag::colcodec`] block format, and reloads them before any use.
-//! Budgets charge each block's *encoded* size — the bytes its spill
+//! everything living on an executor is owned by its [`ExecutorStore`]
+//! and accounted in bytes against [`RuntimeConfig::executor_memory_bytes`].
+//! The store has two tiers in one map, under one recency clock and one
+//! pin count: blocks, keyed by [`BlockRef`], and cached input datasets,
+//! keyed by [`CacheKey`] and sub-bounded by the cache capacity. Making
+//! room sheds the least-recently-used unpinned cached dataset first (it
+//! can always be re-sent), then spills the least-recently-used unpinned
+//! block to a real tempfile — one per store, each payload at an offset
+//! of its own — byte-identical on reload via the compressed
+//! [`pado_dag::colcodec`] block format, and reloads it before any use.
+//! Caching never spills a block and silently skips when no room remains.
+//! Budgets charge each resident's *encoded* size — the bytes its spill
 //! file or push payload actually occupies — while the journal also
 //! records the row-format baseline, so compression savings are
 //! observable per spill.
-//! Blocks pinned by a running task attempt are never spillable, so a
-//! task's inputs cannot vanish mid-execution; a single block larger than
+//! Pinned residents are never shed or spilled, so a task's inputs
+//! cannot vanish mid-execution; a single block larger than
 //! the whole budget is refused outright ([`StoreError::TooLarge`]),
 //! which the master surfaces as a clean
 //! [`RuntimeError::MemoryExceeded`](crate::RuntimeError::MemoryExceeded)
 //! instead of wedging or aborting the process.
 //!
-//! [`ExecutorStore`] bundles the block store with the executor's
-//! [`LruCache`]: the cache is a best-effort tier *inside* the same
-//! budget (combined occupancy = blocks + cache ≤ budget). Making room
-//! for a block sheds unpinned cache entries first (they can always be
-//! re-sent), then spills unpinned blocks; caching never spills blocks
-//! and silently skips when no room remains.
-//!
 //! Stores with `budget == usize::MAX` (the default) are unlimited: they
-//! never spill, emit no journal events, and size no block, so memory
+//! never spill, emit no memory events, and size no block, so memory
 //! accounting is invisible (and costs no encode) unless a budget is set.
+//! The cache tier journals only `CacheHit`/`CacheMiss`, whatever the
+//! budget.
 //!
 //! The disk tier is fallible: real tempfile I/O errors and the
 //! [`SpillFaultPlan`] chaos knob surface the same way. A failed spill
@@ -56,7 +57,6 @@ use pado_dag::colcodec::{decode_block, encode_block};
 use pado_dag::Block;
 
 use crate::compiler::FopId;
-use crate::runtime::cache::{CacheKey, LruCache};
 use crate::runtime::fault::FaultInjector;
 use crate::runtime::journal::{JobEvent, Journal};
 use crate::runtime::message::ExecId;
@@ -83,13 +83,18 @@ pub struct SpillFaultPlan {
 /// summed (and each block sized, once) only when asked for.
 pub const UNLIMITED: usize = usize::MAX;
 
-/// Canonical byte size of a block: the one sizing rule shared by the
-/// store, the [`LruCache`], and the journal's byte counters. This is
+/// Canonical byte size of a block: the one sizing rule shared by both
+/// tiers of the store and the journal's byte counters. This is
 /// the block's *encoded* (column-codec, possibly compressed) length —
 /// exactly what its spill file or serialized push payload occupies.
 pub fn block_bytes(block: &Block) -> usize {
     block.encoded_len()
 }
+
+/// Cache key: the plan-wide id of the fused operator whose output is
+/// cached, qualified by the consumer-side routing (broadcast inputs are
+/// whole datasets, so the fop id suffices).
+pub type CacheKey = usize;
 
 /// Identity of a block resident on an executor.
 ///
@@ -199,8 +204,8 @@ fn spill_path() -> PathBuf {
     std::env::temp_dir().join(format!("pado-spill-{}-{id}.bin", std::process::id()))
 }
 
-/// A block held in memory. Its bytes are [`block_bytes`], memoized in
-/// the block itself.
+/// A block or cached dataset held in memory. Its bytes are
+/// [`block_bytes`], memoized in the block itself.
 #[derive(Debug)]
 struct Resident {
     data: Block,
@@ -303,35 +308,55 @@ impl Drop for SpillFile {
     }
 }
 
-/// A byte-accounted store of the blocks resident on one executor, with
-/// LRU spill-to-disk under pressure and pin counts protecting blocks a
-/// running task depends on.
+/// What a resident of the store is: a block, or a dataset of the input
+/// cache tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot {
+    Block(BlockRef),
+    Cached(CacheKey),
+}
+
+impl Slot {
+    fn is_cached(&self) -> bool {
+        matches!(self, Slot::Cached(_))
+    }
+}
+
+/// Shared handle to one executor's store, held by the master (admission
+/// control, pinning, pushes) and the executor's worker slots (input
+/// cache) alike.
+pub type StoreHandle = Arc<Mutex<ExecutorStore>>;
+
+/// One executor's full memory domain: the blocks resident on it and its
+/// §3.2.7 input cache, both counted against one budget, with LRU
+/// shedding and spill-to-disk under pressure and pin counts protecting
+/// what a running task reads.
 #[derive(Debug)]
-pub struct BlockStore {
+pub struct ExecutorStore {
     exec: ExecId,
     budget: usize,
-    /// Bytes held by the sibling cache tier, counted against the same
-    /// budget (kept in sync by [`ExecutorStore`]).
-    external_bytes: usize,
+    /// Sub-bound of the cache tier inside the budget.
+    cache_capacity: usize,
     clock: u64,
-    resident: HashMap<BlockRef, Resident>,
+    resident: HashMap<Slot, Resident>,
     spilled: HashMap<BlockRef, Spill>,
     disk: SpillFile,
-    pins: HashMap<BlockRef, usize>,
+    pins: HashMap<Slot, usize>,
     journal: Journal,
     faults: SpillFaultPlan,
     spill_writes: u64,
     spill_reads: u64,
 }
 
-impl BlockStore {
-    /// Creates a store for `exec` bounded to `budget` bytes, emitting
-    /// memory events into `journal` (none when unlimited).
-    pub fn new(exec: ExecId, budget: usize, journal: Journal) -> Self {
-        BlockStore {
+impl ExecutorStore {
+    /// Creates the store for `exec`: `budget` bounds blocks + cache
+    /// combined, `cache_capacity` sub-bounds the cache tier. Memory
+    /// events go into `journal` (none when unlimited).
+    pub fn new(exec: ExecId, budget: usize, cache_capacity: usize, journal: Journal) -> Self {
+        ExecutorStore {
             exec,
             budget,
-            external_bytes: 0,
+            cache_capacity,
             clock: 0,
             resident: HashMap::new(),
             spilled: HashMap::new(),
@@ -344,7 +369,23 @@ impl BlockStore {
         }
     }
 
-    /// Arms deterministic disk-fault injection for the spill tier.
+    /// Wraps a new store in its shared handle.
+    pub fn handle(
+        exec: ExecId,
+        budget: usize,
+        cache_capacity: usize,
+        journal: Journal,
+    ) -> StoreHandle {
+        Arc::new(Mutex::new(ExecutorStore::new(
+            exec,
+            budget,
+            cache_capacity,
+            journal,
+        )))
+    }
+
+    /// Arms deterministic disk-fault injection for the spill tier. See
+    /// [`SpillFaultPlan`].
     pub fn set_spill_faults(&mut self, faults: SpillFaultPlan) {
         self.faults = faults;
     }
@@ -382,36 +423,27 @@ impl BlockStore {
         self.budget
     }
 
-    /// Bytes of blocks currently resident in memory (excludes spilled
-    /// blocks and the cache tier), summed when asked: exact, and sizing
-    /// any resident block not sized yet.
-    pub fn resident_bytes(&self) -> usize {
+    /// Occupancy counted against the budget: the bytes of every block
+    /// and cached dataset in memory (spilled blocks excluded), summed
+    /// when asked: exact, and sizing any resident block not sized yet.
+    pub fn occupancy(&self) -> usize {
         self.resident.values().map(|e| block_bytes(&e.data)).sum()
     }
 
-    /// Combined occupancy counted against the budget: resident block
-    /// bytes plus the sibling cache tier's bytes.
-    pub fn occupancy(&self) -> usize {
-        self.resident_bytes() + self.external_bytes
-    }
-
-    fn set_external_bytes(&mut self, bytes: usize) {
-        self.external_bytes = bytes;
+    /// Bytes of the cache tier alone. Cached datasets are sized when
+    /// put, so this sizes no block.
+    pub fn cache_bytes(&self) -> usize {
+        let cached = self.resident.iter().filter(|(s, _)| s.is_cached());
+        cached.map(|(_, e)| block_bytes(&e.data)).sum()
     }
 
     /// Whether the store owns this block, resident or spilled.
     pub fn contains(&self, r: BlockRef) -> bool {
-        self.resident.contains_key(&r) || self.spilled.contains_key(&r)
+        self.resident.contains_key(&Slot::Block(r)) || self.spilled.contains_key(&r)
     }
 
-    /// Whether this block currently sits on the disk tier.
-    pub fn is_spilled(&self, r: BlockRef) -> bool {
+    fn is_spilled(&self, r: BlockRef) -> bool {
         self.spilled.contains_key(&r)
-    }
-
-    /// Bytes of a block on the disk tier (`None` when not spilled).
-    pub fn spilled_bytes(&self, r: BlockRef) -> Option<usize> {
-        self.spilled.get(&r).map(|s| s.len)
     }
 
     /// Journals a memory event, built only under a budget: an unlimited
@@ -422,10 +454,51 @@ impl BlockStore {
         }
     }
 
+    /// Looks a resident up, refreshing its recency.
+    fn touch(&mut self, slot: Slot) -> Option<Block> {
+        self.clock += 1;
+        let clock = self.clock;
+        self.resident.get_mut(&slot).map(|e| {
+            e.last_used = clock;
+            Arc::clone(&e.data)
+        })
+    }
+
+    /// Puts a resident in memory as the most recently used.
+    fn place(&mut self, slot: Slot, data: Block) {
+        self.clock += 1;
+        let last_used = self.clock;
+        self.resident.insert(slot, Resident { data, last_used });
+    }
+
+    /// The one victim rule for freeing memory: the least recently used
+    /// unpinned cached dataset while one is left (cache data can always
+    /// be re-sent; a spilled block costs a reload), else, when `blocks`
+    /// allows, the least recently used unpinned block.
+    fn victim(&self, blocks: bool) -> Option<Slot> {
+        self.resident
+            .iter()
+            .filter(|(s, _)| (blocks || s.is_cached()) && !self.pins.contains_key(*s))
+            .min_by_key(|(s, e)| (!s.is_cached(), e.last_used))
+            .map(|(s, _)| *s)
+    }
+
+    /// Frees the victim's memory: sheds it if a cached dataset, spills
+    /// it if a block. False when nothing unpinned is left or the disk
+    /// refused the write, in which case pressure relief has gone as far
+    /// as it can.
+    fn relieve(&mut self, blocks: bool) -> bool {
+        match self.victim(blocks) {
+            Some(Slot::Block(r)) => self.spill_one(r),
+            Some(cached) => self.resident.remove(&cached).is_some(),
+            None => false,
+        }
+    }
+
     /// Spills one resident block to disk. Returns false when the write
     /// failed (the block stays resident and accounted).
     fn spill_one(&mut self, r: BlockRef) -> bool {
-        let entry = match self.resident.remove(&r) {
+        let entry = match self.resident.remove(&Slot::Block(r)) {
             Some(e) => e,
             None => return false,
         };
@@ -434,7 +507,7 @@ impl BlockStore {
             Err(_) => {
                 // A block the codec cannot serialize behaves like a
                 // disk that refused the write: it stays resident.
-                self.resident.insert(r, entry);
+                self.resident.insert(Slot::Block(r), entry);
                 return false;
             }
         };
@@ -446,7 +519,7 @@ impl BlockStore {
         let Some(at) = written else {
             // Disk refused the spill: keep the block resident; the
             // caller degrades to NoHeadroom (defer/refuse), never aborts.
-            self.resident.insert(r, entry);
+            self.resident.insert(Slot::Block(r), entry);
             return false;
         };
         let len = payload.len();
@@ -461,25 +534,11 @@ impl BlockStore {
         true
     }
 
-    /// Picks the least-recently-used unpinned resident and spills it.
-    /// Returns whether a block actually moved to disk — false when only
-    /// pinned blocks remain or the disk refused the write, in which
-    /// case pressure relief has gone as far as it can.
-    fn spill_lru_victim(&mut self) -> bool {
-        let victim = self
-            .resident
-            .iter()
-            .filter(|(k, _)| self.pins.get(*k).copied().unwrap_or(0) == 0)
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| *k);
-        victim.map(|k| self.spill_one(k)).unwrap_or(false)
-    }
-
-    /// Spills unpinned LRU residents until `bytes` more fit under the
-    /// budget, or fails with `NoHeadroom` when only pinned blocks remain.
+    /// Sheds and spills until `bytes` more fit under the budget, or
+    /// fails with `NoHeadroom` when only pinned residents remain.
     fn headroom_for(&mut self, bytes: usize) -> Result<(), StoreError> {
         while self.occupancy() + bytes > self.budget {
-            if !self.spill_lru_victim() {
+            if !self.relieve(true) {
                 return Err(StoreError::NoHeadroom {
                     needed: bytes,
                     budget: self.budget,
@@ -490,15 +549,13 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Admits a block, spilling unpinned residents as needed. Inserting
-    /// a block the store already owns just refreshes its recency.
-    pub fn insert(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
-        self.clock += 1;
-        if let Some(e) = self.resident.get_mut(&r) {
-            e.last_used = self.clock;
-            return Ok(());
-        }
-        if self.spilled.contains_key(&r) {
+    /// Admits a block under the combined budget: sheds unpinned cached
+    /// datasets, then spills unpinned blocks; refuses with `NoHeadroom`
+    /// when only pinned bytes remain (push backpressure defers).
+    /// Admitting a block the store already owns just refreshes its
+    /// recency.
+    pub fn admit(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
+        if self.touch(Slot::Block(r)).is_some() || self.is_spilled(r) {
             return Ok(());
         }
         // Only a budget reads the size; an unlimited store admits unsized.
@@ -510,11 +567,7 @@ impl BlockStore {
             }
             self.headroom_for(bytes)?;
         }
-        let resident = Resident {
-            data: Arc::clone(data),
-            last_used: self.clock,
-        };
-        self.resident.insert(r, resident);
+        self.place(Slot::Block(r), Arc::clone(data));
         self.emit(|| JobEvent::BlockAdmitted {
             exec: self.exec,
             block: r,
@@ -524,12 +577,12 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Admits a block, writing it straight to the disk tier when memory
-    /// has no headroom — the producer-local commit path must never
+    /// Admits a producer-local block, writing it straight to the disk
+    /// tier when memory has no headroom — the commit path must never
     /// stall on its own output. Only `TooLarge` (and disk failure) can
     /// refuse.
-    pub fn insert_or_spill(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
-        match self.insert(r, data) {
+    pub fn admit_or_spill(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
+        match self.admit(r, data) {
             Err(StoreError::NoHeadroom { .. }) => {
                 if self.inject_write_fault() {
                     return Err(StoreError::SpillUnreadable {
@@ -598,9 +651,7 @@ impl BlockStore {
         // copy on retry instead of hitting the same corpse forever.
         self.unspill(r);
         let data = read.map_err(|reason| StoreError::SpillUnreadable { block: r, reason })?;
-        self.clock += 1;
-        let last_used = self.clock;
-        self.resident.insert(r, Resident { data, last_used });
+        self.place(Slot::Block(r), data);
         self.emit(|| JobEvent::BlockLoaded {
             exec: self.exec,
             block: r,
@@ -610,29 +661,24 @@ impl BlockStore {
         Ok(())
     }
 
-    /// Looks up a block, reloading it from the disk tier if spilled.
+    /// Reads a block back, reloading it from the disk tier if spilled.
     pub fn get(&mut self, r: BlockRef) -> Result<Option<Block>, StoreError> {
-        if self.spilled.contains_key(&r) {
+        if self.is_spilled(r) {
             self.reload(r)?;
         }
-        self.clock += 1;
-        let clock = self.clock;
-        Ok(self.resident.get_mut(&r).map(|e| {
-            e.last_used = clock;
-            Arc::clone(&e.data)
-        }))
+        Ok(self.touch(Slot::Block(r)))
     }
 
-    /// Pins a block for a running attempt, making it resident first
-    /// (inserting `data` if the store does not own it yet, reloading if
+    /// Pins a block for a launching attempt, making it resident first
+    /// (admitting `data` if the store does not own it yet, reloading if
     /// spilled). Pinned blocks are never spilled; pins are counted.
     pub fn pin(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
-        if self.spilled.contains_key(&r) {
+        if self.is_spilled(r) {
             self.reload(r)?;
         } else {
-            self.insert(r, data)?;
+            self.admit(r, data)?;
         }
-        *self.pins.entry(r).or_insert(0) += 1;
+        *self.pins.entry(Slot::Block(r)).or_insert(0) += 1;
         self.emit(|| JobEvent::BlockPinned {
             exec: self.exec,
             block: r,
@@ -640,14 +686,22 @@ impl BlockStore {
         Ok(())
     }
 
+    /// Drops one pin of a resident; returns whether it held one.
+    fn drop_pin(&mut self, slot: Slot) -> bool {
+        let Some(n) = self.pins.get_mut(&slot) else {
+            return false;
+        };
+        *n -= 1;
+        if *n == 0 {
+            self.pins.remove(&slot);
+        }
+        true
+    }
+
     /// Drops one pin of a block. Unknown refs are tolerated (pins may
     /// have been cleared wholesale by an executor loss).
     pub fn unpin(&mut self, r: BlockRef) {
-        if let Some(n) = self.pins.get_mut(&r) {
-            *n -= 1;
-            if *n == 0 {
-                self.pins.remove(&r);
-            }
+        if self.drop_pin(Slot::Block(r)) {
             self.emit(|| JobEvent::BlockUnpinned {
                 exec: self.exec,
                 block: r,
@@ -659,33 +713,27 @@ impl BlockStore {
     /// bytes. Pinned blocks are left in place; returns whether the
     /// block is gone.
     pub fn remove_unpinned(&mut self, r: BlockRef) -> bool {
-        if self.pins.get(&r).copied().unwrap_or(0) > 0 {
+        if self.pins.contains_key(&Slot::Block(r)) {
             return false;
         }
-        if let Some(e) = self.resident.remove(&r) {
+        let bytes = match self.resident.remove(&Slot::Block(r)) {
+            Some(e) => Some(block_bytes(&e.data)),
+            None => self.unspill(r).map(|s| s.len),
+        };
+        if let Some(bytes) = bytes {
             self.emit(|| JobEvent::BlockReleased {
                 exec: self.exec,
                 block: r,
-                bytes: block_bytes(&e.data),
+                bytes,
                 resident: self.occupancy(),
             });
-            true
-        } else if let Some(s) = self.unspill(r) {
-            self.emit(|| JobEvent::BlockReleased {
-                exec: self.exec,
-                block: r,
-                bytes: s.len,
-                resident: self.occupancy(),
-            });
-            true
-        } else {
-            true
         }
+        true
     }
 
-    /// Drops everything without journaling — the executor is gone, so
-    /// its memory is gone too (the checker clears its replayed state on
-    /// the loss event for the same reason).
+    /// Drops everything, both tiers, without journaling — the executor
+    /// is gone, so its memory is gone too (the checker clears its
+    /// replayed state on the loss event for the same reason).
     pub fn clear_silent(&mut self) {
         self.spilled.clear();
         self.disk.remove();
@@ -693,12 +741,12 @@ impl BlockStore {
         self.pins.clear();
     }
 
-    /// Shrinks (or grows) the budget, spilling unpinned residents to
-    /// get under the new limit. When pinned blocks (or a sibling cache
-    /// the caller chose not to shed) keep occupancy above the request,
-    /// the applied budget is clamped up to the occupancy so the
-    /// "occupancy ≤ budget" invariant keeps holding; the journaled
-    /// event records the applied value. Returns the applied budget.
+    /// Shrinks (or grows) the budget, shedding unpinned cached datasets
+    /// and then spilling unpinned blocks to get under the new limit.
+    /// When pinned residents keep occupancy above the request, the
+    /// applied budget is clamped up to the occupancy so the "occupancy ≤
+    /// budget" invariant keeps holding; the journaled event records the
+    /// applied value. Returns the applied budget.
     pub fn set_budget(&mut self, requested: usize) -> usize {
         let was_unlimited = !self.limited();
         self.budget = requested;
@@ -706,12 +754,18 @@ impl BlockStore {
             return UNLIMITED;
         }
         if was_unlimited {
-            // Unlimited stores journal nothing, so pins taken before this
-            // shrink are invisible to replay; emit them now or the
-            // matching unpins would look like pins from nowhere.
+            // Unlimited stores journal nothing, so block pins taken
+            // before this shrink are invisible to replay; emit them now
+            // or the matching unpins would look like pins from nowhere.
             // In block order: the map's own differs from process to process.
-            let mut held: Vec<(BlockRef, usize)> =
-                self.pins.iter().map(|(r, n)| (*r, *n)).collect();
+            let mut held: Vec<(BlockRef, usize)> = self
+                .pins
+                .iter()
+                .filter_map(|(s, n)| match s {
+                    Slot::Block(r) => Some((*r, *n)),
+                    Slot::Cached(_) => None,
+                })
+                .collect();
             held.sort_unstable();
             for (r, n) in held {
                 for _ in 0..n {
@@ -724,11 +778,7 @@ impl BlockStore {
         }
         // The first occupancy read sizes every block admitted unsized
         // while the store was unlimited, before any spill is decided.
-        while self.occupancy() > self.budget {
-            if !self.spill_lru_victim() {
-                break;
-            }
-        }
+        while self.occupancy() > self.budget && self.relieve(true) {}
         let applied = requested.max(self.occupancy());
         self.budget = applied;
         self.journal.emit(
@@ -740,221 +790,89 @@ impl BlockStore {
         );
         applied
     }
-}
-
-/// Shared handle to one executor's store, held by the master (admission
-/// control, pinning, pushes) and the executor's worker slots (input
-/// cache) alike.
-pub type StoreHandle = Arc<Mutex<ExecutorStore>>;
-
-/// One executor's full memory domain: the byte-accounted block store
-/// plus the §3.2.7 input cache, both counted against one budget.
-#[derive(Debug)]
-pub struct ExecutorStore {
-    exec: ExecId,
-    journal: Journal,
-    blocks: BlockStore,
-    cache: LruCache,
-}
-
-impl ExecutorStore {
-    /// Creates the store for `exec`: `budget` bounds blocks + cache
-    /// combined, `cache_capacity` sub-bounds the cache tier.
-    pub fn new(exec: ExecId, budget: usize, cache_capacity: usize, journal: Journal) -> Self {
-        ExecutorStore {
-            exec,
-            journal: journal.clone(),
-            blocks: BlockStore::new(exec, budget, journal),
-            cache: LruCache::new(cache_capacity),
-        }
-    }
-
-    /// Wraps a new store in its shared handle.
-    pub fn handle(
-        exec: ExecId,
-        budget: usize,
-        cache_capacity: usize,
-        journal: Journal,
-    ) -> StoreHandle {
-        Arc::new(Mutex::new(ExecutorStore::new(
-            exec,
-            budget,
-            cache_capacity,
-            journal,
-        )))
-    }
-
-    /// The store's byte budget.
-    pub fn budget(&self) -> usize {
-        self.blocks.budget()
-    }
-
-    /// Arms deterministic disk-fault injection for the spill tier. See
-    /// [`SpillFaultPlan`].
-    pub fn set_spill_faults(&mut self, faults: SpillFaultPlan) {
-        self.blocks.set_spill_faults(faults);
-    }
-
-    /// Combined occupancy: resident block bytes + cache bytes.
-    pub fn occupancy(&self) -> usize {
-        self.blocks.resident_bytes() + self.cache.used_bytes()
-    }
-
-    fn sync_external(&mut self) {
-        self.blocks.set_external_bytes(self.cache.used_bytes());
-    }
-
-    /// Sheds unpinned cache entries until `extra` more bytes fit under
-    /// the budget (cache data can always be re-sent; spilled blocks
-    /// cost a reload — shed the cheap tier first). `extra` is read only
-    /// under a budget.
-    fn make_room(&mut self, extra: impl FnOnce() -> usize) {
-        if self.blocks.budget() == UNLIMITED {
-            return;
-        }
-        let extra = extra();
-        while self.occupancy() + extra > self.blocks.budget()
-            && self.cache.shed_lru_unpinned().is_some()
-        {}
-        self.sync_external();
-    }
-
-    /// Admits a block under the combined budget: sheds unpinned cache
-    /// entries, then spills unpinned blocks; refuses with `NoHeadroom`
-    /// when only pinned bytes remain (push backpressure defers).
-    pub fn admit(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
-        if !self.blocks.contains(r) {
-            self.make_room(|| block_bytes(data));
-        }
-        self.blocks.insert(r, data)
-    }
-
-    /// Admits a producer-local block, spilling it straight to disk when
-    /// memory has no headroom — commits never stall on their own output.
-    pub fn admit_or_spill(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
-        if !self.blocks.contains(r) {
-            self.make_room(|| block_bytes(data));
-        }
-        self.blocks.insert_or_spill(r, data)
-    }
-
-    /// Pins a block for a launching attempt (insert-if-absent,
-    /// reload-if-spilled). See [`BlockStore::pin`].
-    pub fn pin(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
-        if !self.blocks.contains(r) || self.blocks.is_spilled(r) {
-            self.make_room(|| block_bytes(data));
-        }
-        self.blocks.pin(r, data)
-    }
-
-    /// Drops one pin. See [`BlockStore::unpin`].
-    pub fn unpin(&mut self, r: BlockRef) {
-        self.blocks.unpin(r);
-    }
-
-    /// Reads a block back, reloading it from the disk tier if spilled
-    /// (shedding unpinned cache entries first for reload headroom). See
-    /// [`BlockStore::get`].
-    pub fn get(&mut self, r: BlockRef) -> Result<Option<Block>, StoreError> {
-        if let Some(bytes) = self.blocks.spilled_bytes(r) {
-            self.make_room(|| bytes);
-        }
-        self.blocks.get(r)
-    }
-
-    /// Releases an unpinned block. See [`BlockStore::remove_unpinned`].
-    pub fn remove_unpinned(&mut self, r: BlockRef) -> bool {
-        self.blocks.remove_unpinned(r)
-    }
-
-    /// Whether the store owns this block (resident or spilled).
-    pub fn contains(&self, r: BlockRef) -> bool {
-        self.blocks.contains(r)
-    }
-
-    /// Clears everything silently (executor loss). See
-    /// [`BlockStore::clear_silent`].
-    pub fn clear_silent(&mut self) {
-        self.blocks.clear_silent();
-        // The cache died with the executor's memory too.
-        self.cache = LruCache::new(self.cache.capacity_bytes());
-        self.sync_external();
-    }
-
-    /// Applies a new budget: sheds unpinned cache entries first, then
-    /// lets the block store spill; returns the applied budget (clamped
-    /// up to occupancy when pinned bytes exceed the request).
-    pub fn set_budget(&mut self, requested: usize) -> usize {
-        if requested != UNLIMITED {
-            while self.occupancy() > requested && self.cache.shed_lru_unpinned().is_some() {}
-            self.sync_external();
-        }
-        self.blocks.set_budget(requested)
-    }
 
     /// Cache lookup, journaling §3.2.7 effectiveness as
     /// `CacheHit`/`CacheMiss` (emitted whatever the budget — cache
     /// telemetry is not a memory-pressure event).
     pub fn cache_get(&mut self, key: CacheKey) -> Option<Block> {
-        match self.cache.get(key) {
-            Some(data) => {
-                self.journal.emit(
-                    None,
-                    JobEvent::CacheHit {
-                        exec: self.exec,
-                        key,
-                        bytes: block_bytes(&data),
-                    },
-                );
-                Some(data)
-            }
-            None => {
-                self.journal.emit(
-                    None,
-                    JobEvent::CacheMiss {
-                        exec: self.exec,
-                        key,
-                    },
-                );
-                None
-            }
-        }
+        let data = self.touch(Slot::Cached(key));
+        let exec = self.exec;
+        let event = match &data {
+            Some(d) => JobEvent::CacheHit {
+                exec,
+                key,
+                bytes: block_bytes(d),
+            },
+            None => JobEvent::CacheMiss { exec, key },
+        };
+        self.journal.emit(None, event);
+        data
     }
 
-    /// Best-effort cache insert under the combined budget: sheds its
-    /// own unpinned entries for room but never spills blocks; skips
-    /// caching (returns false) when no room remains. Failing to cache
-    /// never fails a task.
+    /// Best-effort cache insert: sheds unpinned cached datasets for room
+    /// under the budget and the cache capacity but never spills a block;
+    /// skips caching (returns false) when no room remains. Failing to
+    /// cache never fails a task.
+    ///
+    /// A dataset larger than the whole capacity is not cached, but an
+    /// older version under the same key is still dropped so the cache
+    /// never serves stale data.
     pub fn cache_put(&mut self, key: CacheKey, data: Block) -> bool {
         let bytes = block_bytes(&data);
-        if self.blocks.budget() != UNLIMITED {
-            while self.occupancy() + bytes > self.blocks.budget() {
-                if self.cache.shed_lru_unpinned().is_none() {
-                    self.sync_external();
+        if self.limited() {
+            while self.occupancy() + bytes > self.budget {
+                if !self.relieve(false) {
                     return false;
                 }
             }
         }
-        let cached = self.cache.put(key, data);
-        self.sync_external();
-        cached
+        // Drop any existing version of this key *before* deciding whether
+        // the new one fits: rejecting an oversized dataset must not leave a
+        // stale version behind for `cache_get` to serve.
+        let slot = Slot::Cached(key);
+        self.resident.remove(&slot);
+        if bytes > self.cache_capacity {
+            return false;
+        }
+        while self.cache_bytes() + bytes > self.cache_capacity {
+            if !self.relieve(false) {
+                return false;
+            }
+        }
+        self.place(slot, data);
+        true
     }
 
-    /// Pins a cache entry for the duration of a task that read it, so
-    /// concurrent inserts cannot shed an input mid-use.
+    /// Pins a cached dataset for the duration of a task that read it,
+    /// so concurrent inserts cannot shed an input mid-use. Returns false
+    /// when the key is not cached.
     pub fn cache_pin(&mut self, key: CacheKey) -> bool {
-        self.cache.pin(key)
+        let slot = Slot::Cached(key);
+        if !self.resident.contains_key(&slot) {
+            return false;
+        }
+        *self.pins.entry(slot).or_insert(0) += 1;
+        true
     }
 
-    /// Drops a cache pin.
+    /// Drops a cache pin; unknown keys are tolerated.
     pub fn cache_unpin(&mut self, key: CacheKey) {
-        self.cache.unpin(key);
+        self.drop_pin(Slot::Cached(key));
     }
 
-    /// Keys currently cached (the executor reports these to the master
-    /// for cache-aware scheduling).
+    /// Keys currently cached, ascending (the executor reports these to
+    /// the master for cache-aware scheduling).
     pub fn cache_keys(&self) -> Vec<CacheKey> {
-        self.cache.keys()
+        let mut keys: Vec<CacheKey> = self
+            .resident
+            .keys()
+            .filter_map(|s| match s {
+                Slot::Cached(k) => Some(*k),
+                Slot::Block(_) => None,
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 }
 
@@ -978,7 +896,7 @@ mod tests {
         BlockRef::Output { fop, index }
     }
 
-    fn spill_file(s: &BlockStore) -> PathBuf {
+    fn spill_file(s: &ExecutorStore) -> PathBuf {
         s.disk.open.as_ref().expect("something spilled").0.clone()
     }
 
@@ -1001,9 +919,9 @@ mod tests {
     #[test]
     fn unlimited_store_tracks_bytes_but_emits_nothing() {
         let j = Journal::new();
-        let mut s = BlockStore::new(1, UNLIMITED, j.clone());
-        s.insert(out(0, 0), &block(4)).unwrap();
-        assert_eq!(s.resident_bytes(), bsz());
+        let mut s = ExecutorStore::new(1, UNLIMITED, 0, j.clone());
+        s.admit(out(0, 0), &block(4)).unwrap();
+        assert_eq!(s.occupancy(), bsz());
         assert_eq!(s.get(out(0, 0)).unwrap().unwrap().len(), 4);
         assert!(events(&j).is_empty());
     }
@@ -1017,10 +935,10 @@ mod tests {
         const LENS: [usize; 6] = [4, 40, 2, 90, 7, 25];
         // Sized from other blocks, so reading it sizes none of the script's.
         let half = LENS.map(|n| block_bytes(&block(n))).iter().sum::<usize>() / 2;
-        // Sizes before the budget: none, all, or all by `resident_bytes`.
+        // Sizes before the budget: none, all, or all by `occupancy`.
         let script = |presize: bool, count: bool| {
             let j = Journal::new();
-            let mut s = BlockStore::new(1, UNLIMITED, j.clone());
+            let mut s = ExecutorStore::new(1, UNLIMITED, half, j.clone());
             let blocks: Vec<Block> = LENS.into_iter().map(block).collect();
             for b in blocks.iter().filter(|_| presize) {
                 b.encoded_len();
@@ -1028,21 +946,48 @@ mod tests {
             for (i, b) in blocks.iter().enumerate() {
                 match i % 3 {
                     0 => s.pin(out(0, i), b).unwrap(),
-                    _ => s.insert(out(0, i), b).unwrap(),
+                    _ => s.admit(out(0, i), b).unwrap(),
+                }
+                // The cache tier sizes what it caches, and only that.
+                match i {
+                    0 => assert!(s.cache_put(1, block(3))),
+                    1 => assert!(s.cache_get(1).is_some() && s.cache_get(2).is_none()),
+                    2 => assert!(s.cache_pin(1)),
+                    3 => s.cache_unpin(1),
+                    4 => assert!(s.cache_pin(1)),
+                    _ => {}
                 }
             }
             assert!(blocks.iter().all(|b| b.is_sized() == presize));
             if count {
                 let encoded = blocks.iter().map(|b| encode_block(b).unwrap().len());
-                assert_eq!(s.resident_bytes(), encoded.sum::<usize>());
+                assert_eq!(s.occupancy(), encoded.sum::<usize>() + s.cache_bytes());
             }
             s.set_budget(half);
             s.unpin(out(0, 0));
-            s.insert(out(1, 0), &block(60)).unwrap();
+            s.cache_unpin(1);
+            s.admit(out(1, 0), &block(60)).unwrap();
             let evs = events(&j);
             assert!(evs
                 .iter()
                 .any(|e| matches!(e, JobEvent::BlockSpilled { .. })));
+            // The shrink replays the held block pins, not the cache's.
+            let pins = evs
+                .iter()
+                .filter(|e| matches!(e, JobEvent::BlockPinned { .. }));
+            assert_eq!(pins.count(), 2);
+            // Under the budget, cache puts, pins and sheds journal no
+            // memory event.
+            assert!(s.cache_put(2, block(1)));
+            assert!(s.cache_pin(2));
+            assert!(s.cache_get(2).is_some());
+            s.cache_unpin(2);
+            s.cache_put(3, block(2));
+            assert!(!s.cache_keys().contains(&2), "the put shed dataset 2");
+            let cache_evs = events(&j).split_off(evs.len());
+            assert!(cache_evs
+                .iter()
+                .all(|e| matches!(e, JobEvent::CacheHit { .. })));
             evs
         };
         let sized = script(true, false);
@@ -1053,7 +998,7 @@ mod tests {
     #[test]
     fn shrink_from_unlimited_journals_held_pins() {
         let j = Journal::new();
-        let mut s = BlockStore::new(1, UNLIMITED, j.clone());
+        let mut s = ExecutorStore::new(1, UNLIMITED, 0, j.clone());
         let a = block(4);
         s.pin(out(0, 0), &a).unwrap();
         s.pin(out(0, 0), &a).unwrap();
@@ -1079,7 +1024,7 @@ mod tests {
     #[test]
     fn shrink_from_unlimited_replays_pins_in_block_order() {
         let j = Journal::new();
-        let mut s = BlockStore::new(1, UNLIMITED, j.clone());
+        let mut s = ExecutorStore::new(1, UNLIMITED, 0, j.clone());
         for index in [5, 2, 7, 0, 3, 6, 1, 4] {
             s.pin(out(0, index), &block(4)).unwrap();
         }
@@ -1099,16 +1044,16 @@ mod tests {
     fn pressure_spills_lru_and_reload_is_byte_identical() {
         let j = Journal::new();
         let budget = 2 * bsz();
-        let mut s = BlockStore::new(1, budget, j.clone());
+        let mut s = ExecutorStore::new(1, budget, 0, j.clone());
         let a = block(4);
         let b = block(4);
-        s.insert(out(0, 0), &a).unwrap();
-        s.insert(out(0, 1), &b).unwrap();
-        assert_eq!(s.resident_bytes(), budget);
+        s.admit(out(0, 0), &a).unwrap();
+        s.admit(out(0, 1), &b).unwrap();
+        assert_eq!(s.occupancy(), budget);
         // Third block forces the LRU (0,0) out to disk.
-        s.insert(out(0, 2), &block(4)).unwrap();
+        s.admit(out(0, 2), &block(4)).unwrap();
         assert!(s.is_spilled(out(0, 0)));
-        assert_eq!(s.resident_bytes(), budget);
+        assert_eq!(s.occupancy(), budget);
         // Reload is byte-identical and re-admitted (spilling another).
         let back = s.get(out(0, 0)).unwrap().unwrap();
         assert_eq!(encode_block(&back).unwrap(), encode_block(&a).unwrap());
@@ -1138,19 +1083,19 @@ mod tests {
     #[test]
     fn pinned_blocks_are_never_spilled() {
         let j = Journal::new();
-        let mut s = BlockStore::new(1, 2 * bsz(), j.clone());
+        let mut s = ExecutorStore::new(1, 2 * bsz(), 0, j.clone());
         let a = block(4);
         let b = block(4);
         s.pin(out(0, 0), &a).unwrap();
         s.pin(out(0, 1), &b).unwrap();
         // Both pinned: a third block has nowhere to go.
         assert!(matches!(
-            s.insert(out(0, 2), &block(1)),
+            s.admit(out(0, 2), &block(1)),
             Err(StoreError::NoHeadroom { .. })
         ));
         s.unpin(out(0, 1));
         // Now (0,1) can spill to make room.
-        s.insert(out(0, 2), &block(1)).unwrap();
+        s.admit(out(0, 2), &block(1)).unwrap();
         assert!(s.is_spilled(out(0, 1)));
         assert!(!s.is_spilled(out(0, 0)));
     }
@@ -1159,9 +1104,9 @@ mod tests {
     fn oversized_block_is_too_large() {
         let b = block(3);
         let need = block_bytes(&b);
-        let mut s = BlockStore::new(1, need - 1, Journal::new());
+        let mut s = ExecutorStore::new(1, need - 1, 0, Journal::new());
         assert!(matches!(
-            s.insert(out(0, 0), &b),
+            s.admit(out(0, 0), &b),
             Err(StoreError::TooLarge { bytes, budget })
                 if bytes == need && budget == need - 1
         ));
@@ -1170,11 +1115,11 @@ mod tests {
     #[test]
     fn insert_or_spill_goes_straight_to_disk_under_pressure() {
         let j = Journal::new();
-        let mut s = BlockStore::new(1, bsz(), j.clone());
+        let mut s = ExecutorStore::new(1, bsz(), 0, j.clone());
         s.pin(out(0, 0), &block(4)).unwrap();
         // No headroom and nothing spillable, but the producer-local
         // commit still lands (on disk).
-        s.insert_or_spill(out(1, 0), &block(2)).unwrap();
+        s.admit_or_spill(out(1, 0), &block(2)).unwrap();
         assert!(s.is_spilled(out(1, 0)));
         // Reading it back needs headroom of its own: with everything
         // pinned the reload refuses rather than overflow the budget.
@@ -1189,9 +1134,9 @@ mod tests {
     #[test]
     fn set_budget_spills_and_clamps_to_pinned_occupancy() {
         let j = Journal::new();
-        let mut s = BlockStore::new(1, UNLIMITED, j.clone());
+        let mut s = ExecutorStore::new(1, UNLIMITED, 0, j.clone());
         s.pin(out(0, 0), &block(4)).unwrap(); // pinned: bsz() bytes
-        s.insert(out(0, 1), &block(4)).unwrap(); // unpinned: bsz() bytes
+        s.admit(out(0, 1), &block(4)).unwrap(); // unpinned: bsz() bytes
         let applied = s.set_budget(bsz() / 2);
         // The unpinned block spilled; the pinned bytes cannot, so the
         // applied budget clamps up to them.
@@ -1205,7 +1150,7 @@ mod tests {
 
     #[test]
     fn remove_unpinned_frees_spill_files_and_respects_pins() {
-        let mut s = BlockStore::new(1, bsz(), Journal::new());
+        let mut s = ExecutorStore::new(1, bsz(), 0, Journal::new());
         s.pin(out(0, 0), &block(4)).unwrap();
         assert!(!s.remove_unpinned(out(0, 0)), "pinned block must stay");
         s.unpin(out(0, 0));
@@ -1217,9 +1162,9 @@ mod tests {
     fn the_spill_file_is_deleted_on_drop_and_on_executor_loss() {
         let path;
         {
-            let mut s = BlockStore::new(1, bsz(), Journal::new());
+            let mut s = ExecutorStore::new(1, bsz(), 0, Journal::new());
             assert!(s.disk.open.is_none(), "no spill, no file");
-            s.insert(out(0, 0), &block(4)).unwrap();
+            s.admit(out(0, 0), &block(4)).unwrap();
             s.pin(out(0, 1), &block(4)).unwrap();
             assert!(s.is_spilled(out(0, 0)));
             let lost = spill_file(&s);
@@ -1227,7 +1172,7 @@ mod tests {
             s.clear_silent();
             assert!(!lost.exists(), "spill file survived its executor");
             // The replacement's first spill opens a file of its own.
-            s.insert(out(0, 0), &block(4)).unwrap();
+            s.admit(out(0, 0), &block(4)).unwrap();
             s.pin(out(0, 1), &block(4)).unwrap();
             path = spill_file(&s);
             assert!(path.exists());
@@ -1237,12 +1182,12 @@ mod tests {
 
     #[test]
     fn one_file_holds_every_spill_and_reuses_released_space() {
-        let mut s = BlockStore::new(1, 2 * bsz(), Journal::new());
+        let mut s = ExecutorStore::new(1, 2 * bsz(), 0, Journal::new());
         let big = block(40);
         let fits = 2 * bsz() >= block_bytes(&big);
         assert!(fits, "the budget holds the big block alone");
         for i in 0..6 {
-            s.insert(out(0, i), &block(4)).unwrap();
+            s.admit(out(0, i), &block(4)).unwrap();
         }
         let path = spill_file(&s);
         let four = fs::metadata(&path).unwrap().len();
@@ -1262,9 +1207,9 @@ mod tests {
         // the hole it lands in.
         s.remove_unpinned(out(0, 0));
         s.remove_unpinned(out(0, 1));
-        s.insert(out(1, 0), &big).unwrap();
-        s.insert(out(1, 1), &block(1)).unwrap();
-        s.insert(out(1, 2), &block(1)).unwrap();
+        s.admit(out(1, 0), &big).unwrap();
+        s.admit(out(1, 1), &block(1)).unwrap();
+        s.admit(out(1, 2), &block(1)).unwrap();
         assert_eq!(s.get(out(1, 0)).unwrap().unwrap(), big);
         assert_eq!(s.get(out(1, 1)).unwrap().unwrap(), block(1));
         for i in 2..6 {
@@ -1289,8 +1234,74 @@ mod tests {
         // Admitting another block sheds the cache entry, not a spill.
         s.admit(out(0, 1), &block(4)).unwrap();
         assert!(s.cache_keys().is_empty());
-        assert!(!s.blocks.is_spilled(out(0, 0)));
+        assert!(!s.is_spilled(out(0, 0)));
         assert_eq!(s.occupancy(), budget);
+    }
+
+    /// Every path that makes room for a block sheds the cache tier
+    /// first. From a full store holding one cached dataset and one
+    /// unpinned block (and one spilled block for `get` to reload), each
+    /// sheds the dataset and spills nothing. A pinned dataset is never
+    /// shed: the operation spills the block instead, or, with that block
+    /// pinned too, refuses (`admit_or_spill` writes its own block to
+    /// disk, `set_budget` clamps).
+    #[test]
+    fn every_room_making_path_sheds_the_cache_first() {
+        type Op = fn(&mut ExecutorStore) -> Result<(), StoreError>;
+        let ops: [(&str, Op); 5] = [
+            ("admit", |s| s.admit(out(0, 1), &block(4))),
+            ("admit_or_spill", |s| s.admit_or_spill(out(0, 1), &block(4))),
+            ("pin", |s| s.pin(out(0, 1), &block(4))),
+            ("get", |s| s.get(out(0, 9)).map(drop)),
+            ("set_budget", |s| {
+                s.set_budget(bsz());
+                Ok(())
+            }),
+        ];
+        for (name, op) in ops {
+            for (pin_cache, pin_block) in [(false, false), (true, false), (true, true)] {
+                let case = format!("{name}, cache pinned {pin_cache}, block pinned {pin_block}");
+                let j = Journal::new();
+                let mut s = ExecutorStore::new(1, 2 * bsz(), 2 * bsz(), j.clone());
+                s.admit(out(0, 9), &block(4)).unwrap();
+                s.admit(out(0, 0), &block(4)).unwrap();
+                s.admit(out(0, 1), &block(4)).unwrap();
+                assert!(s.remove_unpinned(out(0, 1)));
+                assert!(s.cache_put(7, block(4)));
+                assert!(s.is_spilled(out(0, 9)));
+                assert_eq!(s.occupancy(), 2 * bsz());
+                if pin_cache {
+                    assert!(s.cache_pin(7));
+                }
+                if pin_block {
+                    s.pin(out(0, 0), &block(4)).unwrap();
+                }
+                let before = events(&j).len();
+                let res = op(&mut s);
+                let evs = events(&j).split_off(before);
+                let spilled = |r: BlockRef| {
+                    evs.iter()
+                        .any(|e| matches!(e, JobEvent::BlockSpilled { block, .. } if *block == r))
+                };
+                if !pin_cache {
+                    assert_eq!(res, Ok(()), "{case}");
+                    assert!(s.cache_keys().is_empty(), "{case}: the dataset stayed");
+                    assert!(!spilled(out(0, 0)) && !spilled(out(0, 1)), "{case}");
+                    continue;
+                }
+                assert_eq!(s.cache_keys(), vec![7], "{case}: a pinned dataset was shed");
+                assert_eq!(spilled(out(0, 0)), !pin_block, "{case}");
+                match (pin_block, name) {
+                    (false, _) | (true, "admit_or_spill" | "set_budget") => {
+                        assert_eq!(res, Ok(()), "{case}")
+                    }
+                    (true, _) => assert!(
+                        matches!(res, Err(StoreError::NoHeadroom { .. })),
+                        "{case}: {res:?}"
+                    ),
+                }
+            }
+        }
     }
 
     #[test]
@@ -1301,8 +1312,8 @@ mod tests {
         s.pin(out(0, 1), &block(4)).unwrap();
         assert!(!s.cache_put(7, block(1)), "no room: caching must skip");
         assert!(s.cache_keys().is_empty());
-        assert!(!s.blocks.is_spilled(out(0, 0)));
-        assert!(!s.blocks.is_spilled(out(0, 1)));
+        assert!(!s.is_spilled(out(0, 0)));
+        assert!(!s.is_spilled(out(0, 1)));
     }
 
     #[test]
@@ -1322,21 +1333,121 @@ mod tests {
             .any(|e| matches!(e, JobEvent::CacheHit { exec: 3, key: 9, bytes } if *bytes == sz)));
     }
 
+    /// An unlimited store whose cache tier holds `capacity` bytes.
+    fn cache(capacity: usize) -> ExecutorStore {
+        ExecutorStore::new(1, UNLIMITED, capacity, Journal::new())
+    }
+
+    /// Encoded size of the `n`-record test block; strictly increasing in
+    /// `n` for these contents.
+    fn sz(n: usize) -> usize {
+        block_bytes(&block(n))
+    }
+
+    #[test]
+    fn get_refreshes_recency() {
+        let mut c = cache(3 * sz(1));
+        c.cache_put(1, block(1));
+        c.cache_put(2, block(1));
+        c.cache_put(3, block(1));
+        // Touch 1 so 2 becomes the LRU.
+        assert!(c.cache_get(1).is_some());
+        c.cache_put(4, block(1));
+        assert!(c.cache_get(2).is_none(), "2 was least recently used");
+        assert!(c.cache_get(1).is_some());
+        assert!(c.cache_get(3).is_some());
+        assert!(c.cache_get(4).is_some());
+    }
+
+    #[test]
+    fn oversized_entry_is_rejected() {
+        let mut c = cache(sz(2) - 1);
+        assert!(!c.cache_put(1, block(2)));
+        assert!(c.cache_keys().is_empty());
+    }
+
+    #[test]
+    fn oversized_reinsert_drops_the_stale_version() {
+        assert!(sz(2) > sz(1));
+        let mut c = cache(sz(1));
+        assert!(c.cache_put(1, block(1)));
+        // The new version no longer fits; the cache must not keep serving
+        // the old one.
+        assert!(!c.cache_put(1, block(2)));
+        assert!(
+            c.cache_get(1).is_none(),
+            "stale entry survived oversized put"
+        );
+        assert_eq!(c.cache_bytes(), 0);
+        assert!(c.cache_keys().is_empty());
+    }
+
+    #[test]
+    fn reinsert_replaces_bytes() {
+        let mut c = cache(1000);
+        c.cache_put(1, block(5));
+        assert_eq!(c.cache_bytes(), sz(5));
+        c.cache_put(1, block(2));
+        assert_eq!(c.cache_bytes(), sz(2));
+        assert_eq!(c.cache_keys().len(), 1);
+    }
+
+    #[test]
+    fn eviction_frees_enough_space() {
+        assert!(sz(8) > sz(5));
+        let mut c = cache(2 * sz(5));
+        c.cache_put(1, block(5));
+        c.cache_put(2, block(5));
+        c.cache_put(3, block(8)); // does not fit beside either 5-record entry
+        assert!(c.cache_get(1).is_none());
+        assert!(c.cache_get(2).is_none());
+        assert!(c.cache_get(3).is_some());
+        assert_eq!(c.cache_bytes(), sz(8));
+    }
+
+    #[test]
+    fn pinned_entries_are_never_evicted() {
+        let mut c = cache(sz(1) + sz(2));
+        c.cache_put(1, block(1));
+        c.cache_put(2, block(1));
+        assert!(c.cache_pin(1));
+        assert!(c.cache_pin(2));
+        assert!(!c.cache_pin(99), "cannot pin what is not cached");
+        // Fitting the 2-record dataset would need an eviction, but both
+        // entries are pinned: the put is refused and nothing is evicted.
+        assert!(!c.cache_put(3, block(2)));
+        assert!(c.cache_get(1).is_some());
+        assert!(c.cache_get(2).is_some());
+        c.cache_unpin(2);
+        assert!(c.cache_put(3, block(2)));
+        assert!(c.cache_get(2).is_none(), "unpinned entry was shed");
+        assert!(c.cache_get(1).is_some(), "pinned entry survived");
+    }
+
+    #[test]
+    fn keys_lists_entries() {
+        let mut c = cache(1000);
+        c.cache_put(9, block(1));
+        c.cache_put(7, block(1));
+        // Ascending, whatever the order of puts or of the store's map.
+        assert_eq!(c.cache_keys(), vec![7, 9]);
+    }
+
     #[test]
     fn injected_spill_write_fault_degrades_to_no_headroom() {
         let budget = 2 * bsz();
-        let mut s = BlockStore::new(1, budget, Journal::new());
+        let mut s = ExecutorStore::new(1, budget, 0, Journal::new());
         s.set_spill_faults(SpillFaultPlan {
             seed: 11,
             write_prob: 1.0,
             read_prob: 0.0,
         });
-        s.insert(out(0, 0), &block(4)).unwrap();
-        s.insert(out(0, 1), &block(4)).unwrap();
+        s.admit(out(0, 0), &block(4)).unwrap();
+        s.admit(out(0, 1), &block(4)).unwrap();
         // Pressure relief needs a spill, the disk refuses every write:
         // the admit degrades to NoHeadroom, never an over-budget insert.
         assert!(matches!(
-            s.insert(out(0, 2), &block(4)),
+            s.admit(out(0, 2), &block(4)),
             Err(StoreError::NoHeadroom { .. })
         ));
         assert!(!s.is_spilled(out(0, 0)));
@@ -1346,11 +1457,11 @@ mod tests {
 
     #[test]
     fn injected_spill_read_fault_heals_so_a_repin_recovers() {
-        let mut s = BlockStore::new(1, 2 * bsz(), Journal::new());
+        let mut s = ExecutorStore::new(1, 2 * bsz(), 0, Journal::new());
         let a = block(4);
-        s.insert(out(0, 0), &a).unwrap();
-        s.insert(out(0, 1), &block(4)).unwrap();
-        s.insert(out(0, 2), &block(4)).unwrap();
+        s.admit(out(0, 0), &a).unwrap();
+        s.admit(out(0, 1), &block(4)).unwrap();
+        s.admit(out(0, 2), &block(4)).unwrap();
         assert!(s.is_spilled(out(0, 0)));
         s.set_spill_faults(SpillFaultPlan {
             seed: 11,
@@ -1371,10 +1482,10 @@ mod tests {
 
     #[test]
     fn truncated_spill_file_is_reported_and_healed() {
-        let mut s = BlockStore::new(1, 2 * bsz(), Journal::new());
-        s.insert(out(0, 0), &block(4)).unwrap();
-        s.insert(out(0, 1), &block(4)).unwrap();
-        s.insert(out(0, 2), &block(4)).unwrap();
+        let mut s = ExecutorStore::new(1, 2 * bsz(), 0, Journal::new());
+        s.admit(out(0, 0), &block(4)).unwrap();
+        s.admit(out(0, 1), &block(4)).unwrap();
+        s.admit(out(0, 2), &block(4)).unwrap();
         assert!(s.is_spilled(out(0, 0)));
         // The store holds the file open, so unlinking it loses nothing;
         // cutting it short does.
@@ -1390,14 +1501,14 @@ mod tests {
     #[test]
     fn spill_fault_draws_replay_from_the_seed() {
         let run = |seed: u64| {
-            let mut s = BlockStore::new(1, 2 * bsz(), Journal::new());
+            let mut s = ExecutorStore::new(1, 2 * bsz(), 0, Journal::new());
             s.set_spill_faults(SpillFaultPlan {
                 seed,
                 write_prob: 0.5,
                 read_prob: 0.0,
             });
             (0..8)
-                .map(|i| s.insert(out(0, i), &block(4)).is_ok())
+                .map(|i| s.admit(out(0, i), &block(4)).is_ok())
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(3), run(3), "same seed, same fault schedule");

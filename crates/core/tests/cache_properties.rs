@@ -1,8 +1,8 @@
-//! Property tests of the executor-side `LruCache` against a
+//! Property tests of the executor store's cache tier against a
 //! straightforward `BTreeMap` reference model: for arbitrary seeded
-//! sequences of `put`/`get`, both implementations must agree on every
-//! return value, on occupancy, and on byte accounting — and the real
-//! cache must never exceed its capacity.
+//! sequences of `cache_put`/`cache_get` on an unlimited store, both
+//! must agree on every return value, on the cached key set, and on
+//! byte accounting — and the tier must never exceed its capacity.
 //!
 //! Also pins the PR-2 stale-same-key bug as a named regression: a `put`
 //! that rejects an oversized dataset must still drop the older version
@@ -10,7 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use pado_core::runtime::{block_bytes, CacheKey, LruCache};
+use pado_core::runtime::store::UNLIMITED;
+use pado_core::runtime::{block_bytes, CacheKey, ExecutorStore, Journal};
 use pado_dag::{block_from_vec, Block, Value};
 use proptest::prelude::*;
 
@@ -27,7 +28,12 @@ fn contents(b: &Block) -> Vec<i64> {
     b.iter().map(|v| v.as_i64().unwrap()).collect()
 }
 
-/// Reference model: same policy as `LruCache`, written against a plain
+/// An unlimited store whose cache tier holds `capacity` bytes.
+fn cache(capacity: usize) -> ExecutorStore {
+    ExecutorStore::new(1, UNLIMITED, capacity, Journal::new())
+}
+
+/// Reference model: same policy as the cache tier, written against a plain
 /// `BTreeMap` with explicit recency stamps.
 struct Model {
     capacity: usize,
@@ -86,18 +92,18 @@ proptest! {
 
     /// Arbitrary op sequences: the cache agrees with the model on every
     /// `put` acceptance, every `get` hit/miss and its contents, and on
-    /// `len`/`used_bytes` after every step — and never holds more than
+    /// its keys and bytes after every step — and never holds more than
     /// its capacity.
     #[test]
     fn cache_matches_reference_model(
         capacity in 8usize..64,
         ops in proptest::collection::vec((0u8..3, 0usize..6, 0usize..10), 1..80),
     ) {
-        let mut cache = LruCache::new(capacity);
+        let mut cache = cache(capacity);
         let mut model = Model::new(capacity);
         for (step, &(kind, key, size)) in ops.iter().enumerate() {
             if kind == 0 {
-                let got = cache.get(key).map(|b| contents(&b));
+                let got = cache.cache_get(key).map(|b| contents(&b));
                 let want = model.get(key);
                 prop_assert_eq!(
                     &got, &want,
@@ -110,29 +116,28 @@ proptest! {
                 let salt = key * 10 + kind as usize;
                 let data = dataset(salt, size);
                 let modeled = model.put(key, contents(&data), block_bytes(&data));
-                let cached = cache.put(key, data);
+                let cached = cache.cache_put(key, data);
                 prop_assert_eq!(
                     cached, modeled,
                     "step {}: put({}, {} records) acceptance disagreed",
                     step, key, size
                 );
             }
-            prop_assert_eq!(cache.len(), model.entries.len(), "step {}: len", step);
-            prop_assert_eq!(cache.used_bytes(), model.used, "step {}: used_bytes", step);
+            let model_keys: Vec<CacheKey> = model.entries.keys().copied().collect();
+            prop_assert_eq!(cache.cache_keys(), model_keys, "step {}: keys", step);
+            prop_assert_eq!(cache.cache_bytes(), model.used, "step {}: cache_bytes", step);
             prop_assert!(
-                cache.used_bytes() <= capacity,
+                cache.cache_bytes() <= capacity,
                 "step {}: cache over capacity ({} > {})",
-                step, cache.used_bytes(), capacity
+                step, cache.cache_bytes(), capacity
             );
         }
         // Final sweep: every key the model holds is servable with the
         // exact same contents, and no extra keys survive in the cache.
-        let mut keys = cache.keys();
-        keys.sort_unstable();
         let model_keys: Vec<CacheKey> = model.entries.keys().copied().collect();
-        prop_assert_eq!(keys, model_keys);
+        prop_assert_eq!(cache.cache_keys(), model_keys);
         for (key, (data, _, _)) in &model.entries {
-            let got = cache.get(*key).map(|b| contents(&b));
+            let got = cache.cache_get(*key).map(|b| contents(&b));
             prop_assert_eq!(got.as_ref(), Some(data));
         }
     }
@@ -142,17 +147,17 @@ proptest! {
 /// leave the *previous* version under the same key servable.
 #[test]
 fn oversized_put_drops_stale_same_key_version() {
-    let mut cache = LruCache::new(block_bytes(&dataset(1, 2)));
-    assert!(cache.put(7, dataset(1, 2)), "small dataset fits");
-    assert!(cache.get(7).is_some());
+    let mut cache = cache(block_bytes(&dataset(1, 2)));
+    assert!(cache.cache_put(7, dataset(1, 2)), "small dataset fits");
+    assert!(cache.cache_get(7).is_some());
     assert!(
-        !cache.put(7, dataset(2, 100)),
+        !cache.cache_put(7, dataset(2, 100)),
         "oversized dataset must be rejected"
     );
     assert!(
-        cache.get(7).is_none(),
+        cache.cache_get(7).is_none(),
         "stale version must not survive the rejected put"
     );
-    assert_eq!(cache.used_bytes(), 0);
-    assert!(cache.is_empty());
+    assert_eq!(cache.cache_bytes(), 0);
+    assert!(cache.cache_keys().is_empty());
 }
