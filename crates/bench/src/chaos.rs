@@ -257,7 +257,7 @@ impl Dim {
                 };
                 match rng.gen_range(0..3u32) {
                     0 => plan.after_handled_frames = Some(rng.gen_range(1..20u64)),
-                    1 => plan.every_kth_append = Some(rng.gen_range(5..40u64)),
+                    1 => plan.every_kth_append = Some(rng.gen_range(3..27u64)),
                     _ => plan.handler_prob = 0.08,
                 }
                 plan.corruption = rng.gen_bool(0.3).then_some(WalCorruption {

@@ -35,7 +35,7 @@ use crate::kernels::{combine_global, combine_keyed};
 use crate::runtime::backend::{CancelToken, WorkerPool};
 use crate::runtime::config::RuntimeConfig;
 use crate::runtime::journal::{JobEvent, Journal};
-use crate::runtime::message::{ExecId, ExecutorMsg, InjectedFault, MasterMsg, TaskSpec};
+use crate::runtime::message::{ExecId, InjectedFault, MasterMsg, TaskSpec};
 use crate::runtime::store::{CacheKey, ExecutorStore, StoreHandle, UNLIMITED};
 use crate::runtime::transport::{
     DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, ReliableSender, TransportCounters, Wire,
@@ -153,7 +153,7 @@ impl ExecutorHandle {
                 }
             }
             None => {
-                let (task_tx, task_rx) = crossbeam::channel::unbounded::<ExecutorMsg>();
+                let (task_tx, task_rx) = crossbeam::channel::unbounded::<TaskSpec>();
                 threads = (0..slots)
                     .map(|slot| {
                         let task_rx = task_rx.clone();
@@ -167,7 +167,7 @@ impl ExecutorHandle {
                             .expect("spawn executor worker thread")
                     })
                     .collect();
-                TaskSink::Slots { tx: task_tx, slots }
+                TaskSink::Slots(task_tx)
             }
         };
         let seed = net.as_ref().map_or(0, |p| p.seed());
@@ -227,11 +227,12 @@ impl ExecutorHandle {
 
 /// Where the control thread hands runnable task specs: dedicated slot
 /// threads (sim backend) or the job-wide shared pool (threaded backend).
+/// Dropping it — the control thread returning — tears the lanes down: a
+/// slot drains the specs already queued, then sees the channel closed.
+/// The shared pool outlives any one executor; its in-flight bodies
+/// finish and their reports land in a disconnected channel.
 enum TaskSink {
-    Slots {
-        tx: Sender<ExecutorMsg>,
-        slots: usize,
-    },
+    Slots(Sender<TaskSpec>),
     Pool {
         pool: Arc<WorkerPool>,
         exec: ExecId,
@@ -246,8 +247,8 @@ impl TaskSink {
     /// Dispatches one task spec for execution.
     fn run(&self, spec: TaskSpec) {
         match self {
-            TaskSink::Slots { tx, .. } => {
-                let _ = tx.send(ExecutorMsg::Run(spec));
+            TaskSink::Slots(tx) => {
+                let _ = tx.send(spec);
             }
             TaskSink::Pool {
                 pool,
@@ -274,36 +275,20 @@ impl TaskSink {
             }
         }
     }
-
-    /// Tears down the execution lanes (no-op for the shared pool, which
-    /// outlives any one executor; in-flight bodies finish and their
-    /// reports land in a disconnected channel).
-    fn stop(&self) {
-        if let TaskSink::Slots { tx, slots } = self {
-            for _ in 0..*slots {
-                let _ = tx.send(ExecutorMsg::Stop);
-            }
-        }
-    }
 }
 
 fn worker_loop(
     exec: ExecId,
-    rx: Receiver<ExecutorMsg>,
+    rx: Receiver<TaskSpec>,
     job: Arc<JobContext>,
     ctrl: Sender<ExecIn>,
     store: StoreHandle,
     journal: Journal,
 ) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ExecutorMsg::Stop => break,
-            ExecutorMsg::Run(spec) => {
-                let done = run_task(exec, &job, &store, &journal, spec);
-                if ctrl.send(ExecIn::Out(done)).is_err() {
-                    break; // The control thread is gone; the executor died.
-                }
-            }
+    while let Ok(spec) = rx.recv() {
+        let done = run_task(exec, &job, &store, &journal, spec);
+        if ctrl.send(ExecIn::Out(done)).is_err() {
+            break; // The control thread is gone; the executor died.
         }
     }
 }
@@ -328,7 +313,6 @@ fn control_loop(
         // control thread without waiting for the master's Kill (which a
         // stuck master may never send).
         if cancel.is_cancelled() {
-            sink.stop();
             return;
         }
         let now = Instant::now();
@@ -340,7 +324,6 @@ fn control_loop(
             // A transport bookkeeping invariant broke: tear the worker
             // slots down cleanly (the master's own pump surfaces the
             // positioned error and fails the job).
-            sink.stop();
             return;
         }
         let deadline = out
@@ -348,20 +331,14 @@ fn control_loop(
             .map_or(next_beat, |d| d.min(next_beat))
             .max(now + Duration::from_millis(1));
         match ctrl_rx.recv_timeout(deadline - now) {
-            Ok(ExecIn::Kill) => {
-                sink.stop();
-                return;
-            }
+            Ok(ExecIn::Kill) => return,
             Ok(ExecIn::Out(msg)) => out.send(msg),
             Ok(ExecIn::Net(Wire::Msg { seq, payload, .. })) => {
                 // Always ack — the first ack may have been lost — but only
                 // forward first deliveries to the task queue.
                 out.link().send(Wire::Ack { from: exec, seq });
                 if dedup.fresh(seq) {
-                    match payload {
-                        ExecutorMsg::Run(spec) => sink.run(spec),
-                        ExecutorMsg::Stop => sink.stop(),
-                    }
+                    sink.run(payload);
                 } else {
                     counters
                         .deduplicated
@@ -372,11 +349,8 @@ fn control_loop(
             // Masters don't heartbeat executors; tolerate one anyway.
             Ok(ExecIn::Net(Wire::Heartbeat { .. })) => {}
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // The master dropped our inbound sender: job over.
-                sink.stop();
-                return;
-            }
+            // The master dropped our inbound sender: job over.
+            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }

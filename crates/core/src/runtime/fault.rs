@@ -21,11 +21,10 @@
 //! copies of the math), so every seeded suite replays the fault schedule
 //! it was written against.
 //!
-//! The only deliberately non-causal trigger in the tree is the crash
-//! family's `every_kth_append` clock (WAL append counts include racing
-//! executor emissions, so the crash *boundary* floats across backends —
-//! documented as intentional in DESIGN.md §14); its coin, like
-//! everything else, draws through this module.
+//! The crash family's `every_kth_append` clock counts WAL frames, and
+//! the master is the log's only writer: the count moves with the
+//! master's own emissions, never with a racing executor's (DESIGN.md
+//! §14).
 
 use std::collections::BTreeMap;
 
@@ -266,11 +265,10 @@ pub struct ChaosPlan {
 /// A crash is evaluated after every handled frame (the only points an
 /// in-process master can die without leaving a handler half-applied; a
 /// real process crash mid-handler loses the same unsynced WAL suffix).
-/// Any satisfied trigger fires, up to `max_crashes` total. All decisions
-/// are deterministic in `(seed, handled-frame ordinal)`, except the
-/// append-count trigger, whose clock advances with concurrent executor
-/// emissions — recovery must be correct at *any* boundary, so the
-/// trigger's exact landing spot is allowed to float.
+/// Any satisfied trigger fires, up to `max_crashes` total. Every decision
+/// is keyed by the seed, the handled-frame ordinal, or the count of WAL
+/// frames the master has appended by then — only the master writes the
+/// log, so no executor-side emission moves that clock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CrashPlan {
     /// Seed for the probabilistic handler-boundary trigger.
@@ -278,7 +276,7 @@ pub struct CrashPlan {
     /// Crash once every `n` handled frames (exhaustive boundary sweeps
     /// set this to each boundary in turn with `max_crashes = 1`).
     pub after_handled_frames: Option<u64>,
-    /// Crash when the WAL has absorbed another `k` appends.
+    /// Crash when the master has appended another `k` WAL frames.
     pub every_kth_append: Option<u64>,
     /// Probability of crashing at each handled-frame boundary.
     pub handler_prob: f64,
@@ -325,6 +323,7 @@ pub struct FaultPlan {
     /// Drains ahead of predicted evictions, `(n, k)` like `evictions`:
     /// after `n` completions, the `k`-th *schedulable* transient executor
     /// takes no new work and its sole-copy outputs go to reserved stores.
+    /// The list fires in order.
     pub drains: Vec<(usize, usize)>,
     /// Seeded spill-I/O fault injection on every executor store
     /// (`None` = the disk tier never fails).
@@ -422,8 +421,8 @@ impl FaultSchedule {
     }
 
     /// The master handled a progress-bearing frame, the only point it
-    /// can die with no handler half-applied, and its log has absorbed
-    /// `wal_appends` frames: the restart, when a crash trigger fires.
+    /// can die with no handler half-applied, having appended `wal_appends`
+    /// frames to its log: the restart, when a crash trigger fires.
     pub(crate) fn on_frame(&mut self, wal_appends: u64) -> Option<FaultAction> {
         self.frames += 1;
         let plan = self.plan.crashes?;

@@ -453,16 +453,15 @@ impl JournalMeta {
 }
 
 /// Cloneable writer handle to the shared journal. The master, every
-/// executor worker slot, and every transport endpoint hold one.
+/// executor worker slot, every store and every transport endpoint hold
+/// one.
 ///
-/// When a durable sink is armed (WAL-backed runs), every emission is
-/// also appended to the write-ahead log; arming must happen before the
-/// handle is cloned out to executors so all emitters share the sink.
+/// In memory only: the write-ahead log belongs to the master, which
+/// appends the frames of its own events itself (`Master::emit`).
 #[derive(Debug, Clone, Default)]
 pub struct Journal {
     inner: Arc<Mutex<Vec<JournalRecord>>>,
     epoch: Option<Instant>,
-    sink: Option<Arc<Mutex<crate::runtime::wal::WalWriter>>>,
 }
 
 impl Journal {
@@ -471,50 +470,22 @@ impl Journal {
         Journal {
             inner: Arc::new(Mutex::new(Vec::new())),
             epoch: Some(Instant::now()),
-            sink: None,
         }
     }
 
-    /// Arms the durable WAL sink: every subsequent emission through this
-    /// handle (and every clone taken *after* this call) is appended to
-    /// the log as an event frame.
-    pub fn arm_wal(&mut self, sink: Arc<Mutex<crate::runtime::wal::WalWriter>>) {
-        self.sink = Some(sink);
-    }
-
     /// Appends one event, stamping its sequence number and timestamp.
-    /// With a WAL sink armed the event is also made durable; the journal
-    /// lock is released before the WAL lock is taken, so emitters may
-    /// hold unrelated locks (e.g. a store mutex) without ordering cycles.
     pub fn emit(&self, stage: Option<usize>, event: JobEvent) {
         let at_us = self
             .epoch
             .map_or(0, |e| e.elapsed().as_micros().min(u64::MAX as u128) as u64);
-        let durable = self.sink.as_ref().map(|sink| {
-            (
-                sink,
-                crate::runtime::wal::WalRecord::Event {
-                    stage,
-                    event: event.clone(),
-                },
-            )
+        let mut records = self.inner.lock();
+        let seq = records.len() as u64;
+        records.push(JournalRecord {
+            seq,
+            at_us,
+            stage,
+            event,
         });
-        {
-            let mut records = self.inner.lock();
-            let seq = records.len() as u64;
-            records.push(JournalRecord {
-                seq,
-                at_us,
-                stage,
-                event,
-            });
-        }
-        if let Some((sink, record)) = durable {
-            // Best effort: a failing append (e.g. a full disk) must not
-            // panic an emitter; the master's own append path surfaces
-            // WAL errors through its Result-returning handlers.
-            let _ = sink.lock().append(&record);
-        }
     }
 
     /// Snapshots the journal into its canonical, replayable form.

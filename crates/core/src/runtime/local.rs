@@ -63,7 +63,6 @@ pub struct LocalCluster {
     config: RuntimeConfig,
     plan_config: PlanConfig,
     policy_factory: Option<Arc<dyn Fn() -> Box<dyn SchedulingPolicy> + Send + Sync>>,
-    drains: Vec<(usize, usize)>,
     backend: BackendKind,
 }
 
@@ -89,7 +88,6 @@ impl LocalCluster {
             config: RuntimeConfig::default(),
             plan_config: PlanConfig::default(),
             policy_factory: None,
-            drains: Vec::new(),
             backend: BackendKind::Sim,
         }
     }
@@ -100,16 +98,6 @@ impl LocalCluster {
     /// sized by [`RuntimeConfig::threaded_workers`].
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Schedules a drain ahead of a predicted eviction: after
-    /// `after_done_events` task commits the master stops placing work on
-    /// the `nth` schedulable transient executor (modulo their number) and
-    /// copies every output only it holds to a reserved store. May be
-    /// called repeatedly; drains fire in schedule order.
-    pub fn with_drain(mut self, after_done_events: usize, nth: usize) -> Self {
-        self.drains.push((after_done_events, nth));
         self
     }
 
@@ -173,11 +161,10 @@ impl LocalCluster {
     pub fn run_on_backend(
         &self,
         dag: &LogicalDag,
-        mut faults: FaultPlan,
+        faults: FaultPlan,
         backend: &dyn ExecBackend,
     ) -> Result<JobResult, RuntimeError> {
         self.config.validate().map_err(RuntimeError::Config)?;
-        faults.drains.extend(self.drains.iter().copied());
         let plan = compile_with(dag, &self.plan_config)?;
         let job = Arc::new(JobContext {
             dag: dag.clone(),

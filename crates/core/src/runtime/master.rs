@@ -26,19 +26,18 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use pado_dag::{block_from_vec, Block, DepType, MainSlot, Value};
-use parking_lot::Mutex;
 
 use crate::compiler::{FopId, InputSlot, Placement, PlanEdge};
 use crate::error::RuntimeError;
 use crate::exec::route;
-use crate::runtime::backend::{CancelToken, ExecBackend, SimBackend, StallDiagnostics, WorkerPool};
+use crate::runtime::backend::{CancelToken, ExecBackend, StallDiagnostics, WorkerPool};
 use crate::runtime::clock::Clock;
 use crate::runtime::executor::{combine_consumer, ExecutorHandle, JobContext};
 use crate::runtime::fault::{FaultAction, FaultPlan, FaultSchedule};
 use crate::runtime::journal::{
     EventJournal, Journal, JournalMeta, MAX_RETRANSMISSIONS_PER_MESSAGE,
 };
-use crate::runtime::message::{AttemptId, ExecId, ExecutorMsg, MasterMsg, SideData, TaskSpec};
+use crate::runtime::message::{AttemptId, ExecId, MasterMsg, SideData, TaskSpec};
 use crate::runtime::metrics::JobMetrics;
 use crate::runtime::policy::{Candidate, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
 use crate::runtime::store::CacheKey;
@@ -93,7 +92,7 @@ struct ExecInfo {
     /// applies chaos budget shrinks through it.
     store: StoreHandle,
     /// Reliable (retransmitting) endpoint of the master→executor wire.
-    out: ReliableSender<ExecutorMsg, ExecIn>,
+    out: ReliableSender<TaskSpec, ExecIn>,
     /// Duplicate suppression for frames this executor sends the master.
     dedup: DedupWindow,
     /// Last time any frame (heartbeat, ack, or report) arrived from this
@@ -184,9 +183,10 @@ pub struct Master {
     fop_durations: Vec<Vec<u64>>,
 
     /// Shared writer handle of the execution journal. Executor worker
-    /// slots and transport endpoints hold clones; the master itself emits
-    /// every scheduling, commit, and fault event through it. Metrics are
-    /// *derived* from the journal on demand, never mirrored by hand.
+    /// slots, stores and transport endpoints hold clones; the master
+    /// emits every scheduling, commit, and fault event through
+    /// [`Master::emit`]. Metrics are *derived* from the journal on
+    /// demand, never mirrored by hand.
     journal: Journal,
     /// Plan facts embedded in every frozen journal (what the invariant
     /// checker replays against).
@@ -199,10 +199,10 @@ pub struct Master {
     // --- Durability domain ---
     /// The write-ahead log: armed at `RuntimeConfig::wal_path`, or at a
     /// temp path when the fault plan restarts the master and no path is
-    /// set. Shared with the journal (whose emissions it makes durable);
-    /// the master additionally appends location-table deltas and
-    /// compacting snapshots through it.
-    wal: Option<Arc<Mutex<WalWriter>>>,
+    /// set. The master is its only writer: the event frames of its own
+    /// emissions ([`Master::emit`]), location-table deltas and
+    /// compacting snapshots.
+    wal: Option<WalWriter>,
     /// The temp file a self-armed WAL lives in, removed on drop.
     temp_wal: Option<PathBuf>,
 
@@ -222,6 +222,20 @@ pub struct Master {
     cancel: CancelToken,
 }
 
+/// [`Master::emit`] over the two fields it touches, for a caller that
+/// holds a borrow of another. An event frame is best effort: a failing
+/// append (a full disk) must not panic the emitter, and the snapshot and
+/// location frames the handlers append surface the writer's errors.
+fn emit(journal: &Journal, wal: &mut Option<WalWriter>, stage: Option<usize>, event: JobEvent) {
+    if let Some(w) = wal {
+        let _ = w.append(&WalRecord::Event {
+            stage,
+            event: event.clone(),
+        });
+    }
+    journal.emit(stage, event);
+}
+
 impl Drop for Master {
     fn drop(&mut self) {
         if let Some(path) = &self.temp_wal {
@@ -231,28 +245,15 @@ impl Drop for Master {
 }
 
 impl Master {
-    /// Creates a master and spawns the initial containers.
+    /// Creates a master wired for an execution backend and spawns the
+    /// initial containers: the backend's clock, worker pool and
+    /// frame-batch width are installed before the first executor spawns
+    /// (executors need the pool at spawn time).
     ///
     /// # Errors
     ///
     /// Fails when the write-ahead log is armed but cannot be created, or
     /// its genesis snapshot cannot be written.
-    pub fn new(
-        job: Arc<JobContext>,
-        n_transient: usize,
-        n_reserved: usize,
-        faults: FaultPlan,
-    ) -> Result<Self, RuntimeError> {
-        Self::with_backend(job, n_transient, n_reserved, faults, &SimBackend)
-    }
-
-    /// Creates a master wired for a specific execution backend: its
-    /// clock, worker pool and frame-batch width are installed before the
-    /// first executor spawns (executors need the pool at spawn time).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Master::new`].
     pub fn with_backend(
         job: Arc<JobContext>,
         n_transient: usize,
@@ -293,28 +294,19 @@ impl Master {
         let consumers = (0..n_fops)
             .map(|f| job.plan.outs(f).iter().map(|e| (e.dst, e.dep)).collect())
             .collect();
-        // The WAL sink must be armed before the journal is cloned out to
-        // executors: every clone copies the sink, and a late arm would
-        // leave executor emissions volatile.
-        let mut journal = Journal::new();
         // A restart recovers from the log, so a fault plan that asks for
         // one arms a log of its own when the config names no path.
         let restarts = faults.master_failure_after.is_some() || faults.crashes.is_some();
         let temp_wal = (job.config.wal_path.is_none() && restarts).then(|| temp_wal_path("auto"));
         let wal_path = job.config.wal_path.as_deref().map(Path::new);
         let wal = match wal_path.or(temp_wal.as_deref()) {
-            Some(path) => {
-                let writer = WalWriter::create(
-                    path,
-                    // The frame header's inert stamp (see `wal.rs`).
-                    Arc::new(AtomicU64::new(0)),
-                    job.config.wal_sync_every,
-                    job.config.wal_snapshot_every,
-                )?;
-                let sink = Arc::new(Mutex::new(writer));
-                journal.arm_wal(Arc::clone(&sink));
-                Some(sink)
-            }
+            Some(path) => Some(WalWriter::create(
+                path,
+                // The frame header's inert stamp (see `wal.rs`).
+                Arc::new(AtomicU64::new(0)),
+                job.config.wal_sync_every,
+                job.config.wal_snapshot_every,
+            )?),
             None => None,
         };
         let mut master = Master {
@@ -333,7 +325,7 @@ impl Master {
             assigned: HashMap::new(),
             deferred_pushes: Vec::new(),
             fop_durations: vec![Vec::new(); n_fops],
-            journal,
+            journal: Journal::new(),
             meta,
             stage_completed: vec![false; n_stages],
             faults: FaultSchedule::new(faults),
@@ -497,7 +489,7 @@ impl Master {
                             // The crash family fires here — the handler
                             // boundary — so recovery never sees a frame's
                             // effects half-applied.
-                            let logged = self.wal.as_ref().map_or(0, |w| w.lock().total_appends());
+                            let logged = self.wal.as_ref().map_or(0, WalWriter::total_appends);
                             if let Some(restart) = self.faults.on_frame(logged) {
                                 self.apply_fault(restart)?;
                             }
@@ -532,7 +524,7 @@ impl Master {
             true => format!("no progress within {} ms", self.job.config.event_timeout_ms),
             false => "run cancelled from outside".to_string(),
         };
-        self.journal.emit(
+        self.emit(
             None,
             JobEvent::RunAborted {
                 reason: reason.clone(),
@@ -612,7 +604,8 @@ impl Master {
                 dead.push(id);
             } else if age >= miss_after && !info.hb_flagged {
                 info.hb_flagged = true;
-                self.journal.emit(None, JobEvent::HeartbeatMissed(id));
+                let missed = JobEvent::HeartbeatMissed(id);
+                emit(&self.journal, &mut self.wal, None, missed);
             }
         }
         for id in dead {
@@ -701,7 +694,7 @@ impl Master {
                         exec,
                         bytes: bytes(),
                     };
-                    self.journal.emit(stage, resumed);
+                    self.emit(stage, resumed);
                 }
                 Ok(true)
             }
@@ -717,7 +710,7 @@ impl Master {
                             exec,
                             bytes: bytes(),
                         };
-                        self.journal.emit(stage, deferred);
+                        self.emit(stage, deferred);
                         self.job.config.retransmit_base_ms.max(1)
                     }
                 };
@@ -786,7 +779,7 @@ impl Master {
         for stage in 0..self.stage_completed.len() {
             let now = self.stage_complete(stage);
             if now != self.stage_completed[stage] {
-                self.journal.emit(
+                self.emit(
                     Some(stage),
                     if now {
                         JobEvent::StageCompleted(stage)
@@ -821,14 +814,6 @@ impl Master {
                 attempt,
                 reason,
             } => self.on_task_failed(exec, attempt, reason),
-            MasterMsg::Evict { exec } => {
-                self.on_executor_lost(exec, LossKind::Eviction);
-                Ok(())
-            }
-            MasterMsg::FailReserved { exec } => {
-                self.on_executor_lost(exec, LossKind::ReservedFailure);
-                Ok(())
-            }
         }
     }
 
@@ -892,7 +877,7 @@ impl Master {
         // this task is a loser now — its eventual report is stale and
         // only frees its executor slot and pins.
         self.tasks.commit(fop, index, locations);
-        self.journal.emit(
+        self.emit(
             Some(self.meta.stage_of[fop]),
             JobEvent::TaskCommitted {
                 fop,
@@ -988,7 +973,7 @@ impl Master {
             return Ok(());
         };
         let (fop, index) = (a.fop, a.index);
-        self.journal.emit(
+        self.emit(
             Some(self.meta.stage_of[fop]),
             JobEvent::TaskFailed {
                 fop,
@@ -1027,14 +1012,13 @@ impl Master {
         };
         info.state = ExecState::Blacklisted;
         let kind = info.handle.kind;
-        self.journal.emit(None, JobEvent::ExecutorBlacklisted(exec));
+        self.emit(None, JobEvent::ExecutorBlacklisted(exec));
         // Re-route receiver assignments that have not yet produced data.
         let tasks = &self.tasks;
         self.assigned
             .retain(|&(f, i), &mut e| e != exec || tasks.is_done(f, i));
         let replacement = self.spawn_executor(kind);
-        self.journal
-            .emit(None, JobEvent::ContainerAdded(replacement));
+        self.emit(None, JobEvent::ContainerAdded(replacement));
     }
 
     /// Where a completed task's output now lives: reserved anchors keep it
@@ -1176,8 +1160,7 @@ impl Master {
         if let Some(info) = self.executors.get_mut(&victim) {
             info.state = ExecState::Drained;
         }
-        self.journal
-            .emit(None, JobEvent::ExecutorDrained { exec: victim });
+        self.emit(None, JobEvent::ExecutorDrained { exec: victim });
         // Sink-safe outputs need no copy: the job sink has them.
         let sole: Vec<(FopId, usize)> = self
             .tasks
@@ -1221,7 +1204,7 @@ impl Master {
         // have just completed a stage whose `StageCompleted` is not yet
         // logged, and the reopen below must nest inside it.
         self.note_stage_transitions();
-        self.journal.emit(
+        self.emit(
             None,
             match kind_of_loss {
                 LossKind::ReservedFailure => JobEvent::ReservedFailed(exec),
@@ -1259,7 +1242,7 @@ impl Master {
         // `note_stage_transitions` from double-logging them.
         for (s, was_complete) in complete_before.iter().enumerate() {
             if *was_complete && !self.stage_complete(s) {
-                self.journal.emit(
+                self.emit(
                     Some(s),
                     JobEvent::StageReopened {
                         stage: s,
@@ -1272,15 +1255,14 @@ impl Master {
 
         // The resource manager immediately provides a replacement.
         let replacement = self.spawn_executor(kind);
-        self.journal
-            .emit(None, JobEvent::ContainerAdded(replacement));
+        self.emit(None, JobEvent::ContainerAdded(replacement));
     }
 
     /// Discards the data side of a commit that lost its last copy and
     /// journals what became of the task.
     fn forget_output(&mut self, fop: FopId, index: usize, fate: JobEvent) {
         self.drop_output(fop, index);
-        self.journal.emit(Some(self.meta.stage_of[fop]), fate);
+        self.emit(Some(self.meta.stage_of[fop]), fate);
     }
 
     /// The one place an output and what is derived from it go away: the
@@ -1314,13 +1296,18 @@ impl Master {
         self.outputs.get(&(fop, index)).map(|o| &o.block)
     }
 
+    /// Emits one of the master's own events: journaled, and made
+    /// durable as an event frame when the WAL is armed.
+    fn emit(&mut self, stage: Option<usize>, event: JobEvent) {
+        emit(&self.journal, &mut self.wal, stage, event);
+    }
+
     /// Appends (and syncs) a compacting snapshot frame. A no-op without
     /// an armed WAL.
     fn append_wal_snapshot(&mut self) -> Result<(), RuntimeError> {
-        let Some(wal) = self.wal.as_ref().map(Arc::clone) else {
+        let Some(w) = &mut self.wal else {
             return Ok(());
         };
-        let mut w = wal.lock();
         w.append(&WalRecord::Snapshot(self.tasks.snapshot()))?;
         w.sync()
     }
@@ -1328,11 +1315,7 @@ impl Master {
     /// Appends a snapshot when the writer's event clock says one is due
     /// (`RuntimeConfig::wal_snapshot_every` events since the last).
     fn maybe_wal_snapshot(&mut self) -> Result<(), RuntimeError> {
-        let due = match &self.wal {
-            Some(wal) => wal.lock().snapshot_due(),
-            None => return Ok(()),
-        };
-        if due {
+        if self.wal.as_ref().is_some_and(WalWriter::snapshot_due) {
             self.append_wal_snapshot()?;
         }
         Ok(())
@@ -1343,10 +1326,10 @@ impl Master {
     /// committed output's location set rides its own WAL frame; an empty
     /// set records a commit whose only copy is the job sink's.
     fn append_wal_locations(&mut self, fop: FopId, index: usize) -> Result<(), RuntimeError> {
-        let Some(wal) = &self.wal else {
+        let Some(w) = &mut self.wal else {
             return Ok(());
         };
-        wal.lock().append(&WalRecord::Locations {
+        w.append(&WalRecord::Locations {
             fop,
             index,
             locations: self.tasks.locations(fop, index).to_vec(),
@@ -1371,15 +1354,15 @@ impl Master {
         &mut self,
         corruption: Option<&WalCorruption>,
     ) -> Result<(), RuntimeError> {
-        let wal = self.wal.clone().ok_or_else(|| {
+        let wal = self.wal.as_mut().ok_or_else(|| {
             RuntimeError::Invariant("master restart requested with no WAL armed".into())
         })?;
-        let rec = wal.lock().crash_and_recover(corruption)?;
+        let rec = wal.crash_and_recover(corruption)?;
         // The recovery markers are the first thing the new master logs,
         // and law 10 fences every in-flight pre-crash attempt at the
         // `MasterRecovered` mark.
-        self.journal.emit(None, JobEvent::MasterRecovered);
-        self.journal.emit(
+        self.emit(None, JobEvent::MasterRecovered);
+        self.emit(
             None,
             JobEvent::WalRecovered {
                 frames_replayed: rec.frames_replayed,
@@ -1441,13 +1424,11 @@ impl Master {
         self.result_parts.retain(|&(f, i), _| tasks.is_done(f, i));
         for (fop, index) in undone.reverted {
             let stage = Some(self.meta.stage_of[fop]);
-            self.journal
-                .emit(stage, JobEvent::TaskReverted { fop, index });
+            self.emit(stage, JobEvent::TaskReverted { fop, index });
         }
         for (fop, index, exec) in undone.dropped {
             let stage = Some(self.meta.stage_of[fop]);
-            self.journal
-                .emit(stage, JobEvent::OutputDropped { fop, index, exec });
+            self.emit(stage, JobEvent::OutputDropped { fop, index, exec });
         }
         self.note_stage_transitions();
         // A fresh snapshot compacts the replay for the next crash and
@@ -1563,7 +1544,7 @@ impl Master {
             speculative,
             pins,
         });
-        self.journal.emit(
+        self.emit(
             Some(self.meta.stage_of[fop]),
             if speculative {
                 JobEvent::SpeculativeLaunched {
@@ -1590,7 +1571,7 @@ impl Master {
         let info = self.executors.get_mut(&exec).ok_or_else(|| {
             RuntimeError::Invariant(format!("picked executor {exec} is not registered"))
         })?;
-        info.out.send(ExecutorMsg::Run(TaskSpec {
+        info.out.send(TaskSpec {
             attempt,
             fop,
             index,
@@ -1599,7 +1580,7 @@ impl Master {
             preaggregate,
             route_to,
             inject: self.faults.on_launch(fop, index),
-        }));
+        });
         Ok(())
     }
 
@@ -1970,8 +1951,7 @@ impl Master {
         // Every run — clean, aborted, or stalled — records the pool
         // quiesce outcome; law 11 requires the count to be zero, and
         // requires this marker after any abort marker.
-        self.journal
-            .emit(None, JobEvent::PoolQuiesced { in_flight });
+        self.emit(None, JobEvent::PoolQuiesced { in_flight });
     }
 
     /// A clone of the live journal writer and the plan facts it freezes
@@ -2002,6 +1982,7 @@ pub fn required_src_indices(
 mod tests {
     use super::*;
     use crate::compiler::InputSlot;
+    use crate::runtime::backend::SimBackend;
 
     fn edge(dep: DepType) -> PlanEdge {
         PlanEdge {
@@ -2039,8 +2020,9 @@ mod tests {
 
     // --- Evict/commit race regression tests ---
     //
-    // These drive the master's private `handle` directly, manufacturing
-    // the in-flight attempt state, because the end-to-end path cannot
+    // These drive the master's private handlers (`handle`,
+    // `on_executor_lost`) directly, manufacturing the in-flight attempt
+    // state, because the end-to-end path cannot
     // deterministically order an eviction against an in-flight TaskDone
     // (the chaos suites cover the stochastic orderings).
 
@@ -2056,7 +2038,7 @@ mod tests {
         let dag = p.build().unwrap();
         let plan = crate::compiler::compile(&dag).unwrap();
         let job = Arc::new(JobContext { dag, plan, config });
-        Master::new(job, 1, 1, faults).expect("master creation")
+        Master::with_backend(job, 1, 1, faults, &SimBackend).expect("master creation")
     }
 
     /// The canonical event log, frozen from the live journal.
@@ -2114,7 +2096,7 @@ mod tests {
         let exec: ExecId = 1; // Spawn order is reserved-first: 1 is transient.
         let attempt = begin(&mut m, f, exec);
 
-        m.handle(MasterMsg::Evict { exec }).unwrap();
+        m.on_executor_lost(exec, LossKind::Eviction);
         assert!(
             m.tasks.is_pending(f, 0),
             "eviction reverts the in-flight attempt"
@@ -2154,7 +2136,7 @@ mod tests {
         // The other ordering: eviction lands after the commit. Terminal
         // outputs live in the job sink, so the task must stay Done (no
         // revert, no relaunch) even though its only executor location died.
-        m.handle(MasterMsg::Evict { exec }).unwrap();
+        m.on_executor_lost(exec, LossKind::Eviction);
         assert!(
             m.tasks.is_done(f, 0),
             "committed terminal output survives the eviction"
@@ -2178,7 +2160,7 @@ mod tests {
         let dag = p.build().unwrap();
         let plan = crate::compiler::compile(&dag).unwrap();
         let job = Arc::new(JobContext { dag, plan, config });
-        let m = Master::new(job, 1, 1, FaultPlan::default()).unwrap();
+        let m = Master::with_backend(job, 1, 1, FaultPlan::default(), &SimBackend).unwrap();
         let map = (0..m.job.plan.fops.len())
             .find(|&f| {
                 let outs = m.job.plan.outs(f);
@@ -2466,7 +2448,7 @@ mod tests {
         // refused, silently.
         m.apply_fault(FaultAction::Drain(0)).unwrap();
         assert_eq!(m.executors[&spare].state, ExecState::Alive);
-        m.handle(MasterMsg::Evict { exec: victim }).unwrap();
+        m.on_executor_lost(victim, LossKind::Eviction);
         let evs = events(&m);
         let drains = evs
             .iter()

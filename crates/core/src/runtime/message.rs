@@ -60,6 +60,11 @@ pub enum InjectedFault {
 /// a producer's output, or the consumer's bucket of it — and the executor
 /// computes the output and partitions it for the shuffles it feeds
 /// (`route_to`), so whoever makes a block also derives what is read from it.
+///
+/// The one message the master sends an executor; `Clone` because an
+/// unacknowledged launch stays buffered in the transport for
+/// retransmission (`Block` payloads are `Arc`-shared, so the clone is
+/// shallow).
 #[derive(Debug, Clone)]
 pub struct TaskSpec {
     /// This launch attempt.
@@ -84,7 +89,7 @@ pub struct TaskSpec {
     pub inject: Option<InjectedFault>,
 }
 
-/// Messages executors (and eviction injectors) send to the master.
+/// Messages executors send to the master.
 ///
 /// `Clone` because the transport layer buffers sent messages for
 /// retransmission until they are acknowledged; `Block` payloads are
@@ -120,26 +125,4 @@ pub enum MasterMsg {
         /// Human-readable failure reason (error message or panic payload).
         reason: String,
     },
-    /// The resource manager evicted a transient container.
-    Evict {
-        /// The evicted executor.
-        exec: ExecId,
-    },
-    /// A reserved executor failed (machine fault, §3.2.6).
-    FailReserved {
-        /// The failed executor.
-        exec: ExecId,
-    },
-}
-
-/// Messages the master sends to executors.
-///
-/// `Clone` for the same reason as [`MasterMsg`]: unacknowledged launches
-/// stay buffered in the transport for retransmission.
-#[derive(Debug, Clone)]
-pub enum ExecutorMsg {
-    /// Run a task.
-    Run(TaskSpec),
-    /// Shut down the worker.
-    Stop,
 }

@@ -38,7 +38,7 @@ use crossbeam::channel::Sender;
 use crate::error::RuntimeError;
 use crate::runtime::fault::{FaultInjector, WireSide};
 use crate::runtime::journal::{JobEvent, Journal};
-use crate::runtime::message::{ExecId, ExecutorMsg, MasterMsg};
+use crate::runtime::message::{ExecId, MasterMsg, TaskSpec};
 
 /// Per-peer monotone sequence number; the unit of acknowledgement.
 pub type Seq = u64;
@@ -155,8 +155,8 @@ pub enum Wire<T> {
 /// Everything an executor's control thread multiplexes over one inbox.
 #[derive(Debug, Clone)]
 pub enum ExecIn {
-    /// A frame from the master, subject to network faults.
-    Net(Wire<ExecutorMsg>),
+    /// A task launch from the master, subject to network faults.
+    Net(Wire<TaskSpec>),
     /// A finished attempt reported by a local worker slot (in-process,
     /// reliable).
     Out(MasterMsg),

@@ -3,11 +3,13 @@
 //! Pado deliberately refuses to checkpoint intermediate *data* — blocks
 //! live in executor stores and are recomputed on loss — but the master's
 //! scheduling decisions must survive a master crash at any instruction
-//! boundary. Every [`JobEvent`] the master emits is appended to an
-//! on-disk log as a length-prefixed, CRC-checksummed frame, interleaved
-//! with periodic compacting snapshots of the task table and with
-//! dedicated block-location records (the location table is
-//! reconstructable independently of scheduler state, following Whiz/F²).
+//! boundary. The master, the log's only writer, appends every
+//! [`JobEvent`] it emits to an on-disk log as a length-prefixed,
+//! CRC-checksummed frame, interleaved with periodic compacting snapshots
+//! of the task table and with dedicated block-location records (the
+//! location table is reconstructable independently of scheduler state,
+//! following Whiz/F²). What executors, stores and links emit is
+//! data-plane bookkeeping recovery never reads: it stays in the journal.
 //!
 //! The task table's durable state has one shape, [`WalSnapshot`]: the
 //! attempt-id mark, the completed-attempt set and the commits with their
@@ -772,8 +774,8 @@ impl WalWriter {
         &self.path
     }
 
-    /// Frames appended over the writer's lifetime (the crash family's
-    /// append clock).
+    /// Frames the master appended over the writer's lifetime, across
+    /// recoveries: the crash family's append clock.
     pub fn total_appends(&self) -> u64 {
         self.total_appends
     }
@@ -794,12 +796,10 @@ impl WalWriter {
         self.written_len += bytes.len() as u64;
         self.total_appends += 1;
         self.appends_since_sync += 1;
-        match record {
-            WalRecord::Snapshot(_) => self.events_since_snapshot = 0,
-            WalRecord::Event { .. } | WalRecord::Locations { .. } => {
-                self.events_since_snapshot += 1;
-            }
-        }
+        self.events_since_snapshot = match record {
+            WalRecord::Snapshot(_) => 0,
+            WalRecord::Event { .. } | WalRecord::Locations { .. } => self.events_since_snapshot + 1,
+        };
         if self.appends_since_sync >= self.sync_every {
             self.sync()?;
         }

@@ -138,10 +138,10 @@ fn family_plans_are_pinned() {
         ("chaos", &CHAOS, 110, 0x4ff0_9ec3_b053_b472),
         ("network", &NETWORK, 110, 0x4bf4_3543_0298_672b),
         ("drain", &DRAIN, 110, 0xb356_c967_8855_4863),
-        ("crash", &CRASH, 110, 0xd33c_5bfd_27e8_881b),
+        ("crash", &CRASH, 110, 0x221e_1cf6_a66d_d761),
         ("memory", &sized, 110, 0x2dfd_2fca_f201_6934),
         ("bench", &unflagged, 110, 0x1ea4_e2e2_f172_06be),
-        ("bench-all", &BENCH, 110, 0x2a75_6b58_0a37_9993),
+        ("bench-all", &BENCH, 110, 0x3a7e_6c98_96ff_b2a2),
         (
             "threaded-network",
             &THREADED_NETWORK,

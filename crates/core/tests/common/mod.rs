@@ -75,7 +75,7 @@ pub const CRASH: Family = Family {
         Dim::Crash,
         Dim::Maybe(0.25, &Dim::Evictions(1..2, 0..3)),
     ],
-    not_causal: Some("the every-k-th-append trigger counts WAL appends that race on real threads"),
+    not_causal: None,
     ..CHAOS
 };
 /// `memory_pressure.rs`: tight budgets (the suite measures `working_sets`),
@@ -181,10 +181,10 @@ pub const THREADED_DRAIN: Family = Family {
     ],
     ..THREADED_UDF
 };
-/// Family 5: 1–2 crashes on the handled-frame clock — the one trigger
-/// whose firing count does not depend on the backend (`every_kth_append`
-/// counts racing WAL appends) — each backend recovering through its own
-/// WAL file.
+/// Family 5: 1–2 crashes on the handled-frame clock under a WAL synced
+/// at every append, each backend recovering through its own WAL file.
+/// `CRASH` draws all three triggers and is causal too: the append clock
+/// counts only the frames the master writes, never an executor's events.
 pub const THREADED_CRASH: Family = Family {
     salt: |seed| seed ^ 0x632a_5b01,
     config: || RuntimeConfig {

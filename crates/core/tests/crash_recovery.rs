@@ -17,8 +17,8 @@ use std::collections::HashMap;
 use std::fs;
 
 use pado_core::runtime::{
-    temp_wal_path, BackendKind, BlockRef, CrashPlan, FaultPlan, JobEvent, JobResult, LocalCluster,
-    RuntimeConfig,
+    scan, temp_wal_path, BackendKind, BlockRef, CrashPlan, FaultPlan, JobEvent, JobResult,
+    LocalCluster, RuntimeConfig, WalRecord,
 };
 use pado_core::RuntimeError;
 use pado_dag::{CombineFn, ParDoFn, Pipeline, SourceFn, UdfError, Value};
@@ -75,6 +75,24 @@ fn crash_matrix_preserves_outputs() {
         let plan = case.faults.crashes.expect("every seed crashes");
         check_crash_invariants(case.seed, result, &plan);
     });
+}
+
+/// The same matrix on real threads: the harness reruns every seed on sim
+/// first and requires zero `backend_drift`. The append clock counts only
+/// the frames the master writes, so no executor's emission moves a crash.
+#[test]
+fn crash_matrix_does_not_drift_on_threads() {
+    run_matrix(
+        &CRASH,
+        &chaos_shapes(),
+        0..SEEDS,
+        BackendKind::Threaded,
+        |o| {
+            let (case, result) = clean(o);
+            let plan = case.faults.crashes.expect("every seed crashes");
+            check_crash_invariants(case.seed, result, &plan);
+        },
+    );
 }
 
 /// Exhaustive boundary sweep: kill the master at every single handler
@@ -296,4 +314,111 @@ fn restarts_without_a_wal_path_recover_from_a_temp_log_and_remove_it() {
         .unwrap_err();
     assert!(matches!(err, RuntimeError::TaskFailed { .. }), "{err:?}");
     assert_eq!(leftover_temp_wals(), Vec::<String>::new());
+}
+
+/// The WAL holds what the master emits and nothing an executor, store or
+/// link does: an MR job under a store budget with the log armed (the
+/// `mr-pressure` setup, at a small size) plus one eviction, its log
+/// scanned after the run. Every launch, terminal report, revert and loss
+/// in the journal has its event frame, in journal order.
+#[test]
+fn the_wal_holds_the_masters_events_and_nothing_an_executor_emits() {
+    use pado_workloads::mr::{dag, MrConfig};
+
+    let mr = dag(&MrConfig {
+        records: 10_000,
+        pages: 4_000,
+        partitions: 8,
+        reducers: 8,
+        seed: 1,
+    });
+    let cluster = |config: RuntimeConfig| LocalCluster::new(4, 2).with_config(config);
+    let roomy = RuntimeConfig {
+        slots_per_executor: 1,
+        executor_memory_bytes: 64 << 20,
+        cache_capacity_bytes: 16 << 20,
+        ..Default::default()
+    };
+    let peak = cluster(roomy.clone())
+        .run(&mr)
+        .expect("working-set probe")
+        .metrics
+        .peak_store_bytes;
+    let budget = (peak * 4 / 7).max(1024);
+    let wal = temp_wal_path("master-only");
+    let config = RuntimeConfig {
+        executor_memory_bytes: budget,
+        cache_capacity_bytes: budget / 4,
+        wal_path: Some(wal.to_string_lossy().into_owned()),
+        ..roomy
+    };
+    let faults = FaultPlan {
+        evictions: vec![(6, 0)],
+        ..Default::default()
+    };
+    let result = cluster(config)
+        .run_with_faults(&mr, faults)
+        .expect("job completes");
+    let image = fs::read(&wal).expect("the log is on disk");
+    fs::remove_file(&wal).ok();
+    pado_core::runtime::assert_clean(&result.journal, true);
+
+    let executor_side = |e: &JobEvent| {
+        matches!(
+            e,
+            JobEvent::TaskStarted { .. }
+                | JobEvent::BlockAdmitted { .. }
+                | JobEvent::BlockSpilled { .. }
+                | JobEvent::BlockLoaded { .. }
+                | JobEvent::BlockReleased { .. }
+                | JobEvent::BlockPinned { .. }
+                | JobEvent::BlockUnpinned { .. }
+                | JobEvent::StoreBudgetChanged { .. }
+                | JobEvent::CacheHit { .. }
+                | JobEvent::CacheMiss { .. }
+                | JobEvent::OomInjected { .. }
+                | JobEvent::MessageRetransmitted { .. }
+                | JobEvent::PoolWorkerDetached { .. }
+        )
+    };
+    let recovered = |e: &JobEvent| {
+        matches!(
+            e,
+            JobEvent::TaskLaunched { .. }
+                | JobEvent::SpeculativeLaunched { .. }
+                | JobEvent::TaskCommitted { .. }
+                | JobEvent::TaskFailed { .. }
+                | JobEvent::TaskReverted { .. }
+                | JobEvent::ContainerEvicted(_)
+                | JobEvent::ReservedFailed(_)
+                | JobEvent::ExecutorDeclaredDead(_)
+        )
+    };
+    let journal = result.journal.to_events();
+    let scanned = scan(&image);
+    assert_eq!(scanned.frames_truncated, 0, "a crash-free log scans clean");
+    let logged: Vec<&JobEvent> = scanned
+        .frames
+        .iter()
+        .filter_map(|f| match &f.record {
+            WalRecord::Event { event, .. } => Some(event),
+            _ => None,
+        })
+        .collect();
+    let spilled = |e: &JobEvent| matches!(e, JobEvent::BlockSpilled { .. });
+    assert!(
+        journal.iter().any(spilled) && journal.iter().any(executor_side),
+        "the budget must make the stores journal spills"
+    );
+    let leaked: Vec<&&JobEvent> = logged.iter().filter(|e| executor_side(e)).collect();
+    assert!(
+        leaked.is_empty(),
+        "executor-side frames in the log: {leaked:?}"
+    );
+    let expected: Vec<&JobEvent> = journal.iter().filter(|e| recovered(e)).collect();
+    let framed: Vec<&JobEvent> = logged.into_iter().filter(|e| recovered(e)).collect();
+    assert!(expected
+        .iter()
+        .any(|e| matches!(e, JobEvent::ContainerEvicted(_))));
+    assert_eq!(framed, expected, "every recovered-kind event has its frame");
 }

@@ -534,10 +534,13 @@ fn fixed_seed_drain_timeline_is_golden() {
     };
     let run = || {
         let dag = build();
+        let faults = FaultPlan {
+            drains: vec![(1, 0)],
+            ..Default::default()
+        };
         LocalCluster::new(2, 1)
             .with_config(config.clone())
-            .with_drain(1, 0)
-            .run(&dag)
+            .run_with_faults(&dag, faults)
             .unwrap()
     };
     let a = run();
@@ -612,42 +615,19 @@ fn fixed_seed_crash_recovery_timeline_is_golden() {
     let b = run("golden-crash-b");
     pado_core::runtime::assert_clean(&a.journal, true);
     assert_eq!(a.metrics.wal_recoveries, 1);
-    // The replayed-frame count is wall-clock (it includes whatever
-    // executor-side events were in flight when the kill landed), so it
-    // is elided from the golden comparison exactly like timestamps; the
-    // semantic sequence — what crashed, what reverted, what relaunched,
-    // with which fenced attempt ids — must be byte-stable.
-    let canon = |r: &pado_core::runtime::JobResult| -> Vec<pado_core::runtime::JobEvent> {
-        r.journal
-            .to_events()
-            .into_iter()
-            .map(|e| match e {
-                pado_core::runtime::JobEvent::WalRecovered {
-                    snapshot_restored, ..
-                } => pado_core::runtime::JobEvent::WalRecovered {
-                    frames_replayed: 0,
-                    frames_truncated: 0,
-                    snapshot_restored,
-                },
-                e => e,
-            })
-            .collect()
-    };
+    // The log holds only the master's frames, so the kill at a fixed
+    // handler boundary finds the same prefix every run: the replayed-frame
+    // count belongs to the golden sequence with what crashed, what
+    // reverted, what relaunched, and with which fenced attempt ids.
     assert_eq!(
-        canon(&a),
-        canon(&b),
-        "canonical crash-recovery event sequence must be identical for a fixed seed"
+        a.journal.to_events(),
+        b.journal.to_events(),
+        "crash-recovery event sequence must be identical for a fixed seed"
     );
-    let strip = |t: &str| -> String {
-        t.lines()
-            .filter(|l| !l.contains("wal-recovered"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
     let timeline = a.journal.render_timeline(false);
     assert_eq!(
-        strip(&timeline),
-        strip(&b.journal.render_timeline(false)),
+        timeline,
+        b.journal.render_timeline(false),
         "time-elided crash-recovery timeline must be byte-stable for a fixed seed"
     );
     for needle in ["master-recovered", "wal-recovered"] {
