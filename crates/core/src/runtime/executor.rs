@@ -77,15 +77,20 @@ pub struct JobContext {
 }
 
 impl JobContext {
-    /// Whether the master reads the encoded size of a block task `fop`
-    /// reports (its output, or a shuffle `bucket` cut from it): every one
-    /// under a memory budget; with none, only a transient output's
-    /// (`bytes_pushed`) and a side-input source's (`SideStats`, `CacheHit`).
-    fn size_is_read(&self, fop: FopId, bucket: bool) -> bool {
+    /// Sizes a block task `fop` reports (its output, or a shuffle
+    /// `bucket` cut from it) if the master reads its encoded size: every
+    /// one under a memory budget, keeping the image a spill writes (only
+    /// a budgeted store spills); with none, only a transient output
+    /// (`bytes_pushed`) and a side-input source (`SideStats`, `CacheHit`).
+    fn size_where_read(&self, fop: FopId, bucket: bool, block: &Block) {
         let outs = self.plan.outs(fop);
         let side = outs.iter().any(|e| e.slot == InputSlot::Side);
         let read = side || self.plan.fops[fop].placement == Placement::Transient;
-        self.config.executor_memory_bytes != UNLIMITED || (!bucket && read)
+        if self.config.executor_memory_bytes != UNLIMITED {
+            block.keep_image();
+        } else if !bucket && read {
+            block.encoded_len();
+        }
     }
 }
 
@@ -484,8 +489,8 @@ impl Drop for CachePinGuard<'_> {
 /// never a record clone) and the fused chain computes the output block.
 /// The block and the shuffle buckets cut from it (`spec.route_to`) are
 /// sized here, on the thread that built them, exactly when the master
-/// will read the size ([`JobContext::size_is_read`]): it reads memoized
-/// lengths, and no block is encoded for a size nobody reads. Cache
+/// will read the size ([`JobContext::size_where_read`]): it reads
+/// memoized lengths, and no block is encoded for a size nobody reads. Cache
 /// entries a task reads stay pinned until it finishes, so concurrent
 /// slots cannot shed an input mid-use.
 fn task_body(
@@ -541,17 +546,14 @@ fn task_body(
             preaggregated = before.saturating_sub(output.len());
         }
     }
-    if job.size_is_read(spec.fop, false) {
-        let _ = output.encoded_len();
-    }
-    let size_buckets = job.size_is_read(spec.fop, true);
+    job.size_where_read(spec.fop, false, &output);
     let buckets = spec
         .route_to
         .iter()
         .map(|&width| {
             let buckets = route(&output, DepType::ManyToMany, spec.index, width);
-            for b in buckets.iter().filter(|_| size_buckets) {
-                let _ = b.encoded_len();
+            for b in &buckets {
+                job.size_where_read(spec.fop, true, b);
             }
             (width, buckets)
         })
@@ -709,7 +711,9 @@ mod tests {
     /// `run_task` — so the master's accounting never pays for the first
     /// encode and the master routes nothing. Under a budget the stores
     /// charge the output and every bucket; with none, only the transient
-    /// output's push is journaled, so its buckets arrive unsized.
+    /// output's push is journaled, so its buckets arrive unsized. Only a
+    /// budgeted store spills, so only under a budget does a sized block
+    /// keep its image.
     #[test]
     fn run_task_reports_an_output_it_already_sized() {
         use crate::compiler::compile;
@@ -756,6 +760,10 @@ mod tests {
                     } => {
                         assert_eq!(output.len(), 50);
                         assert!(output.is_sized(), "{case}");
+                        // Only a budget spills, so only a budget keeps
+                        // the image a spill would write.
+                        let budgeted = budget != UNLIMITED;
+                        assert_eq!(output.has_image(), budgeted, "{case}");
                         // The ParDo tail's output is born columnar, with no
                         // row view built, whoever reads it next.
                         assert!(!output.has_rows(), "{case}");
@@ -765,14 +773,18 @@ mod tests {
                         for (width, buckets) in &buckets {
                             assert_eq!((*width, buckets.len()), (4, 4));
                             assert_eq!(buckets.iter().map(|b| b.len()).sum::<usize>(), 50);
-                            if budget != UNLIMITED {
-                                assert!(buckets.iter().all(|b| b.is_sized() && !b.has_rows()));
+                            if budgeted {
+                                assert!(buckets
+                                    .iter()
+                                    .all(|b| b.is_sized() && b.has_image() && !b.has_rows()));
                                 continue;
                             }
                             assert!(buckets.iter().all(|b| !b.is_sized() && !b.has_rows()));
-                            // Sized on first read, to the same length.
+                            // Sized on first read, to the same length,
+                            // keeping no image.
                             for b in buckets {
                                 assert_eq!(b.encoded_len(), encode_block(b).unwrap().len());
+                                assert!(!b.has_image());
                             }
                         }
                     }

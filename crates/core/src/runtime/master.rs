@@ -41,7 +41,7 @@ use crate::runtime::message::{AttemptId, ExecId, MasterMsg, SideData, TaskSpec};
 use crate::runtime::metrics::JobMetrics;
 use crate::runtime::policy::{Candidate, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
 use crate::runtime::store::CacheKey;
-use crate::runtime::store::{block_bytes, BlockRef, ExecutorStore, StoreError, StoreHandle};
+use crate::runtime::store::{BlockRef, ExecutorStore, StoreError, StoreHandle};
 use crate::runtime::tasks::{Attempt, Report, TaskTable};
 use crate::runtime::transport::{
     mix64, DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, ReliableSender,
@@ -683,7 +683,6 @@ impl Master {
             .store
             .lock()
             .admit(BlockRef::Output { fop, index }, output);
-        let (exec, bytes) = (dest, || block_bytes(output));
         let stage = Some(self.meta.stage_of[fop]);
         match admitted {
             Ok(()) => {
@@ -691,8 +690,8 @@ impl Master {
                     let resumed = JobEvent::PushResumed {
                         fop,
                         index,
-                        exec,
-                        bytes: bytes(),
+                        exec: dest,
+                        bytes: output.encoded_len(),
                     };
                     self.emit(stage, resumed);
                 }
@@ -707,8 +706,8 @@ impl Master {
                         let deferred = JobEvent::PushDeferred {
                             fop,
                             index,
-                            exec,
-                            bytes: bytes(),
+                            exec: dest,
+                            bytes: output.encoded_len(),
                         };
                         self.emit(stage, deferred);
                         self.job.config.retransmit_base_ms.max(1)
@@ -858,7 +857,7 @@ impl Master {
         let locations = self.commit_locations(fop, index, exec, &output.block)?;
         let pushed = locations.iter().any(|l| l != &exec);
         let bytes_pushed = match self.placement(fop) {
-            Placement::Transient if pushed => block_bytes(&output.block),
+            Placement::Transient if pushed => output.block.encoded_len(),
             _ => 0,
         };
         if self.job.plan.outs(fop).is_empty() {
@@ -1686,7 +1685,7 @@ impl Master {
                 Err(refusal) => refusal,
             };
             let held = mains.iter().flatten().take(pinned.len());
-            let pinned_bytes: usize = held.map(|(_, data)| block_bytes(data)).sum();
+            let pinned_bytes: usize = held.map(|(_, data)| data.encoded_len()).sum();
             for p in pinned {
                 s.unpin(p);
             }
@@ -1840,7 +1839,7 @@ impl Master {
                 continue;
             }
             let records = self.side_records(e.src, self.tasks.width(e.src))?;
-            let bytes = block_bytes(&records);
+            let bytes = records.encoded_len();
             let key = e.cache.then_some(e.src);
             let expect_cached = key.is_some_and(|k| self.executors[&exec].cached.contains(&k));
             if expect_cached {

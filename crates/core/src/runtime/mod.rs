@@ -35,9 +35,7 @@ pub use master::{JobResult, Master};
 pub use message::{AttemptId, ExecId, InjectedFault, MasterMsg};
 pub use metrics::JobMetrics;
 pub use policy::{Candidate, LeastLoaded, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
-pub use store::{
-    block_bytes, BlockRef, CacheKey, ExecutorStore, SpillFaultPlan, StoreError, StoreHandle,
-};
+pub use store::{BlockRef, CacheKey, ExecutorStore, SpillFaultPlan, StoreError, StoreHandle};
 pub use tasks::{TaskTable, Undone};
 pub use transport::{DirectionFaults, NetworkFault, PartitionSpec};
 pub use wal::{

@@ -18,7 +18,9 @@
 //! Budgets charge each resident's *encoded* size — the bytes its spill
 //! file or push payload actually occupies — while the journal also
 //! records the row-format baseline, so compression savings are
-//! observable per spill.
+//! observable per spill. A spill writes the image a block was sized
+//! from or reloaded with ([`pado_dag::BlockInner::image`]), encoding
+//! only a block that kept none.
 //! Pinned residents are never shed or spilled, so a task's inputs
 //! cannot vanish mid-execution; a single block larger than
 //! the whole budget is refused outright ([`StoreError::TooLarge`]),
@@ -53,7 +55,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pado_dag::colcodec::{decode_block, encode_block};
+use pado_dag::colcodec::decode_image;
 use pado_dag::Block;
 
 use crate::compiler::FopId;
@@ -82,14 +84,6 @@ pub struct SpillFaultPlan {
 /// journal events and sizes no block on admission; its byte counts are
 /// summed (and each block sized, once) only when asked for.
 pub const UNLIMITED: usize = usize::MAX;
-
-/// Canonical byte size of a block: the one sizing rule shared by both
-/// tiers of the store and the journal's byte counters. This is
-/// the block's *encoded* (column-codec, possibly compressed) length —
-/// exactly what its spill file or serialized push payload occupies.
-pub fn block_bytes(block: &Block) -> usize {
-    block.encoded_len()
-}
 
 /// Cache key: the plan-wide id of the fused operator whose output is
 /// cached, qualified by the consumer-side routing (broadcast inputs are
@@ -204,8 +198,8 @@ fn spill_path() -> PathBuf {
     std::env::temp_dir().join(format!("pado-spill-{}-{id}.bin", std::process::id()))
 }
 
-/// A block or cached dataset held in memory. Its bytes are
-/// [`block_bytes`], memoized in the block itself.
+/// A block or cached dataset held in memory. Its bytes are its
+/// `encoded_len`, memoized in the block itself.
 #[derive(Debug)]
 struct Resident {
     data: Block,
@@ -216,7 +210,7 @@ struct Resident {
 #[derive(Debug, Clone, Copy)]
 struct Spill {
     at: u64,
-    /// Length of the encoded payload on disk: the [`block_bytes`] the
+    /// Length of the encoded payload on disk: the `encoded_len` the
     /// block is accounted at when resident.
     len: usize,
 }
@@ -427,14 +421,14 @@ impl ExecutorStore {
     /// and cached dataset in memory (spilled blocks excluded), summed
     /// when asked: exact, and sizing any resident block not sized yet.
     pub fn occupancy(&self) -> usize {
-        self.resident.values().map(|e| block_bytes(&e.data)).sum()
+        self.resident.values().map(|e| e.data.encoded_len()).sum()
     }
 
     /// Bytes of the cache tier alone. Cached datasets are sized when
     /// put, so this sizes no block.
     pub fn cache_bytes(&self) -> usize {
         let cached = self.resident.iter().filter(|(s, _)| s.is_cached());
-        cached.map(|(_, e)| block_bytes(&e.data)).sum()
+        cached.map(|(_, e)| e.data.encoded_len()).sum()
     }
 
     /// Whether the store owns this block, resident or spilled.
@@ -495,35 +489,32 @@ impl ExecutorStore {
         }
     }
 
+    /// Writes block `r` to the disk tier, returning its length there: the
+    /// image it was sized from, encoded now only when it kept none.
+    fn write_image(&mut self, r: BlockRef, data: &Block) -> Result<usize, String> {
+        let failed = |what: &str, e: &dyn fmt::Display| format!("spill {what} failed: {e}");
+        let image = data.image().map_err(|e| failed("encode", &e))?;
+        if self.inject_write_fault() {
+            return Err(failed("write", &"injected disk fault"));
+        }
+        let at = self.disk.write(&image).map_err(|e| failed("write", &e))?;
+        let len = image.len();
+        self.spilled.insert(r, Spill { at, len });
+        Ok(len)
+    }
+
     /// Spills one resident block to disk. Returns false when the write
     /// failed (the block stays resident and accounted).
     fn spill_one(&mut self, r: BlockRef) -> bool {
-        let entry = match self.resident.remove(&Slot::Block(r)) {
-            Some(e) => e,
-            None => return false,
+        let Some(entry) = self.resident.remove(&Slot::Block(r)) else {
+            return false;
         };
-        let payload = match encode_block(&entry.data) {
-            Ok(p) => p,
-            Err(_) => {
-                // A block the codec cannot serialize behaves like a
-                // disk that refused the write: it stays resident.
-                self.resident.insert(Slot::Block(r), entry);
-                return false;
-            }
-        };
-        let written = if self.inject_write_fault() {
-            None
-        } else {
-            self.disk.write(&payload).ok()
-        };
-        let Some(at) = written else {
-            // Disk refused the spill: keep the block resident; the
-            // caller degrades to NoHeadroom (defer/refuse), never aborts.
+        // A block the codec or the disk refused stays resident; the
+        // caller degrades to NoHeadroom (defer/refuse), never aborts.
+        let Ok(len) = self.write_image(r, &entry.data) else {
             self.resident.insert(Slot::Block(r), entry);
             return false;
         };
-        let len = payload.len();
-        self.spilled.insert(r, Spill { at, len });
         self.emit(|| JobEvent::BlockSpilled {
             exec: self.exec,
             block: r,
@@ -560,7 +551,7 @@ impl ExecutorStore {
         }
         // Only a budget reads the size; an unlimited store admits unsized.
         if self.limited() {
-            let bytes = block_bytes(data);
+            let bytes = data.encoded_len();
             if bytes > self.budget {
                 let budget = self.budget;
                 return Err(StoreError::TooLarge { bytes, budget });
@@ -571,7 +562,7 @@ impl ExecutorStore {
         self.emit(|| JobEvent::BlockAdmitted {
             exec: self.exec,
             block: r,
-            bytes: block_bytes(data),
+            bytes: data.encoded_len(),
             resident: self.occupancy(),
         });
         Ok(())
@@ -584,27 +575,8 @@ impl ExecutorStore {
     pub fn admit_or_spill(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
         match self.admit(r, data) {
             Err(StoreError::NoHeadroom { .. }) => {
-                if self.inject_write_fault() {
-                    return Err(StoreError::SpillUnreadable {
-                        block: r,
-                        reason: "spill write failed: injected disk fault".into(),
-                    });
-                }
-                let payload = match encode_block(data) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        return Err(StoreError::SpillUnreadable {
-                            block: r,
-                            reason: format!("spill encode failed: {e}"),
-                        })
-                    }
-                };
-                let at = self.disk.write(&payload).map_err(|e| {
-                    let reason = format!("spill write failed: {e}");
-                    StoreError::SpillUnreadable { block: r, reason }
-                })?;
-                let len = payload.len();
-                self.spilled.insert(r, Spill { at, len });
+                let failed = |reason| StoreError::SpillUnreadable { block: r, reason };
+                let len = self.write_image(r, data).map_err(failed)?;
                 self.emit(|| JobEvent::BlockAdmitted {
                     exec: self.exec,
                     block: r,
@@ -632,7 +604,9 @@ impl ExecutorStore {
     }
 
     /// Reloads a spilled block into memory, byte-identical to what was
-    /// spilled; its space in the spill file is freed.
+    /// spilled and holding the bytes it was read from as its image, so a
+    /// second spill writes them without an encode; its space in the
+    /// spill file is freed.
     fn reload(&mut self, r: BlockRef) -> Result<(), StoreError> {
         let Some(&spill) = self.spilled.get(&r) else {
             return Ok(());
@@ -644,7 +618,7 @@ impl ExecutorStore {
             self.disk
                 .read(spill)
                 .map_err(|e| e.to_string())
-                .and_then(|raw| decode_block(&raw).map_err(|e| e.to_string()))
+                .and_then(|raw| decode_image(raw).map_err(|e| e.to_string()))
         };
         // Read or not, the on-disk copy goes: a useless one must not
         // stay, so that the owner re-admits the block from the master's
@@ -717,7 +691,7 @@ impl ExecutorStore {
             return false;
         }
         let bytes = match self.resident.remove(&Slot::Block(r)) {
-            Some(e) => Some(block_bytes(&e.data)),
+            Some(e) => Some(e.data.encoded_len()),
             None => self.unspill(r).map(|s| s.len),
         };
         if let Some(bytes) = bytes {
@@ -801,7 +775,7 @@ impl ExecutorStore {
             Some(d) => JobEvent::CacheHit {
                 exec,
                 key,
-                bytes: block_bytes(d),
+                bytes: d.encoded_len(),
             },
             None => JobEvent::CacheMiss { exec, key },
         };
@@ -818,7 +792,7 @@ impl ExecutorStore {
     /// older version under the same key is still dropped so the cache
     /// never serves stale data.
     pub fn cache_put(&mut self, key: CacheKey, data: Block) -> bool {
-        let bytes = block_bytes(&data);
+        let bytes = data.encoded_len();
         if self.limited() {
             while self.occupancy() + bytes > self.budget {
                 if !self.relieve(false) {
@@ -880,6 +854,7 @@ impl ExecutorStore {
 mod tests {
     use super::*;
     use crate::runtime::journal::JournalMeta;
+    use pado_dag::colcodec::{encode_block, thread_encode_count};
     use pado_dag::{block_from_vec, empty_block, Value};
 
     fn block(n: usize) -> Block {
@@ -889,7 +864,7 @@ mod tests {
     /// Encoded size of the canonical 4-record test block — the unit the
     /// byte-budget tests below are denominated in.
     fn bsz() -> usize {
-        block_bytes(&block(4))
+        block(4).encoded_len()
     }
 
     fn out(fop: FopId, index: usize) -> BlockRef {
@@ -905,15 +880,14 @@ mod tests {
     }
 
     #[test]
-    fn block_bytes_is_the_encoded_length() {
+    fn a_block_is_charged_its_encoded_length() {
         let b = block(3);
-        assert_eq!(block_bytes(&b), b.encoded_len());
-        assert_eq!(block_bytes(&b), encode_block(&b).unwrap().len());
-        assert!(block_bytes(&empty_block()) > 0, "even empty has a header");
+        assert_eq!(b.encoded_len(), encode_block(&b).unwrap().len());
+        assert!(empty_block().encoded_len() > 0, "even empty has a header");
         // The whole point of charging encoded bytes: a compressible
         // block is accounted below its row-format size.
         let big = block_from_vec((0..1000).map(|i| Value::from(i % 5)).collect());
-        assert!(block_bytes(&big) < big.raw_len());
+        assert!(big.encoded_len() < big.raw_len());
     }
 
     #[test]
@@ -934,7 +908,7 @@ mod tests {
     fn unlimited_store_sizes_nothing_until_a_budget_arrives() {
         const LENS: [usize; 6] = [4, 40, 2, 90, 7, 25];
         // Sized from other blocks, so reading it sizes none of the script's.
-        let half = LENS.map(|n| block_bytes(&block(n))).iter().sum::<usize>() / 2;
+        let half = LENS.map(|n| block(n).encoded_len()).iter().sum::<usize>() / 2;
         // Sizes before the budget: none, all, or all by `occupancy`.
         let script = |presize: bool, count: bool| {
             let j = Journal::new();
@@ -1080,6 +1054,35 @@ mod tests {
         }
     }
 
+    /// A spill writes a block's image when it has one and encodes it
+    /// only when it has none; a reloaded block keeps the bytes it was
+    /// read from, so spill → reload → spill encodes once, and the file
+    /// holds exactly the block's encoding.
+    #[test]
+    fn a_reloaded_block_spills_again_without_an_encode() {
+        let mut s = ExecutorStore::new(1, bsz(), 0, Journal::new());
+        let (a, b, c) = (block(4), block(4), block(4));
+        for x in [&a, &b, &c] {
+            x.encoded_len();
+        }
+        assert!(!a.has_image());
+        let before = thread_encode_count();
+        s.admit(out(0, 0), &a).unwrap();
+        s.admit(out(0, 1), &b).unwrap();
+        assert!(s.is_spilled(out(0, 0)));
+        assert_eq!(thread_encode_count(), before + 1, "no image: encoded once");
+        // The reload spills (0, 1), encoding it; the block read back
+        // holds its image.
+        let back = s.get(out(0, 0)).unwrap().unwrap();
+        assert!(back.has_image());
+        let before = thread_encode_count();
+        s.admit(out(0, 2), &c).unwrap();
+        assert!(s.is_spilled(out(0, 0)));
+        assert_eq!(thread_encode_count(), before, "the second spill encoded");
+        let payload = s.disk.read(s.spilled[&out(0, 0)]).unwrap();
+        assert_eq!(payload, encode_block(&a).unwrap());
+    }
+
     #[test]
     fn pinned_blocks_are_never_spilled() {
         let j = Journal::new();
@@ -1103,7 +1106,7 @@ mod tests {
     #[test]
     fn oversized_block_is_too_large() {
         let b = block(3);
-        let need = block_bytes(&b);
+        let need = b.encoded_len();
         let mut s = ExecutorStore::new(1, need - 1, 0, Journal::new());
         assert!(matches!(
             s.admit(out(0, 0), &b),
@@ -1184,7 +1187,7 @@ mod tests {
     fn one_file_holds_every_spill_and_reuses_released_space() {
         let mut s = ExecutorStore::new(1, 2 * bsz(), 0, Journal::new());
         let big = block(40);
-        let fits = 2 * bsz() >= block_bytes(&big);
+        let fits = 2 * bsz() >= big.encoded_len();
         assert!(fits, "the budget holds the big block alone");
         for i in 0..6 {
             s.admit(out(0, i), &block(4)).unwrap();
@@ -1323,7 +1326,7 @@ mod tests {
         assert!(s.cache_get(9).is_none());
         s.cache_put(9, block(2));
         assert!(s.cache_get(9).is_some());
-        let sz = block_bytes(&block(2));
+        let sz = block(2).encoded_len();
         let evs = events(&j);
         assert!(evs
             .iter()
@@ -1341,7 +1344,7 @@ mod tests {
     /// Encoded size of the `n`-record test block; strictly increasing in
     /// `n` for these contents.
     fn sz(n: usize) -> usize {
-        block_bytes(&block(n))
+        block(n).encoded_len()
     }
 
     #[test]

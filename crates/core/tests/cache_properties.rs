@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use pado_core::runtime::store::UNLIMITED;
-use pado_core::runtime::{block_bytes, CacheKey, ExecutorStore, Journal};
+use pado_core::runtime::{CacheKey, ExecutorStore, Journal};
 use pado_dag::{block_from_vec, Block, Value};
 use proptest::prelude::*;
 
@@ -115,7 +115,7 @@ proptest! {
                 // (exercises the stale-version replacement path).
                 let salt = key * 10 + kind as usize;
                 let data = dataset(salt, size);
-                let modeled = model.put(key, contents(&data), block_bytes(&data));
+                let modeled = model.put(key, contents(&data), data.encoded_len());
                 let cached = cache.cache_put(key, data);
                 prop_assert_eq!(
                     cached, modeled,
@@ -147,7 +147,7 @@ proptest! {
 /// leave the *previous* version under the same key servable.
 #[test]
 fn oversized_put_drops_stale_same_key_version() {
-    let mut cache = cache(block_bytes(&dataset(1, 2)));
+    let mut cache = cache(dataset(1, 2).encoded_len());
     assert!(cache.cache_put(7, dataset(1, 2)), "small dataset fits");
     assert!(cache.cache_get(7).is_some());
     assert!(

@@ -79,3 +79,24 @@ fn under_a_budget_every_charged_block_arrives_sized() {
         assert_eq!(encodes, 0, "{name}: the master encoded {encodes} blocks");
     }
 }
+
+/// Under a budget tight enough that the stores spill, the master still
+/// encodes nothing: a spill writes the image its block was sized from on
+/// the worker, or the bytes a reload read back, and the master, which
+/// admits and pins under the store lock, never builds one.
+#[test]
+fn a_spilling_master_encodes_nothing() {
+    let dag = mr::dag(&MrConfig::default());
+    let (roomy, _) = run(&dag, 256 << 20);
+    let (result, encodes) = run(&dag, roomy.metrics.peak_store_bytes * 4 / 7);
+    let events = result.journal.to_events();
+    let spills = events
+        .iter()
+        .filter(|e| matches!(e, JobEvent::BlockSpilled { .. }))
+        .count();
+    assert!(spills > 0, "the budget spills");
+    assert_eq!(
+        encodes, 0,
+        "the master encoded {encodes} blocks for {spills} spills"
+    );
+}

@@ -5,8 +5,8 @@
 //! - combined occupancy (blocks + cache) never exceeds the store's
 //!   (possibly clamped) budget,
 //! - every block read back — including blocks that round-tripped
-//!   through the disk spill tier — is byte-identical to what was
-//!   admitted,
+//!   through the disk spill tier, spilled from the image they were sized
+//!   with or encoded afresh — is byte-identical to what was admitted,
 //! - pinned blocks are never spilled,
 //! - refusals are always clean `StoreError`s, never panics or silent
 //!   corruption.
@@ -16,27 +16,45 @@ use std::collections::HashMap;
 use pado_core::runtime::journal::Journal;
 use pado_core::runtime::{BlockRef, ExecutorStore, StoreError};
 use pado_dag::codec::encode_batch;
+use pado_dag::colcodec::encode_block;
 use pado_dag::{block_from_vec, Block, Value};
 use proptest::prelude::*;
 
 /// A dataset of `n` distinct I64 records (delta-friendly, so encoded
-/// sizes stay small but distinct per `n`).
-fn dataset(salt: usize, n: usize) -> Block {
-    block_from_vec(
+/// sizes stay small but distinct per `n`). With `kept` it arrives sized
+/// with its image, as a worker under a budget reports it, and a spill
+/// writes that image; without, a spill encodes it.
+fn dataset(salt: usize, n: usize, kept: bool) -> Block {
+    let block = block_from_vec(
         (0..n)
             .map(|i| Value::from((salt * 1_000 + i) as i64))
             .collect(),
-    )
+    );
+    if kept {
+        block.keep_image();
+    }
+    block
+}
+
+/// `back` holds the records of `expected` and encodes to its bytes,
+/// whichever image (kept, read back from disk, or none) it carries.
+fn same_block(back: &Block, expected: &Block) -> Result<(), TestCaseError> {
+    let rows = |b: &Block| encode_batch(b).expect("encodes");
+    prop_assert_eq!(rows(back), rows(expected));
+    let image = back.image().expect("encodes");
+    prop_assert_eq!(&*image, &encode_block(expected).expect("encodes")[..]);
+    Ok(())
 }
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Admit block `key` with `n` records (push / preserved output).
-    Admit { key: usize, n: usize },
+    /// Admit block `key` with `n` records (push / preserved output),
+    /// `kept` its image or not.
+    Admit { key: usize, n: usize, kept: bool },
     /// Producer-local admit: straight to disk when memory is full.
-    AdmitOrSpill { key: usize, n: usize },
+    AdmitOrSpill { key: usize, n: usize, kept: bool },
     /// Pin block `key` with `n` records (admission control).
-    Pin { key: usize, n: usize },
+    Pin { key: usize, n: usize, kept: bool },
     /// Drop one pin of block `key`.
     Unpin { key: usize },
     /// Release block `key` if unpinned (invalidation).
@@ -52,10 +70,15 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     let key = 0..8usize;
     let n = 1..12usize;
+    let kept = any::<bool>;
     prop_oneof![
-        (key.clone(), n.clone()).prop_map(|(key, n)| Op::Admit { key, n }),
-        (key.clone(), n.clone()).prop_map(|(key, n)| Op::AdmitOrSpill { key, n }),
-        (key.clone(), n.clone()).prop_map(|(key, n)| Op::Pin { key, n }),
+        (key.clone(), n.clone(), kept()).prop_map(|(key, n, kept)| Op::Admit { key, n, kept }),
+        (key.clone(), n.clone(), kept()).prop_map(|(key, n, kept)| Op::AdmitOrSpill {
+            key,
+            n,
+            kept
+        }),
+        (key.clone(), n.clone(), kept()).prop_map(|(key, n, kept)| Op::Pin { key, n, kept }),
         key.clone().prop_map(|key| Op::Unpin { key }),
         key.clone().prop_map(|key| Op::Release { key }),
         key.clone().prop_map(|key| Op::Get { key }),
@@ -87,8 +110,8 @@ proptest! {
 
         for op in &ops {
             match op {
-                Op::Admit { key, n } => {
-                    let data = dataset(*key, *n);
+                Op::Admit { key, n, kept } => {
+                    let data = dataset(*key, *n, *kept);
                     match store.admit(blk(*key), &data) {
                         Ok(()) => {
                             model.entry(*key).or_insert(data);
@@ -97,8 +120,8 @@ proptest! {
                         Err(e) => prop_assert!(false, "admit failed hard: {e}"),
                     }
                 }
-                Op::AdmitOrSpill { key, n } => {
-                    let data = dataset(*key, *n);
+                Op::AdmitOrSpill { key, n, kept } => {
+                    let data = dataset(*key, *n, *kept);
                     match store.admit_or_spill(blk(*key), &data) {
                         Ok(()) => {
                             model.entry(*key).or_insert(data);
@@ -107,8 +130,8 @@ proptest! {
                         Err(e) => prop_assert!(false, "admit_or_spill failed hard: {e}"),
                     }
                 }
-                Op::Pin { key, n } => {
-                    let data = dataset(*key, *n);
+                Op::Pin { key, n, kept } => {
+                    let data = dataset(*key, *n, *kept);
                     match store.pin(blk(*key), &data) {
                         Ok(()) => {
                             model.entry(*key).or_insert(data);
@@ -139,12 +162,7 @@ proptest! {
                 Op::Get { key } => match store.get(blk(*key)) {
                     Ok(Some(back)) => {
                         if let Some(expected) = model.get(key) {
-                            prop_assert_eq!(
-                                encode_batch(&back).expect("encodes"),
-                                encode_batch(expected).expect("encodes"),
-                                "block {} corrupted through the store",
-                                key
-                            );
+                            same_block(&back, expected)?;
                         }
                     }
                     Ok(None) => {}
@@ -153,7 +171,7 @@ proptest! {
                     Err(e) => prop_assert!(false, "get({key}) failed hard: {e}"),
                 },
                 Op::CachePut { key, n } => {
-                    store.cache_put(*key, dataset(100 + key, *n));
+                    store.cache_put(*key, dataset(100 + key, *n, false));
                 }
                 Op::SetBudget { bytes } => {
                     let applied = store.set_budget(*bytes);
@@ -185,12 +203,7 @@ proptest! {
                 continue;
             }
             match store.get(blk(*key)) {
-                Ok(Some(back)) => prop_assert_eq!(
-                    encode_batch(&back).expect("encodes"),
-                    encode_batch(expected).expect("encodes"),
-                    "block {} corrupted through the store",
-                    key
-                ),
+                Ok(Some(back)) => same_block(&back, expected)?,
                 Ok(None) => prop_assert!(false, "store claims block {key} but returns nothing"),
                 // A shrunk budget can be smaller than a spilled block;
                 // its reload then refuses cleanly rather than overflow.

@@ -24,6 +24,7 @@
 //!   reference frees it;
 //! - code that needs to *change* records builds a new block.
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use crate::column::{analyze, Columns};
@@ -32,15 +33,13 @@ use crate::value::Value;
 /// An immutable, reference-counted run of records.
 pub type Block = Arc<BlockInner>;
 
-/// Cached byte-accounting for one block (computed at most once).
-#[derive(Clone, Copy)]
+/// Cached encoded size of one block (computed at most once).
 struct BlockSizes {
     /// Length of [`crate::colcodec::encode_block`]'s output — what a
     /// spill file or serialized push actually occupies.
     encoded: usize,
-    /// Length of the legacy row encoding (`4 + Σ size_bytes`) — the
-    /// uncompressed baseline the compression ratio is measured against.
-    raw: usize,
+    /// That output, when kept ([`BlockInner::keep_image`]) or decoded.
+    kept: Option<Vec<u8>>,
 }
 
 /// The contents of a [`Block`]: a fixed run of records, held as rows, as
@@ -100,14 +99,34 @@ impl BlockInner {
     /// files and push payloads actually occupy. Memoized: only the first
     /// call encodes. A budget charges it; a transient push journals it.
     pub fn encoded_len(&self) -> usize {
-        self.sizes().encoded
+        self.sizes(false).encoded
+    }
+
+    /// [`BlockInner::encoded_len`], keeping the encoded bytes for
+    /// [`BlockInner::image`]; a block sized already keeps what it has.
+    pub fn keep_image(&self) {
+        self.sizes(true);
+    }
+
+    /// The block's [`crate::colcodec::encode_block`] output: the kept
+    /// image, borrowed, or, when none was kept, encoded now.
+    pub fn image(&self) -> crate::error::Result<Cow<'_, [u8]>> {
+        match self.sizes.get().and_then(|s| s.kept.as_deref()) {
+            Some(image) => Ok(Cow::Borrowed(image)),
+            None => crate::colcodec::encode_block(self).map(Cow::Owned),
+        }
+    }
+
+    /// Whether the block holds its encoded image.
+    pub fn has_image(&self) -> bool {
+        self.sizes.get().is_some_and(|s| s.kept.is_some())
     }
 
     /// Size of the same records in the row (per-record) encoding:
     /// `4 + Σ Value::size_bytes`. The compression win reported by the
     /// journal is `encoded_len` against this baseline.
     pub fn raw_len(&self) -> usize {
-        self.sizes().raw
+        4 + self.raw_body_bytes()
     }
 
     /// Whether [`BlockInner::encoded_len`] is already memoized. A worker
@@ -122,17 +141,18 @@ impl BlockInner {
         self.rows.get().is_some()
     }
 
-    fn sizes(&self) -> BlockSizes {
-        *self.sizes.get_or_init(|| {
-            let raw = 4 + self.raw_body_bytes();
-            // A block too large for the codec's u32 lengths cannot be
-            // serialized at all; account it at the row size so budget
-            // math stays sane and the spill path reports the error.
-            let encoded = crate::colcodec::encode_block(self)
-                .map(|b| b.len())
-                .unwrap_or(raw);
-            BlockSizes { encoded, raw }
-        })
+    fn sizes(&self, keep: bool) -> &BlockSizes {
+        let image = || crate::colcodec::encode_block(self).ok();
+        self.sizes.get_or_init(|| self.measured(image(), keep))
+    }
+
+    /// The sizes of this block encoded as `image`, keeping it if `keep`.
+    /// A block too large for the codec's u32 lengths has no image: it is
+    /// accounted at the row size, and the spill path reports the error.
+    fn measured(&self, image: Option<Vec<u8>>, keep: bool) -> BlockSizes {
+        let encoded = image.as_ref().map_or_else(|| self.raw_len(), Vec::len);
+        let kept = image.filter(|_| keep);
+        BlockSizes { encoded, kept }
     }
 
     fn raw_body_bytes(&self) -> usize {
@@ -142,13 +162,11 @@ impl BlockInner {
         self.rows().iter().map(Value::size_bytes).sum()
     }
 
-    /// Records the serialized length observed while decoding, so a
-    /// reloaded block doesn't re-encode just to size itself. Safe
-    /// because the codec is deterministic: re-encoding reproduces the
-    /// same bytes.
-    pub(crate) fn seal_encoded_len(&self, encoded: usize) {
-        let raw = 4 + self.raw_body_bytes();
-        let _ = self.sizes.set(BlockSizes { encoded, raw });
+    /// Keeps the buffer a block was decoded from as its image (the codec
+    /// is deterministic): a reloaded block is not re-encoded to be sized
+    /// or written out again.
+    pub(crate) fn seal_image(&self, image: Vec<u8>) {
+        let _ = self.sizes.set(self.measured(Some(image), true));
     }
 }
 
@@ -409,6 +427,46 @@ mod tests {
         let block = block_from_vec(vec![Value::Unit, Value::from(1i64)]);
         assert!(block.columns().is_none());
         assert_eq!(block.len(), 2);
+    }
+
+    /// A block sized with `keep_image` hands out the bytes it was sized
+    /// from, borrowed, with no second encode; one sized by `encoded_len`
+    /// keeps nothing and encodes the same bytes afresh on each `image`.
+    #[test]
+    fn a_kept_image_is_the_encoding_and_is_never_rebuilt() {
+        use crate::colcodec::{encode_block, thread_encode_count};
+        let pairs = |n: i64| (0..n).map(|i| Value::pair(Value::from(i % 7), Value::from(i)));
+        let kept = block_from_vec(pairs(500).collect());
+        let plain = block_from_vec(pairs(500).collect());
+        let expected = encode_block(&kept).unwrap();
+        let before = thread_encode_count();
+        kept.keep_image();
+        plain.encoded_len();
+        assert_eq!(thread_encode_count(), before + 2);
+        assert!(kept.has_image() && !plain.has_image());
+        assert_eq!(kept.encoded_len(), expected.len());
+        let image = kept.image().unwrap();
+        assert!(matches!(image, Cow::Borrowed(_)));
+        assert_eq!(&*image, &expected[..]);
+        assert_eq!(thread_encode_count(), before + 2, "a kept image re-encoded");
+        // Sized already, a block keeps what it has.
+        plain.keep_image();
+        assert!(!plain.has_image());
+        assert_eq!(&*plain.image().unwrap(), &expected[..]);
+        assert_eq!(thread_encode_count(), before + 3);
+        // Decoding an owned buffer keeps it; decoding a borrowed one does not.
+        let decoded = crate::colcodec::decode_image(expected.clone()).unwrap();
+        assert!(
+            decoded.has_image()
+                && !crate::colcodec::decode_block(&expected)
+                    .unwrap()
+                    .has_image()
+        );
+        assert_eq!(
+            (&*decoded.image().unwrap(), decoded.raw_len()),
+            (&expected[..], kept.raw_len())
+        );
+        assert_eq!(thread_encode_count(), before + 3);
     }
 
     #[test]

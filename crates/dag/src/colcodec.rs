@@ -26,7 +26,7 @@
 //! Every codec choice (delta vs dictionary, packed vs dictionary,
 //! compressed vs raw) is decided by comparing exact encoded sizes, which
 //! are pure functions of the column contents — so re-encoding a decoded
-//! block reproduces the same bytes, and `block_bytes` accounting is
+//! block reproduces the same bytes, and `encoded_len` accounting is
 //! stable across spill/reload cycles.
 
 use crate::block::{block_from_columns, block_from_vec, Block, BlockInner};
@@ -383,6 +383,8 @@ pub fn encode_block(block: &BlockInner) -> Result<Vec<u8>> {
         }
     }
     let packed = lz::compress(&body);
+    // A block under a budget keeps this buffer as its image; an exact-size
+    // copy of it measured a higher peak RSS than this capacity does.
     let mut out = Vec::with_capacity(body.len() + 1);
     if packed.len() + 5 < body.len() {
         out.push(1);
@@ -399,7 +401,7 @@ pub fn encode_block(block: &BlockInner) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-fn decode_body(body: &[u8], encoded_len: usize) -> Result<Block> {
+fn decode_body(body: &[u8]) -> Result<Block> {
     let mut r = Reader { buf: body, pos: 0 };
     let block = match r.u8()? {
         LAYOUT_ROWS => {
@@ -421,7 +423,6 @@ fn decode_body(body: &[u8], encoded_len: usize) -> Result<Block> {
     if r.pos != body.len() {
         return Err(DagError::Codec("trailing bytes"));
     }
-    block.seal_encoded_len(encoded_len);
     Ok(block)
 }
 
@@ -434,14 +435,20 @@ fn decode_body(body: &[u8], encoded_len: usize) -> Result<Block> {
 pub fn decode_block(buf: &[u8]) -> Result<Block> {
     let mut r = Reader { buf, pos: 0 };
     match r.u8()? {
-        0 => decode_body(&buf[1..], buf.len()),
+        0 => decode_body(&buf[1..]),
         1 => {
             let raw_len = r.u32()? as usize;
             let body = lz::decompress(&buf[r.pos..], raw_len).map_err(DagError::Codec)?;
-            decode_body(&body, buf.len())
+            decode_body(&body)
         }
         _ => Err(DagError::Codec("unknown compression flag")),
     }
+}
+
+/// [`decode_block`] of a buffer the block then keeps as its image
+/// ([`BlockInner::image`]), so writing it out again encodes nothing.
+pub fn decode_image(image: Vec<u8>) -> Result<Block> {
+    decode_block(&image).inspect(|b| b.seal_image(image))
 }
 
 #[cfg(test)]
