@@ -60,7 +60,7 @@ fn main() {
     };
 
     println!(
-        " seed  shape      evict rsvd restart  fail  spec black launch  oom spill defer  drain \
+        " seed  shape      evict rsvd restart  fail  spec black launch  oom spill  drain \
          crash  verdict"
     );
     let mut bad = 0u64;
@@ -100,7 +100,7 @@ fn main() {
             .filter(|e| matches!(e, JobEvent::ExecutorDrained { .. }))
             .count();
         println!(
-            "{seed:>5}  {name:<10} {:>5} {:>4} {:>7} {:>5} {:>5} {:>5} {:>5} {:>4} {:>5} {:>5} {:>6} {:>5}  {verdict}",
+            "{seed:>5}  {name:<10} {:>5} {:>4} {:>7} {:>5} {:>5} {:>5} {:>5} {:>4} {:>5} {:>6} {:>5}  {verdict}",
             faults.evictions.len(),
             faults.reserved_failures.len(),
             faults
@@ -112,7 +112,6 @@ fn main() {
             m.tasks_launched,
             m.oom_injected,
             m.blocks_spilled,
-            m.pushes_deferred,
             drains_applied,
             m.wal_recoveries,
         );

@@ -25,8 +25,8 @@
 //! `--mem-budget` adds a third section: the shuffle-heavy pipeline runs
 //! once unlimited and once under a per-executor byte budget (`auto`
 //! probes the working set and squeezes to a quarter of it), reporting
-//! peak store occupancy, spill volume (compressed and raw), and
-//! deferred pushes; outputs must stay byte-identical, the peak must
+//! peak store occupancy, spill volume (compressed and raw) and
+//! reloads; outputs must stay byte-identical, the peak must
 //! respect the budget, the tight run must spill at least one block,
 //! and the spill files must be strictly smaller than the row encoding
 //! of what they hold. With `--trace`, the budgeted
@@ -324,13 +324,13 @@ fn main() {
         println!("\n== memory budget: byte-accounted stores, spill-to-disk ==");
         let dag = shuffle_heavy_dag(n_e2e);
 
-        // Unlimited baseline: no accounting, no spills, no deferrals.
+        // Unlimited baseline: no accounting, no spills.
         let (_, _, unlimited) = run_pipeline(&dag, usize::MAX, backend);
         let m = &unlimited.metrics;
         assert_eq!(
-            m.blocks_spilled + m.pushes_deferred + m.oom_injected,
+            m.blocks_spilled + m.oom_injected,
             0,
-            "unlimited run must not spill, defer, or OOM: {m:?}"
+            "unlimited run must not spill or OOM: {m:?}"
         );
         assert_eq!(m.peak_store_bytes, 0, "unlimited stores must not account");
 
@@ -355,14 +355,13 @@ fn main() {
         let m = &tight.metrics;
         println!(
             "budget {budget} B  {}  peak store {} B  spilled {} blocks / {} B \
-             ({} B raw)  loads {}  deferred pushes {}",
+             ({} B raw)  loads {}",
             fmt_rate(n_e2e as u64, secs),
             m.peak_store_bytes,
             m.blocks_spilled,
             m.spill_bytes,
             m.spill_raw_bytes,
             m.blocks_loaded,
-            m.pushes_deferred,
         );
         assert_eq!(
             encode_outputs(&tight),

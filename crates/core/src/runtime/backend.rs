@@ -272,8 +272,7 @@ pub struct ThreadedBackend {
 impl ThreadedBackend {
     /// Frames drained per master wakeup. Large enough to amortize the
     /// control work across a burst of concurrent completions, small
-    /// enough that failure detection and deferred-push retries never
-    /// starve.
+    /// enough that failure detection and retransmissions never starve.
     const FRAME_BATCH: usize = 32;
 
     /// Capacity of the bounded pool job queue executor task bodies wait

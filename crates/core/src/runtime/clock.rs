@@ -1,7 +1,7 @@
 //! The scheduling clock both execution backends implement.
 //!
-//! Every master-side timer — heartbeat miss/dead detection, deferred-push
-//! backoff, speculation age — reads time through a [`Clock`] instead of
+//! Every master-side timer — heartbeat miss/dead detection, transport
+//! retransmission, speculation age — reads time through a [`Clock`] instead of
 //! calling [`Instant::now`] directly.
 //! Both stock backends run on [`Clock::wall`]; the manual variant exists
 //! for tests, which can jump time forward deterministically and observe

@@ -15,9 +15,9 @@ pub struct RuntimeConfig {
     /// Byte budget of each executor's block store — preserved outputs,
     /// pushed partitions, and the input cache combined. `usize::MAX`
     /// (the default) disables accounting; anything smaller makes the
-    /// store spill unpinned blocks to disk under pressure, defers
-    /// pushes without headroom, and refuses launches whose inputs
-    /// cannot be pinned.
+    /// store spill unpinned blocks to disk under pressure, write an
+    /// output copy straight to disk when only pinned bytes remain, and
+    /// refuse launches whose inputs cannot be pinned.
     pub executor_memory_bytes: usize,
     /// Whether transient tasks pre-aggregate their combine-bound outputs
     /// before pushing (task output partial aggregation, §3.2.7).

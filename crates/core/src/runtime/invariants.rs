@@ -29,8 +29,8 @@
 //! 8. **Memory accounting**: every store event's self-reported occupancy
 //!    stays within the executor's (possibly chaos-shrunk) budget; pinned
 //!    blocks are never spilled; a spilled block is reloaded before it is
-//!    pinned again; every resumed push was first deferred; an attempt
-//!    hit by an injected allocation failure never commits.
+//!    pinned again; an attempt hit by an injected allocation failure
+//!    never commits.
 //! 9. *Retired* with the reconfiguration transaction it checked; the
 //!    number is not reused, which leaves eleven live laws.
 //! 10. **Crash-consistent recovery**: an attempt that was in flight at a
@@ -55,9 +55,9 @@
 //!     drops happen only while a container loss or a master recovery is
 //!     being handled. A `TaskReverted` that follows a loss (not a
 //!     recovery's rollback) names a task whose output the lost executor
-//!     may have held — its committing attempt ran there, a deferred push
-//!     to it resumed, or the output left its producer for reserved
-//!     executors the journal does not name and the loss is not a
+//!     may have held — its committing attempt ran there, or the output
+//!     left its producer for reserved executors the journal does not
+//!     name (a push at commit, a drain's copy) and the loss is not a
 //!     transient eviction — or that was already dropped, **and** that has
 //!     a consumer task not committed at that position. An `OutputDropped`
 //!     names a committed task whose consumers are all committed; one that
@@ -109,8 +109,8 @@ struct Commit {
 }
 
 impl Commit {
-    /// Whether `exec` may hold a copy of the output, resumed pushes
-    /// aside: the committing attempt ran there (`ran_on`) and kept it
+    /// Whether `exec` may hold a copy of the output: the committing
+    /// attempt ran there (`ran_on`) and kept it
     /// there, or the output reached reserved executors the journal does
     /// not name (a push at commit, a drain's copy) and `exec` is not a
     /// transient container being evicted.
@@ -213,8 +213,6 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     let mut spilled_blocks: HashSet<(ExecId, BlockRef)> = HashSet::new();
     // (exec, block) -> live pin count
     let mut block_pins: HashMap<(ExecId, BlockRef), usize> = HashMap::new();
-    // (fop, index, dest exec) -> deferrals not yet resumed
-    let mut deferred: HashMap<(FopId, usize, ExecId), usize> = HashMap::new();
     // attempts hit by an injected allocation failure: must never commit
     let mut oomed: HashSet<AttemptId> = HashSet::new();
     // --- Durability domain (law 10) ---
@@ -229,8 +227,6 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     // true once a PoolQuiesced follows the abort marker
     let mut quiesced_after_abort = false;
     // --- Need-driven revert (law 12) ---
-    // (fop, index, exec) of every resumed push: a copy the journal names
-    let mut resumed: Vec<(FopId, usize, ExecId)> = Vec::new();
     // drained executors (law 3); once there is one, outputs may sit on
     // reserved executors the journal does not name (law 12)
     let mut drained: Vec<ExecId> = Vec::new();
@@ -563,8 +559,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                     (_, RevertCause::Recovery) => {}
                     (Some(commit), RevertCause::Loss { exec, evicted }) => {
                         let ran_on = launched.get(&commit.attempt).map(|l| l.2);
-                        let held = resumed.contains(&(*fop, *index, exec))
-                            || commit.may_be_on(ran_on, exec, evicted, !drained.is_empty());
+                        let held = commit.may_be_on(ran_on, exec, evicted, !drained.is_empty());
                         if !commit.dropped && !held {
                             object(format!(
                                 "after the loss of exec {exec}, which never held it"
@@ -601,8 +596,7 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                                 object(format!(
                                     "blamed on exec {exec} while exec {lost} is the loss"
                                 ));
-                            } else if !resumed.contains(&(*fop, *index, lost))
-                                && !commit.may_be_on(ran_on, lost, evicted, !drained.is_empty())
+                            } else if !commit.may_be_on(ran_on, lost, evicted, !drained.is_empty())
                             {
                                 object(format!(
                                     "after the loss of exec {lost}, which never held it"
@@ -643,7 +637,6 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 budgets.remove(e);
                 spilled_blocks.retain(|(ex, _)| ex != e);
                 block_pins.retain(|(ex, _), _| ex != e);
-                deferred.retain(|(_, _, ex), _| ex != e);
             }
             JobEvent::ContainerAdded(e) => {
                 if let RevertCause::Loss { .. } = cause {
@@ -833,26 +826,6 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
             },
             JobEvent::StoreBudgetChanged { exec, budget } => {
                 budgets.insert(*exec, *budget);
-            }
-            JobEvent::PushDeferred {
-                fop, index, exec, ..
-            } => {
-                *deferred.entry((*fop, *index, *exec)).or_insert(0) += 1;
-            }
-            JobEvent::PushResumed {
-                fop, index, exec, ..
-            } => {
-                resumed.push((*fop, *index, *exec));
-                match deferred.get_mut(&(*fop, *index, *exec)) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => violations.push(Violation {
-                        position: pos,
-                        message: format!(
-                            "push of output {fop}.{index} to exec {exec} resumed without a \
-                             matching deferral"
-                        ),
-                    }),
-                }
             }
             JobEvent::OomInjected {
                 fop,
@@ -1524,27 +1497,6 @@ mod tests {
             .iter()
             .any(|m| m.contains("which never held it")));
         assert!(pushed(JobEvent::ReservedFailed(0)).is_empty());
-        // A resumed push names its destination.
-        let events = with(
-            two_commits(),
-            vec![
-                JobEvent::PushDeferred {
-                    fop: 1,
-                    index: 0,
-                    exec: 0,
-                    bytes: 8,
-                },
-                JobEvent::PushResumed {
-                    fop: 1,
-                    index: 0,
-                    exec: 0,
-                    bytes: 8,
-                },
-                JobEvent::ReservedFailed(0),
-                reverted(1),
-            ],
-        );
-        assert!(chain_violations(events).is_empty());
     }
 
     #[test]
@@ -1876,34 +1828,6 @@ mod tests {
         assert!(check(&j, false)
             .iter()
             .any(|v| v.message.contains("despite an injected allocation failure")));
-    }
-
-    #[test]
-    fn push_resume_requires_a_deferral() {
-        let j = journal(vec![JobEvent::PushResumed {
-            fop: 0,
-            index: 0,
-            exec: 1,
-            bytes: 8,
-        }]);
-        assert!(check(&j, false)
-            .iter()
-            .any(|v| v.message.contains("without a matching deferral")));
-        let j = journal(vec![
-            JobEvent::PushDeferred {
-                fop: 0,
-                index: 0,
-                exec: 1,
-                bytes: 8,
-            },
-            JobEvent::PushResumed {
-                fop: 0,
-                index: 0,
-                exec: 1,
-                bytes: 8,
-            },
-        ]);
-        assert!(check(&j, false).is_empty());
     }
 
     #[test]

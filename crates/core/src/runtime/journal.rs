@@ -265,29 +265,6 @@ pub enum JobEvent {
         /// The applied budget in bytes.
         budget: usize,
     },
-    /// A `TaskDone` push to a reserved executor was deferred because
-    /// its store lacked headroom (push backpressure).
-    PushDeferred {
-        /// Fused operator of the produced output.
-        fop: FopId,
-        /// Task index of the produced output.
-        index: usize,
-        /// The reserved executor that refused the push.
-        exec: ExecId,
-        /// Bytes of the deferred output.
-        bytes: usize,
-    },
-    /// A previously deferred push was admitted on retry.
-    PushResumed {
-        /// Fused operator of the pushed output.
-        fop: FopId,
-        /// Task index of the pushed output.
-        index: usize,
-        /// The reserved executor that finally admitted the push.
-        exec: ExecId,
-        /// Bytes of the pushed output.
-        bytes: usize,
-    },
     /// Chaos injected an allocation failure into a running attempt
     /// (the OOM fault family); the attempt must fail, never abort.
     OomInjected {
@@ -392,8 +369,6 @@ impl JobEvent {
             JobEvent::BlockPinned { .. } => "BlockPinned",
             JobEvent::BlockUnpinned { .. } => "BlockUnpinned",
             JobEvent::StoreBudgetChanged { .. } => "StoreBudgetChanged",
-            JobEvent::PushDeferred { .. } => "PushDeferred",
-            JobEvent::PushResumed { .. } => "PushResumed",
             JobEvent::OomInjected { .. } => "OomInjected",
             JobEvent::CacheHit { .. } => "CacheHit",
             JobEvent::CacheMiss { .. } => "CacheMiss",
@@ -670,8 +645,6 @@ impl EventJournal {
                 }
                 JobEvent::BlockPinned { .. } | JobEvent::BlockUnpinned { .. } => {}
                 JobEvent::StoreBudgetChanged { .. } => {}
-                JobEvent::PushDeferred { .. } => m.pushes_deferred += 1,
-                JobEvent::PushResumed { .. } => m.pushes_resumed += 1,
                 JobEvent::OomInjected { .. } => m.oom_injected += 1,
                 JobEvent::CacheHit { .. } => m.store_cache_hits += 1,
                 JobEvent::CacheMiss { .. } => m.store_cache_misses += 1,
@@ -951,12 +924,6 @@ fn instant_of(event: &JobEvent) -> Option<(String, ExecId)> {
         JobEvent::StoreBudgetChanged { exec, budget } => {
             Some((format!("budget {budget} B exec {exec}"), *exec))
         }
-        JobEvent::PushDeferred {
-            fop, index, exec, ..
-        } => Some((format!("push deferred t{fop}.{index}"), *exec)),
-        JobEvent::PushResumed {
-            fop, index, exec, ..
-        } => Some((format!("push resumed t{fop}.{index}"), *exec)),
         JobEvent::OomInjected {
             fop, index, exec, ..
         } => Some((format!("oom injected t{fop}.{index}"), *exec)),
@@ -1111,18 +1078,6 @@ fn describe(event: &JobEvent) -> String {
         JobEvent::StoreBudgetChanged { exec, budget } => {
             format!("store-budget  exec {exec} now {budget} B")
         }
-        JobEvent::PushDeferred {
-            fop,
-            index,
-            exec,
-            bytes,
-        } => format!("push-defer    output {fop}.{index} to exec {exec} ({bytes} B)"),
-        JobEvent::PushResumed {
-            fop,
-            index,
-            exec,
-            bytes,
-        } => format!("push-resume   output {fop}.{index} to exec {exec} ({bytes} B)"),
         JobEvent::OomInjected {
             fop,
             index,

@@ -131,18 +131,6 @@ struct SideStats {
     misses: usize,
 }
 
-/// A cross-executor push the destination store had no headroom for:
-/// parked under backpressure and retried with exponential backoff until
-/// the destination frees memory (or the push becomes obsolete).
-#[derive(Debug, Clone)]
-struct DeferredPush {
-    fop: FopId,
-    index: usize,
-    dest: ExecId,
-    next_try: Instant,
-    backoff_ms: u64,
-}
-
 /// A committed task output with what is derived from it.
 struct Output {
     /// The shared block, created once by the finishing executor.
@@ -176,9 +164,6 @@ pub struct Master {
     /// producer fop; forgotten when [`Master::drop_output`] takes a part.
     side_cache: HashMap<FopId, Block>,
     assigned: HashMap<(FopId, usize), ExecId>,
-    /// Cross-executor pushes deferred for lack of destination headroom,
-    /// retried with backoff (push backpressure).
-    deferred_pushes: Vec<DeferredPush>,
     /// Completed attempt durations (ms) per fop, for straggler medians.
     fop_durations: Vec<Vec<u64>>,
 
@@ -323,7 +308,6 @@ impl Master {
             result_parts: BTreeMap::new(),
             side_cache: HashMap::new(),
             assigned: HashMap::new(),
-            deferred_pushes: Vec::new(),
             fop_durations: vec![Vec::new(); n_fops],
             journal: Journal::new(),
             meta,
@@ -504,7 +488,6 @@ impl Master {
                 }
             }
             self.pump_transport()?;
-            self.retry_deferred_pushes()?;
             // Straggler checks are time-gated so a burst of completions
             // does not rescan the task table once per message.
             if self.clock.now().saturating_duration_since(last_spec_check) >= tick {
@@ -614,118 +597,34 @@ impl Master {
         Ok(())
     }
 
-    /// Retries pushes parked under backpressure. Entries become due on
-    /// their backoff clock, or immediately when a pin release frees
-    /// headroom on their destination (see [`Self::release_pins`]). The
-    /// destination of a retry that lands joins the output's location
-    /// set. Obsolete entries — output reverted or gone, destination
-    /// lost — are dropped silently: the producer-local copy (or a
-    /// recomputation) serves instead.
-    fn retry_deferred_pushes(&mut self) -> Result<(), RuntimeError> {
-        if self.deferred_pushes.is_empty() {
-            return Ok(());
-        }
-        let now = self.clock.now();
-        for p in std::mem::take(&mut self.deferred_pushes) {
-            if now < p.next_try {
-                self.deferred_pushes.push(p);
-                continue;
-            }
-            self.push_copy(p.fop, p.index, p.dest, Some(p.backoff_ms))?;
-        }
-        Ok(())
-    }
-
-    /// Offers a copy of committed output `(fop, index)` to `dest`
-    /// ([`Master::push`]); one that lands joins the output's location
-    /// set, durably. An output reverted or gone takes no copy.
-    fn push_copy(
-        &mut self,
+    /// Admits a copy of committed output `(fop, index)` into `exec`'s
+    /// store — the producer's own copy or a push — and says whether it
+    /// landed. Every copy admits the same way: in memory, or straight to
+    /// the spill file when memory holds only pinned bytes
+    /// ([`ExecutorStore::admit_or_spill`]). A lost executor or a
+    /// spill-write fault takes nothing; an output over a whole store
+    /// budget fails the job.
+    fn admit_copy(
+        &self,
         fop: FopId,
         index: usize,
-        dest: ExecId,
-        parked_ms: Option<u64>,
-    ) -> Result<(), RuntimeError> {
-        let done = self.tasks.is_done(fop, index);
-        let Some(output) = self.output(fop, index).filter(|_| done).cloned() else {
-            return Ok(());
-        };
-        if self.push(fop, index, dest, &output, parked_ms)? {
-            if let Some(locations) = self.tasks.locations_mut(fop, index) {
-                if !locations.contains(&dest) {
-                    locations.push(dest);
-                }
-            }
-            self.append_wal_locations(fop, index)?;
-        }
-        Ok(())
-    }
-
-    /// One cross-executor push: offers output `(fop, index)` to `dest`'s
-    /// store and says whether it landed. A store with no headroom (or a
-    /// spill-I/O fault making room: a disk hiccup never fails the job)
-    /// parks the push to retry with backoff — journaled `PushDeferred`
-    /// the first time, doubling from `parked_ms` after — and a parked
-    /// push that lands is journaled `PushResumed`. A lost destination
-    /// takes nothing; an output over a whole store budget fails the job.
-    fn push(
-        &mut self,
-        fop: FopId,
-        index: usize,
-        dest: ExecId,
+        exec: ExecId,
         output: &Block,
-        parked_ms: Option<u64>,
     ) -> Result<bool, RuntimeError> {
-        let Some(info) = self.executors.get(&dest).filter(|e| e.live()) else {
+        let Some(info) = self.executors.get(&exec).filter(|e| e.live()) else {
             return Ok(false);
         };
         let admitted = info
             .store
             .lock()
-            .admit(BlockRef::Output { fop, index }, output);
-        let stage = Some(self.meta.stage_of[fop]);
+            .admit_or_spill(BlockRef::Output { fop, index }, output);
         match admitted {
-            Ok(()) => {
-                if parked_ms.is_some() {
-                    let resumed = JobEvent::PushResumed {
-                        fop,
-                        index,
-                        exec: dest,
-                        bytes: output.encoded_len(),
-                    };
-                    self.emit(stage, resumed);
-                }
-                Ok(true)
-            }
-            Err(StoreError::NoHeadroom { .. } | StoreError::SpillUnreadable { .. }) => {
-                let backoff_ms = match parked_ms {
-                    Some(ms) => ms
-                        .saturating_mul(2)
-                        .min(self.job.config.retransmit_max_ms.max(1)),
-                    None => {
-                        let deferred = JobEvent::PushDeferred {
-                            fop,
-                            index,
-                            exec: dest,
-                            bytes: output.encoded_len(),
-                        };
-                        self.emit(stage, deferred);
-                        self.job.config.retransmit_base_ms.max(1)
-                    }
-                };
-                self.deferred_pushes.push(DeferredPush {
-                    fop,
-                    index,
-                    dest,
-                    next_try: self.clock.now() + Duration::from_millis(backoff_ms),
-                    backoff_ms,
-                });
-                Ok(false)
-            }
+            Ok(()) => Ok(true),
+            Err(StoreError::NoHeadroom { .. } | StoreError::SpillUnreadable { .. }) => Ok(false),
             Err(StoreError::TooLarge { bytes, budget }) => Err(RuntimeError::MemoryExceeded {
                 bytes,
                 budget,
-                context: format!("push of output {fop}.{index} to executor {dest}"),
+                context: format!("output {fop}.{index} on executor {exec}"),
             }),
         }
     }
@@ -930,27 +829,13 @@ impl Master {
         record.filter(|_| current)
     }
 
-    /// Releases the input blocks a retired attempt pinned at launch.
-    ///
-    /// Releasing pins is the one event that creates durable headroom on
-    /// a store, so pushes parked against that executor become due
-    /// immediately. Timed backoff alone starves here: the scheduler
-    /// re-pins freed bytes for the next waiting task within the same
-    /// loop iteration, while a clock-gated retry lands milliseconds
-    /// late and finds the store full again.
-    fn release_pins(&mut self, a: &Attempt) {
+    /// Releases the input blocks a retired attempt pinned at launch,
+    /// making them spillable again.
+    fn release_pins(&self, a: &Attempt) {
         if let Some(info) = self.executors.get(&a.exec) {
             let mut s = info.store.lock();
             for &r in &a.pins {
                 s.unpin(r);
-            }
-        }
-        let now = self.clock.now();
-        let base = self.job.config.retransmit_base_ms.max(1);
-        for p in &mut self.deferred_pushes {
-            if p.dest == a.exec {
-                p.next_try = now;
-                p.backoff_ms = base;
             }
         }
     }
@@ -1026,12 +911,12 @@ impl Master {
     /// only transient consumers keep it locally, still at risk — unless
     /// their executor is drained, when a reserved store takes it instead.
     ///
-    /// Every location is backed by a store admission. The producer-local
-    /// copy admits unconditionally (spilling itself to disk when memory
-    /// has no headroom — a commit never stalls on its own output); a
-    /// cross-executor copy is a [`Master::push`], deferred when its
-    /// destination cannot take it. Only an output larger than a whole
-    /// store budget fails the job, as [`RuntimeError::MemoryExceeded`].
+    /// Every location is backed by a store admission
+    /// ([`Master::admit_copy`]): in memory, or straight to disk when
+    /// memory has no headroom, so a push lands at commit and a commit
+    /// never stalls on a copy of its output. Only an output larger than
+    /// a whole store budget fails the job, as
+    /// [`RuntimeError::MemoryExceeded`].
     fn commit_locations(
         &mut self,
         fop: FopId,
@@ -1039,7 +924,6 @@ impl Master {
         exec: ExecId,
         output: &Block,
     ) -> Result<Vec<ExecId>, RuntimeError> {
-        let r = BlockRef::Output { fop, index };
         let mut dests: Vec<ExecId> = Vec::new();
         if self.placement(fop) != Placement::Reserved {
             let outs = self.job.plan.outs(fop);
@@ -1062,34 +946,19 @@ impl Master {
         }
         let mut locations: Vec<ExecId> = Vec::new();
         for d in dests {
-            if self.push(fop, index, d, output, None)? {
+            if self.admit_copy(fop, index, d, output)? {
                 locations.push(d);
             }
         }
         if locations.is_empty() {
             // No push landed (reserved anchor, transient-only consumers,
-            // or every destination backpressured): the producer keeps the
-            // output, spilling its own memory if it must.
-            let admitted = self
-                .executors
-                .get(&exec)
-                .map(|info| info.store.lock().admit_or_spill(r, output));
-            match admitted {
-                None | Some(Ok(())) => {}
-                Some(Err(StoreError::TooLarge { bytes, budget })) => {
-                    return Err(RuntimeError::MemoryExceeded {
-                        bytes,
-                        budget,
-                        context: format!("output {fop}.{index} committed on executor {exec}"),
-                    });
-                }
-                // A spill-write fault left the producer unable to account
-                // the block. The data itself lives in the master's shared
-                // location table either way, so the commit stands; only
-                // the store-side residency record is missing, and an
-                // eviction of this executor reverts the task as usual.
-                Some(Err(StoreError::NoHeadroom { .. } | StoreError::SpillUnreadable { .. })) => {}
-            }
+            // or every destination lost or faulted on its spill write):
+            // the producer keeps the output. A spill-write fault here
+            // leaves only the store-side residency record missing; the
+            // data lives in the master's location table either way, so
+            // the commit stands, and an eviction of this executor
+            // reverts the task as usual.
+            self.admit_copy(fop, index, exec, output)?;
             locations.push(exec);
         }
         Ok(locations)
@@ -1143,9 +1012,9 @@ impl Master {
 
     /// Drains the `nth` schedulable transient executor (modulo their
     /// number) ahead of a predicted eviction: it takes no new attempt,
-    /// and every output only it holds is offered to a reserved store
-    /// ([`Master::push_copy`]; one refused for headroom parks and
-    /// retries like any push). Nothing is removed from the victim, whose
+    /// and every output only it holds is pushed to a reserved store
+    /// ([`Master::admit_copy`]), whose destination joins the output's
+    /// location set, durably. Nothing is removed from the victim, whose
     /// container and store live on: a drain only ever adds locations, so
     /// no attempt in flight is affected and nothing has to quiesce.
     /// Refused — a no-op — with fewer than two schedulable transient
@@ -1170,8 +1039,17 @@ impl Master {
             .map(|(f, i, _)| (f, i))
             .collect();
         for (f, i) in sole {
-            if let Some(dest) = self.reserved_home(i) {
-                self.push_copy(f, i, dest, None)?;
+            let Some(dest) = self.reserved_home(i) else {
+                continue;
+            };
+            let Some(output) = self.output(f, i).cloned() else {
+                continue;
+            };
+            if self.admit_copy(f, i, dest, &output)? {
+                if let Some(locations) = self.tasks.locations_mut(f, i) {
+                    locations.push(dest);
+                }
+                self.append_wal_locations(f, i)?;
             }
         }
         Ok(())
@@ -1198,7 +1076,6 @@ impl Master {
         // invariant checker to clear the executor's replayed state.
         info.store.lock().clear_silent();
         let kind = info.handle.kind;
-        self.deferred_pushes.retain(|p| p.dest != exec);
         // Sync the stage bracket first: a commit in the same frame may
         // have just completed a stage whose `StageCompleted` is not yet
         // logged, and the reopen below must nest inside it.
@@ -1370,12 +1247,10 @@ impl Master {
             },
         );
         // The executors outlive the master, so the fenced attempts' pins
-        // lift before the refetch below needs the room. Deferred pushes
-        // die with the dead master's queue.
+        // lift before the refetch below needs the room.
         for a in self.tasks.fence() {
             self.release_pins(&a);
         }
-        self.deferred_pushes.clear();
         self.outputs.clear();
         self.side_cache.clear();
         self.assigned.clear();
@@ -2467,7 +2342,7 @@ mod tests {
 
     // --- Clock-abstraction regression test (timer-order sensitivity) ---
     //
-    // Every master timer (speculation, heartbeats, deferred pushes) must
+    // Every master timer (speculation, heartbeats, retransmissions) must
     // read `self.clock`, never wall time directly: the threaded backend
     // shares the implementation, and a stray `Instant::now()` would make
     // timer order depend on host scheduling. Driving speculation off a

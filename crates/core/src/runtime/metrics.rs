@@ -77,10 +77,10 @@ pub struct JobMetrics {
     pub spill_raw_bytes: usize,
     /// Spilled blocks reloaded into memory before use.
     pub blocks_loaded: usize,
-    /// `TaskDone` pushes deferred by reserved-store backpressure.
+    /// Always 0: a push lands at commit (in memory or on disk) and is
+    /// never deferred. Kept because the benchmark reports it (ROADMAP
+    /// item 1(b)).
     pub pushes_deferred: usize,
-    /// Deferred pushes later admitted on retry.
-    pub pushes_resumed: usize,
     /// Allocation failures injected by the OOM chaos family.
     pub oom_injected: usize,
     /// Highest combined store occupancy (blocks + cache, bytes) any

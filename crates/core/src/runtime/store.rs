@@ -37,7 +37,7 @@
 //! The disk tier is fallible: real tempfile I/O errors and the
 //! [`SpillFaultPlan`] chaos knob surface the same way. A failed spill
 //! *write* keeps the victim resident and degrades to `NoHeadroom`
-//! (defer/refuse — never an over-budget admit); a failed spill *read*
+//! (refuse — never an over-budget admit); a failed spill *read*
 //! drops the useless on-disk copy and reports
 //! [`StoreError::SpillUnreadable`], which the master resolves as an
 //! ordinary task retry (the block re-admits from the master's copy).
@@ -136,8 +136,8 @@ impl fmt::Display for BlockRef {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// Not enough unpinned bytes could be spilled to fit the block. The
-    /// caller defers (push backpressure) or refuses a launch
-    /// (admission control) instead of deadlocking.
+    /// caller writes the block to disk ([`ExecutorStore::admit_or_spill`])
+    /// or refuses a launch (admission control) instead of deadlocking.
     NoHeadroom {
         /// Bytes the refused block needs.
         needed: usize,
@@ -157,9 +157,9 @@ pub enum StoreError {
     },
     /// A spill file could not be written or read back (disk full, lost,
     /// corrupt, or an injected fault). The store drops its useless
-    /// on-disk copy, so the caller retries: the master defers a push,
-    /// leaves a launch pending, or tolerates a producer-local miss —
-    /// the block re-admits from the master's copy.
+    /// on-disk copy, so the caller retries: the master leaves a launch
+    /// pending, or keeps a commit's output on its producer — the block
+    /// re-admits from the master's copy.
     SpillUnreadable {
         /// The block whose spill file is gone.
         block: BlockRef,
@@ -510,7 +510,7 @@ impl ExecutorStore {
             return false;
         };
         // A block the codec or the disk refused stays resident; the
-        // caller degrades to NoHeadroom (defer/refuse), never aborts.
+        // caller degrades to NoHeadroom (refuse), never aborts.
         let Ok(len) = self.write_image(r, &entry.data) else {
             self.resident.insert(Slot::Block(r), entry);
             return false;
@@ -542,7 +542,7 @@ impl ExecutorStore {
 
     /// Admits a block under the combined budget: sheds unpinned cached
     /// datasets, then spills unpinned blocks; refuses with `NoHeadroom`
-    /// when only pinned bytes remain (push backpressure defers).
+    /// when only pinned bytes remain (see [`Self::admit_or_spill`]).
     /// Admitting a block the store already owns just refreshes its
     /// recency.
     pub fn admit(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
@@ -568,10 +568,10 @@ impl ExecutorStore {
         Ok(())
     }
 
-    /// Admits a producer-local block, writing it straight to the disk
-    /// tier when memory has no headroom — the commit path must never
-    /// stall on its own output. Only `TooLarge` (and disk failure) can
-    /// refuse.
+    /// Admits a copy of a committed output — the producer's own or a
+    /// push — writing it straight to the disk tier when memory has no
+    /// headroom: a commit never stalls on a copy of its output. Only
+    /// `TooLarge` (and disk failure) can refuse.
     pub fn admit_or_spill(&mut self, r: BlockRef, data: &Block) -> Result<(), StoreError> {
         match self.admit(r, data) {
             Err(StoreError::NoHeadroom { .. }) => {

@@ -59,8 +59,8 @@
 //! whose rows read `tag => Variant { fields in wire order }` and expand
 //! to the encoder and the decoder both. Adding a [`JobEvent`] is the
 //! enum variant, one row with the next free tag (tags are never reused
-//! or renumbered — old logs must keep their meaning; 0, 28–33 and 36
-//! are retired), a sample and a tag arm in `tests::every_wire_form_is_pinned`,
+//! or renumbered — old logs must keep their meaning; 0, 23, 24, 28–33
+//! and 36 are retired), a sample and a tag arm in `tests::every_wire_form_is_pinned`,
 //! and its `kind` / `describe` arms in the journal.
 
 use std::fmt::Write as _;
@@ -292,7 +292,8 @@ wire_enum!(BlockRef, "bad block-ref tag", {
 // one, whatever its place in the enum. 28–33 belonged to the retired
 // reconfiguration transaction, 0 to `TaskLaunched` while it carried a
 // relaunch flag, 36 to `RunStalled`, the retired hang watchdog's abort
-// marker; a frame carrying one is refused.
+// marker, 23 and 24 to `PushDeferred` and `PushResumed`, the retired
+// push backpressure's park and retry; a frame carrying one is refused.
 wire_enum!(JobEvent, "bad event tag", {
     1 => SpeculativeLaunched {
         fop, index, attempt, exec, side_bytes_sent, side_bytes_saved, side_cache_misses
@@ -320,8 +321,6 @@ wire_enum!(JobEvent, "bad event tag", {
     20 => BlockPinned { exec, block },
     21 => BlockUnpinned { exec, block },
     22 => StoreBudgetChanged { exec, budget },
-    23 => PushDeferred { fop, index, exec, bytes },
-    24 => PushResumed { fop, index, exec, bytes },
     25 => OomInjected { fop, index, attempt, exec },
     26 => CacheHit { exec, key, bytes },
     27 => CacheMiss { exec, key },
@@ -446,8 +445,7 @@ pub enum WalRecord {
     /// A compacting state snapshot.
     Snapshot(WalSnapshot),
     /// The authoritative location list of one committed task's output.
-    /// Appended at commit, on deferred-push resume, and when a drain's
-    /// copy lands, so the block location table reconstructs independently
+    /// Appended at commit and when a drain's copy lands, so the block location table reconstructs independently
     /// of how the commit-time push resolved.
     Locations {
         /// Producing fused operator.
@@ -1125,18 +1123,6 @@ mod tests {
                 block: output,
             },
             StoreBudgetChanged { exec, budget: 20 },
-            PushDeferred {
-                fop,
-                index,
-                exec,
-                bytes,
-            },
-            PushResumed {
-                fop,
-                index,
-                exec,
-                bytes,
-            },
             OomInjected {
                 fop,
                 index,
@@ -1191,8 +1177,6 @@ mod tests {
             JobEvent::BlockPinned { .. } => 20,
             JobEvent::BlockUnpinned { .. } => 21,
             JobEvent::StoreBudgetChanged { .. } => 22,
-            JobEvent::PushDeferred { .. } => 23,
-            JobEvent::PushResumed { .. } => 24,
             JobEvent::OomInjected { .. } => 25,
             JobEvent::CacheHit { .. } => 26,
             JobEvent::CacheMiss { .. } => 27,
@@ -1213,7 +1197,9 @@ mod tests {
     /// against the encoder of commit `420373f` first), and again when
     /// `RunStalled` left (tag 36 retired; every remaining event's frame,
     /// with and without a stage, is byte-identical to the encoder of
-    /// commit `c2fdfce`). A change here is a format change.
+    /// commit `c2fdfce`), and again when push backpressure left (tags 23
+    /// and 24 retired; likewise byte-identical to commit `e297af2`). A
+    /// change here is a format change.
     #[test]
     fn every_wire_form_is_pinned() {
         let mut records: Vec<WalRecord> = Vec::new();
@@ -1228,7 +1214,11 @@ mod tests {
             tags.insert(tag);
             records.push(record);
         }
-        let live: std::collections::BTreeSet<u8> = (1..28).chain([34, 35]).chain(37..42).collect();
+        let live: std::collections::BTreeSet<u8> = (1..23)
+            .chain(25..28)
+            .chain([34, 35])
+            .chain(37..42)
+            .collect();
         assert_eq!(tags, live, "a variant has no sample");
         records.push(WalRecord::Snapshot(WalSnapshot {
             next_attempt: 1 << 33,
@@ -1262,7 +1252,7 @@ mod tests {
         });
         assert_eq!(
             (image.len(), fnv1a),
-            (1960, 0x0a7f_e32d_2671_a7a4),
+            (1842, 0x8eef_bb6b_dee6_02c3),
             "the image moved"
         );
     }
@@ -1283,11 +1273,14 @@ mod tests {
         assert_eq!(refusal(KIND_EVENT, vec![vec![2]]), "bad option tag");
         assert_eq!(event(vec![vec![42]]), "bad event tag");
         // Retired tags are refused, not mis-decoded: e.g. what used to be
-        // a well-formed epoch advance, tag 32, a stall marker, tag 36, or
-        // a flagged launch, tag 0.
+        // a well-formed epoch advance, tag 32, a stall marker, tag 36, a
+        // deferred push, tag 23, or a flagged launch, tag 0.
         for retired in (28..=33).chain([36]) {
             assert_eq!(event(vec![vec![retired], le(1)]), "bad event tag");
         }
+        // The old deferred push of output 3.5 to exec 1, 64 bytes.
+        let deferred_push = [vec![23], le(3), le(5), le(1), le(64)];
+        assert_eq!(event(deferred_push.to_vec()), "bad event tag");
         let flagged_launch = [
             vec![0],
             le(3),

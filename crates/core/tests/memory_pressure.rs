@@ -4,13 +4,13 @@
 //!
 //! Invariants enforced per seed:
 //! - outputs byte-identical to an *unbounded* baseline run — spilling,
-//!   reloading, deferred pushes, and OOM retries must be invisible in
-//!   the answer,
+//!   reloading, pushes landing on disk, and OOM retries must be
+//!   invisible in the answer,
 //! - the journal replays cleanly (occupancy ≤ budget on every store
 //!   event, pinned blocks never spilled, spilled blocks reloaded before
 //!   reuse, OOM'd attempts never commit),
 //! - peak store occupancy stays within the configured budget,
-//! - unbounded runs emit zero spill / defer / OOM events.
+//! - unbounded runs emit zero spill / OOM events.
 //!
 //! Master restarts are excluded: this suite isolates the memory domain
 //! (the network-chaos suite already crosses restarts with everything
@@ -55,8 +55,8 @@ fn shuffle_dag() -> LogicalDag {
 
 /// Two independent branches that share one reserved executor: branch A's
 /// combine can be stalled mid-attempt (holding its input pins) while
-/// branch B's producers are still pushing — the window where push
-/// backpressure (`PushDeferred` / `PushResumed`) fires.
+/// branch B's producers are still pushing — the window where a push
+/// finds the store holding only pinned bytes and lands on its spill file.
 fn two_branch_dag() -> LogicalDag {
     let p = Pipeline::new();
     p.read("FastRead", 2, SourceFn::from_vec(ints(64)))
@@ -155,18 +155,19 @@ fn check_seed(seed: u64, result: &JobResult, budget: usize) {
     );
 }
 
-/// Deterministic push-backpressure exercise: the reserved store holds
-/// exactly what branch A's stalled combines pin, so while they run no
-/// pushed output of branch B can be admitted even after spilling
-/// everything unpinned — the master must defer the pushes, retry with
-/// backoff, and resume once the pins drop. The answer must still be
-/// byte-identical to an unbounded run.
-#[test]
-fn tight_reserved_store_defers_and_resumes_pushes() {
+/// A reserved store held full by pins while pushes arrive: the store
+/// holds exactly what branch A's stalled combines pin, so while they run
+/// no pushed output of branch B fits in memory even after spilling
+/// everything unpinned. Runs `two_branch_dag` under that budget with the
+/// given evictions and returns the run, `SlowSum`'s fop and `KeyB`'s fop
+/// and width; the answer must be byte-identical to an unbounded run and
+/// the journal clean.
+fn pinned_full_store_run(evictions: Vec<(usize, usize)>) -> (JobResult, usize, (usize, usize)) {
     let dag = two_branch_dag();
     let (keya_fop, _) = fop_named(&dag, "KeyA");
     let (slow_fop, _) = fop_named(&dag, "SlowSum");
-    let (keyb_fop, _) = fop_named(&dag, "KeyB");
+    let keyb = fop_named(&dag, "KeyB");
+    let keyb_fop = keyb.0;
     // One slot per executor orders the branches without a second timer:
     // KeyB's tasks queue behind KeyA's for the transient slot, so no
     // KeyB task launches before the scheduling pass that — KeyA's last
@@ -209,12 +210,13 @@ fn tight_reserved_store_defers_and_resumes_pushes() {
     // commits land in.
     let faults = FaultPlan {
         first_attempt_delays: vec![(slow_fop, 0, 250)],
+        evictions,
         ..Default::default()
     };
     let result = LocalCluster::new(1, 1)
         .with_config(config(budget))
         .run_with_faults(&dag, faults)
-        .unwrap_or_else(|e| panic!("backpressure run (budget {budget} B) failed: {e}"));
+        .unwrap_or_else(|e| panic!("pinned-full run (budget {budget} B) failed: {e}"));
     let launched = |fop_wanted: usize| {
         result
             .journal
@@ -225,34 +227,84 @@ fn tight_reserved_store_defers_and_resumes_pushes() {
         launched(slow_fop) < launched(keyb_fop),
         "the combines must hold their pins before any KeyB task starts"
     );
-
     assert_eq!(
         encode_outputs(&result),
         encode_outputs(&baseline),
-        "backpressure run diverged from unbounded baseline"
+        "pinned-full run diverged from unbounded baseline"
     );
     check_seed(u64::MAX, &result, budget);
-    assert!(
-        result.metrics.pushes_deferred > 0,
-        "a {budget} B reserved store never deferred a push: {:?}",
-        result.metrics
-    );
-    assert!(
-        result.metrics.pushes_resumed > 0,
-        "deferred pushes were never resumed: {:?}",
-        result.metrics
-    );
-    assert!(
-        result.metrics.pushes_deferred >= result.metrics.pushes_resumed,
-        "more resumes than deferrals: {:?}",
-        result.metrics
-    );
+    (result, slow_fop, keyb)
+}
+
+/// A push into a store that holds only pinned bytes lands at once, on
+/// the store's spill file: each KeyB output is admitted and spilled on
+/// the reserved executor while the stalled combine still holds its pins.
+#[test]
+fn tight_reserved_store_takes_pushes_on_disk() {
+    let (result, slow_fop, (keyb_fop, keyb_width)) = pinned_full_store_run(vec![]);
+    let events: Vec<&JobEvent> = result.journal.events().collect();
+    let reserved = events
+        .iter()
+        .find_map(|e| match e {
+            JobEvent::TaskLaunched { fop, exec, .. } if *fop == slow_fop => Some(*exec),
+            _ => None,
+        })
+        .expect("SlowSum launched");
+    let first_slow_commit = events
+        .iter()
+        .position(|e| matches!(e, JobEvent::TaskCommitted { fop, .. } if *fop == slow_fop))
+        .expect("SlowSum committed");
+    let on_reserved = |index: usize, spilled: bool| {
+        let block = BlockRef::Output {
+            fop: keyb_fop,
+            index,
+        };
+        events.iter().position(|e| match e {
+            JobEvent::BlockAdmitted { exec, block: b, .. } => {
+                !spilled && *exec == reserved && *b == block
+            }
+            JobEvent::BlockSpilled { exec, block: b, .. } => {
+                spilled && *exec == reserved && *b == block
+            }
+            _ => false,
+        })
+    };
+    for index in 0..keyb_width {
+        let admitted = on_reserved(index, false).expect("KeyB output pushed");
+        let spilled = on_reserved(index, true).expect("KeyB output spilled");
+        assert!(
+            admitted < spilled && spilled < first_slow_commit,
+            "KeyB output {index}: admitted at #{admitted}, spilled at #{spilled}, \
+             SlowSum's first commit at #{first_slow_commit}"
+        );
+    }
     println!(
-        "backpressure: budget {budget} B, {} deferred, {} resumed, {} spills, {} reloads",
-        result.metrics.pushes_deferred,
-        result.metrics.pushes_resumed,
-        result.metrics.blocks_spilled,
-        result.metrics.blocks_loaded
+        "pinned-full store: {} spills, {} reloads",
+        result.metrics.blocks_spilled, result.metrics.blocks_loaded
+    );
+}
+
+/// The producer of a push that landed on disk may be evicted at once:
+/// the reserved store's copy serves, so nothing of KeyB reverts and
+/// nothing relaunches.
+#[test]
+fn a_push_into_a_pinned_full_store_survives_its_producers_eviction() {
+    // KeyA's two commits, then KeyB's two: the transient executor goes
+    // right after KeyB's second.
+    let (result, _, (keyb_fop, _)) = pinned_full_store_run(vec![(4, 0)]);
+    let reverted = result
+        .journal
+        .events()
+        .filter(|e| matches!(e, JobEvent::TaskReverted { fop, .. } if *fop == keyb_fop))
+        .count();
+    assert_eq!(reverted, 0, "KeyB reverted: its pushes did not land");
+    assert_eq!(result.metrics.relaunched_tasks, 0, "{:?}", result.metrics);
+    assert!(
+        result
+            .journal
+            .events()
+            .any(|e| matches!(e, JobEvent::ContainerEvicted(_))),
+        "the eviction never fired"
     );
 }
 
@@ -269,9 +321,7 @@ fn memory_pressure_matrix_preserves_outputs() {
             .run(dag)
             .unwrap_or_else(|e| panic!("unbounded baseline {name} failed: {e}"));
         assert_eq!(
-            unbounded.metrics.blocks_spilled
-                + unbounded.metrics.pushes_deferred
-                + unbounded.metrics.oom_injected,
+            unbounded.metrics.blocks_spilled + unbounded.metrics.oom_injected,
             0,
             "{name}: unbounded run must emit no memory-pressure events"
         );
@@ -312,20 +362,16 @@ fn memory_pressure_matrix_preserves_outputs() {
         total(&runs, |m| m.blocks_spilled),
         total(&runs, |m| m.blocks_loaded),
     );
-    let (total_deferred, total_oom) = (
-        total(&runs, |m| m.pushes_deferred),
-        total(&runs, |m| m.oom_injected),
-    );
+    let total_oom = total(&runs, |m| m.oom_injected);
 
     // The matrix as a whole must actually exercise the pressure paths:
     // spills happened, spilled blocks were reloaded, and the OOM fault
-    // family fired. (Deferred pushes depend on scheduling races; report
-    // but do not require them.)
+    // family fired.
     assert!(total_spills > 0, "matrix never spilled a block");
     assert!(total_loads > 0, "matrix never reloaded a spilled block");
     assert!(total_oom > 0, "matrix never injected an allocation failure");
     println!(
         "memory-pressure matrix: {total_spills} spills, {total_loads} reloads, \
-         {total_deferred} deferred pushes, {total_oom} OOM injections across {SEEDS} seeds"
+         {total_oom} OOM injections across {SEEDS} seeds"
     );
 }

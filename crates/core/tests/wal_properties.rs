@@ -102,14 +102,6 @@ fn event_strategy() -> impl Strategy<Value = JobEvent> {
                 bytes,
                 resident,
             }),
-        (0..6usize, 0..8usize, 0..9usize, 0..4_096usize).prop_map(|(fop, index, exec, bytes)| {
-            JobEvent::PushDeferred {
-                fop,
-                index,
-                exec,
-                bytes,
-            }
-        }),
         (0..9usize, 0..6usize, 0..4_096usize).prop_map(|(exec, key, bytes)| JobEvent::CacheHit {
             exec,
             key,
