@@ -155,11 +155,6 @@ impl PhysicalPlan {
         self.outs(fop).to_vec()
     }
 
-    /// Fops of the given stage, in topological order within the stage.
-    pub fn stage_fops(&self, stage: StageId) -> Vec<FopId> {
-        self.fops_of(stage).to_vec()
-    }
-
     /// [`PhysicalPlan::in_edges`] by reference, for per-event callers.
     pub fn ins(&self, fop: FopId) -> &[PlanEdge] {
         &self.index.ins[fop]
@@ -170,7 +165,7 @@ impl PhysicalPlan {
         &self.index.outs[fop]
     }
 
-    /// [`PhysicalPlan::stage_fops`] by reference.
+    /// Fops of the given stage, in topological order within the stage.
     pub fn fops_of(&self, stage: StageId) -> &[FopId] {
         &self.index.stage_fops[stage]
     }

@@ -859,18 +859,6 @@ impl WalWriter {
         self.events_since_snapshot = 0;
         Ok(state)
     }
-
-    /// Renders a human-readable dump of the on-disk log (frame kinds,
-    /// event one-liners, scan classification) — the CI artifact
-    /// accompanying a recovered run's Chrome trace.
-    pub fn dump(&mut self) -> Result<String, RuntimeError> {
-        let mut bytes = Vec::new();
-        self.file
-            .seek(SeekFrom::Start(0))
-            .and_then(|_| self.file.read_to_end(&mut bytes))
-            .map_err(|e| io_err("read", &self.path, e))?;
-        Ok(dump_image(&bytes, &self.path.display().to_string()))
-    }
 }
 
 /// Renders a WAL image as a human-readable listing.

@@ -200,11 +200,6 @@ impl SlotPool {
     pub fn free_on(&self, c: ContainerId) -> usize {
         self.free.get(&c).copied().unwrap_or(0)
     }
-
-    /// Containers currently registered.
-    pub fn containers(&self) -> Vec<ContainerId> {
-        self.free.keys().copied().collect()
-    }
 }
 
 /// Metrics of one simulated run.

@@ -1829,11 +1829,31 @@ mod tests {
         ("paper3/emp", Mode::SparkCkpt, 3, 147763130, 1040, 188, 60, 0.0, 19150600000.0),
     ];
 
+    /// `(case, fingerprint)`: FNV-1a over every `RunMetrics` field of
+    /// every row of the case, in `GOLDEN` order, floats by their bits. It
+    /// pins what the rows leave loose, `bytes_transferred` above all,
+    /// whose value follows the order `Network` sums progress in.
+    const GOLDEN_FINGERPRINTS: &[(&str, u64)] = &[
+        ("mr/exp", 0xe547_8758_860c_5c1f),
+        ("mr/emp", 0x20b3_caad_f765_3679),
+        ("iter/exp", 0x5643_7fba_856c_d1c9),
+        ("iter/emp", 0x0763_979d_ee4c_6e6e),
+        ("paper3/exp", 0xf9b5_5dae_10ba_0832),
+        ("paper3/emp", 0xb3ce_260c_907b_942c),
+    ];
+
+    fn fnv1a(hash: u64, word: u64) -> u64 {
+        word.to_le_bytes().iter().fold(hash, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// Every event of these runs also passes `check_indices` (see
     /// [`SimEngine::drive`]).
     fn reproduces_golden(case: &str) {
         let ((dag, model), config) = golden_case(case);
         let rows = GOLDEN.iter().filter(|row| row.0 == case);
+        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
         for &(_, mode, seed, jct_us, launched, relaunched, evictions, pushed, ckpt) in rows {
             let config = SimConfig {
                 seed,
@@ -1852,7 +1872,31 @@ mod tests {
                 (jct_us, launched, relaunched, evictions, pushed, ckpt),
                 "{case} {mode:?} seed {seed}"
             );
+            let RunMetrics {
+                jct_us,
+                original_tasks,
+                tasks_launched,
+                relaunched_tasks,
+                evictions,
+                bytes_transferred,
+                bytes_checkpointed,
+                bytes_pushed,
+            } = m;
+            for word in [
+                jct_us,
+                original_tasks as u64,
+                tasks_launched as u64,
+                relaunched_tasks as u64,
+                evictions as u64,
+                bytes_transferred.to_bits(),
+                bytes_checkpointed.to_bits(),
+                bytes_pushed.to_bits(),
+            ] {
+                fingerprint = fnv1a(fingerprint, word);
+            }
         }
+        let pinned = GOLDEN_FINGERPRINTS.iter().find(|f| f.0 == case);
+        assert_eq!(Some(fingerprint), pinned.map(|f| f.1), "{case} fingerprint");
     }
 
     // One test per case, so the harness runs them side by side.

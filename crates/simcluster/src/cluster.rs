@@ -14,12 +14,14 @@
 //! every time the network re-rates it, so each active transfer has exactly
 //! one live completion entry, overwritten (with a fresh sequence number) on
 //! every re-rate; [`Cluster::next_event`] delivers whichever of the heap's
-//! head and the earliest live entry comes first. Nothing stale is ever
-//! queued, so every entry taken is an event (or an eviction of a container
-//! that already died).
+//! head and the earliest live entry comes first. The live entries form a
+//! dense list, each transfer's slot in a slab indexed by its id knowing
+//! where its entry is, so an overwrite or a removal costs O(1). Nothing
+//! stale is ever queued, so every entry taken is an event (or an eviction
+//! of a container that already died).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -152,10 +154,10 @@ impl<E> Ord for QEntry<E> {
     }
 }
 
-/// The one live completion entry of an active transfer.
+/// An active transfer's slot: where its one live completion entry sits.
 struct Completion<E> {
-    at: SimTime,
-    seq: u64,
+    /// Position of its `(at, seq, id)` entry in [`Cluster::live`].
+    live: usize,
     gen: u64,
     /// The engine's tag, handed back on completion or failure.
     tag: E,
@@ -168,8 +170,11 @@ pub struct Cluster<E> {
     queue: BinaryHeap<Reverse<QEntry<E>>>,
     network: Network,
     containers: Vec<Container>,
-    /// Active transfers' completion entries, by transfer id.
-    completions: BTreeMap<TransferId, Completion<E>>,
+    /// Every transfer's slot, by transfer id; `None` once it is gone.
+    completions: Vec<Option<Completion<E>>>,
+    /// The live completion entries `(at, seq, id)`, one per active
+    /// transfer, in no order.
+    live: Vec<(SimTime, u64, TransferId)>,
     /// Transient pools: (node spec, lifetime distribution) per lifetime
     /// class. Pool 0 is the default; extra pools model resources with
     /// longer or shorter predicted lifetimes (§6 of the paper).
@@ -200,7 +205,8 @@ impl<E> Cluster<E> {
             queue: BinaryHeap::new(),
             network: Network::new(),
             containers: Vec::new(),
-            completions: BTreeMap::new(),
+            completions: Vec::new(),
+            live: Vec::new(),
             pools: vec![(transient, lifetimes)],
             rng: StdRng::seed_from_u64(seed),
             evictions: 0,
@@ -242,11 +248,6 @@ impl<E> Cluster<E> {
     /// Current virtual time, microseconds.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// All containers (including dead ones and the store).
-    pub fn containers(&self) -> &[Container] {
-        &self.containers
     }
 
     /// One container by id.
@@ -307,17 +308,17 @@ impl<E> Cluster<E> {
     /// Starts a transfer; `tag` is handed back on completion or failure.
     pub fn start_transfer(&mut self, src: NodeId, dst: NodeId, bytes: f64, tag: E) -> TransferId {
         let (id, dues) = self.network.start(self.now, src, dst, bytes);
-        // A placeholder until `reschedule` files the new transfer's own
-        // `Due`, which `Network::start` always returns.
-        self.completions.insert(
-            id,
-            Completion {
-                at: SimTime::MAX,
-                seq: 0,
-                gen: 0,
-                tag,
-            },
-        );
+        // Network ids are dense from 0 and every transfer starts here, so
+        // the new id is the slab's next slot. The entry is a placeholder
+        // until `reschedule` files the new transfer's own `Due`, which
+        // `Network::start` always returns.
+        debug_assert_eq!(id as usize, self.completions.len());
+        self.completions.push(Some(Completion {
+            live: self.live.len(),
+            gen: 0,
+            tag,
+        }));
+        self.live.push((SimTime::MAX, 0, id));
         self.reschedule(dues);
         id
     }
@@ -327,12 +328,24 @@ impl<E> Cluster<E> {
     fn reschedule(&mut self, dues: Vec<Due>) {
         for due in dues {
             self.seq += 1;
-            let entry = self
-                .completions
-                .get_mut(&due.id)
+            let slot = self.completions[due.id as usize]
+                .as_mut()
                 .expect("a re-rated transfer is active");
-            (entry.at, entry.seq, entry.gen) = (due.at, self.seq, due.gen);
+            slot.gen = due.gen;
+            self.live[slot.live] = (due.at, self.seq, due.id);
         }
+    }
+
+    /// Takes an ending transfer's slot and drops its live entry.
+    fn take(&mut self, id: TransferId) -> Completion<E> {
+        let slot = self.completions[id as usize].take();
+        let slot = slot.expect("an ending transfer is active");
+        self.live.swap_remove(slot.live);
+        if let Some(&(_, _, moved)) = self.live.get(slot.live) {
+            let moved = self.completions[moved as usize].as_mut();
+            moved.expect("a live entry's transfer is active").live = slot.live;
+        }
+        slot
     }
 
     /// Total bytes moved to completion so far.
@@ -348,11 +361,8 @@ impl<E> Cluster<E> {
     pub fn next_event(&mut self) -> Option<Event<E>> {
         loop {
             let timer = self.queue.peek().map(|Reverse(e)| (e.at, e.seq));
-            let completion = self
-                .completions
-                .iter()
-                .map(|(&id, c)| (c.at, c.seq, id))
-                .min();
+            // Sequence numbers are unique: the minimum is one entry.
+            let completion = self.live.iter().min().copied();
             let completion_first = match (completion, timer) {
                 (Some((at, seq, _)), Some(timer)) => (at, seq) < timer,
                 (Some(_), None) => true,
@@ -362,7 +372,7 @@ impl<E> Cluster<E> {
             self.popped += 1;
             if let (true, Some((at, _, id))) = (completion_first, completion) {
                 self.advance_to(at);
-                let done = self.completions.remove(&id).expect("entry was just seen");
+                let done = self.take(id);
                 let dues = self
                     .network
                     .complete(self.now, id, done.gen)
@@ -408,9 +418,8 @@ impl<E> Cluster<E> {
         self.reschedule(dues);
         // Deliver transfer failures right after the eviction event.
         for v in victims {
-            if let Some(Completion { tag, .. }) = self.completions.remove(&v) {
-                self.push(self.now, Item::TransferFailed { id: v, tag });
-            }
+            let tag = self.take(v).tag;
+            self.push(self.now, Item::TransferFailed { id: v, tag });
         }
         // The resource manager immediately provides a replacement with a
         // fresh lifetime (§5.1.1), drawn from the same pool.
@@ -548,7 +557,7 @@ mod tests {
     #[test]
     fn replacement_containers_get_fresh_ids() {
         let mut c = small_cluster(LifetimeDist::Exponential { mean_us: 1000.0 });
-        let before = c.containers().len();
+        let before = c.alive(Kind::Transient);
         // Drain a few evictions.
         let mut steps = 0;
         while steps < 10 {
@@ -558,9 +567,11 @@ mod tests {
                 None => break,
             }
         }
-        assert!(c.containers().len() > before);
-        // Dead containers stay dead; alive count is stable.
-        assert_eq!(c.alive(Kind::Transient).len(), 2);
+        // Dead containers stay dead; alive count is stable, and the live
+        // ones are replacements with fresh ids.
+        let after = c.alive(Kind::Transient);
+        assert_eq!(after.len(), 2);
+        assert!(after.iter().all(|id| id > before.iter().max().unwrap()));
         assert_eq!(c.evictions, steps);
     }
 }

@@ -9,13 +9,12 @@
 //! reserved nodes serving (or absorbing) traffic for dozens of transient
 //! nodes.
 //!
-//! Each node lists the ids of its active transfers, so a start, a
+//! Ids are dense and only grow, so the transfers sit in a slab indexed by
+//! id. Each node lists the ids of its active transfers, so a start, a
 //! completion or a cancellation visits the endpoints' transfers only, and
 //! always in ascending id order: the order of the returned [`Due`]s — and
 //! with it every event tie-break downstream — is a function of the calls
 //! made, never of a hash seed.
-
-use std::collections::BTreeMap;
 
 /// Node identifier within a simulation.
 pub type NodeId = usize;
@@ -38,12 +37,13 @@ struct Tr {
 pub struct Network {
     /// (uplink, downlink) capacity per node, bytes per microsecond.
     caps: Vec<(f64, f64)>,
-    transfers: BTreeMap<TransferId, Tr>,
+    /// Every transfer ever started, by id; `None` once it is gone.
+    transfers: Vec<Option<Tr>>,
+    active: usize,
     /// Ids of the active transfers touching each node, ascending.
     by_node: Vec<Vec<TransferId>>,
     up_count: Vec<usize>,
     down_count: Vec<usize>,
-    next_id: TransferId,
     /// Total bytes moved to completion (accounting).
     pub bytes_completed: f64,
 }
@@ -80,19 +80,9 @@ impl Network {
         self.caps.len() - 1
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.caps.len()
-    }
-
-    /// Whether the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.caps.is_empty()
-    }
-
     /// Number of active transfers.
     pub fn active(&self) -> usize {
-        self.transfers.len()
+        self.active
     }
 
     /// Starts a transfer of `bytes` from `src` to `dst` at time `now`.
@@ -106,23 +96,20 @@ impl Network {
         dst: NodeId,
         bytes: f64,
     ) -> (TransferId, Vec<Due>) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut ids = self.touching(&[src, dst]);
+        let id = self.transfers.len() as TransferId;
+        let mut ids = self.touching(src, dst);
         self.advance(now, &ids);
         self.up_count[src] += 1;
         self.down_count[dst] += 1;
-        self.transfers.insert(
-            id,
-            Tr {
-                src,
-                dst,
-                remaining: bytes.max(1.0),
-                rate: 0.0,
-                last: now,
-                gen: 0,
-            },
-        );
+        self.active += 1;
+        self.transfers.push(Some(Tr {
+            src,
+            dst,
+            remaining: bytes.max(1.0),
+            rate: 0.0,
+            last: now,
+            gen: 0,
+        }));
         // Ids only grow, so pushing keeps every list ascending.
         self.by_node[src].push(id);
         if dst != src {
@@ -139,13 +126,13 @@ impl Network {
     /// transfer is gone.
     #[allow(clippy::result_unit_err)]
     pub fn complete(&mut self, now: u64, id: TransferId, gen: u64) -> Result<Vec<Due>, ()> {
-        let (src, dst) = match self.transfers.get(&id) {
+        let (src, dst) = match self.get(id) {
             Some(tr) if tr.gen == gen => (tr.src, tr.dst),
             _ => return Err(()),
         };
-        let mut ids = self.touching(&[src, dst]);
+        let mut ids = self.touching(src, dst);
         self.advance(now, &ids);
-        if self.transfers[&id].remaining > 1e-6 {
+        if self.tr(id).remaining > 1e-6 {
             // The event fired early relative to the re-rated schedule;
             // stale by construction (gen should have caught it), be safe.
             return Err(());
@@ -161,15 +148,14 @@ impl Network {
     /// both in ascending id order.
     pub fn cancel_node(&mut self, now: u64, node: NodeId) -> (Vec<TransferId>, Vec<Due>) {
         let victims = self.by_node[node].clone();
-        let mut touched = vec![node];
-        for id in &victims {
-            let tr = &self.transfers[id];
-            touched.push(tr.src);
-            touched.push(tr.dst);
+        let mut ids = Vec::new();
+        for &id in &victims {
+            let tr = self.tr(id);
+            ids.extend_from_slice(&self.by_node[tr.src]);
+            ids.extend_from_slice(&self.by_node[tr.dst]);
         }
-        touched.sort_unstable();
-        touched.dedup();
-        let mut ids = self.touching(&touched);
+        ids.sort_unstable();
+        ids.dedup();
         self.advance(now, &ids);
         for &id in &victims {
             self.remove(id);
@@ -180,25 +166,43 @@ impl Network {
 
     /// The generation of a transfer, if active.
     pub fn generation(&self, id: TransferId) -> Option<u64> {
-        self.transfers.get(&id).map(|t| t.gen)
+        self.get(id).map(|t| t.gen)
     }
 
-    /// Ids of the active transfers touching any of `nodes`, ascending.
-    fn touching(&self, nodes: &[NodeId]) -> Vec<TransferId> {
-        let mut ids = Vec::new();
-        for &n in nodes {
-            ids.extend_from_slice(&self.by_node[n]);
+    fn get(&self, id: TransferId) -> Option<&Tr> {
+        self.transfers.get(id as usize)?.as_ref()
+    }
+
+    fn tr(&self, id: TransferId) -> &Tr {
+        self.get(id).expect("listed transfer")
+    }
+
+    /// Ids of the active transfers touching `a` or `b`, ascending: one
+    /// merge of the two nodes' ascending lists.
+    fn touching(&self, a: NodeId, b: NodeId) -> Vec<TransferId> {
+        let (x, y) = (&self.by_node[a], &self.by_node[b]);
+        if a == b {
+            return x.clone();
         }
-        // The per-node lists are ascending runs: the stable sort merges
-        // them in linear time.
-        ids.sort();
-        ids.dedup();
+        let mut ids = Vec::with_capacity(x.len() + y.len());
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&p), Some(&q)) = (x.get(i), y.get(j)) {
+            // A transfer from `a` to `b` is in both lists: taken once.
+            ids.push(p.min(q));
+            i += usize::from(p <= q);
+            j += usize::from(q <= p);
+        }
+        ids.extend_from_slice(&x[i..]);
+        ids.extend_from_slice(&y[j..]);
         ids
     }
 
     /// Forgets an active transfer and gives back its link shares.
     fn remove(&mut self, id: TransferId) {
-        let tr = self.transfers.remove(&id).expect("transfer is active");
+        let tr = self.transfers[id as usize]
+            .take()
+            .expect("transfer is active");
+        self.active -= 1;
         self.up_count[tr.src] -= 1;
         self.down_count[tr.dst] -= 1;
         for n in [tr.src, tr.dst] {
@@ -211,7 +215,9 @@ impl Network {
     /// Advances the progress of the transfers `ids` to `now`.
     fn advance(&mut self, now: u64, ids: &[TransferId]) {
         for id in ids {
-            let tr = self.transfers.get_mut(id).expect("listed transfer");
+            let tr = self.transfers[*id as usize]
+                .as_mut()
+                .expect("listed transfer");
             let dt = now.saturating_sub(tr.last) as f64;
             let moved = (tr.rate * dt).min(tr.remaining);
             tr.remaining -= moved;
@@ -225,7 +231,9 @@ impl Network {
     fn rerate(&mut self, ids: &[TransferId]) -> Vec<Due> {
         let mut dues = Vec::new();
         for &id in ids {
-            let tr = self.transfers.get_mut(&id).expect("listed transfer");
+            let tr = self.transfers[id as usize]
+                .as_mut()
+                .expect("listed transfer");
             let up_share = self.caps[tr.src].0 / self.up_count[tr.src].max(1) as f64;
             let down_share = self.caps[tr.dst].1 / self.down_count[tr.dst].max(1) as f64;
             let rate = up_share.min(down_share);
