@@ -8,14 +8,17 @@ use pado_trace::{analyze, generate, lifetime_row, Cdf, SynthConfig, PAPER_MARGIN
 fn main() {
     let series = generate(&SynthConfig::default());
     let analyses: Vec<_> = PAPER_MARGINS.iter().map(|&m| analyze(&series, m)).collect();
+    let cdfs: Vec<_> = analyses
+        .iter()
+        .map(|a| Cdf::new(a.lifetimes_min.clone()))
+        .collect();
 
     // Figure 1: CDF series at 0..60 minutes.
     let xs: Vec<u64> = (0..=60).collect();
     let mut rows = Vec::new();
     for &x in &xs {
         let mut row = vec![x.to_string()];
-        for a in &analyses {
-            let cdf = Cdf::new(a.lifetimes_min.clone());
+        for cdf in &cdfs {
             row.push(format!("{:.3}", cdf.at(x)));
         }
         rows.push(row);
@@ -26,13 +29,10 @@ fn main() {
         &rows[..16],
     );
     println!("   … (full series in the CSV below)\n");
-    let charts: Vec<(&str, Vec<(u64, f64)>)> = analyses
+    let charts: Vec<(&str, Vec<(u64, f64)>)> = cdfs
         .iter()
         .zip(["high (0.1%)", "medium (1%)", "low (5%)"])
-        .map(|(a, name)| {
-            let cdf = Cdf::new(a.lifetimes_min.clone());
-            (name, cdf.series(&xs))
-        })
+        .map(|(cdf, name)| (name, cdf.series(&xs)))
         .collect();
     println!("{}", ascii_cdf_chart(&charts, 61, 16));
     print_csv(

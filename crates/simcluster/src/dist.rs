@@ -37,10 +37,10 @@ impl LifetimeDist {
 }
 
 /// An empirical distribution over `u64` samples (inverse-CDF sampling
-/// with linear interpolation between order statistics).
+/// with linear interpolation between order statistics); clones share them.
 #[derive(Debug, Clone)]
 pub struct EmpiricalDist {
-    sorted: Vec<u64>,
+    sorted: std::sync::Arc<[u64]>,
 }
 
 impl EmpiricalDist {
@@ -53,23 +53,23 @@ impl EmpiricalDist {
     pub fn new(mut samples: Vec<u64>) -> Self {
         assert!(!samples.is_empty(), "empirical distribution needs samples");
         samples.sort_unstable();
-        EmpiricalDist { sorted: samples }
+        EmpiricalDist {
+            sorted: samples.into(),
+        }
     }
 
     /// Draws one sample.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        self.quantile(u)
+        self.quantile(rng.gen_range(0.0..1.0))
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`), linearly interpolated.
     pub fn quantile(&self, q: f64) -> u64 {
-        let q = q.clamp(0.0, 1.0);
         let n = self.sorted.len();
         if n == 1 {
             return self.sorted[0];
         }
-        let pos = q * (n - 1) as f64;
+        let pos = q.clamp(0.0, 1.0) * (n - 1) as f64;
         let lo = pos.floor() as usize;
         let hi = (lo + 1).min(n - 1);
         let frac = pos - lo as f64;

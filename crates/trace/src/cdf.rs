@@ -61,13 +61,14 @@ pub struct LifetimeRow {
     pub p90: u64,
 }
 
-/// Summarizes a margin analysis into a Table 1 row.
+/// Summarizes a margin analysis into a Table 1 row, with one sort.
 pub fn lifetime_row(a: &MarginAnalysis) -> LifetimeRow {
+    let cdf = Cdf::new(a.lifetimes_min.clone());
     LifetimeRow {
         margin: a.margin,
-        p10: a.percentile(0.10),
-        p50: a.percentile(0.50),
-        p90: a.percentile(0.90),
+        p10: cdf.quantile(0.10),
+        p50: cdf.quantile(0.50),
+        p90: cdf.quantile(0.90),
     }
 }
 

@@ -9,7 +9,8 @@
 //! the transient container is evicted. A new transient container is set
 //! up as soon as idle memory beyond the buffer reappears.
 
-use crate::bspline::refine;
+use crate::bspline::walk;
+use crate::cdf::Cdf;
 use crate::synth::UsageSeries;
 
 /// Result of analyzing one safety margin across a whole trace.
@@ -27,22 +28,17 @@ pub struct MarginAnalysis {
 }
 
 impl MarginAnalysis {
-    /// The `q`-quantile of the observed lifetimes, minutes.
+    /// The `q`-quantile of the observed lifetimes, minutes ([`Cdf::quantile`]).
     pub fn percentile(&self, q: f64) -> u64 {
-        if self.lifetimes_min.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.lifetimes_min.clone();
-        sorted.sort_unstable();
-        let pos = (q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[pos]
+        Cdf::new(self.lifetimes_min.clone()).quantile(q)
     }
 }
 
-/// Analyzes one container's refined 1-minute usage series, appending
-/// lifetimes (in minutes) and accumulating collected-memory statistics.
+/// Analyzes one container's 5-minute usage as [`walk`] refines it to
+/// 1-minute resolution, appending lifetimes (in minutes) and accumulating
+/// collected-memory statistics.
 fn analyze_series(
-    usage_1min: &[f64],
+    usage_5min: &[f64],
     margin: f64,
     lifetimes: &mut Vec<u64>,
     collected_sum: &mut f64,
@@ -53,10 +49,10 @@ fn analyze_series(
     // Running minimum of LC usage since the current transient container
     // was allocated; `None` while no container fits.
     let mut alloc: Option<(usize, f64)> = None;
-    for (t, &u) in usage_1min.iter().enumerate() {
+    let mut t = 0;
+    walk(usage_5min, 5, |u| {
         let u = u.clamp(0.0, 1.0);
         *idle_sum += 1.0 - u;
-        *samples += 1;
         match alloc {
             None => {
                 // Allocate when there is idle memory beyond the buffer.
@@ -83,27 +79,29 @@ fn analyze_series(
                 }
             }
         }
-    }
+        t += 1;
+    });
+    *samples += t;
     // A container alive at trace end contributes a (censored) lifetime.
     if let Some((start, _)) = alloc {
-        if usage_1min.len() > start + 1 {
-            lifetimes.push((usage_1min.len() - 1 - start) as u64);
+        if t > start + 1 {
+            lifetimes.push((t - 1 - start) as u64);
         }
     }
 }
 
 /// Runs the full analysis for one safety margin: refine every 5-minute
 /// series to 1-minute resolution with the B-spline, then extract
-/// transient container lifetimes and collected-memory fractions.
+/// transient container lifetimes and collected-memory fractions. The
+/// refined values stream into the scan; no 1-minute series is stored.
 pub fn analyze(series: &[UsageSeries], margin: f64) -> MarginAnalysis {
     let mut lifetimes = Vec::new();
     let mut collected_sum = 0.0;
     let mut idle_sum = 0.0;
     let mut samples = 0usize;
     for s in series {
-        let refined = refine(&s.samples, 5);
         analyze_series(
-            &refined,
+            &s.samples,
             margin,
             &mut lifetimes,
             &mut collected_sum,

@@ -81,7 +81,8 @@ fn normal(rng: &mut StdRng) -> f64 {
 /// Generates the synthetic trace: one usage series per LC container.
 pub fn generate(config: &SynthConfig) -> Vec<UsageSeries> {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let n = config.days * 24 * SAMPLES_PER_HOUR;
+    let day_len = 24 * SAMPLES_PER_HOUR;
+    let n = config.days * day_len;
     (0..config.containers)
         .map(|_| {
             // Containers differ in phase, base load, and volatility: some
@@ -108,14 +109,21 @@ pub fn generate(config: &SynthConfig) -> Vec<UsageSeries> {
             let mut ar = 0.0f64;
             let mut spike_left = 0usize;
             let mut held = 0.0f64;
+            // The diurnal and meso swings, once per slot of the day.
+            let day: Vec<(f64, f64)> = (0..n.min(day_len))
+                .map(|slot| {
+                    let hour = slot as f64 / SAMPLES_PER_HOUR as f64;
+                    let diurnal = config.diurnal_amplitude
+                        * (std::f64::consts::TAU * hour / 24.0 + phase).sin();
+                    let meso = config.meso_amplitude
+                        * meso_scale
+                        * (std::f64::consts::TAU * hour / 1.5 + phase * 3.0).sin();
+                    (diurnal, meso)
+                })
+                .collect();
             let mut samples = Vec::with_capacity(n);
             for t in 0..n {
-                let hour = (t % (24 * SAMPLES_PER_HOUR)) as f64 / SAMPLES_PER_HOUR as f64;
-                let diurnal =
-                    config.diurnal_amplitude * (std::f64::consts::TAU * hour / 24.0 + phase).sin();
-                let meso = config.meso_amplitude
-                    * meso_scale
-                    * (std::f64::consts::TAU * hour / 1.5 + phase * 3.0).sin();
+                let (diurnal, meso) = day[t % day_len];
                 ar = config.noise_phi * ar + normal(&mut rng) * config.noise_sigma * volatility;
                 if spike_left == 0 && rng.gen_bool(config.spike_prob) {
                     spike_left = config.spike_len;
