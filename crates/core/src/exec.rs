@@ -116,15 +116,15 @@ pub fn apply_op_rows(
             let mut groups: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
             for part in input.mains {
                 for rec in part {
-                    let Value::Pair(k, v) = rec else {
+                    let Value::Pair(kv) = rec else {
                         return Err(non_pair_error(name, "GroupByKey", rec));
                     };
                     // Clone only what is retained: the value always, the
                     // key just once per distinct key.
-                    match groups.get_mut(k.as_ref()) {
-                        Some(vs) => vs.push((**v).clone()),
+                    match groups.get_mut(&kv.0) {
+                        Some(vs) => vs.push(kv.1.clone()),
                         None => {
-                            groups.insert((**k).clone(), vec![(**v).clone()]);
+                            groups.insert(kv.0.clone(), vec![kv.1.clone()]);
                         }
                     }
                 }
@@ -138,16 +138,16 @@ pub fn apply_op_rows(
             let mut accs: BTreeMap<Value, Value> = BTreeMap::new();
             for part in input.mains {
                 for rec in part {
-                    let Value::Pair(k, v) = rec else {
+                    let Value::Pair(kv) = rec else {
                         return Err(non_pair_error(name, "keyed Combine", rec));
                     };
-                    match accs.get_mut(k.as_ref()) {
+                    match accs.get_mut(&kv.0) {
                         Some(acc) => {
                             let prev = std::mem::replace(acc, Value::Unit);
-                            *acc = f.merge(prev, (**v).clone());
+                            *acc = f.merge(prev, kv.1.clone());
                         }
                         None => {
-                            accs.insert((**k).clone(), f.merge(f.identity(), (**v).clone()));
+                            accs.insert(kv.0.clone(), f.merge(f.identity(), kv.1.clone()));
                         }
                     }
                 }

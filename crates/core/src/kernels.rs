@@ -87,10 +87,8 @@ fn values_at<'a>(col: &'a ScalarCol, run: &'a [u32]) -> impl Iterator<Item = Val
 
 /// One `(key, value)` record per value, the `i`-th key fresh from `keys`.
 fn pair_up(keys: &ScalarCol, vals: impl IntoIterator<Item = Value>) -> Vec<Value> {
-    (0..)
-        .zip(vals)
-        .map(|(i, v)| Value::pair(keys.value_at(i), v))
-        .collect()
+    let halves = keys.values().zip(vals);
+    halves.map(|(k, v)| Value::pair(k, v)).collect()
 }
 
 /// Vectorized `GroupByKey`: `(key, [values...])` pairs, keys ascending,
@@ -133,13 +131,7 @@ pub fn combine_keyed(keys: &ScalarCol, vals: &ScalarCol, f: &CombineFn) -> Block
 /// Vectorized global `Combine`: folds every record of every part in
 /// order, constructing each operand fresh from its column (no clones).
 pub fn combine_global(parts: &[&Columns], f: &CombineFn) -> Value {
-    let mut acc = f.identity();
-    for cols in parts {
-        for i in 0..cols.len() {
-            acc = f.merge(acc, cols.value_at(i));
-        }
-    }
-    acc
+    f.merge_all(parts.iter().flat_map(|cols| cols.values()))
 }
 
 fn bucket_of(col: &ScalarCol, i: usize, p: u64) -> usize {

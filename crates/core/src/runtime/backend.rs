@@ -416,6 +416,8 @@ pub type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 pub struct WorkerPool {
     tx: Option<Sender<PoolJob>>,
     threads: Vec<JoinHandle<()>>,
+    /// Each worker's index, sent as its loop ends.
+    done: Receiver<usize>,
     /// Jobs submitted but not yet finished (queued + running).
     in_flight: Arc<AtomicUsize>,
     /// Set when Drop begins; submitters observe it and stop queueing.
@@ -457,6 +459,7 @@ impl WorkerPool {
     /// detaching it.
     pub fn with_grace(workers: usize, capacity: usize, grace: Duration) -> Self {
         let (tx, rx) = crossbeam::channel::bounded::<PoolJob>(capacity.max(1));
+        let (done_tx, done) = crossbeam::channel::unbounded();
         let in_flight = Arc::new(AtomicUsize::new(0));
         let slots: Arc<Vec<WorkerSlot>> =
             Arc::new((0..workers.max(1)).map(|_| WorkerSlot::default()).collect());
@@ -465,6 +468,7 @@ impl WorkerPool {
                 let rx: Receiver<PoolJob> = rx.clone();
                 let in_flight = Arc::clone(&in_flight);
                 let slots = Arc::clone(&slots);
+                let done = done_tx.clone();
                 std::thread::Builder::new()
                     // The prefix keys the panic hook filter (see
                     // `executor::install_panic_hook_filter`): injected
@@ -478,6 +482,7 @@ impl WorkerPool {
                             slots[i].jobs_run.fetch_add(1, Ordering::SeqCst);
                             in_flight.fetch_sub(1, Ordering::SeqCst);
                         }
+                        let _ = done.send(i);
                     })
                     .expect("spawn pool worker thread")
             })
@@ -485,6 +490,7 @@ impl WorkerPool {
         WorkerPool {
             tx: Some(tx),
             threads,
+            done,
             in_flight,
             shutdown: Arc::new(AtomicBool::new(false)),
             cancel: CancelToken::new(),
@@ -578,38 +584,30 @@ impl Drop for WorkerPool {
         // still waiting on a full queue.
         self.shutdown.store(true, Ordering::SeqCst);
         self.tx.take();
-        // Join cooperatively up to the grace period: poll each worker's
-        // liveness instead of committing to an unbounded join, so one
+        // Join each worker as it signals its loop's end, up to the grace
+        // period, instead of committing to an unbounded join, so one
         // wedged job cannot hang the dropper.
         let deadline = Instant::now() + self.grace;
-        let mut pending: Vec<(usize, JoinHandle<()>)> =
-            self.threads.drain(..).enumerate().collect();
-        loop {
-            let (done, rest): (Vec<_>, Vec<_>) =
-                pending.into_iter().partition(|(_, t)| t.is_finished());
-            for (_, t) in done {
+        let mut pending: Vec<_> = self.threads.drain(..).map(Some).collect();
+        let left = || deadline.saturating_duration_since(Instant::now());
+        while pending.iter().any(Option::is_some) {
+            let Ok(i) = self.done.recv_timeout(left()) else {
+                break;
+            };
+            if let Some(t) = pending[i].take() {
                 let _ = t.join();
             }
-            pending = rest;
-            if pending.is_empty() || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
         }
         // Grace expired: detach what's left. Joining a wedged worker
         // would just move the hang here; the journal event makes the
         // leak auditable (law 11 flags it).
-        if !pending.is_empty() {
-            let journal = self.journal.lock().clone();
-            for (i, t) in pending {
-                if t.is_finished() {
-                    let _ = t.join();
-                    continue;
-                }
-                if let Some(j) = &journal {
-                    j.emit(None, JobEvent::PoolWorkerDetached { worker: i });
-                }
-                drop(t);
+        let journal = self.journal.lock().clone();
+        for (worker, t) in pending.into_iter().enumerate() {
+            let Some(t) = t else { continue };
+            if t.is_finished() {
+                let _ = t.join();
+            } else if let Some(j) = &journal {
+                j.emit(None, JobEvent::PoolWorkerDetached { worker });
             }
         }
     }

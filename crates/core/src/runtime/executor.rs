@@ -640,7 +640,7 @@ pub fn preaggregate(
             // non-pair, so the first one names the failure.
             return Err(UdfError::new(format!(
                 "preaggregate: keyed combine requires key-value Pair records, got {}",
-                cols.value_at(0)
+                cols.values().next().unwrap_or_default()
             )));
         }
         // Heterogeneous: row path below, which may still be all pairs

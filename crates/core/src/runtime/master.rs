@@ -640,15 +640,12 @@ impl Master {
     /// the journal's causal horizon inside the simulated network, so they
     /// fold in from the shared transport counters.
     fn snapshot_metrics(&self, journal: &EventJournal) -> JobMetrics {
-        let mut m = journal.derive_metrics();
-        m.messages_dropped = self.counters.dropped.load(Ordering::Relaxed) as usize;
-        m.messages_duplicated = self.counters.duplicated.load(Ordering::Relaxed) as usize;
-        m.messages_deduplicated = self.counters.deduplicated.load(Ordering::Relaxed) as usize;
-        m.max_message_retransmissions = self
-            .counters
-            .max_transmissions
-            .load(Ordering::Relaxed)
-            .saturating_sub(1) as usize;
+        let (mut m, c) = (journal.derive_metrics(), &self.counters);
+        m.messages_dropped = c.dropped.load(Ordering::Relaxed) as usize;
+        m.messages_duplicated = c.duplicated.load(Ordering::Relaxed) as usize;
+        m.messages_deduplicated = c.deduplicated.load(Ordering::Relaxed) as usize;
+        let sent = c.max_transmissions.load(Ordering::Relaxed);
+        m.max_message_retransmissions = sent.saturating_sub(1) as usize;
         m
     }
 
@@ -927,16 +924,14 @@ impl Master {
         let mut dests: Vec<ExecId> = Vec::new();
         if self.placement(fop) != Placement::Reserved {
             let outs = self.job.plan.outs(fop);
-            for e in outs {
-                if self.placement(e.dst) != Placement::Reserved {
-                    continue;
-                }
-                for di in 0..self.tasks.width(e.dst) {
-                    if let Some(&d) = self.assigned.get(&(e.dst, di)) {
-                        if d != exec && !dests.contains(&d) {
-                            dests.push(d);
-                        }
-                    }
+            let receivers = outs
+                .iter()
+                .filter(|e| self.placement(e.dst) == Placement::Reserved)
+                .flat_map(|e| (0..self.tasks.width(e.dst)).map(move |di| (e.dst, di)))
+                .filter_map(|task| self.assigned.get(&task));
+            for &d in receivers {
+                if d != exec && !dests.contains(&d) {
+                    dests.push(d);
                 }
             }
             let drained = self.executors.get(&exec).map(|e| e.state) == Some(ExecState::Drained);
@@ -1039,10 +1034,8 @@ impl Master {
             .map(|(f, i, _)| (f, i))
             .collect();
         for (f, i) in sole {
-            let Some(dest) = self.reserved_home(i) else {
-                continue;
-            };
-            let Some(output) = self.output(f, i).cloned() else {
+            let (Some(dest), Some(output)) = (self.reserved_home(i), self.output(f, i).cloned())
+            else {
                 continue;
             };
             if self.admit_copy(f, i, dest, &output)? {
@@ -1101,13 +1094,8 @@ impl Master {
         for &(f, i) in &lost.reverted {
             self.forget_output(f, i, JobEvent::TaskReverted { fop: f, index: i });
         }
-        for &(f, i) in &lost.dropped {
-            let dropped = JobEvent::OutputDropped {
-                fop: f,
-                index: i,
-                exec,
-            };
-            self.forget_output(f, i, dropped);
+        for &(fop, index) in &lost.dropped {
+            self.forget_output(fop, index, JobEvent::OutputDropped { fop, index, exec });
         }
         // Invalidate receiver assignments pointing at the lost executor.
         self.assigned.retain(|_, &mut e| e != exec);
@@ -1689,14 +1677,12 @@ impl Master {
         if candidates.is_empty() {
             return None;
         }
-        self.policy.pick(
-            TaskToPlace {
-                fop,
-                index,
-                cache_pref,
-            },
-            &candidates,
-        )
+        let task = TaskToPlace {
+            fop,
+            index,
+            cache_pref,
+        };
+        self.policy.pick(task, &candidates)
     }
 
     /// Packages a task's side inputs: each broadcast dataset as one
@@ -1717,14 +1703,11 @@ impl Master {
             let bytes = records.encoded_len();
             let key = e.cache.then_some(e.src);
             let expect_cached = key.is_some_and(|k| self.executors[&exec].cached.contains(&k));
-            if expect_cached {
-                stats.saved += bytes;
-            } else {
-                stats.sent += bytes;
-                if key.is_some() {
-                    stats.misses += 1;
-                }
+            match expect_cached {
+                true => stats.saved += bytes,
+                false => stats.sent += bytes,
             }
+            stats.misses += usize::from(key.is_some() && !expect_cached);
             sides.insert(
                 e.member,
                 SideData {
@@ -1749,15 +1732,12 @@ impl Master {
         dst_index: usize,
     ) -> Option<Block> {
         let out = self.outputs.get_mut(&(src, si))?;
-        let at = match out.buckets.iter().position(|&(w, _)| w == dst_par) {
-            Some(at) => at,
-            None => {
-                let routed = route(&out.block, DepType::ManyToMany, si, dst_par);
-                out.buckets.push((dst_par, routed));
-                out.buckets.len() - 1
-            }
-        };
-        out.buckets[at].1.get(dst_index).map(Arc::clone)
+        if !out.buckets.iter().any(|&(w, _)| w == dst_par) {
+            let routed = route(&out.block, DepType::ManyToMany, si, dst_par);
+            out.buckets.push((dst_par, routed));
+        }
+        let (_, buckets) = out.buckets.iter().find(|&&(w, _)| w == dst_par)?;
+        buckets.get(dst_index).map(Arc::clone)
     }
 
     /// The full broadcast dataset of a producer fop, as one shared block.
@@ -1790,12 +1770,32 @@ impl Master {
         Ok(block)
     }
 
-    fn collect_result(&self) -> JobResult {
+    /// The sink's rows and the frozen journal. The outputs table and the
+    /// side-input cache go first, so the rows never coexist with blocks
+    /// nothing reads; the sink parts are then built on every core, fresh
+    /// from their columns, and joined in `(fop, index)` order.
+    fn collect_result(&mut self) -> JobResult {
+        self.outputs.clear();
+        self.side_cache.clear();
+        let parts: Vec<_> = std::mem::take(&mut self.result_parts).into_iter().collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let chunk = parts.len().div_ceil(cores);
+        let build = |c: &[(_, Block)]| c.iter().map(|(_, b)| b.to_rows()).collect::<Vec<_>>();
+        let rows = if chunk >= parts.len() {
+            build(&parts)
+        } else {
+            std::thread::scope(|s| {
+                let built: Vec<_> = parts.chunks(chunk).map(|c| s.spawn(|| build(c))).collect();
+                built
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("row builder"))
+                    .collect()
+            })
+        };
         let mut outputs: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-        for ((fop, _idx), records) in &self.result_parts {
-            let tail = self.job.plan.fops[*fop].tail();
-            let name = self.job.dag.op(tail).name.clone();
-            outputs.entry(name).or_default().extend(records.to_rows());
+        for (((fop, _), _), part) in parts.iter().zip(rows) {
+            let name = &self.job.dag.op(self.job.plan.fops[*fop].tail()).name;
+            outputs.entry(name.clone()).or_default().extend(part);
         }
         let journal = self.frozen_journal();
         let metrics = self.snapshot_metrics(&journal);

@@ -221,6 +221,32 @@ fn floatkeys_dag() -> LogicalDag {
     p.build().unwrap()
 }
 
+/// Two sinks of many parts each, far more parts than a machine has
+/// cores: keyed sums (pair columns) and mixed records (rows).
+fn many_sink_parts_dag() -> LogicalDag {
+    let p = Pipeline::new();
+    let read = p.read("Read", 8, SourceFn::from_vec(ints(400)));
+    read.par_do(
+        "Key",
+        ParDoFn::per_element(|v, emit| {
+            let x = v.as_i64().unwrap_or(0);
+            emit(Value::pair(Value::from(format!("k{}", x % 37)), v.clone()));
+        }),
+    )
+    .combine_per_key("Sum", CombineFn::sum_i64())
+    .with_parallelism(6)
+    .sink("Sums");
+    read.par_do(
+        "Mix",
+        ParDoFn::per_element(|v, emit| match v.as_i64().unwrap_or(0) {
+            x if x % 3 == 0 => emit(Value::from(format!("s{x}"))),
+            _ => emit(v.clone()),
+        }),
+    )
+    .sink("Mixed");
+    p.build().unwrap()
+}
+
 fn shapes() -> Vec<(&'static str, LogicalDag)> {
     vec![
         ("wordcount", wordcount_dag()),
@@ -583,6 +609,28 @@ fn cluster_outputs_match_cloning_reference_plane() {
             expected,
             "{name}: block data plane diverged from cloning reference"
         );
+        pado_core::runtime::assert_clean(&result.journal, true);
+    }
+}
+
+/// The master builds the result rows on several threads; what it
+/// returns is still every sink part's rows, joined serially in
+/// `(fop, index)` order.
+#[test]
+fn result_rows_join_the_sink_parts_in_fop_and_index_order() {
+    let dag = many_sink_parts_dag();
+    let plan = compile(&dag).unwrap();
+    let sinks = (0..plan.fops.len()).filter(|&f| plan.out_edges(f).is_empty());
+    let parts: Vec<usize> = sinks.map(|f| plan.fops[f].parallelism).collect();
+    assert_eq!(parts, [8, 6], "sink parts per terminal fop");
+    let expected = encode(&run_reference(&dag, &plan));
+    for backend in [BackendKind::Sim, BackendKind::Threaded] {
+        let result = LocalCluster::new(2, 2)
+            .with_config(base_config())
+            .with_backend(backend)
+            .run(&dag)
+            .unwrap_or_else(|e| panic!("{backend:?}: {e}"));
+        assert_eq!(encode(&result.outputs), expected, "{backend:?}");
         pado_core::runtime::assert_clean(&result.journal, true);
     }
 }

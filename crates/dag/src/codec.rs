@@ -58,10 +58,10 @@ pub fn encode_into(v: &Value, out: &mut Vec<u8>) -> Result<()> {
             write_len(b.len(), out)?;
             out.extend_from_slice(b);
         }
-        Value::Pair(k, v) => {
+        Value::Pair(kv) => {
             out.push(TAG_PAIR);
-            encode_into(k, out)?;
-            encode_into(v, out)?;
+            encode_into(&kv.0, out)?;
+            encode_into(&kv.1, out)?;
         }
         Value::List(l) => {
             out.push(TAG_LIST);
@@ -134,10 +134,8 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
+        let b: [u8; 8] = self.take(8)?.try_into().expect("take(8) is 8 bytes");
+        Ok(u64::from_le_bytes(b))
     }
 
     fn value(&mut self) -> Result<Value> {
@@ -156,11 +154,7 @@ impl<'a> Reader<'a> {
                 let n = self.u32()? as usize;
                 Ok(Value::Bytes(Arc::from(self.take(n)?)))
             }
-            TAG_PAIR => {
-                let k = self.value()?;
-                let v = self.value()?;
-                Ok(Value::pair(k, v))
-            }
+            TAG_PAIR => Ok(Value::pair(self.value()?, self.value()?)),
             TAG_LIST => {
                 let n = self.u32()? as usize;
                 let mut items = Vec::with_capacity(n.min(1 << 16));
@@ -222,6 +216,20 @@ mod tests {
         let bytes = encode(&v).expect("encodes");
         let back = decode(&bytes).expect("decodes");
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn a_nested_pair_encodes_to_pinned_bytes() {
+        let v = Value::pair(
+            Value::pair(Value::from("k"), Value::from(7i64)),
+            Value::pair(Value::from(1.5), Value::Unit),
+        );
+        let pinned: &[u8] = &[
+            5, 5, 3, 1, 0, 0, 0, b'k', 1, 7, 0, 0, 0, 0, 0, 0, 0, 5, 2, 0, 0, 0, 0, 0, 0, 0xf8,
+            0x3f, 0,
+        ];
+        assert_eq!(encode(&v).expect("encodes"), pinned);
+        roundtrip(v);
     }
 
     #[test]

@@ -180,6 +180,22 @@ impl ScalarCol {
         }
     }
 
+    /// Fresh [`Value`]s for every position, in order (never clones). A
+    /// str column checks its UTF-8 once, over the packed buffer, and
+    /// slices each item out of it: a bad item boundary panics.
+    pub fn values(&self) -> Box<dyn Iterator<Item = Value> + '_> {
+        let ScalarCol::Str(p) = self else {
+            return Box::new((0..self.len()).map(|i| self.value_at(i)));
+        };
+        let text = std::str::from_utf8(&p.bytes).expect("str column holds valid utf-8");
+        let mut start = 0;
+        Box::new(p.ends.iter().map(move |&end| {
+            let item = &text[start..end as usize];
+            start = end as usize;
+            Value::Str(Arc::from(item))
+        }))
+    }
+
     /// Appends the value at `src[i]` to `self`. Both columns must be the
     /// same kind (they always come from one analyzed source column).
     pub fn push_from(&mut self, src: &ScalarCol, i: usize) {
@@ -356,9 +372,9 @@ impl Columns {
     /// An empty layout of `v`'s shape; `None` for a non-columnar one.
     fn for_value(v: &Value) -> Option<Columns> {
         match v {
-            Value::Pair(k, x) => Some(Columns::Pair {
-                keys: ScalarCol::for_value(k)?,
-                vals: ScalarCol::for_value(x)?,
+            Value::Pair(kv) => Some(Columns::Pair {
+                keys: ScalarCol::for_value(&kv.0)?,
+                vals: ScalarCol::for_value(&kv.1)?,
             }),
             _ => ScalarCol::for_value(v).map(Columns::Scalar),
         }
@@ -369,8 +385,8 @@ impl Columns {
     fn push(&mut self, v: &Value) -> bool {
         match (self, v) {
             (Columns::Scalar(c), _) => c.push(v),
-            (Columns::Pair { keys, vals }, Value::Pair(k, x)) => {
-                keys.fits(k) && vals.fits(x) && keys.push(k) && vals.push(x)
+            (Columns::Pair { keys, vals }, Value::Pair(kv)) => {
+                keys.fits(&kv.0) && vals.fits(&kv.1) && keys.push(&kv.0) && vals.push(&kv.1)
             }
             _ => false,
         }
@@ -381,17 +397,20 @@ impl Columns {
         self.len() == 0
     }
 
-    /// Constructs a fresh [`Value`] for record `i`.
-    pub fn value_at(&self, i: usize) -> Value {
+    /// Fresh row values for every record, in order (never clones).
+    pub fn values(&self) -> Box<dyn Iterator<Item = Value> + '_> {
         match self {
-            Columns::Scalar(c) => c.value_at(i),
-            Columns::Pair { keys, vals } => Value::pair(keys.value_at(i), vals.value_at(i)),
+            Columns::Scalar(c) => c.values(),
+            Columns::Pair { keys, vals } => {
+                let halves = keys.values().zip(vals.values());
+                Box::new(halves.map(|(k, v)| Value::pair(k, v)))
+            }
         }
     }
 
     /// Materializes all records as fresh row values.
     pub fn rows(&self) -> Vec<Value> {
-        (0..self.len()).map(|i| self.value_at(i)).collect()
+        self.values().collect()
     }
 
     /// Bytes these records occupy in the row (per-record) encoding, not

@@ -68,8 +68,9 @@ pub enum Value {
     Str(Arc<str>),
     /// An immutable shared byte buffer.
     Bytes(Arc<[u8]>),
-    /// A key/value pair; the unit of keyed shuffles.
-    Pair(Box<Value>, Box<Value>),
+    /// A key/value pair; the unit of keyed shuffles. One allocation holds
+    /// both halves, so a pair costs one box, not one per half.
+    Pair(Box<(Value, Value)>),
     /// A shared list of records, e.g. the grouped values of a `GroupByKey`.
     List(Arc<Vec<Value>>),
     /// A shared dense numeric vector, used heavily by the ML workloads.
@@ -79,7 +80,7 @@ pub enum Value {
 impl Value {
     /// Builds a key/value pair record.
     pub fn pair(key: Value, val: Value) -> Value {
-        Value::Pair(Box::new(key), Box::new(val))
+        Value::Pair(Box::new((key, val)))
     }
 
     /// Builds a list record from owned values.
@@ -95,7 +96,7 @@ impl Value {
     /// Returns the key of a `Pair`, or `None` for any other variant.
     pub fn key(&self) -> Option<&Value> {
         match self {
-            Value::Pair(k, _) => Some(k),
+            Value::Pair(kv) => Some(&kv.0),
             _ => None,
         }
     }
@@ -103,7 +104,7 @@ impl Value {
     /// Returns the value of a `Pair`, or `None` for any other variant.
     pub fn val(&self) -> Option<&Value> {
         match self {
-            Value::Pair(_, v) => Some(v),
+            Value::Pair(kv) => Some(&kv.1),
             _ => None,
         }
     }
@@ -111,7 +112,7 @@ impl Value {
     /// Consumes a `Pair`, returning its parts, or `None` otherwise.
     pub fn into_pair(self) -> Option<(Value, Value)> {
         match self {
-            Value::Pair(k, v) => Some((*k, *v)),
+            Value::Pair(kv) => Some(*kv),
             _ => None,
         }
     }
@@ -170,7 +171,7 @@ impl Value {
             Value::I64(_) | Value::F64(_) => 1 + 8,
             Value::Str(s) => 1 + 4 + s.len(),
             Value::Bytes(b) => 1 + 4 + b.len(),
-            Value::Pair(k, v) => 1 + k.size_bytes() + v.size_bytes(),
+            Value::Pair(kv) => 1 + kv.0.size_bytes() + kv.1.size_bytes(),
             Value::List(l) => 1 + 4 + l.iter().map(Value::size_bytes).sum::<usize>(),
             Value::Vector(v) => 1 + 4 + v.len() * 8,
         }
@@ -184,7 +185,7 @@ impl Value {
             Value::F64(_) => 2,
             Value::Str(_) => 3,
             Value::Bytes(_) => 4,
-            Value::Pair(_, _) => 5,
+            Value::Pair(_) => 5,
             Value::List(_) => 6,
             Value::Vector(_) => 7,
         }
@@ -201,7 +202,7 @@ impl Clone for Value {
             Value::F64(x) => Value::F64(*x),
             Value::Str(s) => Value::Str(Arc::clone(s)),
             Value::Bytes(b) => Value::Bytes(Arc::clone(b)),
-            Value::Pair(k, v) => Value::Pair(k.clone(), v.clone()),
+            Value::Pair(kv) => Value::Pair(kv.clone()),
             Value::List(l) => Value::List(Arc::clone(l)),
             Value::Vector(v) => Value::Vector(Arc::clone(v)),
         }
@@ -231,19 +232,12 @@ impl Ord for Value {
             (F64(a), F64(b)) => a.total_cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
             (Bytes(a), Bytes(b)) => a.cmp(b),
-            (Pair(ak, av), Pair(bk, bv)) => ak.cmp(bk).then_with(|| av.cmp(bv)),
+            (Pair(a), Pair(b)) => a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)),
             (List(a), List(b)) => a.iter().cmp(b.iter()),
             (Vector(a), Vector(b)) => {
-                let mut it = a.iter().zip(b.iter());
-                loop {
-                    match it.next() {
-                        Some((x, y)) => match x.total_cmp(y) {
-                            Ordering::Equal => continue,
-                            ord => return ord,
-                        },
-                        None => return a.len().cmp(&b.len()),
-                    }
-                }
+                let mut pairs = a.iter().zip(b.iter());
+                let first = pairs.find_map(|(x, y)| Some(x.total_cmp(y)).filter(|o| o.is_ne()));
+                first.unwrap_or_else(|| a.len().cmp(&b.len()))
             }
             (a, b) => a.tag().cmp(&b.tag()),
         }
@@ -259,9 +253,9 @@ impl Hash for Value {
             Value::F64(x) => x.to_bits().hash(state),
             Value::Str(s) => s.hash(state),
             Value::Bytes(b) => b.hash(state),
-            Value::Pair(k, v) => {
-                k.hash(state);
-                v.hash(state);
+            Value::Pair(kv) => {
+                kv.0.hash(state);
+                kv.1.hash(state);
             }
             Value::List(l) => {
                 state.write_usize(l.len());
@@ -287,16 +281,10 @@ impl fmt::Display for Value {
             Value::F64(x) => write!(f, "{x}"),
             Value::Str(s) => write!(f, "{s:?}"),
             Value::Bytes(b) => write!(f, "<{} bytes>", b.len()),
-            Value::Pair(k, v) => write!(f, "({k}, {v})"),
+            Value::Pair(kv) => write!(f, "({}, {})", kv.0, kv.1),
             Value::List(l) => {
-                write!(f, "[")?;
-                for (i, v) in l.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
+                let items: Vec<String> = l.iter().map(Value::to_string).collect();
+                write!(f, "[{}]", items.join(", "))
             }
             Value::Vector(v) => write!(f, "<vec{}>", v.len()),
         }
@@ -408,6 +396,24 @@ mod tests {
         assert_eq!(thread_clone_count(), before, "a sibling thread's clone");
         drop(v.clone());
         assert_eq!(thread_clone_count(), before + 3, "pair + key + value");
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
+    #[test]
+    fn a_pair_clones_its_halves_and_moves_them_out_without_a_clone() {
+        let key: Arc<str> = Arc::from("k");
+        let p = Value::pair(Value::Str(Arc::clone(&key)), Value::from(7i64));
+        let before = thread_clone_count();
+        assert_eq!(p.clone(), p);
+        assert_eq!(thread_clone_count(), before + 3, "pair + key + value");
+        let (k, v) = p.into_pair().expect("a pair");
+        assert_eq!(thread_clone_count(), before + 3, "no half is cloned");
+        assert!(matches!(k, Value::Str(s) if Arc::ptr_eq(&s, &key)));
+        assert_eq!(v.as_i64(), Some(7));
     }
 
     #[test]

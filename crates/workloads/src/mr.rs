@@ -3,6 +3,7 @@
 //! Wikipedia dump experiment.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, Value};
 use pado_engines::{CostModel, OpCost};
@@ -36,13 +37,16 @@ impl Default for MrConfig {
 
 /// Generates hourly pageview lines: `"<page> <hour> <count>"`.
 pub fn generate_pageviews(cfg: &MrConfig) -> Vec<Value> {
+    let mut line = String::new();
     (0..cfg.records)
         .map(|i| {
             let h = crate::util::hash_unit(cfg.seed, i as u64);
             let page = ((h + 0.5) * cfg.pages as f64) as usize % cfg.pages.max(1);
             let hour = i % 24;
             let count = 1 + (i * 31 + page * 7) % 100;
-            Value::from(format!("page-{page} {hour} {count}"))
+            line.clear();
+            write!(line, "page-{page} {hour} {count}").expect("a String takes any write");
+            Value::from(line.as_str())
         })
         .collect()
 }
@@ -74,7 +78,7 @@ pub fn dag(cfg: &MrConfig) -> LogicalDag {
 pub fn reference(cfg: &MrConfig) -> BTreeMap<String, i64> {
     let mut out = BTreeMap::new();
     for line in generate_pageviews(cfg) {
-        let line = line.as_str().unwrap_or("").to_string();
+        let line = line.as_str().unwrap_or("");
         let mut it = line.split_whitespace();
         if let (Some(page), Some(_h), Some(count)) = (it.next(), it.next(), it.next()) {
             *out.entry(page.to_string()).or_insert(0) += count.parse::<i64>().unwrap_or(0);
@@ -157,6 +161,31 @@ mod tests {
     fn generator_is_deterministic() {
         let cfg = MrConfig::default();
         assert_eq!(generate_pageviews(&cfg), generate_pageviews(&cfg));
+    }
+
+    /// The dataset `perf` runs the `mr-*` workloads on for seed 1,
+    /// fingerprinted (FNV-1a over every line and a newline after it).
+    #[test]
+    fn the_seed_1_perf_dataset_is_pinned() {
+        let cfg = MrConfig {
+            pages: 100_000,
+            records: 250_000,
+            partitions: 32,
+            reducers: 8,
+            seed: 1,
+        };
+        let lines = generate_pageviews(&cfg);
+        let bytes = lines
+            .iter()
+            .flat_map(|l| l.as_str().expect("a line").bytes().chain([b'\n']));
+        let fnv = bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            (lines.len(), fnv),
+            (250_000, 0x7367_05c0_cef7_604e),
+            "{fnv:#018x}"
+        );
     }
 
     #[test]
