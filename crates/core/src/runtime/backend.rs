@@ -403,7 +403,8 @@ pub type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 /// panic hook filter silences injected task panics on them exactly as it
 /// does for dedicated slot threads. The pool never deadlocks the master:
 /// the master submits nothing, and an executor control thread blocked on
-/// a full queue waits only on workers, which never wait on it.
+/// a full queue holds no lock a worker needs: it releases its executor's
+/// outbox, where workers send their reports, before every submit.
 ///
 /// Shutdown is cooperative and bounded: [`submit`](WorkerPool::submit)
 /// re-checks the shutdown flag and the pool's [`CancelToken`] every
@@ -498,11 +499,6 @@ impl WorkerPool {
             journal: Arc::new(Mutex::new(None)),
             grace,
         }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.threads.len()
     }
 
     /// The cancellation token every job of this pool's run shares. The

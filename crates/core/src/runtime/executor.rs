@@ -10,19 +10,24 @@
 //!
 //! Since the control plane crosses an unreliable wire (see
 //! [`transport`](crate::runtime::transport)), each executor also runs a
-//! *control thread* between its worker slots and the network: it
-//! acknowledges and deduplicates inbound frames from the master, sends
-//! worker results through a reliable (retransmitting) endpoint, and beats
-//! a heartbeat so the master's failure detector can tell a dead executor
-//! from a slow one. Worker slots never touch the wire directly.
+//! *control thread*: it acknowledges and deduplicates inbound frames from
+//! the master, hands launches to the worker lanes, retransmits reports
+//! the master has not acknowledged, and beats a heartbeat so the master's
+//! failure detector can tell a dead executor from a slow one. A finished
+//! body reports from the lane that ran it, with no hop through the
+//! control thread: the executor's reliable endpoint to the master is its
+//! *outbox*, shared behind one lock by the control thread and the lanes,
+//! and closed when the executor stops, so a body that outlives its
+//! executor reports nothing.
 
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use pado_dag::{
     block_from_vec, block_into_rows, Block, Columns, DepType, LogicalDag, OperatorKind, UdfError,
     Value,
@@ -102,7 +107,52 @@ pub struct ExecutorHandle {
     /// Transient or reserved.
     pub kind: Placement,
     ctrl: Sender<ExecIn>,
+    lane: Arc<Lane>,
     threads: Vec<JoinHandle<()>>,
+}
+
+/// What each lane of one executor — a slot thread, or a pool job — runs
+/// a task body with and reports through.
+#[derive(Debug)]
+struct Lane {
+    exec: ExecId,
+    job: Arc<JobContext>,
+    store: StoreHandle,
+    journal: Journal,
+    /// The executor's reliable endpoint to the master, shared with its
+    /// control thread; `None` once the executor stops. No holder keeps
+    /// the lock across a pool submit.
+    outbox: Mutex<Option<Outbox>>,
+}
+
+#[derive(Debug)]
+struct Outbox {
+    out: ReliableSender<MasterMsg, Wire<MasterMsg>>,
+    /// The instant the control thread sleeps until, unless woken.
+    sleeps_until: Instant,
+    /// The control thread's inbox, for [`ExecIn::Wake`].
+    wake: Sender<ExecIn>,
+}
+
+impl Lane {
+    /// Runs one attempt and sends its report from this thread; `false`
+    /// when the executor stopped and the report went nowhere. When the
+    /// report's retransmission falls due before the instant the control
+    /// thread sleeps until, the lane wakes it, so a lost first
+    /// transmission is retried on time.
+    fn run(&self, spec: TaskSpec) -> bool {
+        let done = run_task(self.exec, &self.job, &self.store, &self.journal, spec);
+        let mut outbox = self.outbox.lock();
+        let Some(o) = outbox.as_mut() else {
+            return false;
+        };
+        o.out.send(done);
+        if let Some(due) = o.out.next_deadline().filter(|&d| d < o.sleeps_until) {
+            o.sleeps_until = due;
+            let _ = o.wake.send(ExecIn::Wake);
+        }
+        true
+    }
 }
 
 impl ExecutorHandle {
@@ -118,9 +168,9 @@ impl ExecutorHandle {
     ///
     /// With `pool` set (the threaded backend) the executor spawns no
     /// dedicated slot threads: task bodies are submitted to the shared
-    /// pool instead, and finished reports flow back through the control
-    /// thread exactly as before. The master's `busy < slots` launch gate
-    /// bounds a *transient* executor to `slots` outstanding task bodies.
+    /// pool instead, and report through the outbox like slot threads do.
+    /// The master's `busy < slots` launch gate bounds a *transient*
+    /// executor to `slots` outstanding task bodies.
     /// A reserved one has no such bound: `Master::pick_executor` returns
     /// a reserved task's pre-assigned receiver without looking at `busy`
     /// (§3.2.3 sets receivers up first), so it can hold
@@ -143,38 +193,6 @@ impl ExecutorHandle {
     ) -> Self {
         install_panic_hook_filter();
         let (ctrl_tx, ctrl_rx) = crossbeam::channel::unbounded::<ExecIn>();
-        let slots = job.config.slots_per_executor.max(1);
-        let mut threads: Vec<JoinHandle<()>>;
-        let sink = match pool {
-            Some(pool) => {
-                threads = Vec::new();
-                TaskSink::Pool {
-                    pool,
-                    exec: id,
-                    job: Arc::clone(&job),
-                    store: Arc::clone(&store),
-                    journal: journal.clone(),
-                    ctrl: ctrl_tx.clone(),
-                }
-            }
-            None => {
-                let (task_tx, task_rx) = crossbeam::channel::unbounded::<TaskSpec>();
-                threads = (0..slots)
-                    .map(|slot| {
-                        let task_rx = task_rx.clone();
-                        let job = Arc::clone(&job);
-                        let ctrl_tx = ctrl_tx.clone();
-                        let store = Arc::clone(&store);
-                        let journal = journal.clone();
-                        std::thread::Builder::new()
-                            .name(format!("pado-exec-{id}-slot{slot}"))
-                            .spawn(move || worker_loop(id, task_rx, job, ctrl_tx, store, journal))
-                            .expect("spawn executor worker thread")
-                    })
-                    .collect();
-                TaskSink::Slots(task_tx)
-            }
-        };
         let seed = net.as_ref().map_or(0, |p| p.seed());
         let ctrs = Arc::clone(&counters);
         let link = FaultyLink::new(to_master, id, Direction::ToMaster, net, counters);
@@ -192,19 +210,51 @@ impl ExecutorHandle {
             Duration::from_millis(job.config.retransmit_max_ms),
             seed ^ (id as u64),
         )
-        .with_journal(journal, true);
-        let heartbeat = Duration::from_millis(job.config.heartbeat_interval_ms.max(1));
-        let dedup = DedupWindow::new(job.config.transport_dedup_window);
+        .with_journal(journal.clone(), true);
+        let lane = Arc::new(Lane {
+            exec: id,
+            job,
+            store,
+            journal,
+            outbox: Mutex::new(Some(Outbox {
+                out,
+                sleeps_until: Instant::now(),
+                wake: ctrl_tx.clone(),
+            })),
+        });
+        let config = &lane.job.config;
+        let heartbeat = Duration::from_millis(config.heartbeat_interval_ms.max(1));
+        let dedup = DedupWindow::new(config.transport_dedup_window);
+        let mut threads: Vec<JoinHandle<()>> = Vec::new();
+        let sink = match pool {
+            Some(pool) => TaskSink::Pool(pool),
+            None => {
+                let (task_tx, task_rx) = crossbeam::channel::unbounded::<TaskSpec>();
+                for slot in 0..config.slots_per_executor.max(1) {
+                    let (rx, lane) = (task_rx.clone(), Arc::clone(&lane));
+                    let name = format!("pado-exec-{id}-slot{slot}");
+                    let run = move || while rx.recv().is_ok_and(|spec| lane.run(spec)) {};
+                    let thread = std::thread::Builder::new().name(name).spawn(run);
+                    threads.push(thread.expect("spawn executor worker thread"));
+                }
+                TaskSink::Slots(task_tx)
+            }
+        };
+        let ctrl_lane = Arc::clone(&lane);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("pado-exec-{id}-ctrl"))
-                .spawn(move || control_loop(id, ctrl_rx, sink, out, dedup, heartbeat, ctrs, cancel))
+                .spawn(move || {
+                    control_loop(&ctrl_lane, ctrl_rx, sink, dedup, heartbeat, ctrs, cancel);
+                    ctrl_lane.outbox.lock().take();
+                })
                 .expect("spawn executor control thread"),
         );
         ExecutorHandle {
             id,
             kind,
             ctrl: ctrl_tx,
+            lane,
             threads,
         }
     }
@@ -217,8 +267,10 @@ impl ExecutorHandle {
 
     /// Resource-manager kill: tears the container down. This is an RM
     /// action, not a network message — it bypasses the faulty wire, so
-    /// even a partitioned executor can be destroyed.
+    /// even a partitioned executor can be destroyed. The outbox closes
+    /// first: a body that finishes after this reports nothing.
     pub fn stop(&self) {
+        self.lane.outbox.lock().take();
         let _ = self.ctrl.send(ExecIn::Kill);
     }
 
@@ -235,84 +287,25 @@ impl ExecutorHandle {
 /// Dropping it — the control thread returning — tears the lanes down: a
 /// slot drains the specs already queued, then sees the channel closed.
 /// The shared pool outlives any one executor; its in-flight bodies
-/// finish and their reports land in a disconnected channel.
+/// finish and find the outbox closed.
 enum TaskSink {
     Slots(Sender<TaskSpec>),
-    Pool {
-        pool: Arc<WorkerPool>,
-        exec: ExecId,
-        job: Arc<JobContext>,
-        store: StoreHandle,
-        journal: Journal,
-        ctrl: Sender<ExecIn>,
-    },
-}
-
-impl TaskSink {
-    /// Dispatches one task spec for execution.
-    fn run(&self, spec: TaskSpec) {
-        match self {
-            TaskSink::Slots(tx) => {
-                let _ = tx.send(spec);
-            }
-            TaskSink::Pool {
-                pool,
-                exec,
-                job,
-                store,
-                journal,
-                ctrl,
-            } => {
-                let (exec, job, store, journal, ctrl) = (
-                    *exec,
-                    Arc::clone(job),
-                    Arc::clone(store),
-                    journal.clone(),
-                    ctrl.clone(),
-                );
-                // Blocking submit is safe here: pool workers never wait
-                // on this control thread (`ctrl` is unbounded), so a full
-                // queue always drains.
-                pool.submit(Box::new(move || {
-                    let done = run_task(exec, &job, &store, &journal, spec);
-                    let _ = ctrl.send(ExecIn::Out(done));
-                }));
-            }
-        }
-    }
-}
-
-fn worker_loop(
-    exec: ExecId,
-    rx: Receiver<TaskSpec>,
-    job: Arc<JobContext>,
-    ctrl: Sender<ExecIn>,
-    store: StoreHandle,
-    journal: Journal,
-) {
-    while let Ok(spec) = rx.recv() {
-        let done = run_task(exec, &job, &store, &journal, spec);
-        if ctrl.send(ExecIn::Out(done)).is_err() {
-            break; // The control thread is gone; the executor died.
-        }
-    }
+    Pool(Arc<WorkerPool>),
 }
 
 /// The executor's network-facing loop: heartbeats, acks + dedup on
-/// inbound frames, reliable retransmission on outbound reports, and the
+/// inbound frames, retransmission of unacknowledged reports, and the
 /// out-of-band kill path.
-#[allow(clippy::too_many_arguments)]
 fn control_loop(
-    exec: ExecId,
+    lane: &Arc<Lane>,
     ctrl_rx: Receiver<ExecIn>,
     sink: TaskSink,
-    mut out: ReliableSender<MasterMsg, Wire<MasterMsg>>,
     mut dedup: DedupWindow,
     heartbeat: Duration,
     counters: Arc<TransportCounters>,
     cancel: CancelToken,
 ) {
-    let mut next_beat = Instant::now();
+    let (exec, mut next_beat) = (lane.exec, Instant::now());
     loop {
         // Cooperative cancellation point: a wedged run unwinds this
         // control thread without waiting for the master's Kill (which a
@@ -321,52 +314,64 @@ fn control_loop(
             return;
         }
         let now = Instant::now();
-        if now >= next_beat {
-            out.link().send(Wire::Heartbeat { from: exec });
-            next_beat = now + heartbeat;
-        }
-        if out.pump(now).is_err() {
-            // A transport bookkeeping invariant broke: tear the worker
-            // slots down cleanly (the master's own pump surfaces the
-            // positioned error and fails the job).
-            return;
-        }
-        let deadline = out
-            .next_deadline()
-            .map_or(next_beat, |d| d.min(next_beat))
-            .max(now + Duration::from_millis(1));
-        match ctrl_rx.recv_timeout(deadline - now) {
+        let wake_at = {
+            let mut outbox = lane.outbox.lock();
+            let Some(o) = outbox.as_mut() else {
+                return; // Stopped: the Kill is on its way.
+            };
+            if now >= next_beat {
+                o.out.link().send(Wire::Heartbeat { from: exec });
+                next_beat = now + heartbeat;
+            }
+            if o.out.pump(now).is_err() {
+                // A transport bookkeeping invariant broke: tear the worker
+                // slots down cleanly (the master's own pump surfaces the
+                // positioned error and fails the job).
+                return;
+            }
+            let due = o
+                .out
+                .next_deadline()
+                .map_or(next_beat, |d| d.min(next_beat));
+            o.sleeps_until = due.max(now + Duration::from_millis(1));
+            o.sleeps_until
+        };
+        match ctrl_rx.recv_timeout(wake_at - now) {
             Ok(ExecIn::Kill) => return,
-            Ok(ExecIn::Out(msg)) => out.send(msg),
             Ok(ExecIn::Net(Wire::Msg { seq, payload, .. })) => {
                 // Always ack — the first ack may have been lost — but only
                 // forward first deliveries to the task queue.
-                out.link().send(Wire::Ack { from: exec, seq });
-                if dedup.fresh(seq) {
-                    sink.run(payload);
-                } else {
-                    counters
-                        .deduplicated
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if let Some(o) = lane.outbox.lock().as_mut() {
+                    o.out.link().send(Wire::Ack { from: exec, seq });
+                }
+                if !dedup.fresh(seq) {
+                    counters.deduplicated.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                // The outbox lock is not held here, so a blocking submit
+                // is safe: workers never wait on a lock held across it,
+                // and a full queue always drains.
+                match &sink {
+                    TaskSink::Slots(tx) => drop(tx.send(payload)),
+                    TaskSink::Pool(pool) => {
+                        let lane = Arc::clone(lane);
+                        pool.submit(Box::new(move || {
+                            lane.run(payload);
+                        }));
+                    }
                 }
             }
-            Ok(ExecIn::Net(Wire::Ack { seq, .. })) => out.on_ack(seq),
-            // Masters don't heartbeat executors; tolerate one anyway.
-            Ok(ExecIn::Net(Wire::Heartbeat { .. })) => {}
-            Err(RecvTimeoutError::Timeout) => {}
-            // The master dropped our inbound sender: job over.
-            Err(RecvTimeoutError::Disconnected) => return,
+            Ok(ExecIn::Net(Wire::Ack { seq, .. })) => {
+                if let Some(o) = lane.outbox.lock().as_mut() {
+                    o.out.on_ack(seq);
+                }
+            }
+            // A wake only sends the loop round to re-read the deadline;
+            // masters don't heartbeat executors. With every sender gone,
+            // the outbox is closed and the next round returns.
+            Ok(ExecIn::Wake | ExecIn::Net(Wire::Heartbeat { .. })) | Err(_) => {}
         }
     }
-}
-
-/// Everything a successful task attempt reports back to the master.
-struct TaskOutput {
-    output: Block,
-    buckets: Vec<(usize, Vec<Block>)>,
-    preaggregated: usize,
-    cache_hit: bool,
-    cached_keys: Vec<CacheKey>,
 }
 
 /// Executes one task: resolve side inputs through the cache, apply the
@@ -437,22 +442,14 @@ fn run_task(
         Some(InjectedFault::DelayDone(ms)) => Some(Duration::from_millis(ms)),
         _ => None,
     };
-    let computed = panic::catch_unwind(AssertUnwindSafe(|| task_body(job, store, spec)));
+    let computed = panic::catch_unwind(AssertUnwindSafe(|| task_body(exec, job, store, spec)));
     if let Some(d) = done_delay {
         // The output exists but the report stalls in flight: the window
         // where an eviction or partition races the TaskDone.
         std::thread::sleep(d);
     }
     match computed {
-        Ok(Ok(done)) => MasterMsg::TaskDone {
-            exec,
-            attempt,
-            output: done.output,
-            buckets: done.buckets,
-            preaggregated: done.preaggregated,
-            cache_hit: done.cache_hit,
-            cached_keys: done.cached_keys,
-        },
+        Ok(Ok(done)) => done,
         Ok(Err(udf)) => MasterMsg::TaskFailed {
             exec,
             attempt,
@@ -483,7 +480,7 @@ impl Drop for CachePinGuard<'_> {
     }
 }
 
-/// The fault-isolated body of one task attempt.
+/// The fault-isolated body of one task attempt, and its `TaskDone`.
 ///
 /// Side inputs resolve to shared blocks (a cache hit or the master's copy;
 /// never a record clone) and the fused chain computes the output block.
@@ -494,10 +491,11 @@ impl Drop for CachePinGuard<'_> {
 /// entries a task reads stay pinned until it finishes, so concurrent
 /// slots cannot shed an input mid-use.
 fn task_body(
+    exec: ExecId,
     job: &JobContext,
     store: &Mutex<ExecutorStore>,
     spec: TaskSpec,
-) -> Result<TaskOutput, UdfError> {
+) -> Result<MasterMsg, UdfError> {
     if spec.inject == Some(InjectedFault::Panic) {
         panic!("injected: user function panic");
     }
@@ -561,7 +559,9 @@ fn task_body(
 
     drop(pins);
     let cached_keys = store.lock().cache_keys();
-    Ok(TaskOutput {
+    Ok(MasterMsg::TaskDone {
+        exec,
+        attempt: spec.attempt,
         output,
         buckets,
         preaggregated,
@@ -791,6 +791,93 @@ mod tests {
                     other => panic!("expected TaskDone, got {other:?}"),
                 }
             }
+        }
+    }
+
+    /// A body that finishes after its executor stopped finds the outbox
+    /// closed, on either lane: its report never reaches the wire, while
+    /// the same executor's earlier report, sent alive, did.
+    #[test]
+    fn a_body_that_outlives_its_executor_reports_nothing() {
+        use crate::compiler::compile;
+        use crate::runtime::journal::JournalMeta;
+        use pado_dag::{Pipeline, SourceFn};
+
+        let p = Pipeline::new();
+        p.read("R", 1, SourceFn::from_vec(vec![Value::from(1i64)]))
+            .sink("S");
+        let dag = p.build().unwrap();
+        let plan = compile(&dag).unwrap();
+        let config = RuntimeConfig::default();
+        let job = Arc::new(JobContext { dag, plan, config });
+        let launch = |seq, inject| {
+            let spec = TaskSpec {
+                attempt: seq,
+                fop: 0,
+                index: 0,
+                mains: Vec::new(),
+                sides: BTreeMap::new(),
+                preaggregate: false,
+                route_to: Vec::new(),
+                inject,
+            };
+            ExecIn::Net(Wire::Msg {
+                from: 3,
+                seq,
+                epoch: 0,
+                payload: spec,
+            })
+        };
+        let starts = |j: &Journal| {
+            let frozen = j.freeze(JournalMeta::default());
+            let started = frozen
+                .events()
+                .filter(|e| matches!(e, JobEvent::TaskStarted { .. }));
+            started.count()
+        };
+        for pool in [None, Some(Arc::new(WorkerPool::new(1, 4)))] {
+            let (to_master, wire) = crossbeam::channel::unbounded();
+            let journal = Journal::new();
+            let store = ExecutorStore::handle(3, UNLIMITED, 1024, journal.clone());
+            let exec = ExecutorHandle::spawn(
+                3,
+                Placement::Transient,
+                Arc::clone(&job),
+                to_master,
+                None,
+                Arc::default(),
+                journal.clone(),
+                store,
+                pool.clone(),
+                CancelToken::new(),
+            );
+            let reports = || {
+                let frames = std::iter::from_fn(|| wire.try_recv());
+                frames.filter(|f| matches!(f, Wire::Msg { .. })).count()
+            };
+            exec.inbound().send(launch(1, None)).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut sent = 0;
+            while sent == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+                sent += reports();
+            }
+            assert_eq!(sent, 1, "a live executor's report reaches the wire");
+
+            // The second body computes, then stalls on its report past
+            // the executor's stop.
+            let stall = Some(InjectedFault::DelayDone(100));
+            exec.inbound().send(launch(2, stall)).unwrap();
+            while starts(&journal) < 2 {
+                assert!(Instant::now() < deadline, "the second body never started");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            exec.stop();
+            if let Some(pool) = &pool {
+                assert!(pool.wait_quiesce(Duration::from_secs(10)), "the body ends");
+            }
+            exec.join();
+            assert_eq!(reports(), 0, "a stopped executor's body reports nothing");
         }
     }
 

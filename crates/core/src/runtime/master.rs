@@ -44,7 +44,7 @@ use crate::runtime::store::CacheKey;
 use crate::runtime::store::{BlockRef, ExecutorStore, StoreError, StoreHandle};
 use crate::runtime::tasks::{Attempt, Report, TaskTable};
 use crate::runtime::transport::{
-    mix64, DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, ReliableSender,
+    mix64, DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, ReliableSender, Seq,
     TransportCounters, Wire,
 };
 use crate::runtime::wal::{temp_wal_path, WalCorruption, WalRecord, WalWriter};
@@ -150,6 +150,8 @@ pub struct Master {
     /// Transport counters shared with every link in the job.
     counters: Arc<TransportCounters>,
     executors: BTreeMap<ExecId, ExecInfo>,
+    /// Reports handled since the last scheduling pass, which acks them.
+    acks: Vec<(ExecId, Seq)>,
     next_exec_id: ExecId,
     policy: Box<dyn SchedulingPolicy>,
 
@@ -301,6 +303,7 @@ impl Master {
             net,
             counters,
             executors: BTreeMap::new(),
+            acks: Vec::new(),
             next_exec_id: 0,
             policy: Box::new(RoundRobinCacheAware::default()),
             tasks: TaskTable::new(&meta.parallelism, consumers),
@@ -366,13 +369,8 @@ impl Master {
             self.pool.clone(),
             self.cancel.clone(),
         );
-        let link = FaultyLink::new(
-            handle.inbound(),
-            id,
-            Direction::ToExecutor,
-            self.net.clone(),
-            Arc::clone(&self.counters),
-        );
+        let (net, counters) = (self.net.clone(), Arc::clone(&self.counters));
+        let link = FaultyLink::new(handle.inbound(), id, Direction::ToExecutor, net, counters);
         let seed = self.net.as_ref().map_or(0, |p| p.seed());
         let out = ReliableSender::new(
             link,
@@ -547,7 +545,7 @@ impl Master {
                     // down out-of-band anyway.
                     return Ok(false);
                 };
-                info.out.link().send(ExecIn::Net(Wire::Ack { from, seq }));
+                self.acks.push((from, seq));
                 if !info.dedup.fresh(seq) {
                     self.counters.deduplicated.fetch_add(1, Ordering::Relaxed);
                     return Ok(false);
@@ -1082,30 +1080,30 @@ impl Master {
             },
         );
 
-        let complete_before: Vec<bool> = (0..self.job.plan.stage_dag.stages.len())
-            .map(|s| self.stage_complete(s))
-            .collect();
-
         // Revert the attempts scheduled on the lost executor (a task
         // racing a speculative duplicate keeps its surviving attempts;
         // the pins died with the store) and destroy data whose only copy
         // lived there. Terminal outputs are safe in the job sink.
         let lost = self.tasks.executor_lost(exec);
-        for &(f, i) in &lost.reverted {
-            self.forget_output(f, i, JobEvent::TaskReverted { fop: f, index: i });
+        for &(fop, index) in &lost.reverted {
+            self.drop_output(fop, index);
+            let reverted = JobEvent::TaskReverted { fop, index };
+            self.emit(Some(self.meta.stage_of[fop]), reverted);
         }
         for &(fop, index) in &lost.dropped {
-            self.forget_output(fop, index, JobEvent::OutputDropped { fop, index, exec });
+            self.drop_output(fop, index);
+            let dropped = JobEvent::OutputDropped { fop, index, exec };
+            self.emit(Some(self.meta.stage_of[fop]), dropped);
         }
         // Invalidate receiver assignments pointing at the lost executor.
         self.assigned.retain(|_, &mut e| e != exec);
 
         // Completed stages the loss re-opened (reserved-failure
-        // recomputation, §3.2.6) are logged eagerly with `recompute:
-        // true`; flipping the bracket state here keeps
-        // `note_stage_transitions` from double-logging them.
-        for (s, was_complete) in complete_before.iter().enumerate() {
-            if *was_complete && !self.stage_complete(s) {
+        // recomputation, §3.2.6; the bracket was synced above) are logged
+        // eagerly with `recompute: true`; flipping the bracket state here
+        // keeps `note_stage_transitions` from double-logging them.
+        for s in 0..self.stage_completed.len() {
+            if self.stage_completed[s] && !self.stage_complete(s) {
                 self.emit(
                     Some(s),
                     JobEvent::StageReopened {
@@ -1120,13 +1118,6 @@ impl Master {
         // The resource manager immediately provides a replacement.
         let replacement = self.spawn_executor(kind);
         self.emit(None, JobEvent::ContainerAdded(replacement));
-    }
-
-    /// Discards the data side of a commit that lost its last copy and
-    /// journals what became of the task.
-    fn forget_output(&mut self, fop: FopId, index: usize, fate: JobEvent) {
-        self.drop_output(fop, index);
-        self.emit(Some(self.meta.stage_of[fop]), fate);
     }
 
     /// The one place an output and what is derived from it go away: the
@@ -1300,7 +1291,10 @@ impl Master {
 
     /// One scheduling pass: over every runnable stage, assign reserved
     /// receivers first, then launch every ready pending task with the
-    /// round-robin, cache-aware policy.
+    /// round-robin, cache-aware policy. Last, it acks the reports handled
+    /// since the previous pass, each behind the launch that refilled its
+    /// slot, so one executor wakeup takes both; an executor lost meanwhile
+    /// gets none, and a master restart keeps what it owes.
     fn schedule(&mut self) -> Result<(), RuntimeError> {
         let job = Arc::clone(&self.job);
         for stage in job.plan.stage_dag.topo_order() {
@@ -1328,6 +1322,11 @@ impl Master {
                         }
                     }
                 }
+            }
+        }
+        for (from, seq) in self.acks.drain(..) {
+            if let Some(info) = self.executors.get_mut(&from).filter(|e| e.live()) {
+                info.out.link().send(ExecIn::Net(Wire::Ack { from, seq }));
             }
         }
         Ok(())
@@ -2338,6 +2337,91 @@ mod tests {
         );
         assert!(m.tasks.is_done(map, 0) && m.tasks.is_done(map, 1));
         m.shutdown();
+    }
+
+    /// Points the master's endpoint to `exec` at a wire the test reads.
+    fn tap(m: &mut Master, exec: ExecId) -> Receiver<ExecIn> {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let counters = Arc::clone(&m.counters);
+        let link = FaultyLink::new(tx, exec, Direction::ToExecutor, None, counters);
+        let info = m.executors.get_mut(&exec).expect("a spawned executor");
+        let (base, max) = (Duration::from_millis(80), Duration::from_millis(640));
+        info.out = ReliableSender::new(
+            link,
+            exec,
+            |from, seq, epoch, payload| {
+                ExecIn::Net(Wire::Msg {
+                    from,
+                    seq,
+                    epoch,
+                    payload,
+                })
+            },
+            64,
+            base,
+            max,
+            0,
+        );
+        rx
+    }
+
+    /// The master acks a pass's reports once the pass ends: an ack leaves
+    /// right behind the launch that refilled its reporter's slot, an
+    /// executor lost mid-pass gets none, and a quiet network still sees
+    /// no message retransmitted.
+    #[test]
+    fn a_passs_acks_leave_behind_its_launches() {
+        let config = crate::runtime::RuntimeConfig {
+            slots_per_executor: 1,
+            ..Default::default()
+        };
+        let (mut m, map) = shuffle_master(config.clone());
+        let exec: ExecId = 1;
+        let wire = tap(&mut m, exec);
+        let attempt = begin(&mut m, map, exec);
+        let report = |payload| Wire::Msg {
+            from: exec,
+            seq: 1,
+            epoch: 0,
+            payload,
+        };
+        let done = shuffled_done(exec, attempt, 0).0;
+        assert!(m.handle_frame(report(done.clone())).unwrap(), "a commit");
+        assert!(wire.try_recv().is_none(), "nothing leaves mid-pass");
+        m.schedule().unwrap();
+        let frames: Vec<ExecIn> = std::iter::from_fn(|| wire.try_recv()).collect();
+        match frames.as_slice() {
+            [ExecIn::Net(Wire::Msg { payload, .. }), ExecIn::Net(Wire::Ack { seq: 1, .. })] => {
+                assert_eq!(
+                    (payload.fop, payload.index),
+                    (map, 1),
+                    "the freed slot's launch"
+                );
+            }
+            other => panic!("expected the launch, then the ack: {other:?}"),
+        }
+
+        // A re-delivered report is acked again (the first ack may have
+        // been lost), unless its executor is lost before the pass ends.
+        assert!(!m.handle_frame(report(done)).unwrap(), "a duplicate");
+        m.on_executor_lost(exec, LossKind::Eviction);
+        m.schedule().unwrap();
+        let frames: Vec<ExecIn> = std::iter::from_fn(|| wire.try_recv()).collect();
+        assert!(
+            frames.is_empty(),
+            "a lost executor is sent nothing: {frames:?}"
+        );
+        m.shutdown();
+
+        let (mut m, _) = shuffle_master(config);
+        m.run_loop().unwrap();
+        m.shutdown();
+        let retransmitted = events(&m)
+            .into_iter()
+            .filter(|e| matches!(e, JobEvent::MessageRetransmitted { .. }))
+            .count();
+        assert_eq!(retransmitted, 0, "a quiet network retransmits nothing");
+        assert_eq!(m.counters.retransmitted.load(Ordering::Relaxed), 0);
     }
 
     // --- Clock-abstraction regression test (timer-order sensitivity) ---

@@ -38,7 +38,7 @@ use crossbeam::channel::Sender;
 use crate::error::RuntimeError;
 use crate::runtime::fault::{FaultInjector, WireSide};
 use crate::runtime::journal::{JobEvent, Journal};
-use crate::runtime::message::{ExecId, MasterMsg, TaskSpec};
+use crate::runtime::message::{ExecId, TaskSpec};
 
 /// Per-peer monotone sequence number; the unit of acknowledgement.
 pub type Seq = u64;
@@ -153,13 +153,15 @@ pub enum Wire<T> {
 }
 
 /// Everything an executor's control thread multiplexes over one inbox.
+/// Reports are not among it: a finished body sends its own through the
+/// executor's outbox.
 #[derive(Debug, Clone)]
 pub enum ExecIn {
     /// A task launch from the master, subject to network faults.
     Net(Wire<TaskSpec>),
-    /// A finished attempt reported by a local worker slot (in-process,
-    /// reliable).
-    Out(MasterMsg),
+    /// A report moved the outbox's next retransmission ahead of the
+    /// instant the control thread sleeps until (in-process, reliable).
+    Wake,
     /// Resource-manager kill: tear down the container. Bypasses the
     /// network, so a partitioned executor can still be destroyed.
     Kill,
@@ -306,15 +308,9 @@ impl<W: Clone> FaultyLink<W> {
         }
     }
 
-    /// Releases held frames whose deadline has passed.
-    pub fn pump(&mut self) {
-        self.release_due(Instant::now());
-    }
-
-    /// Releases held frames due at an explicit instant — the master's
-    /// path, which passes its [`Clock`](crate::runtime::clock::Clock)
-    /// reading so wire timers and scheduling timers share one time
-    /// source on every backend.
+    /// Releases held frames due at `now`: the master passes its
+    /// [`Clock`](crate::runtime::clock::Clock) reading, so wire timers
+    /// and scheduling timers share one time source on every backend.
     pub fn pump_at(&mut self, now: Instant) {
         self.release_due(now);
     }
@@ -425,7 +421,7 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
         let frame = (self.wrap)(self.peer, seq, 0, payload.clone());
         self.link.send(frame);
         self.counters.note_transmissions(1);
-        let backoff = self.base + self.jitter(seq, 1);
+        let backoff = self.base + jitter(self.base, self.seed, seq, 1);
         self.unacked.insert(
             seq,
             Pending {
@@ -435,18 +431,6 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
                 backoff,
             },
         );
-    }
-
-    /// Deterministic jitter: up to half the base backoff, derived from
-    /// the seed, the sequence number, and the transmission count, so
-    /// retransmission storms de-synchronize identically on every replay.
-    fn jitter(&self, seq: Seq, transmissions: u64) -> Duration {
-        let base_ms = self.base.as_millis() as u64;
-        // Keyed by the envelope's causal sequence number and its
-        // per-message transmission count — never a link-global counter —
-        // so jitter replays identically on both backends.
-        let d = FaultInjector::new(self.seed).retransmit_jitter(seq, transmissions);
-        Duration::from_millis(d.index(base_ms / 2 + 1))
     }
 
     /// Processes an acknowledgement, freeing its in-flight slot and
@@ -478,34 +462,18 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
             .map(|(&s, _)| s)
             .collect();
         for seq in due {
-            let (frame, transmissions, backoff) = {
-                let p = self.unacked.get_mut(&seq).ok_or_else(|| {
-                    RuntimeError::Invariant(format!(
-                        "transport pump: due seq {seq} missing from the unacked \
-                         window of the link to exec {} while collecting its frame",
-                        self.peer
-                    ))
-                })?;
-                p.transmissions += 1;
-                p.backoff = (p.backoff * 2).min(self.max);
-                (
-                    (self.wrap)(self.peer, seq, 0, p.payload.clone()),
-                    p.transmissions,
-                    p.backoff,
-                )
+            let Some(p) = self.unacked.get_mut(&seq) else {
+                return Err(RuntimeError::Invariant(format!(
+                    "transport pump: due seq {seq} missing from the unacked \
+                     window of the link to exec {}",
+                    self.peer
+                )));
             };
-            let delay = backoff + self.jitter(seq, transmissions);
-            self.unacked
-                .get_mut(&seq)
-                .ok_or_else(|| {
-                    RuntimeError::Invariant(format!(
-                        "transport pump: due seq {seq} missing from the unacked \
-                         window of the link to exec {} while rescheduling its \
-                         backoff",
-                        self.peer
-                    ))
-                })?
-                .next_at = now + delay;
+            p.transmissions += 1;
+            p.backoff = (p.backoff * 2).min(self.max);
+            p.next_at = now + p.backoff + jitter(self.base, self.seed, seq, p.transmissions);
+            let transmissions = p.transmissions;
+            let frame = (self.wrap)(self.peer, seq, 0, p.payload.clone());
             self.counters.retransmitted.fetch_add(1, Ordering::Relaxed);
             self.counters.note_transmissions(transmissions);
             if let Some((journal, to_master)) = &self.journal {
@@ -547,6 +515,15 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
     pub fn in_flight(&self) -> usize {
         self.unacked.len()
     }
+}
+
+/// Deterministic retransmission jitter: up to half the `base` backoff,
+/// keyed by the envelope's causal sequence number and its per-message
+/// transmission count — never a link-global counter — so retransmission
+/// storms de-synchronize identically on every replay, on both backends.
+fn jitter(base: Duration, seed: u64, seq: Seq, transmissions: u64) -> Duration {
+    let d = FaultInjector::new(seed).retransmit_jitter(seq, transmissions);
+    Duration::from_millis(d.index(base.as_millis() as u64 / 2 + 1))
 }
 
 /// Receiver-side duplicate suppression: a sequence-number window.
@@ -774,7 +751,7 @@ mod tests {
         assert!(rx.try_recv().is_none(), "held");
         assert!(link.next_deadline().is_some());
         std::thread::sleep(Duration::from_millis(12));
-        link.pump();
+        link.pump_at(Instant::now());
         assert!(rx.try_recv().is_some(), "released after its deadline");
     }
 }

@@ -250,10 +250,11 @@ fn straggler_gets_speculative_duplicate_that_wins() {
 }
 
 /// A task whose computation finishes but whose `TaskDone` report stalls
-/// (`DelayDone`) while its executor is evicted: the stale report arrives
-/// from a dead container and must be discarded, the task relaunches, and
-/// the output is unchanged. This pins the evict-vs-commit race end to
-/// end at the transport boundary.
+/// (`DelayDone`) while its executor is evicted: the body outlives its
+/// executor, finds the outbox closed and reports nothing, the task
+/// relaunches, and the output is unchanged — on both backends, whose
+/// lanes (slot threads, pool jobs) both send their own reports. This
+/// pins the evict-vs-commit race end to end at the transport boundary.
 #[test]
 fn delayed_done_report_from_evicted_executor_is_discarded() {
     let dag = wordcount_dag(4);
@@ -272,33 +273,36 @@ fn delayed_done_report_from_evicted_executor_is_discarded() {
         .with_config(config.clone())
         .run(&dag)
         .unwrap();
-    // Task 0 computes, then sits on its Done report for 300 ms; after one
-    // other completion the sole transient container (running it) is
-    // evicted, so the report outlives its executor.
-    let faults = FaultPlan {
-        first_attempt_done_delays: vec![(source_fop, 0, 300)],
-        evictions: vec![(1, 0)],
-        ..Default::default()
-    };
-    let result = LocalCluster::new(1, 1)
-        .with_config(config)
-        .run_with_faults(&dag, faults)
-        .unwrap();
-    assert_eq!(
-        result.outputs["Out"], baseline.outputs["Out"],
-        "stale Done report leaked into the result"
-    );
-    assert_eq!(result.metrics.evictions, 1);
-    assert!(
-        result.metrics.relaunched_tasks >= 1,
-        "the stalled task must relaunch after its executor died: {:?}",
-        result.metrics
-    );
-    assert_eq!(
-        result.metrics.task_failures, 0,
-        "a delayed report is not a user-code failure"
-    );
-    pado_core::runtime::assert_clean(&result.journal, true);
+    for backend in [BackendKind::Sim, BackendKind::Threaded] {
+        // Task 0 computes, then sits on its Done report for 300 ms; after
+        // one other completion the sole transient container (running it)
+        // is evicted, so the report outlives its executor.
+        let faults = FaultPlan {
+            first_attempt_done_delays: vec![(source_fop, 0, 300)],
+            evictions: vec![(1, 0)],
+            ..Default::default()
+        };
+        let result = LocalCluster::new(1, 1)
+            .with_config(config.clone())
+            .with_backend(backend)
+            .run_with_faults(&dag, faults)
+            .unwrap();
+        assert_eq!(
+            result.outputs["Out"], baseline.outputs["Out"],
+            "{backend:?}: stale Done report leaked into the result"
+        );
+        let m = &result.metrics;
+        assert_eq!(m.evictions, 1, "{backend:?}");
+        assert!(
+            m.relaunched_tasks >= 1,
+            "{backend:?}: the stalled task must relaunch after its executor died: {m:?}"
+        );
+        assert_eq!(
+            m.task_failures, 0,
+            "{backend:?}: a delayed report is not a user-code failure"
+        );
+        pado_core::runtime::assert_clean(&result.journal, true);
+    }
 }
 
 /// Master restart (satellite of §3.2.6): the replacement master resumes

@@ -18,10 +18,13 @@
 //! - fault-free runs report exactly zero transport activity.
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use pado_core::runtime::{
-    BackendKind, FaultPlan, JobEvent, LocalCluster, NetworkFault, PartitionSpec, RuntimeConfig,
+    BackendKind, DirectionFaults, FaultInjector, FaultPlan, JobEvent, LocalCluster, NetworkFault,
+    PartitionSpec, RuntimeConfig, WireSide,
 };
+use pado_dag::{Pipeline, SourceFn};
 
 mod common;
 use common::*;
@@ -222,6 +225,77 @@ fn fault_free_runs_report_zero_transport_metrics() {
         assert_eq!(m.max_message_retransmissions, 0, "{name}: {m:?}");
         assert_eq!(m.heartbeats_missed, 0, "{name}: {m:?}");
         assert_eq!(m.executors_declared_dead, 0, "{name}: {m:?}");
+        pado_core::runtime::assert_clean(&result.journal, true);
+    }
+}
+
+/// A report whose first transmission is lost is retried on its own
+/// backoff, not at the control thread's next heartbeat: the lane that
+/// sent it wakes the control thread when the retransmission falls due
+/// before the instant that thread sleeps until. With a 1 s heartbeat and
+/// a 5 ms backoff, a one-task job finishes in well under one beat, on
+/// either backend.
+#[test]
+fn a_lost_report_is_retried_on_its_backoff_not_at_the_next_heartbeat() {
+    let p = Pipeline::new();
+    p.read("Read", 1, SourceFn::from_vec(ints(4))).sink("Out");
+    let dag = p.build().unwrap();
+    // The sole transient executor (ExecId 1) sends its first heartbeat,
+    // then the launch's ack, then the report. Take the first seed whose
+    // draws deliver that ack and lose transmissions 2..5 (the report's
+    // first, even if a retransmitted launch adds an ack or two ahead of
+    // it), then deliver.
+    let drop_prob = 0.5;
+    let lost = |seed: u64, ordinal: u64| {
+        let draw = FaultInjector::new(seed).wire(WireSide::ToMaster, 1, ordinal);
+        draw.unit() < drop_prob
+    };
+    let seed = (0..)
+        .find(|&s| !lost(s, 1) && (2..5).all(|o| lost(s, o)) && !lost(s, 5))
+        .unwrap();
+    let config = RuntimeConfig {
+        speculation: false,
+        heartbeat_interval_ms: 1_000,
+        dead_executor_timeout_ms: 5_000,
+        retransmit_base_ms: 5,
+        retransmit_max_ms: 40,
+        ..RuntimeConfig::default()
+    };
+    for backend in [BackendKind::Sim, BackendKind::Threaded] {
+        let faults = FaultPlan {
+            network: Some(NetworkFault {
+                seed,
+                to_master: DirectionFaults {
+                    drop_prob,
+                    ..Default::default()
+                },
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let started = Instant::now();
+        let result = LocalCluster::new(1, 1)
+            .with_config(config.clone())
+            .with_backend(backend)
+            .run_with_faults(&dag, faults)
+            .unwrap();
+        let took = started.elapsed();
+        let retried = result.journal.events().any(|e| {
+            matches!(
+                e,
+                JobEvent::MessageRetransmitted {
+                    exec: 1,
+                    to_master: true,
+                    ..
+                }
+            )
+        });
+        assert!(retried, "{backend:?}: a report was retransmitted");
+        assert!(
+            took < Duration::from_millis(400),
+            "{backend:?}: {took:?} for one task, a heartbeat is 1 s"
+        );
+        assert_eq!(result.outputs["Out"], ints(4), "{backend:?}");
         pado_core::runtime::assert_clean(&result.journal, true);
     }
 }

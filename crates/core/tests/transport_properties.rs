@@ -105,7 +105,7 @@ fn drive(
             }
         }
         sender.pump(Instant::now()).expect("pump invariant");
-        ack_link.pump();
+        ack_link.pump_at(Instant::now());
         let done = delivered.len() == n_payloads as usize && sender.in_flight() == 0;
         if done || t0.elapsed() >= deadline {
             let in_flight = sender.in_flight();
