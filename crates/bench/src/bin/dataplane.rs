@@ -387,13 +387,11 @@ fn main() {
     }
 
     // Execution backends head-to-head: the same shuffle-heavy plan on
-    // the deterministic sim backend (inline master, one frame per
-    // wakeup, dedicated slot threads) and the threaded backend (master
-    // on its own thread, shared worker pool, batched frame draining).
-    // Outputs must be byte-identical. The data plane is the same code
-    // on both — each task sizes and partitions its own output on
-    // whatever thread runs it — so the ratio is reported, not gated:
-    // what it measures is lanes and frame batching only.
+    // the sim backend (master inline on the caller's thread) and the
+    // threaded backend (master on its own thread). Outputs must be
+    // byte-identical. Lanes, frame handling and the data plane are the
+    // same code on both, so the ratio is reported, not gated: what it
+    // measures is who drives the master only.
     {
         println!("\n== execution backends: sim vs threaded (4 pool workers) ==");
         let n_cmp: i64 = if smoke { 60_000 } else { 600_000 };

@@ -1,32 +1,30 @@
-//! Execution backends: how the master loop and executor slots map onto
-//! threads (DESIGN.md §15).
+//! Execution backends: who drives the master loop (DESIGN.md §15).
 //!
-//! The scheduler, commit protocol, data plane, transport, and journal
-//! are all backend-agnostic; an [`ExecBackend`] only decides *where* they
-//! run:
+//! The scheduler, commit protocol, data plane, transport, journal and
+//! task lanes are all backend-agnostic. Every job runs its task bodies
+//! on one [`WorkerPool`] of `threaded_workers` threads, and each executor
+//! lets at most `slots_per_executor` of its bodies run there at once;
+//! the master handles one inbound frame per wakeup. An [`ExecBackend`]
+//! owns that pool and only decides who drives:
 //!
-//! - [`SimBackend`] is the configuration every chaos/invariant suite
-//!   runs on: the master loop runs inline on the caller's thread and
-//!   each executor owns dedicated slot threads. One frame is handled per
-//!   wakeup; seeded fault *decisions* repeat exactly, but frames arrive
-//!   in the order the slot threads finish, which does not.
-//! - [`ThreadedBackend`] is the wall-clock configuration: the master
-//!   loop runs on its own `pado-master` thread, executor slots are
-//!   serviced by one shared [`WorkerPool`], and inbound frames are
-//!   drained in batches between scheduling passes.
+//! - [`SimBackend`] runs the master loop inline on the caller's thread.
+//!   Every chaos/invariant suite runs here. Seeded fault *decisions*
+//!   repeat exactly, but frames arrive in the order bodies finish, which
+//!   does not.
+//! - [`ThreadedBackend`] runs the master loop on its own `pado-master`
+//!   thread, with a backstop for a master thread that is itself stuck.
 //!
 //! A wedged run **fails well** on either backend instead of hanging or
 //! leaking (DESIGN.md §16): the master's progress timeout journals the
-//! abort, cancels the run's shared [`CancelToken`] (executor control
-//! threads, pool submitters and cooperative jobs unwind), shuts down,
-//! and returns [`RuntimeError::Wedged`] with a [`StallDiagnostics`]
-//! report. The threaded backend's backstop covers a master thread that
-//! is itself stuck. Invariant law 11 audits the journal left behind.
+//! abort, cancels the pool's [`CancelToken`] (executor control threads,
+//! pool submitters and cooperative jobs unwind), shuts down, and returns
+//! [`RuntimeError::Wedged`] with a [`StallDiagnostics`] report.
+//! Invariant law 11 audits the journal left behind.
 //!
-//! Both backends implement the same [`Clock`] contract, emit the same
-//! `JobEvent` stream up to causal reordering (the canonical journal
-//! order is identical), and must produce byte-identical job outputs —
-//! `crates/core/tests/backend_equivalence.rs` is the differential proof.
+//! Both backends emit the same `JobEvent` stream up to causal reordering
+//! (the canonical journal order is identical), and must produce
+//! byte-identical job outputs — `crates/core/tests/backend_equivalence.rs`
+//! is the differential proof.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -38,7 +36,6 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, SendTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::error::RuntimeError;
-use crate::runtime::clock::Clock;
 use crate::runtime::config::RuntimeConfig;
 use crate::runtime::journal::{EventJournal, JobEvent, Journal, JournalMeta};
 use crate::runtime::master::{JobResult, Master};
@@ -48,12 +45,11 @@ use crate::runtime::metrics::JobMetrics;
 /// drives a job on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// Deterministic-leaning inline loop (the default; all chaos and
-    /// invariant suites run here).
+    /// The master loop inline on the caller's thread (the default; all
+    /// chaos and invariant suites run here).
     #[default]
     Sim,
-    /// Real parallel backend: master on its own thread, executors on a
-    /// shared worker pool, batched frame draining.
+    /// The master loop on its own supervised thread.
     Threaded,
 }
 
@@ -69,7 +65,8 @@ impl BackendKind {
 }
 
 /// A shared cooperative-cancellation flag: set once, observed
-/// everywhere. The master sets it when it declares its run wedged, the
+/// everywhere. Each [`WorkerPool`] owns one, which is its run's token.
+/// The master sets it when it declares its run wedged, the
 /// threaded backstop when the master thread is stuck; the master loop
 /// (top of every scheduling pass), executor control threads (every
 /// control iteration), and [`WorkerPool::submit`] (every bounded send
@@ -126,10 +123,9 @@ pub struct StallDiagnostics {
     pub journal: EventJournal,
     /// Metrics derived from that journal.
     pub metrics: JobMetrics,
-    /// Pool jobs submitted but unfinished (0 without a pool).
+    /// Pool jobs submitted but unfinished.
     pub pool_in_flight: usize,
-    /// Per-worker busy flags and completion counts (empty without a
-    /// pool).
+    /// Per-worker busy flags and completion counts.
     pub workers: Vec<WorkerState>,
     /// Task attempts launched but not terminally reported; `None` from
     /// the backstop, which cannot see the master's task table.
@@ -145,7 +141,7 @@ impl StallDiagnostics {
     pub(crate) fn sample(
         reason: String,
         waited: Duration,
-        pool: Option<&WorkerPool>,
+        pool: &WorkerPool,
         outstanding_attempts: Option<usize>,
     ) -> Box<Self> {
         Box::new(StallDiagnostics {
@@ -153,8 +149,8 @@ impl StallDiagnostics {
             waited_ms: waited.as_millis() as u64,
             journal: EventJournal::from_parts(JournalMeta::default(), Vec::new()),
             metrics: JobMetrics::default(),
-            pool_in_flight: pool.map_or(0, WorkerPool::in_flight),
-            workers: pool.map_or_else(Vec::new, WorkerPool::worker_states),
+            pool_in_flight: pool.in_flight(),
+            workers: pool.worker_states(),
             outstanding_attempts,
             master_joined: true,
         })
@@ -195,7 +191,8 @@ impl fmt::Display for StallDiagnostics {
     }
 }
 
-/// How a job's master loop and executor slots map onto threads.
+/// Who drives a job's master loop, and the worker pool its task bodies
+/// run on.
 ///
 /// The contract every implementation must honor:
 ///
@@ -210,29 +207,9 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     /// Human-readable backend name (journals, benches, traces).
     fn name(&self) -> &'static str;
 
-    /// The scheduling clock the master reads all timer state from.
-    fn clock(&self) -> Clock {
-        Clock::wall()
-    }
-
-    /// The shared pool servicing executor slots, when this backend uses
-    /// one (`None` = each executor spawns dedicated slot threads).
-    fn pool(&self) -> Option<Arc<WorkerPool>> {
-        None
-    }
-
-    /// How many inbound frames the master may drain per wakeup before
-    /// rerunning its control work (transport pump, schedule pass).
-    fn frame_batch(&self) -> usize {
-        1
-    }
-
-    /// The cancellation token the master and executors observe. The
-    /// master cancels it when it declares its run wedged; the default is
-    /// a fresh token, which nothing else cancels.
-    fn cancel(&self) -> CancelToken {
-        CancelToken::new()
-    }
+    /// The pool every executor of the job runs its task bodies on. Its
+    /// [`CancelToken`] is the run's.
+    fn pool(&self) -> Arc<WorkerPool>;
 
     /// Runs the master to completion.
     ///
@@ -243,14 +220,29 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     fn drive(&self, master: Master) -> Result<JobResult, RuntimeError>;
 }
 
-/// The inline master loop (completions are handled in arrival order):
-/// dedicated slot threads per executor, one frame per wakeup.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimBackend;
+/// The inline master loop: `drive` runs it on the caller's thread, and
+/// completions are handled in arrival order.
+#[derive(Debug)]
+pub struct SimBackend {
+    pool: Arc<WorkerPool>,
+}
+
+impl SimBackend {
+    /// Builds the backend from `config`: a pool of `threaded_workers`.
+    pub fn from_config(config: &RuntimeConfig) -> Self {
+        SimBackend {
+            pool: WorkerPool::for_job(config),
+        }
+    }
+}
 
 impl ExecBackend for SimBackend {
     fn name(&self) -> &'static str {
         "sim"
+    }
+
+    fn pool(&self) -> Arc<WorkerPool> {
+        Arc::clone(&self.pool)
     }
 
     fn drive(&self, master: Master) -> Result<JobResult, RuntimeError> {
@@ -258,40 +250,22 @@ impl ExecBackend for SimBackend {
     }
 }
 
-/// Real parallel backend: master loop on its own thread, executor slots
-/// on a shared [`WorkerPool`], and batched frame draining. The master's
-/// progress timeout detects a wedge here as on sim; `drive` only
-/// backs it up for a master thread that is itself stuck.
+/// The master loop on its own `pado-master` thread. The master's
+/// progress timeout detects a wedge here as on sim; `drive` only backs
+/// it up for a master thread that is itself stuck.
 #[derive(Debug)]
 pub struct ThreadedBackend {
     pool: Arc<WorkerPool>,
-    frame_batch: usize,
     backstop: Duration,
 }
 
 impl ThreadedBackend {
-    /// Frames drained per master wakeup. Large enough to amortize the
-    /// control work across a burst of concurrent completions, small
-    /// enough that failure detection and retransmissions never starve.
-    const FRAME_BATCH: usize = 32;
-
-    /// Capacity of the bounded pool job queue executor task bodies wait
-    /// in: far above the `executors × slots` the launch gate admits to
-    /// transient executors (reserved receivers are not gated, see
-    /// `ExecutorHandle::spawn`; a full queue blocks the submitter).
-    const CHANNEL_CAPACITY: usize = 256;
-
     /// Builds the backend from `config`: a pool of `threaded_workers`,
-    /// which spins up immediately and is shared by every executor of the
-    /// job, and a backstop of twice `event_timeout_ms` in which nothing
-    /// in the run emits, so the master's own wedge report comes first.
+    /// and a backstop of twice `event_timeout_ms` in which nothing in the
+    /// run emits, so the master's own wedge report comes first.
     pub fn from_config(config: &RuntimeConfig) -> Self {
         ThreadedBackend {
-            pool: Arc::new(WorkerPool::new(
-                config.threaded_workers.max(1),
-                Self::CHANNEL_CAPACITY,
-            )),
-            frame_batch: Self::FRAME_BATCH,
+            pool: WorkerPool::for_job(config),
             backstop: Duration::from_millis(config.event_timeout_ms.saturating_mul(2)),
         }
     }
@@ -299,7 +273,7 @@ impl ThreadedBackend {
     /// The pool shared by this backend's executors (tests use it to
     /// wedge the pool deliberately).
     pub fn worker_pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(&self.pool)
+        self.pool()
     }
 }
 
@@ -308,16 +282,8 @@ impl ExecBackend for ThreadedBackend {
         "threaded"
     }
 
-    fn pool(&self) -> Option<Arc<WorkerPool>> {
-        Some(Arc::clone(&self.pool))
-    }
-
-    fn frame_batch(&self) -> usize {
-        self.frame_batch
-    }
-
-    fn cancel(&self) -> CancelToken {
-        self.pool.cancel_token()
+    fn pool(&self) -> Arc<WorkerPool> {
+        Arc::clone(&self.pool)
     }
 
     fn drive(&self, master: Master) -> Result<JobResult, RuntimeError> {
@@ -347,12 +313,7 @@ impl ExecBackend for ThreadedBackend {
                 "master thread stuck: nothing emitted for {} ms",
                 self.backstop.as_millis()
             );
-            stuck = Some(StallDiagnostics::sample(
-                reason,
-                quiet,
-                Some(&self.pool),
-                None,
-            ));
+            stuck = Some(StallDiagnostics::sample(reason, quiet, &self.pool, None));
             self.pool.cancel_token().cancel();
             outcome = rx.recv_timeout(WorkerPool::DEFAULT_GRACE);
         }
@@ -396,15 +357,19 @@ impl ExecBackend for ThreadedBackend {
 /// A job submitted to the [`WorkerPool`].
 pub type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size thread pool with a bounded job queue, shared by every
-/// executor of a threaded-backend job (task bodies).
+/// A fixed-size thread pool with a bounded job queue: the lanes every
+/// executor of a job runs its task bodies on, on either backend. An
+/// executor keeps at most `slots_per_executor` of its bodies here at
+/// once (the rest wait in its own queue), so the queue never holds more
+/// than `executors × slots` jobs.
 ///
 /// Threads are named with the executor worker prefix so the process-wide
-/// panic hook filter silences injected task panics on them exactly as it
-/// does for dedicated slot threads. The pool never deadlocks the master:
-/// the master submits nothing, and an executor control thread blocked on
-/// a full queue holds no lock a worker needs: it releases its executor's
-/// outbox, where workers send their reports, before every submit.
+/// panic hook filter silences injected task panics on them. The pool
+/// never deadlocks the master: the master submits nothing, and an
+/// executor control thread blocked on a full queue holds no lock a
+/// worker needs: it releases its executor's outbox and queue, which
+/// workers take to report and to pick up the next body, before every
+/// submit.
 ///
 /// Shutdown is cooperative and bounded: [`submit`](WorkerPool::submit)
 /// re-checks the shutdown flag and the pool's [`CancelToken`] every
@@ -424,7 +389,7 @@ pub struct WorkerPool {
     /// Set when Drop begins; submitters observe it and stop queueing.
     shutdown: Arc<AtomicBool>,
     /// The run-wide cancellation token (shared with the master loop and
-    /// executor control threads on the threaded backend).
+    /// executor control threads).
     cancel: CancelToken,
     /// Per-worker busy flags and completion counters (diagnostics).
     slots: Arc<Vec<WorkerSlot>>,
@@ -448,6 +413,19 @@ impl WorkerPool {
     /// quiescing — before its threads are detached as a last resort; and
     /// the default bound on how long `Drop` joins a wedged worker.
     const DEFAULT_GRACE: Duration = Duration::from_secs(2);
+
+    /// Capacity of the bounded job queue: far above the `executors ×
+    /// slots` bodies the executors admit at once (a full queue blocks the
+    /// submitter).
+    const CHANNEL_CAPACITY: usize = 256;
+
+    /// A job's pool: `threaded_workers` threads, which spin up at once.
+    pub fn for_job(config: &RuntimeConfig) -> Arc<Self> {
+        Arc::new(Self::new(
+            config.threaded_workers.max(1),
+            Self::CHANNEL_CAPACITY,
+        ))
+    }
 
     /// Spawns `workers` threads behind a `capacity`-bounded job queue,
     /// with the default shutdown grace.
@@ -502,9 +480,8 @@ impl WorkerPool {
     }
 
     /// The cancellation token every job of this pool's run shares. The
-    /// threaded backend hands the same token to the master and the
-    /// executors; cancelling it unblocks submitters and lets
-    /// cancellation-aware jobs unwind.
+    /// master and the executors observe the same token; cancelling it
+    /// unblocks submitters and lets cancellation-aware jobs unwind.
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -756,7 +733,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("wedged job should start");
         let waited = Duration::from_millis(300);
-        let report = StallDiagnostics::sample("stuck".into(), waited, Some(&pool), Some(3));
+        let report = StallDiagnostics::sample("stuck".into(), waited, &pool, Some(3));
         cancel.cancel();
         assert!(pool.wait_quiesce(Duration::from_secs(5)));
         let RuntimeError::Wedged { diagnostics: d } = report.finish(
@@ -772,6 +749,23 @@ mod tests {
             "stuck (waited 300 ms): 1 pool jobs in flight (1/2 workers busy), \
              3 outstanding attempts, 0 journal events, master thread joined"
         );
+    }
+
+    #[test]
+    fn both_backends_run_one_pool_sized_by_threaded_workers() {
+        let config = RuntimeConfig {
+            threaded_workers: 3,
+            ..RuntimeConfig::default()
+        };
+        let backends: [Box<dyn ExecBackend>; 2] = [
+            Box::new(SimBackend::from_config(&config)),
+            Box::new(ThreadedBackend::from_config(&config)),
+        ];
+        for backend in backends {
+            let pool = backend.pool();
+            assert!(Arc::ptr_eq(&pool, &backend.pool()), "{}", backend.name());
+            assert_eq!(pool.worker_states().len(), 3, "{}", backend.name());
+        }
     }
 
     #[test]

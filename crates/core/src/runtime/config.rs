@@ -3,10 +3,11 @@
 /// Tunables of the in-process Pado runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Task slots (worker threads) per executor (§3.2.3). Bounds
-    /// transient executors only: a reserved task goes to its pre-assigned
-    /// receiver whatever that executor already holds (§3.2.3 sets
-    /// receivers up first), so reserved launches are not gated on it.
+    /// Task slots per executor (§3.2.3): how many of its bodies run on
+    /// the job's worker pool at once, on every executor; the rest wait in
+    /// its queue. The master also gates transient launches on it; a
+    /// reserved task goes to its pre-assigned receiver whatever that
+    /// executor already holds (§3.2.3 sets receivers up first).
     pub slots_per_executor: usize,
     /// Capacity of each executor's task-input cache in bytes (§3.2.7).
     /// The cache lives *inside* the executor store budget, so this must
@@ -80,9 +81,8 @@ pub struct RuntimeConfig {
     /// bounding the suffix recovery must replay and providing the
     /// fallback target for interior corruption.
     pub wal_snapshot_every: usize,
-    /// Worker threads in the threaded backend's shared pool (ignored by
-    /// the sim backend, which gives each executor dedicated slot
-    /// threads).
+    /// Worker threads in the job's pool, which runs every executor's
+    /// task bodies on either backend.
     pub threaded_workers: usize,
 }
 

@@ -1,8 +1,11 @@
-//! Pado executors: multi-slot worker threads running tasks (§3.2.4).
+//! Pado executors: task slots on the job's worker pool (§3.2.4).
 //!
-//! Each executor owns a user-configured number of task slots, realized as
-//! worker threads sharing one task queue, plus an input cache shared by
-//! its slots. Executors are *pure computers*: the master resolves every
+//! Each executor owns a user-configured number of task slots and an input
+//! cache shared by them. A slot is a *lane* on the job's [`WorkerPool`]:
+//! at most `slots_per_executor` of an executor's bodies run on the pool
+//! at once, the rest wait in the executor's own queue, and a lane that
+//! finishes a body takes the next one from that queue before it retires.
+//! Executors are *pure computers*: the master resolves every
 //! input to a shared block, and executors send finished outputs back,
 //! already sized and partitioned for the shuffles they feed. This keeps
 //! every placement decision (and therefore every eviction consequence) in
@@ -20,7 +23,7 @@
 //! and closed when the executor stops, so a body that outlives its
 //! executor reports nothing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Once};
@@ -37,7 +40,7 @@ use parking_lot::Mutex;
 use crate::compiler::{FopId, InputSlot, PhysicalPlan, Placement};
 use crate::exec::{apply_chain, route};
 use crate::kernels::{combine_global, combine_keyed};
-use crate::runtime::backend::{CancelToken, WorkerPool};
+use crate::runtime::backend::WorkerPool;
 use crate::runtime::config::RuntimeConfig;
 use crate::runtime::journal::{JobEvent, Journal};
 use crate::runtime::message::{ExecId, InjectedFault, MasterMsg, TaskSpec};
@@ -99,7 +102,7 @@ impl JobContext {
     }
 }
 
-/// A live executor: its control thread, task queue, and worker threads.
+/// A live executor: its control thread and its lanes' shared state.
 #[derive(Debug)]
 pub struct ExecutorHandle {
     /// Executor id (never reused across replacements).
@@ -108,11 +111,11 @@ pub struct ExecutorHandle {
     pub kind: Placement,
     ctrl: Sender<ExecIn>,
     lane: Arc<Lane>,
-    threads: Vec<JoinHandle<()>>,
+    control: JoinHandle<()>,
 }
 
-/// What each lane of one executor — a slot thread, or a pool job — runs
-/// a task body with and reports through.
+/// What each lane of one executor runs a task body with, reports
+/// through, and takes its next body from.
 #[derive(Debug)]
 struct Lane {
     exec: ExecId,
@@ -123,6 +126,14 @@ struct Lane {
     /// control thread; `None` once the executor stops. No holder keeps
     /// the lock across a pool submit.
     outbox: Mutex<Option<Outbox>>,
+    /// Bodies waiting for a slot, and how many lanes are on the pool.
+    queue: Mutex<Slots>,
+}
+
+#[derive(Debug, Default)]
+struct Slots {
+    waiting: VecDeque<TaskSpec>,
+    busy: usize,
 }
 
 #[derive(Debug)]
@@ -153,31 +164,52 @@ impl Lane {
         }
         true
     }
+
+    /// Takes a slot for `spec`, or queues it when every slot is busy:
+    /// the spec to put on the pool, if any.
+    fn admit(&self, spec: TaskSpec) -> Option<TaskSpec> {
+        let mut q = self.queue.lock();
+        if q.busy >= self.job.config.slots_per_executor.max(1) {
+            q.waiting.push_back(spec);
+            return None;
+        }
+        q.busy += 1;
+        Some(spec)
+    }
+
+    /// One lane on the pool: runs `spec`, then the queued bodies, and
+    /// gives its slot back when the queue is empty or the executor
+    /// stopped.
+    fn drain(&self, mut spec: TaskSpec) {
+        loop {
+            let live = self.run(spec);
+            let mut q = self.queue.lock();
+            match q.waiting.pop_front().filter(|_| live) {
+                Some(next) => spec = next,
+                None => return q.busy -= 1,
+            }
+        }
+    }
 }
 
 impl ExecutorHandle {
-    /// Spawns an executor: `config.slots_per_executor` worker threads plus
-    /// one control thread bridging them to the (possibly faulty) wire.
+    /// Spawns an executor: one control thread bridging the (possibly
+    /// faulty) wire to `slots_per_executor` lanes on `pool`.
     ///
     /// `to_master` is the master's inbound wire; `net` injects the seeded
     /// network faults (`None` = perfectly reliable transport); `journal`
-    /// is the job's shared execution journal (worker slots log task
-    /// starts, the reliable endpoint logs retransmissions); `store` is
-    /// this executor's byte-accounted memory domain, shared with the
-    /// master (which pins inputs and admits pushes into it).
+    /// is the job's shared execution journal (lanes log task starts, the
+    /// reliable endpoint logs retransmissions); `store` is this
+    /// executor's byte-accounted memory domain, shared with the master
+    /// (which pins inputs and admits pushes into it). The control thread
+    /// observes the pool's
+    /// [`CancelToken`](crate::runtime::CancelToken).
     ///
-    /// With `pool` set (the threaded backend) the executor spawns no
-    /// dedicated slot threads: task bodies are submitted to the shared
-    /// pool instead, and report through the outbox like slot threads do.
-    /// The master's `busy < slots` launch gate bounds a *transient*
-    /// executor to `slots` outstanding task bodies.
-    /// A reserved one has no such bound: `Master::pick_executor` returns
-    /// a reserved task's pre-assigned receiver without looking at `busy`
-    /// (§3.2.3 sets receivers up first), so it can hold
-    /// `parallelism / n_reserved` bodies of a stage at once, and the
-    /// pool's bounded queue can see more than `executors × slots`
-    /// submissions; past its capacity `submit` blocks this control
-    /// thread until a worker takes a job.
+    /// The slot bound holds for every executor. The master's `busy <
+    /// slots` launch gate also keeps a *transient* executor's launches
+    /// within it; a reserved one's are not gated there
+    /// (`Master::pick_executor` returns a reserved task's pre-assigned
+    /// receiver, §3.2.3), so its surplus waits in its queue.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn(
         id: ExecId,
@@ -188,8 +220,7 @@ impl ExecutorHandle {
         counters: Arc<TransportCounters>,
         journal: Journal,
         store: StoreHandle,
-        pool: Option<Arc<WorkerPool>>,
-        cancel: CancelToken,
+        pool: Arc<WorkerPool>,
     ) -> Self {
         install_panic_hook_filter();
         let (ctrl_tx, ctrl_rx) = crossbeam::channel::unbounded::<ExecIn>();
@@ -221,41 +252,25 @@ impl ExecutorHandle {
                 sleeps_until: Instant::now(),
                 wake: ctrl_tx.clone(),
             })),
+            queue: Mutex::default(),
         });
         let config = &lane.job.config;
         let heartbeat = Duration::from_millis(config.heartbeat_interval_ms.max(1));
         let dedup = DedupWindow::new(config.transport_dedup_window);
-        let mut threads: Vec<JoinHandle<()>> = Vec::new();
-        let sink = match pool {
-            Some(pool) => TaskSink::Pool(pool),
-            None => {
-                let (task_tx, task_rx) = crossbeam::channel::unbounded::<TaskSpec>();
-                for slot in 0..config.slots_per_executor.max(1) {
-                    let (rx, lane) = (task_rx.clone(), Arc::clone(&lane));
-                    let name = format!("pado-exec-{id}-slot{slot}");
-                    let run = move || while rx.recv().is_ok_and(|spec| lane.run(spec)) {};
-                    let thread = std::thread::Builder::new().name(name).spawn(run);
-                    threads.push(thread.expect("spawn executor worker thread"));
-                }
-                TaskSink::Slots(task_tx)
-            }
-        };
         let ctrl_lane = Arc::clone(&lane);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("pado-exec-{id}-ctrl"))
-                .spawn(move || {
-                    control_loop(&ctrl_lane, ctrl_rx, sink, dedup, heartbeat, ctrs, cancel);
-                    ctrl_lane.outbox.lock().take();
-                })
-                .expect("spawn executor control thread"),
-        );
+        let control = std::thread::Builder::new()
+            .name(format!("pado-exec-{id}-ctrl"))
+            .spawn(move || {
+                control_loop(&ctrl_lane, ctrl_rx, &pool, dedup, heartbeat, ctrs);
+                ctrl_lane.outbox.lock().take();
+            })
+            .expect("spawn executor control thread");
         ExecutorHandle {
             id,
             kind,
             ctrl: ctrl_tx,
             lane,
-            threads,
+            control,
         }
     }
 
@@ -274,23 +289,13 @@ impl ExecutorHandle {
         let _ = self.ctrl.send(ExecIn::Kill);
     }
 
-    /// Joins all executor threads (call after [`ExecutorHandle::stop`]).
+    /// Joins the control thread (call after [`ExecutorHandle::stop`]).
+    /// The lanes live on the job's pool, which outlives any one
+    /// executor: a body in flight finishes, finds the outbox closed, and
+    /// its lane retires without taking the next.
     pub fn join(self) {
-        for t in self.threads {
-            let _ = t.join();
-        }
+        let _ = self.control.join();
     }
-}
-
-/// Where the control thread hands runnable task specs: dedicated slot
-/// threads (sim backend) or the job-wide shared pool (threaded backend).
-/// Dropping it — the control thread returning — tears the lanes down: a
-/// slot drains the specs already queued, then sees the channel closed.
-/// The shared pool outlives any one executor; its in-flight bodies
-/// finish and find the outbox closed.
-enum TaskSink {
-    Slots(Sender<TaskSpec>),
-    Pool(Arc<WorkerPool>),
 }
 
 /// The executor's network-facing loop: heartbeats, acks + dedup on
@@ -299,13 +304,13 @@ enum TaskSink {
 fn control_loop(
     lane: &Arc<Lane>,
     ctrl_rx: Receiver<ExecIn>,
-    sink: TaskSink,
+    pool: &WorkerPool,
     mut dedup: DedupWindow,
     heartbeat: Duration,
     counters: Arc<TransportCounters>,
-    cancel: CancelToken,
 ) {
     let (exec, mut next_beat) = (lane.exec, Instant::now());
+    let cancel = pool.cancel_token();
     loop {
         // Cooperative cancellation point: a wedged run unwinds this
         // control thread without waiting for the master's Kill (which a
@@ -324,8 +329,8 @@ fn control_loop(
                 next_beat = now + heartbeat;
             }
             if o.out.pump(now).is_err() {
-                // A transport bookkeeping invariant broke: tear the worker
-                // slots down cleanly (the master's own pump surfaces the
+                // A transport bookkeeping invariant broke: stop the
+                // executor cleanly (the master's own pump surfaces the
                 // positioned error and fails the job).
                 return;
             }
@@ -348,17 +353,12 @@ fn control_loop(
                     counters.deduplicated.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                // The outbox lock is not held here, so a blocking submit
-                // is safe: workers never wait on a lock held across it,
-                // and a full queue always drains.
-                match &sink {
-                    TaskSink::Slots(tx) => drop(tx.send(payload)),
-                    TaskSink::Pool(pool) => {
-                        let lane = Arc::clone(lane);
-                        pool.submit(Box::new(move || {
-                            lane.run(payload);
-                        }));
-                    }
+                // Neither the outbox nor the queue lock is held here, so a
+                // blocking submit is safe: workers never wait on a lock
+                // held across it, and a full queue always drains.
+                if let Some(spec) = lane.admit(payload) {
+                    let lane = Arc::clone(lane);
+                    pool.submit(Box::new(move || lane.drain(spec)));
                 }
             }
             Ok(ExecIn::Net(Wire::Ack { seq, .. })) => {
@@ -381,8 +381,8 @@ fn control_loop(
 /// The *entire* task body — side-input resolution, plan lookup, chain
 /// application, pre-aggregation — runs inside `catch_unwind`, so any
 /// panic (a UDF's, or a runtime bug's) yields a [`MasterMsg::TaskFailed`]
-/// instead of killing the worker slot silently: the slot stays alive and
-/// the master learns the attempt died.
+/// instead of killing the lane silently: the lane stays alive and the
+/// master learns the attempt died.
 fn run_task(
     exec: ExecId,
     job: &JobContext,
@@ -390,7 +390,7 @@ fn run_task(
     journal: &Journal,
     spec: TaskSpec,
 ) -> MasterMsg {
-    // Every attempt that reaches a worker slot logs a start — including
+    // Every attempt that reaches a lane logs a start — including
     // ones an injected fault will fail before the body runs (the fault
     // models user code dying, which starts executing first).
     journal.emit(
@@ -489,7 +489,7 @@ impl Drop for CachePinGuard<'_> {
 /// will read the size ([`JobContext::size_where_read`]): it reads
 /// memoized lengths, and no block is encoded for a size nobody reads. Cache
 /// entries a task reads stay pinned until it finishes, so concurrent
-/// slots cannot shed an input mid-use.
+/// lanes cannot shed an input mid-use.
 fn task_body(
     exec: ExecId,
     job: &JobContext,
@@ -794,13 +794,16 @@ mod tests {
         }
     }
 
-    /// A body that finishes after its executor stopped finds the outbox
-    /// closed, on either lane: its report never reaches the wire, while
-    /// the same executor's earlier report, sent alive, did.
-    #[test]
-    fn a_body_that_outlives_its_executor_reports_nothing() {
+    /// A one-slot transient executor on a pool of two workers, running a
+    /// one-task read → sink job: the executor, the master's end of its
+    /// wire, its journal and the pool.
+    fn lone_executor() -> (
+        ExecutorHandle,
+        Receiver<Wire<MasterMsg>>,
+        Journal,
+        Arc<WorkerPool>,
+    ) {
         use crate::compiler::compile;
-        use crate::runtime::journal::JournalMeta;
         use pado_dag::{Pipeline, SourceFn};
 
         let p = Pipeline::new();
@@ -808,77 +811,130 @@ mod tests {
             .sink("S");
         let dag = p.build().unwrap();
         let plan = compile(&dag).unwrap();
-        let config = RuntimeConfig::default();
+        let config = RuntimeConfig {
+            slots_per_executor: 1,
+            ..RuntimeConfig::default()
+        };
         let job = Arc::new(JobContext { dag, plan, config });
-        let launch = |seq, inject| {
-            let spec = TaskSpec {
-                attempt: seq,
-                fop: 0,
-                index: 0,
-                mains: Vec::new(),
-                sides: BTreeMap::new(),
-                preaggregate: false,
-                route_to: Vec::new(),
-                inject,
-            };
-            ExecIn::Net(Wire::Msg {
-                from: 3,
-                seq,
-                epoch: 0,
-                payload: spec,
-            })
-        };
-        let starts = |j: &Journal| {
-            let frozen = j.freeze(JournalMeta::default());
-            let started = frozen
-                .events()
-                .filter(|e| matches!(e, JobEvent::TaskStarted { .. }));
-            started.count()
-        };
-        for pool in [None, Some(Arc::new(WorkerPool::new(1, 4)))] {
-            let (to_master, wire) = crossbeam::channel::unbounded();
-            let journal = Journal::new();
-            let store = ExecutorStore::handle(3, UNLIMITED, 1024, journal.clone());
-            let exec = ExecutorHandle::spawn(
-                3,
-                Placement::Transient,
-                Arc::clone(&job),
-                to_master,
-                None,
-                Arc::default(),
-                journal.clone(),
-                store,
-                pool.clone(),
-                CancelToken::new(),
-            );
-            let reports = || {
-                let frames = std::iter::from_fn(|| wire.try_recv());
-                frames.filter(|f| matches!(f, Wire::Msg { .. })).count()
-            };
-            exec.inbound().send(launch(1, None)).unwrap();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let mut sent = 0;
-            while sent == 0 && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-                sent += reports();
-            }
-            assert_eq!(sent, 1, "a live executor's report reaches the wire");
+        let pool = Arc::new(WorkerPool::new(2, 4));
+        let (to_master, wire) = crossbeam::channel::unbounded();
+        let journal = Journal::new();
+        let store = ExecutorStore::handle(3, UNLIMITED, 1024, journal.clone());
+        let exec = ExecutorHandle::spawn(
+            3,
+            Placement::Transient,
+            job,
+            to_master,
+            None,
+            Arc::default(),
+            journal.clone(),
+            store,
+            Arc::clone(&pool),
+        );
+        (exec, wire, journal, pool)
+    }
 
-            // The second body computes, then stalls on its report past
-            // the executor's stop.
-            let stall = Some(InjectedFault::DelayDone(100));
-            exec.inbound().send(launch(2, stall)).unwrap();
-            while starts(&journal) < 2 {
-                assert!(Instant::now() < deadline, "the second body never started");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            exec.stop();
-            if let Some(pool) = &pool {
-                assert!(pool.wait_quiesce(Duration::from_secs(10)), "the body ends");
-            }
-            exec.join();
-            assert_eq!(reports(), 0, "a stopped executor's body reports nothing");
+    /// The master's launch of attempt `seq` of the job's one task.
+    fn launch(seq: u64, inject: Option<InjectedFault>) -> ExecIn {
+        let spec = TaskSpec {
+            attempt: seq,
+            fop: 0,
+            index: 0,
+            mains: Vec::new(),
+            sides: BTreeMap::new(),
+            preaggregate: false,
+            route_to: Vec::new(),
+            inject,
+        };
+        ExecIn::Net(Wire::Msg {
+            from: 3,
+            seq,
+            epoch: 0,
+            payload: spec,
+        })
+    }
+
+    /// The attempts that started, in the order they did.
+    fn started(journal: &Journal) -> Vec<u64> {
+        let frozen = journal.freeze(crate::runtime::journal::JournalMeta::default());
+        let attempts = frozen.events().filter_map(|e| match e {
+            JobEvent::TaskStarted { attempt, .. } => Some(*attempt),
+            _ => None,
+        });
+        attempts.collect()
+    }
+
+    /// Reports that reached the master's end of the wire.
+    fn reports(wire: &Receiver<Wire<MasterMsg>>) -> usize {
+        let frames = std::iter::from_fn(|| wire.try_recv());
+        frames.filter(|f| matches!(f, Wire::Msg { .. })).count()
+    }
+
+    /// A body that finishes after its executor stopped finds the outbox
+    /// closed: its report never reaches the wire, while the same
+    /// executor's earlier report, sent alive, did. Its lane retires: the
+    /// body queued behind it for the one slot never starts.
+    #[test]
+    fn a_body_that_outlives_its_executor_reports_nothing() {
+        let (exec, wire, journal, pool) = lone_executor();
+        exec.inbound().send(launch(1, None)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut sent = 0;
+        while sent == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            sent += reports(&wire);
         }
+        assert_eq!(sent, 1, "a live executor's report reaches the wire");
+
+        // The second body computes, then stalls on its report past the
+        // executor's stop; the third waits for its slot.
+        let stall = Some(InjectedFault::DelayDone(100));
+        exec.inbound().send(launch(2, stall)).unwrap();
+        exec.inbound().send(launch(3, None)).unwrap();
+        while started(&journal).len() < 2 {
+            assert!(Instant::now() < deadline, "the second body never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        exec.stop();
+        assert!(pool.wait_quiesce(Duration::from_secs(10)), "the body ends");
+        exec.join();
+        assert_eq!(
+            reports(&wire),
+            0,
+            "a stopped executor's body reports nothing"
+        );
+        assert_eq!(
+            started(&journal),
+            [1, 2],
+            "a stopped executor starts no body"
+        );
+    }
+
+    /// Launches beyond an executor's slots wait in its queue, and its
+    /// lane takes them in arrival order: with one slot and two pool
+    /// workers, bodies start in launch order, one lane at a time, and
+    /// every one reports.
+    #[test]
+    fn a_lane_takes_queued_bodies_in_launch_order() {
+        let (exec, wire, journal, pool) = lone_executor();
+        for seq in 1..=4 {
+            // The first body holds its slot while the rest queue.
+            let inject = (seq == 1).then_some(InjectedFault::Delay(200));
+            exec.inbound().send(launch(seq, inject)).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut sent = 0;
+        while sent < 4 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+            sent += reports(&wire);
+        }
+        assert_eq!(sent, 4, "every queued body ran and reported");
+        assert_eq!(started(&journal), [1, 2, 3, 4]);
+        assert!(pool.wait_quiesce(Duration::from_secs(10)));
+        let jobs: u64 = pool.worker_states().iter().map(|w| w.jobs_run).sum();
+        assert_eq!(jobs, 1, "one lane ran all four bodies");
+        exec.stop();
+        exec.join();
     }
 
     /// A runtime bug inside the task body — here an out-of-range fop id

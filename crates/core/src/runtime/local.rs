@@ -92,10 +92,9 @@ impl LocalCluster {
         }
     }
 
-    /// Selects the execution backend (default: [`BackendKind::Sim`], the
-    /// deterministic inline event loop). [`BackendKind::Threaded`] runs the
-    /// master on its own thread and task bodies on a shared worker pool
-    /// sized by [`RuntimeConfig::threaded_workers`].
+    /// Selects who drives the master: [`BackendKind::Sim`] (the default)
+    /// inline on the caller's thread, [`BackendKind::Threaded`] on its own.
+    /// Either runs task bodies on [`RuntimeConfig::threaded_workers`] threads.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
@@ -143,7 +142,7 @@ impl LocalCluster {
         faults: FaultPlan,
     ) -> Result<JobResult, RuntimeError> {
         let backend: Box<dyn ExecBackend> = match self.backend {
-            BackendKind::Sim => Box::new(SimBackend),
+            BackendKind::Sim => Box::new(SimBackend::from_config(&self.config)),
             BackendKind::Threaded => Box::new(ThreadedBackend::from_config(&self.config)),
         };
         self.run_on_backend(dag, faults, backend.as_ref())
@@ -235,6 +234,41 @@ mod tests {
         assert_eq!(count_of(&result, "b"), 2);
         assert_eq!(count_of(&result, "c"), 3);
         assert_eq!(result.metrics.evictions, 2);
+    }
+
+    /// `threaded_workers` sizes the pool on the default backend too:
+    /// with one worker, every body of the job runs on that one thread.
+    #[test]
+    fn the_sim_backend_runs_every_body_on_the_configured_pool() {
+        let seen = Arc::new(std::sync::Mutex::new(std::collections::BTreeSet::new()));
+        let s = Arc::clone(&seen);
+        let p = Pipeline::new();
+        p.read(
+            "Read",
+            6,
+            SourceFn::from_vec((0..12).map(Value::from).collect()),
+        )
+        .par_do(
+            "Probe",
+            ParDoFn::per_element(move |v, emit| {
+                let name = std::thread::current().name().map(str::to_owned);
+                s.lock().unwrap().insert(name.unwrap_or_default());
+                emit(v.clone());
+            }),
+        )
+        .sink("Out");
+        let dag = p.build().unwrap();
+        let config = RuntimeConfig {
+            threaded_workers: 1,
+            ..RuntimeConfig::default()
+        };
+        let result = LocalCluster::new(3, 1)
+            .with_config(config)
+            .run(&dag)
+            .unwrap();
+        assert_eq!(result.outputs["Out"].len(), 12);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.iter().collect::<Vec<_>>(), ["pado-exec-pool-0"]);
     }
 
     #[test]

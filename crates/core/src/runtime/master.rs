@@ -30,7 +30,7 @@ use pado_dag::{block_from_vec, Block, DepType, MainSlot, Value};
 use crate::compiler::{FopId, InputSlot, Placement, PlanEdge};
 use crate::error::RuntimeError;
 use crate::exec::route;
-use crate::runtime::backend::{CancelToken, ExecBackend, StallDiagnostics, WorkerPool};
+use crate::runtime::backend::{ExecBackend, StallDiagnostics, WorkerPool};
 use crate::runtime::clock::Clock;
 use crate::runtime::executor::{combine_consumer, ExecutorHandle, JobContext};
 use crate::runtime::fault::{FaultAction, FaultPlan, FaultSchedule};
@@ -194,19 +194,14 @@ pub struct Master {
     temp_wal: Option<PathBuf>,
 
     // --- Execution-backend plumbing ---
-    /// The scheduling clock (wall on both stock backends; manual in
-    /// timer-order tests). Every master-side timer reads through it.
+    /// The scheduling clock (wall; manual in timer-order tests). Every
+    /// master-side timer reads through it.
     clock: Clock,
-    /// The shared worker pool, when the backend uses one: executors run
-    /// task bodies on it.
-    pool: Option<Arc<WorkerPool>>,
-    /// Inbound frames drained per loop wakeup before control work reruns
-    /// (1 on the sim backend — the original loop shape).
-    frame_batch: usize,
-    /// The run-wide cooperative cancellation token, shared with the
-    /// executors: cancelled when the run is declared wedged, and checked
-    /// at the top of every scheduling pass for a cancel from outside.
-    cancel: CancelToken,
+    /// The job's worker pool: every executor runs its task bodies on it.
+    /// Its cancellation token is the run's, shared with the executors:
+    /// cancelled when the run is declared wedged, and checked at the top
+    /// of every scheduling pass for a cancel from outside.
+    pool: Arc<WorkerPool>,
 }
 
 /// [`Master::emit`] over the two fields it touches, for a caller that
@@ -233,9 +228,7 @@ impl Drop for Master {
 
 impl Master {
     /// Creates a master wired for an execution backend and spawns the
-    /// initial containers: the backend's clock, worker pool and
-    /// frame-batch width are installed before the first executor spawns
-    /// (executors need the pool at spawn time).
+    /// initial containers on the backend's worker pool.
     ///
     /// # Errors
     ///
@@ -249,6 +242,7 @@ impl Master {
         backend: &dyn ExecBackend,
     ) -> Result<Self, RuntimeError> {
         let (tx, rx) = crossbeam::channel::unbounded();
+        let pool = backend.pool();
         let net = faults.network.clone().map(NetPolicy::new);
         let counters = Arc::new(TransportCounters::default());
         let n_fops = job.plan.fops.len();
@@ -318,16 +312,12 @@ impl Master {
             faults: FaultSchedule::new(faults),
             wal,
             temp_wal,
-            clock: backend.clock(),
-            pool: backend.pool(),
-            frame_batch: backend.frame_batch().max(1),
-            cancel: backend.cancel(),
+            clock: Clock::wall(),
+            pool,
         };
         // Arm the pool's detach journal so a worker leaked past the
         // shutdown grace is recorded in this run's own event stream.
-        if let Some(pool) = &master.pool {
-            pool.arm_journal(master.journal.clone());
-        }
+        master.pool.arm_journal(master.journal.clone());
         for _ in 0..n_reserved {
             master.spawn_executor(Placement::Reserved);
         }
@@ -366,8 +356,7 @@ impl Master {
             Arc::clone(&self.counters),
             self.journal.clone(),
             Arc::clone(&store),
-            self.pool.clone(),
-            self.cancel.clone(),
+            Arc::clone(&self.pool),
         );
         let (net, counters) = (self.net.clone(), Arc::clone(&self.counters));
         let link = FaultyLink::new(handle.inbound(), id, Direction::ToExecutor, net, counters);
@@ -447,34 +436,22 @@ impl Master {
             // The one stall detector, on every pass whatever the frame
             // rate; a cancel from outside unwinds through the same exit.
             let waited = self.clock.now().saturating_duration_since(last_progress);
-            if waited >= timeout || self.cancel.is_cancelled() {
+            if waited >= timeout || self.pool.cancel_token().is_cancelled() {
                 return Err(self.abort(waited, waited >= timeout));
             }
             match self.rx.recv_timeout(tick) {
-                Ok(first) => {
-                    // The threaded backend drains a burst of already-
-                    // queued frames before rerunning the control work
-                    // below, amortizing pump/schedule passes across
-                    // concurrent completions. The sim backend keeps the
-                    // original one-frame-per-wakeup shape (batch = 1).
-                    let mut next = Some(first);
-                    for _ in 0..self.frame_batch {
-                        let Some(frame) = next.take().or_else(|| self.rx.try_recv()) else {
-                            break;
-                        };
-                        // Only substantive deliveries reset the wedge
-                        // timer: heartbeats, acks, and suppressed
-                        // duplicates prove the wire is alive, not that
-                        // the job is advancing.
-                        if self.handle_frame(frame)? {
-                            last_progress = self.clock.now();
-                            // The crash family fires here — the handler
-                            // boundary — so recovery never sees a frame's
-                            // effects half-applied.
-                            let logged = self.wal.as_ref().map_or(0, WalWriter::total_appends);
-                            if let Some(restart) = self.faults.on_frame(logged) {
-                                self.apply_fault(restart)?;
-                            }
+                Ok(frame) => {
+                    // Only substantive deliveries reset the wedge timer:
+                    // heartbeats, acks, and suppressed duplicates prove
+                    // the wire is alive, not that the job is advancing.
+                    if self.handle_frame(frame)? {
+                        last_progress = self.clock.now();
+                        // The crash family fires here — the handler
+                        // boundary — so recovery never sees a frame's
+                        // effects half-applied.
+                        let logged = self.wal.as_ref().map_or(0, WalWriter::total_appends);
+                        if let Some(restart) = self.faults.on_frame(logged) {
+                            self.apply_fault(restart)?;
                         }
                     }
                     self.note_stage_transitions();
@@ -515,8 +492,8 @@ impl Master {
             return RuntimeError::Aborted(reason);
         }
         let running = Some(self.tasks.running());
-        let diagnostics = StallDiagnostics::sample(reason, waited, self.pool.as_deref(), running);
-        self.cancel.cancel();
+        let diagnostics = StallDiagnostics::sample(reason, waited, &self.pool, running);
+        self.pool.cancel_token().cancel();
         RuntimeError::Wedged { diagnostics }
     }
 
@@ -1810,17 +1787,12 @@ impl Master {
             info.handle.stop();
             info.handle.join();
         }
-        // Threaded backend: joining executors only joins their control
-        // threads — task bodies run on the shared pool. Wait for it to
-        // drain so every straggling journal emission (e.g. a loser
-        // attempt's TaskStarted) lands before the journal freezes.
-        let in_flight = match &self.pool {
-            Some(pool) => {
-                pool.wait_quiesce(Duration::from_secs(10));
-                pool.in_flight()
-            }
-            None => 0,
-        };
+        // Joining executors only joins their control threads — task
+        // bodies run on the shared pool. Wait for it to drain so every
+        // straggling journal emission (e.g. a loser attempt's
+        // TaskStarted) lands before the journal freezes.
+        self.pool.wait_quiesce(Duration::from_secs(10));
+        let in_flight = self.pool.in_flight();
         // Every run — clean, aborted, or stalled — records the pool
         // quiesce outcome; law 11 requires the count to be zero, and
         // requires this marker after any abort marker.
@@ -1910,8 +1882,9 @@ mod tests {
             .sink("S");
         let dag = p.build().unwrap();
         let plan = crate::compiler::compile(&dag).unwrap();
+        let backend = SimBackend::from_config(&config);
         let job = Arc::new(JobContext { dag, plan, config });
-        Master::with_backend(job, 1, 1, faults, &SimBackend).expect("master creation")
+        Master::with_backend(job, 1, 1, faults, &backend).expect("master creation")
     }
 
     /// The canonical event log, frozen from the live journal.
@@ -2032,8 +2005,9 @@ mod tests {
             .sink("S");
         let dag = p.build().unwrap();
         let plan = crate::compiler::compile(&dag).unwrap();
+        let backend = SimBackend::from_config(&config);
         let job = Arc::new(JobContext { dag, plan, config });
-        let m = Master::with_backend(job, 1, 1, FaultPlan::default(), &SimBackend).unwrap();
+        let m = Master::with_backend(job, 1, 1, FaultPlan::default(), &backend).unwrap();
         let map = (0..m.job.plan.fops.len())
             .find(|&f| {
                 let outs = m.job.plan.outs(f);

@@ -12,10 +12,16 @@
 //! the invariants may not.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
+use pado_core::compiler::{compile, Placement};
 use pado_core::runtime::{
-    assert_clean, BackendKind, FaultPlan, JobResult, LocalCluster, RuntimeConfig,
+    assert_clean, BackendKind, ExecBackend, FaultPlan, JobResult, LocalCluster, RuntimeConfig,
+    SimBackend, ThreadedBackend,
 };
+use pado_core::RuntimeError;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
 
 mod common;
@@ -220,6 +226,102 @@ fn threaded_backend_survives_evictions() {
     assert_clean(&result.journal, true);
     assert_eq!(result.metrics.evictions, 2);
     assert_eq!(encode_outputs(&baseline), encode_outputs(&result));
+}
+
+/// Every executor, reserved ones included, runs at most
+/// `slots_per_executor` of its bodies at once, on the job's pool, on
+/// both backends: one reserved executor with one slot, beside four pool
+/// workers, runs an eight-task reserved-only stage one body at a time,
+/// each on a `pado-exec-pool-*` thread.
+#[test]
+fn a_reserved_executor_runs_at_most_its_slots_on_the_pool() {
+    for backend in [BackendKind::Sim, BackendKind::Threaded] {
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let threads = Arc::new(Mutex::new(Vec::new()));
+        let (r, pk, th) = (running.clone(), peak.clone(), threads.clone());
+        let p = Pipeline::new();
+        p.read("Read", 4, SourceFn::from_vec(ints(32)))
+            .par_do(
+                "Key",
+                ParDoFn::per_element(|v, emit| {
+                    emit(Value::pair(v.clone(), Value::from(1i64)));
+                }),
+            )
+            .combine_per_key("Sum", CombineFn::sum_i64())
+            .with_parallelism(8)
+            .par_do(
+                "Probe",
+                ParDoFn::new(move |input: TaskInput<'_>, emit| {
+                    pk.fetch_max(r.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    let name = std::thread::current().name().map(str::to_owned);
+                    th.lock().unwrap().push(name.unwrap_or_default());
+                    std::thread::sleep(Duration::from_millis(20));
+                    for v in input.main() {
+                        emit(v.clone());
+                    }
+                    r.fetch_sub(1, Ordering::SeqCst);
+                }),
+            )
+            .sink("Out");
+        let dag = p.build().unwrap();
+        let plan = compile(&dag).unwrap();
+        let probe = plan
+            .fops
+            .iter()
+            .find(|f| f.chain.iter().any(|&op| dag.op(op).name == "Probe"));
+        assert_eq!(
+            probe.map(|f| (f.placement, f.parallelism)),
+            Some((Placement::Reserved, 8))
+        );
+
+        let config = RuntimeConfig {
+            slots_per_executor: 1,
+            threaded_workers: 4,
+            ..RuntimeConfig::default()
+        };
+        let result = LocalCluster::new(2, 1)
+            .with_backend(backend)
+            .with_config(config)
+            .run(&dag)
+            .expect("job completes");
+        assert_clean(&result.journal, true);
+        assert_eq!(result.outputs["Out"].len(), 32, "{backend:?}");
+        let threads = threads.lock().unwrap();
+        assert!(threads.len() >= 8, "{backend:?}: {threads:?}");
+        assert_eq!(
+            peak.load(Ordering::SeqCst),
+            1,
+            "{backend:?}: bodies at once"
+        );
+        assert!(
+            threads.iter().all(|n| n.starts_with("pado-exec-pool-")),
+            "{backend:?}: {threads:?}"
+        );
+    }
+}
+
+/// The run's token is its pool's on both backends: a caller that
+/// cancels it before the run starts gets `Aborted`, not a result.
+#[test]
+fn a_cancelled_pool_aborts_the_run_on_both_backends() {
+    let config = config();
+    let backends: [Box<dyn ExecBackend>; 2] = [
+        Box::new(SimBackend::from_config(&config)),
+        Box::new(ThreadedBackend::from_config(&config)),
+    ];
+    for backend in backends {
+        backend.pool().cancel_token().cancel();
+        let err = LocalCluster::new(3, 2)
+            .with_config(config.clone())
+            .run_on_backend(&one_to_one_dag(), FaultPlan::default(), backend.as_ref())
+            .expect_err("a cancelled run cannot complete");
+        assert!(
+            matches!(err, RuntimeError::Aborted(_)),
+            "{}: {err:?}",
+            backend.name()
+        );
+    }
 }
 
 /// Soak: repeated shuffle-heavy runs on the threaded backend with task

@@ -7,7 +7,8 @@ use pado_core::runtime::master::JobEvent;
 use std::time::{Duration, Instant};
 
 use pado_core::runtime::{
-    assert_clean, BackendKind, ChaosPlan, FaultPlan, LocalCluster, RuntimeConfig,
+    assert_clean, BackendKind, ChaosPlan, ExecBackend, FaultPlan, LocalCluster, RuntimeConfig,
+    SimBackend,
 };
 use pado_core::RuntimeError;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, UdfError, Value};
@@ -253,7 +254,7 @@ fn straggler_gets_speculative_duplicate_that_wins() {
 /// (`DelayDone`) while its executor is evicted: the body outlives its
 /// executor, finds the outbox closed and reports nothing, the task
 /// relaunches, and the output is unchanged — on both backends, whose
-/// lanes (slot threads, pool jobs) both send their own reports. This
+/// lanes on the job's pool send their own reports. This
 /// pins the evict-vs-commit race end to end at the transport boundary.
 #[test]
 fn delayed_done_report_from_evicted_executor_is_discarded() {
@@ -426,6 +427,47 @@ fn wedged_job_reports_partial_events_and_metrics() {
             assert_clean(&d.journal, false);
         }
     }
+}
+
+/// Sim runs its bodies on the job's pool too, so a pool wedged by jobs
+/// that only yield to cancellation wedges a sim run: the master's
+/// timeout reports the busy workers, and its cancel unwinds them.
+#[test]
+fn a_wedged_pool_wedges_a_sim_run_and_shows_in_its_report() {
+    let config = RuntimeConfig {
+        tick_ms: 5,
+        event_timeout_ms: 300,
+        threaded_workers: 2,
+        ..RuntimeConfig::default()
+    };
+    let backend = SimBackend::from_config(&config);
+    let pool = backend.pool();
+    let cancel = pool.cancel_token();
+    for _ in 0..2 {
+        let c = cancel.clone();
+        pool.submit(Box::new(move || {
+            while !c.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }));
+    }
+    let err = LocalCluster::new(2, 2)
+        .with_config(config)
+        .run_on_backend(&wordcount_dag(4), FaultPlan::default(), &backend)
+        .expect_err("a wedged pool cannot complete the job");
+    let RuntimeError::Wedged { diagnostics: d } = &err else {
+        panic!("expected Wedged, got {err:?}");
+    };
+    assert!(d.reason.contains("no progress"), "{d}");
+    assert!(d.pool_in_flight > 0, "{d}");
+    assert_eq!(d.workers.len(), 2, "{d}");
+    assert!(d.workers.iter().all(|w| w.busy), "{d}");
+    assert!(cancel.is_cancelled(), "the wedge cancelled the run");
+    assert!(
+        pool.wait_quiesce(Duration::from_secs(5)),
+        "the jobs unwound"
+    );
+    assert_clean(&d.journal, false);
 }
 
 /// The other side of checking on every pass: heartbeats faster than the

@@ -27,13 +27,11 @@
 
 pub mod bspline;
 pub mod cdf;
-pub mod io;
 pub mod margin;
 pub mod synth;
 
 pub use bspline::refine;
 pub use cdf::{lifetime_row, Cdf, LifetimeRow};
-pub use io::{from_csv, read_csv, to_csv, write_csv, TraceIoError};
 pub use margin::{analyze, MarginAnalysis};
 pub use synth::{generate, SynthConfig, UsageSeries};
 
