@@ -2,14 +2,14 @@
 //! `pado_bench::chaos::BENCH` (evictions, reserved failures, master
 //! restarts, UDF errors/panics/OOMs/delays, store-budget shrinks) through
 //! the shared `run_matrix`; every seed is checked byte-for-byte against a
-//! fault-free sim baseline and against every law of `violations`.
+//! fault-free baseline and against every law of `violations`.
 //!
 //! Usage: `cargo run -p pado-bench --bin chaos [n_seeds] [--network]
 //! [--drain] [--crash] [--journal <path>] [--wal-dump <path>]
 //! [--backend <sim|threaded>] [--stall-diag <path>]`
 //! `--network`, `--drain` and `--crash` keep the row's lossy-wire,
 //! drain + spill-fault and crash + WAL dimensions (see `BENCH`).
-//! `--backend threaded` doubles as a cross-backend differential check.
+//! `--backend threaded` runs each causal seed twice and checks for drift.
 //! `--journal` writes a Chrome trace of the last seed's journal,
 //! `--wal-dump` (with `--crash`) a frame dump of its surviving WAL image,
 //! `--stall-diag` the report and timeline of any seed the master found

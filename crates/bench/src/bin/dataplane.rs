@@ -386,12 +386,10 @@ fn main() {
         );
     }
 
-    // Execution backends head-to-head: the same shuffle-heavy plan on
-    // the sim backend (master inline on the caller's thread) and the
-    // threaded backend (master on its own thread). Outputs must be
-    // byte-identical. Lanes, frame handling and the data plane are the
-    // same code on both, so the ratio is reported, not gated: what it
-    // measures is who drives the master only.
+    // The same shuffle-heavy plan under both backend names. Both select
+    // the one driver (the master on the caller's thread), so this is two
+    // runs of one engine: outputs must be byte-identical, and the ratio
+    // is reported, not gated; it measures run-to-run noise.
     {
         println!("\n== execution backends: sim vs threaded (4 pool workers) ==");
         let n_cmp: i64 = if smoke { 60_000 } else { 600_000 };

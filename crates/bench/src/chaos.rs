@@ -307,10 +307,9 @@ pub struct Family<'a> {
     /// What the row draws, in rng order.
     pub dims: &'a [Dim],
     /// Why the row's deterministic counters ([`JobMetrics::backend_drift`])
-    /// are not compared across backends (ROADMAP item 8's list). `None`:
-    /// every fault keys off a backend-invariant identifier, and on the
-    /// threaded backend [`run_matrix`] reruns the seed on sim and demands
-    /// zero drift.
+    /// are not compared between runs (ROADMAP item 8's list). `None`: no
+    /// fault keys off thread interleaving, and under `Threaded`
+    /// [`run_matrix`] runs the seed twice and demands zero drift.
     pub not_causal: Option<&'static str>,
 }
 
@@ -456,16 +455,16 @@ pub struct Outcome<'a> {
     pub case: &'a Case,
     /// The job's result.
     pub run: Result<JobResult, RuntimeError>,
-    /// [`violations`] of a completed job, plus cross-backend drift.
+    /// [`violations`] of a completed job, plus drift from the seed's first run.
     pub problems: Vec<String>,
 }
 
-/// The one seed loop. Runs each shape fault-free on sim once (cluster
-/// 2 + 2, the family's config), then each seed's case on `backend`, on
-/// shape `seed % shapes.len()`; a causal family on the threaded backend
-/// runs on sim first and must not drift from it. A plan that crashes the
-/// master gets a temp WAL, removed once `per_seed` has seen the run.
-/// Returns the metrics of every run that completed.
+/// The one seed loop. Runs each shape fault-free once (cluster 2 + 2,
+/// the family's config), then each seed's case on shape `seed %
+/// shapes.len()`; under `Threaded` (the same driver) a causal family runs
+/// each seed twice, and the second run must not drift from the first. A
+/// plan that crashes the master gets a temp WAL, removed once `per_seed`
+/// has seen the run. Returns the metrics of every run that completed.
 pub fn run_matrix(
     family: &Family,
     shapes: &[(&'static str, LogicalDag)],
@@ -510,7 +509,7 @@ pub fn run_matrix(
             if let (Ok(result), Some(sim)) = (&run, &sim) {
                 let drift = sim.backend_drift(&result.metrics);
                 if !drift.is_empty() {
-                    problems.push(format!("(counter, sim, threaded) drifted: {drift:?}"));
+                    problems.push(format!("(counter, run 1, run 2) drifted: {drift:?}"));
                 }
             }
             let outcome = Outcome {

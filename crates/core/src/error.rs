@@ -68,9 +68,8 @@ pub enum RuntimeError {
         /// Event log up to the terminal failure.
         events: Vec<JobEvent>,
     },
-    /// The master saw no progress within `event_timeout_ms` (or the
-    /// threaded backstop found the master thread itself stuck): the run
-    /// was aborted, cancelled and shut down, on either backend.
+    /// The master saw no progress within `event_timeout_ms`: the run was
+    /// aborted, cancelled and shut down.
     Wedged {
         /// What was stuck and what the run did (boxed to keep the error
         /// small on the hot `Result` paths).

@@ -1,30 +1,29 @@
-//! Execution backends: who drives the master loop (DESIGN.md §15).
+//! The execution backend: the job's worker pool, and the one driver of
+//! the master loop (DESIGN.md §15).
 //!
 //! The scheduler, commit protocol, data plane, transport, journal and
-//! task lanes are all backend-agnostic. Every job runs its task bodies
+//! task lanes know nothing of a backend. Every job runs its task bodies
 //! on one [`WorkerPool`] of `threaded_workers` threads, and each executor
 //! lets at most `slots_per_executor` of its bodies run there at once;
-//! the master handles one inbound frame per wakeup. An [`ExecBackend`]
-//! owns that pool and only decides who drives:
+//! the master handles one inbound frame per wakeup. [`SimBackend`] owns
+//! that pool and runs the master loop on the caller's thread. Seeded
+//! fault *decisions* repeat exactly, but frames arrive in the order
+//! bodies finish, which does not. [`ThreadedBackend`] is another name
+//! for it.
 //!
-//! - [`SimBackend`] runs the master loop inline on the caller's thread.
-//!   Every chaos/invariant suite runs here. Seeded fault *decisions*
-//!   repeat exactly, but frames arrive in the order bodies finish, which
-//!   does not.
-//! - [`ThreadedBackend`] runs the master loop on its own `pado-master`
-//!   thread, with a backstop for a master thread that is itself stuck.
-//!
-//! A wedged run **fails well** on either backend instead of hanging or
-//! leaking (DESIGN.md §16): the master's progress timeout journals the
-//! abort, cancels the pool's [`CancelToken`] (executor control threads,
-//! pool submitters and cooperative jobs unwind), shuts down, and returns
+//! A wedged run **fails well** instead of hanging or leaking (DESIGN.md
+//! §16): the master's progress timeout journals the abort, cancels the
+//! pool's [`CancelToken`] (executor control threads, pool submitters and
+//! cooperative jobs unwind), shuts down, and returns
 //! [`RuntimeError::Wedged`] with a [`StallDiagnostics`] report.
-//! Invariant law 11 audits the journal left behind.
+//! Invariant law 11 audits the journal left behind. Nothing watches the
+//! master from outside: a call inside a pass that never returns (say, a
+//! policy's `pick`) hangs the caller (DESIGN.md §16).
 //!
-//! Both backends emit the same `JobEvent` stream up to causal reordering
-//! (the canonical journal order is identical), and must produce
-//! byte-identical job outputs — `crates/core/tests/backend_equivalence.rs`
-//! is the differential proof.
+//! Two runs of one plan emit the same `JobEvent` stream up to causal
+//! reordering (the canonical journal order is identical), and must
+//! produce byte-identical job outputs; `crates/core/tests/backend_equivalence.rs`
+//! holds them to it.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -32,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, SendTimeoutError, Sender};
+use crossbeam::channel::{Receiver, SendTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::error::RuntimeError;
@@ -41,15 +40,16 @@ use crate::runtime::journal::{EventJournal, JobEvent, Journal, JournalMeta};
 use crate::runtime::master::{JobResult, Master};
 use crate::runtime::metrics::JobMetrics;
 
-/// Which execution backend a [`LocalCluster`](crate::runtime::LocalCluster)
-/// drives a job on.
+/// Which backend a [`LocalCluster`](crate::runtime::LocalCluster) drives
+/// a job on. Both values select the same driver, the master loop on the
+/// caller's thread; they are kept for `perf/` and the bench binaries
+/// until a `[benchmark]` change retires them (ROADMAP items 1(b), 4(c)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// The master loop inline on the caller's thread (the default; all
-    /// chaos and invariant suites run here).
+    /// The default spelling.
     #[default]
     Sim,
-    /// The master loop on its own supervised thread.
+    /// The same driver as [`BackendKind::Sim`].
     Threaded,
 }
 
@@ -66,12 +66,11 @@ impl BackendKind {
 
 /// A shared cooperative-cancellation flag: set once, observed
 /// everywhere. Each [`WorkerPool`] owns one, which is its run's token.
-/// The master sets it when it declares its run wedged, the
-/// threaded backstop when the master thread is stuck; the master loop
-/// (top of every scheduling pass), executor control threads (every
-/// control iteration), and [`WorkerPool::submit`] (every bounded send
-/// round) poll it and unwind instead of blocking forever. Cancellation
-/// is one-way and sticky.
+/// The master sets it when it declares its run wedged, and a caller may
+/// set it to stop a run; the master loop (top of every scheduling pass),
+/// executor control threads (every control iteration), and
+/// [`WorkerPool::submit`] (every bounded send round) poll it and unwind
+/// instead of blocking forever. Cancellation is one-way and sticky.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -108,16 +107,14 @@ pub struct WorkerState {
 /// Why and where a run wedged: the payload of [`RuntimeError::Wedged`],
 /// written so a hang in CI reads as a bug report (who is blocked on
 /// what) instead of an opaque timeout. The pool and the attempts are
-/// sampled when the wedge is declared, before the run is cancelled; the
-/// journal and metrics are taken after shutdown, so the journal ends
-/// with the abort marker and the pool's quiesce.
+/// sampled when the master declares the wedge, before the run is
+/// cancelled; the journal and metrics are taken after shutdown, so the
+/// journal ends with the abort marker and the pool's quiesce.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StallDiagnostics {
-    /// What tripped: the master's progress timeout, or the threaded
-    /// backstop finding the master thread stuck.
+    /// What tripped the master's progress timeout.
     pub reason: String,
-    /// Milliseconds since the last progress (the master's report) or
-    /// since anything in the run last emitted (the backstop's).
+    /// Milliseconds since the last progress.
     pub waited_ms: u64,
     /// The frozen journal: everything the run emitted, up to shutdown.
     pub journal: EventJournal,
@@ -127,12 +124,8 @@ pub struct StallDiagnostics {
     pub pool_in_flight: usize,
     /// Per-worker busy flags and completion counts.
     pub workers: Vec<WorkerState>,
-    /// Task attempts launched but not terminally reported; `None` from
-    /// the backstop, which cannot see the master's task table.
-    pub outstanding_attempts: Option<usize>,
-    /// Whether the master thread was joined (false: the backstop
-    /// detached a master thread that ignored cancellation).
-    pub master_joined: bool,
+    /// Task attempts launched but not terminally reported.
+    pub outstanding_attempts: usize,
 }
 
 impl StallDiagnostics {
@@ -142,7 +135,7 @@ impl StallDiagnostics {
         reason: String,
         waited: Duration,
         pool: &WorkerPool,
-        outstanding_attempts: Option<usize>,
+        outstanding_attempts: usize,
     ) -> Box<Self> {
         Box::new(StallDiagnostics {
             reason,
@@ -152,7 +145,6 @@ impl StallDiagnostics {
             pool_in_flight: pool.in_flight(),
             workers: pool.worker_states(),
             outstanding_attempts,
-            master_joined: true,
         })
     }
 
@@ -170,43 +162,35 @@ impl StallDiagnostics {
 impl fmt::Display for StallDiagnostics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let busy = self.workers.iter().filter(|w| w.busy).count();
-        let outstanding = self
-            .outstanding_attempts
-            .map_or_else(|| "unknown".into(), |n| n.to_string());
         write!(
             f,
             "{} (waited {} ms): {} pool jobs in flight ({busy}/{} workers busy), \
-             {outstanding} outstanding attempts, {} journal events, master thread {}",
+             {} outstanding attempts, {} journal events",
             self.reason,
             self.waited_ms,
             self.pool_in_flight,
             self.workers.len(),
+            self.outstanding_attempts,
             self.journal.records().len(),
-            if self.master_joined {
-                "joined"
-            } else {
-                "detached"
-            },
         )
     }
 }
 
-/// Who drives a job's master loop, and the worker pool its task bodies
-/// run on.
+/// The worker pool a job's task bodies run on, and the driver of its
+/// master loop.
 ///
-/// The contract every implementation must honor:
+/// The contract:
 ///
-/// - [`drive`](ExecBackend::drive) runs the master to completion and
-///   returns its result (or a positioned error).
-/// - The emitted journal must freeze to the same canonical order as any
-///   other backend for the same logical execution: causal order is the
-///   contract, byte-level emission order is not.
-/// - Job outputs must be byte-identical across backends for the same
-///   plan (the data plane is deterministic; only timing may differ).
+/// - [`pool`](ExecBackend::pool) returns the same pool on every call;
+///   its [`CancelToken`] is the run's.
+/// - [`drive`](ExecBackend::drive) runs the master to completion on the
+///   caller's thread and returns its result (or a positioned error).
+/// - Job outputs are byte-identical from run to run of one plan (the
+///   data plane is deterministic; only timing may differ), and the
+///   journal freezes to the same canonical order for the same logical
+///   execution: causal order is the contract, byte-level emission order
+///   is not.
 pub trait ExecBackend: Send + Sync + std::fmt::Debug {
-    /// Human-readable backend name (journals, benches, traces).
-    fn name(&self) -> &'static str;
-
     /// The pool every executor of the job runs its task bodies on. Its
     /// [`CancelToken`] is the run's.
     fn pool(&self) -> Arc<WorkerPool>;
@@ -215,17 +199,20 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Propagates runtime errors from the master loop; backends may add
-    /// their own failure modes (e.g. the threaded backstop).
+    /// Propagates runtime errors from the master loop.
     fn drive(&self, master: Master) -> Result<JobResult, RuntimeError>;
 }
 
-/// The inline master loop: `drive` runs it on the caller's thread, and
-/// completions are handled in arrival order.
+/// The one backend: a pool of `threaded_workers`, and the master loop
+/// run inline on the caller's thread, handling completions in arrival
+/// order.
 #[derive(Debug)]
 pub struct SimBackend {
     pool: Arc<WorkerPool>,
 }
+
+/// Another name for [`SimBackend`], kept for callers that name it.
+pub type ThreadedBackend = SimBackend;
 
 impl SimBackend {
     /// Builds the backend from `config`: a pool of `threaded_workers`.
@@ -237,10 +224,6 @@ impl SimBackend {
 }
 
 impl ExecBackend for SimBackend {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
     fn pool(&self) -> Arc<WorkerPool> {
         Arc::clone(&self.pool)
     }
@@ -250,118 +233,14 @@ impl ExecBackend for SimBackend {
     }
 }
 
-/// The master loop on its own `pado-master` thread. The master's
-/// progress timeout detects a wedge here as on sim; `drive` only backs
-/// it up for a master thread that is itself stuck.
-#[derive(Debug)]
-pub struct ThreadedBackend {
-    pool: Arc<WorkerPool>,
-    backstop: Duration,
-}
-
-impl ThreadedBackend {
-    /// Builds the backend from `config`: a pool of `threaded_workers`,
-    /// and a backstop of twice `event_timeout_ms` in which nothing in the
-    /// run emits, so the master's own wedge report comes first.
-    pub fn from_config(config: &RuntimeConfig) -> Self {
-        ThreadedBackend {
-            pool: WorkerPool::for_job(config),
-            backstop: Duration::from_millis(config.event_timeout_ms.saturating_mul(2)),
-        }
-    }
-
-    /// The pool shared by this backend's executors (tests use it to
-    /// wedge the pool deliberately).
-    pub fn worker_pool(&self) -> Arc<WorkerPool> {
-        self.pool()
-    }
-}
-
-impl ExecBackend for ThreadedBackend {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(&self.pool)
-    }
-
-    fn drive(&self, master: Master) -> Result<JobResult, RuntimeError> {
-        let (journal, meta) = master.journal_handle();
-        let (tx, rx) = crossbeam::channel::bounded::<Result<JobResult, RuntimeError>>(1);
-        let handle = std::thread::Builder::new()
-            .name("pado-master".into())
-            .spawn(move || {
-                let _ = tx.send(master.run());
-            })
-            .expect("spawn master thread");
-        // The backstop counts from the run's last emission, not from the
-        // start: a job that keeps emitting may run as long as it needs.
-        let mut outcome = rx.recv_timeout(self.backstop);
-        let mut quiet = journal.quiet_for();
-        while matches!(outcome, Err(RecvTimeoutError::Timeout)) && quiet < self.backstop {
-            outcome = rx.recv_timeout(self.backstop - quiet);
-            quiet = journal.quiet_for();
-        }
-        let mut stuck = None;
-        if let Err(RecvTimeoutError::Timeout) = outcome {
-            // Nothing in the run emitted for twice the master's own
-            // timeout: its thread is stuck outside the loop. Sample the
-            // pool, cancel, and give the master the grace period to
-            // unwind.
-            let reason = format!(
-                "master thread stuck: nothing emitted for {} ms",
-                self.backstop.as_millis()
-            );
-            stuck = Some(StallDiagnostics::sample(reason, quiet, &self.pool, None));
-            self.pool.cancel_token().cancel();
-            outcome = rx.recv_timeout(WorkerPool::DEFAULT_GRACE);
-        }
-        match (outcome, stuck) {
-            // The master unwound on the backstop's cancel (it reports
-            // that as `Aborted`), or never did: the backstop's report
-            // stands, frozen after the master's shutdown if it ran one.
-            (
-                outcome @ (Ok(Err(RuntimeError::Aborted(_))) | Err(RecvTimeoutError::Timeout)),
-                Some(mut report),
-            ) => {
-                report.master_joined = outcome.is_ok();
-                if report.master_joined {
-                    let _ = handle.join();
-                } else {
-                    // Last resort: detaching is the only alternative to
-                    // moving the hang into the caller; the report records
-                    // the leak.
-                    drop(handle);
-                }
-                let journal = journal.freeze(meta);
-                let metrics = journal.derive_metrics();
-                Err(report.finish(journal, metrics))
-            }
-            (Ok(result), _) => {
-                let _ = handle.join();
-                result
-            }
-            // The master thread died without sending (a panic in the
-            // loop itself).
-            _ => {
-                let _ = handle.join();
-                Err(RuntimeError::Aborted(
-                    "master thread terminated without reporting a result".into(),
-                ))
-            }
-        }
-    }
-}
-
 /// A job submitted to the [`WorkerPool`].
 pub type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed-size thread pool with a bounded job queue: the lanes every
-/// executor of a job runs its task bodies on, on either backend. An
-/// executor keeps at most `slots_per_executor` of its bodies here at
-/// once (the rest wait in its own queue), so the queue never holds more
-/// than `executors × slots` jobs.
+/// executor of a job runs its task bodies on. An executor keeps at most
+/// `slots_per_executor` of its bodies here at once (the rest wait in its
+/// own queue), so the queue never holds more than `executors × slots`
+/// jobs.
 ///
 /// Threads are named with the executor worker prefix so the process-wide
 /// panic hook filter silences injected task panics on them. The pool
@@ -408,10 +287,8 @@ struct WorkerSlot {
 }
 
 impl WorkerPool {
-    /// How long a cancelled run gets to unwind cooperatively — master
-    /// loop observing the token, executor control threads exiting, pool
-    /// quiescing — before its threads are detached as a last resort; and
-    /// the default bound on how long `Drop` joins a wedged worker.
+    /// The default bound on how long `Drop` joins a wedged worker before
+    /// detaching it.
     const DEFAULT_GRACE: Duration = Duration::from_secs(2);
 
     /// Capacity of the bounded job queue: far above the `executors ×
@@ -704,20 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn backstop_is_twice_the_event_timeout_saturating() {
-        let backend = |event_timeout_ms| {
-            let config = RuntimeConfig {
-                event_timeout_ms,
-                threaded_workers: 1,
-                ..RuntimeConfig::default()
-            };
-            ThreadedBackend::from_config(&config).backstop
-        };
-        assert_eq!(backend(30_000), Duration::from_secs(60));
-        assert_eq!(backend(u64::MAX), Duration::from_millis(u64::MAX));
-    }
-
-    #[test]
     fn a_report_samples_the_pool_before_the_run_is_cancelled() {
         let pool = WorkerPool::new(2, 4);
         let cancel = pool.cancel_token();
@@ -733,7 +596,7 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("wedged job should start");
         let waited = Duration::from_millis(300);
-        let report = StallDiagnostics::sample("stuck".into(), waited, &pool, Some(3));
+        let report = StallDiagnostics::sample("stuck".into(), waited, &pool, 3);
         cancel.cancel();
         assert!(pool.wait_quiesce(Duration::from_secs(5)));
         let RuntimeError::Wedged { diagnostics: d } = report.finish(
@@ -747,25 +610,22 @@ mod tests {
         assert_eq!(
             d.to_string(),
             "stuck (waited 300 ms): 1 pool jobs in flight (1/2 workers busy), \
-             3 outstanding attempts, 0 journal events, master thread joined"
+             3 outstanding attempts, 0 journal events"
         );
     }
 
+    /// The pool is the backend's, one per job, sized by `threaded_workers`
+    /// whichever name the backend is built under.
     #[test]
     fn both_backends_run_one_pool_sized_by_threaded_workers() {
         let config = RuntimeConfig {
             threaded_workers: 3,
             ..RuntimeConfig::default()
         };
-        let backends: [Box<dyn ExecBackend>; 2] = [
-            Box::new(SimBackend::from_config(&config)),
-            Box::new(ThreadedBackend::from_config(&config)),
-        ];
-        for backend in backends {
-            let pool = backend.pool();
-            assert!(Arc::ptr_eq(&pool, &backend.pool()), "{}", backend.name());
-            assert_eq!(pool.worker_states().len(), 3, "{}", backend.name());
-        }
+        let backend = ThreadedBackend::from_config(&config);
+        let pool = backend.pool();
+        assert!(Arc::ptr_eq(&pool, &backend.pool()));
+        assert_eq!(pool.worker_states().len(), 3);
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub struct RuntimeConfig {
     pub partial_aggregation: bool,
     /// Milliseconds the master waits for progress (a report or a
     /// resource-manager notice; heartbeats and acks do not count) before
-    /// declaring the job wedged, on either backend. The threaded
-    /// backend's backstop against a stuck master thread is twice this.
+    /// declaring the job wedged, checked at the top of every loop pass: a
+    /// pass that blocks is caught only once it returns (DESIGN.md §16).
     pub event_timeout_ms: u64,
     /// Retry budget per task: total attempts (first launch included) a
     /// task may consume through user-code failures before the job fails
@@ -82,7 +82,7 @@ pub struct RuntimeConfig {
     /// fallback target for interior corruption.
     pub wal_snapshot_every: usize,
     /// Worker threads in the job's pool, which runs every executor's
-    /// task bodies on either backend.
+    /// task bodies.
     pub threaded_workers: usize,
 }
 

@@ -707,9 +707,8 @@ mod tests {
     }
 
     /// A worker reports an output partitioned, and sized where the
-    /// master reads the size — on either backend, since both run this
-    /// `run_task` — so the master's accounting never pays for the first
-    /// encode and the master routes nothing. Under a budget the stores
+    /// master reads the size, so the master's accounting never pays for
+    /// the first encode and the master routes nothing. Under a budget the stores
     /// charge the output and every bucket; with none, only the transient
     /// output's push is journaled, so its buckets arrive unsized. Only a
     /// budgeted store spills, so only under a budget does a sized block

@@ -9,10 +9,9 @@
 //! launch ordinal, per-link transmission ordinal, per-store spill
 //! ordinal, handled-frame ordinal, envelope sequence number), never on
 //! sim-loop iteration order, wall-clock time, or thread interleaving.
-//! The causal identifiers are backend-invariant, so a chaos seed injects
-//! the *same* fault schedule on [`SimBackend`](crate::runtime::SimBackend)
-//! and the true-parallel
-//! [`ThreadedBackend`](crate::runtime::ThreadedBackend).
+//! The causal identifiers do not depend on which thread finishes first,
+//! so a chaos seed injects the *same* fault schedule on every run, however
+//! the pool's bodies interleave.
 //!
 //! [`FaultInjector`] puts those draws behind typed methods, one per
 //! decision site. Two hash shapes exist (a chained fold and a single

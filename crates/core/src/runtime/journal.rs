@@ -32,7 +32,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -467,18 +467,6 @@ impl Journal {
     pub fn freeze(&self, meta: JournalMeta) -> EventJournal {
         let records = self.inner.lock().clone();
         EventJournal::from_parts(meta, records)
-    }
-
-    /// How long nothing in the run has emitted (since the epoch when
-    /// nothing has yet): the threaded backstop's progress clock.
-    pub fn quiet_for(&self) -> Duration {
-        let Some(epoch) = self.epoch else {
-            return Duration::ZERO;
-        };
-        let last_us = self.inner.lock().last().map_or(0, |r| r.at_us);
-        epoch
-            .elapsed()
-            .saturating_sub(Duration::from_micros(last_us))
     }
 }
 
@@ -1284,16 +1272,6 @@ mod tests {
         assert_eq!(m.cache_hits, 1);
         assert_eq!(m.cache_misses, 3);
         assert_eq!(m.side_bytes_sent, 24);
-    }
-
-    #[test]
-    fn quiet_for_counts_from_the_last_emission() {
-        let j = Journal::new();
-        std::thread::sleep(Duration::from_millis(200));
-        assert!(j.quiet_for() >= Duration::from_millis(200));
-        j.emit(Some(0), launched(1));
-        assert!(j.quiet_for() < Duration::from_millis(200));
-        assert_eq!(Journal::default().quiet_for(), Duration::ZERO);
     }
 
     #[test]

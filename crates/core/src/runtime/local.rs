@@ -48,7 +48,7 @@ use crate::runtime::policy::SchedulingPolicy;
 
 use crate::compiler::{compile_with, PlanConfig};
 use crate::error::RuntimeError;
-use crate::runtime::backend::{BackendKind, ExecBackend, SimBackend, ThreadedBackend};
+use crate::runtime::backend::{BackendKind, ExecBackend, SimBackend};
 use crate::runtime::config::RuntimeConfig;
 use crate::runtime::executor::JobContext;
 use crate::runtime::fault::FaultPlan;
@@ -63,7 +63,6 @@ pub struct LocalCluster {
     config: RuntimeConfig,
     plan_config: PlanConfig,
     policy_factory: Option<Arc<dyn Fn() -> Box<dyn SchedulingPolicy> + Send + Sync>>,
-    backend: BackendKind,
 }
 
 impl std::fmt::Debug for LocalCluster {
@@ -74,7 +73,6 @@ impl std::fmt::Debug for LocalCluster {
             .field("config", &self.config)
             .field("plan_config", &self.plan_config)
             .field("custom_policy", &self.policy_factory.is_some())
-            .field("backend", &self.backend)
             .finish()
     }
 }
@@ -88,15 +86,13 @@ impl LocalCluster {
             config: RuntimeConfig::default(),
             plan_config: PlanConfig::default(),
             policy_factory: None,
-            backend: BackendKind::Sim,
         }
     }
 
-    /// Selects who drives the master: [`BackendKind::Sim`] (the default)
-    /// inline on the caller's thread, [`BackendKind::Threaded`] on its own.
-    /// Either runs task bodies on [`RuntimeConfig::threaded_workers`] threads.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
+    /// Names a backend. Both [`BackendKind`]s select the one driver: the
+    /// master on the caller's thread, task bodies on
+    /// [`RuntimeConfig::threaded_workers`] pool threads.
+    pub fn with_backend(self, _: BackendKind) -> Self {
         self
     }
 
@@ -141,11 +137,7 @@ impl LocalCluster {
         dag: &LogicalDag,
         faults: FaultPlan,
     ) -> Result<JobResult, RuntimeError> {
-        let backend: Box<dyn ExecBackend> = match self.backend {
-            BackendKind::Sim => Box::new(SimBackend::from_config(&self.config)),
-            BackendKind::Threaded => Box::new(ThreadedBackend::from_config(&self.config)),
-        };
-        self.run_on_backend(dag, faults, backend.as_ref())
+        self.run_on_backend(dag, faults, &SimBackend::from_config(&self.config))
     }
 
     /// Runs a program on a caller-provided backend instance, injecting

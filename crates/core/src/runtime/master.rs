@@ -491,7 +491,7 @@ impl Master {
         if !wedged {
             return RuntimeError::Aborted(reason);
         }
-        let running = Some(self.tasks.running());
+        let running = self.tasks.running();
         let diagnostics = StallDiagnostics::sample(reason, waited, &self.pool, running);
         self.pool.cancel_token().cancel();
         RuntimeError::Wedged { diagnostics }
@@ -1798,13 +1798,6 @@ impl Master {
         // requires this marker after any abort marker.
         self.emit(None, JobEvent::PoolQuiesced { in_flight });
     }
-
-    /// A clone of the live journal writer and the plan facts it freezes
-    /// with: the threaded backstop's report when the master thread is
-    /// stuck.
-    pub fn journal_handle(&self) -> (Journal, JournalMeta) {
-        (self.journal.clone(), self.meta.clone())
-    }
 }
 
 /// Which producer task indices a consumer task needs along an edge, in
@@ -2401,11 +2394,10 @@ mod tests {
     // --- Clock-abstraction regression test (timer-order sensitivity) ---
     //
     // Every master timer (speculation, heartbeats, retransmissions) must
-    // read `self.clock`, never wall time directly: the threaded backend
-    // shares the implementation, and a stray `Instant::now()` would make
-    // timer order depend on host scheduling. Driving speculation off a
-    // manual clock — no sleeps — proves the timer path is fully
-    // clock-routed.
+    // read `self.clock`, never wall time directly: a stray
+    // `Instant::now()` would make timer order depend on host scheduling.
+    // Driving speculation off a manual clock — no sleeps — proves the
+    // timer path is fully clock-routed.
 
     #[test]
     fn speculation_timer_fires_on_clock_advance_not_wall_time() {

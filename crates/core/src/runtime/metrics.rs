@@ -126,8 +126,8 @@ impl JobMetrics {
     /// - placement/timing-sensitive counters (`bytes_pushed`,
     ///   `side_bytes_*`, cache and spill counters, `speculative_*`,
     ///   `relaunched_tasks`, `heartbeats_missed`, `peak_store_bytes`,
-    ///   `records_preaggregated`) — both backends are correct while
-    ///   disagreeing on these;
+    ///   `records_preaggregated`) — two correct runs may disagree on
+    ///   these;
     /// - wire counters (`messages_dropped` / `_duplicated` /
     ///   `_retransmitted` / `_deduplicated`,
     ///   `max_message_retransmissions`) — real wall-clock retransmission

@@ -389,7 +389,7 @@ impl ExecutorStore {
             return false;
         }
         // Keyed by (executor, per-store spill-write ordinal): a causal
-        // clock, so the same seed hits the same spills on both backends.
+        // clock, so the same seed hits the same spills on every run.
         self.spill_writes += 1;
         FaultInjector::new(self.faults.seed)
             .spill_write(self.exec as u64, self.spill_writes)

@@ -520,7 +520,7 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
 /// Deterministic retransmission jitter: up to half the `base` backoff,
 /// keyed by the envelope's causal sequence number and its per-message
 /// transmission count — never a link-global counter — so retransmission
-/// storms de-synchronize identically on every replay, on both backends.
+/// storms de-synchronize identically on every replay.
 fn jitter(base: Duration, seed: u64, seq: Seq, transmissions: u64) -> Duration {
     let d = FaultInjector::new(seed).retransmit_jitter(seq, transmissions);
     Duration::from_millis(d.index(base.as_millis() as u64 / 2 + 1))

@@ -1,25 +1,26 @@
-//! Cross-backend differential suite: every plan in the matrix runs on
-//! the deterministic sim backend and on the true-parallel threaded
-//! backend, and the two runs must agree wherever the execution model
-//! says they must — byte-identical sink outputs (codec-encoded), a
+//! Run-to-run differential suite: every plan in the matrix runs under
+//! both backend names, which select the one driver (the master on the
+//! caller's thread, bodies on the job's pool), and the two runs must
+//! agree wherever the execution model says they must, however their
+//! bodies interleaved — byte-identical sink outputs (codec-encoded), a
 //! journal that replays cleanly through the full invariant checker on
-//! both backends, zero drift across the deterministic metrics counters,
-//! and matching counts for the logically determined event kinds.
+//! both runs, zero drift across the deterministic metrics counters, and
+//! matching counts for the logically determined event kinds.
 //!
 //! The soak test at the bottom (ignored by default, run in CI) hammers
-//! the threaded backend with repeated shuffle-heavy runs under injected
-//! task failures: thread interleavings change every run, the answer and
-//! the invariants may not.
+//! the engine with shuffle-heavy runs under injected task failures for a
+//! stated wall-clock budget: thread interleavings change every run, the
+//! answer and the invariants may not.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pado_core::compiler::{compile, Placement};
 use pado_core::runtime::{
     assert_clean, BackendKind, ExecBackend, FaultPlan, JobResult, LocalCluster, RuntimeConfig,
-    SimBackend, ThreadedBackend,
+    SimBackend,
 };
 use pado_core::RuntimeError;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
@@ -301,43 +302,48 @@ fn a_reserved_executor_runs_at_most_its_slots_on_the_pool() {
     }
 }
 
-/// The run's token is its pool's on both backends: a caller that
-/// cancels it before the run starts gets `Aborted`, not a result.
+/// The run's token is its pool's: a caller that cancels it before the
+/// run starts gets `Aborted`, not a result.
 #[test]
 fn a_cancelled_pool_aborts_the_run_on_both_backends() {
     let config = config();
-    let backends: [Box<dyn ExecBackend>; 2] = [
-        Box::new(SimBackend::from_config(&config)),
-        Box::new(ThreadedBackend::from_config(&config)),
-    ];
-    for backend in backends {
-        backend.pool().cancel_token().cancel();
-        let err = LocalCluster::new(3, 2)
-            .with_config(config.clone())
-            .run_on_backend(&one_to_one_dag(), FaultPlan::default(), backend.as_ref())
-            .expect_err("a cancelled run cannot complete");
-        assert!(
-            matches!(err, RuntimeError::Aborted(_)),
-            "{}: {err:?}",
-            backend.name()
-        );
-    }
+    let backend = SimBackend::from_config(&config);
+    backend.pool().cancel_token().cancel();
+    let err = LocalCluster::new(3, 2)
+        .with_config(config)
+        .run_on_backend(&one_to_one_dag(), FaultPlan::default(), &backend)
+        .expect_err("a cancelled run cannot complete");
+    assert!(matches!(err, RuntimeError::Aborted(_)), "{err:?}");
 }
 
-/// Soak: repeated shuffle-heavy runs on the threaded backend with task
-/// failures injected through the `catch_unwind` path. Every run must
-/// terminate (no deadlock — the run itself would hang or hit the
-/// wall-clock abort), lose no `TaskDone` (outputs stay byte-identical to
-/// the fault-free sim baseline), and commit exactly once per task (the
-/// invariant checker's commit laws reject double commits).
+/// The soak's wall-clock budget; it runs at least [`SOAK_MIN_ROUNDS`]
+/// rounds whatever the budget.
+const SOAK_BUDGET: Duration = Duration::from_secs(10);
+
+/// The fewest rounds a soak runs.
+const SOAK_MIN_ROUNDS: u64 = 10;
+
+/// Soak: shuffle-heavy runs, one seed a round, with task failures
+/// injected through the `catch_unwind` path, for [`SOAK_BUDGET`] of wall
+/// clock. Every run must terminate (no deadlock — the run itself would
+/// hang or end as the master's `Wedged`), lose no `TaskDone` (outputs
+/// stay byte-identical to the fault-free baseline), and commit exactly
+/// once per task (the invariant checker's commit laws reject double
+/// commits). A failing round's message names its seed.
 ///
 /// Ignored by default — CI runs it with `--ignored` under a timeout.
 #[test]
 #[ignore = "soak test: run explicitly or in CI"]
 fn threaded_soak_under_task_failures() {
     let shapes = [("hash_shuffle", hash_shuffle_dag())];
-    let rounds = (0..10).map(|round| 0x50AC ^ round);
+    let started = Instant::now();
+    let rounds = (0..)
+        .take_while(|&round| round < SOAK_MIN_ROUNDS || started.elapsed() < SOAK_BUDGET)
+        .map(|round| 0x50AC ^ round);
+    let mut ran = 0;
     run_matrix(&SOAK, &shapes, rounds, BackendKind::Threaded, |o| {
         clean(o);
+        ran += 1;
     });
+    eprintln!("soak: {ran} rounds in {:.1?}", started.elapsed());
 }

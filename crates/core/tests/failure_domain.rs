@@ -253,9 +253,8 @@ fn straggler_gets_speculative_duplicate_that_wins() {
 /// A task whose computation finishes but whose `TaskDone` report stalls
 /// (`DelayDone`) while its executor is evicted: the body outlives its
 /// executor, finds the outbox closed and reports nothing, the task
-/// relaunches, and the output is unchanged — on both backends, whose
-/// lanes on the job's pool send their own reports. This
-/// pins the evict-vs-commit race end to end at the transport boundary.
+/// relaunches, and the output is unchanged: a lane on the job's pool
+/// sends its own report. This pins the evict-vs-commit race end to end at the transport boundary.
 #[test]
 fn delayed_done_report_from_evicted_executor_is_discarded() {
     let dag = wordcount_dag(4);
@@ -387,8 +386,8 @@ fn master_restart_recovers_without_relaunching_committed_tasks() {
 
 /// The master's progress timeout is the one stall detector, and it fires
 /// whatever the frame rate: heartbeats every 5 ms arrive faster than the
-/// 25 ms tick, so a check made only on an idle tick would never run. On
-/// both backends the run surfaces `RuntimeError::Wedged` with the partial
+/// 25 ms tick, so a check made only on an idle tick would never run.
+/// Under either backend name the run surfaces `RuntimeError::Wedged` with the partial
 /// journal and metrics (and its message keeps the historical "aborted"
 /// text).
 #[test]
@@ -421,8 +420,7 @@ fn wedged_job_reports_partial_events_and_metrics() {
             assert!(d.reason.contains("no progress"), "{case}: {d}");
             assert!(d.waited_ms >= 150, "{case}: {d}");
             assert_eq!(d.metrics.tasks_launched, 0, "{case}: nothing launched");
-            assert_eq!(d.outstanding_attempts, Some(0), "{case}: {d}");
-            assert!(d.master_joined, "{case}: {d}");
+            assert_eq!(d.outstanding_attempts, 0, "{case}: {d}");
             assert!(err.to_string().contains("aborted"), "{case}: {err}");
             assert_clean(&d.journal, false);
         }
@@ -472,9 +470,9 @@ fn a_wedged_pool_wedges_a_sim_run_and_shows_in_its_report() {
 
 /// The other side of checking on every pass: heartbeats faster than the
 /// tick do not wedge a job that keeps committing, even when the whole job
-/// outlasts the event timeout several times over — each report resets it.
-/// On threads the job also outlasts the 300 ms backstop, which counts
-/// from the run's last emission, not from its start.
+/// outlasts the 150 ms event timeout several times over — each report
+/// resets it, so the timeout counts from the last progress, not from the
+/// run's start.
 #[test]
 fn fast_heartbeats_do_not_wedge_a_job_that_progresses() {
     let p = Pipeline::new();
@@ -506,7 +504,7 @@ fn fast_heartbeats_do_not_wedge_a_job_that_progresses() {
         let took = started.elapsed();
         assert!(
             took > Duration::from_millis(400),
-            "{backend:?}: the job outlasted the backstop, took {took:?}"
+            "{backend:?}: the job outlasted the event timeout, took {took:?}"
         );
         assert_eq!(result.outputs["Out"].len(), 8, "{backend:?}");
     }

@@ -1,34 +1,35 @@
-//! Chaos on real threads: every fault family the sim backend is chaos-
-//! tested under also runs on the true-parallel [`ThreadedBackend`], and
-//! on the *same seed* the two backends must agree — byte-identical sink
+//! Chaos under both backend names: every fault family the default
+//! backend is chaos-tested under also runs with `BackendKind::Threaded`,
+//! and on the *same seed* two runs must agree — byte-identical sink
 //! outputs, clean journals through the full invariant checker (laws
 //! 1–11, including the abort-quiescence law), and zero drift across the
-//! deterministic metrics counters.
+//! deterministic metrics counters. Both names select one driver (the
+//! master on the caller's thread, bodies on the job's pool), so what
+//! this pins is agreement between runs whose bodies interleave
+//! differently.
 //!
 //! This works because every fault draw routes through the causally-keyed
 //! [`FaultInjector`](pado_core::runtime::FaultInjector): decisions key
-//! off backend-invariant identifiers (task identity + launch ordinal,
-//! transmission ordinal, spill ordinal, handled-frame count), never off
-//! loop iteration order or thread interleaving.
+//! off identifiers that do not depend on interleaving (task identity +
+//! launch ordinal, transmission ordinal, spill ordinal, handled-frame
+//! count), never off loop iteration order or thread interleaving.
 //!
-//! Seed counts are reduced versus the sim-only matrices (the threaded
-//! backend runs real threads per seed); the sim matrices keep the wide
-//! coverage, this suite pins cross-backend agreement per family. Each
+//! Seed counts are reduced versus the 110-seed matrices; those keep the
+//! wide coverage, this suite pins run-to-run agreement per family. Each
 //! family is a causal row of `common`'s table — what it leaves out, and
-//! why, is the `not_causal` of its sim-only sibling — so the shared
-//! `run_matrix` runs every seed on sim, then on threads, and adds counter
-//! drift to the laws both runs must keep.
+//! why, is the `not_causal` of its sibling — so the shared `run_matrix`
+//! runs every seed twice and adds counter drift to the laws both runs
+//! must keep.
 //!
-//! The last tests deliberately wedge the worker pool, then the master
-//! thread itself, and assert that each would-be deadlock becomes a
-//! structured [`RuntimeError::Wedged`] report: from the master's progress
-//! timeout, or from the backstop when the master thread is stuck.
+//! The last tests deliberately wedge the worker pool, then stall the
+//! master inside a scheduling pass, and assert that each would-be
+//! deadlock becomes the master's own [`RuntimeError::Wedged`] report.
 
 use std::time::{Duration, Instant};
 
 use pado_core::runtime::{
-    BackendKind, CancelToken, Candidate, ExecId, FaultPlan, LocalCluster, RuntimeConfig,
-    SchedulingPolicy, StallDiagnostics, TaskToPlace, ThreadedBackend,
+    BackendKind, CancelToken, Candidate, ExecBackend, ExecId, FaultPlan, JobResult, LocalCluster,
+    RuntimeConfig, SchedulingPolicy, StallDiagnostics, TaskToPlace, ThreadedBackend,
 };
 use pado_core::RuntimeError;
 
@@ -38,7 +39,7 @@ use common::*;
 /// Seeds per family — reduced versus the 110-seed sim matrices.
 const SEEDS: u64 = 10;
 
-/// Runs `seeds` of a causal row on both backends.
+/// Runs `seeds` of a causal row twice each.
 fn agrees_across_backends(family: &Family, seeds: impl IntoIterator<Item = u64>) {
     let shapes = [("wordcount", wordcount_dag())];
     run_matrix(family, &shapes, seeds, BackendKind::Threaded, |o| {
@@ -103,7 +104,7 @@ fn wedged_pool_run() -> (Duration, StallDiagnostics, CancelToken) {
         ..RuntimeConfig::default()
     };
     let backend = ThreadedBackend::from_config(&config);
-    let pool = backend.worker_pool();
+    let pool = backend.pool();
     let cancel = pool.cancel_token();
     // Wedge every worker with a job that only yields to cancellation —
     // the cooperative analogue of a deadlocked task body.
@@ -130,9 +131,9 @@ fn wedged_pool_run() -> (Duration, StallDiagnostics, CancelToken) {
 }
 
 /// The fail-well contract: a deliberately wedged worker pool must not
-/// hang the suite or leak the master thread. The master's progress
-/// timeout ends the run within seconds, and the stall report describes
-/// the wedge (jobs in flight, a busy worker) and comes from the master.
+/// hang the suite. The master's progress timeout ends the run within
+/// seconds, and the stall report describes the wedge (jobs in flight, a
+/// busy worker).
 #[test]
 fn wedged_pool_produces_stalled_with_populated_diagnostics() {
     let (took, d, _) = wedged_pool_run();
@@ -151,7 +152,6 @@ fn wedged_pool_produces_stalled_with_populated_diagnostics() {
         d.workers.iter().any(|w| w.busy),
         "a wedged worker is busy: {d}"
     );
-    assert!(d.master_joined, "the master returned its own report: {d}");
 }
 
 /// After the abort the run's token is cancelled, so the wedged jobs
@@ -162,8 +162,7 @@ fn watchdog_abort_quiesces_the_pool_and_cancels_cooperatively() {
     let (_, d, cancel) = wedged_pool_run();
     assert!(cancel.is_cancelled(), "the wedge cancelled the run");
     // The master cancelled the run itself, so the wedged jobs unwound at
-    // once: the pool quiesced long before the 600 ms backstop would have
-    // cancelled it.
+    // once.
     let at = |kind| {
         let record = d.journal.records().iter().find(|r| r.event.kind() == kind);
         record.expect("journaled").at_us
@@ -187,7 +186,7 @@ fn a_cancel_from_outside_ends_as_aborted() {
         ..RuntimeConfig::default()
     };
     let backend = ThreadedBackend::from_config(&config);
-    backend.worker_pool().cancel_token().cancel();
+    backend.pool().cancel_token().cancel();
     let started = Instant::now();
     let err = LocalCluster::new(2, 2)
         .with_backend(BackendKind::Threaded)
@@ -198,73 +197,86 @@ fn a_cancel_from_outside_ends_as_aborted() {
     assert!(started.elapsed() < Duration::from_secs(3));
 }
 
-/// A policy whose first placement blocks the master thread for a while:
-/// the master is stuck inside a scheduling pass, where its own progress
-/// timeout cannot run.
-struct SlowFirstPick(Option<Duration>);
+/// A policy that blocks the master thread for `stall` in its `at`-th
+/// placement (from 0): the master is stuck inside a scheduling pass,
+/// where its progress timeout runs only once the pass returns.
+struct StallPick {
+    at: usize,
+    stall: Duration,
+    picks: usize,
+}
 
-impl SchedulingPolicy for SlowFirstPick {
+impl SchedulingPolicy for StallPick {
     fn pick(&mut self, _: TaskToPlace, candidates: &[Candidate]) -> Option<ExecId> {
-        if let Some(stall) = self.0.take() {
-            std::thread::sleep(stall);
+        if self.picks == self.at {
+            std::thread::sleep(self.stall);
         }
+        self.picks += 1;
         candidates.first().map(|c| c.exec)
     }
 }
 
-/// Runs wordcount with the master thread stuck for `stall` in its first
-/// placement, under a 200 ms backstop (twice the 100 ms event timeout).
-fn stuck_master(stall: Duration) -> (Duration, StallDiagnostics) {
+/// Runs wordcount on one one-slot transient executor, so each pass
+/// places at most one transient task, with the master stalled 600 ms in
+/// its `at`-th placement under a 100 ms event timeout. Returns how long
+/// the run took and what it returned.
+fn stalled_pick(backend: BackendKind, at: usize) -> (Duration, Result<JobResult, RuntimeError>) {
     let config = RuntimeConfig {
         tick_ms: 5,
         event_timeout_ms: 100,
         threaded_workers: 2,
+        slots_per_executor: 1,
+        speculation: false,
         ..RuntimeConfig::default()
     };
     let started = Instant::now();
-    let err = LocalCluster::new(2, 1)
-        .with_backend(BackendKind::Threaded)
+    let run = LocalCluster::new(1, 1)
+        .with_backend(backend)
         .with_config(config)
-        .with_policy(move || Box::new(SlowFirstPick(Some(stall))))
-        .run(&wordcount_dag())
-        .expect_err("the backstop ends the run");
-    match err {
-        RuntimeError::Wedged { diagnostics } => (started.elapsed(), *diagnostics),
-        other => panic!("expected RuntimeError::Wedged, got {other:?}"),
+        .with_policy(move || {
+            Box::new(StallPick {
+                at,
+                stall: Duration::from_millis(600),
+                picks: 0,
+            })
+        })
+        .run(&wordcount_dag());
+    (started.elapsed(), run)
+}
+
+/// Nothing watches the master from outside: a master stalled in a
+/// placement after the first pass is caught by its own progress timeout
+/// as soon as the pass returns. The run ends as the master's `Wedged`,
+/// with the one attempt that pick launched outstanding and a journal that
+/// keeps law 11. A stall in the first pass only delays the job, because
+/// the progress clock starts after it.
+#[test]
+fn a_master_stalled_in_a_pick_is_caught_by_its_own_timeout() {
+    for backend in [BackendKind::Sim, BackendKind::Threaded] {
+        let (took, run) = stalled_pick(backend, 1);
+        let d = match run {
+            Err(RuntimeError::Wedged { diagnostics }) => diagnostics,
+            other => panic!("{backend:?}: expected RuntimeError::Wedged, got {other:?}"),
+        };
+        assert!(
+            took < Duration::from_secs(2),
+            "{backend:?}: took {took:?}: {d}"
+        );
+        assert!(
+            d.reason.contains("no progress within 100 ms"),
+            "{backend:?}: {d}"
+        );
+        assert!(d.waited_ms >= 600, "{backend:?}: {d}");
+        assert_eq!(d.outstanding_attempts, 1, "{backend:?}: {d}");
+        let violations = pado_core::runtime::check(&d.journal, false);
+        assert!(violations.is_empty(), "{backend:?}: {violations:?}");
+
+        let (took, run) = stalled_pick(backend, 0);
+        let result = run.unwrap_or_else(|e| panic!("{backend:?}: a first-pass stall: {e}"));
+        assert!(
+            took >= Duration::from_millis(600),
+            "{backend:?}: took {took:?}"
+        );
+        assert!(!result.outputs["Out"].is_empty(), "{backend:?}");
     }
-}
-
-/// A master thread stuck past the backstop but not past the grace period
-/// observes the backstop's cancel on its next pass and unwinds; the
-/// backstop's report stands, with the journal frozen after the master's
-/// shutdown, which keeps law 11.
-#[test]
-fn a_master_stuck_past_the_backstop_unwinds_on_its_cancel() {
-    let (took, d) = stuck_master(Duration::from_millis(600));
-    assert!(took < Duration::from_secs(2), "took {took:?}: {d}");
-    assert!(d.reason.contains("nothing emitted for 200 ms"), "{d}");
-    assert!(d.waited_ms >= 200, "{d}");
-    assert!(d.master_joined, "{d}");
-    let violations = pado_core::runtime::check(&d.journal, false);
-    assert!(violations.is_empty(), "{violations:?}");
-}
-
-/// A master thread stuck past the grace period too is detached, and the
-/// backstop returns the same report, filled with what it can see: the
-/// journal so far under the plan's facts, and the pool, but not the
-/// master's task table.
-#[test]
-fn a_master_stuck_past_the_grace_is_detached_with_a_report() {
-    let (took, d) = stuck_master(Duration::from_secs(4));
-    assert!(took < Duration::from_secs(4), "took {took:?}: {d}");
-    assert!(d.reason.contains("nothing emitted for 200 ms"), "{d}");
-    assert!(d.waited_ms >= 200, "{d}");
-    assert!(!d.master_joined, "{d}");
-    assert_eq!(d.outstanding_attempts, None, "{d}");
-    assert_eq!(d.workers.len(), 2, "{d}");
-    assert!(
-        d.journal.meta().n_stages > 0,
-        "frozen with the plan's facts"
-    );
-    assert!(d.to_string().contains("detached"), "{d}");
 }

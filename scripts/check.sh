@@ -28,10 +28,10 @@ cargo test --offline --manifest-path perf/Cargo.toml -q
 stage "data-plane small-budget smoke (spill-to-disk, byte-identical)"
 cargo run -p pado-bench --release --bin dataplane -- --smoke --mem-budget auto >/dev/null
 
-stage "threaded soak (10 rounds of chaos against fault-free sim baseline)"
+stage "soak (task-failure chaos rounds for 10 s against the fault-free baseline)"
 cargo test -p pado-core --test backend_equivalence -q -- --ignored
 
-stage "data-plane smoke on the threaded backend (byte-identity vs sim)"
+stage "data-plane smoke under the threaded name (byte-identity between two runs)"
 cargo run -p pado-bench --release --bin dataplane -- --smoke --backend threaded >/dev/null
 
 stage "production lines, crates/core/src/runtime"
