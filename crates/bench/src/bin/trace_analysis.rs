@@ -3,11 +3,12 @@
 //! synthetic datacenter trace.
 
 use pado_bench::{ascii_cdf_chart, print_csv, print_table};
-use pado_trace::{analyze, generate, lifetime_row, Cdf, SynthConfig, PAPER_MARGINS};
+use pado_trace::{analyze_margins, generate, lifetime_row, Cdf, SynthConfig, PAPER_MARGINS};
 
 fn main() {
     let series = generate(&SynthConfig::default());
-    let analyses: Vec<_> = PAPER_MARGINS.iter().map(|&m| analyze(&series, m)).collect();
+    // One refinement of each series feeds all three margins.
+    let analyses = analyze_margins(&series, PAPER_MARGINS);
     let cdfs: Vec<_> = analyses
         .iter()
         .map(|a| Cdf::new(a.lifetimes_min.clone()))

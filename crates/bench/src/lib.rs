@@ -8,7 +8,7 @@ pub mod chaos;
 use pado_dag::LogicalDag;
 use pado_engines::{simulate, CostModel, Mode, RunMetrics, SimConfig, SimError};
 use pado_simcluster::{LifetimeDist, MIN};
-use pado_trace::{analyze, generate, SynthConfig};
+use pado_trace::{analyze_margins, generate, SynthConfig};
 use pado_workloads::{als, mlr, mr};
 
 /// The paper's four eviction rates (§5.2): none, plus the lifetime CDFs
@@ -56,14 +56,18 @@ impl EvictionRate {
 }
 
 /// Builds the four lifetime distributions by running the §2.1 trace
-/// analysis once (synthetic trace, B-spline refinement, safety margins).
+/// analysis once (synthetic trace, B-spline refinement, safety margins):
+/// one refinement of each series feeds the three margins' scans.
 pub fn lifetime_dists() -> [(EvictionRate, LifetimeDist); 4] {
     let series = generate(&SynthConfig::default());
+    let evicting = [EvictionRate::Low, EvictionRate::Medium, EvictionRate::High];
+    let margins = evicting.map(|rate| rate.margin().expect("an evicting rate has a margin"));
+    let mut analyses = analyze_margins(&series, margins).into_iter();
     EvictionRate::ALL.map(|rate| {
         let dist = match rate.margin() {
             None => LifetimeDist::None,
-            Some(margin) => {
-                let a = analyze(&series, margin);
+            Some(_) => {
+                let a = analyses.next().expect("evicting rates come in `ALL` order");
                 // Lifetimes are in minutes; the cluster wants microseconds.
                 let us: Vec<u64> = a.lifetimes_min.iter().map(|&m| m.max(1) * MIN).collect();
                 LifetimeDist::Empirical(pado_simcluster::EmpiricalDist::new(us))

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use pado_core::compiler::{FopId, PhysicalPlan};
+use pado_core::compiler::PhysicalPlan;
 use pado_dag::OpId;
 use pado_simcluster::{ContainerId, SimTime};
 
@@ -108,15 +108,6 @@ impl FopCosts {
             preagg,
         }
     }
-}
-
-/// Flattened task identifier across a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TaskRef {
-    /// The fused operator.
-    pub fop: FopId,
-    /// The task index within it.
-    pub index: usize,
 }
 
 /// Slot accounting over containers.

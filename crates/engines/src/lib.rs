@@ -34,7 +34,7 @@
 pub mod common;
 pub mod engine;
 
-pub use common::{CostModel, FopCosts, OpCost, RunMetrics, SimError, SlotPool, TaskRef};
+pub use common::{CostModel, FopCosts, OpCost, RunMetrics, SimError, SlotPool};
 pub use engine::{Ev, Mode, SimConfig, SimEngine};
 
 use pado_dag::LogicalDag;

@@ -68,8 +68,6 @@ pub struct Container {
     pub slots: usize,
     /// Whether the container is alive.
     pub alive: bool,
-    /// When the container was provided.
-    pub born: SimTime,
     /// Transient pool index (lifetime class); 0 for the default pool and
     /// for non-transient containers.
     pub pool: usize,
@@ -265,15 +263,13 @@ impl<E> Cluster<E> {
     }
 
     fn add_container(&mut self, kind: Kind, spec: NodeSpec, pool: usize) -> ContainerId {
-        let node = self.network.add_node(spec.up, spec.down);
-        debug_assert_eq!(node, self.containers.len());
-        let id = node;
+        let id = self.network.add_node(spec.up, spec.down);
+        debug_assert_eq!(id, self.containers.len());
         self.containers.push(Container {
             id,
             kind,
             slots: spec.slots,
             alive: true,
-            born: self.now,
             pool,
         });
         if kind == Kind::Transient {
@@ -364,10 +360,9 @@ impl<E> Cluster<E> {
             // Sequence numbers are unique: the minimum is one entry.
             let completion = self.live.iter().min().copied();
             let completion_first = match (completion, timer) {
-                (Some((at, seq, _)), Some(timer)) => (at, seq) < timer,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
                 (None, None) => return None,
+                (Some((at, seq, _)), timer) => timer.is_none_or(|t| (at, seq) < t),
+                (None, Some(_)) => false,
             };
             self.popped += 1;
             if let (true, Some((at, _, id))) = (completion_first, completion) {
@@ -423,8 +418,7 @@ impl<E> Cluster<E> {
         }
         // The resource manager immediately provides a replacement with a
         // fresh lifetime (§5.1.1), drawn from the same pool.
-        let kind = self.containers[id].kind;
-        if kind == Kind::Transient {
+        if self.containers[id].kind == Kind::Transient {
             let pool = self.containers[id].pool;
             let spec = self.pools[pool].0;
             let new_id = self.add_container(Kind::Transient, spec, pool);

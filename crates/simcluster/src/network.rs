@@ -44,6 +44,8 @@ pub struct Network {
     by_node: Vec<Vec<TransferId>>,
     up_count: Vec<usize>,
     down_count: Vec<usize>,
+    /// Per node, the fair shares `caps / count.max(1)`, kept at every count change.
+    shares: Vec<(f64, f64)>,
     /// Total bytes moved to completion (accounting).
     pub bytes_completed: f64,
 }
@@ -74,6 +76,7 @@ impl Network {
     pub fn add_node(&mut self, up: f64, down: f64) -> NodeId {
         assert!(up > 0.0 && down > 0.0, "link capacities must be positive");
         self.caps.push((up, down));
+        self.shares.push((up, down));
         self.by_node.push(Vec::new());
         self.up_count.push(0);
         self.down_count.push(0);
@@ -99,9 +102,7 @@ impl Network {
         let id = self.transfers.len() as TransferId;
         let mut ids = self.touching(src, dst);
         self.advance(now, &ids);
-        self.up_count[src] += 1;
-        self.down_count[dst] += 1;
-        self.active += 1;
+        self.recount(src, dst, 1);
         self.transfers.push(Some(Tr {
             src,
             dst,
@@ -202,14 +203,21 @@ impl Network {
         let tr = self.transfers[id as usize]
             .take()
             .expect("transfer is active");
-        self.active -= 1;
-        self.up_count[tr.src] -= 1;
-        self.down_count[tr.dst] -= 1;
+        self.recount(tr.src, tr.dst, -1);
         for n in [tr.src, tr.dst] {
             if let Ok(at) = self.by_node[n].binary_search(&id) {
                 self.by_node[n].remove(at);
             }
         }
+    }
+
+    /// Moves the active, `src` uplink and `dst` downlink counts by `by`.
+    fn recount(&mut self, src: NodeId, dst: NodeId, by: isize) {
+        self.active = self.active.wrapping_add_signed(by);
+        self.up_count[src] = self.up_count[src].wrapping_add_signed(by);
+        self.down_count[dst] = self.down_count[dst].wrapping_add_signed(by);
+        self.shares[src].0 = self.caps[src].0 / self.up_count[src].max(1) as f64;
+        self.shares[dst].1 = self.caps[dst].1 / self.down_count[dst].max(1) as f64;
     }
 
     /// Advances the progress of the transfers `ids` to `now`.
@@ -234,9 +242,7 @@ impl Network {
             let tr = self.transfers[id as usize]
                 .as_mut()
                 .expect("listed transfer");
-            let up_share = self.caps[tr.src].0 / self.up_count[tr.src].max(1) as f64;
-            let down_share = self.caps[tr.dst].1 / self.down_count[tr.dst].max(1) as f64;
-            let rate = up_share.min(down_share);
+            let rate = self.shares[tr.src].0.min(self.shares[tr.dst].1);
             if (rate - tr.rate).abs() > 1e-12 || tr.rate == 0.0 {
                 tr.rate = rate;
                 tr.gen += 1;

@@ -32,7 +32,7 @@ pub mod synth;
 
 pub use bspline::refine;
 pub use cdf::{lifetime_row, Cdf, LifetimeRow};
-pub use margin::{analyze, MarginAnalysis};
+pub use margin::{analyze, analyze_margins, MarginAnalysis};
 pub use synth::{generate, SynthConfig, UsageSeries};
 
 /// The paper's three safety margins: 0.1 % (high eviction), 1 % (medium),

@@ -34,88 +34,87 @@ impl MarginAnalysis {
     }
 }
 
-/// Analyzes one container's 5-minute usage as [`walk`] refines it to
-/// 1-minute resolution, appending lifetimes (in minutes) and accumulating
-/// collected-memory statistics.
-fn analyze_series(
-    usage_5min: &[f64],
-    margin: f64,
+/// Takes one series' value `u` at minute `t` into one margin's scan.
+/// `alloc` holds the current container's start and LC usage's minimum
+/// since, `None` while none fits. Inlined into the walk, with the state in
+/// the caller's locals, so that the scan's sums can stay in registers.
+#[inline(always)]
+fn step(
+    buffer: f64,
+    alloc: &mut Option<(usize, f64)>,
+    (collected, idle): (&mut f64, &mut f64),
     lifetimes: &mut Vec<u64>,
-    collected_sum: &mut f64,
-    idle_sum: &mut f64,
-    samples: &mut usize,
+    t: usize,
+    u: f64,
 ) {
-    let buffer = margin;
-    // Running minimum of LC usage since the current transient container
-    // was allocated; `None` while no container fits.
-    let mut alloc: Option<(usize, f64)> = None;
-    let mut t = 0;
-    walk(usage_5min, 5, |u| {
-        let u = u.clamp(0.0, 1.0);
-        *idle_sum += 1.0 - u;
-        match alloc {
-            None => {
-                // Allocate when there is idle memory beyond the buffer.
-                if 1.0 - u > buffer {
-                    alloc = Some((t, u));
-                    *collected_sum += 1.0 - u - buffer;
-                }
-            }
-            Some((start, low)) => {
-                let low = low.min(u);
-                // The transient container occupies `1 - low - buffer`;
-                // eviction when LC usage grows into it.
-                if u > low + buffer {
-                    lifetimes.push((t - start) as u64);
-                    alloc = None;
-                    // Immediately try to reallocate at the new level.
-                    if 1.0 - u > buffer {
-                        alloc = Some((t, u));
-                        *collected_sum += 1.0 - u - buffer;
-                    }
-                } else {
-                    alloc = Some((start, low));
-                    *collected_sum += 1.0 - low - buffer;
-                }
-            }
+    let u = u.clamp(0.0, 1.0);
+    *idle += 1.0 - u;
+    if let Some((start, low)) = *alloc {
+        let low = low.min(u);
+        // The container holds `1 - low - buffer`, evicted once LC usage grows into it.
+        if u <= low + buffer {
+            *alloc = Some((start, low));
+            *collected += 1.0 - low - buffer;
+            return;
         }
-        t += 1;
-    });
-    *samples += t;
-    // A container alive at trace end contributes a (censored) lifetime.
-    if let Some((start, _)) = alloc {
-        if t > start + 1 {
-            lifetimes.push((t - 1 - start) as u64);
-        }
+        evicted(lifetimes, (t - start) as u64);
+        *alloc = None;
+    }
+    // (Re)allocate when there is idle memory beyond the buffer.
+    if 1.0 - u > buffer {
+        *alloc = Some((t, u));
+        *collected += 1.0 - u - buffer;
     }
 }
 
-/// Runs the full analysis for one safety margin: refine every 5-minute
-/// series to 1-minute resolution with the B-spline, then extract
-/// transient container lifetimes and collected-memory fractions. The
-/// refined values stream into the scan; no 1-minute series is stored.
-pub fn analyze(series: &[UsageSeries], margin: f64) -> MarginAnalysis {
-    let mut lifetimes = Vec::new();
-    let mut collected_sum = 0.0;
-    let mut idle_sum = 0.0;
-    let mut samples = 0usize;
+/// Out of line and cold: the rare push does not spill `step`'s sums.
+#[cold]
+#[inline(never)]
+fn evicted(lifetimes: &mut Vec<u64>, minutes: u64) {
+    lifetimes.push(minutes);
+}
+
+/// Runs the full analysis for each of `margins`: each 5-minute series is
+/// refined to 1-minute resolution with the B-spline once, streaming into
+/// every margin's scan (never stored) for lifetimes and memory fractions.
+pub fn analyze_margins<const N: usize>(
+    series: &[UsageSeries],
+    margins: [f64; N],
+) -> [MarginAnalysis; N] {
+    let mut lifetimes = margins.map(|_| Vec::new());
+    let (mut collected, mut idle, mut samples) = ([0.0; N], [0.0; N], 0usize);
     for s in series {
-        analyze_series(
-            &s.samples,
-            margin,
-            &mut lifetimes,
-            &mut collected_sum,
-            &mut idle_sum,
-            &mut samples,
-        );
+        let (mut t, mut alloc) = (0, [None; N]);
+        walk(&s.samples, 5, |u| {
+            for k in 0..N {
+                let sums = (&mut collected[k], &mut idle[k]);
+                step(margins[k], &mut alloc[k], sums, &mut lifetimes[k], t, u);
+            }
+            t += 1;
+        });
+        samples += t;
+        // A container alive at the series' end adds a censored lifetime.
+        for (alloc, lifetimes) in alloc.into_iter().zip(&mut lifetimes) {
+            match alloc {
+                Some((start, _)) if t > start + 1 => lifetimes.push((t - 1 - start) as u64),
+                _ => {}
+            }
+        }
     }
     let n = samples.max(1) as f64;
-    MarginAnalysis {
-        margin,
-        lifetimes_min: lifetimes,
-        collected_fraction: collected_sum / n,
-        baseline_idle_fraction: idle_sum / n,
-    }
+    let mut lifetimes = lifetimes.into_iter();
+    std::array::from_fn(|k| MarginAnalysis {
+        margin: margins[k],
+        lifetimes_min: lifetimes.next().expect("one per margin"),
+        collected_fraction: collected[k] / n,
+        baseline_idle_fraction: idle[k] / n,
+    })
+}
+
+/// [`analyze_margins`] for one safety margin.
+pub fn analyze(series: &[UsageSeries], margin: f64) -> MarginAnalysis {
+    let [analysis] = analyze_margins(series, [margin]);
+    analysis
 }
 
 #[cfg(test)]
@@ -196,6 +195,23 @@ mod tests {
             baseline_idle_fraction: 0.0,
         };
         assert_eq!(a.percentile(0.5), 0);
+    }
+
+    #[test]
+    fn one_walk_for_all_margins_is_each_margins_own_analysis() {
+        let series = crate::synth::generate(&crate::synth::SynthConfig {
+            containers: 10,
+            days: 3,
+            ..Default::default()
+        });
+        let bits = |a: &MarginAnalysis| {
+            let fractions = [a.margin, a.collected_fraction, a.baseline_idle_fraction];
+            (a.lifetimes_min.clone(), fractions.map(f64::to_bits))
+        };
+        let all = analyze_margins(&series, crate::PAPER_MARGINS);
+        for (a, &margin) in all.iter().zip(&crate::PAPER_MARGINS) {
+            assert_eq!(bits(a), bits(&analyze(&series, margin)), "margin {margin}");
+        }
     }
 
     #[test]
