@@ -422,15 +422,15 @@ impl Master {
         }
     }
 
-    /// The tick-driven master event loop: checks the wedge timeout, waits
-    /// up to one tick for a frame, then re-evaluates retransmissions, the
-    /// failure detector, stragglers, and the schedule. Ticks make all of
-    /// these responsive even while no completions arrive.
+    /// The tick-driven master event loop: checks the wedge timeout (its
+    /// clock starts before the first pass), waits up to one tick for a
+    /// frame, then re-evaluates retransmissions, the failure detector,
+    /// stragglers and the schedule, ticking on with no completions.
     fn run_loop(&mut self) -> Result<(), RuntimeError> {
+        let mut last_progress = self.clock.now();
         self.schedule()?;
         let tick = Duration::from_millis(self.job.config.tick_ms.max(1));
         let timeout = Duration::from_millis(self.job.config.event_timeout_ms);
-        let mut last_progress = self.clock.now();
         let mut last_spec_check = self.clock.now();
         while !self.complete() {
             // The one stall detector, on every pass whatever the frame

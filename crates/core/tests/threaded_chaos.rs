@@ -245,38 +245,31 @@ fn stalled_pick(backend: BackendKind, at: usize) -> (Duration, Result<JobResult,
 }
 
 /// Nothing watches the master from outside: a master stalled in a
-/// placement after the first pass is caught by its own progress timeout
-/// as soon as the pass returns. The run ends as the master's `Wedged`,
-/// with the one attempt that pick launched outstanding and a journal that
-/// keeps law 11. A stall in the first pass only delays the job, because
-/// the progress clock starts after it.
+/// placement is caught by its own progress timeout as soon as the pass
+/// returns, the first pass included (the progress clock starts before
+/// it). The run ends as the master's `Wedged`, with the one attempt that
+/// pick launched outstanding and a journal that keeps law 11.
 #[test]
 fn a_master_stalled_in_a_pick_is_caught_by_its_own_timeout() {
     for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        let (took, run) = stalled_pick(backend, 1);
-        let d = match run {
-            Err(RuntimeError::Wedged { diagnostics }) => diagnostics,
-            other => panic!("{backend:?}: expected RuntimeError::Wedged, got {other:?}"),
-        };
-        assert!(
-            took < Duration::from_secs(2),
-            "{backend:?}: took {took:?}: {d}"
-        );
-        assert!(
-            d.reason.contains("no progress within 100 ms"),
-            "{backend:?}: {d}"
-        );
-        assert!(d.waited_ms >= 600, "{backend:?}: {d}");
-        assert_eq!(d.outstanding_attempts, 1, "{backend:?}: {d}");
-        let violations = pado_core::runtime::check(&d.journal, false);
-        assert!(violations.is_empty(), "{backend:?}: {violations:?}");
-
-        let (took, run) = stalled_pick(backend, 0);
-        let result = run.unwrap_or_else(|e| panic!("{backend:?}: a first-pass stall: {e}"));
-        assert!(
-            took >= Duration::from_millis(600),
-            "{backend:?}: took {took:?}"
-        );
-        assert!(!result.outputs["Out"].is_empty(), "{backend:?}");
+        for at in [1, 0] {
+            let (took, run) = stalled_pick(backend, at);
+            let d = match run {
+                Err(RuntimeError::Wedged { diagnostics }) => diagnostics,
+                other => panic!("{backend:?}, pick {at}: expected Wedged, got {other:?}"),
+            };
+            assert!(
+                took < Duration::from_secs(2),
+                "{backend:?}, pick {at}: took {took:?}: {d}"
+            );
+            assert!(
+                d.reason.contains("no progress within 100 ms"),
+                "{backend:?}, pick {at}: {d}"
+            );
+            assert!(d.waited_ms >= 600, "{backend:?}, pick {at}: {d}");
+            assert_eq!(d.outstanding_attempts, 1, "{backend:?}, pick {at}: {d}");
+            let violations = pado_core::runtime::check(&d.journal, false);
+            assert!(violations.is_empty(), "{backend:?}: {violations:?}");
+        }
     }
 }

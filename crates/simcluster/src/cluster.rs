@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::dist::LifetimeDist;
-use crate::network::{Due, Network, NodeId, TransferId};
+use crate::network::{Network, NodeId, TransferId};
 
 /// Container identifier; also the container's node id in the network
 /// (each container runs on its own node, as in the paper's EC2 setup).
@@ -303,11 +303,11 @@ impl<E> Cluster<E> {
 
     /// Starts a transfer; `tag` is handed back on completion or failure.
     pub fn start_transfer(&mut self, src: NodeId, dst: NodeId, bytes: f64, tag: E) -> TransferId {
-        let (id, dues) = self.network.start(self.now, src, dst, bytes);
+        let id = self.network.start_pass(self.now, src, dst, bytes);
         // Network ids are dense from 0 and every transfer starts here, so
         // the new id is the slab's next slot. The entry is a placeholder
         // until `reschedule` files the new transfer's own `Due`, which
-        // `Network::start` always returns.
+        // `Network::start_pass` always leaves.
         debug_assert_eq!(id as usize, self.completions.len());
         self.completions.push(Some(Completion {
             live: self.live.len(),
@@ -315,14 +315,15 @@ impl<E> Cluster<E> {
             tag,
         }));
         self.live.push((SimTime::MAX, 0, id));
-        self.reschedule(dues);
+        self.reschedule();
         id
     }
 
-    /// Overwrites the live completion entries of re-rated transfers, each
-    /// with the next sequence number, in the order given.
-    fn reschedule(&mut self, dues: Vec<Due>) {
-        for due in dues {
+    /// Overwrites the live completion entries of the transfers the
+    /// network's last pass re-rated, each with the next sequence number,
+    /// in the order of [`Network::dues`].
+    fn reschedule(&mut self) {
+        for due in self.network.dues() {
             self.seq += 1;
             let slot = self.completions[due.id as usize]
                 .as_mut()
@@ -368,11 +369,10 @@ impl<E> Cluster<E> {
             if let (true, Some((at, _, id))) = (completion_first, completion) {
                 self.advance_to(at);
                 let done = self.take(id);
-                let dues = self
-                    .network
-                    .complete(self.now, id, done.gen)
+                self.network
+                    .complete_pass(self.now, id, done.gen)
                     .expect("a live completion entry carries its transfer's generation");
-                self.reschedule(dues);
+                self.reschedule();
                 return Some(Event::TransferDone { id, tag: done.tag });
             }
             let Reverse(entry) = self.queue.pop().expect("entry was just peeked");
@@ -409,8 +409,8 @@ impl<E> Cluster<E> {
         }
         self.containers[id].alive = false;
         self.evictions += 1;
-        let (victims, dues) = self.network.cancel_node(self.now, id);
-        self.reschedule(dues);
+        let victims = self.network.cancel_node(self.now, id);
+        self.reschedule();
         // Deliver transfer failures right after the eviction event.
         for v in victims {
             let tag = self.take(v).tag;

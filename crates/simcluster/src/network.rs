@@ -12,9 +12,9 @@
 //! Ids are dense and only grow, so the transfers sit in a slab indexed by
 //! id. Each node lists the ids of its active transfers, so a start, a
 //! completion or a cancellation visits the endpoints' transfers only, and
-//! always in ascending id order: the order of the returned [`Due`]s — and
-//! with it every event tie-break downstream — is a function of the calls
-//! made, never of a hash seed.
+//! always in ascending id order: the order of the [`Due`]s — and with it
+//! every event tie-break downstream — is a function of the calls made,
+//! never of a hash seed.
 
 /// Node identifier within a simulation.
 pub type NodeId = usize;
@@ -22,7 +22,7 @@ pub type NodeId = usize;
 /// Transfer identifier.
 pub type TransferId = u64;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Tr {
     src: NodeId,
     dst: NodeId,
@@ -30,6 +30,13 @@ struct Tr {
     rate: f64,
     last: u64,
     gen: u64,
+}
+
+impl Tr {
+    /// The bytes it moves from its last update to `now` at its rate.
+    fn moved_by(&self, now: u64) -> f64 {
+        (self.rate * now.saturating_sub(self.last) as f64).min(self.remaining)
+    }
 }
 
 /// The network state: per-node link capacities and active transfers.
@@ -46,6 +53,8 @@ pub struct Network {
     down_count: Vec<usize>,
     /// Per node, the fair shares `caps / count.max(1)`, kept at every count change.
     shares: Vec<(f64, f64)>,
+    /// The last call's `Due`s; cleared, never shrunk, by the next.
+    dues: Vec<Due>,
     /// Total bytes moved to completion (accounting).
     pub bytes_completed: f64,
 }
@@ -88,10 +97,13 @@ impl Network {
         self.active
     }
 
-    /// Starts a transfer of `bytes` from `src` to `dst` at time `now`.
-    /// Returns the new transfer id and every completion event to
-    /// (re)schedule — the new transfer's and those of transfers whose
-    /// rate changed — in ascending id order.
+    /// The completion events to (re)schedule after the last start,
+    /// completion or cancellation, in ascending id order.
+    pub fn dues(&self) -> &[Due] {
+        &self.dues
+    }
+
+    /// [`Network::start_pass`], its `Due`s copied out.
     pub fn start(
         &mut self,
         now: u64,
@@ -99,9 +111,21 @@ impl Network {
         dst: NodeId,
         bytes: f64,
     ) -> (TransferId, Vec<Due>) {
+        let id = self.start_pass(now, src, dst, bytes);
+        (id, self.dues.clone())
+    }
+
+    /// [`Network::complete_pass`], its `Due`s copied out.
+    #[allow(clippy::result_unit_err)]
+    pub fn complete(&mut self, now: u64, id: TransferId, gen: u64) -> Result<Vec<Due>, ()> {
+        self.complete_pass(now, id, gen).map(|()| self.dues.clone())
+    }
+
+    /// Starts a transfer of `bytes` from `src` to `dst` at time `now` and
+    /// returns its id; the new transfer's `Due` is the last of
+    /// [`Network::dues`], after those of transfers whose rate changed.
+    pub fn start_pass(&mut self, now: u64, src: NodeId, dst: NodeId, bytes: f64) -> TransferId {
         let id = self.transfers.len() as TransferId;
-        let mut ids = self.touching(src, dst);
-        self.advance(now, &ids);
         self.recount(src, dst, 1);
         self.transfers.push(Some(Tr {
             src,
@@ -116,53 +140,52 @@ impl Network {
         if dst != src {
             self.by_node[dst].push(id);
         }
-        ids.push(id);
-        (id, self.rerate(&ids))
+        self.pass(now, src, dst, None);
+        id
     }
 
-    /// Attempts to complete a transfer at `now` for the event generation
-    /// `gen`. Returns `Ok(reschedules)` with follow-up events (ascending
-    /// id order) when the transfer genuinely finished, or `Err(())` when
-    /// the event was stale (rate changed since it was scheduled) or the
-    /// transfer is gone.
+    /// Completes a transfer at `now` for the event generation `gen`, its
+    /// follow-up events in [`Network::dues`]; `Err(())`, changing nothing,
+    /// when the event is stale (rate changed since it was scheduled) or
+    /// the transfer is gone.
     #[allow(clippy::result_unit_err)]
-    pub fn complete(&mut self, now: u64, id: TransferId, gen: u64) -> Result<Vec<Due>, ()> {
-        let (src, dst) = match self.get(id) {
-            Some(tr) if tr.gen == gen => (tr.src, tr.dst),
-            _ => return Err(()),
+    pub fn complete_pass(&mut self, now: u64, id: TransferId, gen: u64) -> Result<(), ()> {
+        let Some(&tr) = self.get(id).filter(|tr| tr.gen == gen) else {
+            return Err(());
         };
-        let mut ids = self.touching(src, dst);
-        self.advance(now, &ids);
-        if self.tr(id).remaining > 1e-6 {
+        if tr.remaining - tr.moved_by(now) > 1e-6 {
             // The event fired early relative to the re-rated schedule;
             // stale by construction (gen should have caught it), be safe.
             return Err(());
         }
-        // Progress (and byte accounting) was brought to `now` above.
-        self.remove(id);
-        ids.retain(|&t| t != id);
-        Ok(self.rerate(&ids))
+        self.recount(tr.src, tr.dst, -1);
+        self.pass(now, tr.src, tr.dst, Some(id));
+        self.forget(id);
+        Ok(())
     }
 
-    /// Cancels every transfer touching `node` (its container was evicted).
-    /// Returns the cancelled ids plus reschedules for affected survivors,
-    /// both in ascending id order.
-    pub fn cancel_node(&mut self, now: u64, node: NodeId) -> (Vec<TransferId>, Vec<Due>) {
+    /// Cancels every transfer touching `node` (its container was evicted)
+    /// and returns the cancelled ids, ascending; the survivors' reschedules
+    /// are in [`Network::dues`].
+    pub fn cancel_node(&mut self, now: u64, node: NodeId) -> Vec<TransferId> {
         let victims = self.by_node[node].clone();
         let mut ids = Vec::new();
         for &id in &victims {
-            let tr = self.tr(id);
+            let tr = *self.get(id).expect("listed transfer");
             ids.extend_from_slice(&self.by_node[tr.src]);
             ids.extend_from_slice(&self.by_node[tr.dst]);
+            self.recount(tr.src, tr.dst, -1);
         }
         ids.sort_unstable();
         ids.dedup();
-        self.advance(now, &ids);
-        for &id in &victims {
-            self.remove(id);
+        self.dues.clear();
+        for &id in &ids {
+            self.step(now, id, victims.binary_search(&id).is_ok());
         }
-        ids.retain(|id| victims.binary_search(id).is_err());
-        (victims, self.rerate(&ids))
+        for &id in &victims {
+            self.forget(id);
+        }
+        victims
     }
 
     /// The generation of a transfer, if active.
@@ -174,36 +197,49 @@ impl Network {
         self.transfers.get(id as usize)?.as_ref()
     }
 
-    fn tr(&self, id: TransferId) -> &Tr {
-        self.get(id).expect("listed transfer")
-    }
-
-    /// Ids of the active transfers touching `a` or `b`, ascending: one
-    /// merge of the two nodes' ascending lists.
-    fn touching(&self, a: NodeId, b: NodeId) -> Vec<TransferId> {
-        let (x, y) = (&self.by_node[a], &self.by_node[b]);
-        if a == b {
-            return x.clone();
-        }
-        let mut ids = Vec::with_capacity(x.len() + y.len());
+    /// The one pass of a start or a completion, after its recount: a
+    /// [`Network::step`] per transfer touching `a` or `b`, in one merge of
+    /// their ascending lists (a transfer between them is in both, taken once).
+    fn pass(&mut self, now: u64, a: NodeId, b: NodeId, ending: Option<TransferId>) {
+        self.dues.clear();
+        // Lent out, not copied (`y` is empty if `a == b`); no step edits a list.
+        let x = std::mem::take(&mut self.by_node[a]);
+        let y = std::mem::take(&mut self.by_node[b]);
         let (mut i, mut j) = (0, 0);
-        while let (Some(&p), Some(&q)) = (x.get(i), y.get(j)) {
-            // A transfer from `a` to `b` is in both lists: taken once.
-            ids.push(p.min(q));
+        while i < x.len() || j < y.len() {
+            let p = x.get(i).copied().unwrap_or(TransferId::MAX);
+            let q = y.get(j).copied().unwrap_or(TransferId::MAX);
             i += usize::from(p <= q);
             j += usize::from(q <= p);
+            self.step(now, p.min(q), Some(p.min(q)) == ending);
         }
-        ids.extend_from_slice(&x[i..]);
-        ids.extend_from_slice(&y[j..]);
-        ids
+        self.by_node[b] = y;
+        self.by_node[a] = x;
     }
 
-    /// Forgets an active transfer and gives back its link shares.
-    fn remove(&mut self, id: TransferId) {
-        let tr = self.transfers[id as usize]
-            .take()
-            .expect("transfer is active");
-        self.recount(tr.src, tr.dst, -1);
+    /// Advances a listed transfer to `now` at its old rate; unless it
+    /// `ends`, re-rates it against the current shares, filing a `Due`.
+    fn step(&mut self, now: u64, id: TransferId, ends: bool) {
+        let tr = self.transfers[id as usize].as_mut();
+        let tr = tr.expect("listed transfer");
+        let moved = tr.moved_by(now);
+        tr.remaining -= moved;
+        self.bytes_completed += moved;
+        tr.last = now;
+        let rate = self.shares[tr.src].0.min(self.shares[tr.dst].1);
+        if !ends && ((rate - tr.rate).abs() > 1e-12 || tr.rate == 0.0) {
+            tr.rate = rate;
+            tr.gen += 1;
+            let eta = (tr.remaining / rate).ceil() as u64;
+            let (at, gen) = (tr.last + eta.max(1), tr.gen);
+            self.dues.push(Due { id, at, gen });
+        }
+    }
+
+    /// Forgets a transfer whose link shares were already given back.
+    fn forget(&mut self, id: TransferId) {
+        let tr = self.transfers[id as usize].take();
+        let tr = tr.expect("transfer is active");
         for n in [tr.src, tr.dst] {
             if let Ok(at) = self.by_node[n].binary_search(&id) {
                 self.by_node[n].remove(at);
@@ -218,43 +254,6 @@ impl Network {
         self.down_count[dst] = self.down_count[dst].wrapping_add_signed(by);
         self.shares[src].0 = self.caps[src].0 / self.up_count[src].max(1) as f64;
         self.shares[dst].1 = self.caps[dst].1 / self.down_count[dst].max(1) as f64;
-    }
-
-    /// Advances the progress of the transfers `ids` to `now`.
-    fn advance(&mut self, now: u64, ids: &[TransferId]) {
-        for id in ids {
-            let tr = self.transfers[*id as usize]
-                .as_mut()
-                .expect("listed transfer");
-            let dt = now.saturating_sub(tr.last) as f64;
-            let moved = (tr.rate * dt).min(tr.remaining);
-            tr.remaining -= moved;
-            self.bytes_completed += moved;
-            tr.last = now;
-        }
-    }
-
-    /// Recomputes the rates of the transfers `ids`; returns new completion
-    /// events for those whose rate changed.
-    fn rerate(&mut self, ids: &[TransferId]) -> Vec<Due> {
-        let mut dues = Vec::new();
-        for &id in ids {
-            let tr = self.transfers[id as usize]
-                .as_mut()
-                .expect("listed transfer");
-            let rate = self.shares[tr.src].0.min(self.shares[tr.dst].1);
-            if (rate - tr.rate).abs() > 1e-12 || tr.rate == 0.0 {
-                tr.rate = rate;
-                tr.gen += 1;
-                let eta = (tr.remaining / rate).ceil() as u64;
-                dues.push(Due {
-                    id,
-                    at: tr.last + eta.max(1),
-                    gen: tr.gen,
-                });
-            }
-        }
-        dues
     }
 }
 
@@ -319,12 +318,27 @@ mod tests {
         let c = n.add_node(10.0, 10.0);
         let (t1, _) = n.start(0, a, b, 1000.0);
         let (t2, _) = n.start(0, a, c, 1000.0);
-        let (victims, dues) = n.cancel_node(50, b);
+        let victims = n.cancel_node(50, b);
         assert_eq!(victims, vec![t1]);
         assert_eq!(n.active(), 1);
         // The survivor t2 regains a's full uplink.
-        assert_eq!(dues.len(), 1);
-        assert_eq!(dues[0].id, t2);
+        assert_eq!(n.dues().len(), 1);
+        assert_eq!(n.dues()[0].id, t2);
+    }
+
+    #[test]
+    fn a_refused_completion_changes_nothing() {
+        let mut n = Network::new();
+        let a = n.add_node(10.0, 10.0);
+        let b = n.add_node(10.0, 10.0);
+        let (id, dues) = n.start(0, a, b, 1000.0);
+        assert_eq!(dues[0].at, 100);
+        // Halfway through: the check refuses before anything moves.
+        assert!(n.complete(50, id, dues[0].gen).is_err());
+        assert_eq!(n.bytes_completed, 0.0);
+        assert_eq!(n.active(), 1);
+        assert_eq!(n.complete(100, id, dues[0].gen), Ok(vec![]));
+        assert_eq!(n.bytes_completed, 1000.0);
     }
 
     #[test]
@@ -345,9 +359,9 @@ mod tests {
             assert!(dues.windows(2).all(|w| w[0].id < w[1].id), "{dues:?}");
             assert_eq!(dues.last().map(|d| d.id), Some(id));
         }
-        let (victims, dues) = n.cancel_node(10, hub);
+        let victims = n.cancel_node(10, hub);
         assert_eq!(victims, ids);
-        assert!(dues.is_empty());
+        assert!(n.dues().is_empty());
         assert_eq!(n.active(), 0);
     }
 
