@@ -6,10 +6,10 @@
 //!
 //! Usage: `cargo run -p pado-bench --bin chaos [n_seeds] [--network]
 //! [--drain] [--crash] [--journal <path>] [--wal-dump <path>]
-//! [--backend <sim|threaded>] [--stall-diag <path>]`
+//! [--stall-diag <path>]`
 //! `--network`, `--drain` and `--crash` keep the row's lossy-wire,
-//! drain + spill-fault and crash + WAL dimensions (see `BENCH`).
-//! `--backend threaded` runs each causal seed twice and checks for drift.
+//! drain + spill-fault and crash + WAL dimensions (see `BENCH`). `BENCH`
+//! is not causal, so each seed runs once on the one driver.
 //! `--journal` writes a Chrome trace of the last seed's journal,
 //! `--wal-dump` (with `--crash`) a frame dump of its surviving WAL image,
 //! `--stall-diag` the report and timeline of any seed the master found
@@ -18,13 +18,12 @@
 
 use pado_bench::chaos::{chaos_shapes, run_matrix, total, write_artifact, Dim, Family, BENCH};
 use pado_core::error::RuntimeError;
-use pado_core::runtime::{wal::dump_image, BackendKind, JobEvent};
+use pado_core::runtime::{wal::dump_image, JobEvent};
 
 fn main() {
     let mut n_seeds: u64 = 100;
     let (mut network, mut drain, mut crash) = (false, false, false);
     let (mut journal_path, mut wal_dump_path, mut stall_diag_path) = (None, None, None);
-    let mut backend = BackendKind::Sim;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut path = || Some(args.next().unwrap_or_else(|| panic!("{arg} needs a path")));
@@ -35,11 +34,6 @@ fn main() {
             "--journal" => journal_path = path(),
             "--wal-dump" => wal_dump_path = path(),
             "--stall-diag" => stall_diag_path = path(),
-            "--backend" => {
-                let spec = args.next().expect("--backend needs sim|threaded");
-                backend = BackendKind::parse(&spec)
-                    .unwrap_or_else(|| panic!("unknown backend {spec:?} (sim|threaded)"));
-            }
             n => n_seeds = n.parse().expect("n_seeds must be an integer"),
         }
     }
@@ -68,7 +62,7 @@ fn main() {
     let mut last_journal = None;
     let mut last_wal_image: Option<(u64, Vec<u8>)> = None;
     let mut stall_reports: Vec<String> = Vec::new();
-    let runs = run_matrix(&family, &chaos_shapes(), 0..n_seeds, backend, |o| {
+    let runs = run_matrix(&family, &chaos_shapes(), 0..n_seeds, |o| {
         let (seed, name, faults) = (o.case.seed, o.shape, &o.case.faults);
         if let (Some(_), Some(path)) = (&wal_dump_path, &o.case.config.wal_path) {
             if let Ok(bytes) = std::fs::read(path) {

@@ -14,14 +14,12 @@
 //!   bytes, total record clones, and peak resident set (`VmHWM`).
 //!
 //! Usage: `cargo run -p pado-bench --release --bin dataplane
-//! [-- --smoke] [--trace <path>] [--mem-budget <bytes|auto>]
-//! [--backend <sim|threaded>]`
-//! `--smoke` shrinks datasets for CI. `--backend` selects the execution
-//! backend for the end-to-end sections (default sim); a final section
-//! always races the two backends head-to-head on the shuffle-heavy plan,
-//! asserts byte-identical outputs and reports the ratio. `--trace <path>` writes a
-//! Chrome-trace JSON of the broadcast-heavy end-to-end run's event
-//! journal to `<path>` (open it in chrome://tracing or Perfetto).
+//! [-- --smoke] [--trace <path>] [--mem-budget <bytes|auto>]`
+//! `--smoke` shrinks datasets for CI. Every end-to-end run is one run on
+//! the one driver (the master on the caller's thread, bodies on the
+//! job's pool). `--trace <path>` writes a Chrome-trace JSON of the
+//! broadcast-heavy end-to-end run's event journal to `<path>` (open it
+//! in chrome://tracing or Perfetto).
 //! `--mem-budget` adds a third section: the shuffle-heavy pipeline runs
 //! once unlimited and once under a per-executor byte budget (`auto`
 //! probes the working set and squeezes to a quarter of it), reporting
@@ -40,7 +38,7 @@ use std::time::Instant;
 
 use pado_bench::chaos::{encode_outputs, with_budget, write_artifact};
 use pado_core::exec::apply_op_block;
-use pado_core::runtime::{BackendKind, LocalCluster, RuntimeConfig};
+use pado_core::runtime::{LocalCluster, RuntimeConfig};
 use pado_dag::codec::encode_batch;
 use pado_dag::value::clone_count;
 use pado_dag::{
@@ -142,7 +140,6 @@ fn combine_kernel(n: usize, parts: usize, key: KeyFn) -> (f64, f64, u64, &'stati
 fn run_pipeline(
     dag: &pado_dag::LogicalDag,
     mem_budget: usize,
-    backend: BackendKind,
 ) -> (f64, u64, pado_core::runtime::JobResult) {
     // The input cache shares the budget; `with_budget` keeps it a small
     // slice so pinned inputs and pushed blocks get the headroom.
@@ -155,7 +152,6 @@ fn run_pipeline(
     let before = clone_count();
     let t0 = Instant::now();
     let result = LocalCluster::new(2, 2)
-        .with_backend(backend)
         .with_config(config)
         .run(dag)
         .expect("pipeline run");
@@ -243,17 +239,12 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut trace_path: Option<String> = None;
     let mut mem_budget_arg: Option<String> = None;
-    let mut backend = BackendKind::Sim;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--trace" {
             trace_path = Some(args.next().expect("--trace needs a path"));
         } else if arg == "--mem-budget" {
             mem_budget_arg = Some(args.next().expect("--mem-budget needs bytes or 'auto'"));
-        } else if arg == "--backend" {
-            let spec = args.next().expect("--backend needs sim|threaded");
-            backend = BackendKind::parse(&spec)
-                .unwrap_or_else(|| panic!("unknown backend {spec:?} (sim|threaded)"));
         }
     }
     let (n_kernel, consumers) = if smoke { (20_000, 8) } else { (200_000, 16) };
@@ -293,7 +284,7 @@ fn main() {
     }
 
     println!("\n== end-to-end: in-process cluster ==");
-    let (secs, clones, result) = run_pipeline(&shuffle_heavy_dag(n_e2e), usize::MAX, backend);
+    let (secs, clones, result) = run_pipeline(&shuffle_heavy_dag(n_e2e), usize::MAX);
     let (enc, raw) = out_bytes(&result);
     println!(
         "shuffle-heavy    {n_e2e} rec  {}  {} out ({enc} B compressed / {raw} B raw)  \
@@ -301,8 +292,7 @@ fn main() {
         fmt_rate(n_e2e as u64, secs),
         out_records(&result),
     );
-    let (secs, clones, result) =
-        run_pipeline(&broadcast_heavy_dag(n_e2e, consumers), usize::MAX, backend);
+    let (secs, clones, result) = run_pipeline(&broadcast_heavy_dag(n_e2e, consumers), usize::MAX);
     if let Some(path) = &trace_path {
         write_artifact(path, result.journal.chrome_trace());
         println!("wrote Chrome trace of the broadcast-heavy run to {path}");
@@ -325,7 +315,7 @@ fn main() {
         let dag = shuffle_heavy_dag(n_e2e);
 
         // Unlimited baseline: no accounting, no spills.
-        let (_, _, unlimited) = run_pipeline(&dag, usize::MAX, backend);
+        let (_, _, unlimited) = run_pipeline(&dag, usize::MAX);
         let m = &unlimited.metrics;
         assert_eq!(
             m.blocks_spilled + m.oom_injected,
@@ -337,7 +327,7 @@ fn main() {
         let budget = if spec == "auto" {
             // Probe under a roomy limited budget to learn the working
             // set, then squeeze to a quarter of its peak.
-            let (_, _, probe) = run_pipeline(&dag, 64 << 20, backend);
+            let (_, _, probe) = run_pipeline(&dag, 64 << 20);
             let peak = probe.metrics.peak_store_bytes;
             println!("probe: working-set peak {peak} B (64 MiB roomy budget)");
             (peak / 4).max(1024)
@@ -346,7 +336,7 @@ fn main() {
                 .expect("--mem-budget takes a byte count or 'auto'")
         };
 
-        let (secs, _, tight) = run_pipeline(&dag, budget, backend);
+        let (secs, _, tight) = run_pipeline(&dag, budget);
         if let Some(path) = &trace_path {
             let mem_path = mem_trace_path(path);
             write_artifact(&mem_path, tight.journal.chrome_trace());
@@ -383,43 +373,6 @@ fn main() {
              they hold ({} B vs {} B raw)",
             m.spill_bytes,
             m.spill_raw_bytes
-        );
-    }
-
-    // The same shuffle-heavy plan under both backend names. Both select
-    // the one driver (the master on the caller's thread), so this is two
-    // runs of one engine: outputs must be byte-identical, and the ratio
-    // is reported, not gated; it measures run-to-run noise.
-    {
-        println!("\n== execution backends: sim vs threaded (4 pool workers) ==");
-        let n_cmp: i64 = if smoke { 60_000 } else { 600_000 };
-        let dag = shuffle_heavy_dag(n_cmp);
-        // Best-of-2 per backend keeps scheduler noise out of the ratio.
-        let mut sim_secs = f64::INFINITY;
-        let mut thr_secs = f64::INFINITY;
-        let mut pair = None;
-        for _ in 0..2 {
-            let (s, _, sim_res) = run_pipeline(&dag, usize::MAX, BackendKind::Sim);
-            let (t, _, thr_res) = run_pipeline(&dag, usize::MAX, BackendKind::Threaded);
-            sim_secs = sim_secs.min(s);
-            thr_secs = thr_secs.min(t);
-            pair = Some((sim_res, thr_res));
-        }
-        let (sim_res, thr_res) = pair.expect("at least one comparison round");
-        assert_eq!(
-            encode_outputs(&sim_res),
-            encode_outputs(&thr_res),
-            "threaded backend changed the shuffle-heavy outputs"
-        );
-        let speedup = sim_secs / thr_secs;
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        println!(
-            "shuffle-heavy    {n_cmp} rec  sim {} ({sim_secs:.3}s)  threaded {} \
-             ({thr_secs:.3}s)  speedup {speedup:>5.2}x  [{cores} cores]",
-            fmt_rate(n_cmp as u64, sim_secs),
-            fmt_rate(n_cmp as u64, thr_secs),
         );
     }
 

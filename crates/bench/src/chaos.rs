@@ -2,20 +2,21 @@
 //! failures and master restarts a job still gives the same answer). A
 //! fault [`Family`] is a row of data — rng salt, cluster sizes, the
 //! *ordered* list of [`Dim`]s it draws, config — and [`run_matrix`] is the
-//! only seed loop: fault-free baseline per shape, one run per seed,
-//! [`violations`] on each. The `chaos` binary runs [`BENCH`]; the suites
-//! of `crates/core/tests` run the rows of their `common` module, whose
-//! plans `family_plans_are_pinned` holds to what each suite drew before
-//! it shared this file.
+//! only seed loop: fault-free baseline per shape, one run per seed (two,
+//! held to each other, on a causal row), [`violations`] on each. The
+//! `chaos` binary runs [`BENCH`]; the suites of `crates/core/tests` run
+//! the rows of their `common` module, whose plans
+//! `family_plans_are_pinned` holds to what each suite drew before it
+//! shared this file.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 use pado_core::error::RuntimeError;
 use pado_core::runtime::{
-    check, temp_wal_path, BackendKind, ChaosPlan, CrashPlan, DirectionFaults, FaultPlan, JobEvent,
-    JobMetrics, JobResult, LocalCluster, NetworkFault, PartitionSpec, RuntimeConfig,
-    SpillFaultPlan, WalCorruption,
+    check, temp_wal_path, ChaosPlan, CrashPlan, DirectionFaults, FaultPlan, JobEvent, JobMetrics,
+    JobResult, LocalCluster, NetworkFault, PartitionSpec, RuntimeConfig, SpillFaultPlan,
+    WalCorruption,
 };
 use pado_dag::codec::encode_batch;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
@@ -306,10 +307,10 @@ pub struct Family<'a> {
     pub working_sets: &'a [(usize, usize)],
     /// What the row draws, in rng order.
     pub dims: &'a [Dim],
-    /// Why the row's deterministic counters ([`JobMetrics::backend_drift`])
-    /// are not compared between runs (ROADMAP item 8's list). `None`: no
-    /// fault keys off thread interleaving, and under `Threaded`
-    /// [`run_matrix`] runs the seed twice and demands zero drift.
+    /// Why the row's deterministic counters ([`JobMetrics::drift`]) are
+    /// not compared between runs (ROADMAP item 8's list). `None`: no
+    /// fault keys off the order task bodies finish in, so [`run_matrix`]
+    /// runs each seed twice and demands zero drift; otherwise once.
     pub not_causal: Option<&'static str>,
 }
 
@@ -367,7 +368,7 @@ pub const SPILL: Dim = Dim::Maybe(0.3, &Dim::SpillFaults);
 /// Why UDF chaos atop a lossy wire is not causal.
 pub const UDF_OVER_WIRE: &str =
     "which frame lands on a transmission ordinal is timing-dependent, so a retransmit storm \
-     shifts a task's launch count, and with it the UDF-chaos schedule, by one across backends; \
+     shifts a task's launch count, and with it the UDF-chaos schedule, by one between runs; \
      timed partitions are clock-relative; and the UDF chaos rides on count-based evictions";
 
 /// The `chaos` binary's row: everything at once. `--network` keeps
@@ -449,27 +450,27 @@ pub fn violations(
 pub struct Outcome<'a> {
     /// The shape's label.
     pub shape: &'a str,
-    /// Which backend ran it.
-    pub backend: BackendKind,
     /// The case as run (WAL path armed, file still on disk).
     pub case: &'a Case,
     /// The job's result.
     pub run: Result<JobResult, RuntimeError>,
-    /// [`violations`] of a completed job, plus drift from the seed's first run.
+    /// On a causal row's second run of a seed, the first run's metrics,
+    /// which this run's must not [`JobMetrics::drift`] from.
+    pub first: Option<&'a JobMetrics>,
+    /// [`violations`] of a completed job, plus drift from `first`.
     pub problems: Vec<String>,
 }
 
 /// The one seed loop. Runs each shape fault-free once (cluster 2 + 2,
 /// the family's config), then each seed's case on shape `seed %
-/// shapes.len()`; under `Threaded` (the same driver) a causal family runs
-/// each seed twice, and the second run must not drift from the first. A
-/// plan that crashes the master gets a temp WAL, removed once `per_seed`
-/// has seen the run. Returns the metrics of every run that completed.
+/// shapes.len()`: twice on a causal row (`not_causal: None`), where the
+/// second run must not drift from the first, once on any other. A plan
+/// that crashes the master gets a temp WAL, removed once `per_seed` has
+/// seen the run. Returns the metrics of every run that completed.
 pub fn run_matrix(
     family: &Family,
     shapes: &[(&'static str, LogicalDag)],
     seeds: impl IntoIterator<Item = u64>,
-    backend: BackendKind,
     mut per_seed: impl FnMut(&Outcome),
 ) -> Vec<JobMetrics> {
     let baselines: Vec<Vec<(String, Vec<u8>)>> = shapes
@@ -482,47 +483,42 @@ pub fn run_matrix(
             encode_outputs(&r)
         })
         .collect();
-    let both = family.not_causal.is_none() && backend == BackendKind::Threaded;
+    let runs = if family.not_causal.is_none() { 2 } else { 1 };
     let mut completed = Vec::new();
     for seed in seeds {
         let shape = (seed % shapes.len() as u64) as usize;
         let (name, dag) = &shapes[shape];
-        let mut sim: Option<JobMetrics> = None;
-        for backend in both
-            .then_some(BackendKind::Sim)
-            .into_iter()
-            .chain([backend])
-        {
+        let mut first: Option<JobMetrics> = None;
+        for nth in 0..runs {
             let mut case = family.case(seed, shape);
             let wal = case
                 .faults
                 .crashes
-                .map(|_| temp_wal_path(&format!("chaos-{backend:?}-{seed}")));
+                .map(|_| temp_wal_path(&format!("chaos-{seed}-{nth}")));
             case.config.wal_path = wal.as_ref().map(|p| p.to_string_lossy().into_owned());
             let run = LocalCluster::new(case.n_transient, case.n_reserved)
-                .with_backend(backend)
                 .with_config(case.config.clone())
                 .run_with_faults(dag, case.faults.clone());
             let mut problems = run.as_ref().map_or(Vec::new(), |result| {
                 violations(result, &case.faults, &baselines[shape])
             });
-            if let (Ok(result), Some(sim)) = (&run, &sim) {
-                let drift = sim.backend_drift(&result.metrics);
+            if let (Ok(result), Some(first)) = (&run, &first) {
+                let drift = first.drift(&result.metrics);
                 if !drift.is_empty() {
                     problems.push(format!("(counter, run 1, run 2) drifted: {drift:?}"));
                 }
             }
             let outcome = Outcome {
                 shape: name,
-                backend,
                 case: &case,
                 run,
+                first: first.as_ref(),
                 problems,
             };
             per_seed(&outcome);
             wal.map(std::fs::remove_file);
             if let Ok(result) = outcome.run {
-                sim = both.then(|| result.metrics.clone());
+                first.get_or_insert_with(|| result.metrics.clone());
                 completed.push(result.metrics);
             }
         }
@@ -630,6 +626,49 @@ mod tests {
     fn assert_one(found: Vec<String>, naming: &str) {
         assert_eq!(found.len(), 1, "{found:#?}");
         assert!(found[0].contains(naming), "{found:#?}");
+    }
+
+    /// Runs seeds 0 and 1 of `family` and returns each outcome's seed and
+    /// whether it was held to a first run, in order; asserts that every
+    /// run completed clean and that a `first` is the metrics of the
+    /// seed's previous outcome.
+    fn outcomes(family: &Family) -> Vec<(u64, bool)> {
+        let mut seen: Vec<(u64, JobMetrics, Option<JobMetrics>)> = Vec::new();
+        run_matrix(family, &chaos_shapes(), 0..2, |o| {
+            let seed = o.case.seed;
+            let result = o.run.as_ref().expect("the job completes");
+            assert_eq!(o.problems, Vec::<String>::new(), "seed {seed}");
+            seen.push((seed, result.metrics.clone(), o.first.cloned()));
+        });
+        let mut compared = Vec::new();
+        for (k, (seed, _, first)) in seen.iter().enumerate() {
+            if let Some(first) = first {
+                let (prev_seed, prev, _) = &seen[k - 1];
+                assert_eq!((prev_seed, prev), (seed, first), "seed {seed}");
+            }
+            compared.push((*seed, first.is_some()));
+        }
+        compared
+    }
+
+    /// A causal row (here `CRASH`-shaped: WAL knobs and crashes) runs each
+    /// seed twice and holds the second run to the first; the same row
+    /// marked not causal runs each seed once.
+    #[test]
+    fn a_causal_row_runs_each_seed_twice_and_any_other_once() {
+        let causal = Family {
+            dims: &[Dim::WalKnobs, Dim::Crash],
+            config: base_config,
+            not_causal: None,
+            ..BENCH
+        };
+        let twice = [(0, false), (0, true), (1, false), (1, true)];
+        assert_eq!(outcomes(&causal), twice);
+        let once = Family {
+            not_causal: Some("run once"),
+            ..causal
+        };
+        assert_eq!(outcomes(&once), [(0, false), (1, false)]);
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! on one [`WorkerPool`] of `threaded_workers` threads, and each executor
 //! lets at most `slots_per_executor` of its bodies run there at once;
 //! the master handles one inbound frame per wakeup. [`SimBackend`] owns
-//! that pool and runs the master loop on the caller's thread. Seeded
-//! fault *decisions* repeat exactly, but frames arrive in the order
-//! bodies finish, which does not. [`ThreadedBackend`] is another name
-//! for it.
+//! that pool and runs the master loop on the caller's thread: the one
+//! driver. Seeded fault *decisions* repeat exactly, but frames arrive in
+//! the order bodies finish, which does not.
+//!
+//! [`BackendKind`], [`ThreadedBackend`], `LocalCluster::with_backend`
+//! and `RuntimeConfig::{validate_for_backend, validate_with_cluster}`
+//! are shims that only the benchmark crate (`perf/`) still calls; each
+//! names the one driver, and they go once `perf/` stops naming them
+//! (ROADMAP items 1(b), 4(b)).
 //!
 //! A wedged run **fails well** instead of hanging or leaking (DESIGN.md
 //! §16): the master's progress timeout journals the abort, cancels the
@@ -22,8 +27,10 @@
 //!
 //! Two runs of one plan emit the same `JobEvent` stream up to causal
 //! reordering (the canonical journal order is identical), and must
-//! produce byte-identical job outputs; `crates/core/tests/backend_equivalence.rs`
-//! holds them to it.
+//! produce byte-identical job outputs and zero [`JobMetrics::drift`]:
+//! `crates/core/tests/backend_equivalence.rs` holds plain plans to it,
+//! and the chaos harness runs every seed of a causal fault family twice
+//! and holds the second run to the first (DESIGN.md §15).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -40,10 +47,10 @@ use crate::runtime::journal::{EventJournal, JobEvent, Journal, JournalMeta};
 use crate::runtime::master::{JobResult, Master};
 use crate::runtime::metrics::JobMetrics;
 
-/// Which backend a [`LocalCluster`](crate::runtime::LocalCluster) drives
-/// a job on. Both values select the same driver, the master loop on the
-/// caller's thread; they are kept for `perf/` and the bench binaries
-/// until a `[benchmark]` change retires them (ROADMAP items 1(b), 4(c)).
+/// A shim `perf/` compiles against: which backend a
+/// [`LocalCluster`](crate::runtime::LocalCluster) names. Both values
+/// select the one driver, the master loop on the caller's thread; the
+/// enum goes once `perf/` stops naming it (ROADMAP items 1(b), 4(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// The default spelling.
@@ -51,17 +58,6 @@ pub enum BackendKind {
     Sim,
     /// The same driver as [`BackendKind::Sim`].
     Threaded,
-}
-
-impl BackendKind {
-    /// Parses a CLI/user spelling of a backend name.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "sim" => Some(BackendKind::Sim),
-            "threaded" => Some(BackendKind::Threaded),
-            _ => None,
-        }
-    }
 }
 
 /// A shared cooperative-cancellation flag: set once, observed
@@ -211,7 +207,7 @@ pub struct SimBackend {
     pool: Arc<WorkerPool>,
 }
 
-/// Another name for [`SimBackend`], kept for callers that name it.
+/// A shim `perf/` compiles against: another name for [`SimBackend`].
 pub type ThreadedBackend = SimBackend;
 
 impl SimBackend {
@@ -626,13 +622,6 @@ mod tests {
         let pool = backend.pool();
         assert!(Arc::ptr_eq(&pool, &backend.pool()));
         assert_eq!(pool.worker_states().len(), 3);
-    }
-
-    #[test]
-    fn backend_kind_parses() {
-        assert_eq!(BackendKind::parse("sim"), Some(BackendKind::Sim));
-        assert_eq!(BackendKind::parse("threaded"), Some(BackendKind::Threaded));
-        assert_eq!(BackendKind::parse("tcp"), None);
         assert_eq!(BackendKind::default(), BackendKind::Sim);
     }
 }

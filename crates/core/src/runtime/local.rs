@@ -89,9 +89,9 @@ impl LocalCluster {
         }
     }
 
-    /// Names a backend. Both [`BackendKind`]s select the one driver: the
-    /// master on the caller's thread, task bodies on
-    /// [`RuntimeConfig::threaded_workers`] pool threads.
+    /// A shim `perf/` compiles against, which changes nothing: both
+    /// [`BackendKind`]s name the one driver, the master on the caller's
+    /// thread and task bodies on [`RuntimeConfig::threaded_workers`].
     pub fn with_backend(self, _: BackendKind) -> Self {
         self
     }

@@ -113,8 +113,8 @@ impl JobMetrics {
         }
     }
 
-    /// Compares the counters that must agree between execution backends
-    /// for the same plan and fault schedule, returning the disagreeing
+    /// Compares the counters that must agree between two runs of the same
+    /// plan and fault schedule, returning the disagreeing
     /// `(counter, self, other)` triples (empty = no drift).
     ///
     /// Only logically determined counters participate: plan-shaped totals
@@ -132,7 +132,7 @@ impl JobMetrics {
     ///   `_retransmitted` / `_deduplicated`,
     ///   `max_message_retransmissions`) — real wall-clock retransmission
     ///   timers make these inherently nondeterministic.
-    pub fn backend_drift(&self, other: &JobMetrics) -> Vec<(&'static str, usize, usize)> {
+    pub fn drift(&self, other: &JobMetrics) -> Vec<(&'static str, usize, usize)> {
         let pairs: [(&'static str, usize, usize); 7] = [
             ("original_tasks", self.original_tasks, other.original_tasks),
             ("task_failures", self.task_failures, other.task_failures),
@@ -189,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_drift_reports_only_deterministic_disagreements() {
+    fn drift_reports_only_deterministic_disagreements() {
         let a = JobMetrics {
             original_tasks: 8,
             task_failures: 1,
@@ -203,14 +203,14 @@ mod tests {
             messages_retransmitted: 0,
             ..a.clone()
         };
-        assert!(a.backend_drift(&b).is_empty());
+        assert!(a.drift(&b).is_empty());
         // ...but a deterministic counter disagreeing is drift.
         let c = JobMetrics {
             task_failures: 2,
             wal_recoveries: 3,
             ..a.clone()
         };
-        let drift = a.backend_drift(&c);
+        let drift = a.drift(&c);
         assert_eq!(
             drift,
             vec![("task_failures", 1, 2), ("wal_recoveries", 0, 3)]

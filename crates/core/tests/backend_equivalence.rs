@@ -1,11 +1,11 @@
-//! Run-to-run differential suite: every plan in the matrix runs under
-//! both backend names, which select the one driver (the master on the
-//! caller's thread, bodies on the job's pool), and the two runs must
-//! agree wherever the execution model says they must, however their
-//! bodies interleaved — byte-identical sink outputs (codec-encoded), a
-//! journal that replays cleanly through the full invariant checker on
-//! both runs, zero drift across the deterministic metrics counters, and
-//! matching counts for the logically determined event kinds.
+//! Run-to-run differential suite: every plan in the matrix runs twice on
+//! the one driver (the master on the caller's thread, bodies on the
+//! job's pool), and the two runs must agree wherever the execution model
+//! says they must, however their bodies interleaved — byte-identical
+//! sink outputs (codec-encoded), a journal that replays cleanly through
+//! the full invariant checker on both runs, zero drift across the
+//! deterministic metrics counters, and matching counts for the logically
+//! determined event kinds.
 //!
 //! The soak test at the bottom (ignored by default, run in CI) hammers
 //! the engine with shuffle-heavy runs under injected task failures for a
@@ -19,8 +19,7 @@ use std::time::{Duration, Instant};
 
 use pado_core::compiler::{compile, Placement};
 use pado_core::runtime::{
-    assert_clean, BackendKind, ExecBackend, FaultPlan, JobResult, LocalCluster, RuntimeConfig,
-    SimBackend,
+    assert_clean, ExecBackend, FaultPlan, JobResult, LocalCluster, RuntimeConfig, SimBackend,
 };
 use pado_core::RuntimeError;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, TaskInput, Value};
@@ -158,9 +157,8 @@ fn config() -> RuntimeConfig {
     }
 }
 
-fn run_on(backend: BackendKind, dag: &LogicalDag, faults: FaultPlan) -> JobResult {
+fn run_plan(dag: &LogicalDag, faults: FaultPlan) -> JobResult {
     LocalCluster::new(3, 2)
-        .with_backend(backend)
         .with_config(config())
         .run_with_faults(dag, faults)
         .expect("job completes")
@@ -180,34 +178,34 @@ fn deterministic_kind_counts(result: &JobResult) -> BTreeMap<&'static str, usize
 }
 
 #[test]
-fn matrix_plans_agree_across_backends() {
+fn matrix_plans_agree_run_to_run() {
     for (name, dag) in matrix() {
-        let sim = run_on(BackendKind::Sim, &dag, FaultPlan::default());
-        let threaded = run_on(BackendKind::Threaded, &dag, FaultPlan::default());
+        let first = run_plan(&dag, FaultPlan::default());
+        let second = run_plan(&dag, FaultPlan::default());
 
         // Both journals replay cleanly through laws 1-10.
-        assert_clean(&sim.journal, true);
-        assert_clean(&threaded.journal, true);
+        assert_clean(&first.journal, true);
+        assert_clean(&second.journal, true);
 
         // Byte-identical job outputs.
         assert_eq!(
-            encode_outputs(&sim),
-            encode_outputs(&threaded),
-            "plan {name}: backend changed the output bytes"
+            encode_outputs(&first),
+            encode_outputs(&second),
+            "plan {name}: a second run changed the output bytes"
         );
 
         // No drift across the deterministic metrics counters.
-        let drift = sim.metrics.backend_drift(&threaded.metrics);
+        let drift = first.metrics.drift(&second.metrics);
         assert!(
             drift.is_empty(),
-            "plan {name}: deterministic metrics drifted (counter, sim, threaded): {drift:?}"
+            "plan {name}: deterministic metrics drifted (counter, run 1, run 2): {drift:?}"
         );
 
         // Logically determined event kinds appear the same number of
         // times, whatever order the interleaving produced them in.
         assert_eq!(
-            deterministic_kind_counts(&sim),
-            deterministic_kind_counts(&threaded),
+            deterministic_kind_counts(&first),
+            deterministic_kind_counts(&second),
             "plan {name}: deterministic journal kinds diverged"
         );
     }
@@ -218,88 +216,81 @@ fn threaded_backend_survives_evictions() {
     // The recovery paths (revert, relaunch, stage reopen) must hold under
     // real parallelism too — and still not change a single output byte.
     let dag = keyed_combine_dag();
-    let baseline = run_on(BackendKind::Sim, &dag, FaultPlan::default());
+    let baseline = run_plan(&dag, FaultPlan::default());
     let faults = FaultPlan {
         evictions: vec![(2, 0), (5, 1)],
         ..Default::default()
     };
-    let result = run_on(BackendKind::Threaded, &dag, faults);
+    let result = run_plan(&dag, faults);
     assert_clean(&result.journal, true);
     assert_eq!(result.metrics.evictions, 2);
     assert_eq!(encode_outputs(&baseline), encode_outputs(&result));
 }
 
 /// Every executor, reserved ones included, runs at most
-/// `slots_per_executor` of its bodies at once, on the job's pool, on
-/// both backends: one reserved executor with one slot, beside four pool
+/// `slots_per_executor` of its bodies at once, on the job's pool: one
+/// reserved executor with one slot, beside four pool
 /// workers, runs an eight-task reserved-only stage one body at a time,
 /// each on a `pado-exec-pool-*` thread.
 #[test]
 fn a_reserved_executor_runs_at_most_its_slots_on_the_pool() {
-    for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        let running = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let threads = Arc::new(Mutex::new(Vec::new()));
-        let (r, pk, th) = (running.clone(), peak.clone(), threads.clone());
-        let p = Pipeline::new();
-        p.read("Read", 4, SourceFn::from_vec(ints(32)))
-            .par_do(
-                "Key",
-                ParDoFn::per_element(|v, emit| {
-                    emit(Value::pair(v.clone(), Value::from(1i64)));
-                }),
-            )
-            .combine_per_key("Sum", CombineFn::sum_i64())
-            .with_parallelism(8)
-            .par_do(
-                "Probe",
-                ParDoFn::new(move |input: TaskInput<'_>, emit| {
-                    pk.fetch_max(r.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
-                    let name = std::thread::current().name().map(str::to_owned);
-                    th.lock().unwrap().push(name.unwrap_or_default());
-                    std::thread::sleep(Duration::from_millis(20));
-                    for v in input.main() {
-                        emit(v.clone());
-                    }
-                    r.fetch_sub(1, Ordering::SeqCst);
-                }),
-            )
-            .sink("Out");
-        let dag = p.build().unwrap();
-        let plan = compile(&dag).unwrap();
-        let probe = plan
-            .fops
-            .iter()
-            .find(|f| f.chain.iter().any(|&op| dag.op(op).name == "Probe"));
-        assert_eq!(
-            probe.map(|f| (f.placement, f.parallelism)),
-            Some((Placement::Reserved, 8))
-        );
+    let running = Arc::new(AtomicUsize::new(0));
+    let peak = Arc::new(AtomicUsize::new(0));
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    let (r, pk, th) = (running.clone(), peak.clone(), threads.clone());
+    let p = Pipeline::new();
+    p.read("Read", 4, SourceFn::from_vec(ints(32)))
+        .par_do(
+            "Key",
+            ParDoFn::per_element(|v, emit| {
+                emit(Value::pair(v.clone(), Value::from(1i64)));
+            }),
+        )
+        .combine_per_key("Sum", CombineFn::sum_i64())
+        .with_parallelism(8)
+        .par_do(
+            "Probe",
+            ParDoFn::new(move |input: TaskInput<'_>, emit| {
+                pk.fetch_max(r.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                let name = std::thread::current().name().map(str::to_owned);
+                th.lock().unwrap().push(name.unwrap_or_default());
+                std::thread::sleep(Duration::from_millis(20));
+                for v in input.main() {
+                    emit(v.clone());
+                }
+                r.fetch_sub(1, Ordering::SeqCst);
+            }),
+        )
+        .sink("Out");
+    let dag = p.build().unwrap();
+    let plan = compile(&dag).unwrap();
+    let probe = plan
+        .fops
+        .iter()
+        .find(|f| f.chain.iter().any(|&op| dag.op(op).name == "Probe"));
+    assert_eq!(
+        probe.map(|f| (f.placement, f.parallelism)),
+        Some((Placement::Reserved, 8))
+    );
 
-        let config = RuntimeConfig {
-            slots_per_executor: 1,
-            threaded_workers: 4,
-            ..RuntimeConfig::default()
-        };
-        let result = LocalCluster::new(2, 1)
-            .with_backend(backend)
-            .with_config(config)
-            .run(&dag)
-            .expect("job completes");
-        assert_clean(&result.journal, true);
-        assert_eq!(result.outputs["Out"].len(), 32, "{backend:?}");
-        let threads = threads.lock().unwrap();
-        assert!(threads.len() >= 8, "{backend:?}: {threads:?}");
-        assert_eq!(
-            peak.load(Ordering::SeqCst),
-            1,
-            "{backend:?}: bodies at once"
-        );
-        assert!(
-            threads.iter().all(|n| n.starts_with("pado-exec-pool-")),
-            "{backend:?}: {threads:?}"
-        );
-    }
+    let config = RuntimeConfig {
+        slots_per_executor: 1,
+        threaded_workers: 4,
+        ..RuntimeConfig::default()
+    };
+    let result = LocalCluster::new(2, 1)
+        .with_config(config)
+        .run(&dag)
+        .expect("job completes");
+    assert_clean(&result.journal, true);
+    assert_eq!(result.outputs["Out"].len(), 32);
+    let threads = threads.lock().unwrap();
+    assert!(threads.len() >= 8, "{threads:?}");
+    assert_eq!(peak.load(Ordering::SeqCst), 1, "bodies at once");
+    assert!(
+        threads.iter().all(|n| n.starts_with("pado-exec-pool-")),
+        "{threads:?}"
+    );
 }
 
 /// The run's token is its pool's: a caller that cancels it before the
@@ -341,7 +332,7 @@ fn threaded_soak_under_task_failures() {
         .take_while(|&round| round < SOAK_MIN_ROUNDS || started.elapsed() < SOAK_BUDGET)
         .map(|round| 0x50AC ^ round);
     let mut ran = 0;
-    run_matrix(&SOAK, &shapes, rounds, BackendKind::Threaded, |o| {
+    run_matrix(&SOAK, &shapes, rounds, |o| {
         clean(o);
         ran += 1;
     });

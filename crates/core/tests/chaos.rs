@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use pado_core::runtime::{BackendKind, JobEvent, JobResult};
+use pado_core::runtime::{JobEvent, JobResult};
 
 mod common;
 use common::*;
@@ -82,7 +82,7 @@ fn check_launch_bound(seed: u64, result: &JobResult) {
 
 #[test]
 fn hundred_seeds_of_chaos_preserve_outputs() {
-    run_matrix(&CHAOS, &chaos_shapes(), 0..SEEDS, BackendKind::Sim, |o| {
+    run_matrix(&CHAOS, &chaos_shapes(), 0..SEEDS, |o| {
         let (case, result) = clean(o);
         check_launch_bound(case.seed, result);
     });
@@ -95,7 +95,7 @@ fn hundred_seeds_of_chaos_preserve_outputs() {
 /// fail the job on the input it no longer had — three runs in five.
 #[test]
 fn a_straggler_whose_input_was_reverted_is_not_duplicated() {
-    run_matrix(&BENCH, &chaos_shapes(), [36; 8], BackendKind::Sim, |o| {
+    run_matrix(&BENCH, &chaos_shapes(), [36; 8], |o| {
         clean(o);
     });
 }
@@ -142,20 +142,10 @@ fn family_plans_are_pinned() {
         ("memory", &sized, 110, 0x2dfd_2fca_f201_6934),
         ("bench", &unflagged, 110, 0x1ea4_e2e2_f172_06be),
         ("bench-all", &BENCH, 110, 0x3a7e_6c98_96ff_b2a2),
-        (
-            "threaded-network",
-            &THREADED_NETWORK,
-            10,
-            0x2eb5_8da9_d74f_8911,
-        ),
-        (
-            "threaded-memory",
-            &THREADED_MEMORY,
-            10,
-            0x3db7_f763_eeb7_d763,
-        ),
-        ("threaded-drain", &THREADED_DRAIN, 10, 0xc953_4762_36b6_70f8),
-        ("threaded-crash", &THREADED_CRASH, 10, 0xa285_2666_5378_cc66),
+        ("causal-network", &CAUSAL_NETWORK, 10, 0x2eb5_8da9_d74f_8911),
+        ("causal-memory", &CAUSAL_MEMORY, 10, 0x3db7_f763_eeb7_d763),
+        ("causal-drain", &CAUSAL_DRAIN, 10, 0xc953_4762_36b6_70f8),
+        ("causal-crash", &CAUSAL_CRASH, 10, 0xa285_2666_5378_cc66),
         ("dataplane", &DATAPLANE, 8, 0x1d4f_e388_e1ae_0b3d),
     ];
     for (name, family, seeds, pinned) in pins {
@@ -164,8 +154,8 @@ fn family_plans_are_pinned() {
     // Family 1 of `threaded_chaos.rs` is two rows, split by seed parity;
     // the soak seeds its UDF chaos with `0x50AC ^ round`.
     let (evens, odds) = ((0..10).step_by(2), (1..10).step_by(2));
-    assert_eq!(plan_hash(&THREADED_UDF, evens), 0x53ff_27bb_1150_0426);
-    assert_eq!(plan_hash(&THREADED_EVICTION, odds), 0xf49e_0a37_8a9c_018b);
+    assert_eq!(plan_hash(&CAUSAL_UDF, evens), 0x53ff_27bb_1150_0426);
+    assert_eq!(plan_hash(&CAUSAL_EVICTION, odds), 0xf49e_0a37_8a9c_018b);
     let rounds = (0..10).map(|round| 0x50AC ^ round);
     assert_eq!(plan_hash(&SOAK, rounds), 0x11b8_6435_4452_837e);
 }

@@ -143,8 +143,6 @@ fn broadcast_job_clones_far_fewer_records_than_the_dataset() {
 /// whole job clones none.
 #[test]
 fn map_reduce_job_clones_no_record_past_the_source_read() {
-    use pado_core::runtime::BackendKind;
-
     let _guard = COUNTER_LOCK.lock().unwrap();
     let p = Pipeline::new();
     p.read(
@@ -172,27 +170,21 @@ fn map_reduce_job_clones_no_record_past_the_source_read() {
     .sink("Out");
     let dag = p.build().unwrap();
 
-    for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        let before = clone_count();
-        let result = LocalCluster::new(2, 2)
-            .with_backend(backend)
-            .run(&dag)
-            .expect("map-reduce job");
-        let delta = clone_count() - before;
-        assert_eq!(result.outputs["Out"].len(), 700);
-        assert_eq!(delta, 0, "{backend:?}: the job cloned {delta} values");
-    }
+    let before = clone_count();
+    let result = LocalCluster::new(2, 2).run(&dag).expect("map-reduce job");
+    let delta = clone_count() - before;
+    assert_eq!(result.outputs["Out"].len(), 700);
+    assert_eq!(delta, 0, "the job cloned {delta} values");
 }
 
 /// End-to-end: MLR reads one immutable training set in every iteration
 /// (Figure 3b), and a relaunch after an eviction reads it again. The
 /// dataset is dealt into partition blocks by its first read and every
-/// later read shares them, so the whole job, on both backends, makes
-/// fewer `Value` clones than the dataset has records. A source that
+/// later read shares them, so the whole job makes fewer `Value` clones than the dataset has records. A source that
 /// copied its partition per read cloned each record once per iteration.
 #[test]
 fn an_iterative_job_clones_no_dataset_record() {
-    use pado_core::runtime::{BackendKind, FaultPlan};
+    use pado_core::runtime::FaultPlan;
     use pado_workloads::{mlr, MlrConfig};
 
     let _guard = COUNTER_LOCK.lock().unwrap();
@@ -202,24 +194,21 @@ fn an_iterative_job_clones_no_dataset_record() {
     };
     let dag = mlr::dag(&cfg);
     let want = mlr::reference(&cfg);
-    for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        let faults = FaultPlan {
-            evictions: vec![(8, 0)],
-            ..FaultPlan::default()
-        };
-        let before = clone_count();
-        let result = LocalCluster::new(2, 2)
-            .with_backend(backend)
-            .run_with_faults(&dag, faults)
-            .expect("MLR job");
-        let delta = clone_count() - before;
-        assert_eq!(result.metrics.evictions, 1, "{backend:?}");
-        let model = result.outputs["Model Out"][0].as_vector().unwrap();
-        assert!(model.iter().zip(&want).all(|(a, b)| (a - b).abs() <= 1e-9));
-        assert!(
-            delta < cfg.samples as u64,
-            "{backend:?}: the job cloned {delta} values over {} records",
-            cfg.samples
-        );
-    }
+    let faults = FaultPlan {
+        evictions: vec![(8, 0)],
+        ..FaultPlan::default()
+    };
+    let before = clone_count();
+    let result = LocalCluster::new(2, 2)
+        .run_with_faults(&dag, faults)
+        .expect("MLR job");
+    let delta = clone_count() - before;
+    assert_eq!(result.metrics.evictions, 1);
+    let model = result.outputs["Model Out"][0].as_vector().unwrap();
+    assert!(model.iter().zip(&want).all(|(a, b)| (a - b).abs() <= 1e-9));
+    assert!(
+        delta < cfg.samples as u64,
+        "the job cloned {delta} values over {} records",
+        cfg.samples
+    );
 }

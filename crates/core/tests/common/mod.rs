@@ -4,8 +4,9 @@
 //! — one row a matrix, `family_plans_are_pinned` (`chaos.rs`) holding each
 //! to the plans its suite drew before the rows existed. A row's
 //! `not_causal` is ROADMAP item 8's exclusion list: why that family's
-//! counters are not compared across backends; every `THREADED_*` row is
-//! causal because it leaves out what its sim-only sibling names.
+//! counters are not compared between two runs of a seed; every
+//! `CAUSAL_*` row is causal because it leaves out what its once-run
+//! sibling names, and `run_matrix` runs each of its seeds twice.
 #![allow(dead_code, unused_imports)]
 
 pub use pado_bench::chaos::*;
@@ -15,7 +16,8 @@ use rand::Rng;
 /// The case and result of a run that completed with no violation; panics,
 /// naming seed and plan, on any other.
 pub fn clean<'a>(o: &'a Outcome) -> (&'a Case, &'a JobResult) {
-    let at = format!("seed {} ({}, {:?})", o.case.seed, o.shape, o.backend);
+    let nth = if o.first.is_some() { 2 } else { 1 };
+    let at = format!("seed {} ({}, run {nth})", o.case.seed, o.shape);
     let result = o
         .run
         .as_ref()
@@ -110,8 +112,8 @@ pub const DATAPLANE: Family = Family {
     ],
     ..CHAOS
 };
-/// `backend_equivalence.rs`' soak: UDF chaos on real threads under the
-/// default config.
+/// `backend_equivalence.rs`' soak: UDF chaos on four pool workers under
+/// the default config.
 pub const SOAK: Family = Family {
     cluster: (3..4, 2..3),
     config: || RuntimeConfig {
@@ -123,34 +125,34 @@ pub const SOAK: Family = Family {
     ..CHAOS
 };
 
-fn threaded_config() -> RuntimeConfig {
+fn four_workers() -> RuntimeConfig {
     RuntimeConfig {
         threaded_workers: 4,
         ..base_config()
     }
 }
-const THREADED_UDF_PROBS: Dim = Dim::Udf([0.15, 0.10, 0.0, 0.15], 4);
+const CAUSAL_UDF_PROBS: Dim = Dim::Udf([0.15, 0.10, 0.0, 0.15], 4);
 
 /// `threaded_chaos.rs` family 1, even seeds: UDF chaos (errors, panics,
 /// stalls) alone.
-pub const THREADED_UDF: Family = Family {
+pub const CAUSAL_UDF: Family = Family {
     cluster: (2..3, 2..3),
-    config: threaded_config,
-    dims: &[THREADED_UDF_PROBS],
+    config: four_workers,
+    dims: &[CAUSAL_UDF_PROBS],
     not_causal: None,
     ..CHAOS
 };
 /// Family 1, odd seeds: evictions and reserved failures alone.
-pub const THREADED_EVICTION: Family = Family {
+pub const CAUSAL_EVICTION: Family = Family {
     dims: &[
         Dim::Evictions(1..3, 0..2),
         Dim::Maybe(0.3, &Dim::ReservedFailures(1..2)),
     ],
-    ..THREADED_UDF
+    ..CAUSAL_UDF
 };
 /// Family 2: the wire alone — no timed partitions, no UDF chaos. The
 /// transport must mask every wire fault with zero task failures.
-pub const THREADED_NETWORK: Family = Family {
+pub const CAUSAL_NETWORK: Family = Family {
     salt: |seed| seed ^ 0x4E45_54FA,
     dims: &[Dim::Network(
         0x4E45_54FA,
@@ -158,38 +160,38 @@ pub const THREADED_NETWORK: Family = Family {
         8,
         false,
     )],
-    ..THREADED_UDF
+    ..CAUSAL_UDF
 };
 /// Family 3: a 4 KiB budget, shrinks and OOMs. Spill and defer schedules
 /// follow real occupancy order and may differ; answer and counters not.
-pub const THREADED_MEMORY: Family = Family {
+pub const CAUSAL_MEMORY: Family = Family {
     salt: |seed| seed ^ 0x5349_4C4C,
-    config: || with_budget(threaded_config(), 4096),
+    config: || with_budget(four_workers(), 4096),
     dims: &[
         Dim::Maybe(0.5, &Dim::Shrink(true)),
         Dim::Udf([0.15, 0.10, 0.12, 0.15], 4),
     ],
-    ..THREADED_UDF
+    ..CAUSAL_UDF
 };
-/// Family 4: one drain on the (backend-invariant) commit clock, half the
-/// seeds with UDF chaos.
-pub const THREADED_DRAIN: Family = Family {
+/// Family 4: one drain on the commit clock (the same in every run), half
+/// the seeds with UDF chaos.
+pub const CAUSAL_DRAIN: Family = Family {
     salt: |seed| seed ^ 0x7EC0_4F16,
     dims: &[
         Dim::Drains(1..2, 1..6, 0..3),
-        Dim::Maybe(0.5, &THREADED_UDF_PROBS),
+        Dim::Maybe(0.5, &CAUSAL_UDF_PROBS),
     ],
-    ..THREADED_UDF
+    ..CAUSAL_UDF
 };
 /// Family 5: 1–2 crashes on the handled-frame clock under a WAL synced
-/// at every append, each backend recovering through its own WAL file.
+/// at every append, each run recovering through its own WAL file.
 /// `CRASH` draws all three triggers and is causal too: the append clock
 /// counts only the frames the master writes, never an executor's events.
-pub const THREADED_CRASH: Family = Family {
+pub const CAUSAL_CRASH: Family = Family {
     salt: |seed| seed ^ 0x632a_5b01,
     config: || RuntimeConfig {
         wal_sync_every: 1,
-        ..threaded_config()
+        ..four_workers()
     },
     dims: &[Dim::Custom(|rng, case| {
         case.faults.crashes = Some(CrashPlan {
@@ -199,5 +201,5 @@ pub const THREADED_CRASH: Family = Family {
             ..Default::default()
         })
     })],
-    ..THREADED_UDF
+    ..CAUSAL_UDF
 };

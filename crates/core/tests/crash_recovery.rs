@@ -11,14 +11,15 @@
 //!   and `MasterRecovered` events pair one to one),
 //! - no double-commits across the crash (a second `TaskCommitted`
 //!   needs an intervening `TaskReverted`),
-//! - recoveries never exceed the planned crash budget.
+//! - recoveries never exceed the planned crash budget,
+//! - zero counter drift between a seed's two runs.
 
 use std::collections::HashMap;
 use std::fs;
 
 use pado_core::runtime::{
-    scan, temp_wal_path, BackendKind, BlockRef, CrashPlan, FaultPlan, JobEvent, JobResult,
-    LocalCluster, RuntimeConfig, WalRecord,
+    scan, temp_wal_path, BlockRef, CrashPlan, FaultPlan, JobEvent, JobResult, LocalCluster,
+    RuntimeConfig, WalRecord,
 };
 use pado_core::RuntimeError;
 use pado_dag::{CombineFn, ParDoFn, Pipeline, SourceFn, UdfError, Value};
@@ -67,32 +68,20 @@ fn check_crash_invariants(seed: u64, result: &JobResult, plan: &CrashPlan) {
 
 /// The 110-seed matrix: randomized crash schedules (three trigger
 /// styles), randomized durability knobs, occasional evictions layered on
-/// top, and seeded WAL-file corruption on ~30% of seeds.
+/// top, and seeded WAL-file corruption on ~30% of seeds. `CRASH` is
+/// causal, so the harness runs every seed twice and requires zero
+/// `drift` between the runs: the append clock counts only the frames the
+/// master writes, so no executor's emission moves a crash.
 #[test]
 fn crash_matrix_preserves_outputs() {
-    run_matrix(&CRASH, &chaos_shapes(), 0..SEEDS, BackendKind::Sim, |o| {
+    let mut runs = 0;
+    run_matrix(&CRASH, &chaos_shapes(), 0..SEEDS, |o| {
         let (case, result) = clean(o);
         let plan = case.faults.crashes.expect("every seed crashes");
         check_crash_invariants(case.seed, result, &plan);
+        runs += 1;
     });
-}
-
-/// The same matrix on real threads: the harness reruns every seed on sim
-/// first and requires zero `backend_drift`. The append clock counts only
-/// the frames the master writes, so no executor's emission moves a crash.
-#[test]
-fn crash_matrix_does_not_drift_on_threads() {
-    run_matrix(
-        &CRASH,
-        &chaos_shapes(),
-        0..SEEDS,
-        BackendKind::Threaded,
-        |o| {
-            let (case, result) = clean(o);
-            let plan = case.faults.crashes.expect("every seed crashes");
-            check_crash_invariants(case.seed, result, &plan);
-        },
-    );
+    assert_eq!(runs, 2 * SEEDS, "every seed runs twice");
 }
 
 /// Exhaustive boundary sweep: kill the master at every single handler
@@ -175,68 +164,63 @@ fn a_restart_with_every_executor_alive_refetches_every_commit() {
         .combine_per_key("Sum", CombineFn::sum_i64())
         .sink("Out");
     let dag = p.build().unwrap();
-    for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        for budget in [usize::MAX, 1 << 20] {
-            let cluster =
-                LocalCluster::new(2, 1)
-                    .with_backend(backend)
-                    .with_config(RuntimeConfig {
-                        slots_per_executor: 1,
-                        executor_memory_bytes: budget,
-                        cache_capacity_bytes: 64 << 10,
-                        ..base_config()
-                    });
-            let what = format!("{backend:?}, budget {budget}");
-            let baseline = cluster.run(&dag).expect("fault-free run");
-            let released = |e: &JobEvent| {
+    for budget in [usize::MAX, 1 << 20] {
+        let cluster = LocalCluster::new(2, 1).with_config(RuntimeConfig {
+            slots_per_executor: 1,
+            executor_memory_bytes: budget,
+            cache_capacity_bytes: 64 << 10,
+            ..base_config()
+        });
+        let what = format!("budget {budget}");
+        let baseline = cluster.run(&dag).expect("fault-free run");
+        let released = |e: &JobEvent| {
+            matches!(
+                e,
+                JobEvent::BlockReleased {
+                    block: BlockRef::Output { .. },
+                    ..
+                }
+            )
+        };
+        assert!(
+            !baseline.journal.to_events().iter().any(released),
+            "{what}: a fault-free run released an output block"
+        );
+
+        let faults = FaultPlan {
+            master_failure_after: Some(6),
+            ..Default::default()
+        };
+        let result = cluster.run_with_faults(&dag, faults).expect("recovers");
+        pado_core::runtime::assert_clean(&result.journal, true);
+        assert_eq!(encode_outputs(&result), encode_outputs(&baseline), "{what}");
+        assert_eq!(result.metrics.wal_recoveries, 1, "{what}");
+        let events = result.journal.to_events();
+        let recovered = events
+            .iter()
+            .position(|e| matches!(e, JobEvent::MasterRecovered))
+            .expect("recovery logged");
+        let undone: Vec<&JobEvent> = events[recovered..]
+            .iter()
+            .filter(|e| {
                 matches!(
                     e,
-                    JobEvent::BlockReleased {
-                        block: BlockRef::Output { .. },
-                        ..
-                    }
+                    JobEvent::TaskReverted { .. } | JobEvent::OutputDropped { .. }
                 )
-            };
-            assert!(
-                !baseline.journal.to_events().iter().any(released),
-                "{what}: a fault-free run released an output block"
-            );
-
-            let faults = FaultPlan {
-                master_failure_after: Some(6),
-                ..Default::default()
-            };
-            let result = cluster.run_with_faults(&dag, faults).expect("recovers");
-            pado_core::runtime::assert_clean(&result.journal, true);
-            assert_eq!(encode_outputs(&result), encode_outputs(&baseline), "{what}");
-            assert_eq!(result.metrics.wal_recoveries, 1, "{what}");
-            let events = result.journal.to_events();
-            let recovered = events
-                .iter()
-                .position(|e| matches!(e, JobEvent::MasterRecovered))
-                .expect("recovery logged");
-            let undone: Vec<&JobEvent> = events[recovered..]
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e,
-                        JobEvent::TaskReverted { .. } | JobEvent::OutputDropped { .. }
-                    )
-                })
-                .collect();
-            assert!(
-                undone.is_empty(),
-                "{what}: no executor died, yet recovery lost commits: {undone:?}"
-            );
-            // One slot on each of three executors: at most two attempts
-            // besides the committing one were in flight at the crash.
-            assert!(
-                result.metrics.tasks_launched <= result.metrics.original_tasks + 2,
-                "{what}: {} launches for {} tasks",
-                result.metrics.tasks_launched,
-                result.metrics.original_tasks
-            );
-        }
+            })
+            .collect();
+        assert!(
+            undone.is_empty(),
+            "{what}: no executor died, yet recovery lost commits: {undone:?}"
+        );
+        // One slot on each of three executors: at most two attempts
+        // besides the committing one were in flight at the crash.
+        assert!(
+            result.metrics.tasks_launched <= result.metrics.original_tasks + 2,
+            "{what}: {} launches for {} tasks",
+            result.metrics.tasks_launched,
+            result.metrics.original_tasks
+        );
     }
 }
 

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use pado_core::compiler::{compile, InputSlot, PhysicalPlan};
 use pado_core::exec::{apply_chain, route, route_hash};
 use pado_core::runtime::master::required_src_indices;
-use pado_core::runtime::{BackendKind, LocalCluster};
+use pado_core::runtime::LocalCluster;
 use pado_dag::codec::encode_batch;
 use pado_dag::{
     block_from_vec, block_into_rows, Block, CombineFn, DepType, LogicalDag, MainSlot, ParDoFn,
@@ -624,15 +624,12 @@ fn result_rows_join_the_sink_parts_in_fop_and_index_order() {
     let parts: Vec<usize> = sinks.map(|f| plan.fops[f].parallelism).collect();
     assert_eq!(parts, [8, 6], "sink parts per terminal fop");
     let expected = encode(&run_reference(&dag, &plan));
-    for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        let result = LocalCluster::new(2, 2)
-            .with_config(base_config())
-            .with_backend(backend)
-            .run(&dag)
-            .unwrap_or_else(|e| panic!("{backend:?}: {e}"));
-        assert_eq!(encode(&result.outputs), expected, "{backend:?}");
-        pado_core::runtime::assert_clean(&result.journal, true);
-    }
+    let result = LocalCluster::new(2, 2)
+        .with_config(base_config())
+        .run(&dag)
+        .expect("the job completes");
+    assert_eq!(encode(&result.outputs), expected);
+    pado_core::runtime::assert_clean(&result.journal, true);
 }
 
 /// Chaos runs — evictions, reserved failures, master restarts, injected
@@ -642,7 +639,7 @@ fn chaos_outputs_match_cloning_reference_plane() {
     for (name, dag) in shapes() {
         let plan = compile(&dag).unwrap();
         let expected = encode(&run_reference(&dag, &plan));
-        run_matrix(&DATAPLANE, &[(name, dag)], 0..8, BackendKind::Sim, |o| {
+        run_matrix(&DATAPLANE, &[(name, dag)], 0..8, |o| {
             let (case, result) = clean(o);
             assert_eq!(
                 encode(&result.outputs),

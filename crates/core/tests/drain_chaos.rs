@@ -16,12 +16,11 @@
 //! - no more drains applied than came due.
 //!
 //! A deterministic property test then pins what a drain buys on the
-//! fused and unfused plans of small MLR, ALS and MR, on both backends.
+//! fused and unfused plans of small MLR, ALS and MR.
 
 use pado_core::compiler::{compile_with, PlanConfig};
 use pado_core::runtime::{
-    assert_clean, eviction_ledger, BackendKind, FaultPlan, JobEvent, JobResult, LocalCluster,
-    RuntimeConfig,
+    assert_clean, eviction_ledger, FaultPlan, JobEvent, JobResult, LocalCluster, RuntimeConfig,
 };
 use pado_dag::LogicalDag;
 use pado_workloads::{als, mlr, mr, AlsConfig, MlrConfig, MrConfig};
@@ -53,7 +52,7 @@ fn check_drain_invariants(seed: u64, faults: &FaultPlan, result: &JobResult) -> 
 #[test]
 fn hundred_seeds_of_drain_chaos_preserve_outputs() {
     let (mut applied_total, mut refused_total, mut wrapped) = (0, 0, 0);
-    run_matrix(&DRAIN, &chaos_shapes(), 0..SEEDS, BackendKind::Sim, |o| {
+    run_matrix(&DRAIN, &chaos_shapes(), 0..SEEDS, |o| {
         let (case, result) = clean(o);
         let (due, applied) = check_drain_invariants(case.seed, &case.faults, result);
         applied_total += applied;
@@ -100,9 +99,9 @@ fn six_plans() -> Vec<(String, LogicalDag, PlanConfig)> {
     plans
 }
 
-/// What a drain buys, on every plan and both backends: drain the `k`-th
-/// transient executor after `n` completions, evict that executor three
-/// completions later. From the drain on nothing launches on it, so all
+/// What a drain buys, on every plan: drain the `k`-th transient
+/// executor after `n` completions, evict that executor three completions
+/// later. From the drain on nothing launches on it, so all
 /// the eviction catches was launched before the drain; and nothing
 /// committed rests on it alone, so the eviction reverts nothing.
 #[test]
@@ -118,73 +117,68 @@ fn a_drained_executor_takes_no_work_and_its_eviction_reverts_nothing() {
         let total = compile_with(&dag, &plan_config)
             .expect("the plan compiles")
             .total_tasks();
-        let cluster = |backend| {
-            LocalCluster::new(4, 2)
-                .with_backend(backend)
-                .with_config(config.clone())
-                .with_plan_config(plan_config.clone())
-        };
-        let baseline = encode_outputs(&cluster(BackendKind::Sim).run(&dag).expect("baseline"));
-        for backend in [BackendKind::Sim, BackendKind::Threaded] {
-            for point in 0..5 {
-                // Five drain points spread over the job, the eviction
-                // still inside it; a different victim at each.
-                let (n, k) = (1 + (total - 5) * point / 5, point % 4);
-                let at = format!("{label} on {backend:?}, drain #{k} after {n}");
-                let faults = FaultPlan {
-                    drains: vec![(n, k)],
-                    evictions: vec![(n + 3, k)],
-                    ..Default::default()
-                };
-                let result = cluster(backend)
-                    .run_with_faults(&dag, faults)
-                    .unwrap_or_else(|e| panic!("{at}: {e}"));
-                assert_clean(&result.journal, true);
-                assert_eq!(encode_outputs(&result), baseline, "{at}: outputs diverged");
+        let cluster = LocalCluster::new(4, 2)
+            .with_config(config.clone())
+            .with_plan_config(plan_config.clone());
+        let baseline = encode_outputs(&cluster.run(&dag).expect("baseline"));
+        for point in 0..5 {
+            // Five drain points spread over the job, the eviction
+            // still inside it; a different victim at each.
+            let (n, k) = (1 + (total - 5) * point / 5, point % 4);
+            let at = format!("{label} on, drain #{k} after {n}");
+            let faults = FaultPlan {
+                drains: vec![(n, k)],
+                evictions: vec![(n + 3, k)],
+                ..Default::default()
+            };
+            let result = cluster
+                .run_with_faults(&dag, faults)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_clean(&result.journal, true);
+            assert_eq!(encode_outputs(&result), baseline, "{at}: outputs diverged");
 
-                let events = result.journal.to_events();
-                let drained: Vec<(usize, usize)> = events
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(pos, e)| match e {
-                        JobEvent::ExecutorDrained { exec } => Some((pos, *exec)),
-                        _ => None,
-                    })
-                    .collect();
-                let [(drain_pos, victim)] = drained[..] else {
-                    panic!("{at}: one requested, feasible drain applies once: {drained:?}");
-                };
-                // Launches on the victim, by position; those still
-                // unreported when it is evicted are what it catches.
-                let mut in_flight = std::collections::BTreeMap::new();
-                let mut caught = None;
-                for (pos, e) in events.iter().enumerate() {
-                    match e {
-                        JobEvent::TaskLaunched { attempt, exec, .. }
-                        | JobEvent::SpeculativeLaunched { attempt, exec, .. }
-                            if *exec == victim =>
-                        {
-                            assert!(pos < drain_pos, "{at}: launch on the drained executor");
-                            in_flight.insert(*attempt, pos);
-                        }
-                        JobEvent::TaskCommitted { attempt, .. }
-                        | JobEvent::TaskFailed { attempt, .. } => {
-                            in_flight.remove(attempt);
-                        }
-                        JobEvent::ContainerEvicted(exec) if *exec == victim => {
-                            caught = Some(in_flight.len());
-                        }
-                        _ => {}
+            let events = result.journal.to_events();
+            let drained: Vec<(usize, usize)> = events
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, e)| match e {
+                    JobEvent::ExecutorDrained { exec } => Some((pos, *exec)),
+                    _ => None,
+                })
+                .collect();
+            let [(drain_pos, victim)] = drained[..] else {
+                panic!("{at}: one requested, feasible drain applies once: {drained:?}");
+            };
+            // Launches on the victim, by position; those still
+            // unreported when it is evicted are what it catches.
+            let mut in_flight = std::collections::BTreeMap::new();
+            let mut caught = None;
+            for (pos, e) in events.iter().enumerate() {
+                match e {
+                    JobEvent::TaskLaunched { attempt, exec, .. }
+                    | JobEvent::SpeculativeLaunched { attempt, exec, .. }
+                        if *exec == victim =>
+                    {
+                        assert!(pos < drain_pos, "{at}: launch on the drained executor");
+                        in_flight.insert(*attempt, pos);
                     }
+                    JobEvent::TaskCommitted { attempt, .. }
+                    | JobEvent::TaskFailed { attempt, .. } => {
+                        in_flight.remove(attempt);
+                    }
+                    JobEvent::ContainerEvicted(exec) if *exec == victim => {
+                        caught = Some(in_flight.len());
+                    }
+                    _ => {}
                 }
-                let ledger = eviction_ledger(&result.journal);
-                let [row] = &ledger[..] else {
-                    panic!("{at}: one eviction, one ledger row: {ledger:?}");
-                };
-                assert_eq!(row.exec, victim, "{at}: the eviction takes the drained one");
-                assert_eq!(Some(row.running), caught, "{at}: all launched pre-drain");
-                assert_eq!((row.reverted, row.dropped), (0, 0), "{at}: {row:?}");
             }
+            let ledger = eviction_ledger(&result.journal);
+            let [row] = &ledger[..] else {
+                panic!("{at}: one eviction, one ledger row: {ledger:?}");
+            };
+            assert_eq!(row.exec, victim, "{at}: the eviction takes the drained one");
+            assert_eq!(Some(row.running), caught, "{at}: all launched pre-drain");
+            assert_eq!((row.reverted, row.dropped), (0, 0), "{at}: {row:?}");
         }
     }
 }

@@ -7,8 +7,7 @@ use pado_core::runtime::master::JobEvent;
 use std::time::{Duration, Instant};
 
 use pado_core::runtime::{
-    assert_clean, BackendKind, ChaosPlan, ExecBackend, FaultPlan, LocalCluster, RuntimeConfig,
-    SimBackend,
+    assert_clean, ChaosPlan, ExecBackend, FaultPlan, LocalCluster, RuntimeConfig, SimBackend,
 };
 use pado_core::RuntimeError;
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, UdfError, Value};
@@ -273,36 +272,33 @@ fn delayed_done_report_from_evicted_executor_is_discarded() {
         .with_config(config.clone())
         .run(&dag)
         .unwrap();
-    for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        // Task 0 computes, then sits on its Done report for 300 ms; after
-        // one other completion the sole transient container (running it)
-        // is evicted, so the report outlives its executor.
-        let faults = FaultPlan {
-            first_attempt_done_delays: vec![(source_fop, 0, 300)],
-            evictions: vec![(1, 0)],
-            ..Default::default()
-        };
-        let result = LocalCluster::new(1, 1)
-            .with_config(config.clone())
-            .with_backend(backend)
-            .run_with_faults(&dag, faults)
-            .unwrap();
-        assert_eq!(
-            result.outputs["Out"], baseline.outputs["Out"],
-            "{backend:?}: stale Done report leaked into the result"
-        );
-        let m = &result.metrics;
-        assert_eq!(m.evictions, 1, "{backend:?}");
-        assert!(
-            m.relaunched_tasks >= 1,
-            "{backend:?}: the stalled task must relaunch after its executor died: {m:?}"
-        );
-        assert_eq!(
-            m.task_failures, 0,
-            "{backend:?}: a delayed report is not a user-code failure"
-        );
-        pado_core::runtime::assert_clean(&result.journal, true);
-    }
+    // Task 0 computes, then sits on its Done report for 300 ms; after one
+    // other completion the sole transient container (running it) is
+    // evicted, so the report outlives its executor.
+    let faults = FaultPlan {
+        first_attempt_done_delays: vec![(source_fop, 0, 300)],
+        evictions: vec![(1, 0)],
+        ..Default::default()
+    };
+    let result = LocalCluster::new(1, 1)
+        .with_config(config)
+        .run_with_faults(&dag, faults)
+        .unwrap();
+    assert_eq!(
+        result.outputs["Out"], baseline.outputs["Out"],
+        "stale Done report leaked into the result"
+    );
+    let m = &result.metrics;
+    assert_eq!(m.evictions, 1);
+    assert!(
+        m.relaunched_tasks >= 1,
+        "the stalled task must relaunch after its executor died: {m:?}"
+    );
+    assert_eq!(
+        m.task_failures, 0,
+        "a delayed report is not a user-code failure"
+    );
+    pado_core::runtime::assert_clean(&result.journal, true);
 }
 
 /// Master restart (satellite of §3.2.6): the replacement master resumes
@@ -387,8 +383,8 @@ fn master_restart_recovers_without_relaunching_committed_tasks() {
 /// The master's progress timeout is the one stall detector, and it fires
 /// whatever the frame rate: heartbeats every 5 ms arrive faster than the
 /// 25 ms tick, so a check made only on an idle tick would never run.
-/// Under either backend name the run surfaces `RuntimeError::Wedged` with the partial
-/// journal and metrics (and its message keeps the historical "aborted"
+/// The run surfaces `RuntimeError::Wedged` with the partial journal and
+/// metrics (and its message keeps the historical "aborted"
 /// text).
 #[test]
 fn wedged_job_reports_partial_events_and_metrics() {
@@ -397,33 +393,30 @@ fn wedged_job_reports_partial_events_and_metrics() {
     p.read("Read", 2, SourceFn::from_vec(ints(4)))
         .combine_per_key("Agg", CombineFn::sum_i64());
     let dag = p.build().unwrap();
-    for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        for heartbeat_interval_ms in [50, 5] {
-            let case = format!("{backend:?}, heartbeat {heartbeat_interval_ms} ms");
-            let config = RuntimeConfig {
-                event_timeout_ms: 150,
-                tick_ms: 25,
-                heartbeat_interval_ms,
-                ..Default::default()
-            };
-            let started = Instant::now();
-            let err = LocalCluster::new(0, 1)
-                .with_backend(backend)
-                .with_config(config)
-                .run(&dag)
-                .unwrap_err();
-            let took = started.elapsed();
-            let RuntimeError::Wedged { diagnostics: d } = &err else {
-                panic!("{case}: expected Wedged, got {err:?}");
-            };
-            assert!(took < Duration::from_secs(2), "{case}: took {took:?}");
-            assert!(d.reason.contains("no progress"), "{case}: {d}");
-            assert!(d.waited_ms >= 150, "{case}: {d}");
-            assert_eq!(d.metrics.tasks_launched, 0, "{case}: nothing launched");
-            assert_eq!(d.outstanding_attempts, 0, "{case}: {d}");
-            assert!(err.to_string().contains("aborted"), "{case}: {err}");
-            assert_clean(&d.journal, false);
-        }
+    for heartbeat_interval_ms in [50, 5] {
+        let case = format!("heartbeat {heartbeat_interval_ms} ms");
+        let config = RuntimeConfig {
+            event_timeout_ms: 150,
+            tick_ms: 25,
+            heartbeat_interval_ms,
+            ..Default::default()
+        };
+        let started = Instant::now();
+        let err = LocalCluster::new(0, 1)
+            .with_config(config)
+            .run(&dag)
+            .unwrap_err();
+        let took = started.elapsed();
+        let RuntimeError::Wedged { diagnostics: d } = &err else {
+            panic!("{case}: expected Wedged, got {err:?}");
+        };
+        assert!(took < Duration::from_secs(2), "{case}: took {took:?}");
+        assert!(d.reason.contains("no progress"), "{case}: {d}");
+        assert!(d.waited_ms >= 150, "{case}: {d}");
+        assert_eq!(d.metrics.tasks_launched, 0, "{case}: nothing launched");
+        assert_eq!(d.outstanding_attempts, 0, "{case}: {d}");
+        assert!(err.to_string().contains("aborted"), "{case}: {err}");
+        assert_clean(&d.journal, false);
     }
 }
 
@@ -494,18 +487,15 @@ fn fast_heartbeats_do_not_wedge_a_job_that_progresses() {
         speculation: false,
         ..Default::default()
     };
-    for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        let started = Instant::now();
-        let result = LocalCluster::new(1, 1)
-            .with_backend(backend)
-            .with_config(config.clone())
-            .run(&dag)
-            .unwrap_or_else(|e| panic!("{backend:?}: progress resets the timeout: {e}"));
-        let took = started.elapsed();
-        assert!(
-            took > Duration::from_millis(400),
-            "{backend:?}: the job outlasted the event timeout, took {took:?}"
-        );
-        assert_eq!(result.outputs["Out"].len(), 8, "{backend:?}");
-    }
+    let started = Instant::now();
+    let result = LocalCluster::new(1, 1)
+        .with_config(config)
+        .run(&dag)
+        .unwrap_or_else(|e| panic!("progress resets the timeout: {e}"));
+    let took = started.elapsed();
+    assert!(
+        took > Duration::from_millis(400),
+        "the job outlasted the event timeout, took {took:?}"
+    );
+    assert_eq!(result.outputs["Out"].len(), 8);
 }

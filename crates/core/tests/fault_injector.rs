@@ -1,10 +1,10 @@
 //! Regression suite for the seed-keyed [`FaultInjector`]:
 //! - purity / order-independence: a draw depends only on `(seed, domain,
 //!   causal ids)` — never on how many draws were made before it or which
-//!   backend interleaving asked first (the property that makes a chaos
-//!   seed portable across the sim and threaded backends),
-//! - same-seed sim runs are bit-stable end to end: byte-identical
-//!   outputs and identical deterministic metrics counters.
+//!   interleaving of task bodies asked first (the property that lets two
+//!   runs of a chaos seed inject the same faults),
+//! - same-seed runs are bit-stable end to end: byte-identical outputs
+//!   and identical deterministic metrics counters.
 
 use pado_core::runtime::{
     ChaosPlan, FaultInjector, FaultPlan, LocalCluster, RuntimeConfig, WireSide,
@@ -109,7 +109,7 @@ fn chaos_dag() -> LogicalDag {
     p.build().unwrap()
 }
 
-/// Two sim runs on the same seed are bit-stable: same output bytes,
+/// Two runs on the same seed are bit-stable: same output bytes,
 /// zero drift across the deterministic metrics counters. (This held
 /// before the refactor, so it doubles as a pre/post behavioral anchor
 /// for the whole injection path, not just the formulas.)
@@ -148,9 +148,9 @@ fn same_seed_sim_runs_are_bit_stable() {
         assert_eq!(
             encode_outputs(&a),
             encode_outputs(&b),
-            "seed {seed}: same-seed sim runs produced different bytes"
+            "seed {seed}: same-seed runs produced different bytes"
         );
-        let drift = a.metrics.backend_drift(&b.metrics);
+        let drift = a.metrics.drift(&b.metrics);
         assert!(
             drift.is_empty(),
             "seed {seed}: deterministic counters drifted between same-seed runs: {drift:?}"

@@ -3,14 +3,13 @@
 //!
 //! MLR and ALS — the two workloads with a transient operator shared
 //! between stages, which the plan generator fuses once per stage copy —
-//! run with `fusion` on and off, on both backends, fault-free and under
-//! count-based transient evictions spread evenly over the plan's tasks.
+//! run with `fusion` on and off, fault-free and under count-based
+//! transient evictions spread evenly over the plan's tasks.
 //!
 //! What an eviction may cost is bounded per plan rather than compared
-//! run against run: relaunch counts do not repeat on either backend —
-//! the sim backend too runs each executor slot on a thread of its own,
-//! and which attempt a count-based eviction catches follows the order
-//! completions arrive in (40 sim runs of this MLR job relaunch 3–7
+//! run against run: relaunch counts do not repeat from run to run —
+//! task bodies run on the job's worker pool, and which attempt a
+//! count-based eviction catches follows the order completions arrive in (40 sim runs of this MLR job relaunch 3–7
 //! tasks unfused and 2–4 fused).
 //! Fused, every transient output of these jobs is pushed to a reserved
 //! executor as it is made, so an eviction costs at most the attempts it
@@ -21,7 +20,7 @@ mod common;
 use common::encode_outputs;
 use pado_core::compiler::{compile_with, PlanConfig};
 use pado_core::runtime::{
-    assert_clean, eviction_ledger, BackendKind, FaultPlan, JobResult, LocalCluster, RuntimeConfig,
+    assert_clean, eviction_ledger, FaultPlan, JobResult, LocalCluster, RuntimeConfig,
 };
 use pado_dag::LogicalDag;
 use pado_workloads::{als, mlr, AlsConfig, MlrConfig};
@@ -66,7 +65,7 @@ fn evictions(dag: &LogicalDag, fusion: bool) -> FaultPlan {
     }
 }
 
-fn run(dag: &LogicalDag, fusion: bool, backend: BackendKind, faults: FaultPlan) -> JobResult {
+fn run(dag: &LogicalDag, fusion: bool, faults: FaultPlan) -> JobResult {
     let config = RuntimeConfig {
         slots_per_executor: SLOTS,
         speculation: false,
@@ -75,7 +74,6 @@ fn run(dag: &LogicalDag, fusion: bool, backend: BackendKind, faults: FaultPlan) 
         ..RuntimeConfig::default()
     };
     let result = LocalCluster::new(N_TRANSIENT, 2)
-        .with_backend(backend)
         .with_config(config)
         .with_plan_config(plan_config(fusion))
         .run_with_faults(dag, faults)
@@ -87,41 +85,32 @@ fn run(dag: &LogicalDag, fusion: bool, backend: BackendKind, faults: FaultPlan) 
 #[test]
 fn fusion_changes_the_task_count_and_nothing_a_sink_holds() {
     for (name, dag) in jobs() {
-        let reference = run(&dag, false, BackendKind::Sim, FaultPlan::default());
+        let reference = run(&dag, false, FaultPlan::default());
         let want = encode_outputs(&reference);
-        for backend in [BackendKind::Sim, BackendKind::Threaded] {
-            let tasks = [false, true].map(|fusion| {
-                let quiet = run(&dag, fusion, backend, FaultPlan::default());
-                assert_eq!(encode_outputs(&quiet), want, "{name} {backend:?} {fusion}");
-                assert_eq!(quiet.metrics.relaunched_tasks, 0);
+        let tasks = [false, true].map(|fusion| {
+            let quiet = run(&dag, fusion, FaultPlan::default());
+            assert_eq!(encode_outputs(&quiet), want, "{name} {fusion}");
+            assert_eq!(quiet.metrics.relaunched_tasks, 0);
 
-                let evicted = run(&dag, fusion, backend, evictions(&dag, fusion));
-                assert_eq!(
-                    encode_outputs(&evicted),
-                    want,
-                    "{name} {backend:?} {fusion}"
-                );
-                let m = &evicted.metrics;
-                let ledger = eviction_ledger(&evicted.journal);
-                assert_eq!((m.evictions, ledger.len()), (EVICTIONS, EVICTIONS));
-                let at_rest: usize = ledger.iter().map(|row| row.reverted + row.dropped).sum();
-                let lost: usize = ledger.iter().map(|row| row.running + row.reverted).sum();
-                assert!(
-                    m.relaunched_tasks <= lost,
-                    "{name} {backend:?} {fusion}: {} relaunches for {ledger:?}",
-                    m.relaunched_tasks
-                );
-                if fusion {
-                    assert_eq!(at_rest, 0, "{name} {backend:?}: {ledger:?}");
-                    assert!(
-                        m.relaunched_tasks <= EVICTIONS * SLOTS,
-                        "{name} {backend:?}"
-                    );
-                }
-                quiet.metrics.original_tasks
-            });
-            let [unfused, fused] = tasks;
-            assert!(fused < unfused, "{name}: fusion removes tasks");
-        }
+            let evicted = run(&dag, fusion, evictions(&dag, fusion));
+            assert_eq!(encode_outputs(&evicted), want, "{name} {fusion}");
+            let m = &evicted.metrics;
+            let ledger = eviction_ledger(&evicted.journal);
+            assert_eq!((m.evictions, ledger.len()), (EVICTIONS, EVICTIONS));
+            let at_rest: usize = ledger.iter().map(|row| row.reverted + row.dropped).sum();
+            let lost: usize = ledger.iter().map(|row| row.running + row.reverted).sum();
+            assert!(
+                m.relaunched_tasks <= lost,
+                "{name} {fusion}: {} relaunches for {ledger:?}",
+                m.relaunched_tasks
+            );
+            if fusion {
+                assert_eq!(at_rest, 0, "{name} {ledger:?}");
+                assert!(m.relaunched_tasks <= EVICTIONS * SLOTS, "{name}");
+            }
+            quiet.metrics.original_tasks
+        });
+        let [unfused, fused] = tasks;
+        assert!(fused < unfused, "{name}: fusion removes tasks");
     }
 }

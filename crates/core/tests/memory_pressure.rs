@@ -26,8 +26,7 @@ use std::collections::HashMap;
 
 use pado_core::runtime::message::ExecId;
 use pado_core::runtime::{
-    BackendKind, BlockRef, EventJournal, FaultPlan, JobEvent, JobResult, LocalCluster,
-    RuntimeConfig,
+    BlockRef, EventJournal, FaultPlan, JobEvent, JobResult, LocalCluster, RuntimeConfig,
 };
 use pado_dag::{CombineFn, LogicalDag, ParDoFn, Pipeline, SourceFn, Value};
 
@@ -354,7 +353,7 @@ fn memory_pressure_matrix_preserves_outputs() {
         working_sets: &working_sets,
         ..MEMORY
     };
-    let runs = run_matrix(&family, &shapes, 0..SEEDS, BackendKind::Sim, |o| {
+    let runs = run_matrix(&family, &shapes, 0..SEEDS, |o| {
         let (case, result) = clean(o);
         check_seed(case.seed, result, case.config.executor_memory_bytes);
     });

@@ -21,8 +21,8 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use pado_core::runtime::{
-    BackendKind, DirectionFaults, FaultInjector, FaultPlan, JobEvent, LocalCluster, NetworkFault,
-    PartitionSpec, RuntimeConfig, WireSide,
+    DirectionFaults, FaultInjector, FaultPlan, JobEvent, LocalCluster, NetworkFault, PartitionSpec,
+    RuntimeConfig, WireSide,
 };
 use pado_dag::{Pipeline, SourceFn};
 
@@ -36,7 +36,7 @@ const SEEDS: u64 = 110;
 /// task may double-commit, and per-message retransmissions stay bounded.
 #[test]
 fn hundred_seeds_of_network_chaos_preserve_outputs() {
-    let runs = run_matrix(&NETWORK, &chaos_shapes(), 0..SEEDS, BackendKind::Sim, |o| {
+    let runs = run_matrix(&NETWORK, &chaos_shapes(), 0..SEEDS, |o| {
         clean(o);
     });
     // The sweep as a whole must actually exercise the transport: across
@@ -233,8 +233,7 @@ fn fault_free_runs_report_zero_transport_metrics() {
 /// backoff, not at the control thread's next heartbeat: the lane that
 /// sent it wakes the control thread when the retransmission falls due
 /// before the instant that thread sleeps until. With a 1 s heartbeat and
-/// a 5 ms backoff, a one-task job finishes in well under one beat, on
-/// either backend.
+/// a 5 ms backoff, a one-task job finishes in well under one beat.
 #[test]
 fn a_lost_report_is_retried_on_its_backoff_not_at_the_next_heartbeat() {
     let p = Pipeline::new();
@@ -261,41 +260,38 @@ fn a_lost_report_is_retried_on_its_backoff_not_at_the_next_heartbeat() {
         retransmit_max_ms: 40,
         ..RuntimeConfig::default()
     };
-    for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        let faults = FaultPlan {
-            network: Some(NetworkFault {
-                seed,
-                to_master: DirectionFaults {
-                    drop_prob,
-                    ..Default::default()
-                },
+    let faults = FaultPlan {
+        network: Some(NetworkFault {
+            seed,
+            to_master: DirectionFaults {
+                drop_prob,
                 ..Default::default()
-            }),
+            },
             ..Default::default()
-        };
-        let started = Instant::now();
-        let result = LocalCluster::new(1, 1)
-            .with_config(config.clone())
-            .with_backend(backend)
-            .run_with_faults(&dag, faults)
-            .unwrap();
-        let took = started.elapsed();
-        let retried = result.journal.events().any(|e| {
-            matches!(
-                e,
-                JobEvent::MessageRetransmitted {
-                    exec: 1,
-                    to_master: true,
-                    ..
-                }
-            )
-        });
-        assert!(retried, "{backend:?}: a report was retransmitted");
-        assert!(
-            took < Duration::from_millis(400),
-            "{backend:?}: {took:?} for one task, a heartbeat is 1 s"
-        );
-        assert_eq!(result.outputs["Out"], ints(4), "{backend:?}");
-        pado_core::runtime::assert_clean(&result.journal, true);
-    }
+        }),
+        ..Default::default()
+    };
+    let started = Instant::now();
+    let result = LocalCluster::new(1, 1)
+        .with_config(config)
+        .run_with_faults(&dag, faults)
+        .unwrap();
+    let took = started.elapsed();
+    let retried = result.journal.events().any(|e| {
+        matches!(
+            e,
+            JobEvent::MessageRetransmitted {
+                exec: 1,
+                to_master: true,
+                ..
+            }
+        )
+    });
+    assert!(retried, "a report was retransmitted");
+    assert!(
+        took < Duration::from_millis(400),
+        "{took:?} for one task, a heartbeat is 1 s"
+    );
+    assert_eq!(result.outputs["Out"], ints(4));
+    pado_core::runtime::assert_clean(&result.journal, true);
 }

@@ -1,12 +1,11 @@
-//! Chaos under both backend names: every fault family the default
-//! backend is chaos-tested under also runs with `BackendKind::Threaded`,
-//! and on the *same seed* two runs must agree — byte-identical sink
-//! outputs, clean journals through the full invariant checker (laws
-//! 1–11, including the abort-quiescence law), and zero drift across the
-//! deterministic metrics counters. Both names select one driver (the
-//! master on the caller's thread, bodies on the job's pool), so what
-//! this pins is agreement between runs whose bodies interleave
-//! differently.
+//! Run-to-run agreement under chaos: every fault family the matrices
+//! test has a causal row here, and on the *same seed* two runs must
+//! agree — byte-identical sink outputs, clean journals through the full
+//! invariant checker (laws 1–11, including the abort-quiescence law),
+//! and zero drift across the deterministic metrics counters. There is
+//! one driver (the master on the caller's thread, bodies on the job's
+//! pool), so what this pins is agreement between runs whose bodies
+//! interleave differently.
 //!
 //! This works because every fault draw routes through the causally-keyed
 //! [`FaultInjector`](pado_core::runtime::FaultInjector): decisions key
@@ -28,8 +27,8 @@
 use std::time::{Duration, Instant};
 
 use pado_core::runtime::{
-    BackendKind, CancelToken, Candidate, ExecBackend, ExecId, FaultPlan, JobResult, LocalCluster,
-    RuntimeConfig, SchedulingPolicy, StallDiagnostics, TaskToPlace, ThreadedBackend,
+    CancelToken, Candidate, ExecBackend, ExecId, FaultPlan, JobResult, LocalCluster, RuntimeConfig,
+    SchedulingPolicy, SimBackend, StallDiagnostics, TaskToPlace,
 };
 use pado_core::RuntimeError;
 
@@ -39,10 +38,10 @@ use common::*;
 /// Seeds per family — reduced versus the 110-seed sim matrices.
 const SEEDS: u64 = 10;
 
-/// Runs `seeds` of a causal row twice each.
-fn agrees_across_backends(family: &Family, seeds: impl IntoIterator<Item = u64>) {
+/// Runs `seeds` of a causal row, each twice.
+fn agrees_run_to_run(family: &Family, seeds: impl IntoIterator<Item = u64>) {
     let shapes = [("wordcount", wordcount_dag())];
-    run_matrix(family, &shapes, seeds, BackendKind::Threaded, |o| {
+    run_matrix(family, &shapes, seeds, |o| {
         let (_, result) = clean(o);
         if let Some(plan) = o.case.faults.crashes {
             assert!(
@@ -58,38 +57,38 @@ fn agrees_across_backends(family: &Family, seeds: impl IntoIterator<Item = u64>)
 /// panics, stalls) on even seeds, container evictions and reserved
 /// failures on odd seeds: two rows, tested *separately*, not layered.
 #[test]
-fn eviction_and_failure_family_agrees_across_backends() {
-    agrees_across_backends(&THREADED_UDF, (0..SEEDS).step_by(2));
-    agrees_across_backends(&THREADED_EVICTION, (1..SEEDS).step_by(2));
+fn eviction_and_failure_family_agrees_run_to_run() {
+    agrees_run_to_run(&CAUSAL_UDF, (0..SEEDS).step_by(2));
+    agrees_run_to_run(&CAUSAL_EVICTION, (1..SEEDS).step_by(2));
 }
 
 /// Family 2: lossy wire — drops, duplicates, reorders, and delays on
 /// both directions of the control plane. The at-least-once transport
-/// must mask all of it identically on both backends.
+/// must mask all of it identically in both runs.
 #[test]
-fn network_family_agrees_across_backends() {
-    agrees_across_backends(&THREADED_NETWORK, 0..SEEDS);
+fn network_family_agrees_run_to_run() {
+    agrees_run_to_run(&CAUSAL_NETWORK, 0..SEEDS);
 }
 
 /// Family 3: memory pressure — a finite store budget, chaos budget
 /// shrinks mid-run, and injected allocation failures.
 #[test]
-fn memory_pressure_family_agrees_across_backends() {
-    agrees_across_backends(&THREADED_MEMORY, 0..SEEDS);
+fn memory_pressure_family_agrees_run_to_run() {
+    agrees_run_to_run(&CAUSAL_MEMORY, 0..SEEDS);
 }
 
 /// Family 4: drains — a transient executor cordoned ahead of a
 /// predicted eviction, layered over UDF chaos.
 #[test]
-fn drain_family_agrees_across_backends() {
-    agrees_across_backends(&THREADED_DRAIN, 0..SEEDS);
+fn drain_family_agrees_run_to_run() {
+    agrees_run_to_run(&CAUSAL_DRAIN, 0..SEEDS);
 }
 
 /// Family 5: master crashes + WAL recovery on the handled-frame clock;
-/// on every seed, on either backend, the trigger must have fired.
+/// on every seed, in both runs, the trigger must have fired.
 #[test]
-fn crash_recovery_family_agrees_across_backends() {
-    agrees_across_backends(&THREADED_CRASH, 0..SEEDS);
+fn crash_recovery_family_agrees_run_to_run() {
+    agrees_run_to_run(&CAUSAL_CRASH, 0..SEEDS);
 }
 
 /// Runs wordcount on a worker pool wedged by jobs that only yield to
@@ -103,7 +102,7 @@ fn wedged_pool_run() -> (Duration, StallDiagnostics, CancelToken) {
         threaded_workers: 2,
         ..RuntimeConfig::default()
     };
-    let backend = ThreadedBackend::from_config(&config);
+    let backend = SimBackend::from_config(&config);
     let pool = backend.pool();
     let cancel = pool.cancel_token();
     // Wedge every worker with a job that only yields to cancellation —
@@ -119,7 +118,6 @@ fn wedged_pool_run() -> (Duration, StallDiagnostics, CancelToken) {
 
     let started = Instant::now();
     let err = LocalCluster::new(2, 2)
-        .with_backend(BackendKind::Threaded)
         .with_config(config)
         .run_on_backend(&wordcount_dag(), FaultPlan::default(), &backend)
         .expect_err("a wedged pool cannot complete the job");
@@ -185,11 +183,10 @@ fn a_cancel_from_outside_ends_as_aborted() {
         threaded_workers: 2,
         ..RuntimeConfig::default()
     };
-    let backend = ThreadedBackend::from_config(&config);
+    let backend = SimBackend::from_config(&config);
     backend.pool().cancel_token().cancel();
     let started = Instant::now();
     let err = LocalCluster::new(2, 2)
-        .with_backend(BackendKind::Threaded)
         .with_config(config)
         .run_on_backend(&wordcount_dag(), FaultPlan::default(), &backend)
         .expect_err("a cancelled run cannot complete");
@@ -220,7 +217,7 @@ impl SchedulingPolicy for StallPick {
 /// places at most one transient task, with the master stalled 600 ms in
 /// its `at`-th placement under a 100 ms event timeout. Returns how long
 /// the run took and what it returned.
-fn stalled_pick(backend: BackendKind, at: usize) -> (Duration, Result<JobResult, RuntimeError>) {
+fn stalled_pick(at: usize) -> (Duration, Result<JobResult, RuntimeError>) {
     let config = RuntimeConfig {
         tick_ms: 5,
         event_timeout_ms: 100,
@@ -231,7 +228,6 @@ fn stalled_pick(backend: BackendKind, at: usize) -> (Duration, Result<JobResult,
     };
     let started = Instant::now();
     let run = LocalCluster::new(1, 1)
-        .with_backend(backend)
         .with_config(config)
         .with_policy(move || {
             Box::new(StallPick {
@@ -251,25 +247,23 @@ fn stalled_pick(backend: BackendKind, at: usize) -> (Duration, Result<JobResult,
 /// pick launched outstanding and a journal that keeps law 11.
 #[test]
 fn a_master_stalled_in_a_pick_is_caught_by_its_own_timeout() {
-    for backend in [BackendKind::Sim, BackendKind::Threaded] {
-        for at in [1, 0] {
-            let (took, run) = stalled_pick(backend, at);
-            let d = match run {
-                Err(RuntimeError::Wedged { diagnostics }) => diagnostics,
-                other => panic!("{backend:?}, pick {at}: expected Wedged, got {other:?}"),
-            };
-            assert!(
-                took < Duration::from_secs(2),
-                "{backend:?}, pick {at}: took {took:?}: {d}"
-            );
-            assert!(
-                d.reason.contains("no progress within 100 ms"),
-                "{backend:?}, pick {at}: {d}"
-            );
-            assert!(d.waited_ms >= 600, "{backend:?}, pick {at}: {d}");
-            assert_eq!(d.outstanding_attempts, 1, "{backend:?}, pick {at}: {d}");
-            let violations = pado_core::runtime::check(&d.journal, false);
-            assert!(violations.is_empty(), "{backend:?}: {violations:?}");
-        }
+    for at in [1, 0] {
+        let (took, run) = stalled_pick(at);
+        let d = match run {
+            Err(RuntimeError::Wedged { diagnostics }) => diagnostics,
+            other => panic!("pick {at}: expected Wedged, got {other:?}"),
+        };
+        assert!(
+            took < Duration::from_secs(2),
+            "pick {at}: took {took:?}: {d}"
+        );
+        assert!(
+            d.reason.contains("no progress within 100 ms"),
+            "pick {at}: {d}"
+        );
+        assert!(d.waited_ms >= 600, "pick {at}: {d}");
+        assert_eq!(d.outstanding_attempts, 1, "pick {at}: {d}");
+        let violations = pado_core::runtime::check(&d.journal, false);
+        assert!(violations.is_empty(), "pick {at}: {violations:?}");
     }
 }

@@ -31,9 +31,6 @@ cargo run -p pado-bench --release --bin dataplane -- --smoke --mem-budget auto >
 stage "soak (task-failure chaos rounds for 10 s against the fault-free baseline)"
 cargo test -p pado-core --test backend_equivalence -q -- --ignored
 
-stage "data-plane smoke under the threaded name (byte-identity between two runs)"
-cargo run -p pado-bench --release --bin dataplane -- --smoke --backend threaded >/dev/null
-
 stage "production lines, crates/core/src/runtime"
 scripts/loc.sh crates/core/src/runtime
 
