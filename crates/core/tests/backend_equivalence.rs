@@ -229,9 +229,9 @@ fn threaded_backend_survives_evictions() {
 
 /// Every executor, reserved ones included, runs at most
 /// `slots_per_executor` of its bodies at once, on the job's pool: one
-/// reserved executor with one slot, beside four pool
-/// workers, runs an eight-task reserved-only stage one body at a time,
-/// each on a `pado-exec-pool-*` thread.
+/// reserved executor with one slot, beside four pool workers, runs an
+/// eight-task reserved-only stage one body at a time, each on a
+/// `pado-exec-pool-*` thread.
 #[test]
 fn a_reserved_executor_runs_at_most_its_slots_on_the_pool() {
     let running = Arc::new(AtomicUsize::new(0));

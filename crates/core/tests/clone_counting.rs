@@ -180,8 +180,9 @@ fn map_reduce_job_clones_no_record_past_the_source_read() {
 /// End-to-end: MLR reads one immutable training set in every iteration
 /// (Figure 3b), and a relaunch after an eviction reads it again. The
 /// dataset is dealt into partition blocks by its first read and every
-/// later read shares them, so the whole job makes fewer `Value` clones than the dataset has records. A source that
-/// copied its partition per read cloned each record once per iteration.
+/// later read shares them, so the whole job makes fewer `Value` clones
+/// than the dataset has records. A source that copied its partition per
+/// read cloned each record once per iteration.
 #[test]
 fn an_iterative_job_clones_no_dataset_record() {
     use pado_core::runtime::FaultPlan;

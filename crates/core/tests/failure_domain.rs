@@ -384,8 +384,7 @@ fn master_restart_recovers_without_relaunching_committed_tasks() {
 /// whatever the frame rate: heartbeats every 5 ms arrive faster than the
 /// 25 ms tick, so a check made only on an idle tick would never run.
 /// The run surfaces `RuntimeError::Wedged` with the partial journal and
-/// metrics (and its message keeps the historical "aborted"
-/// text).
+/// metrics (and its message keeps the historical "aborted" text).
 #[test]
 fn wedged_job_reports_partial_events_and_metrics() {
     let p = Pipeline::new();

@@ -9,8 +9,8 @@
 //! What an eviction may cost is bounded per plan rather than compared
 //! run against run: relaunch counts do not repeat from run to run —
 //! task bodies run on the job's worker pool, and which attempt a
-//! count-based eviction catches follows the order completions arrive in (40 sim runs of this MLR job relaunch 3–7
-//! tasks unfused and 2–4 fused).
+//! count-based eviction catches follows the order completions arrive in
+//! (40 runs of this MLR job relaunch 3–7 tasks unfused and 2–4 fused).
 //! Fused, every transient output of these jobs is pushed to a reserved
 //! executor as it is made, so an eviction costs at most the attempts it
 //! catches running; unfused it may also revert `Read` outputs at rest.
