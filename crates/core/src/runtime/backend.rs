@@ -622,6 +622,13 @@ mod tests {
         let pool = backend.pool();
         assert!(Arc::ptr_eq(&pool, &backend.pool()));
         assert_eq!(pool.worker_states().len(), 3);
+    }
+
+    /// No flag parses a backend name any more; what `perf/` still
+    /// relies on is the shim's default spelling.
+    #[test]
+    fn backend_kind_parses() {
         assert_eq!(BackendKind::default(), BackendKind::Sim);
+        assert_ne!(BackendKind::Sim, BackendKind::Threaded);
     }
 }
