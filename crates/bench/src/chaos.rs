@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 
 use pado_core::error::RuntimeError;
+use pado_core::runtime::transport::MAX_RETRANSMISSIONS_PER_MESSAGE;
 use pado_core::runtime::{
     check, temp_wal_path, ChaosPlan, CrashPlan, DirectionFaults, FaultPlan, JobEvent, JobMetrics,
     JobResult, LocalCluster, NetworkFault, PartitionSpec, RuntimeConfig, SpillFaultPlan,
@@ -137,9 +138,6 @@ pub fn with_budget(config: RuntimeConfig, budget: usize) -> RuntimeConfig {
 /// Injected UDF faults per task: strictly below every family's retry
 /// budget, so chaos alone never exhausts a task and every job completes.
 pub const MAX_FAULTS_PER_TASK: usize = 2;
-/// With a healthy ack path every message lands; even under heavy loss no
-/// frame should need anywhere near this many tries.
-pub const MAX_RETRANSMISSIONS: usize = 64;
 
 /// One fault dimension: what a family draws from its rng at this point of
 /// its list. A range of one value is a constant and draws nothing.
@@ -427,7 +425,7 @@ pub fn violations(
     if m.tasks_launched != m.original_tasks + m.relaunched_tasks + m.speculative_launches {
         out.push(format!("launch ledger out of balance: {m:?}"));
     }
-    if m.max_message_retransmissions > MAX_RETRANSMISSIONS {
+    if m.max_message_retransmissions > MAX_RETRANSMISSIONS_PER_MESSAGE {
         let n = m.max_message_retransmissions;
         out.push(format!("a message needed {n} retransmissions"));
     }
@@ -581,7 +579,6 @@ mod tests {
             parallelism: vec![1, 1],
             required: vec![vec![vec![]], vec![vec![(0, 0)]]],
             max_task_attempts: 3,
-            retransmit_bound: 2,
             executor_memory_bytes: 0,
         };
         let duplicate = JobEvent::SpeculativeLaunched {
@@ -713,7 +710,7 @@ mod tests {
     #[test]
     fn a_retransmission_count_past_the_bound_is_one_violation() {
         let mut result = result(false);
-        result.metrics.max_message_retransmissions = MAX_RETRANSMISSIONS + 1;
+        result.metrics.max_message_retransmissions = MAX_RETRANSMISSIONS_PER_MESSAGE + 1;
         assert_one(judged(&result, &FaultPlan::default()), "retransmissions");
     }
 

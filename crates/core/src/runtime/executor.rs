@@ -42,7 +42,6 @@ use crate::exec::{apply_chain, route};
 use crate::kernels::{combine_global, combine_keyed};
 use crate::runtime::backend::WorkerPool;
 use crate::runtime::config::RuntimeConfig;
-use crate::runtime::journal::{JobEvent, Journal};
 use crate::runtime::message::{ExecId, InjectedFault, MasterMsg, TaskSpec};
 use crate::runtime::store::{CacheKey, ExecutorStore, StoreHandle, UNLIMITED};
 use crate::runtime::transport::{
@@ -121,7 +120,6 @@ struct Lane {
     exec: ExecId,
     job: Arc<JobContext>,
     store: StoreHandle,
-    journal: Journal,
     /// The executor's reliable endpoint to the master, shared with its
     /// control thread; `None` once the executor stops. No holder keeps
     /// the lock across a pool submit.
@@ -152,7 +150,7 @@ impl Lane {
     /// thread sleeps until, the lane wakes it, so a lost first
     /// transmission is retried on time.
     fn run(&self, spec: TaskSpec) -> bool {
-        let done = run_task(self.exec, &self.job, &self.store, &self.journal, spec);
+        let done = run_task(self.exec, &self.job, &self.store, spec);
         let mut outbox = self.outbox.lock();
         let Some(o) = outbox.as_mut() else {
             return false;
@@ -197,13 +195,13 @@ impl ExecutorHandle {
     /// faulty) wire to `slots_per_executor` lanes on `pool`.
     ///
     /// `to_master` is the master's inbound wire; `net` injects the seeded
-    /// network faults (`None` = perfectly reliable transport); `journal`
-    /// is the job's shared execution journal (lanes log task starts, the
-    /// reliable endpoint logs retransmissions); `store` is this
-    /// executor's byte-accounted memory domain, shared with the master
-    /// (which pins inputs and admits pushes into it). The control thread
-    /// observes the pool's
-    /// [`CancelToken`](crate::runtime::CancelToken).
+    /// network faults (`None` = perfectly reliable transport); `store` is
+    /// this executor's byte-accounted memory domain, shared with the
+    /// master (which pins inputs and admits pushes into it). The control
+    /// thread observes the pool's
+    /// [`CancelToken`](crate::runtime::CancelToken). What the executor
+    /// knows of an attempt rides in the attempt's report, and the master
+    /// journals it.
     ///
     /// The slot bound holds for every executor. The master's `busy <
     /// slots` launch gate also keeps a *transient* executor's launches
@@ -218,7 +216,6 @@ impl ExecutorHandle {
         to_master: Sender<Wire<MasterMsg>>,
         net: Option<Arc<NetPolicy>>,
         counters: Arc<TransportCounters>,
-        journal: Journal,
         store: StoreHandle,
         pool: Arc<WorkerPool>,
     ) -> Self {
@@ -240,13 +237,11 @@ impl ExecutorHandle {
             Duration::from_millis(job.config.retransmit_base_ms),
             Duration::from_millis(job.config.retransmit_max_ms),
             seed ^ (id as u64),
-        )
-        .with_journal(journal.clone(), true);
+        );
         let lane = Arc::new(Lane {
             exec: id,
             job,
             store,
-            journal,
             outbox: Mutex::new(Some(Outbox {
                 out,
                 sleeps_until: Instant::now(),
@@ -376,7 +371,8 @@ fn control_loop(
 
 /// Executes one task: resolve side inputs through the cache, apply the
 /// fused chain, optionally pre-aggregate the output, size it, and
-/// partition it for the shuffles it feeds.
+/// partition it for the shuffles it feeds. The report carries the
+/// instant the attempt started, for the master to journal.
 ///
 /// The *entire* task body — side-input resolution, plan lookup, chain
 /// application, pre-aggregation — runs inside `catch_unwind`, so any
@@ -387,21 +383,12 @@ fn run_task(
     exec: ExecId,
     job: &JobContext,
     store: &Mutex<ExecutorStore>,
-    journal: &Journal,
     spec: TaskSpec,
 ) -> MasterMsg {
-    // Every attempt that reaches a lane logs a start — including
-    // ones an injected fault will fail before the body runs (the fault
-    // models user code dying, which starts executing first).
-    journal.emit(
-        job.plan.fops.get(spec.fop).map(|f| f.stage),
-        JobEvent::TaskStarted {
-            fop: spec.fop,
-            index: spec.index,
-            attempt: spec.attempt,
-            exec,
-        },
-    );
+    // Every attempt that reaches a lane starts — including ones an
+    // injected fault will fail before the body runs (the fault models
+    // user code dying, which starts executing first).
+    let (attempt, started) = (spec.attempt, Instant::now());
     match spec.inject {
         Some(InjectedFault::Delay(ms)) => {
             // Simulated straggler: stall, then compute normally.
@@ -410,39 +397,33 @@ fn run_task(
         Some(InjectedFault::Error) => {
             return MasterMsg::TaskFailed {
                 exec,
-                attempt: spec.attempt,
+                attempt,
+                started,
                 reason: "injected: user function error".into(),
             };
         }
         Some(InjectedFault::Oom) => {
-            // A mid-task allocation failure: journaled so the invariant
-            // checker can demand the attempt fails (and never commits),
-            // then reported as an ordinary task failure — the degraded
-            // outcome of memory pressure is a retry, never an abort.
-            journal.emit(
-                job.plan.fops.get(spec.fop).map(|f| f.stage),
-                JobEvent::OomInjected {
-                    fop: spec.fop,
-                    index: spec.index,
-                    attempt: spec.attempt,
-                    exec,
-                },
-            );
+            // A mid-task allocation failure, reported as an ordinary task
+            // failure — the degraded outcome of memory pressure is a
+            // retry, never an abort. The master, which injected it,
+            // journals it with the report.
             return MasterMsg::TaskFailed {
                 exec,
-                attempt: spec.attempt,
+                attempt,
+                started,
                 reason: "injected: allocation failure (store budget exhausted)".into(),
             };
         }
         Some(InjectedFault::Panic) | Some(InjectedFault::DelayDone(_)) | None => {}
     }
 
-    let attempt = spec.attempt;
     let done_delay = match spec.inject {
         Some(InjectedFault::DelayDone(ms)) => Some(Duration::from_millis(ms)),
         _ => None,
     };
-    let computed = panic::catch_unwind(AssertUnwindSafe(|| task_body(exec, job, store, spec)));
+    let computed = panic::catch_unwind(AssertUnwindSafe(|| {
+        task_body(exec, job, store, started, spec)
+    }));
     if let Some(d) = done_delay {
         // The output exists but the report stalls in flight: the window
         // where an eviction or partition races the TaskDone.
@@ -453,11 +434,13 @@ fn run_task(
         Ok(Err(udf)) => MasterMsg::TaskFailed {
             exec,
             attempt,
+            started,
             reason: udf.to_string(),
         },
         Err(payload) => MasterMsg::TaskFailed {
             exec,
             attempt,
+            started,
             reason: panic_reason(payload.as_ref()),
         },
     }
@@ -494,6 +477,7 @@ fn task_body(
     exec: ExecId,
     job: &JobContext,
     store: &Mutex<ExecutorStore>,
+    started: Instant,
     spec: TaskSpec,
 ) -> Result<MasterMsg, UdfError> {
     if spec.inject == Some(InjectedFault::Panic) {
@@ -562,6 +546,7 @@ fn task_body(
     Ok(MasterMsg::TaskDone {
         exec,
         attempt: spec.attempt,
+        started,
         output,
         buckets,
         preaggregated,
@@ -665,7 +650,9 @@ pub fn preaggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::journal::Journal;
     use pado_dag::{empty_block, CombineFn};
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn preaggregate_keyed_merges_per_key() {
@@ -753,7 +740,7 @@ mod tests {
                     route_to: route_to.clone(),
                     inject: None,
                 };
-                match run_task(3, &job, &store, &Journal::new(), spec) {
+                match run_task(3, &job, &store, spec) {
                     MasterMsg::TaskDone {
                         output, buckets, ..
                     } => {
@@ -795,19 +782,24 @@ mod tests {
 
     /// A one-slot transient executor on a pool of two workers, running a
     /// one-task read → sink job: the executor, the master's end of its
-    /// wire, its journal and the pool.
+    /// wire, the count of bodies that computed and the pool.
     fn lone_executor() -> (
         ExecutorHandle,
         Receiver<Wire<MasterMsg>>,
-        Journal,
+        Arc<AtomicUsize>,
         Arc<WorkerPool>,
     ) {
         use crate::compiler::compile;
         use pado_dag::{Pipeline, SourceFn};
 
+        let bodies = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&bodies);
         let p = Pipeline::new();
-        p.read("R", 1, SourceFn::from_vec(vec![Value::from(1i64)]))
-            .sink("S");
+        let source = SourceFn::new(move |_, _| {
+            count.fetch_add(1, Ordering::SeqCst);
+            vec![Value::from(1i64)]
+        });
+        p.read("R", 1, source).sink("S");
         let dag = p.build().unwrap();
         let plan = compile(&dag).unwrap();
         let config = RuntimeConfig {
@@ -817,8 +809,7 @@ mod tests {
         let job = Arc::new(JobContext { dag, plan, config });
         let pool = Arc::new(WorkerPool::new(2, 4));
         let (to_master, wire) = crossbeam::channel::unbounded();
-        let journal = Journal::new();
-        let store = ExecutorStore::handle(3, UNLIMITED, 1024, journal.clone());
+        let store = ExecutorStore::handle(3, UNLIMITED, 1024, Journal::new());
         let exec = ExecutorHandle::spawn(
             3,
             Placement::Transient,
@@ -826,11 +817,10 @@ mod tests {
             to_master,
             None,
             Arc::default(),
-            journal.clone(),
             store,
             Arc::clone(&pool),
         );
-        (exec, wire, journal, pool)
+        (exec, wire, bodies, pool)
     }
 
     /// The master's launch of attempt `seq` of the job's one task.
@@ -853,35 +843,36 @@ mod tests {
         })
     }
 
-    /// The attempts that started, in the order they did.
-    fn started(journal: &Journal) -> Vec<u64> {
-        let frozen = journal.freeze(crate::runtime::journal::JournalMeta::default());
-        let attempts = frozen.events().filter_map(|e| match e {
-            JobEvent::TaskStarted { attempt, .. } => Some(*attempt),
+    /// Reports that reached the master's end of the wire: each attempt,
+    /// and the instant its report says it started.
+    fn reports(wire: &Receiver<Wire<MasterMsg>>) -> Vec<(u64, Instant)> {
+        let frames = std::iter::from_fn(|| wire.try_recv());
+        let started = frames.filter_map(|f| match f {
+            Wire::Msg {
+                payload:
+                    MasterMsg::TaskDone {
+                        attempt, started, ..
+                    },
+                ..
+            } => Some((attempt, started)),
             _ => None,
         });
-        attempts.collect()
-    }
-
-    /// Reports that reached the master's end of the wire.
-    fn reports(wire: &Receiver<Wire<MasterMsg>>) -> usize {
-        let frames = std::iter::from_fn(|| wire.try_recv());
-        frames.filter(|f| matches!(f, Wire::Msg { .. })).count()
+        started.collect()
     }
 
     /// A body that finishes after its executor stopped finds the outbox
     /// closed: its report never reaches the wire, while the same
     /// executor's earlier report, sent alive, did. Its lane retires: the
-    /// body queued behind it for the one slot never starts.
+    /// body queued behind it for the one slot never computes.
     #[test]
     fn a_body_that_outlives_its_executor_reports_nothing() {
-        let (exec, wire, journal, pool) = lone_executor();
+        let (exec, wire, bodies, pool) = lone_executor();
         exec.inbound().send(launch(1, None)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut sent = 0;
         while sent == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
-            sent += reports(&wire);
+            sent += reports(&wire).len();
         }
         assert_eq!(sent, 1, "a live executor's report reaches the wire");
 
@@ -890,8 +881,8 @@ mod tests {
         let stall = Some(InjectedFault::DelayDone(100));
         exec.inbound().send(launch(2, stall)).unwrap();
         exec.inbound().send(launch(3, None)).unwrap();
-        while started(&journal).len() < 2 {
-            assert!(Instant::now() < deadline, "the second body never started");
+        while bodies.load(Ordering::SeqCst) < 2 {
+            assert!(Instant::now() < deadline, "the second body never ran");
             std::thread::sleep(Duration::from_millis(1));
         }
         exec.stop();
@@ -899,12 +890,12 @@ mod tests {
         exec.join();
         assert_eq!(
             reports(&wire),
-            0,
+            [],
             "a stopped executor's body reports nothing"
         );
         assert_eq!(
-            started(&journal),
-            [1, 2],
+            bodies.load(Ordering::SeqCst),
+            2,
             "a stopped executor starts no body"
         );
     }
@@ -912,23 +903,27 @@ mod tests {
     /// Launches beyond an executor's slots wait in its queue, and its
     /// lane takes them in arrival order: with one slot and two pool
     /// workers, bodies start in launch order, one lane at a time, and
-    /// every one reports.
+    /// every one reports when it started.
     #[test]
     fn a_lane_takes_queued_bodies_in_launch_order() {
-        let (exec, wire, journal, pool) = lone_executor();
+        let (exec, wire, _, pool) = lone_executor();
+        let launched = Instant::now();
         for seq in 1..=4 {
             // The first body holds its slot while the rest queue.
             let inject = (seq == 1).then_some(InjectedFault::Delay(200));
             exec.inbound().send(launch(seq, inject)).unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(10);
-        let mut sent = 0;
-        while sent < 4 && Instant::now() < deadline {
+        let mut sent = Vec::new();
+        while sent.len() < 4 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
-            sent += reports(&wire);
+            sent.extend(reports(&wire));
         }
-        assert_eq!(sent, 4, "every queued body ran and reported");
-        assert_eq!(started(&journal), [1, 2, 3, 4]);
+        assert_eq!(sent.len(), 4, "every queued body ran and reported");
+        assert!(launched <= sent[0].1, "a start is stamped on the lane");
+        sent.sort_by_key(|&(_, started)| started);
+        let order: Vec<u64> = sent.iter().map(|&(attempt, _)| attempt).collect();
+        assert_eq!(order, [1, 2, 3, 4]);
         assert!(pool.wait_quiesce(Duration::from_secs(10)));
         let jobs: u64 = pool.worker_states().iter().map(|w| w.jobs_run).sum();
         assert_eq!(jobs, 1, "one lane ran all four bodies");
@@ -969,7 +964,7 @@ mod tests {
         install_panic_hook_filter();
         let msg = std::thread::Builder::new()
             .name(format!("{WORKER_THREAD_PREFIX}test-slot0"))
-            .spawn(move || run_task(3, &job, &store, &Journal::new(), spec))
+            .spawn(move || run_task(3, &job, &store, spec))
             .unwrap()
             .join()
             .expect("run_task must catch the panic, not unwind the slot");
@@ -978,6 +973,7 @@ mod tests {
                 exec,
                 attempt,
                 reason,
+                ..
             } => {
                 assert_eq!((exec, attempt), (3, 7));
                 assert!(reason.starts_with("panic:"), "reason: {reason}");

@@ -19,8 +19,10 @@
 //!    is followed by a replacement container, and on a successful run
 //!    every reverted task is re-committed, every task ends committed, and
 //!    every stage ends complete.
-//! 5. **Bounded retransmission**: no message is retransmitted more than
-//!    the journal's configured bound.
+//! 5. *Retired*: the per-message retransmission bound is a wire count,
+//!    and the chaos harness checks it on every seed from
+//!    `JobMetrics::max_message_retransmissions`. The number is not
+//!    reused.
 //! 6. **Stage bracketing**: `StageCompleted` only fires on an open
 //!    stage, `StageReopened` only on a complete one.
 //! 7. **Retry budget**: per-task failure counts stay below
@@ -32,7 +34,7 @@
 //!    pinned again; an attempt hit by an injected allocation failure
 //!    never commits.
 //! 9. *Retired* with the reconfiguration transaction it checked; the
-//!    number is not reused, which leaves eleven live laws.
+//!    number is not reused, which leaves ten live laws.
 //! 10. **Crash-consistent recovery**: an attempt that was in flight at a
 //!     master recovery is fenced — the recovered master must never accept
 //!     a terminal report for it (each task still commits exactly once
@@ -45,12 +47,12 @@
 //! 11. **Aborts fail well**: a run the master declared wedged
 //!     (`RunAborted`, journaled before it cancels the run) still
 //!     quiesces its worker pool — a `PoolQuiesced` event must follow the
-//!     abort marker, and it must report zero jobs still in flight; and no run, aborted or not, may leak a worker
-//!     thread (`PoolWorkerDetached` is always a violation — a healthy
-//!     shutdown unblocks every job via the cancel token, so a detach
-//!     means a worker outlived the shutdown grace). This law holds
-//!     regardless of the `success` flag: failing well is part of the
-//!     protocol.
+//!     abort marker; and no run, aborted or not, may end with a body
+//!     still running (every `PoolQuiesced` must report zero jobs in
+//!     flight: a healthy shutdown unblocks every job via the cancel
+//!     token, so a body left running is one the pool would leak past its
+//!     shutdown grace). This law holds regardless of the `success` flag:
+//!     failing well is part of the protocol.
 //! 12. **An eviction costs what the paper says** (§3.2.5): reverts and
 //!     drops happen only while a container loss or a master recovery is
 //!     being handled. A `TaskReverted` that follows a loss (not a
@@ -203,8 +205,6 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
     let mut pending_replacements: usize = 0;
     // task -> failures since the last master recovery
     let mut failures: HashMap<(FopId, usize), usize> = HashMap::new();
-    // (exec, to_master, seq) -> retransmission count
-    let mut retransmits: HashMap<(ExecId, bool, u64), usize> = HashMap::new();
     // --- Memory-pressure domain (law 8) ---
     // exec -> applied store budget, seeded from the meta and updated by
     // `StoreBudgetChanged` (0 and usize::MAX both mean unlimited)
@@ -680,25 +680,6 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                 }),
                 Some(flag) => *flag = false,
             },
-            JobEvent::MessageRetransmitted {
-                exec,
-                to_master,
-                seq,
-            } => {
-                let count = retransmits.entry((*exec, *to_master, *seq)).or_insert(0);
-                *count += 1;
-                if *count == meta.retransmit_bound + 1 {
-                    let dir = if *to_master { "to-master" } else { "to-exec" };
-                    violations.push(Violation {
-                        position: pos,
-                        message: format!(
-                            "message seq {seq} on the {dir} link of exec {exec} retransmitted \
-                             more than {} times",
-                            meta.retransmit_bound
-                        ),
-                    });
-                }
-            }
             JobEvent::MasterRecovered => {
                 // A recovered master rebuilds its per-task failure budget
                 // from scratch, so the replay budget resets with it.
@@ -863,15 +844,6 @@ pub fn check(journal: &EventJournal, success: bool) -> Vec<Violation> {
                     quiesced_after_abort = true;
                 }
             }
-            JobEvent::PoolWorkerDetached { worker } => {
-                violations.push(Violation {
-                    position: pos,
-                    message: format!(
-                        "worker {worker} detached: it outlived the shutdown grace and \
-                         its thread leaked"
-                    ),
-                });
-            }
         }
     }
 
@@ -959,7 +931,6 @@ mod tests {
             parallelism: vec![1, 1],
             required: vec![vec![vec![]], vec![vec![(0, 0)]]],
             max_task_attempts: 4,
-            retransmit_bound: 2,
             executor_memory_bytes: 0,
         }
     }
@@ -1248,23 +1219,6 @@ mod tests {
             v.iter()
                 .any(|v| v.message.contains("2 job(s) still in flight")),
             "missing in-flight violation: {v:?}"
-        );
-    }
-
-    #[test]
-    fn law11_detached_worker_is_detected_even_on_success() {
-        let j = journal(vec![
-            launch(0, 0, 1, 0),
-            commit(0, 0, 1, 0),
-            launch(1, 0, 2, 1),
-            commit(1, 0, 2, 1),
-            JobEvent::StageCompleted(0),
-            JobEvent::PoolWorkerDetached { worker: 3 },
-        ]);
-        let v = check(&j, true);
-        assert!(
-            v.iter().any(|v| v.message.contains("worker 3 detached")),
-            "missing detach violation: {v:?}"
         );
     }
 
@@ -1664,25 +1618,6 @@ mod tests {
         assert!(check(&j, false)
             .iter()
             .any(|v| v.message.contains("already open")),);
-    }
-
-    #[test]
-    fn retransmission_bound_is_enforced() {
-        let retry = JobEvent::MessageRetransmitted {
-            exec: 1,
-            to_master: true,
-            seq: 5,
-        };
-        let j = journal(vec![retry.clone(), retry.clone()]);
-        assert!(check(&j, false).is_empty(), "bound is 2, two retries fine");
-        let j = journal(vec![retry.clone(), retry.clone(), retry]);
-        let violations = check(&j, false);
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.message.contains("retransmitted more than 2 times")),
-            "got: {violations:?}"
-        );
     }
 
     fn blk(fop: FopId, index: usize) -> BlockRef {

@@ -1,14 +1,17 @@
 //! Structured execution journal: the single source of truth for what
 //! happened during a job.
 //!
-//! Every runtime component — the master's scheduler and commit protocol,
-//! executor worker slots, and the retransmitting transport endpoints —
-//! emits [`JobEvent`]s through a shared [`Journal`] handle. Each record
-//! carries a raw emission sequence number, a microsecond timestamp from
-//! the job epoch, and its causal keys (stage / task / attempt / executor
-//! ids live on the event variants themselves). A frozen [`EventJournal`]
-//! is attached to every [`JobResult`](crate::runtime::JobResult) and is
-//! what the rest of the system consumes:
+//! The master writes it: every scheduling, commit and fault event
+//! through `Master::emit`, and what an attempt's report carried (the
+//! lane's start stamp, the allocation failure the master injected) when
+//! the report arrives. The executor stores are the one other writer:
+//! they journal their own block and cache events through a shared
+//! [`Journal`] handle. Each record carries a sequence number, a
+//! microsecond timestamp from the job epoch, and its causal keys (stage
+//! / task / attempt / executor ids live on the event variants
+//! themselves). A frozen [`EventJournal`] is attached to every
+//! [`JobResult`](crate::runtime::JobResult) and is what the rest of the
+//! system consumes:
 //!
 //! - [`EventJournal::derive_metrics`] folds the journal into
 //!   [`JobMetrics`] — counters are *derived* from events, never mirrored
@@ -20,15 +23,14 @@
 //!
 //! # Canonical order
 //!
-//! The master is single-threaded, so its emissions form a causal total
-//! order by raw sequence number. Executor worker slots emit
-//! [`JobEvent::TaskStarted`] concurrently, and transport endpoints emit
-//! [`JobEvent::MessageRetransmitted`] from both sides of the wire;
-//! freezing sorts each `TaskStarted` to sit directly after the launch of
-//! the same attempt, which makes the canonical order deterministic for a
-//! fixed seed whenever execution is serial (the golden-timeline
-//! configuration) and keeps "launch happens-before start" a structural
-//! fact the invariant checker can rely on.
+//! The canonical order is the sequence number, the order records entered
+//! the journal; freezing reorders nothing. The master appends an
+//! attempt's `TaskStarted` directly before that attempt's terminal
+//! record (or where it handled a report that no longer counts), so
+//! "launch happens-before start" holds by construction. Timestamps rise
+//! with the sequence number, except that a carried fact keeps the
+//! instant its executor stamped, which lies between its launch and the
+//! record after it.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -40,11 +42,6 @@ use crate::compiler::FopId;
 use crate::runtime::message::{AttemptId, ExecId};
 use crate::runtime::metrics::JobMetrics;
 use crate::runtime::store::BlockRef;
-
-/// Per-message retransmission bound the invariant checker enforces: with
-/// a healthy ack path every message eventually lands, and even under
-/// heavy loss no single frame should need anywhere near this many tries.
-pub const MAX_RETRANSMISSIONS_PER_MESSAGE: usize = 64;
 
 /// One entry of the execution journal — the progress record a deployment
 /// would surface in a UI and replicate for master fault tolerance.
@@ -87,8 +84,9 @@ pub enum JobEvent {
         /// Cacheable side inputs this launch had to ship.
         side_cache_misses: usize,
     },
-    /// An executor worker slot began executing an attempt (emitted from
-    /// the executor, not the master).
+    /// An executor lane began executing an attempt: stamped by the lane,
+    /// carried in the attempt's report, and journaled by the master
+    /// directly before the attempt's terminal record.
     TaskStarted {
         /// Fused operator.
         fop: FopId,
@@ -177,16 +175,6 @@ pub enum JobEvent {
     /// The failure detector flagged an executor as silent past the
     /// heartbeat-miss threshold (slow, not yet dead).
     HeartbeatMissed(ExecId),
-    /// A transport endpoint retransmitted an unacknowledged message
-    /// (emitted from the sending side of the wire).
-    MessageRetransmitted {
-        /// The executor endpoint of the link.
-        exec: ExecId,
-        /// `true` for the executor→master direction.
-        to_master: bool,
-        /// The link-level sequence number being retried.
-        seq: u64,
-    },
     /// The master restarted; a `WalRecovered` with the replay statistics
     /// follows.
     MasterRecovered,
@@ -267,6 +255,8 @@ pub enum JobEvent {
     },
     /// Chaos injected an allocation failure into a running attempt
     /// (the OOM fault family); the attempt must fail, never abort.
+    /// Journaled by the master, which injected it, with the attempt's
+    /// report and the lane's start stamp.
     OomInjected {
         /// Fused operator.
         fop: FopId,
@@ -329,17 +319,36 @@ pub enum JobEvent {
         /// Jobs still queued or running when the quiesce wait returned.
         in_flight: usize,
     },
-    /// A pool worker thread did not exit within the shutdown grace
-    /// period and was detached instead of joined (law 11 treats this as
-    /// a leak: never legal on a clean run, and on aborted runs only
-    /// before the pool quiesced).
-    PoolWorkerDetached {
-        /// Index of the detached worker thread.
-        worker: usize,
-    },
 }
 
 impl JobEvent {
+    /// What an attempt's report carries for the master to journal, in
+    /// order: the attempt's start and, when the master injected one
+    /// (`oom`), its allocation failure.
+    pub fn carried(
+        fop: FopId,
+        index: usize,
+        attempt: AttemptId,
+        exec: ExecId,
+        oom: bool,
+    ) -> impl Iterator<Item = JobEvent> {
+        let (start, failure) = (
+            JobEvent::TaskStarted {
+                fop,
+                index,
+                attempt,
+                exec,
+            },
+            JobEvent::OomInjected {
+                fop,
+                index,
+                attempt,
+                exec,
+            },
+        );
+        std::iter::once(start).chain(oom.then_some(failure))
+    }
+
     /// The event's variant name — the unit the cross-backend differential
     /// suite compares on (per-kind counts are placement-sensitive for some
     /// kinds, but the set of kinds a plan can produce is not).
@@ -360,7 +369,6 @@ impl JobEvent {
             JobEvent::ExecutorDeclaredDead(_) => "ExecutorDeclaredDead",
             JobEvent::ContainerAdded(_) => "ContainerAdded",
             JobEvent::HeartbeatMissed(_) => "HeartbeatMissed",
-            JobEvent::MessageRetransmitted { .. } => "MessageRetransmitted",
             JobEvent::MasterRecovered => "MasterRecovered",
             JobEvent::BlockAdmitted { .. } => "BlockAdmitted",
             JobEvent::BlockSpilled { .. } => "BlockSpilled",
@@ -376,7 +384,6 @@ impl JobEvent {
             JobEvent::WalRecovered { .. } => "WalRecovered",
             JobEvent::RunAborted { .. } => "RunAborted",
             JobEvent::PoolQuiesced { .. } => "PoolQuiesced",
-            JobEvent::PoolWorkerDetached { .. } => "PoolWorkerDetached",
         }
     }
 }
@@ -412,8 +419,6 @@ pub struct JournalMeta {
     pub required: Vec<Vec<Vec<(FopId, usize)>>>,
     /// The configured per-task retry budget.
     pub max_task_attempts: usize,
-    /// The per-message retransmission bound the checker enforces.
-    pub retransmit_bound: usize,
     /// The per-executor store byte budget the job ran under. `0` (the
     /// `Default`, for journals predating memory accounting) and
     /// `usize::MAX` both mean unlimited.
@@ -427,9 +432,8 @@ impl JournalMeta {
     }
 }
 
-/// Cloneable writer handle to the shared journal. The master, every
-/// executor worker slot, every store and every transport endpoint hold
-/// one.
+/// Cloneable writer handle to the shared journal. The master and every
+/// executor store hold one; the stores are why it is shared.
 ///
 /// In memory only: the write-ahead log belongs to the master, which
 /// appends the frames of its own events itself (`Master::emit`).
@@ -450,23 +454,37 @@ impl Journal {
 
     /// Appends one event, stamping its sequence number and timestamp.
     pub fn emit(&self, stage: Option<usize>, event: JobEvent) {
-        let at_us = self
-            .epoch
-            .map_or(0, |e| e.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        self.emit_at(stage, Instant::now(), [], Some(event));
+    }
+
+    /// Appends `carried`, facts another participant saw at `at` and
+    /// reported, then `then` stamped now, with no other writer's record
+    /// between them: how the master journals what an attempt's report
+    /// carried directly before the report's own record.
+    pub fn emit_at(
+        &self,
+        stage: Option<usize>,
+        at: Instant,
+        carried: impl IntoIterator<Item = JobEvent>,
+        then: Option<JobEvent>,
+    ) {
         let mut records = self.inner.lock();
-        let seq = records.len() as u64;
-        records.push(JournalRecord {
-            seq,
-            at_us,
-            stage,
-            event,
-        });
+        let stamped = carried.into_iter().map(|event| (event, at));
+        for (event, at) in stamped.chain(then.map(|event| (event, Instant::now()))) {
+            let since = |epoch| at.saturating_duration_since(epoch).as_micros() as u64;
+            let seq = records.len() as u64;
+            records.push(JournalRecord {
+                seq,
+                at_us: self.epoch.map_or(0, since),
+                stage,
+                event,
+            });
+        }
     }
 
     /// Snapshots the journal into its canonical, replayable form.
     pub fn freeze(&self, meta: JournalMeta) -> EventJournal {
-        let records = self.inner.lock().clone();
-        EventJournal::from_parts(meta, records)
+        EventJournal::from_parts(meta, self.inner.lock().clone())
     }
 }
 
@@ -481,29 +499,9 @@ pub struct EventJournal {
 }
 
 impl EventJournal {
-    /// Builds a journal from raw parts, applying the canonical order:
-    /// records sort by their raw sequence number, except that each
-    /// `TaskStarted` is anchored directly after the launch of the same
-    /// attempt (the executor's emission races the master's otherwise).
-    pub fn from_parts(meta: JournalMeta, mut records: Vec<JournalRecord>) -> Self {
-        let mut launch_seq: HashMap<AttemptId, u64> = HashMap::new();
-        for r in &records {
-            match &r.event {
-                JobEvent::TaskLaunched { attempt, .. }
-                | JobEvent::SpeculativeLaunched { attempt, .. } => {
-                    launch_seq.entry(*attempt).or_insert(r.seq);
-                }
-                _ => {}
-            }
-        }
-        records.sort_by_key(|r| match &r.event {
-            JobEvent::TaskStarted { attempt, .. } => (
-                launch_seq.get(attempt).copied().unwrap_or(r.seq),
-                1u8,
-                r.seq,
-            ),
-            _ => (r.seq, 0, r.seq),
-        });
+    /// Builds a journal from its plan facts and its records, in the
+    /// canonical order they were appended in.
+    pub fn from_parts(meta: JournalMeta, records: Vec<JournalRecord>) -> Self {
         EventJournal { meta, records }
     }
 
@@ -538,10 +536,11 @@ impl EventJournal {
     }
 
     /// Derives the event-sourced [`JobMetrics`] counters by folding the
-    /// journal. Wire-level drop/duplicate/dedup counts happen below the
-    /// journal's causal horizon (inside the simulated network) and are
-    /// folded in from [`TransportCounters`] by the master; every other
-    /// counter is computed here, so it cannot disagree with the log.
+    /// journal. The wire counters (drops, duplicates, retransmissions,
+    /// dedup suppressions, the retransmission high-water mark) happen
+    /// below the journal's causal horizon (inside the simulated network)
+    /// and are copied in from [`TransportCounters`] by the master; every
+    /// other counter is computed here, so it cannot disagree with the log.
     ///
     /// [`TransportCounters`]: crate::runtime::transport::TransportCounters
     pub fn derive_metrics(&self) -> JobMetrics {
@@ -608,7 +607,6 @@ impl EventJournal {
                 JobEvent::ExecutorDeclaredDead(_) => m.executors_declared_dead += 1,
                 JobEvent::ContainerAdded(_) => {}
                 JobEvent::HeartbeatMissed(_) => m.heartbeats_missed += 1,
-                JobEvent::MessageRetransmitted { .. } => m.messages_retransmitted += 1,
                 JobEvent::MasterRecovered => {}
                 JobEvent::BlockAdmitted { resident, .. } => {
                     m.peak_store_bytes = m.peak_store_bytes.max(*resident);
@@ -649,9 +647,7 @@ impl EventJournal {
                         m.wal_snapshot_restores += 1;
                     }
                 }
-                JobEvent::RunAborted { .. }
-                | JobEvent::PoolQuiesced { .. }
-                | JobEvent::PoolWorkerDetached { .. } => {}
+                JobEvent::RunAborted { .. } | JobEvent::PoolQuiesced { .. } => {}
             }
         }
         m
@@ -1022,14 +1018,6 @@ fn describe(event: &JobEvent) -> String {
         JobEvent::ExecutorDeclaredDead(e) => format!("declared-dead exec {e}"),
         JobEvent::ContainerAdded(e) => format!("container-add exec {e}"),
         JobEvent::HeartbeatMissed(e) => format!("hb-miss       exec {e}"),
-        JobEvent::MessageRetransmitted {
-            exec,
-            to_master,
-            seq,
-        } => {
-            let dir = if *to_master { "to-master" } else { "to-exec" };
-            format!("retransmit    {dir} link of exec {exec}, seq {seq}")
-        }
         JobEvent::MasterRecovered => "master-recovered".to_string(),
         JobEvent::BlockAdmitted {
             exec,
@@ -1096,9 +1084,6 @@ fn describe(event: &JobEvent) -> String {
         JobEvent::PoolQuiesced { in_flight } => {
             format!("pool-quiesced {in_flight} jobs in flight")
         }
-        JobEvent::PoolWorkerDetached { worker } => {
-            format!("pool-detached worker {worker} leaked past shutdown grace")
-        }
     }
 }
 
@@ -1142,35 +1127,6 @@ mod tests {
     }
 
     #[test]
-    fn task_started_anchors_after_its_launch() {
-        // Raw order: launch a1, commit a1, (late-arriving) start a1.
-        let records = vec![
-            rec(0, launched(1)),
-            rec(1, committed(1)),
-            rec(
-                2,
-                JobEvent::TaskStarted {
-                    fop: 0,
-                    index: 0,
-                    attempt: 1,
-                    exec: 1,
-                },
-            ),
-        ];
-        let ej = EventJournal::from_parts(JournalMeta::default(), records);
-        let kinds: Vec<&'static str> = ej
-            .events()
-            .map(|e| match e {
-                JobEvent::TaskLaunched { .. } => "launch",
-                JobEvent::TaskStarted { .. } => "start",
-                JobEvent::TaskCommitted { .. } => "commit",
-                _ => "other",
-            })
-            .collect();
-        assert_eq!(kinds, vec!["launch", "start", "commit"]);
-    }
-
-    #[test]
     fn derive_metrics_folds_every_event_kind() {
         let records = vec![
             rec(0, launched(1)),
@@ -1196,28 +1152,20 @@ mod tests {
             ),
             rec(7, JobEvent::ContainerAdded(2)),
             rec(8, JobEvent::HeartbeatMissed(2)),
+            rec(9, launched(3)),
+            rec(10, JobEvent::ExecutorDeclaredDead(1)),
             rec(
-                9,
-                JobEvent::MessageRetransmitted {
-                    exec: 2,
-                    to_master: true,
-                    seq: 4,
-                },
-            ),
-            rec(10, launched(3)),
-            rec(11, JobEvent::ExecutorDeclaredDead(1)),
-            rec(
-                12,
+                11,
                 JobEvent::OutputDropped {
                     fop: 1,
                     index: 0,
                     exec: 1,
                 },
             ),
-            rec(13, JobEvent::ContainerAdded(3)),
+            rec(12, JobEvent::ContainerAdded(3)),
             // Task 1.0's first launch: relaunches are counted per task.
             rec(
-                14,
+                13,
                 JobEvent::TaskLaunched {
                     fop: 1,
                     index: 0,
@@ -1249,7 +1197,7 @@ mod tests {
             eviction_ledger(&journal),
             vec![
                 row(4, "ContainerEvicted", 0, 1, 0, 1),
-                row(11, "ExecutorDeclaredDead", 1, 0, 1, 0)
+                row(10, "ExecutorDeclaredDead", 1, 0, 1, 0)
             ]
         );
         let m = journal.derive_metrics();
@@ -1266,12 +1214,37 @@ mod tests {
         assert_eq!(m.evictions, 1);
         assert_eq!(m.stage_recomputations, 1);
         assert_eq!(m.heartbeats_missed, 1);
-        assert_eq!(m.messages_retransmitted, 1);
         assert_eq!(m.bytes_pushed, 64);
         assert_eq!(m.records_preaggregated, 3);
         assert_eq!(m.cache_hits, 1);
         assert_eq!(m.cache_misses, 3);
         assert_eq!(m.side_bytes_sent, 24);
+    }
+
+    /// A carried fact keeps the instant its participant stamped and lands
+    /// directly before the record it rode in with; a stamp from before
+    /// the epoch reads 0.
+    #[test]
+    fn a_carried_fact_keeps_its_stamp_and_precedes_its_report() {
+        let before = Instant::now();
+        let j = Journal::new();
+        j.emit(Some(0), launched(1));
+        let started = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let start = |attempt| JobEvent::TaskStarted {
+            fop: 0,
+            index: 0,
+            attempt,
+            exec: 1,
+        };
+        j.emit_at(Some(0), started, [start(1)], Some(committed(1)));
+        j.emit_at(Some(0), before, [start(2)], None);
+        let frozen = j.freeze(JournalMeta::default());
+        let events: Vec<_> = frozen.events().cloned().collect();
+        assert_eq!(events, [launched(1), start(1), committed(1), start(2)]);
+        let at: Vec<u64> = frozen.records().iter().map(|r| r.at_us).collect();
+        assert!(at[0] <= at[1] && at[1] + 2_000 <= at[2], "{at:?}");
+        assert_eq!(at[3], 0);
     }
 
     #[test]

@@ -34,14 +34,11 @@ use crate::runtime::backend::{ExecBackend, StallDiagnostics, WorkerPool};
 use crate::runtime::clock::Clock;
 use crate::runtime::executor::{combine_consumer, ExecutorHandle, JobContext};
 use crate::runtime::fault::{FaultAction, FaultPlan, FaultSchedule};
-use crate::runtime::journal::{
-    EventJournal, Journal, JournalMeta, MAX_RETRANSMISSIONS_PER_MESSAGE,
-};
-use crate::runtime::message::{AttemptId, ExecId, MasterMsg, SideData, TaskSpec};
+use crate::runtime::journal::{EventJournal, Journal, JournalMeta};
+use crate::runtime::message::{AttemptId, ExecId, InjectedFault, MasterMsg, SideData, TaskSpec};
 use crate::runtime::metrics::JobMetrics;
 use crate::runtime::policy::{Candidate, RoundRobinCacheAware, SchedulingPolicy, TaskToPlace};
-use crate::runtime::store::CacheKey;
-use crate::runtime::store::{BlockRef, ExecutorStore, StoreError, StoreHandle};
+use crate::runtime::store::{BlockRef, CacheKey, ExecutorStore, StoreError, StoreHandle};
 use crate::runtime::tasks::{Attempt, Report, TaskTable};
 use crate::runtime::transport::{
     mix64, DedupWindow, Direction, ExecIn, FaultyLink, NetPolicy, ReliableSender, Seq,
@@ -169,11 +166,10 @@ pub struct Master {
     /// Completed attempt durations (ms) per fop, for straggler medians.
     fop_durations: Vec<Vec<u64>>,
 
-    /// Shared writer handle of the execution journal. Executor worker
-    /// slots, stores and transport endpoints hold clones; the master
-    /// emits every scheduling, commit, and fault event through
-    /// [`Master::emit`]. Metrics are *derived* from the journal on
-    /// demand, never mirrored by hand.
+    /// Shared writer handle of the execution journal, cloned into the
+    /// executor stores. The master writes its own events through
+    /// [`Master::emit`] and what reports carry through
+    /// [`Master::emit_report`]; metrics are *derived* from it on demand.
     journal: Journal,
     /// Plan facts embedded in every frozen journal (what the invariant
     /// checker replays against).
@@ -269,7 +265,6 @@ impl Master {
                 })
                 .collect(),
             max_task_attempts: job.config.max_task_attempts,
-            retransmit_bound: MAX_RETRANSMISSIONS_PER_MESSAGE,
             executor_memory_bytes: job.config.executor_memory_bytes,
         };
         let consumers = (0..n_fops)
@@ -315,9 +310,6 @@ impl Master {
             clock: Clock::wall(),
             pool,
         };
-        // Arm the pool's detach journal so a worker leaked past the
-        // shutdown grace is recorded in this run's own event stream.
-        master.pool.arm_journal(master.journal.clone());
         for _ in 0..n_reserved {
             master.spawn_executor(Placement::Reserved);
         }
@@ -354,7 +346,6 @@ impl Master {
             self.tx.clone(),
             self.net.clone(),
             Arc::clone(&self.counters),
-            self.journal.clone(),
             Arc::clone(&store),
             Arc::clone(&self.pool),
         );
@@ -376,8 +367,7 @@ impl Master {
             Duration::from_millis(self.job.config.retransmit_base_ms),
             Duration::from_millis(self.job.config.retransmit_max_ms),
             seed ^ mix64(id as u64),
-        )
-        .with_journal(self.journal.clone(), false);
+        );
         self.executors.insert(
             id,
             ExecInfo {
@@ -407,8 +397,8 @@ impl Master {
     /// are stopped and joined on every exit path.
     pub fn run(mut self) -> Result<JobResult, RuntimeError> {
         let outcome = self.run_loop();
-        // Join executors before freezing the journal so every in-flight
-        // executor-side emission (task starts, retransmissions) lands.
+        // Join executors and quiesce the pool before freezing the
+        // journal, so a straggling body's store events land.
         self.shutdown();
         match outcome {
             Ok(()) => Ok(self.collect_result()),
@@ -604,20 +594,15 @@ impl Master {
         }
     }
 
-    /// The journal frozen into its canonical, replayable form.
-    fn frozen_journal(&self) -> EventJournal {
-        self.journal.freeze(self.meta.clone())
-    }
-
     /// The job metrics at this moment: every counter the journal can see
-    /// is derived from it; the wire-level counts (drops, duplicates,
-    /// dedup suppressions, the transmission high-water mark) happen below
-    /// the journal's causal horizon inside the simulated network, so they
-    /// fold in from the shared transport counters.
+    /// is derived from it; the five wire counts (drops, duplicates,
+    /// retransmissions, dedup suppressions, the transmission high-water
+    /// mark) happen below its horizon and are copied from the counters.
     fn snapshot_metrics(&self, journal: &EventJournal) -> JobMetrics {
         let (mut m, c) = (journal.derive_metrics(), &self.counters);
         m.messages_dropped = c.dropped.load(Ordering::Relaxed) as usize;
         m.messages_duplicated = c.duplicated.load(Ordering::Relaxed) as usize;
+        m.messages_retransmitted = c.retransmitted.load(Ordering::Relaxed) as usize;
         m.messages_deduplicated = c.deduplicated.load(Ordering::Relaxed) as usize;
         let sent = c.max_transmissions.load(Ordering::Relaxed);
         m.max_message_retransmissions = sent.saturating_sub(1) as usize;
@@ -665,25 +650,37 @@ impl Master {
         }
     }
 
+    /// The commit protocol, on a live executor's first delivery of a
+    /// report: an output is processed exactly once, and only for an
+    /// attempt the master still considers current. Stale attempts
+    /// (evicted containers, fenced masters, losing duplicates) are dropped.
     fn handle(&mut self, msg: MasterMsg) -> Result<(), RuntimeError> {
         match msg {
             MasterMsg::TaskDone {
                 exec,
                 attempt,
+                started,
                 output: block,
                 buckets,
                 preaggregated,
                 cache_hit,
                 cached_keys,
             } => {
+                let Some(a) = self.end_attempt(exec, attempt, started, Some(cached_keys)) else {
+                    return Ok(());
+                };
                 let output = Output { block, buckets };
-                self.on_task_done(exec, attempt, output, preaggregated, cache_hit, cached_keys)
+                self.on_task_done(a, attempt, started, output, preaggregated, cache_hit)
             }
             MasterMsg::TaskFailed {
                 exec,
                 attempt,
+                started,
                 reason,
-            } => self.on_task_failed(exec, attempt, reason),
+            } => match self.end_attempt(exec, attempt, started, None) {
+                Some(a) => self.on_task_failed(a, attempt, started, reason),
+                None => Ok(()),
+            },
         }
     }
 
@@ -708,21 +705,14 @@ impl Master {
 
     fn on_task_done(
         &mut self,
-        exec: ExecId,
+        a: Attempt,
         attempt: AttemptId,
+        started: Instant,
         output: Output,
         preaggregated: usize,
         cache_hit: bool,
-        cached_keys: Vec<CacheKey>,
     ) -> Result<(), RuntimeError> {
-        // The commit protocol: an output is processed exactly once, and
-        // only for an attempt the master considers current. Stale attempts
-        // (evicted containers, fenced masters, losing speculative
-        // duplicates) are discarded.
-        let Some(a) = self.end_attempt(exec, attempt, Some(cached_keys)) else {
-            return Ok(());
-        };
-        let (fop, index) = (a.fop, a.index);
+        let (fop, index, exec) = (a.fop, a.index, a.exec);
         let elapsed = self.clock.now().saturating_duration_since(a.launched_at);
         self.fop_durations[fop].push(elapsed.as_millis() as u64);
         let locations = self.commit_locations(fop, index, exec, &output.block)?;
@@ -747,19 +737,17 @@ impl Master {
         // this task is a loser now — its eventual report is stale and
         // only frees its executor slot and pins.
         self.tasks.commit(fop, index, locations);
-        self.emit(
-            Some(self.meta.stage_of[fop]),
-            JobEvent::TaskCommitted {
-                fop,
-                index,
-                attempt,
-                exec,
-                speculative: a.speculative,
-                bytes_pushed,
-                preaggregated,
-                cache_hit,
-            },
-        );
+        let committed = JobEvent::TaskCommitted {
+            fop,
+            index,
+            attempt,
+            exec,
+            speculative: a.speculative,
+            bytes_pushed,
+            preaggregated,
+            cache_hit,
+        };
+        self.emit_report(&a, attempt, started, Some(committed));
         // The commit's durable half: `TaskCommitted` carries no location
         // set, so the location table rides its own WAL frame.
         self.append_wal_locations(fop, index)?;
@@ -777,12 +765,13 @@ impl Master {
     /// re-commit, re-charge, or free a busy slot a second time. The
     /// attempt is over, win or lose: its input pins release and — the
     /// table retiring its record — the executor's slot frees even when
-    /// the report is then discarded. Returns the attempt's record when it
-    /// was still current.
+    /// the report is then discarded, when what it carried is journaled
+    /// here. Returns the attempt's record when it was still current.
     fn end_attempt(
         &mut self,
         exec: ExecId,
         attempt: AttemptId,
+        started: Instant,
         cached_keys: Option<Vec<CacheKey>>,
     ) -> Option<Attempt> {
         let (record, current) = match self.tasks.report(attempt) {
@@ -798,7 +787,22 @@ impl Master {
         if let (Some(info), Some(keys)) = (info, cached_keys) {
             info.cached = keys.into_iter().collect();
         }
+        if let Some(a) = record.as_ref().filter(|_| !current) {
+            self.emit_report(a, attempt, started, None);
+        }
         record.filter(|_| current)
+    }
+
+    /// Journals what `a`'s report carried, then its `terminal` record,
+    /// with no other writer's record between. Only `terminal` gets a
+    /// (best-effort) WAL frame: recovery folds no carried fact.
+    fn emit_report(&mut self, a: &Attempt, id: AttemptId, at: Instant, terminal: Option<JobEvent>) {
+        let stage = Some(self.meta.stage_of[a.fop]);
+        let carried = JobEvent::carried(a.fop, a.index, id, a.exec, a.oom);
+        self.journal.emit_at(stage, at, carried, terminal.clone());
+        if let (Some(w), Some(event)) = (&mut self.wal, terminal) {
+            let _ = w.append(&WalRecord::Event { stage, event });
+        }
     }
 
     /// Releases the input blocks a retired attempt pinned at launch,
@@ -818,26 +822,20 @@ impl Master {
     /// the budget is exhausted.
     fn on_task_failed(
         &mut self,
-        exec: ExecId,
+        a: Attempt,
         attempt: AttemptId,
+        started: Instant,
         reason: String,
     ) -> Result<(), RuntimeError> {
-        // Stale failures (already-discarded attempts) only free the slot;
-        // a current one leaves its task pending again (unless a
-        // speculative duplicate still runs).
-        let Some(a) = self.end_attempt(exec, attempt, None) else {
-            return Ok(());
+        // The task is pending again, unless a speculative duplicate runs.
+        let (fop, index, exec) = (a.fop, a.index, a.exec);
+        let failed = JobEvent::TaskFailed {
+            fop,
+            index,
+            attempt,
+            exec,
         };
-        let (fop, index) = (a.fop, a.index);
-        self.emit(
-            Some(self.meta.stage_of[fop]),
-            JobEvent::TaskFailed {
-                fop,
-                index,
-                attempt,
-                exec,
-            },
-        );
+        self.emit_report(&a, attempt, started, Some(failed));
         let failures = self.tasks.charge_failure(fop, index);
         if failures >= self.job.config.max_task_attempts {
             return Err(RuntimeError::TaskFailed {
@@ -845,7 +843,7 @@ impl Master {
                 index,
                 attempts: failures,
                 reason,
-                events: self.frozen_journal().to_events(),
+                events: self.journal.freeze(self.meta.clone()).to_events(),
             });
         }
 
@@ -1374,12 +1372,14 @@ impl Master {
             && self.job.config.partial_aggregation
             && combine_consumer(&self.job.dag, &self.job.plan, fop).is_some();
 
+        let inject = self.faults.on_launch(fop, index);
         let attempt = self.tasks.begin(Attempt {
             fop,
             index,
             exec,
             launched_at: self.clock.now(),
             speculative,
+            oom: inject == Some(InjectedFault::Oom),
             pins,
         });
         self.emit(
@@ -1417,7 +1417,7 @@ impl Master {
             sides,
             preaggregate,
             route_to,
-            inject: self.faults.on_launch(fop, index),
+            inject,
         });
         Ok(())
     }
@@ -1773,7 +1773,7 @@ impl Master {
             let name = &self.job.dag.op(self.job.plan.fops[*fop].tail()).name;
             outputs.entry(name.clone()).or_default().extend(part);
         }
-        let journal = self.frozen_journal();
+        let journal = self.journal.freeze(self.meta.clone());
         let metrics = self.snapshot_metrics(&journal);
         JobResult {
             outputs,
@@ -1788,9 +1788,8 @@ impl Master {
             info.handle.join();
         }
         // Joining executors only joins their control threads — task
-        // bodies run on the shared pool. Wait for it to drain so every
-        // straggling journal emission (e.g. a loser attempt's
-        // TaskStarted) lands before the journal freezes.
+        // bodies run on the shared pool. Wait for it to drain so a
+        // straggling body's store events land before the journal freezes.
         self.pool.wait_quiesce(Duration::from_secs(10));
         let in_flight = self.pool.in_flight();
         // Every run — clean, aborted, or stalled — records the pool
@@ -1882,12 +1881,12 @@ mod tests {
 
     /// The canonical event log, frozen from the live journal.
     fn events(m: &Master) -> Vec<JobEvent> {
-        m.frozen_journal().to_events()
+        m.journal.freeze(m.meta.clone()).to_events()
     }
 
     /// The journal-derived metrics, as `run()` would report them.
     fn derived(m: &Master) -> JobMetrics {
-        let journal = m.frozen_journal();
+        let journal = m.journal.freeze(m.meta.clone());
         m.snapshot_metrics(&journal)
     }
 
@@ -1911,6 +1910,7 @@ mod tests {
             exec,
             launched_at: m.clock.now(),
             speculative: false,
+            oom: false,
             pins: Vec::new(),
         };
         m.tasks.begin(a)
@@ -1920,6 +1920,7 @@ mod tests {
         MasterMsg::TaskDone {
             exec,
             attempt,
+            started: Instant::now(),
             output: block_from_vec(vec![Value::from(1i64)]),
             buckets: Vec::new(),
             preaggregated: 0,
@@ -2022,6 +2023,7 @@ mod tests {
         let msg = MasterMsg::TaskDone {
             exec,
             attempt,
+            started: Instant::now(),
             output,
             buckets: vec![(3, buckets.clone())],
             preaggregated: 0,
@@ -2189,6 +2191,7 @@ mod tests {
             m.handle(MasterMsg::TaskFailed {
                 exec,
                 attempt,
+                started: Instant::now(),
                 reason: "injected".into(),
             })
             .unwrap()
@@ -2198,6 +2201,31 @@ mod tests {
         assert_eq!(derived(&m).task_failures, 1, "one failure, not two");
         assert_eq!(m.tasks.failures(f, 0), 1, "retry charged once");
         assert_eq!(m.tasks.held(exec), 1);
+        m.shutdown();
+    }
+
+    /// What a report carried is journaled once, on its first delivery:
+    /// the winner's start directly before its commit, the loser's where
+    /// the master handled its stale report, which journals nothing else.
+    #[test]
+    fn a_reports_start_is_journaled_once_on_its_first_delivery() {
+        let mut m = test_master();
+        let f = terminal_fop(&m);
+        let exec: ExecId = 1;
+        let won = begin(&mut m, f, exec);
+        let lost = begin(&mut m, f, exec);
+        for attempt in [won, lost, won, lost] {
+            m.handle(done_msg(exec, attempt)).unwrap();
+        }
+        let reports: Vec<_> = events(&m)
+            .into_iter()
+            .filter_map(|e| match e {
+                JobEvent::TaskStarted { attempt, .. } => Some(("start", attempt)),
+                JobEvent::TaskCommitted { attempt, .. } => Some(("commit", attempt)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reports, [("start", won), ("commit", won), ("start", lost)]);
         m.shutdown();
     }
 
@@ -2335,7 +2363,8 @@ mod tests {
     /// The master acks a pass's reports once the pass ends: an ack leaves
     /// right behind the launch that refilled its reporter's slot, an
     /// executor lost mid-pass gets none, and a quiet network still sees
-    /// no message retransmitted.
+    /// no message retransmitted, by the counters and the metrics copied
+    /// from them.
     #[test]
     fn a_passs_acks_leave_behind_its_launches() {
         let config = crate::runtime::RuntimeConfig {
@@ -2383,10 +2412,7 @@ mod tests {
         let (mut m, _) = shuffle_master(config);
         m.run_loop().unwrap();
         m.shutdown();
-        let retransmitted = events(&m)
-            .into_iter()
-            .filter(|e| matches!(e, JobEvent::MessageRetransmitted { .. }))
-            .count();
+        let retransmitted = derived(&m).messages_retransmitted;
         assert_eq!(retransmitted, 0, "a quiet network retransmits nothing");
         assert_eq!(m.counters.retransmitted.load(Ordering::Relaxed), 0);
     }

@@ -1,6 +1,7 @@
 //! Control-plane messages between the master and executors.
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use pado_dag::{Block, MainSlot};
 
@@ -89,7 +90,9 @@ pub struct TaskSpec {
     pub inject: Option<InjectedFault>,
 }
 
-/// Messages executors send to the master.
+/// Messages executors send to the master: an attempt's report, which
+/// also carries what only the executor saw of the attempt (when its lane
+/// started it), for the master to journal.
 ///
 /// `Clone` because the transport layer buffers sent messages for
 /// retransmission until they are acknowledged; `Block` payloads are
@@ -102,6 +105,8 @@ pub enum MasterMsg {
         exec: ExecId,
         /// The completed attempt.
         attempt: AttemptId,
+        /// When the lane started the attempt.
+        started: Instant,
         /// Output block of the task, created once here and only referenced
         /// afterwards.
         output: Block,
@@ -122,6 +127,8 @@ pub enum MasterMsg {
         exec: ExecId,
         /// The failed attempt.
         attempt: AttemptId,
+        /// When the lane started the attempt.
+        started: Instant,
         /// Human-readable failure reason (error message or panic payload).
         reason: String,
     },

@@ -57,6 +57,8 @@ pub(crate) struct Attempt {
     pub(crate) exec: ExecId,
     pub(crate) launched_at: Instant,
     pub(crate) speculative: bool,
+    /// Whether the master injected an allocation failure into it.
+    pub(crate) oom: bool,
     /// Input blocks pinned on `exec` at launch; whoever retires the
     /// record releases them.
     pub(crate) pins: Vec<BlockRef>,
@@ -283,10 +285,8 @@ impl TaskTable {
 
     /// Total current attempts.
     pub(crate) fn running(&self) -> usize {
-        self.attempts
-            .keys()
-            .filter(|&&id| self.is_current(id))
-            .count()
+        let current = |id: &&AttemptId| self.is_current(**id);
+        self.attempts.keys().filter(current).count()
     }
 
     /// The tasks of `fop` with exactly one current attempt, with that
@@ -533,6 +533,7 @@ mod tests {
             exec,
             launched_at: Instant::now(),
             speculative,
+            oom: false,
             pins: vec![PIN],
         }
     }

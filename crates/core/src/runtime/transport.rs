@@ -37,11 +37,17 @@ use crossbeam::channel::Sender;
 
 use crate::error::RuntimeError;
 use crate::runtime::fault::{FaultInjector, WireSide};
-use crate::runtime::journal::{JobEvent, Journal};
 use crate::runtime::message::{ExecId, TaskSpec};
 
 /// Per-peer monotone sequence number; the unit of acknowledgement.
 pub type Seq = u64;
+
+/// Per-message retransmission bound: with a healthy ack path every
+/// message eventually lands, and even under heavy loss no single frame
+/// should need anywhere near this many tries. The chaos harness checks
+/// it on every seed, against
+/// [`JobMetrics::max_message_retransmissions`](crate::runtime::JobMetrics::max_message_retransmissions).
+pub const MAX_RETRANSMISSIONS_PER_MESSAGE: usize = 64;
 
 /// Which way a frame travels; fault probabilities are per-direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -359,10 +365,6 @@ pub struct ReliableSender<T, W> {
     unacked: BTreeMap<Seq, Pending<T>>,
     backlog: VecDeque<T>,
     counters: Arc<TransportCounters>,
-    /// The job's execution journal plus this endpoint's direction
-    /// (`to_master`); when set, every retransmission is logged so the
-    /// invariant checker can bound per-message retries.
-    journal: Option<(Journal, bool)>,
 }
 
 impl<T: Clone, W: Clone> ReliableSender<T, W> {
@@ -392,17 +394,7 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
             unacked: BTreeMap::new(),
             backlog: VecDeque::new(),
             counters,
-            journal: None,
         }
-    }
-
-    /// Attaches the job's execution journal: each retransmission emits a
-    /// [`JobEvent::MessageRetransmitted`] record. `to_master` marks the
-    /// executor→master direction.
-    #[must_use]
-    pub fn with_journal(mut self, journal: Journal, to_master: bool) -> Self {
-        self.journal = Some((journal, to_master));
-        self
     }
 
     /// Sends a payload reliably: transmits now if an in-flight slot is
@@ -476,16 +468,6 @@ impl<T: Clone, W: Clone> ReliableSender<T, W> {
             let frame = (self.wrap)(self.peer, seq, 0, p.payload.clone());
             self.counters.retransmitted.fetch_add(1, Ordering::Relaxed);
             self.counters.note_transmissions(transmissions);
-            if let Some((journal, to_master)) = &self.journal {
-                journal.emit(
-                    None,
-                    JobEvent::MessageRetransmitted {
-                        exec: self.peer,
-                        to_master: *to_master,
-                        seq,
-                    },
-                );
-            }
             self.link.send(frame);
         }
         // Share the caller's time source instead of re-reading the wall

@@ -59,8 +59,8 @@
 //! whose rows read `tag => Variant { fields in wire order }` and expand
 //! to the encoder and the decoder both. Adding a [`JobEvent`] is the
 //! enum variant, one row with the next free tag (tags are never reused
-//! or renumbered — old logs must keep their meaning; 0, 23, 24, 28–33
-//! and 36 are retired), a sample and a tag arm in `tests::every_wire_form_is_pinned`,
+//! or renumbered — old logs must keep their meaning; 0, 14, 23, 24, 28–33,
+//! 36 and 38 are retired), a sample and a tag arm in `tests::every_wire_form_is_pinned`,
 //! and its `kind` / `describe` arms in the journal.
 
 use std::fmt::Write as _;
@@ -293,7 +293,9 @@ wire_enum!(BlockRef, "bad block-ref tag", {
 // reconfiguration transaction, 0 to `TaskLaunched` while it carried a
 // relaunch flag, 36 to `RunStalled`, the retired hang watchdog's abort
 // marker, 23 and 24 to `PushDeferred` and `PushResumed`, the retired
-// push backpressure's park and retry; a frame carrying one is refused.
+// push backpressure's park and retry, 14 to `MessageRetransmitted` and
+// 38 to `PoolWorkerDetached`, the journal writers the transport and the
+// pool no longer are; a frame carrying one is refused.
 wire_enum!(JobEvent, "bad event tag", {
     1 => SpeculativeLaunched {
         fop, index, attempt, exec, side_bytes_sent, side_bytes_saved, side_cache_misses
@@ -312,7 +314,6 @@ wire_enum!(JobEvent, "bad event tag", {
     11 => ExecutorDeclaredDead(exec),
     12 => ContainerAdded(exec),
     13 => HeartbeatMissed(exec),
-    14 => MessageRetransmitted { exec, to_master, seq },
     15 => MasterRecovered,
     16 => BlockAdmitted { exec, block, bytes, resident },
     17 => BlockSpilled { exec, block, bytes, raw_bytes, resident },
@@ -327,7 +328,6 @@ wire_enum!(JobEvent, "bad event tag", {
     34 => WalRecovered { frames_replayed, frames_truncated, snapshot_restored },
     35 => RunAborted { reason },
     37 => PoolQuiesced { in_flight },
-    38 => PoolWorkerDetached { worker },
     39 => OutputDropped { fop, index, exec },
     40 => ExecutorDrained { exec },
     41 => TaskLaunched {
@@ -1071,11 +1071,6 @@ mod tests {
             ExecutorDeclaredDead(exec),
             ContainerAdded(exec),
             HeartbeatMissed(exec),
-            MessageRetransmitted {
-                exec,
-                to_master: true,
-                seq: 19,
-            },
             MasterRecovered,
             BlockAdmitted {
                 exec,
@@ -1132,7 +1127,6 @@ mod tests {
                 reason: String::new(),
             },
             PoolQuiesced { in_flight: 30 },
-            PoolWorkerDetached { worker: 31 },
             OutputDropped { fop, index, exec },
             ExecutorDrained { exec },
         ]
@@ -1156,7 +1150,6 @@ mod tests {
             JobEvent::ExecutorDeclaredDead(_) => 11,
             JobEvent::ContainerAdded(_) => 12,
             JobEvent::HeartbeatMissed(_) => 13,
-            JobEvent::MessageRetransmitted { .. } => 14,
             JobEvent::MasterRecovered => 15,
             JobEvent::BlockAdmitted { .. } => 16,
             JobEvent::BlockSpilled { .. } => 17,
@@ -1171,7 +1164,6 @@ mod tests {
             JobEvent::WalRecovered { .. } => 34,
             JobEvent::RunAborted { .. } => 35,
             JobEvent::PoolQuiesced { .. } => 37,
-            JobEvent::PoolWorkerDetached { .. } => 38,
             JobEvent::OutputDropped { .. } => 39,
             JobEvent::ExecutorDrained { .. } => 40,
             JobEvent::TaskLaunched { .. } => 41,
@@ -1185,9 +1177,12 @@ mod tests {
     /// against the encoder of commit `420373f` first), and again when
     /// `RunStalled` left (tag 36 retired; every remaining event's frame,
     /// with and without a stage, is byte-identical to the encoder of
-    /// commit `c2fdfce`), and again when push backpressure left (tags 23
-    /// and 24 retired; likewise byte-identical to commit `e297af2`). A
-    /// change here is a format change.
+    /// commit `c2fdfce`), again when push backpressure left (tags 23
+    /// and 24 retired; likewise byte-identical to commit `e297af2`), and
+    /// again when `MessageRetransmitted` and `PoolWorkerDetached` left
+    /// (tags 14 and 38 retired; the encoder of commit `304bb85` gives the
+    /// same image for the remaining samples). A change here is a format
+    /// change.
     #[test]
     fn every_wire_form_is_pinned() {
         let mut records: Vec<WalRecord> = Vec::new();
@@ -1202,10 +1197,11 @@ mod tests {
             tags.insert(tag);
             records.push(record);
         }
-        let live: std::collections::BTreeSet<u8> = (1..23)
+        let live: std::collections::BTreeSet<u8> = (1..14)
+            .chain(15..23)
             .chain(25..28)
-            .chain([34, 35])
-            .chain(37..42)
+            .chain([34, 35, 37])
+            .chain(39..42)
             .collect();
         assert_eq!(tags, live, "a variant has no sample");
         records.push(WalRecord::Snapshot(WalSnapshot {
@@ -1240,7 +1236,7 @@ mod tests {
         });
         assert_eq!(
             (image.len(), fnv1a),
-            (1842, 0x8eef_bb6b_dee6_02c3),
+            (1763, 0xc19e_7cfa_562c_b104),
             "the image moved"
         );
     }
@@ -1262,10 +1258,14 @@ mod tests {
         assert_eq!(event(vec![vec![42]]), "bad event tag");
         // Retired tags are refused, not mis-decoded: e.g. what used to be
         // a well-formed epoch advance, tag 32, a stall marker, tag 36, a
-        // deferred push, tag 23, or a flagged launch, tag 0.
-        for retired in (28..=33).chain([36]) {
+        // deferred push, tag 23, a flagged launch, tag 0, a retransmission,
+        // tag 14, or a detached pool worker, tag 38.
+        for retired in (28..=33).chain([36, 38]) {
             assert_eq!(event(vec![vec![retired], le(1)]), "bad event tag");
         }
+        // The old retransmission of seq 19 to the master on exec 7's link.
+        let retransmission = [vec![14], le(7), vec![1], le(19)];
+        assert_eq!(event(retransmission.to_vec()), "bad event tag");
         // The old deferred push of output 3.5 to exec 1, 64 bytes.
         let deferred_push = [vec![23], le(3), le(5), le(1), le(64)];
         assert_eq!(event(deferred_push.to_vec()), "bad event tag");
@@ -1388,6 +1388,7 @@ mod tests {
                 exec,
                 launched_at: std::time::Instant::now(),
                 speculative: false,
+                oom: false,
                 pins: Vec::new(),
             });
             log.push(event(JobEvent::TaskLaunched {

@@ -379,8 +379,6 @@ fn the_wal_holds_the_masters_events_and_nothing_an_executor_emits() {
                 | JobEvent::CacheHit { .. }
                 | JobEvent::CacheMiss { .. }
                 | JobEvent::OomInjected { .. }
-                | JobEvent::MessageRetransmitted { .. }
-                | JobEvent::PoolWorkerDetached { .. }
         )
     };
     let recovered = |e: &JobEvent| {

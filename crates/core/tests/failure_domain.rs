@@ -4,6 +4,7 @@
 
 use pado_core::compiler::compile;
 use pado_core::runtime::master::JobEvent;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use pado_core::runtime::{
@@ -497,4 +498,85 @@ fn fast_heartbeats_do_not_wedge_a_job_that_progresses() {
         "the job outlasted the event timeout, took {took:?}"
     );
     assert_eq!(result.outputs["Out"].len(), 8);
+}
+
+/// What an executor knows of an attempt rides in its report: under
+/// evictions and UDF chaos, the master journals the lane's start stamp,
+/// and an allocation failure it injected, directly before the attempt's
+/// terminal record, or where it handled a report that no longer counts.
+/// The stamp lies between the attempt's launch and the record after it.
+#[test]
+fn a_start_rides_in_its_report_and_lands_before_its_terminal_record() {
+    let dag = wordcount_dag(4);
+    let (mut starts, mut ooms) = (0, 0);
+    for seed in 0..6 {
+        let faults = FaultPlan {
+            evictions: vec![(1, 0), (4, 1)],
+            chaos: Some(ChaosPlan {
+                seed,
+                error_prob: 0.15,
+                panic_prob: 0.1,
+                oom_prob: 0.15,
+                delay_prob: 0.2,
+                delay_ms: 5,
+                max_faults_per_task: 2,
+            }),
+            ..Default::default()
+        };
+        let result = LocalCluster::new(3, 2)
+            .with_config(fast_config())
+            .run_with_faults(&dag, faults)
+            .unwrap();
+        assert_clean(&result.journal, true);
+        let records = result.journal.records();
+        let terminal_of = |e: &JobEvent| match e {
+            JobEvent::TaskCommitted { attempt, .. } | JobEvent::TaskFailed { attempt, .. } => {
+                Some(*attempt)
+            }
+            _ => None,
+        };
+        let reported: HashSet<u64> = records
+            .iter()
+            .filter_map(|r| terminal_of(&r.event))
+            .collect();
+        let mut launched: HashMap<u64, u64> = HashMap::new();
+        for (pos, r) in records.iter().enumerate() {
+            let at = format!("seed {seed}, record {pos}: {:?}", r.event);
+            match &r.event {
+                JobEvent::TaskLaunched { attempt, .. }
+                | JobEvent::SpeculativeLaunched { attempt, .. } => {
+                    launched.insert(*attempt, r.at_us);
+                }
+                JobEvent::TaskStarted { attempt, .. } => {
+                    starts += 1;
+                    let launch = launched.get(attempt).copied();
+                    let next = records[pos + 1].at_us;
+                    assert!(
+                        launch.is_some_and(|l| l <= r.at_us) && r.at_us <= next,
+                        "{at}"
+                    );
+                    let mut after = pos + 1;
+                    let oom = |e: &JobEvent| matches!(e, JobEvent::OomInjected { attempt: a, .. } if a == attempt);
+                    if oom(&records[after].event) {
+                        (ooms, after) = (ooms + 1, after + 1);
+                    }
+                    let placed = terminal_of(&records[after].event) == Some(*attempt);
+                    assert!(placed || !reported.contains(attempt), "{at}");
+                }
+                event => {
+                    let Some(attempt) = terminal_of(event) else {
+                        continue;
+                    };
+                    let before = |k: usize| pos.checked_sub(k).map(|p| &records[p].event);
+                    let start = |e: Option<&JobEvent>| matches!(e, Some(JobEvent::TaskStarted { attempt: a, .. }) if *a == attempt);
+                    let oom = matches!(before(1), Some(JobEvent::OomInjected { attempt: a, .. }) if *a == attempt);
+                    assert!(start(before(1)) || (oom && start(before(2))), "{at}");
+                }
+            }
+        }
+    }
+    assert!(
+        starts > 0 && ooms > 0,
+        "{starts} starts, {ooms} injected OOMs"
+    );
 }

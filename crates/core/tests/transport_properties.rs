@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::unbounded;
-use pado_core::runtime::journal::MAX_RETRANSMISSIONS_PER_MESSAGE;
+use pado_core::runtime::transport::MAX_RETRANSMISSIONS_PER_MESSAGE;
 use pado_core::runtime::transport::{
     DedupWindow, Direction, DirectionFaults, FaultyLink, NetPolicy, NetworkFault, ReliableSender,
     Seq, TransportCounters, Wire,

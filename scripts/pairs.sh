@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Alternating benchmark pairs: one workload, a parent checkout against this one.
-# Usage: scripts/pairs.sh <parent-checkout> <workload> [pairs=10] [seed=1]
+# Usage: scripts/pairs.sh [--json <file>] <parent-checkout> <workload> [pairs=10] [seed=1]
 #
 # Runs `perf/run.sh --workload W --seed S --seconds 22 --trace 0` in the two
 # checkouts in turn (which side goes first alternates pair by pair) and prints,
@@ -16,8 +16,12 @@
 #   flat        anything else
 # Last, each side's failed/attempted jobs — all from the last JSON line of each run.
 # The header names each side's commit (`+dirty` when its tree has changes).
+# `--json <file>` also writes all of the above, with `nproc`, to <file> as one
+# JSON object (scripts/bench.sh gathers these into BENCH_<pr>.json).
 set -euo pipefail
-[ $# -ge 2 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
+json=""
+if [ "${1:-}" = --json ]; then json="$2"; shift 2; fi
+[ $# -ge 2 ] || { sed -n '2,20p' "$0" >&2; exit 2; }
 here="$(cd "$(dirname "$0")/.." && pwd)"
 parent="$(cd "$1" && pwd)"
 workload="$2" pairs="${3:-10}" seed="${4:-1}"
@@ -46,10 +50,15 @@ for i in $(seq 1 "$pairs"); do
     echo "pair $i/$pairs done" >&2
 done
 
-python3 - "$here/BENCHMARK.json" "$out" "$pairs" "$workload" "$seed" "$commits" <<'EOF'
+python3 - "$here/BENCHMARK.json" "$out" "$pairs" "$workload" "$seed" "$commits" "$(nproc)" \
+    "$json" <<'EOF'
 import json, statistics, sys
-bench, out, pairs, workload, seed, commits = sys.argv[1:]
+bench, out, pairs, workload, seed, commits, nproc, json_out = sys.argv[1:]
 pairs = int(pairs)
+parent_commit, change_commit = commits.split(" -> ")
+record = {"workload": workload, "seed": int(seed), "pairs": pairs, "nproc": int(nproc),
+          "commits": {"parent": parent_commit, "change": change_commit},
+          "jobs": {}, "metrics": {}}
 metrics = json.load(open(bench))["end_to_end"]
 def load(side, i):
     try:
@@ -75,8 +84,11 @@ runs = {s: [load(s, i) for i in range(1, pairs + 1)] for s in ("parent", "change
 print(f"{workload}, seed {seed}, {pairs} alternating pairs (parent -> change: {commits})")
 for side, rs in runs.items():
     ok = [r for r in rs if r]
-    print(f"  {side}: {sum(r['failed'] for r in ok)} failed of "
-          f"{sum(r['attempted'] for r in ok)} jobs, {len(rs) - len(ok)} runs without a result")
+    jobs = {"failed": sum(r["failed"] for r in ok), "attempted": sum(r["attempted"] for r in ok),
+            "runs_without_result": len(rs) - len(ok)}
+    record["jobs"][side] = jobs
+    print(f"  {side}: {jobs['failed']} failed of {jobs['attempted']} jobs, "
+          f"{jobs['runs_without_result']} runs without a result")
 fmt = lambda q: "/".join(f"{x:.4g}" for x in q)
 print(f"  {'metric':<16}{'parent q1/med/q3':>29}{'change q1/med/q3':>29}{'delta':>9}"
       f"{'parent IQR':>12}  wins/ties  verdict")
@@ -86,6 +98,7 @@ for m in metrics:
     both = [(value(p), value(c)) for p, c in zip(runs["parent"], runs["change"])
             if value(p) is not None and value(c) is not None]
     if not both:
+        record["metrics"][name] = {"verdict": "unresolved"}
         print(f"  {name:<16} no complete pair  unresolved")
         continue
     ps, cs = [p for p, _ in both], [c for _, c in both]
@@ -93,6 +106,14 @@ for m in metrics:
     wins = sum((c < p) if lower else (c > p) for p, c in both)
     ties = sum(c == p for p, c in both)
     delta = (qc[1] - qp[1]) / qp[1] * 100 if qp[1] else 0.0
+    said = verdict(ps, cs, m["better"], m["bound"], wins)
+    record["metrics"][name] = {"unit": m["unit"], "parent": qp, "change": qc,
+                               "change_pct": delta, "parent_iqr": qp[2] - qp[0],
+                               "wins": wins, "ties": ties, "verdict": said}
     print(f"  {name:<16}  {fmt(qp):>27}  {fmt(qc):>27}{delta:>+8.1f}%{qp[2] - qp[0]:>12.4g}"
-          f"  {wins}/{pairs}, {ties} ties  {verdict(ps, cs, m['better'], m['bound'], wins)}")
+          f"  {wins}/{pairs}, {ties} ties  {said}")
+if json_out:
+    with open(json_out, "w") as f:
+        json.dump(record, f, indent=1)
+        f.write("\n")
 EOF
