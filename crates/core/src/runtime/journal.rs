@@ -325,7 +325,7 @@ impl JobEvent {
     /// What an attempt's report carries for the master to journal, in
     /// order: the attempt's start and, when the master injected one
     /// (`oom`), its allocation failure.
-    pub fn carried(
+    pub(crate) fn carried(
         fop: FopId,
         index: usize,
         attempt: AttemptId,
@@ -461,7 +461,7 @@ impl Journal {
     /// reported, then `then` stamped now, with no other writer's record
     /// between them: how the master journals what an attempt's report
     /// carried directly before the report's own record.
-    pub fn emit_at(
+    pub(crate) fn emit_at(
         &self,
         stage: Option<usize>,
         at: Instant,
